@@ -1,0 +1,261 @@
+"""Item catalog and cyclic per-user request probabilities.
+
+The demand model is one period of a cycle with ``T`` slots.  In slot ``t``
+user ``n`` requests item ``m`` with probability ``probs[n, t, m]`` and stays
+silent with probability ``silence[n, t] = 1 - sum_m probs[n, t, m]``; at most
+one request per user per slot.  Slot indices wrap modulo ``T`` everywhere.
+
+Probability rows must satisfy nonnegativity and ``sum_m p + q = 1`` to within
+1e-12.  Rows off by at most 1e-9 are renormalized with a warning; anything
+worse is rejected.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from .rng import substream
+
+_EXACT_TOL = 1e-12
+_RENORM_TOL = 1e-9
+
+SILENT = 0  # outcome code for "no request"
+
+
+def _frozen_array(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class ItemCatalog:
+    """Finite item catalog with positive per-item sizes.
+
+    Items are addressed 1..M in outcome codes (0 means silent) but size
+    arrays are indexed 0..M-1 as usual.
+    """
+
+    sizes: np.ndarray
+
+    def __init__(self, sizes):
+        arr = _frozen_array(sizes)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("catalog needs a nonempty 1-d size vector")
+        if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
+            raise ValueError("item sizes must be positive and finite")
+        object.__setattr__(self, "sizes", arr)
+
+    @property
+    def num_items(self) -> int:
+        return int(self.sizes.size)
+
+    @property
+    def min_size(self) -> float:
+        return float(self.sizes.min())
+
+    def smallest_item(self) -> tuple[int, bool]:
+        """Index of the smallest item (lowest index wins ties) and a tie flag."""
+        m_star = int(np.argmin(self.sizes))
+        tied = int(np.sum(self.sizes == self.sizes[m_star])) > 1
+        return m_star, tied
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One invariant violation found by :func:`validate_profile`."""
+
+    kind: str
+    index: tuple
+    magnitude: float
+
+    def __str__(self) -> str:
+        return f"{self.kind} at {self.index}: off by {self.magnitude:.3g}"
+
+
+def validate_profile(probs, silence=None, tol: float = _EXACT_TOL) -> list[Violation]:
+    """Check probability invariants and return violations as data.
+
+    ``probs`` may be shaped (M,), (T, M), or (N, T, M).  When ``silence`` is
+    omitted it is taken as ``1 - sum_m probs``, so only nonnegativity and the
+    unit-sum cap are checked.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.ndim == 1:
+        p = p[None, None, :]
+    elif p.ndim == 2:
+        p = p[None, :, :]
+    elif p.ndim != 3:
+        raise ValueError(f"probs must have 1, 2, or 3 dims, got {p.ndim}")
+    n_users, n_slots, _ = p.shape
+    if silence is None:
+        q = 1.0 - p.sum(axis=2)
+    else:
+        q = np.broadcast_to(np.asarray(silence, dtype=float), (n_users, n_slots))
+
+    out: list[Violation] = []
+    neg = p < -tol
+    for idx in np.argwhere(neg):
+        out.append(Violation("negative probability", tuple(int(i) for i in idx), float(-p[tuple(idx)])))
+    neg_q = q < -tol
+    for idx in np.argwhere(neg_q):
+        out.append(Violation("negative silence", tuple(int(i) for i in idx), float(-q[tuple(idx)])))
+    gap = np.abs(p.sum(axis=2) + q - 1.0)
+    for idx in np.argwhere(gap > tol):
+        out.append(Violation("sum mismatch", tuple(int(i) for i in idx), float(gap[tuple(idx)])))
+    return out
+
+
+@dataclass(frozen=True)
+class DemandProfile:
+    """Cyclic request probabilities for all users: probs (N, T, M), silence (N, T)."""
+
+    probs: np.ndarray
+    silence: np.ndarray
+
+    def __init__(self, probs, silence=None):
+        p = np.array(probs, dtype=float)
+        if p.ndim != 3:
+            raise ValueError(f"probs must be (users, slots, items); got {p.shape}")
+        if p.shape[1] < 1 or p.shape[2] < 1:
+            raise ValueError(f"need at least one slot and one item; got {p.shape}")
+        row_sums = p.sum(axis=2)
+        if silence is None:
+            q = 1.0 - row_sums
+        else:
+            q = np.broadcast_to(np.asarray(silence, dtype=float), p.shape[:2]).copy()
+
+        worst = 0.0
+        if p.size:
+            worst = max(worst, float(-min(p.min(), 0.0)), float(-min(q.min(), 0.0)))
+        gap = float(np.max(np.abs(row_sums + q - 1.0))) if p.size else 0.0
+        worst = max(worst, gap)
+        if worst > _RENORM_TOL:
+            bad = validate_profile(p, None if silence is None else q, tol=_RENORM_TOL)
+            raise ValueError(
+                f"invalid demand profile ({len(bad)} violations, worst {worst:.3g}): "
+                + "; ".join(str(v) for v in bad[:3])
+            )
+        if worst > _EXACT_TOL:
+            warnings.warn(
+                f"demand profile off by {worst:.3g}; renormalizing", stacklevel=2
+            )
+            p = np.clip(p, 0.0, None)
+            q = np.clip(q, 0.0, 1.0)
+            scale = np.where(row_sums > 0.0, (1.0 - q) / np.where(row_sums > 0, row_sums, 1.0), 0.0)
+            p = p * scale[:, :, None]
+
+        p.setflags(write=False)
+        q.setflags(write=False)
+        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "silence", q)
+
+    @property
+    def num_users(self) -> int:
+        return int(self.probs.shape[0])
+
+    @property
+    def num_slots(self) -> int:
+        return int(self.probs.shape[1])
+
+    @property
+    def num_items(self) -> int:
+        return int(self.probs.shape[2])
+
+    def conditional(self, user: int, slot: int) -> "ConditionalProfile":
+        return ConditionalProfile.from_slot(
+            self.probs[user, slot % self.num_slots],
+            self.silence[user, slot % self.num_slots],
+        )
+
+    def with_probs(self, probs) -> "DemandProfile":
+        """Same silence pattern, new request probabilities."""
+        return DemandProfile(probs, self.silence)
+
+
+@dataclass(frozen=True)
+class ConditionalProfile:
+    """Item preference of one user in one slot given that a request happens."""
+
+    pi: np.ndarray
+
+    def __init__(self, pi):
+        arr = _frozen_array(pi)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("conditional profile must be a nonempty vector")
+        if np.any(arr < -_EXACT_TOL) or abs(float(arr.sum()) - 1.0) > _RENORM_TOL:
+            raise ValueError(f"conditional profile must be a distribution, got sum {arr.sum():.12g}")
+        object.__setattr__(self, "pi", arr)
+
+    @classmethod
+    def from_slot(cls, probs, silence) -> "ConditionalProfile":
+        active = 1.0 - float(silence)
+        if active <= 0.0:
+            raise ValueError("conditional profile undefined for an always-silent slot")
+        return cls(np.asarray(probs, dtype=float) / active)
+
+
+def entropy(pi) -> float:
+    """Shannon entropy (natural log) of a preference vector; 0 log 0 = 0."""
+    arr = np.asarray(getattr(pi, "pi", pi), dtype=float)
+    pos = arr[arr > 0.0]
+    return float(-np.sum(pos * np.log(pos)))
+
+
+def zipf_profile(num_items: int, power: float, activity: float = 1.0) -> np.ndarray:
+    """Request probabilities proportional to rank^-power, scaled to ``activity``.
+
+    ``activity`` is the total request probability of the slot, i.e. one minus
+    its silence.
+    """
+    if num_items < 1:
+        raise ValueError("need at least one item")
+    if not 0.0 <= activity <= 1.0:
+        raise ValueError(f"activity must lie in [0, 1], got {activity}")
+    ranks = np.arange(1, num_items + 1, dtype=float)
+    weights = ranks ** (-float(power))
+    return activity * weights / weights.sum()
+
+
+@dataclass(frozen=True)
+class RequestOutcome:
+    """Realized choices for one slot: per user an item in 1..M or 0 for silent."""
+
+    choices: np.ndarray
+
+    def __init__(self, choices):
+        arr = np.array(choices, dtype=np.int64)
+        if arr.ndim != 1:
+            raise ValueError("choices must be a 1-d user vector")
+        if arr.size and (arr.min() < 0):
+            raise ValueError("choice codes are 0 (silent) or 1..M")
+        arr.setflags(write=False)
+        object.__setattr__(self, "choices", arr)
+
+
+def sample_outcomes(
+    profile: DemandProfile, slot: int, seed: int, count: int
+) -> np.ndarray:
+    """Draw ``count`` independent outcomes for one slot; shape (N, count).
+
+    Sample ``i`` of user ``n`` depends only on ``(seed, n, slot, i)``, so the
+    same draws come back regardless of how many samples any caller requests.
+    """
+    t = slot % profile.num_slots
+    out = np.empty((profile.num_users, count), dtype=np.int64)
+    for n in range(profile.num_users):
+        u = substream(seed, n, t).random(count)
+        cum = np.cumsum(profile.probs[n, t])
+        idx = np.searchsorted(cum, u, side="right")
+        out[n] = np.where(idx < profile.num_items, idx + 1, SILENT)
+    return out
+
+
+def sample_outcome(
+    profile: DemandProfile, slot: int, seed: int, index: int = 0
+) -> RequestOutcome:
+    """The ``index``-th outcome of the slot's stream (see :func:`sample_outcomes`)."""
+    return RequestOutcome(sample_outcomes(profile, slot, seed, index + 1)[:, index])

@@ -1,0 +1,422 @@
+"""Proactive download optimization and cost-reduction accounting.
+
+``solve_proactive`` minimizes the cycle cost over the box of feasible
+allocations.  ``active_sets`` identifies, slot by slot and item by item, the
+users whose requests are worth prefetching at all under the non-proactive
+loads; ``policy_a`` turns those sets into a one-scalar-per-slot allocation
+whose cost reduction admits closed-form bounds, computed by
+``reduction_bounds``.  ``scaling_curve`` sweeps a scenario family over a
+user-count ladder and fits the growth exponent of the reduction.
+"""
+
+from __future__ import annotations
+
+import logging
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .costs import CostDomainError, CostModel
+from .demand import DemandProfile, ItemCatalog
+from .evaluate import (
+    EvalConfig,
+    EvalResult,
+    ProactiveAllocation,
+    SlotTables,
+    check_engine,
+    cost_gradient_x,
+    expected_cycle_cost,
+    nonproactive_cost,
+    tables_expected_cost,
+    tables_marginal_stats,
+)
+from .optim import box_projected_descent, golden_section_min
+
+log = logging.getLogger(__name__)
+
+_MEMBER_MARGIN = 1e-12
+_MC_SIGMAS = 4.0
+
+
+@dataclass(frozen=True)
+class ActiveSets:
+    """Users for whom prefetching item m ahead of slot t pays off.
+
+    ``member[n, t, m]`` is True when the expected marginal saving of moving
+    one unit of that user's slot-t demand into slot t-1 is positive under
+    non-proactive loads.  With the Monte Carlo engine, cells whose statistic
+    is within 4 standard errors of zero are excluded from membership and
+    listed in ``undecided``.
+    """
+
+    member: np.ndarray            # (N, T, M) bool
+    stat: np.ndarray              # (N, T, M) the decision statistic
+    undecided: tuple = field(default=())
+
+    def users(self, t: int, m: int) -> tuple[int, ...]:
+        return tuple(int(n) for n in np.nonzero(self.member[:, t, m])[0])
+
+    def pair_counts(self) -> np.ndarray:
+        """Number of active (user, item) pairs per slot."""
+        return self.member.sum(axis=(0, 2)).astype(int)
+
+    @property
+    def any_active(self) -> bool:
+        return bool(self.member.any())
+
+
+def active_sets(
+    profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, cfg: EvalConfig
+) -> ActiveSets:
+    """Decide membership from E[I_{n,t}(m) C'(L_t)] - E[C'(L_{t-1})] at x = 0."""
+    check_engine(cfg, profile, cost)
+    n_users, n_slots, m_items = profile.probs.shape
+    x0 = np.zeros_like(profile.probs)
+
+    a = np.empty(n_slots)
+    a_se = np.empty(n_slots)
+    b = np.empty((n_users, n_slots, m_items))
+    b_se = np.empty((n_users, n_slots, m_items))
+    for t in range(n_slots):
+        tables = SlotTables.from_state(profile, x0, catalog.sizes, t)
+        choices = _choices_for(profile, t, cfg)
+        a[t], b[:, t, :], a_se[t], b_se[:, t, :] = tables_marginal_stats(
+            tables, cost, cfg, choices
+        )
+
+    stat = b - np.roll(a, 1)[None, :, None]
+    if cfg.engine == "monte_carlo":
+        sigma = np.sqrt(b_se**2 + np.roll(a_se, 1)[None, :, None] ** 2)
+        member = stat > _MC_SIGMAS * sigma
+        undecided_mask = ~member & (stat >= -_MC_SIGMAS * sigma)
+        undecided = tuple(map(tuple, np.argwhere(undecided_mask)))
+    else:
+        member = stat > _MEMBER_MARGIN
+        undecided = ()
+    return ActiveSets(member=member, stat=stat, undecided=undecided)
+
+
+def _choices_for(profile, t, cfg):
+    if cfg.engine != "monte_carlo":
+        return None
+    from .demand import sample_outcomes
+
+    return sample_outcomes(profile, t, cfg.seed, cfg.samples)
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Outcome of the box-constrained cycle-cost minimization."""
+
+    allocation: ProactiveAllocation
+    cost: float
+    converged: bool
+    iterations: int
+    grad_norm: float
+    objective_trace: np.ndarray
+
+
+def solve_proactive(
+    profile: DemandProfile,
+    catalog: ItemCatalog,
+    cost: CostModel,
+    cfg: EvalConfig,
+    tol: float = 1e-8,
+    max_iters: int = 5000,
+    x0: np.ndarray | None = None,
+) -> SolveResult:
+    """Minimize the cycle cost over allocations in [0, S(m)] per coordinate.
+
+    Projected gradient descent with spectral steps and a backtracking line
+    search; descent is monotone and the run is deterministic for a given
+    configuration (the Monte Carlo engine re-uses its fixed sample streams,
+    so even stochastic evaluation yields a repeatable trajectory).  An
+    allocation that overflows an outage-capacity cost during the line search
+    is rejected as an infinite-cost trial, never clipped.  A warm start that
+    overflows under the given profile falls back to the zero allocation,
+    which is feasible whenever the non-proactive cost is.
+    """
+    check_engine(cfg, profile, cost)
+    sizes = catalog.sizes
+    n_users, n_slots, m_items = profile.probs.shape
+
+    def value(x):
+        try:
+            return expected_cycle_cost(profile, x, cost, cfg, catalog=catalog).value
+        except CostDomainError:
+            return np.inf
+
+    def grad(x):
+        return cost_gradient_x(profile, x, cost, cfg, catalog=catalog)
+
+    if x0 is None or not np.isfinite(value(x0)):
+        x0 = np.zeros((n_users, n_slots, m_items))
+        if not np.isfinite(value(x0)):
+            # nothing to optimize: even pure reactive service overflows;
+            # surface the untranslated domain error
+            expected_cycle_cost(profile, x0, cost, cfg, catalog=catalog)
+
+    res = box_projected_descent(
+        value, grad, x0, 0.0, np.broadcast_to(sizes, x0.shape), tol=tol, max_iters=max_iters
+    )
+    if not res.converged:
+        log.warning(
+            "solve_proactive did not reach tol=%.1e: %d iterations, grad norm %.3g",
+            tol, res.iterations, res.grad_norm,
+        )
+    return SolveResult(
+        allocation=ProactiveAllocation(res.x, catalog),
+        cost=res.value,
+        converged=res.converged,
+        iterations=res.iterations,
+        grad_norm=res.grad_norm,
+        objective_trace=res.trace,
+    )
+
+
+@dataclass(frozen=True)
+class PolicyAResult:
+    """One-scalar-per-slot prefetch policy built on the active sets."""
+
+    allocation: ProactiveAllocation
+    x_hat: np.ndarray             # (T,) unreduced per-slot scalars
+    x_tilde: np.ndarray           # (T,) scalars actually allocated
+    reduction_step: float         # the r subtracted from x_hat
+    sets: ActiveSets
+    cost: EvalResult
+    all_empty: bool
+
+
+def _policy_slot_objective(profile, catalog, cost, cfg, sets, t):
+    """phi_t(x): expected cost of slots t-1 and t when every active pair
+    prefetches exactly x units."""
+    n_slots = profile.num_slots
+    x0 = np.zeros_like(profile.probs)
+    prev = SlotTables.from_state(profile, x0, catalog.sizes, (t - 1) % n_slots)
+    cur = SlotTables.from_state(profile, x0, catalog.sizes, t)
+    choices_prev = _choices_for(profile, (t - 1) % n_slots, cfg)
+    choices_cur = _choices_for(profile, t, cfg)
+    pairs = int(sets.member[:, t, :].sum())
+    member_cols = np.concatenate(
+        [np.zeros((profile.num_users, 1), dtype=bool), sets.member[:, t, :]], axis=1
+    )
+
+    def phi(xv: float) -> float:
+        try:
+            first, _ = tables_expected_cost(
+                prev.with_values(prev.val, prev.const + xv * pairs), cost, cfg, choices_prev
+            )
+            second, _ = tables_expected_cost(
+                cur.with_values(cur.val - xv * member_cols, cur.const), cost, cfg, choices_cur
+            )
+        except CostDomainError:
+            return np.inf
+        return first + second
+
+    return phi
+
+
+def policy_a(
+    profile: DemandProfile,
+    catalog: ItemCatalog,
+    cost: CostModel,
+    cfg: EvalConfig,
+    sets: ActiveSets | None = None,
+    r_rule=None,
+    line_tol: float = 1e-8,
+) -> PolicyAResult:
+    """Per-slot scalar prefetch for every active (user, item) pair.
+
+    For each slot with a nonempty active set, the scalar x_hat[t] minimizes
+    the two-slot exchange cost over [0, min_m S(m)] (golden section to
+    ``line_tol``); the allocated amount x_tilde[t] backs off by r, which by
+    default is 1e-3 times the smallest x_hat over slots with active pairs.
+    ``r_rule`` may be a float (absolute r) or a callable mapping the x_hat
+    vector to r.
+    """
+    if sets is None:
+        sets = active_sets(profile, catalog, cost, cfg)
+    n_slots = profile.num_slots
+    pair_counts = sets.pair_counts()
+    x_hat = np.zeros(n_slots)
+    for t in range(n_slots):
+        if pair_counts[t] == 0:
+            continue
+        phi = _policy_slot_objective(profile, catalog, cost, cfg, sets, t)
+        x_hat[t] = golden_section_min(phi, 0.0, catalog.min_size, tol=line_tol)
+
+    all_empty = not sets.any_active
+    if all_empty:
+        r = 0.0
+    elif r_rule is None:
+        r = 1e-3 * float(x_hat[pair_counts > 0].min())
+    elif callable(r_rule):
+        r = float(r_rule(x_hat))
+    else:
+        r = float(r_rule)
+    x_tilde = np.where(pair_counts > 0, np.maximum(x_hat - r, 0.0), 0.0)
+
+    x = np.where(sets.member, x_tilde[None, :, None], 0.0)
+    allocation = ProactiveAllocation(x, catalog)
+    cost_res = expected_cycle_cost(profile, allocation, cost, cfg)
+    return PolicyAResult(
+        allocation=allocation,
+        x_hat=x_hat,
+        x_tilde=x_tilde,
+        reduction_step=r,
+        sets=sets,
+        cost=cost_res,
+        all_empty=all_empty,
+    )
+
+
+@dataclass(frozen=True)
+class CostReductionReport:
+    """Sandwich of the achievable cost reduction delta = C_nonproactive - C_opt."""
+
+    nonproactive: float
+    optimized: float
+    delta: float
+    lower: float
+    upper: float
+    policy_cost: float
+    sets: ActiveSets
+    policy: PolicyAResult
+    solve: SolveResult
+
+
+def reduction_bounds(
+    profile: DemandProfile,
+    catalog: ItemCatalog,
+    cost: CostModel,
+    cfg: EvalConfig,
+    tol: float = 1e-8,
+    max_iters: int = 5000,
+) -> CostReductionReport:
+    """Bound and measure the cost reduction from proactive downloads.
+
+    The upper bound charges every active pair its full item size against the
+    at-zero exchange statistic; the lower bound charges the policy scalars
+    against the statistic re-evaluated at the policy's own loads.  Both
+    bounds come from the same active sets, so ``lower <= delta <= upper``
+    holds for exact engines, with ``lower > 0`` as soon as any set is
+    nonempty.
+    """
+    sets = active_sets(profile, catalog, cost, cfg)
+    n_users, n_slots, m_items = profile.probs.shape
+    x0 = np.zeros_like(profile.probs)
+
+    upper = float(np.sum(sets.stat * sets.member * catalog.sizes[None, None, :])) / n_slots
+
+    pol = policy_a(profile, catalog, cost, cfg, sets=sets)
+    pair_counts = sets.pair_counts()
+    lower = 0.0
+    for t in range(n_slots):
+        if pair_counts[t] == 0:
+            continue
+        xv = float(pol.x_tilde[t])
+        member_cols = np.concatenate(
+            [np.zeros((n_users, 1), dtype=bool), sets.member[:, t, :]], axis=1
+        )
+        cur = SlotTables.from_state(profile, x0, catalog.sizes, t)
+        _, b_mod, _, _ = tables_marginal_stats(
+            cur.with_values(cur.val - xv * member_cols), cost, cfg,
+            _choices_for(profile, t, cfg),
+        )
+        prev = SlotTables.from_state(profile, x0, catalog.sizes, (t - 1) % n_slots)
+        a_shift, _, _, _ = tables_marginal_stats(
+            prev.with_values(prev.val, prev.const + xv * pair_counts[t]), cost, cfg,
+            _choices_for(profile, (t - 1) % n_slots, cfg),
+        )
+        lower += xv * float(np.sum((b_mod - a_shift) * sets.member[:, t, :]))
+    lower /= n_slots
+
+    base = nonproactive_cost(profile, catalog, cost, cfg)
+    solved = solve_proactive(profile, catalog, cost, cfg, tol=tol, max_iters=max_iters)
+    delta = base.value - solved.cost
+    return CostReductionReport(
+        nonproactive=base.value,
+        optimized=solved.cost,
+        delta=delta,
+        lower=lower,
+        upper=upper,
+        policy_cost=pol.cost.value,
+        sets=sets,
+        policy=pol,
+        solve=solved,
+    )
+
+
+def marginal_cost_ratio(
+    profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, cfg: EvalConfig
+) -> np.ndarray:
+    """Diagnostic per-slot ratio E[C'(L_t)] / E[C'(L_{t-1})] at zero allocation.
+
+    A slot whose ratio exceeds 1 is a load peak relative to its predecessor;
+    sustained ratios above 1 on slots with nonempty active sets indicate the
+    regime where the reduction keeps growing superlinearly with the user
+    count.  Purely informational; no algorithm branches on it.
+    """
+    x0 = np.zeros_like(profile.probs)
+    n_slots = profile.num_slots
+    a = np.empty(n_slots)
+    for t in range(n_slots):
+        tables = SlotTables.from_state(profile, x0, catalog.sizes, t)
+        a[t], _, _, _ = tables_marginal_stats(tables, cost, cfg, _choices_for(profile, t, cfg))
+    return a / np.roll(a, 1)
+
+
+@dataclass(frozen=True)
+class ScalingPoint:
+    num_users: int
+    nonproactive: float
+    optimized: float
+    delta: float
+    ratio: float
+    stderr: float
+
+
+@dataclass(frozen=True)
+class ScalingCurve:
+    points: tuple
+    exponent: float
+
+
+def scaling_curve(
+    family,
+    ladder,
+    cost: CostModel,
+    cfg: EvalConfig,
+    tol: float = 1e-6,
+    max_iters: int = 5000,
+) -> ScalingCurve:
+    """Cost reduction across a user-count ladder plus its log-log growth rate.
+
+    ``family`` must provide ``instance(num_users) -> (catalog, profile)``
+    with a shared item catalog so the points are comparable.  The exponent
+    is the least-squares slope of log(delta) against log(N) and needs at
+    least three ladder points.
+    """
+    ladder = [int(n) for n in ladder]
+    if len(ladder) < 3:
+        raise ValueError("exponent fit needs at least 3 ladder points")
+    points = []
+    for n in ladder:
+        catalog, profile = family.instance(n)
+        base = nonproactive_cost(profile, catalog, cost, cfg)
+        solved = solve_proactive(profile, catalog, cost, cfg, tol=tol, max_iters=max_iters)
+        delta = base.value - solved.cost
+        points.append(
+            ScalingPoint(
+                num_users=n,
+                nonproactive=base.value,
+                optimized=solved.cost,
+                delta=delta,
+                ratio=delta / base.value if base.value else 0.0,
+                stderr=base.stderr,
+            )
+        )
+    slope = float(
+        np.polyfit(np.log([p.num_users for p in points]), np.log([p.delta for p in points]), 1)[0]
+    )
+    return ScalingCurve(points=tuple(points), exponent=slope)

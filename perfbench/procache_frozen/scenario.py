@@ -1,0 +1,209 @@
+"""Scenario files: a complete experiment input as strict JSON.
+
+A scenario pins the item catalog, the cyclic demand profile (explicit rows
+or a generator), the cost family, the evaluation engine, the shaping
+budgets, and the seed.  Parsing is strict: unknown keys anywhere are
+rejected by name, and cross-field consistency (dimensions, engine versus
+cost family) is checked at load time so a bad file fails before any compute.
+
+Schema (all floats unless noted)::
+
+    {
+      "sizes": [3, 2, 4]                    # or {"kind": "uniform",
+                                            #     "count": 50, "low": 10, "high": 30}
+      "slots": 2,                           # optional with explicit profiles
+      "profiles": [ [[..M..] per slot] per user ],
+      "generator": {"kind": "zipf", "users": 2, "power": 4,
+                    "activity": [0.1, 0.9]},   # alternative to "profiles"
+      "cost": {"kind": "quadratic"}         # or {"kind": "outage", "mu": 9.8}
+                                            # or {"kind": "polynomial", "coeffs": [..]}
+      "eval": {"engine": "enumerate", "samples": 0},
+      "alpha": 0.2,                         # scalar or per-user list
+      "seed": 7
+    }
+
+The scenario hash is the sha256 of the canonical (sorted-key) JSON of the
+input, so reports can state exactly what they were computed from.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from .costs import CostModel
+from .demand import DemandProfile, ItemCatalog, zipf_profile
+from .evaluate import EvalConfig
+from .rng import substream
+
+_SIZE_STREAM = (997, 991)  # namespace ids for catalog draws
+
+
+class ScenarioError(ValueError):
+    """Malformed scenario file; the message names the offending key."""
+
+
+def _require_keys(obj: dict, allowed: set, where: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ScenarioError(f"unknown key {key!r} in {where}")
+
+
+def _need(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ScenarioError(f"missing key {key!r} in {where}")
+    return obj[key]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    catalog: ItemCatalog
+    profile: DemandProfile
+    cost: CostModel
+    cfg: EvalConfig
+    alpha: np.ndarray
+    seed: int
+    source: dict
+
+    @property
+    def hash(self) -> str:
+        return scenario_hash(self.source)
+
+
+def scenario_hash(data: dict) -> str:
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def parse_scenario(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario must be a JSON object")
+    _require_keys(
+        data,
+        {"sizes", "slots", "profiles", "generator", "cost", "eval", "alpha", "seed"},
+        "scenario",
+    )
+    seed = int(data.get("seed", 0))
+
+    sizes_spec = _need(data, "sizes", "scenario")
+    if isinstance(sizes_spec, dict):
+        _require_keys(sizes_spec, {"kind", "count", "low", "high"}, "sizes")
+        if _need(sizes_spec, "kind", "sizes") != "uniform":
+            raise ScenarioError(f"unknown sizes kind {sizes_spec['kind']!r}")
+        count = int(_need(sizes_spec, "count", "sizes"))
+        low = float(_need(sizes_spec, "low", "sizes"))
+        high = float(_need(sizes_spec, "high", "sizes"))
+        gen = substream(seed, *_SIZE_STREAM)
+        catalog = ItemCatalog(gen.uniform(low, high, size=count))
+    else:
+        catalog = ItemCatalog(sizes_spec)
+
+    has_profiles = "profiles" in data
+    has_generator = "generator" in data
+    if has_profiles == has_generator:
+        raise ScenarioError("scenario needs exactly one of 'profiles' or 'generator'")
+
+    if has_profiles:
+        rows = data["profiles"]
+        probs = np.asarray(rows, dtype=float)
+        if probs.ndim != 3:
+            raise ScenarioError("'profiles' must be users x slots x items")
+        if probs.shape[2] != catalog.num_items:
+            raise ScenarioError(
+                f"profiles cover {probs.shape[2]} items, catalog has {catalog.num_items}"
+            )
+        if "slots" in data and int(data["slots"]) != probs.shape[1]:
+            raise ScenarioError(
+                f"'slots' is {data['slots']} but profiles have {probs.shape[1]} slots"
+            )
+        try:
+            profile = DemandProfile(probs)
+        except ValueError as exc:
+            raise ScenarioError(f"invalid profiles: {exc}") from exc
+    else:
+        gen_spec = data["generator"]
+        _require_keys(gen_spec, {"kind", "users", "power", "activity"}, "generator")
+        if _need(gen_spec, "kind", "generator") != "zipf":
+            raise ScenarioError(f"unknown generator kind {gen_spec['kind']!r}")
+        users = int(_need(gen_spec, "users", "generator"))
+        power = float(_need(gen_spec, "power", "generator"))
+        activity = np.atleast_1d(np.asarray(_need(gen_spec, "activity", "generator"), dtype=float))
+        if "slots" in data and int(data["slots"]) != activity.size:
+            raise ScenarioError(
+                f"'slots' is {data['slots']} but generator lists {activity.size} activities"
+            )
+        rows = np.stack([zipf_profile(catalog.num_items, power, a) for a in activity])
+        probs = np.broadcast_to(rows, (users,) + rows.shape).copy()
+        profile = DemandProfile(probs)
+
+    cost_spec = _need(data, "cost", "scenario")
+    _require_keys(cost_spec, {"kind", "mu", "coeffs"}, "cost")
+    kind = _need(cost_spec, "kind", "cost")
+    try:
+        if kind == "quadratic":
+            _require_keys(cost_spec, {"kind"}, "cost")
+            cost = CostModel.quadratic()
+        elif kind == "outage":
+            _require_keys(cost_spec, {"kind", "mu"}, "cost")
+            cost = CostModel.outage(float(_need(cost_spec, "mu", "cost")))
+        elif kind == "polynomial":
+            _require_keys(cost_spec, {"kind", "coeffs"}, "cost")
+            cost = CostModel.polynomial(_need(cost_spec, "coeffs", "cost"))
+        else:
+            raise ScenarioError(f"unknown cost kind {kind!r}")
+    except ValueError as exc:
+        if isinstance(exc, ScenarioError):
+            raise
+        raise ScenarioError(f"invalid cost: {exc}") from exc
+
+    eval_spec = data.get("eval", {})
+    _require_keys(eval_spec, {"engine", "samples"}, "eval")
+    try:
+        cfg = EvalConfig(
+            engine=eval_spec.get("engine", "enumerate"),
+            samples=int(eval_spec.get("samples", 0)),
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"invalid eval config: {exc}") from exc
+
+    from .evaluate import UnsupportedEngineError, check_engine
+
+    try:
+        check_engine(cfg, profile, cost)
+    except UnsupportedEngineError as exc:
+        raise ScenarioError(f"engine mismatch: {exc}") from exc
+
+    alpha_spec = data.get("alpha", 0.2)
+    alpha = np.broadcast_to(np.asarray(alpha_spec, dtype=float), (profile.num_users,)).copy()
+    if np.any(alpha < 0):
+        raise ScenarioError("alpha must be nonnegative")
+
+    return Scenario(
+        catalog=catalog,
+        profile=profile,
+        cost=cost,
+        cfg=cfg,
+        alpha=alpha,
+        seed=seed,
+        source=data,
+    )
+
+
+def load_scenario(path) -> Scenario:
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"not valid JSON: {exc}") from exc
+    return parse_scenario(data)
+
+
+def save_scenario(data: dict, path) -> None:
+    parse_scenario(data)  # refuse to write a file this module cannot read back
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -27,7 +27,7 @@ from .evaluate import (
     expected_cycle_cost,
     nonproactive_cost,
 )
-from .experiments import reproduce_scaling, reproduce_two_user
+from .experiments import reproduce_scaling, reproduce_two_user, write_csv
 from .proactive import scaling_curve, solve_proactive
 from .recommend import solve_rating
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -50,22 +50,6 @@ def _guarded(fn):
             _fail(exc)
 
     return wrapper
-
-
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def _write_json(path, payload):
@@ -111,7 +95,7 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
         (t, cfg.engine, res.slot_values[t], res.slot_stderrs[t])
         for t in range(scn.profile.num_slots)
     ]
-    _write_csv(out_path, ["slot", "engine", "value", "stderr"], rows)
+    write_csv(out_path, ["slot", "engine", "value", "stderr"], rows)
     _write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
         "engine": cfg.engine, "samples": samples, "seed": cfg.seed,
         "value": res.value, "stderr": res.stderr,
@@ -152,7 +136,7 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
         (t, cfg.engine, res.slot_values[t], res.slot_stderrs[t])
         for t in range(scn.profile.num_slots)
     ]
-    _write_csv(out_path, ["slot", "engine", "value", "stderr"], rows)
+    write_csv(out_path, ["slot", "engine", "value", "stderr"], rows)
     alloc_rows = []
     x = solved.allocation.x
     for n in range(x.shape[0]):
@@ -161,7 +145,7 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
                 if x[n, t, m] != 0.0:
                     alloc_rows.append((n, t, m + 1, x[n, t, m]))
     alloc_path = Path(out_path).with_name(Path(out_path).stem + "_alloc.csv")
-    _write_csv(alloc_path, ["user", "slot", "item", "x"], alloc_rows)
+    write_csv(alloc_path, ["user", "slot", "item", "x"], alloc_rows)
     _write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
         "engine": cfg.engine,
         "c_nonproactive": base.value,
@@ -207,7 +191,7 @@ def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
             (k, result.trace.objectives[k], result.trace.residuals[k])
             for k in range(len(result.trace))
         ]
-        _write_csv(trace_path, ["iter", "f0", "max_boundary_residual"], rows)
+        write_csv(trace_path, ["iter", "f0", "max_boundary_residual"], rows)
     payload = _summary(scn, {
         "converged": result.converged,
         "f0_initial": float(result.trace.objectives[0]),
@@ -262,7 +246,7 @@ def recommend(profile_path, ratings_path, out_path):
             res = solve_rating(np.asarray(p_row, dtype=float), float(q), rows_in[n])
             for m, v in enumerate(res.ratings.v):
                 out_rows.append((n, t, m + 1, float(v), res.scale, int(res.clamped)))
-    _write_csv(out_path, ["user", "slot", "item", "rating", "scale", "clamped"], out_rows)
+    write_csv(out_path, ["user", "slot", "item", "rating", "scale", "clamped"], out_rows)
     click.echo(f"wrote ratings for {len(profiles)} users to {out_path}")
 
 
@@ -305,7 +289,7 @@ def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
         (p.num_users, p.nonproactive, p.optimized, p.delta, p.ratio, p.stderr)
         for p in curve.points
     ]
-    _write_csv(out_path, ["N", "c_nonproactive", "c_proactive", "delta_c", "ratio", "stderr"], rows)
+    write_csv(out_path, ["N", "c_nonproactive", "c_proactive", "delta_c", "ratio", "stderr"], rows)
     _write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
         "ladder": ladder,
         "exponent": curve.exponent,

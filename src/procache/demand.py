@@ -152,6 +152,7 @@ class DemandProfile:
         q.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "silence", q)
+        object.__setattr__(self, "_draws", {})
 
     @property
     def num_users(self) -> int:
@@ -174,6 +175,30 @@ class DemandProfile:
     def with_probs(self, probs) -> "DemandProfile":
         """Same silence pattern, new request probabilities."""
         return DemandProfile(probs, self.silence)
+
+    def draws(self, seed: int, count: int) -> np.ndarray:
+        """Read-only outcome codes of ``count`` samples per (slot, user); shape (T, N, count).
+
+        Sample ``i`` of user ``n`` in slot ``t`` comes from stream
+        ``(seed, n, t)`` and depends only on ``(seed, n, t, i)``, so the same
+        draws come back regardless of how many samples any caller requests.
+        The array is drawn on first use and kept on the profile, so every
+        later value and gradient call with the same seed and count reads it
+        instead of drawing again.
+        """
+        key = (int(seed), int(count))
+        out = self._draws.get(key)
+        if out is None:
+            n_users, n_slots, n_items = self.probs.shape
+            out = np.empty((n_slots, n_users, key[1]), dtype=np.int64)
+            for t in range(n_slots):
+                for n in range(n_users):
+                    u = substream(key[0], n, t).random(key[1])
+                    idx = np.searchsorted(np.cumsum(self.probs[n, t]), u, side="right")
+                    out[t, n] = np.where(idx < n_items, idx + 1, SILENT)
+            out.setflags(write=False)
+            self._draws[key] = out
+        return out
 
 
 @dataclass(frozen=True)
@@ -239,19 +264,12 @@ class RequestOutcome:
 def sample_outcomes(
     profile: DemandProfile, slot: int, seed: int, count: int
 ) -> np.ndarray:
-    """Draw ``count`` independent outcomes for one slot; shape (N, count).
+    """Outcome codes of ``count`` samples for one slot; shape (N, count).
 
-    Sample ``i`` of user ``n`` depends only on ``(seed, n, slot, i)``, so the
-    same draws come back regardless of how many samples any caller requests.
+    The slot's rows of :meth:`DemandProfile.draws`, so repeated calls draw
+    nothing new.
     """
-    t = slot % profile.num_slots
-    out = np.empty((profile.num_users, count), dtype=np.int64)
-    for n in range(profile.num_users):
-        u = substream(seed, n, t).random(count)
-        cum = np.cumsum(profile.probs[n, t])
-        idx = np.searchsorted(cum, u, side="right")
-        out[n] = np.where(idx < profile.num_items, idx + 1, SILENT)
-    return out
+    return profile.draws(seed, count)[slot % profile.num_slots]
 
 
 def sample_outcome(

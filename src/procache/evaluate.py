@@ -16,7 +16,11 @@ Three interchangeable engines evaluate the expectations:
 * ``analytic_quadratic``: closed-form first/second moments, valid only for
   polynomial costs of degree <= 2;
 * ``monte_carlo``: seeded counter-based sampling with reported standard
-  errors; estimates are reproducible bit-for-bit for a given seed.
+  errors; estimates are reproducible bit-for-bit for a given seed.  The
+  (T, N, K) outcome array is drawn once per (profile, seed, samples) by
+  :meth:`DemandProfile.draws` and kept on the profile, so every value and
+  gradient call reads the same draws instead of drawing again, and one
+  batched kernel evaluates all slots at once.
 
 Expectations are only ever taken over reachable outcomes: enumeration drops
 zero-probability combinations before the cost function sees them, so an
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModel
-from .demand import DemandProfile, ItemCatalog, RequestOutcome, sample_outcomes
+from .demand import DemandProfile, ItemCatalog, RequestOutcome
 
 ENGINES = ("enumerate", "analytic_quadratic", "monte_carlo")
 _ENUM_LIMIT = 10_000_000
@@ -196,15 +200,64 @@ def _enum_excluding(w: np.ndarray, val: np.ndarray, skip: int):
     return _enum_joint(w[keep_rows], val[keep_rows])
 
 
-def _mc_choices(profile: DemandProfile, t: int, cfg: EvalConfig) -> np.ndarray:
-    return sample_outcomes(profile, t, cfg.seed, cfg.samples)
+def _cycle_tables(x: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every slot's value table (T, N, M+1), silent column first, and constant (T,)."""
+    n_users, n_slots, m_items = x.shape
+    val = np.zeros((n_slots, n_users, m_items + 1))
+    val[:, :, 1:] = (sizes[None, None, :] - x).transpose(1, 0, 2)
+    const = np.array([x[:, (t + 1) % n_slots, :].sum() for t in range(n_slots)])
+    return val, const
 
 
-def _mc_values(tables: SlotTables, choices: np.ndarray) -> np.ndarray:
-    y = np.full(choices.shape[1], tables.const)
-    for n in range(choices.shape[0]):
-        y += tables.val[n][choices[n]]
+# Monte Carlo kernels on slot-batched tables: val (T, N, M+1), const (T,) and
+# outcome codes (T, N, K).  A single slot is the batch of one.
+
+
+def _mc_loads(val: np.ndarray, const: np.ndarray, choices: np.ndarray) -> np.ndarray:
+    """Sampled slot loads (T, K); users are added one at a time, in user order."""
+    n_slots, n_users, k = choices.shape
+    rows = np.arange(n_slots)[:, None]
+    y = np.empty((n_slots, k))
+    y[:] = const[:, None]
+    for n in range(n_users):
+        y += val[rows, n, choices[:, n]]
     return y
+
+
+def _mean_se(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means of a (T, K) sample array and their standard errors."""
+    k = v.shape[1]
+    se = v.std(axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(v.shape[0])
+    return v.mean(axis=1), se
+
+
+def _mc_expected_cost(val, const, choices, cost: CostModel):
+    """Per-slot (E[C(Y)], stderr), each of shape (T,)."""
+    return _mean_se(cost.cost(_mc_loads(val, const, choices)))
+
+
+def _mc_marginal_stats(val, const, choices, cost: CostModel):
+    """Per-slot ``(a, b, a_se, b_se)`` with ``a`` (T,) and ``b`` (N, T, M)."""
+    n_slots, n_users, k = choices.shape
+    width = val.shape[2]
+    d = cost.marginal(_mc_loads(val, const, choices))
+    a, a_se = _mean_se(d)
+    cells = np.arange(n_users)[None, :, None] * n_slots + np.arange(n_slots)[:, None, None]
+    bins = (cells * width + choices).ravel()          # one bin per (n, t, choice)
+    weights = np.broadcast_to(d[:, None, :], choices.shape).ravel()
+
+    def sums(wts):
+        total = np.bincount(bins, weights=wts, minlength=n_users * n_slots * width)
+        return total.reshape(n_users, n_slots, width)[:, :, 1:]
+
+    s1 = sums(weights)
+    b = s1 / k
+    if k > 1:
+        var = np.maximum(sums(weights * weights) / k - (s1 / k) ** 2, 0.0)
+        b_se = np.sqrt(var / (k - 1))
+    else:
+        b_se = np.zeros_like(b)
+    return a, b, a_se, b_se
 
 
 def _poly3(cost: CostModel) -> tuple[float, float, float]:
@@ -226,11 +279,8 @@ def tables_expected_cost(
     if cfg.engine == "enumerate":
         vals, probs = _enum_joint(tables.w, tables.val)
         return float(probs @ cost.cost(vals + tables.const)), 0.0
-    y = _mc_values(tables, choices)
-    c = cost.cost(y)
-    k = len(y)
-    se = float(c.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-    return float(c.mean()), se
+    mean, se = _mc_expected_cost(tables.val[None], np.array([tables.const]), choices[None], cost)
+    return float(mean[0]), float(se[0])
 
 
 def tables_marginal_stats(
@@ -267,23 +317,30 @@ def tables_marginal_stats(
             b[n, live] = w[n, 1:][live] * (cost.marginal(shifted) @ pz)
         return a, b, 0.0, np.zeros((n_users, m_items))
 
-    y = _mc_values(tables, choices)
-    k = len(y)
-    d = cost.marginal(y)
-    a = float(d.mean())
-    a_se = float(d.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-    b = np.empty((n_users, m_items))
-    b_se = np.empty((n_users, m_items))
-    d2 = d * d
-    for n in range(n_users):
-        s1 = np.bincount(choices[n], weights=d, minlength=m_items + 1)[1:]
-        s2 = np.bincount(choices[n], weights=d2, minlength=m_items + 1)[1:]
-        b[n] = s1 / k
-        if k > 1:
-            var = np.maximum(s2 / k - (s1 / k) ** 2, 0.0)
-            b_se[n] = np.sqrt(var / (k - 1))
-        else:
-            b_se[n] = 0.0
+    a, b, a_se, b_se = _mc_marginal_stats(val[None], np.array([const]), choices[None], cost)
+    return float(a[0]), b[:, 0], float(a_se[0]), b_se[:, 0]
+
+
+def slot_marginal_stats(
+    profile: DemandProfile, x: np.ndarray, sizes: np.ndarray, cost: CostModel, cfg: EvalConfig
+):
+    """:func:`tables_marginal_stats` for every slot of the cycle at allocation ``x``.
+
+    Returns ``(a, b, a_se, b_se)`` with ``a`` of shape (T,) and ``b`` of
+    shape (N, T, M).  The Monte Carlo engine evaluates all slots in one
+    batched kernel over the profile's memoised draws.
+    """
+    if cfg.engine == "monte_carlo":
+        val, const = _cycle_tables(x, sizes)
+        return _mc_marginal_stats(val, const, profile.draws(cfg.seed, cfg.samples), cost)
+    n_users, n_slots, m_items = x.shape
+    a = np.empty(n_slots)
+    a_se = np.empty(n_slots)
+    b = np.empty((n_users, n_slots, m_items))
+    b_se = np.empty((n_users, n_slots, m_items))
+    for t in range(n_slots):
+        tables = SlotTables.from_state(profile, x, sizes, t)
+        a[t], b[:, t, :], a_se[t], b_se[:, t, :] = tables_marginal_stats(tables, cost, cfg)
     return a, b, a_se, b_se
 
 
@@ -322,13 +379,17 @@ def expected_cycle_cost(
         vary = (m2_u - mean_u**2).sum(axis=0)
         slot_vals = c0 + c1 * ey + c2 * (vary + ey * ey)
         slot_errs = np.zeros(n_slots)
+    elif cfg.engine == "monte_carlo":
+        val, const = _cycle_tables(x, sizes)
+        slot_vals, slot_errs = _mc_expected_cost(
+            val, const, profile.draws(cfg.seed, cfg.samples), cost
+        )
     else:
         slot_vals = np.empty(n_slots)
         slot_errs = np.zeros(n_slots)
         for t in range(n_slots):
             tables = SlotTables.from_state(profile, x, sizes, t)
-            choices = _mc_choices(profile, t, cfg) if cfg.engine == "monte_carlo" else None
-            slot_vals[t], slot_errs[t] = tables_expected_cost(tables, cost, cfg, choices)
+            slot_vals[t], slot_errs[t] = tables_expected_cost(tables, cost, cfg)
 
     value = float(slot_vals.mean())
     stderr = float(np.sqrt(np.sum(slot_errs**2)) / n_slots)
@@ -359,7 +420,7 @@ def cost_gradient_x(
     x = _as_x(profile, allocation)
     sizes = _sizes_of(allocation, catalog)
     check_engine(cfg, profile, cost)
-    n_users, n_slots, m_items = profile.probs.shape
+    n_slots = profile.num_slots
 
     if cfg.engine == "analytic_quadratic":
         _, c1, c2 = _poly3(cost)
@@ -372,13 +433,8 @@ def cost_gradient_x(
         b = profile.probs * (c1 + 2.0 * c2 * (others[:, :, None] + v))
         return (np.roll(a, 1)[None, :, None] - b) / n_slots
 
-    a_all = np.empty(n_slots)
-    b_all = np.empty((n_users, n_slots, m_items))
-    for t in range(n_slots):
-        tables = SlotTables.from_state(profile, x, sizes, t)
-        choices = _mc_choices(profile, t, cfg) if cfg.engine == "monte_carlo" else None
-        a_all[t], b_all[:, t, :], _, _ = tables_marginal_stats(tables, cost, cfg, choices)
-    return (np.roll(a_all, 1)[None, :, None] - b_all) / n_slots
+    a, b, _, _ = slot_marginal_stats(profile, x, sizes, cost, cfg)
+    return (np.roll(a, 1)[None, :, None] - b) / n_slots
 
 
 def cost_gradient_p(

@@ -104,7 +104,8 @@ class RunReport:
     files: dict = field(default_factory=dict)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """CSV with a header row; every float, numpy or not, as its shortest round-trip repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -113,11 +114,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # np.float64 subclasses float, and under numpy 2 its repr is "np.float64(...)"
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (np.integer,)):
+    if isinstance(v, np.integer):
         return int(v)
     return v
 
@@ -211,9 +211,9 @@ def reproduce_two_user(
     sweep_path = out_dir / "sweep.csv"
     trace_path = out_dir / "trace.csv"
     ratings_path = out_dir / "ratings.csv"
-    _write_csv(sweep_path, ["p_peak", "c_nonproactive", "c_proactive"], sweep_rows)
-    _write_csv(trace_path, ["iter", "f0", "max_boundary_residual"], trace_rows)
-    _write_csv(
+    write_csv(sweep_path, ["p_peak", "c_nonproactive", "c_proactive"], sweep_rows)
+    write_csv(trace_path, ["iter", "f0", "max_boundary_residual"], trace_rows)
+    write_csv(
         ratings_path, ["user", "item", "pi_orig", "pi_shaped", "rating"], rating_rows
     )
 
@@ -263,7 +263,7 @@ def reproduce_scaling(
         for p in curve.points
     ]
     path = out_dir / "scaling.csv"
-    _write_csv(
+    write_csv(
         path, ["N", "c_nonproactive", "c_proactive", "delta_c", "ratio", "stderr"], rows
     )
 

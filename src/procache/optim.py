@@ -197,7 +197,7 @@ def box_projected_descent(
         # arithmetic cannot close.
         available = step * pg_norm**2
         converged = available <= 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
-    return BoxDescentResult(x, float(fx), converged, it, pg_norm, np.array(trace))
+    return BoxDescentResult(x, float(fx), bool(converged), it, pg_norm, np.array(trace))
 
 
 def linear_min_over_ball_slice(

@@ -27,6 +27,7 @@ from .evaluate import (
     cost_gradient_x,
     expected_cycle_cost,
     nonproactive_cost,
+    slot_marginal_stats,
     tables_expected_cost,
     tables_marginal_stats,
 )
@@ -70,20 +71,9 @@ def active_sets(
 ) -> ActiveSets:
     """Decide membership from E[I_{n,t}(m) C'(L_t)] - E[C'(L_{t-1})] at x = 0."""
     check_engine(cfg, profile, cost)
-    n_users, n_slots, m_items = profile.probs.shape
-    x0 = np.zeros_like(profile.probs)
-
-    a = np.empty(n_slots)
-    a_se = np.empty(n_slots)
-    b = np.empty((n_users, n_slots, m_items))
-    b_se = np.empty((n_users, n_slots, m_items))
-    for t in range(n_slots):
-        tables = SlotTables.from_state(profile, x0, catalog.sizes, t)
-        choices = _choices_for(profile, t, cfg)
-        a[t], b[:, t, :], a_se[t], b_se[:, t, :] = tables_marginal_stats(
-            tables, cost, cfg, choices
-        )
-
+    a, b, a_se, b_se = slot_marginal_stats(
+        profile, np.zeros_like(profile.probs), catalog.sizes, cost, cfg
+    )
     stat = b - np.roll(a, 1)[None, :, None]
     if cfg.engine == "monte_carlo":
         sigma = np.sqrt(b_se**2 + np.roll(a_se, 1)[None, :, None] ** 2)
@@ -96,12 +86,11 @@ def active_sets(
     return ActiveSets(member=member, stat=stat, undecided=undecided)
 
 
-def _choices_for(profile, t, cfg):
+def _slot_draws(profile: DemandProfile, cfg: EvalConfig):
+    """Monte Carlo outcome codes indexed by slot; ``None`` per slot for exact engines."""
     if cfg.engine != "monte_carlo":
-        return None
-    from .demand import sample_outcomes
-
-    return sample_outcomes(profile, t, cfg.seed, cfg.samples)
+        return (None,) * profile.num_slots
+    return profile.draws(cfg.seed, cfg.samples)
 
 
 @dataclass(frozen=True)
@@ -194,8 +183,8 @@ def _policy_slot_objective(profile, catalog, cost, cfg, sets, t):
     x0 = np.zeros_like(profile.probs)
     prev = SlotTables.from_state(profile, x0, catalog.sizes, (t - 1) % n_slots)
     cur = SlotTables.from_state(profile, x0, catalog.sizes, t)
-    choices_prev = _choices_for(profile, (t - 1) % n_slots, cfg)
-    choices_cur = _choices_for(profile, t, cfg)
+    draws = _slot_draws(profile, cfg)
+    choices_prev, choices_cur = draws[(t - 1) % n_slots], draws[t]
     pairs = int(sets.member[:, t, :].sum())
     member_cols = np.concatenate(
         [np.zeros((profile.num_users, 1), dtype=bool), sets.member[:, t, :]], axis=1
@@ -310,6 +299,7 @@ def reduction_bounds(
 
     pol = policy_a(profile, catalog, cost, cfg, sets=sets)
     pair_counts = sets.pair_counts()
+    draws = _slot_draws(profile, cfg)
     lower = 0.0
     for t in range(n_slots):
         if pair_counts[t] == 0:
@@ -320,13 +310,12 @@ def reduction_bounds(
         )
         cur = SlotTables.from_state(profile, x0, catalog.sizes, t)
         _, b_mod, _, _ = tables_marginal_stats(
-            cur.with_values(cur.val - xv * member_cols), cost, cfg,
-            _choices_for(profile, t, cfg),
+            cur.with_values(cur.val - xv * member_cols), cost, cfg, draws[t]
         )
         prev = SlotTables.from_state(profile, x0, catalog.sizes, (t - 1) % n_slots)
         a_shift, _, _, _ = tables_marginal_stats(
             prev.with_values(prev.val, prev.const + xv * pair_counts[t]), cost, cfg,
-            _choices_for(profile, (t - 1) % n_slots, cfg),
+            draws[(t - 1) % n_slots],
         )
         lower += xv * float(np.sum((b_mod - a_shift) * sets.member[:, t, :]))
     lower /= n_slots
@@ -357,12 +346,9 @@ def marginal_cost_ratio(
     regime where the reduction keeps growing superlinearly with the user
     count.  Purely informational; no algorithm branches on it.
     """
-    x0 = np.zeros_like(profile.probs)
-    n_slots = profile.num_slots
-    a = np.empty(n_slots)
-    for t in range(n_slots):
-        tables = SlotTables.from_state(profile, x0, catalog.sizes, t)
-        a[t], _, _, _ = tables_marginal_stats(tables, cost, cfg, _choices_for(profile, t, cfg))
+    a, _, _, _ = slot_marginal_stats(
+        profile, np.zeros_like(profile.probs), catalog.sizes, cost, cfg
+    )
     return a / np.roll(a, 1)
 
 

@@ -257,6 +257,36 @@ def test_error_payload_is_one_json_line(runner, tmp_path):
     assert "unknown key 'bogus'" in err["message"]
 
 
+def test_optimize_summary_parses_after_a_stalled_descent(runner, tmp_path):
+    # at tol 1e-12 the outage descent stops in its stall branch, whose
+    # convergence flag is computed with numpy scalars
+    path = tmp_path / "outage.json"
+    save_scenario(two_user_scenario_dict(0.9, "outage"), path)
+    out = tmp_path / "opt.csv"
+    res = runner.invoke(main, ["optimize", "--scenario", str(path), "--tol", "1e-12",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "opt.json").read_text())
+    assert summary["converged"] is True
+    assert summary["grad_norm"] > 1e-12
+
+
+@pytest.mark.parametrize("which", ["two-user-quadratic", "two-user-outage", "scaling"])
+def test_reference_study_csv_cells_are_plain_numbers(runner, tmp_path, which):
+    out_dir = tmp_path / "study"
+    res = runner.invoke(main, ["reproduce-paper", which, "--out", str(out_dir)])
+    assert res.exit_code == 0, res.output
+    tables = sorted(out_dir.glob("*.csv"))
+    assert tables
+    for table in tables:
+        with open(table, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        assert body, table.name
+        for row in body:
+            for cell in row:
+                float(cell)   # a numpy repr such as "np.float64(0.5)" fails here
+
+
 def test_reference_study_two_user_quadratic(runner, tmp_path):
     out_dir = tmp_path / "study"
     res = runner.invoke(main, ["reproduce-paper", "two-user-quadratic", "--out", str(out_dir)])

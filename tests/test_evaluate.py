@@ -17,7 +17,16 @@ from procache import (
     nonproactive_cost,
     slot_load,
 )
-from procache.evaluate import check_engine
+from procache.costs import CostDomainError
+from procache.evaluate import (
+    check_engine,
+    slot_tables_at,
+    tables_expected_cost,
+    tables_marginal_stats,
+)
+from procache.rng import substream
+
+from conftest import random_instance
 
 NONPROACTIVE_QUAD = 19.560000000000006
 NONPROACTIVE_QUAD_SLOTS = (2.4000000000000004, 36.720000000000013)
@@ -210,3 +219,95 @@ def test_reachable_overload_still_raises(two_user, enum_cfg):
     tight = CostModel.outage(5.0)  # both users at the peak already exceed this
     with pytest.raises(CostDomainError):
         nonproactive_cost(prof, catalog, tight, enum_cfg)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo: draws made once, all slots in one batched kernel
+
+
+def _loop_mc_stats(tables, choices, cost):
+    """Reference: one slot's sampled loads built user by user, b by per-user bincounts."""
+    n_users, k = choices.shape
+    y = np.full(k, tables.const)
+    for n in range(n_users):
+        y += tables.val[n][choices[n]]
+    c = cost.cost(y)
+    d = cost.marginal(y)
+    m_width = tables.val.shape[1]
+    b = np.empty((n_users, m_width - 1))
+    for n in range(n_users):
+        b[n] = np.bincount(choices[n], weights=d, minlength=m_width)[1:] / k
+    se = float(c.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
+    return float(c.mean()), se, float(d.mean()), b
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "outage"])
+def test_batched_monte_carlo_equals_per_slot_oracle(kind):
+    rng = np.random.default_rng(2024)
+    for case in range(16):
+        catalog, prof = random_instance(rng)
+        n_users, n_slots, m_items = prof.probs.shape
+        if kind == "quadratic":
+            cost = CostModel.quadratic()
+        else:   # clear of every load an allocation inside the box can cause
+            cost = CostModel.outage(2.0 * n_users * (m_items + 1) * float(catalog.sizes.max()))
+        cfg = EvalConfig(engine="monte_carlo", samples=(1, 2, 37, 300)[case % 4], seed=case)
+        x = rng.uniform(0.0, 1.0, size=prof.probs.shape) * catalog.sizes[None, None, :]
+
+        res = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
+        grad = cost_gradient_x(prof, x, cost, cfg, catalog=catalog)
+        draws = prof.draws(cfg.seed, cfg.samples)
+        a = np.empty(n_slots)
+        b = np.empty(prof.probs.shape)
+        for t in range(n_slots):
+            tables = slot_tables_at(prof, x, t, catalog)
+            value, se = tables_expected_cost(tables, cost, cfg, draws[t])
+            a[t], b[:, t, :], _, _ = tables_marginal_stats(tables, cost, cfg, draws[t])
+            ref_value, ref_se, ref_a, ref_b = _loop_mc_stats(tables, draws[t], cost)
+            assert (res.slot_values[t], res.slot_stderrs[t]) == (value, se) == (ref_value, ref_se)
+            assert a[t] == ref_a
+            assert np.array_equal(b[:, t, :], ref_b)
+        assert np.array_equal(grad, (np.roll(a, 1)[None, :, None] - b) / n_slots)
+        assert grad.flags.c_contiguous   # norms of a transposed view sum in another order
+
+
+def test_memoised_draws_equal_fresh_substreams():
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        _, prof = random_instance(rng)
+        seed, count = int(rng.integers(0, 1000)), int(rng.integers(1, 200))
+        draws = prof.draws(seed, count)
+        assert draws.shape == (prof.num_slots, prof.num_users, count)
+        assert not draws.flags.writeable
+        assert prof.draws(seed, count) is draws
+        for t in range(prof.num_slots):
+            for n in range(prof.num_users):
+                u = substream(seed, n, t).random(count)
+                idx = np.searchsorted(np.cumsum(prof.probs[n, t]), u, side="right")
+                fresh = np.where(idx < prof.num_items, idx + 1, 0)
+                assert np.array_equal(draws[t, n], fresh)
+
+
+def test_monte_carlo_draws_once_per_slot_and_user(two_user, quad, mc_cfg, monkeypatch):
+    import procache.demand
+    from procache import solve_proactive
+
+    streams = []
+    monkeypatch.setattr(
+        procache.demand, "substream", lambda *key: streams.append(key) or substream(*key)
+    )
+    catalog, prof = two_user
+    cfg = mc_cfg(200, seed=4)
+    nonproactive_cost(prof, catalog, quad, cfg)
+    solved = solve_proactive(prof, catalog, quad, cfg)
+    assert solved.iterations > 1
+    assert sorted(streams) == sorted((4, n, t) for n in range(2) for t in range(2))
+
+
+def test_monte_carlo_overflowing_load_still_raises(two_user, mc_cfg):
+    catalog, prof = two_user
+    tight = CostModel.outage(5.0)   # both users requesting at the peak overflow it
+    with pytest.raises(CostDomainError):
+        nonproactive_cost(prof, catalog, tight, mc_cfg(500))
+    with pytest.raises(CostDomainError):
+        cost_gradient_x(prof, None, tight, mc_cfg(500), catalog=catalog)

@@ -192,3 +192,14 @@ def test_box_descent_starts_at_solution():
     assert res.converged
     assert res.iterations <= 1
     assert np.allclose(res.x, 0.0)
+
+
+
+def test_box_descent_stall_reports_a_python_bool():
+    # a flat objective with a nonzero gradient: no step can decrease it
+    res = box_projected_descent(
+        lambda x: 0.0, lambda x: np.ones(3), np.full(3, 0.5), np.zeros(3), np.ones(3)
+    )
+    assert res.iterations == 0 and res.grad_norm > 1e-8   # left through the stall branch
+    assert type(res.converged) is bool
+    assert res.converged is False

@@ -95,7 +95,8 @@ class CostModel:
         if self.kind == "quadratic":
             out = arr * arr
         elif self.kind == "outage":
-            out = arr / (self.mu - arr)
+            out = np.subtract(self.mu, arr, out=np.empty_like(arr))   # one buffer, no temporary
+            np.divide(arr, out, out=out)
         else:
             out = self._horner(arr, self.coeffs)
         return float(out) if np.ndim(load) == 0 else out
@@ -107,8 +108,9 @@ class CostModel:
         if self.kind == "quadratic":
             out = 2.0 * arr
         elif self.kind == "outage":
-            d = self.mu - arr
-            out = self.mu / (d * d)
+            out = np.subtract(self.mu, arr, out=np.empty_like(arr))
+            out *= out
+            np.divide(self.mu, out, out=out)
         else:
             deriv = tuple(j * c for j, c in enumerate(self.coeffs))[1:]
             out = self._horner(arr, deriv)

@@ -12,7 +12,15 @@ wrap modulo T.  The cycle objective is the slot average of ``E[C(Y_t)]``.
 Three interchangeable engines evaluate the expectations:
 
 * ``enumerate``: exact product-form enumeration, feasible while
-  ``(M+1)^N <= 1e7`` per slot;
+  ``(M+1)^N <= 1e7`` per slot.  Each user's axis holds only the choices it
+  makes with positive probability, so a slot's joint outcome grid spans its
+  reachable support, at most (M+1)^N outcomes.  Slots whose users have equal
+  numbers of such choices share one grid of shape (B, outcomes), user 0 the
+  slowest axis, with at most 1e7 outcomes per batch.  The value, ``E[C'(Y)]``
+  and the per-(user, item) ``E[I C'(Y)]`` all come from that grid: the last
+  is the axis-n marginal of ``P C'(Y)``, since ``P(c) = prod_n w[n, c_n]``.
+  The probability gradient builds one grid per user, that user's every
+  choice against the other users' support.
 * ``analytic_quadratic``: closed-form first/second moments, valid only for
   polynomial costs of degree <= 2;
 * ``monte_carlo``: seeded counter-based sampling with reported standard
@@ -22,8 +30,9 @@ Three interchangeable engines evaluate the expectations:
   gradient call reads the same draws instead of drawing again, and one
   batched kernel evaluates all slots at once.
 
-Expectations are only ever taken over reachable outcomes: enumeration drops
-zero-probability combinations before the cost function sees them, so an
+Expectations are only ever taken over reachable outcomes: enumeration leaves
+out zero-probability choices and masks outcome probabilities that underflow
+to 0 before the cost function sees them, so an
 outage-capacity model raises exactly when an outcome with positive
 probability overflows.
 """
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel
+from .costs import CostDomainError, CostModel
 from .demand import DemandProfile, ItemCatalog, RequestOutcome
 
 ENGINES = ("enumerate", "analytic_quadratic", "monte_carlo")
@@ -180,24 +189,150 @@ class SlotTables:
         return SlotTables(self.w, val, self.const if const is None else const)
 
 
-def _enum_joint(w: np.ndarray, val: np.ndarray):
-    """Support of sum_n val[n, c_n] with joint probabilities; zero-prob rows dropped."""
-    vals = np.zeros(1)
-    probs = np.ones(1)
-    for n in range(w.shape[0]):
-        vals = (vals[:, None] + val[n][None, :]).ravel()
-        probs = (probs[:, None] * w[n][None, :]).ravel()
-        keep = probs > 0.0
-        if not np.all(keep):
-            vals, probs = vals[keep], probs[keep]
-    return vals, probs
+def _batches(w: np.ndarray, val: np.ndarray, full: int | None = None):
+    """Slot batches to enumerate, each over the choices its users can make.
+
+    A user's grid axis holds only its choices of positive probability (all
+    of them for user ``full``), so a grid follows the reachable support
+    rather than (M+1)^N.  Slots share a batch when every user has the same
+    number of such choices, and a batch holds at most ``_ENUM_LIMIT``
+    outcomes.  Yields the slot indices ``s``, the per-user weight and value
+    tables (lists of (B, K_n)), and the column order ``cols`` (B, N, M+1)
+    that puts the enumerated columns first, ``None`` when that is all of them.
+    """
+    live = w > 0.0
+    if full is not None:
+        live[:, full] = True
+    groups = {}
+    for t, widths in enumerate(live.sum(axis=2).tolist()):
+        groups.setdefault(tuple(widths), []).append(t)
+    for widths, slots in groups.items():
+        step = max(1, _ENUM_LIMIT // int(np.prod(widths)))
+        for lo in range(0, len(slots), step):
+            s = np.array(slots[lo:lo + step])
+            ws, vs, cols = w[s], val[s], None
+            if not live[s].all():
+                cols = np.argsort(~live[s], axis=2, kind="stable")
+                ws, vs = np.take_along_axis(ws, cols, 2), np.take_along_axis(vs, cols, 2)
+            yield (s, [ws[:, n, :k] for n, k in enumerate(widths)],
+                   [vs[:, n, :k] for n, k in enumerate(widths)], cols)
 
 
-def _enum_excluding(w: np.ndarray, val: np.ndarray, skip: int):
-    keep_rows = [n for n in range(w.shape[0]) if n != skip]
-    if not keep_rows:
-        return np.zeros(1), np.ones(1)
-    return _enum_joint(w[keep_rows], val[keep_rows])
+def _grid(tables: list, op, start: np.ndarray) -> np.ndarray:
+    """Combine per-user tables (B, K_n) over every joint outcome: (B, prod K_n).
+
+    ``start`` (B,) seeds the combination.  User 0 is the slowest axis.  Users
+    join from the last one down, each as a new slow axis, so numpy's inner
+    loop runs over the large grid rather than over one user's choices.
+    """
+    grid = start[:, None]
+    for table in tables[::-1]:
+        grid = op(table[:, :, None], grid[:, None, :]).reshape(len(grid), -1)
+    return grid
+
+
+def _axis_sums(grid: np.ndarray, widths: list, width: int) -> np.ndarray:
+    """Sum a (B, prod K_n) outcome grid over all users but one: (N, B, width).
+
+    Entries past a user's K_n are 0.  Summing off the fastest user at each
+    step leaves the grid of the users before it, so the N marginals cost
+    about one pass over the grid.
+    """
+    out = np.zeros((len(widths), len(grid), width))
+    for n in range(len(widths) - 1, -1, -1):
+        grid = grid.reshape(len(grid), -1, widths[n])      # (B, K_0...K_{n-1}, K_n)
+        out[n, :, :widths[n]] = np.ones(grid.shape[1]) @ grid
+        grid = grid @ np.ones(widths[n])
+    return out
+
+
+def _on_live(fn, loads, live):
+    """``fn`` of the live loads, 0 elsewhere: unreachable outcomes never reach the cost."""
+    if live is None or live.all():
+        return fn(loads)
+    out = np.zeros_like(loads)
+    out[live] = fn(loads[live])
+    return out
+
+
+def _joint(ws: list, vs: list, const: np.ndarray):
+    """Loads and probabilities of every joint outcome of a slot batch, plus the
+    mask of outcomes with positive probability (``None`` when all of them have)."""
+    probs = _grid(ws, np.multiply, np.ones(len(const)))
+    live = None if probs.min() > 0.0 else probs > 0.0
+    return _grid(vs, np.add, const), probs, live
+
+
+# Enumeration kernels on slot-batched tables: w and val (T, N, M+1) with the
+# silent column first, const (T,).  Each slot batch is one joint grid over
+# its users' reachable choices; a single slot is the batch of one.  A grid
+# holds only positive weights, but their products can underflow to 0, so the
+# cost still sees only outcomes of positive probability.
+
+
+def _enum_expected_cost(w, val, const, cost: CostModel) -> np.ndarray:
+    """Per-slot E[C(Y)], shape (T,)."""
+    out = np.empty(len(const))
+    for s, ws, vs, _ in _batches(w, val):
+        loads, probs, live = _joint(ws, vs, const[s])
+        out[s] = np.einsum("tk,tk->t", probs, _on_live(cost.cost, loads, live))
+    return out
+
+
+def _enum_marginal_stats(w, val, const, cost: CostModel):
+    """Per-slot ``a = E[C'(Y)]`` (T,) and ``b = E[I_n(m) C'(Y)]`` (N, T, M).
+
+    ``P(c) = prod_n w[n, c_n]``, so ``b[n]`` is the axis-n marginal of
+    ``P C'(Y)`` over the joint grid; items of zero weight get 0.
+    """
+    n_slots, n_users, width = w.shape
+    a = np.empty(n_slots)
+    b = np.empty((n_users, n_slots, width - 1))
+    for s, ws, vs, cols in _batches(w, val):
+        loads, probs, live = _joint(ws, vs, const[s])
+        probs *= _on_live(cost.marginal, loads, live)
+        sums = _axis_sums(probs, [t.shape[1] for t in ws], width)
+        a[s] = sums[0].sum(axis=1)
+        if cols is not None:   # back to column order
+            np.put_along_axis(sums, cols.transpose(1, 0, 2), sums.copy(), axis=2)
+        b[:, s] = sums[:, :, 1:]
+    return a, b
+
+
+def _enum_gradient_p(w, val, const, cost: CostModel) -> np.ndarray:
+    """``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` per (n, t, m): (N, T, M).
+
+    For each user n, the loads grid takes all of n's choices as its slowest
+    axis over the other users' reachable outcomes, whose probabilities
+    ``P_-n`` weight every row alike, so one matrix product gives the
+    conditional expectation of every choice.  An entry is ``+inf`` when an
+    outcome with ``P_-n > 0`` leaves the cost's domain; a silent one that
+    does raises :class:`CostDomainError`.
+    """
+    n_slots, n_users, width = w.shape
+    grad = np.empty((n_users, n_slots, width - 1))
+    for n in range(n_users):
+        for s, ws, vs, _ in _batches(w, val, full=n):
+            del ws[n]
+            probs = _grid(ws, np.multiply, np.ones(len(s)))                        # (B, K)
+            loads = _grid([vs.pop(n)] + vs, np.add, const[s]).reshape(len(s), width, -1)
+            ok = cost.in_domain(loads)
+            cond = (_on_live(cost.cost, loads, ok) @ probs[:, :, None])[:, :, 0]
+            bad = ~ok & (probs > 0.0)[:, None, :]
+            out = bad.any(axis=2)
+            if out[:, 0].any():   # the silent baseline itself overflows
+                raise CostDomainError(float(loads[bad].max()), cost.domain_limit)
+            grad[n, s] = np.where(out[:, 1:], np.inf, cond[:, 1:] - cond[:, :1])
+    return grad
+
+
+def _cycle_weights(profile: DemandProfile) -> np.ndarray:
+    """Every slot's choice probabilities (T, N, M+1), silent column first."""
+    return np.concatenate([profile.silence[:, :, None], profile.probs], axis=2).transpose(1, 0, 2)
+
+
+def _batch_of_one(tables: SlotTables):
+    return tables.w[None], tables.val[None], np.array([tables.const])
 
 
 def _cycle_tables(x: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +412,7 @@ def tables_expected_cost(
         vary = float((m2_u - mean_u**2).sum())
         return c0 + c1 * ey + c2 * (vary + ey * ey), 0.0
     if cfg.engine == "enumerate":
-        vals, probs = _enum_joint(tables.w, tables.val)
-        return float(probs @ cost.cost(vals + tables.const)), 0.0
+        return float(_enum_expected_cost(*_batch_of_one(tables), cost)[0]), 0.0
     mean, se = _mc_expected_cost(tables.val[None], np.array([tables.const]), choices[None], cost)
     return float(mean[0]), float(se[0])
 
@@ -292,8 +426,6 @@ def tables_marginal_stats(
     (N, M).
     """
     w, val, const = tables.w, tables.val, tables.const
-    n_users = w.shape[0]
-    m_items = w.shape[1] - 1
 
     if cfg.engine == "analytic_quadratic":
         _, c1, c2 = _poly3(cost)
@@ -305,17 +437,8 @@ def tables_marginal_stats(
         return float(a), b, 0.0, np.zeros_like(b)
 
     if cfg.engine == "enumerate":
-        vals, probs = _enum_joint(w, val)
-        a = float(probs @ cost.marginal(vals + const))
-        b = np.zeros((n_users, m_items))
-        for n in range(n_users):
-            live = w[n, 1:] > 0.0   # never-requested items stay 0, outside C' domain or not
-            if not np.any(live):
-                continue
-            vz, pz = _enum_excluding(w, val, n)
-            shifted = vz[None, :] + const + val[n, 1:][live][:, None]   # (M_live, K)
-            b[n, live] = w[n, 1:][live] * (cost.marginal(shifted) @ pz)
-        return a, b, 0.0, np.zeros((n_users, m_items))
+        a, b = _enum_marginal_stats(*_batch_of_one(tables), cost)
+        return float(a[0]), b[:, 0], 0.0, np.zeros_like(b[:, 0])
 
     a, b, a_se, b_se = _mc_marginal_stats(val[None], np.array([const]), choices[None], cost)
     return float(a[0]), b[:, 0], float(a_se[0]), b_se[:, 0]
@@ -327,12 +450,17 @@ def slot_marginal_stats(
     """:func:`tables_marginal_stats` for every slot of the cycle at allocation ``x``.
 
     Returns ``(a, b, a_se, b_se)`` with ``a`` of shape (T,) and ``b`` of
-    shape (N, T, M).  The Monte Carlo engine evaluates all slots in one
-    batched kernel over the profile's memoised draws.
+    shape (N, T, M).  The Monte Carlo and enumeration engines evaluate all
+    slots in one batched kernel, over the profile's memoised draws or over
+    one joint outcome grid per slot batch.
     """
     if cfg.engine == "monte_carlo":
         val, const = _cycle_tables(x, sizes)
         return _mc_marginal_stats(val, const, profile.draws(cfg.seed, cfg.samples), cost)
+    if cfg.engine == "enumerate":
+        val, const = _cycle_tables(x, sizes)
+        a, b = _enum_marginal_stats(_cycle_weights(profile), val, const, cost)
+        return a, b, np.zeros_like(a), np.zeros_like(b)
     n_users, n_slots, m_items = x.shape
     a = np.empty(n_slots)
     a_se = np.empty(n_slots)
@@ -385,11 +513,9 @@ def expected_cycle_cost(
             val, const, profile.draws(cfg.seed, cfg.samples), cost
         )
     else:
-        slot_vals = np.empty(n_slots)
+        val, const = _cycle_tables(x, sizes)
+        slot_vals = _enum_expected_cost(_cycle_weights(profile), val, const, cost)
         slot_errs = np.zeros(n_slots)
-        for t in range(n_slots):
-            tables = SlotTables.from_state(profile, x, sizes, t)
-            slot_vals[t], slot_errs[t] = tables_expected_cost(tables, cost, cfg)
 
     value = float(slot_vals.mean())
     stderr = float(np.sqrt(np.sum(slot_errs**2)) / n_slots)
@@ -459,7 +585,7 @@ def cost_gradient_p(
     x = _as_x(profile, allocation)
     sizes = _sizes_of(allocation, catalog)
     check_engine(cfg, profile, cost, exact_only=True)
-    n_users, n_slots, m_items = profile.probs.shape
+    n_slots = profile.num_slots
 
     if cfg.engine == "analytic_quadratic":
         _, c1, c2 = _poly3(cost)
@@ -470,16 +596,5 @@ def cost_gradient_p(
         diff = v * (c1 + c2 * (v + 2.0 * ea[:, :, None]))
         return diff / n_slots
 
-    grad = np.empty((n_users, n_slots, m_items))
-    for t in range(n_slots):
-        tables = SlotTables.from_state(profile, x, sizes, t)
-        w, val, const = tables.w, tables.val, tables.const
-        for n in range(n_users):
-            vz, pz = _enum_excluding(w, val, n)
-            base = float(pz @ cost.cost(vz + const))
-            shifted = vz[None, :] + const + val[n, 1:][:, None]
-            ok = cost.in_domain(shifted)
-            cvals = np.zeros_like(shifted)
-            cvals[ok] = cost.cost(shifted[ok])
-            grad[n, t] = np.where(ok.all(axis=1), cvals @ pz - base, np.inf)
-    return grad / n_slots
+    val, const = _cycle_tables(x, sizes)
+    return _enum_gradient_p(_cycle_weights(profile), val, const, cost) / n_slots

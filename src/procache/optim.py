@@ -167,7 +167,9 @@ def box_projected_descent(
                 break
             f_trial = value_fn(trial)
             if np.isfinite(f_trial) and f_trial <= fx + 1e-4 * decrease:
-                accepted = True
+                # once 1e-4 * decrease underflows against |fx|, an equal value
+                # passes the Armijo test: that is no descent, so stop here
+                accepted = f_trial < fx
                 break
             t *= 0.5
         if not accepted:

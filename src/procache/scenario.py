@@ -58,6 +58,48 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, bool):
+        return True
+    return isinstance(value, list) and any(_has_bool(v) for v in value)
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """``value`` (a number or nested lists of numbers) as a finite float array."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:   # ragged nesting
+        raise ScenarioError(f"{key} must be numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf" or _has_bool(value):   # numpy reads [0.1, true] as floats
+        raise ScenarioError(f"{key} must be numbers, got {value!r}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{key} must be finite")
+    return arr
+
+
+def _number(value, key: str) -> float:
+    arr = _numbers(value, key)
+    if arr.ndim:
+        raise ScenarioError(f"{key} must be a single number")
+    return float(arr)
+
+
+def _integer(value, key: str, minimum: int) -> int:
+    """An integral number of at least ``minimum``; bools and fractions are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ScenarioError(f"{key} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def _refuse_constant(token: str):
+    raise ScenarioError(f"not valid JSON: {token} is not a strict JSON number")
+
+
 @dataclass(frozen=True)
 class Scenario:
     catalog: ItemCatalog
@@ -86,20 +128,23 @@ def parse_scenario(data: dict) -> Scenario:
         {"sizes", "slots", "profiles", "generator", "cost", "eval", "alpha", "seed"},
         "scenario",
     )
-    seed = int(data.get("seed", 0))
+    seed = _integer(data.get("seed", 0), "'seed'", 0)
 
     sizes_spec = _need(data, "sizes", "scenario")
     if isinstance(sizes_spec, dict):
         _require_keys(sizes_spec, {"kind", "count", "low", "high"}, "sizes")
         if _need(sizes_spec, "kind", "sizes") != "uniform":
             raise ScenarioError(f"unknown sizes kind {sizes_spec['kind']!r}")
-        count = int(_need(sizes_spec, "count", "sizes"))
-        low = float(_need(sizes_spec, "low", "sizes"))
-        high = float(_need(sizes_spec, "high", "sizes"))
-        gen = substream(seed, *_SIZE_STREAM)
-        catalog = ItemCatalog(gen.uniform(low, high, size=count))
+        count = _integer(_need(sizes_spec, "count", "sizes"), "'count' in sizes", 1)
+        low = _number(_need(sizes_spec, "low", "sizes"), "'low' in sizes")
+        high = _number(_need(sizes_spec, "high", "sizes"), "'high' in sizes")
+        sizes = substream(seed, *_SIZE_STREAM).uniform(low, high, size=count)
     else:
-        catalog = ItemCatalog(sizes_spec)
+        sizes = _numbers(sizes_spec, "'sizes'")
+    try:
+        catalog = ItemCatalog(sizes)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid 'sizes': {exc}") from exc
 
     has_profiles = "profiles" in data
     has_generator = "generator" in data
@@ -107,15 +152,14 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError("scenario needs exactly one of 'profiles' or 'generator'")
 
     if has_profiles:
-        rows = data["profiles"]
-        probs = np.asarray(rows, dtype=float)
+        probs = _numbers(data["profiles"], "'profiles'")
         if probs.ndim != 3:
             raise ScenarioError("'profiles' must be users x slots x items")
         if probs.shape[2] != catalog.num_items:
             raise ScenarioError(
                 f"profiles cover {probs.shape[2]} items, catalog has {catalog.num_items}"
             )
-        if "slots" in data and int(data["slots"]) != probs.shape[1]:
+        if "slots" in data and _integer(data["slots"], "'slots'", 1) != probs.shape[1]:
             raise ScenarioError(
                 f"'slots' is {data['slots']} but profiles have {probs.shape[1]} slots"
             )
@@ -128,10 +172,12 @@ def parse_scenario(data: dict) -> Scenario:
         _require_keys(gen_spec, {"kind", "users", "power", "activity"}, "generator")
         if _need(gen_spec, "kind", "generator") != "zipf":
             raise ScenarioError(f"unknown generator kind {gen_spec['kind']!r}")
-        users = int(_need(gen_spec, "users", "generator"))
-        power = float(_need(gen_spec, "power", "generator"))
-        activity = np.atleast_1d(np.asarray(_need(gen_spec, "activity", "generator"), dtype=float))
-        if "slots" in data and int(data["slots"]) != activity.size:
+        users = _integer(_need(gen_spec, "users", "generator"), "'users' in generator", 1)
+        power = _number(_need(gen_spec, "power", "generator"), "'power' in generator")
+        activity = np.atleast_1d(
+            _numbers(_need(gen_spec, "activity", "generator"), "'activity' in generator")
+        )
+        if "slots" in data and _integer(data["slots"], "'slots'", 1) != activity.size:
             raise ScenarioError(
                 f"'slots' is {data['slots']} but generator lists {activity.size} activities"
             )
@@ -148,10 +194,12 @@ def parse_scenario(data: dict) -> Scenario:
             cost = CostModel.quadratic()
         elif kind == "outage":
             _require_keys(cost_spec, {"kind", "mu"}, "cost")
-            cost = CostModel.outage(float(_need(cost_spec, "mu", "cost")))
+            cost = CostModel.outage(_number(_need(cost_spec, "mu", "cost"), "'mu' in cost"))
         elif kind == "polynomial":
             _require_keys(cost_spec, {"kind", "coeffs"}, "cost")
-            cost = CostModel.polynomial(_need(cost_spec, "coeffs", "cost"))
+            cost = CostModel.polynomial(
+                _numbers(_need(cost_spec, "coeffs", "cost"), "'coeffs' in cost")
+            )
         else:
             raise ScenarioError(f"unknown cost kind {kind!r}")
     except ValueError as exc:
@@ -164,7 +212,7 @@ def parse_scenario(data: dict) -> Scenario:
     try:
         cfg = EvalConfig(
             engine=eval_spec.get("engine", "enumerate"),
-            samples=int(eval_spec.get("samples", 0)),
+            samples=_integer(eval_spec.get("samples", 0), "'samples' in eval", 0),
             seed=seed,
         )
     except ValueError as exc:
@@ -177,8 +225,13 @@ def parse_scenario(data: dict) -> Scenario:
     except UnsupportedEngineError as exc:
         raise ScenarioError(f"engine mismatch: {exc}") from exc
 
-    alpha_spec = data.get("alpha", 0.2)
-    alpha = np.broadcast_to(np.asarray(alpha_spec, dtype=float), (profile.num_users,)).copy()
+    alpha_spec = _numbers(data.get("alpha", 0.2), "'alpha'")
+    try:
+        alpha = np.broadcast_to(alpha_spec, (profile.num_users,)).copy()
+    except ValueError as exc:
+        raise ScenarioError(
+            f"'alpha' lists {alpha_spec.size} budgets for {profile.num_users} users"
+        ) from exc
     if np.any(alpha < 0):
         raise ScenarioError("alpha must be nonnegative")
 
@@ -196,7 +249,7 @@ def parse_scenario(data: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from exc
     return parse_scenario(data)

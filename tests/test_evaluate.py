@@ -1,5 +1,8 @@
 """Engines: frozen exact values, cross-engine agreement, gradients, guards."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from procache import (
 from procache.costs import CostDomainError
 from procache.evaluate import (
     check_engine,
+    slot_marginal_stats,
     slot_tables_at,
     tables_expected_cost,
     tables_marginal_stats,
@@ -311,3 +315,140 @@ def test_monte_carlo_overflowing_load_still_raises(two_user, mc_cfg):
         nonproactive_cost(prof, catalog, tight, mc_cfg(500))
     with pytest.raises(CostDomainError):
         cost_gradient_x(prof, None, tight, mc_cfg(500), catalog=catalog)
+
+
+# ---------------------------------------------------------------------------
+# Enumeration: one joint outcome grid per slot batch
+
+
+def _brute_force(prof, x, sizes, cost):
+    """Value, grad_x and grad_p by visiting every joint outcome one at a time."""
+    n_users, n_slots, m_items = prof.probs.shape
+    value = np.zeros(n_slots)
+    a = np.zeros(n_slots)
+    b = np.zeros((n_users, n_slots, m_items))
+    cond = np.zeros((n_users, n_slots, m_items + 1))   # E_-n[C(Y) | n -> c], c = 0 silent
+    over = np.zeros((n_users, n_slots, m_items + 1), dtype=bool)
+    for t in range(n_slots):
+        w = np.concatenate([prof.silence[:, t, None], prof.probs[:, t]], axis=1)
+        ahead = float(x[:, (t + 1) % n_slots].sum())
+        for c in itertools.product(range(m_items + 1), repeat=n_users):
+            load = ahead + sum(sizes[k - 1] - x[n, t, k - 1] for n, k in enumerate(c) if k)
+            p = [w[n, k] for n, k in enumerate(c)]
+            if np.prod(p) > 0.0:
+                value[t] += np.prod(p) * cost.cost(load)
+                a[t] += np.prod(p) * cost.marginal(load)
+                for n, k in enumerate(c):
+                    if k:
+                        b[n, t, k - 1] += np.prod(p) * cost.marginal(load)
+            for n, k in enumerate(c):
+                p_other = np.prod(p[:n] + p[n + 1:])
+                if p_other > 0.0 and cost.in_domain(load):
+                    cond[n, t, k] += p_other * cost.cost(load)
+                elif p_other > 0.0:
+                    over[n, t, k] = True
+    grad_x = (np.roll(a, 1)[None, :, None] - b) / n_slots
+    grad_p = np.where(over[:, :, 1:], np.inf, cond[:, :, 1:] - cond[:, :, :1]) / n_slots
+    return value, grad_x, grad_p
+
+
+def _grid_cases(kind):
+    """Seeded instances with zero-probability items, a silent user-slot and N = 1."""
+    rng = np.random.default_rng(77)
+    for case in range(12):
+        n_users = 1 if case % 4 == 0 else int(rng.integers(2, 5))
+        m_items, n_slots = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        sizes = rng.uniform(0.5, 3.0, size=m_items)
+        raw = rng.uniform(0.0, 1.0, size=(n_users, n_slots, m_items + 1))
+        raw[:, :, 1:][rng.random((n_users, n_slots, m_items)) < 0.3] = 0.0
+        raw[0, 0, 1:] = 0.0                          # user 0 stays silent in slot 0
+        raw /= raw.sum(axis=2, keepdims=True)
+        prof = DemandProfile(raw[:, :, 1:])
+        x = rng.uniform(0.0, 1.0, size=prof.probs.shape) * sizes[None, None, :]
+        if kind == "quadratic":
+            cost = CostModel.quadratic()
+        else:   # clear of every reachable load; a never-requested item may overflow it
+            reactive = np.where(prof.probs > 0.0, sizes - x, 0.0).max(axis=2).sum(axis=0)
+            ahead = np.roll(x.sum(axis=(0, 2)), -1)
+            cost = CostModel.outage(1.2 * float((reactive + ahead).max()) + 0.1)
+        yield ItemCatalog(sizes), prof, x, cost
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "outage"])
+def test_enumeration_grid_matches_brute_force(kind):
+    cfg = EvalConfig(engine="enumerate")
+    faces = 0
+    for catalog, prof, x, cost in _grid_cases(kind):
+        value, grad_x, grad_p = _brute_force(prof, x, catalog.sizes, cost)
+        res = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
+        np.testing.assert_allclose(res.slot_values, value, rtol=1e-12)
+        gx = cost_gradient_x(prof, x, cost, cfg, catalog=catalog)
+        np.testing.assert_allclose(gx, grad_x, rtol=1e-12, atol=1e-12 * np.abs(grad_x).max())
+        gp = cost_gradient_p(prof, x, cost, cfg, catalog=catalog)
+        assert np.array_equal(np.isinf(gp), np.isinf(grad_p))
+        finite = np.isfinite(grad_p)
+        scale = np.abs(grad_p[finite]).max(initial=0.0)
+        np.testing.assert_allclose(gp[finite], grad_p[finite], rtol=1e-12, atol=1e-12 * scale)
+        faces += int(np.isinf(grad_p).sum())
+    assert (faces > 0) == (kind == "outage")   # the +inf faces are exercised
+
+
+def test_enumeration_tables_are_batches_of_one():
+    cfg = EvalConfig(engine="enumerate")
+    for catalog, prof, x, cost in _grid_cases("outage"):
+        res = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
+        a, b, a_se, b_se = slot_marginal_stats(prof, x, catalog.sizes, cost, cfg)
+        assert not a_se.any() and not b_se.any()
+        for t in range(prof.num_slots):
+            tables = slot_tables_at(prof, x, t, catalog)
+            assert tables_expected_cost(tables, cost, cfg) == (res.slot_values[t], 0.0)
+            a_t, b_t, _, _ = tables_marginal_stats(tables, cost, cfg)
+            assert a_t == a[t]
+            assert np.array_equal(b_t, b[:, t])
+
+
+def test_allocation_gradient_enumerates_each_slot_once(monkeypatch):
+    catalog = ItemCatalog([1.0, 1.5, 2.0])
+    prof = DemandProfile(np.full((5, 3, 3), 0.2))
+    cost = CostModel.outage(40.0)
+    points = []
+    marginal = CostModel.marginal
+    monkeypatch.setattr(
+        CostModel, "marginal", lambda self, load: points.append(np.size(load)) or marginal(self, load)
+    )
+    cost_gradient_x(prof, None, cost, EvalConfig(), catalog=catalog)
+    assert 0 < sum(points) <= prof.num_slots * 4**5
+
+
+def test_enumeration_follows_the_reachable_support():
+    # 4 users, 30 items, 3 items each per slot: 4^4 reachable outcomes per
+    # slot out of 31^4, so the grids (a few KB) must not span all 31^4 (7 MB)
+    rng = np.random.default_rng(5)
+    probs = np.zeros((4, 3, 30))
+    for n in range(4):
+        for t in range(3):
+            probs[n, t, rng.choice(30, 3, replace=False)] = 0.25
+    prof = DemandProfile(probs)
+    catalog = ItemCatalog(rng.uniform(0.5, 2.0, size=30))
+    cost = CostModel.outage(40.0)
+    for grad in (expected_cycle_cost, cost_gradient_x, cost_gradient_p):
+        tracemalloc.start()
+        grad(prof, None, cost, EvalConfig(), catalog=catalog)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1_000_000, (grad.__name__, peak)
+
+
+def test_underflowing_outcome_probability_never_reaches_the_cost():
+    # two users asking for the big item would overflow, but 1e-200 * 1e-200 is 0.0
+    catalog = ItemCatalog([1.0, 50.0])
+    probs = np.zeros((3, 1, 2))
+    probs[:, 0] = [0.5, 1e-200]
+    prof = DemandProfile(probs)
+    cost = CostModel.outage(60.0)
+    cfg = EvalConfig(engine="enumerate")
+    assert np.isfinite(nonproactive_cost(prof, catalog, cost, cfg).value)
+    assert np.all(np.isfinite(cost_gradient_x(prof, None, cost, cfg, catalog=catalog)))
+    gp = cost_gradient_p(prof, None, cost, cfg, catalog=catalog)
+    assert np.all(np.isfinite(gp[:, :, 0]))
+    assert np.all(gp[:, :, 1] == np.inf)   # one other user on it has probability 1e-200

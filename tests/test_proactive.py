@@ -19,6 +19,8 @@ from procache import (
 )
 from procache.experiments import ZipfUniformFamily
 
+from conftest import random_instance
+
 OPTIMIZED_QUAD = 15.410789534883722
 OPTIMAL_COORD = (0, 1, 0)  # the only download worth making in the pilot
 OPTIMAL_VALUE = 2.1965116279069767
@@ -226,3 +228,17 @@ def test_solver_reports_per_iteration_objective(tiny, quad, enum_cfg):
     assert res.objective_trace[0] == pytest.approx(base.value)
     assert res.objective_trace[-1] == pytest.approx(res.cost)
     assert len(res.objective_trace) == res.iterations + 1
+
+
+def test_descent_stops_below_the_reachable_tolerance(two_user):
+    # a tol under the rounding floor of the gradient used to run the descent to
+    # its iteration cap, accepting trial steps that did not lower the objective
+    rng = np.random.default_rng(3)
+    cases = [two_user] + [random_instance(rng) for _ in range(45)]
+    for catalog, prof in cases:
+        for engine in ("enumerate", "analytic_quadratic"):
+            cfg = EvalConfig(engine=engine)
+            res = solve_proactive(prof, catalog, CostModel.quadratic(), cfg, tol=1e-16, max_iters=1000)
+            ref = solve_proactive(prof, catalog, CostModel.quadratic(), cfg, tol=1e-15)
+            assert res.iterations < 100 and res.converged
+            assert res.cost == pytest.approx(ref.cost, rel=1e-12)

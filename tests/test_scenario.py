@@ -214,3 +214,83 @@ def test_load_rejects_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="not valid JSON:"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_non_finite_json_tokens(tmp_path, token):
+    path = tmp_path / "scenario.json"
+    text = json.dumps(two_user_scenario_dict(0.9, "outage"))
+    path.write_text(text.replace('"mu": 9.8', f'"mu": {token}'))
+    assert token in path.read_text()
+    with pytest.raises(ScenarioError, match=f"{token} is not a strict JSON number"):
+        load_scenario(path)
+
+
+def _generated(**generator):
+    spec = {"kind": "zipf", "users": 2, "power": 3, "activity": [0.8]}
+    spec.update(generator)
+    return {"sizes": [1.0, 2.0], "generator": spec, "cost": {"kind": "quadratic"}}
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        (dict(two_user_scenario_dict(0.9, "quadratic"), alpha=float("nan")), "'alpha' must be finite"),
+        (dict(two_user_scenario_dict(0.9, "outage"), cost={"kind": "outage", "mu": float("inf")}),
+         "'mu' in cost must be finite"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), sizes=[3.0, float("nan"), 4.0]),
+         "'sizes' must be finite"),
+        (dict(_generated(), sizes={"kind": "uniform", "count": 3, "low": 1.0, "high": float("inf")}),
+         "'high' in sizes must be finite"),
+        (_generated(power=float("nan")), "'power' in generator must be finite"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), alpha=[0.1, 0.2, 0.3]),
+         "'alpha' lists 3 budgets for 2 users"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), alpha="0.2"), "'alpha' must be numbers"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), alpha=[0.1, True]), "'alpha' must be numbers"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), sizes=[3.0, True, 4.0]), "'sizes' must be numbers"),
+    ],
+)
+def test_non_finite_and_non_numeric_values_are_rejected(data, fragment):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert fragment in str(err.value)
+
+
+def test_nan_profile_probability_is_rejected():
+    data = two_user_scenario_dict(0.9, "quadratic")
+    data["profiles"][0][1][0] = float("nan")
+    with pytest.raises(ScenarioError, match="'profiles' must be finite"):
+        parse_scenario(data)
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        (dict(two_user_scenario_dict(0.9, "quadratic"), seed=1.7), "'seed' must be an integer"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), seed=True), "'seed' must be an integer"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), eval={"engine": "monte_carlo", "samples": True}),
+         "'samples' in eval must be an integer"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), eval={"engine": "monte_carlo", "samples": 2.5}),
+         "'samples' in eval must be an integer"),
+        (_generated(users=0), "'users' in generator must be at least 1"),
+        (_generated(users=-3), "'users' in generator must be at least 1"),
+        (_generated(users=2.5), "'users' in generator must be an integer"),
+        (_generated(users=True), "'users' in generator must be an integer"),
+        (dict(_generated(), sizes={"kind": "uniform", "count": True, "low": 1.0, "high": 2.0}),
+         "'count' in sizes must be an integer"),
+        (dict(_generated(), sizes={"kind": "uniform", "count": 2.5, "low": 1.0, "high": 2.0}),
+         "'count' in sizes must be an integer"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), slots=2.5), "'slots' must be an integer"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), slots=True), "'slots' must be an integer"),
+    ],
+)
+def test_integer_keys_are_strict(data, fragment):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert fragment in str(err.value)
+
+
+def test_integral_floats_still_count_as_integers():
+    data = dict(_generated(users=3.0), seed=4.0, slots=1)
+    sc = parse_scenario(data)
+    assert sc.profile.num_users == 3 and sc.seed == 4

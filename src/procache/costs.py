@@ -134,7 +134,8 @@ class CostModel:
     def _horner(arr: np.ndarray, coeffs) -> np.ndarray:
         out = np.zeros_like(arr)
         for c in reversed(coeffs):
-            out = out * arr + c
+            np.multiply(out, arr, out=out)   # one buffer, no temporaries
+            out += c
         return out
 
     def _probe(self, probe_max: float = 100.0) -> None:

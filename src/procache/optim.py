@@ -20,7 +20,10 @@ def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-8) -> float:
 
     ``fn`` may return ``inf`` on part of the interval (domain overflow); the
     bracketing comparisons handle that as long as the finite region is an
-    interval, which unimodality guarantees.
+    interval, which unimodality guarantees.  Once no float lies strictly
+    between ``a`` and ``b``, every probe is an endpoint and the loop has at
+    most four states, so four such rounds that leave the bracket open would
+    cycle forever: a ``tol`` below the float spacing stops there.
     """
     a, b = float(lo), float(hi)
     if b < a:
@@ -28,7 +31,9 @@ def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-8) -> float:
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
+    stuck = 0   # rounds run on a bracket that can no longer shrink
+    while (b - a) > tol and stuck < 4:
+        stuck += not (a < 0.5 * (a + b) < b)
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -40,59 +45,76 @@ def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def project_simplex_slice(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum p = total}."""
-    if total < 0:
-        raise ValueError("slice total must be nonnegative")
+def project_simplex_slice(v: np.ndarray, total) -> np.ndarray:
+    """Euclidean projection of each row of ``v`` onto {p >= 0, sum p = total}.
+
+    ``v`` is (..., M) and ``total`` a scalar or (...) array.  ``-inf``
+    entries drop out of the slice: they come back as exact zeros.
+    """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    cum = np.cumsum(u) - total
-    ranks = np.arange(1, v.size + 1)
-    cond = u - cum / ranks > 0
-    rho = int(np.nonzero(cond)[0][-1]) + 1 if np.any(cond) else 1
-    theta = cum[rho - 1] / rho
+    total = np.asarray(total, dtype=float)
+    if np.any(total < 0):
+        raise ValueError("slice total must be nonnegative")
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    cum = np.cumsum(u, axis=-1) - total[..., None]
+    ranks = np.arange(1, v.shape[-1] + 1)
+    with np.errstate(invalid="ignore"):   # -inf tails give nan, never a rank
+        cond = u - cum / ranks > 0
+    rho = v.shape[-1] - np.argmax(cond[..., ::-1], axis=-1)
+    rho = np.where(cond.any(axis=-1), rho, 1)
+    theta = np.take_along_axis(cum, rho[..., None] - 1, axis=-1) / rho[..., None]
     return np.maximum(v - theta, 0.0)
 
 
-def project_ball(v: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the closed ball of the given center/radius."""
-    d = v - center
-    norm = float(np.linalg.norm(d))
-    if norm <= radius or norm == 0.0:
-        return v.copy()
-    return center + d * (radius / norm)
+def _per_row(x, shape) -> np.ndarray:
+    return np.broadcast_to(np.asarray(x, dtype=float), shape).reshape(-1)
 
 
-def project_ball_slice(
-    v: np.ndarray,
-    center: np.ndarray,
-    radius: float,
-    total: float,
-    tol: float = 1e-13,
-    max_rounds: int = 2000,
-) -> np.ndarray:
+def _ball_path(c: np.ndarray, d: np.ndarray, total, r_sq, s_max: float) -> np.ndarray:
+    """Rowwise P(c + s d) for the largest s <= s_max with |P(c + s d) - c|^2 <= r_sq.
+
+    P is :func:`project_simplex_slice`; ``c`` and ``d`` are (R, M), each row
+    of ``d`` sums to 0 and is 0 where ``c`` is ``-inf`` (items held at
+    zero).  The distance never decreases in s.  The first trial is the
+    bound sqrt(r_sq) / |d|, inside whenever P(c) = c since P is
+    nonexpansive; s then doubles while inside and bisects once a trial
+    lands outside, until the midpoint equals an endpoint.  Rows with
+    ``d = 0`` or ``r_sq = 0`` return P(c).
+    """
+    c0 = np.where(c > -np.inf, c, 0.0)
+
+    def inside(s, rows):
+        p = project_simplex_slice(c[rows] + s[:, None] * d[rows], total[rows])
+        return np.sum((p - c0[rows]) ** 2, axis=-1) <= r_sq[rows]
+
+    dn = np.sqrt(np.sum(d * d, axis=-1))
+    rows = np.flatnonzero((dn > 0.0) & (r_sq > 0.0))
+    lo, hi, s = np.zeros(len(c)), np.full(len(c), np.inf), np.zeros(len(c))
+    s[rows] = np.minimum(np.sqrt(r_sq[rows]) / dn[rows], s_max)
+    with np.errstate(over="ignore"):    # s overflowing to inf ends the doubling
+        while rows.size:
+            ok = inside(s[rows], rows)
+            lo[rows[ok]] = s[rows[ok]]
+            hi[rows[~ok]] = s[rows[~ok]]
+            s = np.where(hi < np.inf, 0.5 * (lo + hi), np.minimum(2.0 * lo, s_max))
+            rows = np.flatnonzero((lo < s) & (s < hi))
+    return project_simplex_slice(c + lo[:, None] * d, total)
+
+
+def project_ball_slice(v: np.ndarray, center: np.ndarray, radius, total) -> np.ndarray:
     """Euclidean projection onto {p >= 0, sum p = total, |p - center| <= radius}.
 
-    Alternating projections between the ball and the simplex slice with
-    Dykstra's correction terms, which converge to the exact projection onto
-    the intersection (naive alternation only finds *some* feasible point,
-    which silently corrupts any fixed-point iteration built on top).  The
-    last half-step is the simplex slice, so the sum and sign constraints
-    hold exactly and the ball constraint to within the round tolerance.
+    By KKT the projection is P(center + s (v - center)) for the largest s in
+    [0, 1] that keeps it in the ball, P the simplex-slice projection; rows
+    of (..., M) arrays are projected independently.
     """
-    x = np.asarray(v, dtype=float).copy()
-    inc_ball = np.zeros_like(x)
-    inc_slice = np.zeros_like(x)
-    prev = None
-    for _ in range(max_rounds):
-        y = project_ball(x + inc_ball, center, radius)
-        inc_ball = x + inc_ball - y
-        x = project_simplex_slice(y + inc_slice, total)
-        inc_slice = y + inc_slice - x
-        if prev is not None and float(np.linalg.norm(x - prev)) <= tol:
-            break
-        prev = x
-    return x
+    c = np.asarray(center, dtype=float)
+    d = np.asarray(v, dtype=float) - c
+    lead, m = c.shape[:-1], c.shape[-1]
+    r = _per_row(radius, lead)
+    out = _ball_path(c.reshape(-1, m), (d - d.mean(axis=-1, keepdims=True)).reshape(-1, m),
+                     _per_row(total, lead), r * r, 1.0)
+    return out.reshape(c.shape)
 
 
 @dataclass(frozen=True)
@@ -202,60 +224,48 @@ def box_projected_descent(
     return BoxDescentResult(x, float(fx), bool(converged), it, pg_norm, np.array(trace))
 
 
-def linear_min_over_ball_slice(
-    g: np.ndarray,
-    center: np.ndarray,
-    radius: float,
-    total: float,
-    tol: float = 1e-10,
-    max_iters: int = 20000,
-) -> np.ndarray:
-    """Minimize <g, p> over {p >= 0, sum p = total, |p - center| <= radius}.
+def linear_min_over_ball_slice(g: np.ndarray, center: np.ndarray, radius, total) -> np.ndarray:
+    """Minimize <g, p> over {p >= 0, sum p = total, |p - center| <= radius}, rowwise.
 
-    A center off the sum slice is first replaced by its on-slice equivalent:
-    restricted to the slice, distance from the original center decomposes as
-    distance from the projected center plus a fixed offset, which shrinks the
-    effective radius.  Two closed-form cases are then exact: the best simplex
-    vertex when it lies inside the ball, and the sphere point
-    center - radius * ghat (ghat the normalized slice component of g) when it
-    stays nonnegative.  Otherwise a projected gradient iteration with the
-    Dykstra oracle of :func:`project_ball_slice` finds the point where the
-    sphere meets the active sign constraints.  The ball-and-slice
-    intersection must contain a nonnegative point.  The returned point
-    satisfies the sum and nonnegativity constraints exactly and the ball
-    constraint to 1e-9.
+    ``g`` and ``center`` are (..., M); ``radius`` and ``total`` are scalars
+    or (...) arrays.  Rows with zero radius return their center.  Non-finite
+    gradient entries mark items no mass may move onto: they stay at exactly
+    0 and their center mass shrinks the radius.  The center is then shifted
+    onto the sum slice, and the fixed offset shrinks the radius further.
+
+    If the projection of the center onto the cheapest face (the items of
+    least gradient) lies in the ball, it is optimal.  Otherwise, by KKT, the
+    minimizer is P(c - s g) for the largest s that keeps it in the ball, P
+    the simplex-slice projection (:func:`_ball_path`).
     """
-    center = np.asarray(center, dtype=float)
-    gap = (total - float(center.sum())) / center.size
-    if gap != 0.0:
-        r_sq = radius * radius - center.size * gap * gap
-        if r_sq < 0.0:
-            raise ValueError("ball does not reach the sum slice")
-        center = center + gap
-        radius = float(np.sqrt(r_sq))
-    if radius <= 0.0:
-        return np.maximum(center, 0.0)
     g = np.asarray(g, dtype=float)
-    g_slice = g - g.mean()
-    gn = float(np.linalg.norm(g_slice))
-    if gn == 0.0:
-        return center.copy()
+    center = np.asarray(center, dtype=float)
+    if g.shape != center.shape:
+        raise ValueError("gradient and center dimension mismatch")
+    shape, m_items = center.shape, center.shape[-1]
+    g, center = g.reshape(-1, m_items), center.reshape(-1, m_items)
+    radius, total = _per_row(radius, shape[:-1]), _per_row(total, shape[:-1])
 
-    vertex = np.zeros_like(center)
-    vertex[int(np.argmin(g))] = total
-    if float(np.linalg.norm(vertex - center)) <= radius:
-        return vertex
+    out = center.copy()
+    live = radius > 0.0
+    g, c, total = g[live], center[live], total[live]
+    fin = np.isfinite(g)
+    m = fin.sum(axis=-1)
+    r_sq = radius[live] ** 2 - np.sum(np.where(fin, 0.0, c) ** 2, axis=-1)
+    if np.any((m < m_items) & ((r_sq < 0.0) | (m == 0))):
+        raise ValueError("region cannot avoid the diverging items")
+    c = np.where(fin, c, 0.0)
+    gap = (total - c.sum(axis=-1)) / m
+    r_sq = r_sq - m * gap * gap
+    if np.any(r_sq < 0.0):
+        raise ValueError("ball does not reach the sum slice")
+    c = np.where(fin, c + gap[:, None], -np.inf)
+    mean = np.sum(np.where(fin, g, 0.0), axis=-1, keepdims=True) / m[:, None]
+    gs = np.where(fin, g - mean, 0.0)
 
-    sphere = center - (radius / gn) * g_slice
-    if float(sphere.min()) >= 0.0:
-        return sphere
-
-    step = radius / gn
-    p = center.copy()
-    for _ in range(max_iters):
-        p_next = project_ball_slice(p - step * g, center, radius, total)
-        if float(np.linalg.norm(p_next - p)) <= tol:
-            p = p_next
-            break
-        p = p_next
-    return p
+    cheapest = np.where(fin, gs, np.inf).min(axis=-1, keepdims=True)
+    step = project_simplex_slice(np.where(fin & (gs == cheapest), c, -np.inf), total)
+    path = np.sum((step - np.where(fin, c, 0.0)) ** 2, axis=-1) > r_sq
+    step[path] = _ball_path(c[path], -gs[path], total[path], r_sq[path], np.inf)
+    out[live] = step
+    return out.reshape(shape)

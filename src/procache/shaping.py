@@ -68,17 +68,20 @@ class EBCRegion:
         )
 
     def strictly_inside_slice(self) -> bool:
-        """True when the ball cannot touch a nonnegativity face of the slice.
+        """True when the ball cannot touch a nonnegativity face of the slice."""
+        return bool(_strictly_inside(self.center, np.asarray(self.radius)))
 
-        Within the sum slice, the most negative any coordinate can get is
-        ``center_m - radius * sqrt(1 - 1/M)``; positivity of that lower
-        envelope for every m keeps the ball strictly interior.
-        """
-        m = self.center.size
-        if m == 1 or self.radius == 0.0:
-            return True
-        reach = self.radius * np.sqrt(1.0 - 1.0 / m)
-        return bool(np.all(self.center - reach > 0.0))
+
+def _strictly_inside(center, radius):
+    """Per row: the ball cannot touch a nonnegativity face of the slice.
+
+    Within the sum slice, the most negative any coordinate can get is
+    ``center_m - radius * sqrt(1 - 1/M)``; positivity of that lower
+    envelope for every m keeps the ball strictly interior.
+    """
+    m = center.shape[-1]
+    reach = radius * np.sqrt(1.0 - 1.0 / m)
+    return (m == 1) | (radius == 0.0) | np.all(center - reach[..., None] > 0.0, axis=-1)
 
 
 def ebc_regions(profile: DemandProfile, alpha) -> list[list[EBCRegion]]:
@@ -112,40 +115,38 @@ def fully_flexible_optimum(
     return DemandProfile(probs, q), tied
 
 
-def linear_min_over_ebc(
-    gradient, region: EBCRegion, tol: float = 1e-10, max_iters: int = 20000
-) -> np.ndarray:
+def linear_min_over_ebc(gradient, region: EBCRegion) -> np.ndarray:
     """Minimize a linear functional of the profile over one region.
 
     ``+inf`` gradient entries mark items no mass may move onto (requesting
     them overloads a bounded-capacity cost), so the step is restricted to
-    the face holding those coordinates at zero.  On the face, distance from
-    the region center decomposes into the in-face distance plus the fixed
-    center offset, leaving a smaller-radius instance of the same problem.
-    The face must intersect the region; it always does when the gradient was
-    taken at a feasible profile of finite cost, since that profile carries no
-    mass on diverging items.
+    the face holding those coordinates at zero.  The face must intersect the
+    region; it always does when the gradient was taken at a feasible profile
+    of finite cost, since that profile carries no mass on diverging items.
     """
-    g = np.asarray(gradient, dtype=float)
-    if g.shape != region.center.shape:
-        raise ValueError("gradient and region dimension mismatch")
-    if region.radius <= 0.0:
-        return region.center.copy()
-    finite = np.isfinite(g)
-    if not finite.all():
-        off = region.center[~finite]
-        r_sq = region.radius**2 - float(off @ off)
-        if r_sq < 0.0 or not finite.any():
-            raise ValueError("region cannot avoid the diverging items")
-        p = np.zeros_like(region.center)
-        p[finite] = linear_min_over_ball_slice(
-            g[finite], region.center[finite], float(np.sqrt(r_sq)),
-            region.activity, tol=tol, max_iters=max_iters,
-        )
-        return p
     return linear_min_over_ball_slice(
-        g, region.center, region.radius, region.activity, tol=tol, max_iters=max_iters
+        gradient, region.center, region.radius, region.activity
     )
+
+
+def _stack(regions):
+    """The region grid as (N, T, M) centers and (N, T) radii and activities."""
+    return tuple(
+        np.array([[getattr(r, key) for r in row] for row in regions])
+        for key in ("center", "radius", "activity")
+    )
+
+
+def _residuals(probs, center, radius, activity):
+    """Raw and activity-scaled | |p - center| - radius | per (user, slot).
+
+    Both are 0 where the radius is 0; a positive radius implies a positive
+    activity.
+    """
+    live = radius > 0.0
+    moved = np.linalg.norm(probs - center, axis=-1)
+    raw = np.where(live, np.abs(moved - radius), 0.0)
+    return raw, np.divide(raw, activity, out=np.zeros_like(raw), where=live)
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def shape_demand(
     A cost increase beyond roundoff raises :class:`ShapingDescentError`.
     """
     regions = ebc_regions(profile, alpha)
-    n_users, n_slots = profile.num_users, profile.num_slots
+    center, radius, activity = _stack(regions)
 
     solved = solve_proactive(
         profile, catalog, cost, cfg, tol=inner_tol, max_iters=inner_max_iters
@@ -201,18 +202,15 @@ def shape_demand(
     objectives = [f_prev]
     profiles = [current]
     allocations = [solved.allocation]
-    residuals = [_max_residual(current, regions)]
+    residuals = [_residuals(current.probs, center, radius, activity)[1].max()]
 
     converged = False
-    if all(r.radius == 0.0 for row in regions for r in row):
+    if not radius.any():
         converged = True  # nothing to shape; the trace is the initial point
     else:
         for _ in range(max_outer):
             grad = cost_gradient_p(current, solved.allocation, cost, cfg)
-            target = np.empty_like(profile.probs)
-            for n in range(n_users):
-                for t in range(n_slots):
-                    target[n, t] = linear_min_over_ebc(grad[n, t], regions[n][t])
+            target = linear_min_over_ball_slice(grad, center, radius, activity)
             d = target - current.probs
             fin = np.isfinite(grad)
             pred = float(np.sum(grad[fin] * d[fin]))
@@ -259,7 +257,7 @@ def shape_demand(
             objectives.append(f_new)
             profiles.append(current)
             allocations.append(solved.allocation)
-            residuals.append(_max_residual(current, regions))
+            residuals.append(_residuals(current.probs, center, radius, activity)[1].max())
             if abs(f_new - f_prev) <= tol_outer * (1.0 + abs(f_new)):
                 converged = True
                 f_prev = f_new
@@ -275,18 +273,6 @@ def shape_demand(
     return ShapeResult(
         profile=current, solve=solved, regions=regions, trace=trace, converged=converged
     )
-
-
-def _max_residual(profile: DemandProfile, regions) -> float:
-    worst = 0.0
-    for n in range(profile.num_users):
-        for t in range(profile.num_slots):
-            region = regions[n][t]
-            if region.radius <= 0.0 or region.activity <= 0.0:
-                continue
-            moved = float(np.linalg.norm(profile.probs[n, t] - region.center))
-            worst = max(worst, abs(moved - region.radius) / region.activity)
-    return worst
 
 
 @dataclass(frozen=True)
@@ -308,19 +294,9 @@ def boundary_check(
     faces, the profile must land on the boundary; cells where the ball
     touches a face are flagged and their residuals are informational only.
     """
-    n_users, n_slots = profile.num_users, profile.num_slots
-    raw = np.zeros((n_users, n_slots))
-    scaled = np.zeros((n_users, n_slots))
-    hyp = np.ones((n_users, n_slots), dtype=bool)
-    for n in range(n_users):
-        for t in range(n_slots):
-            region = regions[n][t]
-            hyp[n, t] = region.strictly_inside_slice() and region.radius > 0.0
-            if region.radius <= 0.0:
-                continue
-            moved = float(np.linalg.norm(profile.probs[n, t] - region.center))
-            raw[n, t] = abs(moved - region.radius)
-            scaled[n, t] = raw[n, t] / region.activity if region.activity > 0 else 0.0
+    center, radius, activity = _stack(regions)
+    raw, scaled = _residuals(profile.probs, center, radius, activity)
+    hyp = _strictly_inside(center, radius) & (radius > 0.0)
     passed = bool(np.all(scaled[hyp] <= tol)) if hyp.any() else True
     return BoundaryReport(
         raw_residual=raw, scaled_residual=scaled, hypothesis_ok=hyp, passed=passed

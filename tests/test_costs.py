@@ -110,3 +110,15 @@ def test_marginal_matches_finite_difference(kind, frac):
     h = 1e-6 * (1.0 + load)
     fd = (c.cost(load + h) - c.cost(load - h)) / (2.0 * h)
     assert c.marginal(load) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def test_polynomial_horner_in_one_buffer_equals_the_plain_expression():
+    coeffs = (0.0, 0.3, 0.1, 0.05)
+    y = np.random.default_rng(5).uniform(0.0, 40.0, size=(3, 15625))
+    ref = np.zeros_like(y)
+    for c in reversed(coeffs):
+        ref = ref * y + c
+    assert np.array_equal(CostModel._horner(y, coeffs), ref)
+    model = CostModel.polynomial(list(coeffs))
+    assert np.array_equal(model.cost(y), ref)
+    assert model.cost(2.0) == float(CostModel._horner(np.asarray(2.0), coeffs))

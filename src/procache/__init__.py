@@ -9,13 +9,10 @@ __version__ = "0.1.0"
 
 from .costs import CostDomainError, CostModel
 from .demand import (
-    ConditionalProfile,
     DemandProfile,
     ItemCatalog,
-    RequestOutcome,
     Violation,
     entropy,
-    sample_outcome,
     sample_outcomes,
     validate_profile,
     zipf_profile,
@@ -29,7 +26,6 @@ from .evaluate import (
     cost_gradient_x,
     expected_cycle_cost,
     nonproactive_cost,
-    slot_load,
 )
 from .proactive import (
     ActiveSets,
@@ -45,11 +41,9 @@ from .proactive import (
     solve_proactive,
 )
 from .recommend import (
-    PreferenceMapping,
     RatingResult,
     RatingVector,
     solve_rating,
-    solve_rating_descent,
     verify_mapping,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, save_scenario
@@ -62,9 +56,7 @@ from .shaping import (
     boundary_check,
     ebc_regions,
     fully_flexible_optimum,
-    linear_min_over_ebc,
     shape_demand,
-    shaping_gain_condition,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,6 +22,7 @@ from . import __version__
 from .costs import CostDomainError
 from .demand import DemandProfile
 from .evaluate import (
+    ENGINES,
     EvalConfig,
     UnsupportedEngineError,
     expected_cycle_cost,
@@ -117,7 +118,7 @@ def _read_alloc(path, scn: Scenario) -> np.ndarray:
 
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--engine", type=click.Choice(["enumerate", "analytic_quadratic", "monte_carlo"]),
+@click.option("--engine", type=click.Choice(ENGINES),
               default=None, help="Override the scenario engine.")
 @click.option("--samples", type=int, default=None, help="Sample count for monte_carlo.")
 @click.option("--tol", type=float, default=1e-8, show_default=True)
@@ -162,12 +163,8 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
 
 
 def _override_engine(scn: Scenario, engine, samples) -> EvalConfig:
-    cfg = scn.cfg
-    if engine is not None:
-        cfg = replace(cfg, engine=engine)
-    if samples is not None:
-        cfg = replace(cfg, samples=samples)
-    return EvalConfig(engine=cfg.engine, samples=cfg.samples, seed=cfg.seed)
+    changes = {"engine": engine, "samples": samples}
+    return replace(scn.cfg, **{key: v for key, v in changes.items() if v is not None})
 
 
 @main.command()

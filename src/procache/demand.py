@@ -127,6 +127,9 @@ class DemandProfile:
             q = 1.0 - row_sums
         else:
             q = np.broadcast_to(np.asarray(silence, dtype=float), p.shape[:2]).copy()
+        for name, arr in (("probs", p), ("silence", q)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"demand profile {name} must be finite")
 
         worst = 0.0
         if p.size:
@@ -166,12 +169,6 @@ class DemandProfile:
     def num_items(self) -> int:
         return int(self.probs.shape[2])
 
-    def conditional(self, user: int, slot: int) -> "ConditionalProfile":
-        return ConditionalProfile.from_slot(
-            self.probs[user, slot % self.num_slots],
-            self.silence[user, slot % self.num_slots],
-        )
-
     def with_probs(self, probs) -> "DemandProfile":
         """Same silence pattern, new request probabilities."""
         return DemandProfile(probs, self.silence)
@@ -201,31 +198,9 @@ class DemandProfile:
         return out
 
 
-@dataclass(frozen=True)
-class ConditionalProfile:
-    """Item preference of one user in one slot given that a request happens."""
-
-    pi: np.ndarray
-
-    def __init__(self, pi):
-        arr = _frozen_array(pi)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("conditional profile must be a nonempty vector")
-        if np.any(arr < -_EXACT_TOL) or abs(float(arr.sum()) - 1.0) > _RENORM_TOL:
-            raise ValueError(f"conditional profile must be a distribution, got sum {arr.sum():.12g}")
-        object.__setattr__(self, "pi", arr)
-
-    @classmethod
-    def from_slot(cls, probs, silence) -> "ConditionalProfile":
-        active = 1.0 - float(silence)
-        if active <= 0.0:
-            raise ValueError("conditional profile undefined for an always-silent slot")
-        return cls(np.asarray(probs, dtype=float) / active)
-
-
 def entropy(pi) -> float:
     """Shannon entropy (natural log) of a preference vector; 0 log 0 = 0."""
-    arr = np.asarray(getattr(pi, "pi", pi), dtype=float)
+    arr = np.asarray(pi, dtype=float)
     pos = arr[arr > 0.0]
     return float(-np.sum(pos * np.log(pos)))
 
@@ -245,22 +220,6 @@ def zipf_profile(num_items: int, power: float, activity: float = 1.0) -> np.ndar
     return activity * weights / weights.sum()
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
-    """Realized choices for one slot: per user an item in 1..M or 0 for silent."""
-
-    choices: np.ndarray
-
-    def __init__(self, choices):
-        arr = np.array(choices, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("choices must be a 1-d user vector")
-        if arr.size and (arr.min() < 0):
-            raise ValueError("choice codes are 0 (silent) or 1..M")
-        arr.setflags(write=False)
-        object.__setattr__(self, "choices", arr)
-
-
 def sample_outcomes(
     profile: DemandProfile, slot: int, seed: int, count: int
 ) -> np.ndarray:
@@ -270,10 +229,3 @@ def sample_outcomes(
     nothing new.
     """
     return profile.draws(seed, count)[slot % profile.num_slots]
-
-
-def sample_outcome(
-    profile: DemandProfile, slot: int, seed: int, index: int = 0
-) -> RequestOutcome:
-    """The ``index``-th outcome of the slot's stream (see :func:`sample_outcomes`)."""
-    return RequestOutcome(sample_outcomes(profile, slot, seed, index + 1)[:, index])

@@ -9,7 +9,11 @@ of slot t, bounded by the item size), the load of slot ``t`` is
 where the second term is the proactive traffic sent during ``t`` and indices
 wrap modulo T.  The cycle objective is the slot average of ``E[C(Y_t)]``.
 
-Three interchangeable engines evaluate the expectations:
+Three interchangeable engines evaluate the expectations.  Each is one
+:class:`Engine` record, a guard and three kernels, and
+:attr:`EvalConfig.kernels` is the one place the engine name is looked up.
+The kernels work on :class:`Tables`, all slots batched in the profile's own
+(N, T, M) layout; a one-slot slice is the batch of one.
 
 * ``enumerate``: exact product-form enumeration, feasible while
   ``(M+1)^N <= 1e7`` per slot.  Each user's axis holds only the choices it
@@ -40,13 +44,13 @@ probability overflows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .costs import CostDomainError, CostModel
-from .demand import DemandProfile, ItemCatalog, RequestOutcome
+from .demand import DemandProfile, ItemCatalog
 
-ENGINES = ("enumerate", "analytic_quadratic", "monte_carlo")
 _ENUM_LIMIT = 10_000_000
 
 
@@ -65,8 +69,13 @@ class EvalConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
-        if self.engine == "monte_carlo" and self.samples < 1:
-            raise ValueError("monte_carlo engine needs samples >= 1")
+        if self.kernels.sampled and self.samples < 1:
+            raise ValueError(f"{self.engine} engine needs samples >= 1")
+
+    @property
+    def kernels(self) -> "Engine":
+        """The engine's guard and kernels."""
+        return _ENGINES[self.engine]
 
 
 @dataclass(frozen=True)
@@ -107,21 +116,6 @@ class EvalResult:
     slot_stderrs: np.ndarray
 
 
-def slot_load(outcome: RequestOutcome, alloc: ProactiveAllocation, slot: int) -> float:
-    """Realized load of one slot under the given requests and allocation."""
-    n_users, n_slots, _ = alloc.x.shape
-    t = slot % n_slots
-    choices = outcome.choices
-    if choices.shape[0] != n_users:
-        raise ValueError(f"outcome covers {choices.shape[0]} users, allocation {n_users}")
-    load = float(alloc.x[:, (t + 1) % n_slots, :].sum())
-    req = choices > 0
-    for n in np.nonzero(req)[0]:
-        m = int(choices[n]) - 1
-        load += float(alloc.sizes[m] - alloc.x[n, t, m])
-    return load
-
-
 def _as_x(profile: DemandProfile, allocation) -> np.ndarray:
     if allocation is None:
         return np.zeros(profile.probs.shape)
@@ -138,55 +132,55 @@ def _sizes_of(allocation, catalog) -> np.ndarray:
     return catalog.sizes
 
 
-def check_engine(cfg: EvalConfig, profile: DemandProfile, cost: CostModel,
-                 exact_only: bool = False) -> None:
-    """Reject engine/instance pairings the engine cannot handle."""
-    if cfg.engine == "enumerate":
-        outcomes = float(profile.num_items + 1) ** profile.num_users
-        if outcomes > _ENUM_LIMIT:
-            raise UnsupportedEngineError(
-                f"enumeration would visit {outcomes:.3g} outcomes per slot "
-                f"(limit {_ENUM_LIMIT:g}); use monte_carlo"
-            )
-    elif cfg.engine == "analytic_quadratic":
-        if cost.kind == "outage" or cost.degree > 2:
-            raise UnsupportedEngineError(
-                "analytic_quadratic handles polynomial costs of degree <= 2 only"
-            )
-    elif exact_only:
-        raise UnsupportedEngineError(
-            "this quantity needs an exact engine (enumerate or analytic_quadratic)"
-        )
+class Tables(NamedTuple):
+    """Kernel inputs for a batch of slots, in the profile's (N, T, M) layout.
+
+    ``v`` is the load a request adds to its slot (S - x; a silent user adds
+    0), ``const`` (T,) the load every outcome of the slot carries, and
+    ``draws`` the Monte Carlo outcome codes (T, N, K), ``None`` for the
+    exact engines.
+    """
+
+    probs: np.ndarray
+    silence: np.ndarray
+    v: np.ndarray
+    const: np.ndarray
+    draws: np.ndarray | None
+
+    def slot(self, t: int) -> "Tables":
+        """The one-slot batch of slot ``t`` (indices wrap)."""
+        t %= len(self.const)
+        s = slice(t, t + 1)
+        draws = None if self.draws is None else self.draws[s]
+        return Tables(self.probs[:, s], self.silence[:, s], self.v[:, s], self.const[s], draws)
+
+
+def cycle_tables(
+    profile: DemandProfile, x: np.ndarray, sizes: np.ndarray, cfg: EvalConfig
+) -> Tables:
+    """Every slot's kernel inputs at allocation ``x``: slot t carries the
+    prefetch volume sent during it, ``x[:, t+1].sum()``."""
+    n_slots = profile.num_slots
+    const = np.array([x[:, (t + 1) % n_slots, :].sum() for t in range(n_slots)])
+    draws = profile.draws(cfg.seed, cfg.samples) if cfg.kernels.sampled else None
+    return Tables(profile.probs, profile.silence, sizes[None, None, :] - x, const, draws)
+
+
+def _weights(tables: Tables) -> np.ndarray:
+    """Every slot's choice probabilities (T, N, M+1), silent column first."""
+    return np.concatenate([tables.silence[:, :, None], tables.probs], axis=2).transpose(1, 0, 2)
+
+
+def _values(tables: Tables) -> np.ndarray:
+    """Every slot's load values (T, N, M+1), the silent column 0."""
+    n_users, n_slots, m_items = tables.v.shape
+    val = np.zeros((n_slots, n_users, m_items + 1))
+    val[:, :, 1:] = tables.v.transpose(1, 0, 2)
+    return val
 
 
 # ---------------------------------------------------------------------------
-# table-level oracles
-#
-# A slot is fully described by the choice probabilities w (N, M+1), the value
-# table val (N, M+1) with the silent column first, and a deterministic
-# additive term.  The engines below answer expectation queries for arbitrary
-# tables, which lets policy evaluation reuse them with modified values.
-
-
-class SlotTables:
-    """One slot's choice probabilities, load values, and additive constant."""
-
-    def __init__(self, w: np.ndarray, val: np.ndarray, const: float):
-        self.w = w
-        self.val = val
-        self.const = float(const)
-
-    @classmethod
-    def from_state(cls, profile: DemandProfile, x: np.ndarray, sizes: np.ndarray, t: int):
-        n_slots = profile.num_slots
-        w = np.concatenate([profile.silence[:, t][:, None], profile.probs[:, t, :]], axis=1)
-        val = np.concatenate(
-            [np.zeros((profile.num_users, 1)), sizes[None, :] - x[:, t, :]], axis=1
-        )
-        return cls(w, val, float(x[:, (t + 1) % n_slots, :].sum()))
-
-    def with_values(self, val: np.ndarray, const: float | None = None) -> "SlotTables":
-        return SlotTables(self.w, val, self.const if const is None else const)
+# enumeration
 
 
 def _batches(w: np.ndarray, val: np.ndarray, full: int | None = None):
@@ -263,52 +257,56 @@ def _joint(ws: list, vs: list, const: np.ndarray):
     return _grid(vs, np.add, const), probs, live
 
 
-# Enumeration kernels on slot-batched tables: w and val (T, N, M+1) with the
-# silent column first, const (T,).  Each slot batch is one joint grid over
-# its users' reachable choices; a single slot is the batch of one.  A grid
-# holds only positive weights, but their products can underflow to 0, so the
-# cost still sees only outcomes of positive probability.
+# The enumeration kernels work on (T, N, M+1) weight and value tables, silent
+# column first.  A grid holds only positive weights, but their products can
+# underflow to 0, so the cost still sees only outcomes of positive probability.
 
 
-def _enum_expected_cost(w, val, const, cost: CostModel) -> np.ndarray:
-    """Per-slot E[C(Y)], shape (T,)."""
+def _enum_check(profile: DemandProfile, cost: CostModel) -> None:
+    outcomes = float(profile.num_items + 1) ** profile.num_users
+    if outcomes > _ENUM_LIMIT:
+        raise UnsupportedEngineError(
+            f"enumeration would visit {outcomes:.3g} outcomes per slot "
+            f"(limit {_ENUM_LIMIT:g}); use monte_carlo"
+        )
+
+
+def _enum_expected_cost(tables: Tables, cost: CostModel):
+    const = tables.const
     out = np.empty(len(const))
-    for s, ws, vs, _ in _batches(w, val):
+    for s, ws, vs, _ in _batches(_weights(tables), _values(tables)):
         loads, probs, live = _joint(ws, vs, const[s])
         out[s] = np.einsum("tk,tk->t", probs, _on_live(cost.cost, loads, live))
-    return out
+    return out, np.zeros(len(const))
 
 
-def _enum_marginal_stats(w, val, const, cost: CostModel):
-    """Per-slot ``a = E[C'(Y)]`` (T,) and ``b = E[I_n(m) C'(Y)]`` (N, T, M).
-
-    ``P(c) = prod_n w[n, c_n]``, so ``b[n]`` is the axis-n marginal of
-    ``P C'(Y)`` over the joint grid; items of zero weight get 0.
-    """
+def _enum_marginal_stats(tables: Tables, cost: CostModel):
+    """``b[n]`` is the axis-n marginal of ``P C'(Y)`` over the joint grid,
+    since ``P(c) = prod_n w[n, c_n]``; items of zero weight get 0."""
+    w = _weights(tables)
     n_slots, n_users, width = w.shape
     a = np.empty(n_slots)
     b = np.empty((n_users, n_slots, width - 1))
-    for s, ws, vs, cols in _batches(w, val):
-        loads, probs, live = _joint(ws, vs, const[s])
+    for s, ws, vs, cols in _batches(w, _values(tables)):
+        loads, probs, live = _joint(ws, vs, tables.const[s])
         probs *= _on_live(cost.marginal, loads, live)
         sums = _axis_sums(probs, [t.shape[1] for t in ws], width)
         a[s] = sums[0].sum(axis=1)
         if cols is not None:   # back to column order
             np.put_along_axis(sums, cols.transpose(1, 0, 2), sums.copy(), axis=2)
         b[:, s] = sums[:, :, 1:]
-    return a, b
+    return a, b, np.zeros_like(a), np.broadcast_to(0.0, b.shape)
 
 
-def _enum_gradient_p(w, val, const, cost: CostModel) -> np.ndarray:
-    """``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` per (n, t, m): (N, T, M).
-
-    For each user n, the loads grid takes all of n's choices as its slowest
+def _enum_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
+    """For each user n, the loads grid takes all of n's choices as its slowest
     axis over the other users' reachable outcomes, whose probabilities
     ``P_-n`` weight every row alike, so one matrix product gives the
     conditional expectation of every choice.  An entry is ``+inf`` when an
     outcome with ``P_-n > 0`` leaves the cost's domain; a silent one that
     does raises :class:`CostDomainError`.
     """
+    w, val, const = _weights(tables), _values(tables), tables.const
     n_slots, n_users, width = w.shape
     grad = np.empty((n_users, n_slots, width - 1))
     for n in range(n_users):
@@ -326,26 +324,45 @@ def _enum_gradient_p(w, val, const, cost: CostModel) -> np.ndarray:
     return grad
 
 
-def _cycle_weights(profile: DemandProfile) -> np.ndarray:
-    """Every slot's choice probabilities (T, N, M+1), silent column first."""
-    return np.concatenate([profile.silence[:, :, None], profile.probs], axis=2).transpose(1, 0, 2)
+# ---------------------------------------------------------------------------
+# closed-form moments
 
 
-def _batch_of_one(tables: SlotTables):
-    return tables.w[None], tables.val[None], np.array([tables.const])
+def _analytic_check(profile: DemandProfile, cost: CostModel) -> None:
+    if cost.kind == "outage" or cost.degree > 2:
+        raise UnsupportedEngineError(
+            "analytic_quadratic handles polynomial costs of degree <= 2 only"
+        )
 
 
-def _cycle_tables(x: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every slot's value table (T, N, M+1), silent column first, and constant (T,)."""
-    n_users, n_slots, m_items = x.shape
-    val = np.zeros((n_slots, n_users, m_items + 1))
-    val[:, :, 1:] = (sizes[None, None, :] - x).transpose(1, 0, 2)
-    const = np.array([x[:, (t + 1) % n_slots, :].sum() for t in range(n_slots)])
-    return val, const
+def _moments(tables: Tables, cost: CostModel):
+    """Cost coefficients, every user's mean load (N, T) and E[Y] (T,)."""
+    mean_u = np.einsum("ntm,ntm->nt", tables.probs, tables.v)
+    return cost.poly_coeffs(), mean_u, tables.const + mean_u.sum(axis=0)
 
 
-# Monte Carlo kernels on slot-batched tables: val (T, N, M+1), const (T,) and
-# outcome codes (T, N, K).  A single slot is the batch of one.
+def _analytic_expected_cost(tables: Tables, cost: CostModel):
+    (c0, c1, c2), mean_u, ey = _moments(tables, cost)
+    m2_u = np.einsum("ntm,ntm->nt", tables.probs, tables.v * tables.v)
+    vary = (m2_u - mean_u**2).sum(axis=0)
+    return c0 + c1 * ey + c2 * (vary + ey * ey), np.zeros(len(ey))
+
+
+def _analytic_marginal_stats(tables: Tables, cost: CostModel):
+    """``C'`` is affine, so ``E[I_n(m) C'(Y)] = p C'(v + E[Y] - E[X_n])``."""
+    (_, c1, c2), mean_u, ey = _moments(tables, cost)
+    b = tables.probs * (c1 + 2.0 * c2 * ((ey - mean_u)[:, :, None] + tables.v))
+    return c1 + 2.0 * c2 * ey, b, np.zeros(len(ey)), np.broadcast_to(0.0, b.shape)
+
+
+def _analytic_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
+    """``E[C(v + Z)] - E[C(Z)]`` with Z the other users' load: ``v (c1 + c2 (v + 2 E[Z]))``."""
+    (_, c1, c2), mean_u, ey = _moments(tables, cost)
+    return tables.v * (c1 + c2 * (tables.v + 2.0 * (ey - mean_u)[:, :, None]))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo: the kernels read the outcome codes ``tables.draws`` (T, N, K)
 
 
 def _mc_loads(val: np.ndarray, const: np.ndarray, choices: np.ndarray) -> np.ndarray:
@@ -366,16 +383,15 @@ def _mean_se(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v.mean(axis=1), se
 
 
-def _mc_expected_cost(val, const, choices, cost: CostModel):
-    """Per-slot (E[C(Y)], stderr), each of shape (T,)."""
-    return _mean_se(cost.cost(_mc_loads(val, const, choices)))
+def _mc_expected_cost(tables: Tables, cost: CostModel):
+    return _mean_se(cost.cost(_mc_loads(_values(tables), tables.const, tables.draws)))
 
 
-def _mc_marginal_stats(val, const, choices, cost: CostModel):
-    """Per-slot ``(a, b, a_se, b_se)`` with ``a`` (T,) and ``b`` (N, T, M)."""
+def _mc_marginal_stats(tables: Tables, cost: CostModel):
+    choices = tables.draws
     n_slots, n_users, k = choices.shape
-    width = val.shape[2]
-    d = cost.marginal(_mc_loads(val, const, choices))
+    width = tables.v.shape[2] + 1
+    d = cost.marginal(_mc_loads(_values(tables), tables.const, choices))
     a, a_se = _mean_se(d)
     cells = np.arange(n_users)[None, :, None] * n_slots + np.arange(n_slots)[:, None, None]
     bins = (cells * width + choices).ravel()          # one bin per (n, t, choice)
@@ -395,93 +411,68 @@ def _mc_marginal_stats(val, const, choices, cost: CostModel):
     return a, b, a_se, b_se
 
 
-def _poly3(cost: CostModel) -> tuple[float, float, float]:
-    c = cost.poly_coeffs() + (0.0, 0.0)
-    return c[0], c[1], c[2]
+def _mc_gradient_p(tables: Tables, cost: CostModel):
+    raise UnsupportedEngineError(
+        "this quantity needs an exact engine (enumerate or analytic_quadratic)"
+    )
 
 
-def tables_expected_cost(
-    tables: SlotTables, cost: CostModel, cfg: EvalConfig, choices: np.ndarray | None = None
-) -> tuple[float, float]:
-    """(E[C(Y)], stderr) for one slot described by ``tables``."""
-    if cfg.engine == "analytic_quadratic":
-        c0, c1, c2 = _poly3(cost)
-        mean_u = np.einsum("nc,nc->n", tables.w, tables.val)
-        m2_u = np.einsum("nc,nc->n", tables.w, tables.val**2)
-        ey = tables.const + mean_u.sum()
-        vary = float((m2_u - mean_u**2).sum())
-        return c0 + c1 * ey + c2 * (vary + ey * ey), 0.0
-    if cfg.engine == "enumerate":
-        return float(_enum_expected_cost(*_batch_of_one(tables), cost)[0]), 0.0
-    mean, se = _mc_expected_cost(tables.val[None], np.array([tables.const]), choices[None], cost)
-    return float(mean[0]), float(se[0])
+@dataclass(frozen=True)
+class Engine:
+    """One engine: a guard and three kernels on :class:`Tables`.
 
+    ``check(profile, cost)`` raises :class:`UnsupportedEngineError` on an
+    instance the engine cannot handle.  Each kernel takes ``(tables, cost)``:
 
-def tables_marginal_stats(
-    tables: SlotTables, cost: CostModel, cfg: EvalConfig, choices: np.ndarray | None = None
-):
-    """E[C'(Y)] and the per-(user, item) joint E[I C'(Y)] with standard errors.
+    * ``expected_cost``: per-slot ``E[C(Y)]`` and its standard error, (T,) each;
+    * ``marginal_stats``: ``(a, b, a_se, b_se)`` with ``a = E[C'(Y)]`` (T,)
+      and ``b = E[I_n(m) C'(Y)]`` (N, T, M), ``I_n(m)`` the event that user
+      n requests item m;
+    * ``gradient_p``: ``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` (N, T, M).
 
-    Returns ``(a, b, a_se, b_se)`` where ``a`` is scalar and ``b`` has shape
-    (N, M).
+    ``sampled`` engines read the profile's memoised draws.  The exact
+    engines' errors are zeros; ``b_se`` is a read-only broadcast, so the
+    hot ``cost_gradient_x`` path allocates no (N, T, M) array for it.
     """
-    w, val, const = tables.w, tables.val, tables.const
 
-    if cfg.engine == "analytic_quadratic":
-        _, c1, c2 = _poly3(cost)
-        mean_u = np.einsum("nc,nc->n", w, val)
-        total = const + mean_u.sum()
-        a = c1 + 2.0 * c2 * total
-        cond = const + val[:, 1:] + (mean_u.sum() - mean_u)[:, None]
-        b = w[:, 1:] * (c1 + 2.0 * c2 * cond)
-        return float(a), b, 0.0, np.zeros_like(b)
+    check: Callable
+    expected_cost: Callable
+    marginal_stats: Callable
+    gradient_p: Callable
+    sampled: bool = False
 
-    if cfg.engine == "enumerate":
-        a, b = _enum_marginal_stats(*_batch_of_one(tables), cost)
-        return float(a[0]), b[:, 0], 0.0, np.zeros_like(b[:, 0])
 
-    a, b, a_se, b_se = _mc_marginal_stats(val[None], np.array([const]), choices[None], cost)
-    return float(a[0]), b[:, 0], float(a_se[0]), b_se[:, 0]
+_ENGINES = {
+    "enumerate": Engine(
+        _enum_check, _enum_expected_cost, _enum_marginal_stats, _enum_gradient_p
+    ),
+    "analytic_quadratic": Engine(
+        _analytic_check, _analytic_expected_cost, _analytic_marginal_stats, _analytic_gradient_p
+    ),
+    "monte_carlo": Engine(
+        lambda profile, cost: None, _mc_expected_cost, _mc_marginal_stats, _mc_gradient_p,
+        sampled=True,
+    ),
+}
+ENGINES = tuple(_ENGINES)
+
+
+# ---------------------------------------------------------------------------
+# cycle-level evaluation
+
+
+def _checked_tables(profile, allocation, cost, cfg, catalog) -> Tables:
+    x = _as_x(profile, allocation)
+    sizes = _sizes_of(allocation, catalog)
+    cfg.kernels.check(profile, cost)
+    return cycle_tables(profile, x, sizes, cfg)
 
 
 def slot_marginal_stats(
     profile: DemandProfile, x: np.ndarray, sizes: np.ndarray, cost: CostModel, cfg: EvalConfig
 ):
-    """:func:`tables_marginal_stats` for every slot of the cycle at allocation ``x``.
-
-    Returns ``(a, b, a_se, b_se)`` with ``a`` of shape (T,) and ``b`` of
-    shape (N, T, M).  The Monte Carlo and enumeration engines evaluate all
-    slots in one batched kernel, over the profile's memoised draws or over
-    one joint outcome grid per slot batch.
-    """
-    if cfg.engine == "monte_carlo":
-        val, const = _cycle_tables(x, sizes)
-        return _mc_marginal_stats(val, const, profile.draws(cfg.seed, cfg.samples), cost)
-    if cfg.engine == "enumerate":
-        val, const = _cycle_tables(x, sizes)
-        a, b = _enum_marginal_stats(_cycle_weights(profile), val, const, cost)
-        return a, b, np.zeros_like(a), np.zeros_like(b)
-    n_users, n_slots, m_items = x.shape
-    a = np.empty(n_slots)
-    a_se = np.empty(n_slots)
-    b = np.empty((n_users, n_slots, m_items))
-    b_se = np.empty((n_users, n_slots, m_items))
-    for t in range(n_slots):
-        tables = SlotTables.from_state(profile, x, sizes, t)
-        a[t], b[:, t, :], a_se[t], b_se[:, t, :] = tables_marginal_stats(tables, cost, cfg)
-    return a, b, a_se, b_se
-
-
-def slot_tables_at(
-    profile: DemandProfile, allocation, t: int, catalog: ItemCatalog | None = None
-) -> SlotTables:
-    """Public table constructor for policy-style evaluations."""
-    x = _as_x(profile, allocation)
-    return SlotTables.from_state(profile, x, _sizes_of(allocation, catalog), t)
-
-
-# ---------------------------------------------------------------------------
-# cycle-level evaluation
+    """Every slot's ``(a, b, a_se, b_se)`` at allocation ``x`` (see :class:`Engine`)."""
+    return cfg.kernels.marginal_stats(cycle_tables(profile, x, sizes, cfg), cost)
 
 
 def expected_cycle_cost(
@@ -492,33 +483,10 @@ def expected_cycle_cost(
     catalog: ItemCatalog | None = None,
 ) -> EvalResult:
     """Slot-averaged expected cost of the cycle under ``allocation``."""
-    x = _as_x(profile, allocation)
-    sizes = _sizes_of(allocation, catalog)
-    check_engine(cfg, profile, cost)
-    n_slots = profile.num_slots
-
-    if cfg.engine == "analytic_quadratic":
-        c0, c1, c2 = _poly3(cost)
-        v = sizes[None, None, :] - x
-        const = np.roll(x.sum(axis=(0, 2)), -1)
-        mean_u = np.einsum("ntm,ntm->nt", profile.probs, v)
-        m2_u = np.einsum("ntm,ntm->nt", profile.probs, v * v)
-        ey = const + mean_u.sum(axis=0)
-        vary = (m2_u - mean_u**2).sum(axis=0)
-        slot_vals = c0 + c1 * ey + c2 * (vary + ey * ey)
-        slot_errs = np.zeros(n_slots)
-    elif cfg.engine == "monte_carlo":
-        val, const = _cycle_tables(x, sizes)
-        slot_vals, slot_errs = _mc_expected_cost(
-            val, const, profile.draws(cfg.seed, cfg.samples), cost
-        )
-    else:
-        val, const = _cycle_tables(x, sizes)
-        slot_vals = _enum_expected_cost(_cycle_weights(profile), val, const, cost)
-        slot_errs = np.zeros(n_slots)
-
+    tables = _checked_tables(profile, allocation, cost, cfg, catalog)
+    slot_vals, slot_errs = cfg.kernels.expected_cost(tables, cost)
     value = float(slot_vals.mean())
-    stderr = float(np.sqrt(np.sum(slot_errs**2)) / n_slots)
+    stderr = float(np.sqrt(np.sum(slot_errs**2)) / profile.num_slots)
     return EvalResult(value, stderr, slot_vals, slot_errs)
 
 
@@ -543,24 +511,9 @@ def cost_gradient_x(
     ``(E[C'(Y_{t-1})] - E[I_{n,t}(m) C'(Y_t)]) / T``.  The Monte Carlo
     engine applies the same pathwise rule sample by sample.
     """
-    x = _as_x(profile, allocation)
-    sizes = _sizes_of(allocation, catalog)
-    check_engine(cfg, profile, cost)
-    n_slots = profile.num_slots
-
-    if cfg.engine == "analytic_quadratic":
-        _, c1, c2 = _poly3(cost)
-        v = sizes[None, None, :] - x
-        const = np.roll(x.sum(axis=(0, 2)), -1)
-        mean_u = np.einsum("ntm,ntm->nt", profile.probs, v)
-        ey = const + mean_u.sum(axis=0)
-        a = c1 + 2.0 * c2 * ey                                    # (T,)
-        others = (const + mean_u.sum(axis=0))[None, :] - mean_u   # (N, T)
-        b = profile.probs * (c1 + 2.0 * c2 * (others[:, :, None] + v))
-        return (np.roll(a, 1)[None, :, None] - b) / n_slots
-
-    a, b, _, _ = slot_marginal_stats(profile, x, sizes, cost, cfg)
-    return (np.roll(a, 1)[None, :, None] - b) / n_slots
+    tables = _checked_tables(profile, allocation, cost, cfg, catalog)
+    a, b, _, _ = cfg.kernels.marginal_stats(tables, cost)
+    return (np.roll(a, 1)[None, :, None] - b) / profile.num_slots
 
 
 def cost_gradient_p(
@@ -582,19 +535,5 @@ def cost_gradient_p(
     currently zero (otherwise the cycle cost itself would be infinite), and
     it tells the caller that no mass may move onto that item.
     """
-    x = _as_x(profile, allocation)
-    sizes = _sizes_of(allocation, catalog)
-    check_engine(cfg, profile, cost, exact_only=True)
-    n_slots = profile.num_slots
-
-    if cfg.engine == "analytic_quadratic":
-        _, c1, c2 = _poly3(cost)
-        v = sizes[None, None, :] - x
-        const = np.roll(x.sum(axis=(0, 2)), -1)
-        mean_u = np.einsum("ntm,ntm->nt", profile.probs, v)
-        ea = (const + mean_u.sum(axis=0))[None, :] - mean_u       # (N, T)
-        diff = v * (c1 + c2 * (v + 2.0 * ea[:, :, None]))
-        return diff / n_slots
-
-    val, const = _cycle_tables(x, sizes)
-    return _enum_gradient_p(_cycle_weights(profile), val, const, cost) / n_slots
+    tables = _checked_tables(profile, allocation, cost, cfg, catalog)
+    return cfg.kernels.gradient_p(tables, cost) / profile.num_slots

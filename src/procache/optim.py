@@ -125,6 +125,7 @@ class BoxDescentResult:
     iterations: int
     grad_norm: float
     trace: np.ndarray  # objective value per accepted iterate, starting at x0
+    stop: str          # "tol", "stalled" (no decrease found) or "cap" (max_iters)
 
 
 def box_projected_descent(
@@ -141,7 +142,8 @@ def box_projected_descent(
     ``value_fn`` may return ``inf`` for iterates outside the objective's
     domain; such trials are rejected by the line search.  Descent is monotone
     by construction.  Convergence is declared when the projected gradient
-    norm drops to ``tol``.
+    norm drops to ``tol``, or when the line search stalls with no decrease
+    left that the arithmetic can represent.
     """
     lower = np.broadcast_to(np.asarray(lower, dtype=float), x0.shape)
     upper = np.broadcast_to(np.asarray(upper, dtype=float), x0.shape)
@@ -209,10 +211,9 @@ def box_projected_descent(
         trace.append(fx)
         pg_norm = float(np.linalg.norm(x - clip(x - g)))
         it += 1
-    stalled = pg_norm > tol and it < max_iters  # line search found no decrease
-
-    converged = pg_norm <= tol
-    if stalled and not converged:
+    stop = "tol" if pg_norm <= tol else "stalled" if it < max_iters else "cap"
+    converged = stop == "tol"
+    if stop == "stalled":
         # No representable objective decrease remains: the best improvement a
         # step can deliver is about step * pg^2 (the spectral step tracks the
         # inverse curvature), and once that underflows the floating-point
@@ -221,7 +222,7 @@ def box_projected_descent(
         # arithmetic cannot close.
         available = step * pg_norm**2
         converged = available <= 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
-    return BoxDescentResult(x, float(fx), bool(converged), it, pg_norm, np.array(trace))
+    return BoxDescentResult(x, float(fx), bool(converged), it, pg_norm, np.array(trace), stop)
 
 
 def linear_min_over_ball_slice(g: np.ndarray, center: np.ndarray, radius, total) -> np.ndarray:

@@ -22,14 +22,11 @@ from .evaluate import (
     EvalConfig,
     EvalResult,
     ProactiveAllocation,
-    SlotTables,
-    check_engine,
     cost_gradient_x,
+    cycle_tables,
     expected_cycle_cost,
     nonproactive_cost,
     slot_marginal_stats,
-    tables_expected_cost,
-    tables_marginal_stats,
 )
 from .optim import box_projected_descent, golden_section_min
 
@@ -70,12 +67,12 @@ def active_sets(
     profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, cfg: EvalConfig
 ) -> ActiveSets:
     """Decide membership from E[I_{n,t}(m) C'(L_t)] - E[C'(L_{t-1})] at x = 0."""
-    check_engine(cfg, profile, cost)
+    cfg.kernels.check(profile, cost)
     a, b, a_se, b_se = slot_marginal_stats(
         profile, np.zeros_like(profile.probs), catalog.sizes, cost, cfg
     )
     stat = b - np.roll(a, 1)[None, :, None]
-    if cfg.engine == "monte_carlo":
+    if cfg.kernels.sampled:
         sigma = np.sqrt(b_se**2 + np.roll(a_se, 1)[None, :, None] ** 2)
         member = stat > _MC_SIGMAS * sigma
         undecided_mask = ~member & (stat >= -_MC_SIGMAS * sigma)
@@ -84,13 +81,6 @@ def active_sets(
         member = stat > _MEMBER_MARGIN
         undecided = ()
     return ActiveSets(member=member, stat=stat, undecided=undecided)
-
-
-def _slot_draws(profile: DemandProfile, cfg: EvalConfig):
-    """Monte Carlo outcome codes indexed by slot; ``None`` per slot for exact engines."""
-    if cfg.engine != "monte_carlo":
-        return (None,) * profile.num_slots
-    return profile.draws(cfg.seed, cfg.samples)
 
 
 @dataclass(frozen=True)
@@ -103,6 +93,7 @@ class SolveResult:
     iterations: int
     grad_norm: float
     objective_trace: np.ndarray
+    stop: str                     # why the descent stopped: "tol", "stalled" or "cap"
 
 
 def solve_proactive(
@@ -125,7 +116,7 @@ def solve_proactive(
     overflows under the given profile falls back to the zero allocation,
     which is feasible whenever the non-proactive cost is.
     """
-    check_engine(cfg, profile, cost)
+    cfg.kernels.check(profile, cost)
     sizes = catalog.sizes
     n_users, n_slots, m_items = profile.probs.shape
 
@@ -150,8 +141,8 @@ def solve_proactive(
     )
     if not res.converged:
         log.warning(
-            "solve_proactive did not reach tol=%.1e: %d iterations, grad norm %.3g",
-            tol, res.iterations, res.grad_norm,
+            "solve_proactive did not reach tol=%.1e (stop: %s): %d iterations, grad norm %.3g",
+            tol, res.stop, res.iterations, res.grad_norm,
         )
     return SolveResult(
         allocation=ProactiveAllocation(res.x, catalog),
@@ -160,6 +151,7 @@ def solve_proactive(
         iterations=res.iterations,
         grad_norm=res.grad_norm,
         objective_trace=res.trace,
+        stop=res.stop,
     )
 
 
@@ -176,31 +168,21 @@ class PolicyAResult:
     all_empty: bool
 
 
-def _policy_slot_objective(profile, catalog, cost, cfg, sets, t):
+def _policy_slot_objective(tables, cost, cfg, sets, t):
     """phi_t(x): expected cost of slots t-1 and t when every active pair
-    prefetches exactly x units."""
-    n_slots = profile.num_slots
-    x0 = np.zeros_like(profile.probs)
-    prev = SlotTables.from_state(profile, x0, catalog.sizes, (t - 1) % n_slots)
-    cur = SlotTables.from_state(profile, x0, catalog.sizes, t)
-    draws = _slot_draws(profile, cfg)
-    choices_prev, choices_cur = draws[(t - 1) % n_slots], draws[t]
+    prefetches exactly x units; ``tables`` hold the cycle at x = 0."""
+    prev, cur = tables.slot(t - 1), tables.slot(t)
     pairs = int(sets.member[:, t, :].sum())
-    member_cols = np.concatenate(
-        [np.zeros((profile.num_users, 1), dtype=bool), sets.member[:, t, :]], axis=1
-    )
+    member = sets.member[:, t:t + 1]
+    expected_cost = cfg.kernels.expected_cost
 
     def phi(xv: float) -> float:
         try:
-            first, _ = tables_expected_cost(
-                prev.with_values(prev.val, prev.const + xv * pairs), cost, cfg, choices_prev
-            )
-            second, _ = tables_expected_cost(
-                cur.with_values(cur.val - xv * member_cols, cur.const), cost, cfg, choices_cur
-            )
+            first, _ = expected_cost(prev._replace(const=prev.const + xv * pairs), cost)
+            second, _ = expected_cost(cur._replace(v=cur.v - xv * member), cost)
         except CostDomainError:
             return np.inf
-        return first + second
+        return float(first[0] + second[0])
 
     return phi
 
@@ -228,10 +210,11 @@ def policy_a(
     n_slots = profile.num_slots
     pair_counts = sets.pair_counts()
     x_hat = np.zeros(n_slots)
+    tables = cycle_tables(profile, np.zeros_like(profile.probs), catalog.sizes, cfg)
     for t in range(n_slots):
         if pair_counts[t] == 0:
             continue
-        phi = _policy_slot_objective(profile, catalog, cost, cfg, sets, t)
+        phi = _policy_slot_objective(tables, cost, cfg, sets, t)
         x_hat[t] = golden_section_min(phi, 0.0, catalog.min_size, tol=line_tol)
 
     all_empty = not sets.any_active
@@ -292,33 +275,19 @@ def reduction_bounds(
     nonempty.
     """
     sets = active_sets(profile, catalog, cost, cfg)
-    n_users, n_slots, m_items = profile.probs.shape
-    x0 = np.zeros_like(profile.probs)
-
+    n_slots = profile.num_slots
     upper = float(np.sum(sets.stat * sets.member * catalog.sizes[None, None, :])) / n_slots
 
+    # the at-zero statistic re-evaluated with slot t's own pairs prefetching
+    # x_tilde[t] and slot t-1 carrying that traffic
     pol = policy_a(profile, catalog, cost, cfg, sets=sets)
-    pair_counts = sets.pair_counts()
-    draws = _slot_draws(profile, cfg)
-    lower = 0.0
-    for t in range(n_slots):
-        if pair_counts[t] == 0:
-            continue
-        xv = float(pol.x_tilde[t])
-        member_cols = np.concatenate(
-            [np.zeros((n_users, 1), dtype=bool), sets.member[:, t, :]], axis=1
-        )
-        cur = SlotTables.from_state(profile, x0, catalog.sizes, t)
-        _, b_mod, _, _ = tables_marginal_stats(
-            cur.with_values(cur.val - xv * member_cols), cost, cfg, draws[t]
-        )
-        prev = SlotTables.from_state(profile, x0, catalog.sizes, (t - 1) % n_slots)
-        a_shift, _, _, _ = tables_marginal_stats(
-            prev.with_values(prev.val, prev.const + xv * pair_counts[t]), cost, cfg,
-            draws[(t - 1) % n_slots],
-        )
-        lower += xv * float(np.sum((b_mod - a_shift) * sets.member[:, t, :]))
-    lower /= n_slots
+    tables = cycle_tables(profile, np.zeros_like(profile.probs), catalog.sizes, cfg)
+    stats = cfg.kernels.marginal_stats
+    _, b_mod, _, _ = stats(tables._replace(v=tables.v - pol.allocation.x), cost)
+    shifted = np.roll(pol.x_tilde * sets.pair_counts(), -1)
+    a_shift, _, _, _ = stats(tables._replace(const=shifted), cost)
+    gain = np.sum((b_mod - np.roll(a_shift, 1)[None, :, None]) * sets.member, axis=(0, 2))
+    lower = float(np.sum(pol.x_tilde * gain)) / n_slots
 
     base = nonproactive_cost(profile, catalog, cost, cfg)
     solved = solve_proactive(profile, catalog, cost, cfg, tol=tol, max_iters=max_iters)

@@ -39,29 +39,6 @@ class RatingVector:
 
 
 @dataclass(frozen=True)
-class PreferenceMapping:
-    """How displayed ratings turn into request probabilities.
-
-    Only the proportional (linear-fractional) rule is implemented; the kind
-    field is the extension point for other behavioral models.
-    """
-
-    kind: str = "linear_fractional"
-
-    def apply(self, v, silence: float) -> np.ndarray:
-        if self.kind != "linear_fractional":
-            raise NotImplementedError(f"unknown preference mapping {self.kind!r}")
-        arr = np.asarray(v, dtype=float)
-        activity = 1.0 - float(silence)
-        total = float(arr.sum())
-        if activity <= 0.0:
-            return np.zeros_like(arr)
-        if total <= 0.0:
-            raise ValueError("an active user needs at least one positive rating")
-        return activity * arr / total
-
-
-@dataclass(frozen=True)
 class RatingResult:
     ratings: RatingVector
     scale: float
@@ -69,9 +46,7 @@ class RatingResult:
     unconstrained: bool  # silent slot: any ratings work, r returned as-is
 
 
-def solve_rating(
-    target_probs, silence: float, intrinsic, mapping: PreferenceMapping | None = None
-) -> RatingResult:
+def solve_rating(target_probs, silence: float, intrinsic) -> RatingResult:
     """Ratings closest to ``intrinsic`` that induce ``target_probs``.
 
     The feasible set is { s * pi^ : 0 < s <= 1 / max(pi^) }; projecting the
@@ -79,10 +54,6 @@ def solve_rating(
     cap.  If the slot is silent (activity 0) the mapping puts no constraint
     on v, so the intrinsic ratings are already optimal.
     """
-    if mapping is None:
-        mapping = PreferenceMapping()
-    if mapping.kind != "linear_fractional":
-        raise NotImplementedError(f"unknown preference mapping {mapping.kind!r}")
     p = np.asarray(target_probs, dtype=float)
     r = RatingVector(intrinsic).v
     if p.shape != r.shape:
@@ -109,45 +80,13 @@ def solve_rating(
     return RatingResult(RatingVector(s * pi), float(s), clamped, False)
 
 
-def solve_rating_descent(
-    target_probs, silence: float, intrinsic,
-    tol: float = 1e-12, max_iters: int = 100000,
-) -> RatingResult:
-    """Reference solver: projected gradient on the rating vector itself.
-
-    Minimizes |v - r|^2 by gradient steps in v followed by projection onto
-    the feasible ray { s * pi^ : 0 < s <= 1 / max(pi^) }.  Kept as an
-    independent cross-check of :func:`solve_rating`; quadratic objective and
-    convex feasible set make the fixed-step iteration a contraction.
-    """
-    p = np.asarray(target_probs, dtype=float)
-    r = RatingVector(intrinsic).v
-    activity = 1.0 - float(silence)
-    if activity <= _TINY:
-        return RatingResult(RatingVector(r), 1.0, False, True)
-    pi = p / activity
-    s_cap = 1.0 / float(pi.max())
-    norm2 = float(pi @ pi)
-
-    def project(v):
-        s = float(pi @ v) / norm2
-        s = min(max(s, _TINY * s_cap), s_cap)
-        return s * pi, s
-
-    v, s = project(r.copy())
-    for _ in range(max_iters):
-        v_next, s = project(v - 0.5 * (v - r))
-        if float(np.linalg.norm(v_next - v)) <= tol:
-            v = v_next
-            break
-        v = v_next
-    return RatingResult(RatingVector(v), s, s >= s_cap, False)
-
-
-def verify_mapping(
-    v, silence: float, mapping: PreferenceMapping | None = None
-) -> np.ndarray:
+def verify_mapping(v, silence: float) -> np.ndarray:
     """Request probabilities induced by displayed ratings (round-trip check)."""
-    if mapping is None:
-        mapping = PreferenceMapping()
-    return mapping.apply(RatingVector(v).v, silence)
+    arr = RatingVector(v).v
+    activity = 1.0 - float(silence)
+    if activity <= 0.0:
+        return np.zeros_like(arr)
+    total = float(arr.sum())
+    if total <= 0.0:
+        raise ValueError("an active user needs at least one positive rating")
+    return activity * arr / total

@@ -36,7 +36,7 @@ import numpy as np
 
 from .costs import CostModel
 from .demand import DemandProfile, ItemCatalog, zipf_profile
-from .evaluate import EvalConfig
+from .evaluate import EvalConfig, UnsupportedEngineError
 from .rng import substream
 
 _SIZE_STREAM = (997, 991)  # namespace ids for catalog draws
@@ -218,10 +218,8 @@ def parse_scenario(data: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"invalid eval config: {exc}") from exc
 
-    from .evaluate import UnsupportedEngineError, check_engine
-
     try:
-        check_engine(cfg, profile, cost)
+        cfg.kernels.check(profile, cost)
     except UnsupportedEngineError as exc:
         raise ScenarioError(f"engine mismatch: {exc}") from exc
 

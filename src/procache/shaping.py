@@ -26,7 +26,7 @@ import numpy as np
 
 from .costs import CostDomainError, CostModel
 from .demand import DemandProfile, ItemCatalog, entropy
-from .evaluate import EvalConfig, cost_gradient_p, expected_cycle_cost
+from .evaluate import EvalConfig, cost_gradient_p
 from .optim import linear_min_over_ball_slice
 from .proactive import SolveResult, solve_proactive
 
@@ -113,20 +113,6 @@ def fully_flexible_optimum(
     probs = np.zeros(q.shape + (catalog.num_items,))
     probs[:, :, m_star] = 1.0 - q
     return DemandProfile(probs, q), tied
-
-
-def linear_min_over_ebc(gradient, region: EBCRegion) -> np.ndarray:
-    """Minimize a linear functional of the profile over one region.
-
-    ``+inf`` gradient entries mark items no mass may move onto (requesting
-    them overloads a bounded-capacity cost), so the step is restricted to
-    the face holding those coordinates at zero.  The face must intersect the
-    region; it always does when the gradient was taken at a feasible profile
-    of finite cost, since that profile carries no mass on diverging items.
-    """
-    return linear_min_over_ball_slice(
-        gradient, region.center, region.radius, region.activity
-    )
 
 
 def _stack(regions):
@@ -301,21 +287,3 @@ def boundary_check(
     return BoundaryReport(
         raw_residual=raw, scaled_residual=scaled, hypothesis_ok=hyp, passed=passed
     )
-
-
-def shaping_gain_condition(p_orig, p_candidate, x_row, sizes) -> float:
-    """Leftover-demand alignment test for one (user, slot) pair.
-
-    Evaluates ``sum_m (S(m) - x(m)) * (p_orig(m) - p_candidate(m))``: the
-    unprefetched parts of the load, weighted by how the candidate profile
-    shifts mass away from the original.  A positive value certifies that
-    adopting the candidate strictly lowers the cycle cost when the downloads
-    are re-optimized afterwards.
-    """
-    p0 = np.asarray(p_orig, dtype=float)
-    p1 = np.asarray(p_candidate, dtype=float)
-    x = np.asarray(x_row, dtype=float)
-    s = np.asarray(sizes, dtype=float)
-    if not (p0.shape == p1.shape == x.shape == s.shape):
-        raise ValueError("all arguments must share the item dimension")
-    return float(np.sum((s - x) * (p0 - p1)))

@@ -65,6 +65,16 @@ def test_optimize_outputs(runner, quad_scenario, tmp_path):
     assert summary["scenario_hash"] == scenario_hash(two_user_scenario_dict(0.9, "quadratic"))
 
 
+def test_optimize_switches_to_monte_carlo_with_its_samples(runner, quad_scenario, tmp_path):
+    # the scenario has no samples; both overrides apply before the config is checked
+    out = tmp_path / "opt.csv"
+    res = runner.invoke(main, ["optimize", "--scenario", str(quad_scenario), "--engine",
+                               "monte_carlo", "--samples", "50", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "opt.json").read_text())["engine"] == "monte_carlo"
+    assert all(float(r["stderr"]) > 0.0 for r in read_rows(out))
+
+
 def test_simulate_is_seeded_and_unbiased(runner, quad_scenario, tmp_path):
     out_a = tmp_path / "a" / "sim.csv"
     out_b = tmp_path / "b" / "sim.csv"

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from procache import (
     DemandProfile,
     ItemCatalog,
-    RequestOutcome,
     entropy,
-    sample_outcome,
     sample_outcomes,
     validate_profile,
     zipf_profile,
 )
+
+from oracles import RequestOutcome, conditional, sample_outcome
 
 ENTROPY_811 = 0.639031859650177  # H(0.8, 0.1, 0.1), natural log
 ENTROPY_316 = 0.8979457248567797  # H(0.3, 0.1, 0.6)
@@ -89,6 +89,19 @@ def test_profile_dims_and_frozen_arrays(two_user):
         prof.probs[0, 0, 0] = 0.5
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["probs", "silence"])
+def test_profile_rejects_non_finite_entries(where, bad):
+    probs = np.full((2, 2, 2), 0.25)
+    silence = np.full((2, 2), 0.5)
+    (probs if where == "probs" else silence)[1, 0, ...] = bad
+    with pytest.raises(ValueError, match=f"{where} must be finite"):
+        DemandProfile(probs, silence)
+    if where == "probs":   # the silence derived from non-finite probs is refused too
+        with pytest.raises(ValueError, match="probs must be finite"):
+            DemandProfile(probs)
+
+
 def test_profile_needs_three_dims():
     with pytest.raises(ValueError, match="users, slots, items"):
         DemandProfile(np.zeros((2, 2)))
@@ -96,20 +109,20 @@ def test_profile_needs_three_dims():
 
 def test_conditional_normalizes(two_user):
     _, prof = two_user
-    cond = prof.conditional(0, 1)
+    cond = conditional(prof, 0, 1)
     assert np.allclose(cond.pi, (0.8, 0.1, 0.1))
     assert cond.pi.sum() == pytest.approx(1.0)
 
 
 def test_conditional_wraps_slot_index(two_user):
     _, prof = two_user
-    assert np.allclose(prof.conditional(0, 3).pi, prof.conditional(0, 1).pi)
+    assert np.allclose(conditional(prof, 0, 3).pi, conditional(prof, 0, 1).pi)
 
 
 def test_conditional_undefined_when_always_silent():
     prof = DemandProfile(np.zeros((1, 1, 2)))
     with pytest.raises(ValueError, match="always-silent"):
-        prof.conditional(0, 0)
+        conditional(prof, 0, 0)
 
 
 def test_with_probs_keeps_silence(two_user):
@@ -131,9 +144,9 @@ def test_entropy_point_mass_and_uniform():
     assert entropy(np.full(4, 0.25)) == pytest.approx(np.log(4.0))
 
 
-def test_entropy_accepts_conditional_objects(two_user):
+def test_entropy_of_a_conditional_preference(two_user):
     _, prof = two_user
-    assert entropy(prof.conditional(0, 1)) == pytest.approx(ENTROPY_811)
+    assert entropy(conditional(prof, 0, 1).pi) == pytest.approx(ENTROPY_811)
 
 
 def test_zipf_frozen_row():

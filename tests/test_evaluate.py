@@ -12,25 +12,18 @@ from procache import (
     EvalConfig,
     ItemCatalog,
     ProactiveAllocation,
-    RequestOutcome,
     UnsupportedEngineError,
     cost_gradient_p,
     cost_gradient_x,
     expected_cycle_cost,
     nonproactive_cost,
-    slot_load,
 )
 from procache.costs import CostDomainError
-from procache.evaluate import (
-    check_engine,
-    slot_marginal_stats,
-    slot_tables_at,
-    tables_expected_cost,
-    tables_marginal_stats,
-)
+from procache.evaluate import ENGINES, cycle_tables, slot_marginal_stats
 from procache.rng import substream
 
 from conftest import random_instance
+from oracles import RequestOutcome, slot_load
 
 NONPROACTIVE_QUAD = 19.560000000000006
 NONPROACTIVE_QUAD_SLOTS = (2.4000000000000004, 36.720000000000013)
@@ -102,15 +95,15 @@ def test_eval_config_validation():
 def test_enumeration_size_guard(quad):
     prof = DemandProfile(np.full((12, 1, 3), 0.2))  # 4^12 outcomes per slot
     with pytest.raises(UnsupportedEngineError, match="monte_carlo"):
-        check_engine(EvalConfig(engine="enumerate"), prof, quad)
+        EvalConfig(engine="enumerate").kernels.check(prof, quad)
 
 
 def test_analytic_rejects_outage_and_cubics(two_user, outage, analytic_cfg):
     _, prof = two_user
     with pytest.raises(UnsupportedEngineError, match="degree"):
-        check_engine(analytic_cfg, prof, outage)
+        analytic_cfg.kernels.check(prof, outage)
     with pytest.raises(UnsupportedEngineError, match="degree"):
-        check_engine(analytic_cfg, prof, CostModel.polynomial([0.0, 1.0, 1.0, 1.0]))
+        analytic_cfg.kernels.check(prof, CostModel.polynomial([0.0, 1.0, 1.0, 1.0]))
 
 
 def test_probability_gradient_needs_exact_engine(two_user, quad, mc_cfg):
@@ -171,6 +164,13 @@ def test_allocation_gradient_analytic_engine(two_user, quad, enum_cfg, analytic_
     assert np.allclose(g_enum, g_closed, atol=1e-11)
 
 
+def test_probability_gradient_analytic_engine(analytic_cfg, enum_cfg):
+    for catalog, prof, x, cost in _grid_cases("quadratic"):
+        g_enum = cost_gradient_p(prof, x, cost, enum_cfg, catalog=catalog)
+        g_closed = cost_gradient_p(prof, x, cost, analytic_cfg, catalog=catalog)
+        np.testing.assert_allclose(g_closed, g_enum, rtol=1e-12, atol=1e-12 * np.abs(g_enum).max())
+
+
 def test_allocation_gradient_monte_carlo_near_exact(two_user, quad, enum_cfg, mc_cfg):
     catalog, prof = two_user
     x = np.full(prof.probs.shape, 0.2)
@@ -229,15 +229,17 @@ def test_reachable_overload_still_raises(two_user, enum_cfg):
 # Monte Carlo: draws made once, all slots in one batched kernel
 
 
-def _loop_mc_stats(tables, choices, cost):
-    """Reference: one slot's sampled loads built user by user, b by per-user bincounts."""
+def _loop_mc_stats(val, const, choices, cost):
+    """Reference: one slot's sampled loads built user by user, b by per-user bincounts.
+
+    ``val`` (N, M+1) holds each choice's load, silent column first."""
     n_users, k = choices.shape
-    y = np.full(k, tables.const)
+    y = np.full(k, const)
     for n in range(n_users):
-        y += tables.val[n][choices[n]]
+        y += val[n][choices[n]]
     c = cost.cost(y)
     d = cost.marginal(y)
-    m_width = tables.val.shape[1]
+    m_width = val.shape[1]
     b = np.empty((n_users, m_width - 1))
     for n in range(n_users):
         b[n] = np.bincount(choices[n], weights=d, minlength=m_width)[1:] / k
@@ -260,15 +262,13 @@ def test_batched_monte_carlo_equals_per_slot_oracle(kind):
 
         res = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
         grad = cost_gradient_x(prof, x, cost, cfg, catalog=catalog)
+        a, b, _, _ = slot_marginal_stats(prof, x, catalog.sizes, cost, cfg)
         draws = prof.draws(cfg.seed, cfg.samples)
-        a = np.empty(n_slots)
-        b = np.empty(prof.probs.shape)
         for t in range(n_slots):
-            tables = slot_tables_at(prof, x, t, catalog)
-            value, se = tables_expected_cost(tables, cost, cfg, draws[t])
-            a[t], b[:, t, :], _, _ = tables_marginal_stats(tables, cost, cfg, draws[t])
-            ref_value, ref_se, ref_a, ref_b = _loop_mc_stats(tables, draws[t], cost)
-            assert (res.slot_values[t], res.slot_stderrs[t]) == (value, se) == (ref_value, ref_se)
+            val = np.concatenate([np.zeros((n_users, 1)), catalog.sizes - x[:, t]], axis=1)
+            const = float(x[:, (t + 1) % n_slots].sum())
+            ref_value, ref_se, ref_a, ref_b = _loop_mc_stats(val, const, draws[t], cost)
+            assert (res.slot_values[t], res.slot_stderrs[t]) == (ref_value, ref_se)
             assert a[t] == ref_a
             assert np.array_equal(b[:, t, :], ref_b)
         assert np.array_equal(grad, (np.roll(a, 1)[None, :, None] - b) / n_slots)
@@ -393,18 +393,38 @@ def test_enumeration_grid_matches_brute_force(kind):
     assert (faces > 0) == (kind == "outage")   # the +inf faces are exercised
 
 
-def test_enumeration_tables_are_batches_of_one():
-    cfg = EvalConfig(engine="enumerate")
-    for catalog, prof, x, cost in _grid_cases("outage"):
-        res = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
-        a, b, a_se, b_se = slot_marginal_stats(prof, x, catalog.sizes, cost, cfg)
-        assert not a_se.any() and not b_se.any()
-        for t in range(prof.num_slots):
-            tables = slot_tables_at(prof, x, t, catalog)
-            assert tables_expected_cost(tables, cost, cfg) == (res.slot_values[t], 0.0)
-            a_t, b_t, _, _ = tables_marginal_stats(tables, cost, cfg)
-            assert a_t == a[t]
-            assert np.array_equal(b_t, b[:, t])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
+    kinds = ("quadratic",) if engine == "analytic_quadratic" else ("quadratic", "outage")
+    for kind in kinds:
+        for case, (catalog, prof, x, cost) in enumerate(_grid_cases(kind)):
+            cfg = EvalConfig(engine=engine, samples=(1, 2, 37, 300)[case % 4], seed=case)
+            kernels = cfg.kernels
+            tables = cycle_tables(prof, x, catalog.sizes, cfg)
+            value, se = kernels.expected_cost(tables, cost)
+            a, b, a_se, b_se = kernels.marginal_stats(tables, cost)
+            exact = not kernels.sampled
+            grad_p = kernels.gradient_p(tables, cost) if exact else None
+            if exact:
+                assert not se.any() and not a_se.any() and not b_se.any()
+            for t in range(prof.num_slots):
+                one = tables.slot(t)
+                value_t, se_t = kernels.expected_cost(one, cost)
+                assert (value_t[0], se_t[0]) == (value[t], se[t])
+                a_t, b_t, a_se_t, b_se_t = kernels.marginal_stats(one, cost)
+                assert (a_t[0], a_se_t[0]) == (a[t], a_se[t])
+                assert np.array_equal(b_t[:, 0], b[:, t]) and np.array_equal(b_se_t[:, 0], b_se[:, t])
+                if exact:
+                    assert np.array_equal(kernels.gradient_p(one, cost)[:, 0], grad_p[:, t])
+
+            # the cycle-level functions are the full batch
+            res = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
+            assert np.array_equal(res.slot_values, value) and np.array_equal(res.slot_stderrs, se)
+            gx = cost_gradient_x(prof, x, cost, cfg, catalog=catalog)
+            assert np.array_equal(gx, (np.roll(a, 1)[None, :, None] - b) / prof.num_slots)
+            if exact:
+                gp = cost_gradient_p(prof, x, cost, cfg, catalog=catalog)
+                assert np.array_equal(gp, grad_p / prof.num_slots)
 
 
 def test_allocation_gradient_enumerates_each_slot_once(monkeypatch):

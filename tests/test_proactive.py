@@ -17,6 +17,7 @@ from procache import (
     scaling_curve,
     solve_proactive,
 )
+from procache.evaluate import slot_marginal_stats
 from procache.experiments import ZipfUniformFamily
 
 from conftest import random_instance
@@ -242,3 +243,52 @@ def test_descent_stops_below_the_reachable_tolerance(two_user):
             ref = solve_proactive(prof, catalog, CostModel.quadratic(), cfg, tol=1e-15)
             assert res.iterations < 100 and res.converged
             assert res.cost == pytest.approx(ref.cost, rel=1e-12)
+
+
+def _lower_per_slot(prof, catalog, cost, cfg, rep):
+    """The lower bound slot by slot: only slot t's active pairs prefetch x_tilde[t].
+
+    With T = 1 no pair is ever active (b <= a in the same slot), so both are 0."""
+    member, x_tilde, n_slots = rep.sets.member, rep.policy.x_tilde, prof.num_slots
+    lower = 0.0
+    for t in range(n_slots):
+        x = np.zeros(prof.probs.shape)
+        x[:, t][member[:, t]] = x_tilde[t]
+        a, b, _, _ = slot_marginal_stats(prof, x, catalog.sizes, cost, cfg)
+        lower += x_tilde[t] * float(np.sum((b[:, t] - a[t - 1]) * member[:, t]))
+    return lower / n_slots
+
+
+def test_policy_and_bounds_agree_across_exact_engines(two_user):
+    # x_hat minimizes phi_t, which is flat to rounding within ~1e-7 of its argmin
+    # (relative to the search interval [0, min size]), so the two engines'
+    # golden-section searches part by that much; a small x_hat is held to the
+    # interval's scale.  The lower bound is x_tilde times a statistic that
+    # vanishes at x_hat and sits only ~1e-3 x_hat away from it, so its error is
+    # that gap amplified; it is held to the scale of the upper bound.
+    rng = np.random.default_rng(19)
+    cases = [two_user] + [random_instance(rng) for _ in range(20)]
+    quad = CostModel.quadratic()
+    for catalog, prof in cases:
+        ref = reduction_bounds(prof, catalog, quad, EvalConfig(engine="enumerate"))
+        got = reduction_bounds(prof, catalog, quad, EvalConfig(engine="analytic_quadratic"))
+        assert np.allclose(got.policy.x_hat, ref.policy.x_hat, rtol=1e-6, atol=1e-6 * catalog.min_size)
+        assert got.policy_cost == pytest.approx(ref.policy_cost, rel=1e-6)
+        assert got.upper == pytest.approx(ref.upper, rel=1e-6)
+        assert got.delta == pytest.approx(ref.delta, rel=1e-6, abs=1e-12)
+        assert got.lower == pytest.approx(ref.lower, rel=1e-6, abs=1e-6 * ref.upper)
+        for rep, cfg in ((ref, EvalConfig(engine="enumerate")),
+                         (got, EvalConfig(engine="analytic_quadratic"))):
+            oracle = _lower_per_slot(prof, catalog, quad, cfg, rep)
+            assert rep.lower == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+        assert np.array_equal(got.sets.member, ref.sets.member)
+
+
+def test_solve_reports_why_it_stopped(two_user, quad, enum_cfg, analytic_cfg):
+    catalog, prof = two_user
+    assert solve_proactive(prof, catalog, quad, enum_cfg).stop == "tol"
+    # the closed-form gradient bottoms out at 4.4e-16: no decrease left to represent
+    stalled = solve_proactive(prof, catalog, quad, analytic_cfg, tol=1e-16)
+    assert stalled.stop == "stalled" and stalled.converged and stalled.grad_norm > 1e-16
+    capped = solve_proactive(prof, catalog, quad, enum_cfg, max_iters=1)
+    assert (capped.stop, capped.converged, capped.iterations) == ("cap", False, 1)

@@ -28,10 +28,17 @@ from .evaluate import (
     expected_cycle_cost,
     nonproactive_cost,
 )
-from .experiments import reproduce_scaling, reproduce_two_user, write_csv
+from .experiments import (
+    reproduce_scaling,
+    reproduce_two_user,
+    write_csv,
+    write_json,
+    write_scaling_csv,
+    write_trace_csv,
+)
 from .proactive import scaling_curve, solve_proactive
 from .recommend import solve_rating
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .shaping import boundary_check, shape_demand
 
 
@@ -53,18 +60,15 @@ def _guarded(fn):
     return wrapper
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _summary(scn: Scenario, extra: dict) -> dict:
     return {"version": __version__, "scenario_hash": scn.hash, **extra}
 
 
-def _load(path) -> Scenario:
-    return load_scenario(path)
+def _write_slot_rows(path, engine: str, res) -> None:
+    """Per-slot value and standard error of one cycle-cost evaluation."""
+    write_csv(path, ["slot", "engine", "value", "stderr"],
+              [(t, engine, v, e)
+               for t, (v, e) in enumerate(zip(res.slot_values, res.slot_stderrs))])
 
 
 @click.group()
@@ -85,19 +89,15 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
     """Monte Carlo estimate of the cycle cost, slot by slot."""
     if samples < 1:
         raise click.BadParameter("--samples must be a positive integer")
-    scn = _load(scenario_path)
+    scn = load_scenario(scenario_path)
     cfg = EvalConfig(engine="monte_carlo", samples=samples,
                      seed=scn.seed if seed is None else seed)
     allocation = None
     if alloc_path is not None:
         allocation = _read_alloc(alloc_path, scn)
     res = expected_cycle_cost(scn.profile, allocation, scn.cost, cfg, catalog=scn.catalog)
-    rows = [
-        (t, cfg.engine, res.slot_values[t], res.slot_stderrs[t])
-        for t in range(scn.profile.num_slots)
-    ]
-    write_csv(out_path, ["slot", "engine", "value", "stderr"], rows)
-    _write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
+    _write_slot_rows(out_path, cfg.engine, res)
+    write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
         "engine": cfg.engine, "samples": samples, "seed": cfg.seed,
         "value": res.value, "stderr": res.stderr,
     }))
@@ -127,27 +127,18 @@ def _read_alloc(path, scn: Scenario) -> np.ndarray:
 @_guarded
 def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     """Minimize the cycle cost over proactive downloads."""
-    scn = _load(scenario_path)
+    scn = load_scenario(scenario_path)
     cfg = _override_engine(scn, engine, samples)
     base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, cfg)
     solved = solve_proactive(scn.profile, scn.catalog, scn.cost, cfg,
                              tol=tol, max_iters=max_iters)
     res = expected_cycle_cost(scn.profile, solved.allocation, scn.cost, cfg)
-    rows = [
-        (t, cfg.engine, res.slot_values[t], res.slot_stderrs[t])
-        for t in range(scn.profile.num_slots)
-    ]
-    write_csv(out_path, ["slot", "engine", "value", "stderr"], rows)
-    alloc_rows = []
+    _write_slot_rows(out_path, cfg.engine, res)
     x = solved.allocation.x
-    for n in range(x.shape[0]):
-        for t in range(x.shape[1]):
-            for m in range(x.shape[2]):
-                if x[n, t, m] != 0.0:
-                    alloc_rows.append((n, t, m + 1, x[n, t, m]))
+    n, t, m = np.nonzero(x)
     alloc_path = Path(out_path).with_name(Path(out_path).stem + "_alloc.csv")
-    write_csv(alloc_path, ["user", "slot", "item", "x"], alloc_rows)
-    _write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
+    write_csv(alloc_path, ["user", "slot", "item", "x"], zip(n, t, m + 1, x[n, t, m]))
+    write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
         "engine": cfg.engine,
         "c_nonproactive": base.value,
         "c_proactive": solved.cost,
@@ -178,34 +169,23 @@ def _override_engine(scn: Scenario, engine, samples) -> EvalConfig:
 @_guarded
 def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
     """Shape demand inside the per-user entropy balls, then re-optimize."""
-    scn = _load(scenario_path)
+    scn = load_scenario(scenario_path)
     alphas = scn.alpha if alpha is None else alpha
     result = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, alphas,
                           tol_outer=tol, max_outer=max_iters)
     boundary = boundary_check(result.profile, result.regions)
     if trace_path is not None:
-        rows = [
-            (k, result.trace.objectives[k], result.trace.residuals[k])
-            for k in range(len(result.trace))
-        ]
-        write_csv(trace_path, ["iter", "f0", "max_boundary_residual"], rows)
+        write_trace_csv(trace_path, result.trace)
     payload = _summary(scn, {
         "converged": result.converged,
         "f0_initial": float(result.trace.objectives[0]),
         "f0_final": float(result.trace.objectives[-1]),
         "outer_iterations": len(result.trace) - 1,
         "max_boundary_residual": float(np.max(boundary.scaled_residual)),
-        "profiles": [
-            [list(map(float, result.profile.probs[n, t]))
-             for t in range(result.profile.num_slots)]
-            for n in range(result.profile.num_users)
-        ],
-        "silence": [
-            list(map(float, result.profile.silence[n]))
-            for n in range(result.profile.num_users)
-        ],
+        "profiles": result.profile.probs.tolist(),
+        "silence": result.profile.silence.tolist(),
     })
-    _write_json(out_path, payload)
+    write_json(out_path, payload)
     click.echo(
         f"f0 {payload['f0_initial']:.6g} -> {payload['f0_final']:.6g} "
         f"in {payload['outer_iterations']} outer iterations"
@@ -259,35 +239,16 @@ def recommend(profile_path, ratings_path, out_path):
 @_guarded
 def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
     """Sweep the user count and fit the reduction's growth exponent."""
-    scn = _load(family_path)
-    if "generator" not in scn.source:
-        raise ScenarioError("scaling needs a scenario with a 'generator' block")
+    scn = load_scenario(family_path)
+    if seed is not None:
+        scn = parse_scenario(dict(scn.source, seed=seed))
     try:
         ladder = [int(s) for s in ladder_text.split(",") if s.strip()]
     except ValueError as exc:
         raise ScenarioError(f"bad --N ladder {ladder_text!r}: {exc}") from exc
-
-    class _FileFamily:
-        def instance(self, num_users):
-            import copy
-
-            data = copy.deepcopy(scn.source)
-            data["generator"]["users"] = int(num_users)
-            if seed is not None:
-                data["seed"] = seed
-            from .scenario import parse_scenario
-
-            sub = parse_scenario(data)
-            return sub.catalog, sub.profile
-
-    curve = scaling_curve(_FileFamily(), ladder, scn.cost, scn.cfg,
-                          tol=tol, max_iters=max_iters)
-    rows = [
-        (p.num_users, p.nonproactive, p.optimized, p.delta, p.ratio, p.stderr)
-        for p in curve.points
-    ]
-    write_csv(out_path, ["N", "c_nonproactive", "c_proactive", "delta_c", "ratio", "stderr"], rows)
-    _write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
+    curve = scaling_curve(scn, ladder, tol=tol, max_iters=max_iters)
+    write_scaling_csv(out_path, curve)
+    write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
         "ladder": ladder,
         "exponent": curve.exponent,
         "ratio_at_max": curve.points[-1].ratio,

@@ -5,7 +5,7 @@ allocations.  ``active_sets`` identifies, slot by slot and item by item, the
 users whose requests are worth prefetching at all under the non-proactive
 loads; ``policy_a`` turns those sets into a one-scalar-per-slot allocation
 whose cost reduction admits closed-form bounds, computed by
-``reduction_bounds``.  ``scaling_curve`` sweeps a scenario family over a
+``reduction_bounds``.  ``scaling_curve`` sweeps a generator scenario over a
 user-count ladder and fits the growth exponent of the reduction.
 """
 
@@ -337,29 +337,23 @@ class ScalingCurve:
     exponent: float
 
 
-def scaling_curve(
-    family,
-    ladder,
-    cost: CostModel,
-    cfg: EvalConfig,
-    tol: float = 1e-6,
-    max_iters: int = 5000,
-) -> ScalingCurve:
+def scaling_curve(family, ladder, tol: float = 1e-6, max_iters: int = 5000) -> ScalingCurve:
     """Cost reduction across a user-count ladder plus its log-log growth rate.
 
-    ``family`` must provide ``instance(num_users) -> (catalog, profile)``
-    with a shared item catalog so the points are comparable.  The exponent
-    is the least-squares slope of log(delta) against log(N) and needs at
-    least three ladder points.
+    ``family`` is a generator :class:`~procache.scenario.Scenario`; ladder
+    point N is ``family.with_users(N)``, so every point shares its catalog,
+    cost and evaluation config.  The exponent is the least-squares slope of
+    log(delta) against log(N) and needs at least three ladder points.
     """
     ladder = [int(n) for n in ladder]
     if len(ladder) < 3:
         raise ValueError("exponent fit needs at least 3 ladder points")
     points = []
     for n in ladder:
-        catalog, profile = family.instance(n)
-        base = nonproactive_cost(profile, catalog, cost, cfg)
-        solved = solve_proactive(profile, catalog, cost, cfg, tol=tol, max_iters=max_iters)
+        scn = family.with_users(n)
+        base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, scn.cfg)
+        solved = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg,
+                                 tol=tol, max_iters=max_iters)
         delta = base.value - solved.cost
         points.append(
             ScalingPoint(

@@ -28,6 +28,7 @@ input, so reports can state exactly what they were computed from.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -56,6 +57,14 @@ def _need(obj: dict, key: str, where: str):
     if key not in obj:
         raise ScenarioError(f"missing key {key!r} in {where}")
     return obj[key]
+
+
+def _block(data: dict, key: str, default=None) -> dict:
+    """The JSON object under ``key``; ``default`` when absent, required when that is None."""
+    spec = _need(data, key, "scenario") if default is None else data.get(key, default)
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{key!r} must be an object, got {spec!r}")
+    return spec
 
 
 def _has_bool(value) -> bool:
@@ -114,6 +123,14 @@ class Scenario:
     def hash(self) -> str:
         return scenario_hash(self.source)
 
+    def with_users(self, num_users: int) -> "Scenario":
+        """The same generator scenario grown or shrunk to ``num_users`` users."""
+        if "generator" not in self.source:
+            raise ScenarioError("scaling needs a scenario with a 'generator' block")
+        data = copy.deepcopy(self.source)
+        data["generator"]["users"] = int(num_users)
+        return parse_scenario(data)
+
 
 def scenario_hash(data: dict) -> str:
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -138,6 +155,8 @@ def parse_scenario(data: dict) -> Scenario:
         count = _integer(_need(sizes_spec, "count", "sizes"), "'count' in sizes", 1)
         low = _number(_need(sizes_spec, "low", "sizes"), "'low' in sizes")
         high = _number(_need(sizes_spec, "high", "sizes"), "'high' in sizes")
+        if not 0.0 < low <= high:
+            raise ScenarioError(f"sizes need 0 < 'low' <= 'high', got low={low}, high={high}")
         sizes = substream(seed, *_SIZE_STREAM).uniform(low, high, size=count)
     else:
         sizes = _numbers(sizes_spec, "'sizes'")
@@ -168,7 +187,7 @@ def parse_scenario(data: dict) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"invalid profiles: {exc}") from exc
     else:
-        gen_spec = data["generator"]
+        gen_spec = _block(data, "generator")
         _require_keys(gen_spec, {"kind", "users", "power", "activity"}, "generator")
         if _need(gen_spec, "kind", "generator") != "zipf":
             raise ScenarioError(f"unknown generator kind {gen_spec['kind']!r}")
@@ -181,11 +200,14 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioError(
                 f"'slots' is {data['slots']} but generator lists {activity.size} activities"
             )
-        rows = np.stack([zipf_profile(catalog.num_items, power, a) for a in activity])
-        probs = np.broadcast_to(rows, (users,) + rows.shape).copy()
-        profile = DemandProfile(probs)
+        try:
+            with np.errstate(over="raise", invalid="raise"):   # rank^-power can overflow
+                rows = np.stack([zipf_profile(catalog.num_items, power, a) for a in activity])
+            profile = DemandProfile(np.broadcast_to(rows, (users,) + rows.shape).copy())
+        except (ValueError, FloatingPointError) as exc:
+            raise ScenarioError(f"invalid generator: {exc}") from exc
 
-    cost_spec = _need(data, "cost", "scenario")
+    cost_spec = _block(data, "cost")
     _require_keys(cost_spec, {"kind", "mu", "coeffs"}, "cost")
     kind = _need(cost_spec, "kind", "cost")
     try:
@@ -207,11 +229,14 @@ def parse_scenario(data: dict) -> Scenario:
             raise
         raise ScenarioError(f"invalid cost: {exc}") from exc
 
-    eval_spec = data.get("eval", {})
+    eval_spec = _block(data, "eval", {})
     _require_keys(eval_spec, {"engine", "samples"}, "eval")
+    engine = eval_spec.get("engine", "enumerate")
+    if not isinstance(engine, str):
+        raise ScenarioError(f"'engine' in eval must be a string, got {engine!r}")
     try:
         cfg = EvalConfig(
-            engine=eval_spec.get("engine", "enumerate"),
+            engine=engine,
             samples=_integer(eval_spec.get("samples", 0), "'samples' in eval", 0),
             seed=seed,
         )

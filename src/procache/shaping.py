@@ -137,11 +137,9 @@ def _residuals(probs, center, radius, activity):
 
 @dataclass(frozen=True)
 class ShapingTrace:
-    """Objective and iterates of the alternating descent."""
+    """Objective and boundary residual of each accepted outer iterate."""
 
     objectives: np.ndarray                  # (k+1,) cycle cost per outer iterate
-    profiles: tuple                         # DemandProfile per iterate
-    allocations: tuple                      # ProactiveAllocation per iterate
     residuals: np.ndarray                   # (k+1,) max boundary residual per iterate
 
     def __len__(self) -> int:
@@ -186,8 +184,6 @@ def shape_demand(
     f_prev = solved.cost
     current = profile
     objectives = [f_prev]
-    profiles = [current]
-    allocations = [solved.allocation]
     residuals = [_residuals(current.probs, center, radius, activity)[1].max()]
 
     converged = False
@@ -241,8 +237,6 @@ def shape_demand(
                     f"cycle cost rose from {f_prev:.12g} to {f_new:.12g}"
                 )
             objectives.append(f_new)
-            profiles.append(current)
-            allocations.append(solved.allocation)
             residuals.append(_residuals(current.probs, center, radius, activity)[1].max())
             if abs(f_new - f_prev) <= tol_outer * (1.0 + abs(f_new)):
                 converged = True
@@ -250,12 +244,7 @@ def shape_demand(
                 break
             f_prev = f_new
 
-    trace = ShapingTrace(
-        objectives=np.array(objectives),
-        profiles=tuple(profiles),
-        allocations=tuple(allocations),
-        residuals=np.array(residuals),
-    )
+    trace = ShapingTrace(objectives=np.array(objectives), residuals=np.array(residuals))
     return ShapeResult(
         profile=current, solve=solved, regions=regions, trace=trace, converged=converged
     )

@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
-from procache import CostModel, DemandProfile, EvalConfig, ItemCatalog
-from procache.experiments import OUTAGE_CAPACITY, two_user_instance
+from procache import CostModel, DemandProfile, EvalConfig, ItemCatalog, parse_scenario
+from procache.experiments import OUTAGE_CAPACITY, two_user_scenario_dict
+
+
+def two_user_pair(p_peak=0.9):
+    """(catalog, profile) of the two-user study at the given peak activity."""
+    scn = parse_scenario(two_user_scenario_dict(p_peak, "quadratic"))
+    return scn.catalog, scn.profile
 
 
 @pytest.fixture
 def two_user():
     """Two users, three items, a quiet slot before a 0.9-activity peak."""
-    return two_user_instance(0.9)
+    return two_user_pair(0.9)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import cost_for, random_instance
+from conftest import cost_for, random_instance, two_user_pair
 
 from procache import (
     CostModel,
@@ -21,18 +21,14 @@ from procache import (
     expected_cycle_cost,
     fully_flexible_optimum,
     nonproactive_cost,
+    parse_scenario,
     reduction_bounds,
     scaling_curve,
     shape_demand,
     solve_proactive,
     solve_rating,
 )
-from procache.experiments import (
-    OUTAGE_CAPACITY,
-    SCALING_LADDER,
-    ZipfUniformFamily,
-    two_user_instance,
-)
+from procache.experiments import OUTAGE_CAPACITY, SCALING_LADDER, SCALING_SCENARIO
 
 ENUM = EvalConfig(engine="enumerate")
 
@@ -54,7 +50,7 @@ REFERENCE_SHAPED_SHARES = (
 
 def test_two_user_nonproactive_cost_closed_form():
     t0 = time.perf_counter()
-    catalog, profile = two_user_instance(0.9)
+    catalog, profile = two_user_pair(0.9)
     res = nonproactive_cost(profile, catalog, CostModel.quadratic(), ENUM)
     elapsed = time.perf_counter() - t0
     print(f"baseline cost {res.value!r}, error {abs(res.value - 19.56):.2e} [{elapsed:.2f}s]")
@@ -79,7 +75,7 @@ def test_rating_solver_reproduces_reference_rows():
 
 def test_shaped_profiles_land_on_entropy_ball_boundary():
     t0 = time.perf_counter()
-    catalog, profile = two_user_instance(0.9)
+    catalog, profile = two_user_pair(0.9)
     result = shape_demand(profile, catalog, CostModel.quadratic(), ENUM, 0.2)
     elapsed = time.perf_counter() - t0
 
@@ -106,7 +102,7 @@ def test_shaped_profiles_land_on_entropy_ball_boundary():
 
 def test_shaping_objective_strictly_decreases():
     t0 = time.perf_counter()
-    catalog, profile = two_user_instance(0.9)
+    catalog, profile = two_user_pair(0.9)
     for cost in (CostModel.quadratic(), CostModel.outage(OUTAGE_CAPACITY)):
         result = shape_demand(profile, catalog, cost, ENUM, 0.2)
         trace = np.asarray(result.trace.objectives)
@@ -180,12 +176,7 @@ def test_solver_matches_exhaustive_grid_search():
 
 def test_cost_reduction_scaling_with_user_count():
     t0 = time.perf_counter()
-    curve = scaling_curve(
-        ZipfUniformFamily(),
-        SCALING_LADDER,
-        CostModel.quadratic(),
-        EvalConfig(engine="analytic_quadratic"),
-    )
+    curve = scaling_curve(parse_scenario(SCALING_SCENARIO), SCALING_LADDER)
     elapsed = time.perf_counter() - t0
     last = curve.points[-1]
     print(
@@ -202,7 +193,7 @@ def test_cost_reduction_scaling_with_user_count():
 def test_gradients_match_finite_differences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    catalog, profile = two_user_instance(0.9)
+    catalog, profile = two_user_pair(0.9)
     costs = (CostModel.quadratic(), CostModel.outage(OUTAGE_CAPACITY))
     shape = profile.probs.shape
     worst = 0.0

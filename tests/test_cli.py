@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from procache.cli import main
-from procache.experiments import two_user_scenario_dict
+from procache.experiments import SCALING_LADDER, SCALING_SCENARIO, two_user_scenario_dict
 from procache.scenario import save_scenario, scenario_hash
 
 BASE_QUAD = 19.560000000000006
@@ -240,6 +240,27 @@ def test_scale_fits_growth(runner, tmp_path):
     assert 0.0 < summary["ratio_at_max"] < 1.0
 
 
+def test_scale_seed_overrides_every_seed(runner, tmp_path):
+    # the seed draws the catalog and, under Monte Carlo, the samples and the hash
+    family = {
+        "sizes": {"kind": "uniform", "count": 3, "low": 1.0, "high": 2.0},
+        "generator": {"kind": "zipf", "users": 1, "power": 3.0, "activity": [0.8, 0.2]},
+        "cost": {"kind": "quadratic"},
+        "eval": {"engine": "monte_carlo", "samples": 40},
+        "seed": 0,
+    }
+    save_scenario(family, tmp_path / "seed0.json")
+    save_scenario(dict(family, seed=5), tmp_path / "seed5.json")
+    for name, extra in (("override", ["--family", str(tmp_path / "seed0.json"), "--seed", "5"]),
+                        ("saved", ["--family", str(tmp_path / "seed5.json")])):
+        res = runner.invoke(main, ["scale", *extra, "--N", "2,3,4",
+                                   "--out", str(tmp_path / f"{name}.csv")])
+        assert res.exit_code == 0, res.output
+    for suffix in (".csv", ".json"):
+        assert ((tmp_path / "override").with_suffix(suffix).read_bytes()
+                == (tmp_path / "saved").with_suffix(suffix).read_bytes())
+
+
 def test_scale_needs_a_generator(runner, quad_scenario, tmp_path):
     res = runner.invoke(
         main,
@@ -265,6 +286,17 @@ def test_error_payload_is_one_json_line(runner, tmp_path):
     err = json.loads(lines[0])
     assert err["error"] == "ScenarioError"
     assert "unknown key 'bogus'" in err["message"]
+
+
+def test_non_object_block_fails_with_one_json_line(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(two_user_scenario_dict(0.9, "quadratic"), cost=5)))
+    res = runner.invoke(main, ["optimize", "--scenario", str(bad),
+                               "--out", str(tmp_path / "o.csv")])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)
+    assert err["error"] == "ScenarioError"
+    assert "'cost' must be an object" in err["message"]
 
 
 def test_optimize_summary_parses_after_a_stalled_descent(runner, tmp_path):
@@ -320,3 +352,35 @@ def test_reference_study_two_user_quadratic(runner, tmp_path):
     sweep = read_rows(out_dir / "sweep.csv")
     assert len(sweep) == 9
     assert all(float(r["c_proactive"]) <= float(r["c_nonproactive"]) + 1e-12 for r in sweep)
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("which", ["two-user-quadratic", "two-user-outage", "scaling"])
+def test_reference_study_is_its_subcommand_run_twice_over(runner, tmp_path, which):
+    """A study's table is the subcommand's output on its scenario, and reruns are identical."""
+    runs = [tmp_path / "run1", tmp_path / "run2"]
+    for out_dir in runs:
+        res = runner.invoke(main, ["reproduce-paper", which, "--out", str(out_dir)])
+        assert res.exit_code == 0, res.output
+    assert _tree(runs[0]) == _tree(runs[1])
+
+    scenario = tmp_path / "scenario.json"
+    if which == "scaling":
+        save_scenario(SCALING_SCENARIO, scenario)
+        ladder = ",".join(map(str, SCALING_LADDER))
+        argv = ["scale", "--family", str(scenario), "--N", ladder, "--out", str(tmp_path / "t.csv")]
+        study_table, report = "scaling.csv", "scaling_report.json"
+    else:
+        kind = which.rsplit("-", 1)[1]
+        save_scenario(two_user_scenario_dict(0.9, kind), scenario)
+        argv = ["shape", "--scenario", str(scenario), "--trace", str(tmp_path / "t.csv"),
+                "--out", str(tmp_path / "t.json")]
+        study_table, report = "trace.csv", f"two_user_{kind}_report.json"
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "t.csv").read_bytes() == (runs[0] / study_table).read_bytes()
+    summary = json.loads((tmp_path / "t.json").read_text())
+    assert json.loads((runs[0] / report).read_text())["scenario_hash"] == summary["scenario_hash"]

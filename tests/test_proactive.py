@@ -12,13 +12,13 @@ from procache import (
     cost_gradient_x,
     marginal_cost_ratio,
     nonproactive_cost,
+    parse_scenario,
     policy_a,
     reduction_bounds,
     scaling_curve,
     solve_proactive,
 )
 from procache.evaluate import slot_marginal_stats
-from procache.experiments import ZipfUniformFamily
 
 from conftest import random_instance
 
@@ -200,17 +200,23 @@ def test_marginal_cost_ratio_flags_the_peak(two_user, quad, enum_cfg):
     assert float(np.prod(ratios)) == pytest.approx(1.0)  # the cycle closes
 
 
-def test_scaling_curve_needs_three_points(quad, analytic_cfg):
-    family = ZipfUniformFamily(num_items=4, silence=(0.2, 0.8), seed=3)
+# four Zipf items over a uniformly drawn catalog, a busy slot before a quiet one
+SMALL_FAMILY = {
+    "sizes": {"kind": "uniform", "count": 4, "low": 1.0, "high": 2.0},
+    "generator": {"kind": "zipf", "users": 1, "power": 3.0, "activity": [0.8, 0.2]},
+    "cost": {"kind": "quadratic"},
+    "eval": {"engine": "analytic_quadratic"},
+    "seed": 3,
+}
+
+
+def test_scaling_curve_needs_three_points():
     with pytest.raises(ValueError, match="3 ladder points"):
-        scaling_curve(family, (4, 8), quad, analytic_cfg)
+        scaling_curve(parse_scenario(SMALL_FAMILY), (4, 8))
 
 
-def test_scaling_curve_small_family(quad, analytic_cfg):
-    family = ZipfUniformFamily(
-        num_items=4, power=3.0, silence=(0.2, 0.8), size_low=1.0, size_high=2.0, seed=3
-    )
-    curve = scaling_curve(family, (4, 8, 16), quad, analytic_cfg, tol=1e-8)
+def test_scaling_curve_small_family():
+    curve = scaling_curve(parse_scenario(SMALL_FAMILY), (4, 8, 16), tol=1e-8)
     users = [p.num_users for p in curve.points]
     deltas = [p.delta for p in curve.points]
     assert users == [4, 8, 16]

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procache import (
     ScenarioError,
@@ -12,9 +14,14 @@ from procache import (
     save_scenario,
     zipf_profile,
 )
-from procache.experiments import two_user_instance, two_user_scenario_dict
+from procache.experiments import two_user_scenario_dict
 from procache.scenario import scenario_hash
 
+# the two-user study at peak activity 0.9: users x (off-peak, peak) x items
+TWO_USER_PROBS = [
+    [[0.08, 0.01, 0.01], [0.72, 0.09, 0.09]],
+    [[0.03, 0.01, 0.06], [0.27, 0.09, 0.54]],
+]
 
 def test_parse_two_user_scenario():
     data = two_user_scenario_dict(0.9, "quadratic")
@@ -27,8 +34,7 @@ def test_parse_two_user_scenario():
     assert sc.alpha.tolist() == [0.2, 0.2]
     assert sc.seed == 0
     assert sc.hash == scenario_hash(data)
-    _, prof = two_user_instance(0.9)
-    assert np.allclose(sc.profile.probs, prof.probs, atol=1e-15)
+    assert np.allclose(sc.profile.probs, TWO_USER_PROBS, atol=1e-15)
 
 
 def test_parse_generator_scenario():
@@ -196,8 +202,7 @@ def test_save_load_round_trip(tmp_path):
     sc = load_scenario(path)
     assert sc.hash == scenario_hash(data)
     assert sc.cost.kind == "outage"
-    _, prof = two_user_instance(0.9)
-    assert np.allclose(sc.profile.probs, prof.probs, atol=1e-15)
+    assert np.allclose(sc.profile.probs, TWO_USER_PROBS, atol=1e-15)
 
 
 def test_save_refuses_unparseable_dict(tmp_path):
@@ -294,3 +299,97 @@ def test_integral_floats_still_count_as_integers():
     data = dict(_generated(users=3.0), seed=4.0, slots=1)
     sc = parse_scenario(data)
     assert sc.profile.num_users == 3 and sc.seed == 4
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        (_generated() | {"generator": 5}, "'generator' must be an object"),
+        (_generated() | {"generator": None}, "'generator' must be an object"),
+        (_generated() | {"generator": [[1, 2], [3]]}, "'generator' must be an object"),
+        (_generated() | {"cost": 2.5}, "'cost' must be an object"),
+        (_generated() | {"cost": True}, "'cost' must be an object"),
+        (_generated() | {"eval": None}, "'eval' must be an object"),
+        (_generated() | {"eval": [[0]]}, "'eval' must be an object"),
+        (_generated() | {"eval": {"engine": ["enumerate"]}}, "'engine' in eval must be a string"),
+        (_generated() | {"eval": {"engine": {"kind": 1}}}, "'engine' in eval must be a string"),
+        (_generated() | {"sizes": {"kind": "uniform", "count": 3, "low": 3.0, "high": 1.0}},
+         "sizes need 0 < 'low' <= 'high'"),
+        (_generated() | {"sizes": {"kind": "uniform", "count": 3, "low": 0.0, "high": -0.0}},
+         "sizes need 0 < 'low' <= 'high'"),
+        (_generated() | {"sizes": {"kind": "uniform", "count": 3, "low": -1e308, "high": 1e308}},
+         "sizes need 0 < 'low' <= 'high'"),
+        (_generated(activity=[0.5, 1.2]), "invalid generator: activity must lie in [0, 1]"),
+        (_generated(activity=[-0.1]), "invalid generator: activity must lie in [0, 1]"),
+        (_generated(power=-2e3), "invalid generator: overflow"),
+    ],
+)
+def test_malformed_blocks_raise_scenario_error_naming_the_key(data, fragment):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert fragment in str(err.value)
+
+
+def test_with_users_regrows_the_generator_population():
+    base = parse_scenario(_generated())
+    grown = base.with_users(5)
+    assert grown.profile.probs.shape == (5,) + base.profile.probs.shape[1:]
+    assert np.array_equal(grown.profile.probs[4], base.profile.probs[0])
+    assert np.array_equal(grown.catalog.sizes, base.catalog.sizes)
+    assert (grown.cost, grown.cfg, grown.seed) == (base.cost, base.cfg, base.seed)
+    assert grown.source["generator"]["users"] == 5
+    assert base.source["generator"]["users"] == 2   # the source is copied, not edited
+    with pytest.raises(ScenarioError, match="'generator' block"):
+        parse_scenario(two_user_scenario_dict(0.9, "quadratic")).with_users(3)
+
+
+# Every count-like value stays small so that no example allocates a large array.
+_SMALL = st.integers(-1, 5)
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_NAMES = st.sampled_from(["uniform", "zipf", "quadratic", "outage", "polynomial",
+                          "enumerate", "analytic_quadratic", "monte_carlo", "x"])
+_JUNK = st.recursive(
+    st.none() | st.booleans() | _SMALL | _NAMES
+    | st.sampled_from([0.5, 1.5, -0.5, np.nan, np.inf]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "users", "count", "engine", "z"]), inner, max_size=3),
+    max_leaves=6,
+)
+_UNIT = st.floats(0.0, 1.0) | _ANY_FLOAT
+
+
+def _object(**fields):
+    return st.fixed_dictionaries(fields) | _JUNK
+
+
+_SCENARIOS = st.fixed_dictionaries({
+    "sizes": st.lists(st.floats(0.1, 5.0) | _ANY_FLOAT, min_size=1, max_size=3)
+    | _object(kind=st.just("uniform") | _JUNK, count=_SMALL, low=_ANY_FLOAT, high=_ANY_FLOAT),
+    "cost": _object(kind=st.just("quadratic") | _JUNK)
+    | _object(kind=st.just("outage"), mu=_ANY_FLOAT)
+    | _object(kind=st.just("polynomial"), coeffs=st.lists(_ANY_FLOAT, max_size=3) | _JUNK),
+}, optional={
+    "slots": _SMALL | _JUNK,
+    "profiles": st.lists(st.lists(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3),
+                                  min_size=1, max_size=2), min_size=1, max_size=2) | _JUNK,
+    "generator": _object(kind=st.just("zipf") | _JUNK, users=_SMALL, power=_ANY_FLOAT,
+                         activity=st.lists(_UNIT, min_size=1, max_size=3) | _JUNK),
+    "eval": _object(engine=_NAMES | _JUNK, samples=_SMALL | _JUNK),
+    "alpha": _UNIT | st.lists(_UNIT, max_size=3) | _JUNK,
+    "seed": _SMALL | _JUNK,
+})
+
+
+@given(_SCENARIOS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_any_small_json_dict_parses_cleanly_or_raises_scenario_error(data):
+    try:
+        scn = parse_scenario(data)
+    except ScenarioError:
+        return
+    probs = scn.profile.probs
+    assert probs.ndim == 3 and probs.shape[2] == scn.catalog.num_items
+    assert scn.profile.silence.shape == probs.shape[:2]
+    assert scn.alpha.shape == (probs.shape[0],)
+    for arr in (probs, scn.profile.silence, scn.catalog.sizes, scn.alpha):
+        assert np.all(np.isfinite(arr))

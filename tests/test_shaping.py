@@ -172,8 +172,7 @@ def test_shape_demand_quadratic_frozen(two_user, quad, enum_cfg):
     assert np.allclose(result.trace.objectives, QUAD_TRACE, atol=1e-9)
     assert np.all(np.diff(result.trace.objectives) < 0.0)
     assert result.trace.residuals[-1] < 1e-9  # lands on the ball boundary
-    assert len(result.trace.profiles) == len(result.trace.objectives)
-    assert len(result.trace.allocations) == len(result.trace.objectives)
+    assert len(result.trace.residuals) == len(result.trace)
 
     peak0 = conditional(result.profile, 0, 1).pi
     peak1 = conditional(result.profile, 1, 1).pi

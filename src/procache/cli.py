@@ -38,8 +38,11 @@ from .experiments import (
 )
 from .proactive import scaling_curve, solve_proactive
 from .recommend import solve_rating
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import Scenario, ScenarioError, check_cells, load_scenario, parse_scenario
 from .shaping import boundary_check, shape_demand
+
+
+_TOL_HELP = "Solver tolerance, relative to the starting projected-gradient norm."
 
 
 def _fail(exc: Exception) -> None:
@@ -90,6 +93,7 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
     if samples < 1:
         raise click.BadParameter("--samples must be a positive integer")
     scn = load_scenario(scenario_path)
+    check_cells("--samples", samples, scn.profile.num_users, scn.profile.num_slots)
     cfg = EvalConfig(engine="monte_carlo", samples=samples,
                      seed=scn.seed if seed is None else seed)
     allocation = None
@@ -121,7 +125,7 @@ def _read_alloc(path, scn: Scenario) -> np.ndarray:
 @click.option("--engine", type=click.Choice(ENGINES),
               default=None, help="Override the scenario engine.")
 @click.option("--samples", type=int, default=None, help="Sample count for monte_carlo.")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=1e-8, show_default=True, help=_TOL_HELP)
 @click.option("--max-iters", type=int, default=5000, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_guarded
@@ -155,7 +159,10 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
 
 def _override_engine(scn: Scenario, engine, samples) -> EvalConfig:
     changes = {"engine": engine, "samples": samples}
-    return replace(scn.cfg, **{key: v for key, v in changes.items() if v is not None})
+    cfg = replace(scn.cfg, **{key: v for key, v in changes.items() if v is not None})
+    if cfg.kernels.sampled:
+        check_cells("--samples", cfg.samples, scn.profile.num_users, scn.profile.num_slots)
+    return cfg
 
 
 @main.command()
@@ -233,7 +240,7 @@ def recommend(profile_path, ratings_path, out_path):
 @click.option("--N", "ladder_text", required=True,
               help="Comma-separated user-count ladder, e.g. 25,50,100,200.")
 @click.option("--seed", type=int, default=None, help="Override the scenario seed.")
-@click.option("--tol", type=float, default=1e-6, show_default=True)
+@click.option("--tol", type=float, default=1e-6, show_default=True, help=_TOL_HELP)
 @click.option("--max-iters", type=int, default=5000, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_guarded
@@ -254,9 +261,13 @@ def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
         "ratio_at_max": curve.points[-1].ratio,
     }))
     click.echo(
-        f"exponent {curve.exponent:.3f}, ratio at N={curve.points[-1].num_users}: "
+        f"exponent {_exponent_text(curve.exponent)}, ratio at N={curve.points[-1].num_users}: "
         f"{curve.points[-1].ratio:.4f}"
     )
+
+
+def _exponent_text(exponent) -> str:
+    return "undefined" if exponent is None else f"{exponent:.3f}"
 
 
 @main.command("reproduce-paper")
@@ -268,7 +279,7 @@ def reproduce_paper(which, out_dir):
     if which == "scaling":
         report = reproduce_scaling(out_dir)
         click.echo(
-            f"scaling: exponent {report.metrics['exponent']:.3f}, "
+            f"scaling: exponent {_exponent_text(report.metrics['exponent'])}, "
             f"ratio at N={max(report.metrics['ladder'])}: {report.metrics['ratio_at_max']:.4f}"
         )
     else:

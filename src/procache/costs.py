@@ -116,6 +116,21 @@ class CostModel:
             out = self._horner(arr, deriv)
         return float(out) if np.ndim(load) == 0 else out
 
+    def second(self, load):
+        """C''(load); vectorized, same domain rules as :meth:`cost`."""
+        arr = np.asarray(load, dtype=float)
+        self._check_domain(arr)
+        if self.kind == "quadratic":
+            out = np.full_like(arr, 2.0)
+        elif self.kind == "outage":
+            out = np.subtract(self.mu, arr, out=np.empty_like(arr))
+            out *= out * out
+            np.divide(2.0 * self.mu, out, out=out)
+        else:
+            deriv = tuple(j * (j - 1) * c for j, c in enumerate(self.coeffs))[2:]
+            out = self._horner(arr, deriv)
+        return float(out) if np.ndim(load) == 0 else out
+
     def in_domain(self, load):
         """Boolean mask of loads where the cost is finite; tiny negatives pass."""
         arr = np.asarray(load, dtype=float)

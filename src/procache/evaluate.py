@@ -10,7 +10,9 @@ where the second term is the proactive traffic sent during ``t`` and indices
 wrap modulo T.  The cycle objective is the slot average of ``E[C(Y_t)]``.
 
 Three interchangeable engines evaluate the expectations.  Each is one
-:class:`Engine` record, a guard and three kernels, and
+:class:`Engine` record, a guard and four kernels (value, marginal costs,
+probability gradient and the curvature kernel behind
+:func:`cost_hess_vec`), and
 :attr:`EvalConfig.kernels` is the one place the engine name is looked up.
 The kernels work on :class:`Tables`, all slots batched in the profile's own
 (N, T, M) layout; a one-slot slice is the batch of one.
@@ -23,16 +25,17 @@ The kernels work on :class:`Tables`, all slots batched in the profile's own
   slowest axis, with at most 1e7 outcomes per batch.  The value, ``E[C'(Y)]``
   and the per-(user, item) ``E[I C'(Y)]`` all come from that grid: the last
   is the axis-n marginal of ``P C'(Y)``, since ``P(c) = prod_n w[n, c_n]``.
-  The probability gradient builds one grid per user, that user's every
+  The curvature kernel takes the same marginals of ``P C''(Y) dY``.  The
+  probability gradient builds one grid per user, that user's every
   choice against the other users' support.
 * ``analytic_quadratic``: closed-form first/second moments, valid only for
-  polynomial costs of degree <= 2;
+  polynomial costs of degree <= 2, where ``C''`` is constant;
 * ``monte_carlo``: seeded counter-based sampling with reported standard
   errors; estimates are reproducible bit-for-bit for a given seed.  The
   (T, N, K) outcome array is drawn once per (profile, seed, samples) by
-  :meth:`DemandProfile.draws` and kept on the profile, so every value and
-  gradient call reads the same draws instead of drawing again, and one
-  batched kernel evaluates all slots at once.
+  :meth:`DemandProfile.draws` and kept on the profile, so every value,
+  gradient and curvature call reads the same draws instead of drawing
+  again, and one batched kernel evaluates all slots at once.
 
 Expectations are only ever taken over reachable outcomes: enumeration leaves
 out zero-probability choices and masks outcome probabilities that underflow
@@ -183,16 +186,17 @@ def _values(tables: Tables) -> np.ndarray:
 # enumeration
 
 
-def _batches(w: np.ndarray, val: np.ndarray, full: int | None = None):
+def _batches(w: np.ndarray, *vals: np.ndarray, full: int | None = None):
     """Slot batches to enumerate, each over the choices its users can make.
 
     A user's grid axis holds only its choices of positive probability (all
     of them for user ``full``), so a grid follows the reachable support
     rather than (M+1)^N.  Slots share a batch when every user has the same
     number of such choices, and a batch holds at most ``_ENUM_LIMIT``
-    outcomes.  Yields the slot indices ``s``, the per-user weight and value
-    tables (lists of (B, K_n)), and the column order ``cols`` (B, N, M+1)
-    that puts the enumerated columns first, ``None`` when that is all of them.
+    outcomes.  Yields the slot indices ``s``, the per-user weight tables and,
+    for each of ``vals``, its per-user value tables (lists of (B, K_n)), and
+    the column order ``cols`` (B, N, M+1) that puts the enumerated columns
+    first, ``None`` when that is all of them.
     """
     live = w > 0.0
     if full is not None:
@@ -204,12 +208,11 @@ def _batches(w: np.ndarray, val: np.ndarray, full: int | None = None):
         step = max(1, _ENUM_LIMIT // int(np.prod(widths)))
         for lo in range(0, len(slots), step):
             s = np.array(slots[lo:lo + step])
-            ws, vs, cols = w[s], val[s], None
+            tabs, cols = [w[s]] + [val[s] for val in vals], None
             if not live[s].all():
                 cols = np.argsort(~live[s], axis=2, kind="stable")
-                ws, vs = np.take_along_axis(ws, cols, 2), np.take_along_axis(vs, cols, 2)
-            yield (s, [ws[:, n, :k] for n, k in enumerate(widths)],
-                   [vs[:, n, :k] for n, k in enumerate(widths)], cols)
+                tabs = [np.take_along_axis(tab, cols, 2) for tab in tabs]
+            yield (s, *[[tab[:, n, :k] for n, k in enumerate(widths)] for tab in tabs], cols)
 
 
 def _grid(tables: list, op, start: np.ndarray) -> np.ndarray:
@@ -263,10 +266,11 @@ def _joint(ws: list, vs: list, const: np.ndarray):
 
 
 def _enum_check(profile: DemandProfile, cost: CostModel) -> None:
-    outcomes = float(profile.num_items + 1) ** profile.num_users
-    if outcomes > _ENUM_LIMIT:
+    # (M+1)^N overflows a float past N ~ 308 / log10(M+1): compare logarithms
+    digits = profile.num_users * np.log10(profile.num_items + 1)
+    if digits > np.log10(_ENUM_LIMIT):
         raise UnsupportedEngineError(
-            f"enumeration would visit {outcomes:.3g} outcomes per slot "
+            f"enumeration would visit 10^{digits:.3g} outcomes per slot "
             f"(limit {_ENUM_LIMIT:g}); use monte_carlo"
         )
 
@@ -280,22 +284,36 @@ def _enum_expected_cost(tables: Tables, cost: CostModel):
     return out, np.zeros(len(const))
 
 
-def _enum_marginal_stats(tables: Tables, cost: CostModel):
-    """``b[n]`` is the axis-n marginal of ``P C'(Y)`` over the joint grid,
-    since ``P(c) = prod_n w[n, c_n]``; items of zero weight get 0."""
+def _enum_marginals(tables: Tables, weight, dtables: Tables | None = None):
+    """``(a, b)`` with ``a = E[W]`` and ``b[n] = E[I_n(m) W]``, ``W = weight(Y)``
+    times ``dY`` when ``dtables`` give a load direction.  ``b[n]`` is the
+    axis-n marginal of ``P W`` over the joint grid, since
+    ``P(c) = prod_n w[n, c_n]``; items of zero weight get 0."""
     w = _weights(tables)
     n_slots, n_users, width = w.shape
+    vals = [_values(tables)] + ([] if dtables is None else [_values(dtables)])
     a = np.empty(n_slots)
     b = np.empty((n_users, n_slots, width - 1))
-    for s, ws, vs, cols in _batches(w, _values(tables)):
+    for s, ws, vs, *dvs, cols in _batches(w, *vals):
         loads, probs, live = _joint(ws, vs, tables.const[s])
-        probs *= _on_live(cost.marginal, loads, live)
+        probs *= _on_live(weight, loads, live)
+        if dtables is not None:
+            probs *= _grid(dvs[0], np.add, dtables.const[s])
         sums = _axis_sums(probs, [t.shape[1] for t in ws], width)
         a[s] = sums[0].sum(axis=1)
         if cols is not None:   # back to column order
             np.put_along_axis(sums, cols.transpose(1, 0, 2), sums.copy(), axis=2)
         b[:, s] = sums[:, :, 1:]
+    return a, b
+
+
+def _enum_marginal_stats(tables: Tables, cost: CostModel):
+    a, b = _enum_marginals(tables, cost.marginal)
     return a, b, np.zeros_like(a), np.broadcast_to(0.0, b.shape)
+
+
+def _enum_hess_vec(tables: Tables, dtables: Tables, cost: CostModel):
+    return _enum_marginals(tables, cost.second, dtables)
 
 
 def _enum_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
@@ -355,6 +373,14 @@ def _analytic_marginal_stats(tables: Tables, cost: CostModel):
     return c1 + 2.0 * c2 * ey, b, np.zeros(len(ey)), np.broadcast_to(0.0, b.shape)
 
 
+def _analytic_hess_vec(tables: Tables, dtables: Tables, cost: CostModel):
+    """``C''`` is the constant ``2 c2``, so ``da = 2 c2 dE[Y]`` and
+    ``db = 2 c2 p (dE[Y] - dE[X_n] + dv)``."""
+    c2 = 2.0 * cost.poly_coeffs()[2]
+    _, dmean_u, dey = _moments(dtables, cost)
+    return c2 * dey, c2 * tables.probs * ((dey - dmean_u)[:, :, None] + dtables.v)
+
+
 def _analytic_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
     """``E[C(v + Z)] - E[C(Z)]`` with Z the other users' load: ``v (c1 + c2 (v + 2 E[Z]))``."""
     (_, c1, c2), mean_u, ey = _moments(tables, cost)
@@ -387,28 +413,36 @@ def _mc_expected_cost(tables: Tables, cost: CostModel):
     return _mean_se(cost.cost(_mc_loads(_values(tables), tables.const, tables.draws)))
 
 
-def _mc_marginal_stats(tables: Tables, cost: CostModel):
-    choices = tables.draws
+def _mc_bin_means(choices: np.ndarray, width: int, d: np.ndarray) -> np.ndarray:
+    """Per-(user, slot, item) sample mean of ``d`` (T, K) over the draws where
+    that user requests that item, i.e. the estimate of ``E[I_n(m) d]`` (N, T, M)."""
     n_slots, n_users, k = choices.shape
-    width = tables.v.shape[2] + 1
-    d = cost.marginal(_mc_loads(_values(tables), tables.const, choices))
-    a, a_se = _mean_se(d)
     cells = np.arange(n_users)[None, :, None] * n_slots + np.arange(n_slots)[:, None, None]
     bins = (cells * width + choices).ravel()          # one bin per (n, t, choice)
     weights = np.broadcast_to(d[:, None, :], choices.shape).ravel()
+    total = np.bincount(bins, weights=weights, minlength=n_users * n_slots * width)
+    return total.reshape(n_users, n_slots, width)[:, :, 1:] / k
 
-    def sums(wts):
-        total = np.bincount(bins, weights=wts, minlength=n_users * n_slots * width)
-        return total.reshape(n_users, n_slots, width)[:, :, 1:]
 
-    s1 = sums(weights)
-    b = s1 / k
+def _mc_marginal_stats(tables: Tables, cost: CostModel):
+    choices, width = tables.draws, tables.v.shape[2] + 1
+    k = choices.shape[2]
+    d = cost.marginal(_mc_loads(_values(tables), tables.const, choices))
+    a, a_se = _mean_se(d)
+    b = _mc_bin_means(choices, width, d)
     if k > 1:
-        var = np.maximum(sums(weights * weights) / k - (s1 / k) ** 2, 0.0)
+        var = np.maximum(_mc_bin_means(choices, width, d * d) - b**2, 0.0)
         b_se = np.sqrt(var / (k - 1))
     else:
         b_se = np.zeros_like(b)
     return a, b, a_se, b_se
+
+
+def _mc_hess_vec(tables: Tables, dtables: Tables, cost: CostModel):
+    choices = tables.draws
+    d = cost.second(_mc_loads(_values(tables), tables.const, choices))
+    d *= _mc_loads(_values(dtables), dtables.const, choices)
+    return d.mean(axis=1), _mc_bin_means(choices, tables.v.shape[2] + 1, d)
 
 
 def _mc_gradient_p(tables: Tables, cost: CostModel):
@@ -419,7 +453,7 @@ def _mc_gradient_p(tables: Tables, cost: CostModel):
 
 @dataclass(frozen=True)
 class Engine:
-    """One engine: a guard and three kernels on :class:`Tables`.
+    """One engine: a guard and four kernels on :class:`Tables`.
 
     ``check(profile, cost)`` raises :class:`UnsupportedEngineError` on an
     instance the engine cannot handle.  Each kernel takes ``(tables, cost)``:
@@ -430,6 +464,13 @@ class Engine:
       n requests item m;
     * ``gradient_p``: ``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` (N, T, M).
 
+    ``hess_vec(tables, dtables, cost)`` is the curvature kernel: ``(da, db)``
+    with ``da = E[C''(Y) dY]`` (T,) and ``db = E[I_n(m) C''(Y) dY]``
+    (N, T, M), where ``dtables`` carry a load direction the way ``tables``
+    carry the loads (see :func:`cost_hess_vec`).  The outcome distribution
+    does not depend on the allocation, so these are the exact derivatives of
+    ``marginal_stats``' ``(a, b)`` along that direction.
+
     ``sampled`` engines read the profile's memoised draws.  The exact
     engines' errors are zeros; ``b_se`` is a read-only broadcast, so the
     hot ``cost_gradient_x`` path allocates no (N, T, M) array for it.
@@ -439,19 +480,21 @@ class Engine:
     expected_cost: Callable
     marginal_stats: Callable
     gradient_p: Callable
+    hess_vec: Callable
     sampled: bool = False
 
 
 _ENGINES = {
     "enumerate": Engine(
-        _enum_check, _enum_expected_cost, _enum_marginal_stats, _enum_gradient_p
+        _enum_check, _enum_expected_cost, _enum_marginal_stats, _enum_gradient_p, _enum_hess_vec
     ),
     "analytic_quadratic": Engine(
-        _analytic_check, _analytic_expected_cost, _analytic_marginal_stats, _analytic_gradient_p
+        _analytic_check, _analytic_expected_cost, _analytic_marginal_stats, _analytic_gradient_p,
+        _analytic_hess_vec,
     ),
     "monte_carlo": Engine(
         lambda profile, cost: None, _mc_expected_cost, _mc_marginal_stats, _mc_gradient_p,
-        sampled=True,
+        _mc_hess_vec, sampled=True,
     ),
 }
 ENGINES = tuple(_ENGINES)
@@ -514,6 +557,32 @@ def cost_gradient_x(
     tables = _checked_tables(profile, allocation, cost, cfg, catalog)
     a, b, _, _ = cfg.kernels.marginal_stats(tables, cost)
     return (np.roll(a, 1)[None, :, None] - b) / profile.num_slots
+
+
+def cost_hess_vec(
+    profile: DemandProfile,
+    allocation,
+    d: np.ndarray,
+    cost: CostModel,
+    cfg: EvalConfig,
+    catalog: ItemCatalog | None = None,
+) -> np.ndarray:
+    """Hessian of the cycle cost in the allocation times the direction ``d``, (N, T, M).
+
+    Moving the allocation along ``d`` changes the load of slot t by
+    ``dY_t = sum_{n, m} d[n, t+1, m] - sum_n d[n, t, m_n]``, the second sum
+    over the users requesting some ``m_n``.  The derivative of
+    :func:`cost_gradient_x` along ``d`` is therefore
+    ``(E[C''(Y_{t-1}) dY_{t-1}] - E[I_{n,t}(m) C''(Y_t) dY_t]) / T``, exact on
+    every engine because the outcome distribution does not depend on the
+    allocation.  The direction's tables are :func:`cycle_tables` at
+    allocation ``d`` with zero item sizes: ``v = -d`` and ``const`` its
+    prefetch volume.
+    """
+    tables = _checked_tables(profile, allocation, cost, cfg, catalog)
+    dtables = cycle_tables(profile, np.asarray(d, dtype=float), np.zeros(profile.num_items), cfg)
+    da, db = cfg.kernels.hess_vec(tables, dtables, cost)
+    return (np.roll(da, 1)[None, :, None] - db) / profile.num_slots
 
 
 def cost_gradient_p(

@@ -101,8 +101,9 @@ def _fmt(v):
 
 
 def write_json(path, payload) -> None:
+    """Strict JSON: a NaN or infinity raises instead of writing a token no JSON reader takes."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

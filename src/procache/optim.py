@@ -1,4 +1,4 @@
-"""Small numeric building blocks: line search, projections, box descent.
+"""Small numeric building blocks: line search, projections, box Newton descent.
 
 Everything here is deterministic; the only state is the caller's iterate.
 """
@@ -128,28 +128,70 @@ class BoxDescentResult:
     stop: str          # "tol", "stalled" (no decrease found) or "cap" (max_iters)
 
 
+def _cg(hv, b: np.ndarray, rtol: float) -> np.ndarray:
+    """Conjugate gradient from 0 on ``H p = b`` until ``|b - H p| <= rtol |b|``.
+
+    ``hv`` is the product with ``H``.  On zero or negative curvature the
+    iterate so far is returned, or ``b`` itself on the first step, so the
+    result is always a descent direction for the model ``p.H.p / 2 - b.p``.
+    """
+    p = np.zeros_like(b)
+    r = b.copy()
+    d = b.copy()
+    rr = float(np.dot(r, r))
+    stop = rtol * rtol * rr
+    for k in range(b.size):
+        hd = hv(d)
+        curv = float(np.dot(d, hd))
+        if curv <= 0.0:
+            return p if k else b
+        alpha = rr / curv
+        p += alpha * d
+        r -= alpha * hd
+        rr_new = float(np.dot(r, r))
+        if rr_new <= stop:
+            break
+        d *= rr_new / rr
+        d += r
+        rr = rr_new
+    return p
+
+
 def box_projected_descent(
     value_fn,
     grad_fn,
+    hess_fn,
     x0: np.ndarray,
     lower,
     upper,
     tol: float = 1e-8,
     max_iters: int = 5000,
 ) -> BoxDescentResult:
-    """Projected gradient descent on a box with spectral steps and backtracking.
+    """Projected Newton-CG on a box (Bertsekas 1982; CG on the free variables as in TRON).
 
-    ``value_fn`` may return ``inf`` for iterates outside the objective's
-    domain; such trials are rejected by the line search.  Descent is monotone
-    by construction.  Convergence is declared when the projected gradient
-    norm drops to ``tol``, or when the line search stalls with no decrease
-    left that the arithmetic can represent.
+    ``hess_fn(x, v)`` is the Hessian at ``x`` times ``v``.  Each iteration
+    holds the epsilon-binding coordinates (within ``eps = min(pg, 1e-3 *
+    widest box side)`` of a bound that the gradient pushes against) on a
+    projected gradient step, solves the Newton system on the others by
+    conjugate gradient to the forcing term ``min(1e-3, pg / pg0)``, and runs
+    an Armijo search along the projection arc ``P(x + t d)``.  ``value_fn``
+    may return ``inf`` outside the objective's domain; the search rejects
+    such trials.  Descent is monotone.
+
+    The run stops with ``"tol"`` once the projected gradient norm ``pg`` is
+    at most ``tol`` times its value at ``x0``; with ``"stalled"`` when no
+    step lowers the objective, which counts as converged when the predicted
+    decrease is below the floating-point resolution of the objective; and
+    with ``"cap"`` after ``max_iters`` iterations.
     """
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), x0.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), x0.shape)
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), np.shape(x0))
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), np.shape(x0))
 
     def clip(z):
         return np.minimum(np.maximum(z, lower), upper)
+
+    def pg_norm(x, g):
+        return float(np.linalg.norm(x - clip(x - g)))
 
     x = clip(np.asarray(x0, dtype=float))
     fx = value_fn(x)
@@ -157,72 +199,54 @@ def box_projected_descent(
         raise ValueError("descent must start inside the objective domain")
     g = grad_fn(x)
     trace = [fx]
+    width = float(np.max(upper - lower, initial=0.0))
+    pg = pg0 = pg_norm(x, g)
+    scatter = np.zeros(x.shape)   # one full-size buffer for every Hessian product
 
-    # curvature probe along the first feasible descent direction
-    step = 1.0
-    d = clip(x - g) - x
-    dn = float(np.linalg.norm(d))
-    if dn > 0:
-        for _ in range(40):
-            probe = value_fn(x + d)
-            if np.isfinite(probe):
-                break
-            d *= 0.5
-            dn *= 0.5
-        else:
-            d = np.zeros_like(x)
-            dn = 0.0
-        if dn > 0:
-            gy = grad_fn(x + d)
-            curv = float(np.linalg.norm(gy - g)) / dn
-            if curv > 1e-12:
-                step = 1.0 / curv
+    it, flat = 0, False
+    while pg > tol * pg0 and it < max_iters:
+        eps = min(pg, 1e-3 * width)
+        binding = ((x <= lower + eps) & (g > 0.0)) | ((x >= upper - eps) & (g < 0.0))
+        free = np.flatnonzero(~binding)
+        step = -g
+        if free.size:
+            scatter[...] = 0.0
 
-    pg_norm = float(np.linalg.norm(x - clip(x - g)))
-    it = 0
-    while pg_norm > tol and it < max_iters:
-        accepted = False
-        t = step
-        for _ in range(80):
-            trial = clip(x - t * g)
-            move = trial - x
-            decrease = float(np.dot(g.ravel(), move.ravel()))
+            def hv(v):
+                scatter.flat[free] = v
+                return hess_fn(x, scatter).ravel()[free]
+
+            step.flat[free] = _cg(hv, step.ravel()[free], min(1e-3, pg / pg0))
+
+        t, accepted = 1.0, False
+        trial = clip(x + step)
+        decrease = float(np.vdot(g, trial - x))
+        if -decrease <= 16.0 * np.finfo(float).eps * (1.0 + abs(fx)):
+            flat = True    # no decrease left that f can represent
+            break
+        for _ in range(60):
             if decrease >= 0.0:
                 break
             f_trial = value_fn(trial)
             if np.isfinite(f_trial) and f_trial <= fx + 1e-4 * decrease:
                 # once 1e-4 * decrease underflows against |fx|, an equal value
-                # passes the Armijo test: that is no descent, so stop here
+                # passes the Armijo test: that is no descent either
                 accepted = f_trial < fx
+                flat = not accepted
                 break
             t *= 0.5
+            trial = clip(x + t * step)
+            decrease = float(np.vdot(g, trial - x))
         if not accepted:
             break
-        g_new = grad_fn(trial)
-        s = move
-        y = g_new - g
-        sy = float(np.dot(s.ravel(), y.ravel()))
-        if sy > 1e-16:
-            step = float(np.dot(s.ravel(), s.ravel())) / sy
-            step = min(max(step, 1e-12), 1e12)
-        else:
-            step = t
-        x, fx, g = trial, f_trial, g_new
+        x, fx = trial, f_trial
+        g = grad_fn(x)
         trace.append(fx)
-        pg_norm = float(np.linalg.norm(x - clip(x - g)))
+        pg = pg_norm(x, g)
         it += 1
-    stop = "tol" if pg_norm <= tol else "stalled" if it < max_iters else "cap"
-    converged = stop == "tol"
-    if stop == "stalled":
-        # No representable objective decrease remains: the best improvement a
-        # step can deliver is about step * pg^2 (the spectral step tracks the
-        # inverse curvature), and once that underflows the floating-point
-        # resolution of |f| the Armijo test can never certify progress.
-        # Treat that as converged instead of warning about a gap the
-        # arithmetic cannot close.
-        available = step * pg_norm**2
-        converged = available <= 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
-    return BoxDescentResult(x, float(fx), bool(converged), it, pg_norm, np.array(trace), stop)
+    stop = "tol" if pg <= tol * pg0 else "stalled" if it < max_iters else "cap"
+    converged = stop == "tol" or (stop == "stalled" and flat)
+    return BoxDescentResult(x, float(fx), bool(converged), it, pg, np.array(trace), stop)
 
 
 def linear_min_over_ball_slice(g: np.ndarray, center: np.ndarray, radius, total) -> np.ndarray:

@@ -23,6 +23,7 @@ from .evaluate import (
     EvalResult,
     ProactiveAllocation,
     cost_gradient_x,
+    cost_hess_vec,
     cycle_tables,
     expected_cycle_cost,
     nonproactive_cost,
@@ -107,12 +108,18 @@ def solve_proactive(
 ) -> SolveResult:
     """Minimize the cycle cost over allocations in [0, S(m)] per coordinate.
 
-    Projected gradient descent with spectral steps and a backtracking line
-    search; descent is monotone and the run is deterministic for a given
+    Projected Newton-CG (:func:`~procache.optim.box_projected_descent`):
+    conjugate gradient on the coordinates off their bounds, with exact
+    Hessian-vector products from the engine's curvature kernel
+    (:func:`~procache.evaluate.cost_hess_vec`), then an Armijo search along
+    the projection arc.  ``tol`` is relative: the run stops once the
+    projected gradient norm is at most ``tol`` times its value at the start.
+    Descent is monotone and the run is deterministic for a given
     configuration (the Monte Carlo engine re-uses its fixed sample streams,
-    so even stochastic evaluation yields a repeatable trajectory).  An
-    allocation that overflows an outage-capacity cost during the line search
-    is rejected as an infinite-cost trial, never clipped.  A warm start that
+    so even stochastic evaluation yields a repeatable trajectory, and its
+    Hessian is exact for that sample average).  An allocation that overflows
+    an outage-capacity cost during the line search is rejected as an
+    infinite-cost trial, never clipped.  A warm start that
     overflows under the given profile falls back to the zero allocation,
     which is feasible whenever the non-proactive cost is.
     """
@@ -129,6 +136,9 @@ def solve_proactive(
     def grad(x):
         return cost_gradient_x(profile, x, cost, cfg, catalog=catalog)
 
+    def hess(x, d):
+        return cost_hess_vec(profile, x, d, cost, cfg, catalog=catalog)
+
     if x0 is None or not np.isfinite(value(x0)):
         x0 = np.zeros((n_users, n_slots, m_items))
         if not np.isfinite(value(x0)):
@@ -137,7 +147,7 @@ def solve_proactive(
             expected_cycle_cost(profile, x0, cost, cfg, catalog=catalog)
 
     res = box_projected_descent(
-        value, grad, x0, 0.0, np.broadcast_to(sizes, x0.shape), tol=tol, max_iters=max_iters
+        value, grad, hess, x0, 0.0, np.broadcast_to(sizes, x0.shape), tol=tol, max_iters=max_iters
     )
     if not res.converged:
         log.warning(
@@ -334,7 +344,7 @@ class ScalingPoint:
 @dataclass(frozen=True)
 class ScalingCurve:
     points: tuple
-    exponent: float
+    exponent: float | None        # None when some ladder point has no reduction
 
 
 def scaling_curve(family, ladder, tol: float = 1e-6, max_iters: int = 5000) -> ScalingCurve:
@@ -343,7 +353,9 @@ def scaling_curve(family, ladder, tol: float = 1e-6, max_iters: int = 5000) -> S
     ``family`` is a generator :class:`~procache.scenario.Scenario`; ladder
     point N is ``family.with_users(N)``, so every point shares its catalog,
     cost and evaluation config.  The exponent is the least-squares slope of
-    log(delta) against log(N) and needs at least three ladder points.
+    log(delta) against log(N) and needs at least three ladder points.  It is
+    ``None``, with a warning naming the points, when some ladder point shows
+    no reduction (``delta <= 0``), since its logarithm is undefined.
     """
     ladder = [int(n) for n in ladder]
     if len(ladder) < 3:
@@ -365,6 +377,11 @@ def scaling_curve(family, ladder, tol: float = 1e-6, max_iters: int = 5000) -> S
                 stderr=base.stderr,
             )
         )
+    flat = [p.num_users for p in points if not p.delta > 0.0]
+    if flat:
+        log.warning("no cost reduction at N=%s: the growth exponent is undefined",
+                    ",".join(map(str, flat)))
+        return ScalingCurve(points=tuple(points), exponent=None)
     slope = float(
         np.polyfit(np.log([p.num_users for p in points]), np.log([p.delta for p in points]), 1)[0]
     )

@@ -41,6 +41,10 @@ from .evaluate import EvalConfig, UnsupportedEngineError
 from .rng import substream
 
 _SIZE_STREAM = (997, 991)  # namespace ids for catalog draws
+# Largest array a scenario may ask for, in cells: users x slots x items for
+# the profile and allocation, samples x users x slots for Monte Carlo draws.
+# A solve holds several such arrays at once, 80 MB each at this limit.
+CELL_LIMIT = 10_000_000
 
 
 class ScenarioError(ValueError):
@@ -105,6 +109,16 @@ def _integer(value, key: str, minimum: int) -> int:
     return int(value)
 
 
+def check_cells(key: str, *dims: int) -> None:
+    """Refuse, naming ``key``, input whose arrays would exceed :data:`CELL_LIMIT` cells."""
+    cells = int(np.prod(dims, dtype=object))
+    if cells > CELL_LIMIT:
+        shape = " x ".join(map(str, dims))
+        raise ScenarioError(
+            f"{key} asks for {shape} = {cells:.3g} cells; the limit is {CELL_LIMIT:g}"
+        )
+
+
 def _refuse_constant(token: str):
     raise ScenarioError(f"not valid JSON: {token} is not a strict JSON number")
 
@@ -153,6 +167,7 @@ def parse_scenario(data: dict) -> Scenario:
         if _need(sizes_spec, "kind", "sizes") != "uniform":
             raise ScenarioError(f"unknown sizes kind {sizes_spec['kind']!r}")
         count = _integer(_need(sizes_spec, "count", "sizes"), "'count' in sizes", 1)
+        check_cells("'count' in sizes", count)
         low = _number(_need(sizes_spec, "low", "sizes"), "'low' in sizes")
         high = _number(_need(sizes_spec, "high", "sizes"), "'high' in sizes")
         if not 0.0 < low <= high:
@@ -182,6 +197,7 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioError(
                 f"'slots' is {data['slots']} but profiles have {probs.shape[1]} slots"
             )
+        check_cells("'profiles'", *probs.shape)
         try:
             profile = DemandProfile(probs)
         except ValueError as exc:
@@ -200,6 +216,7 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioError(
                 f"'slots' is {data['slots']} but generator lists {activity.size} activities"
             )
+        check_cells("'users' in generator", users, activity.size, catalog.num_items)
         try:
             with np.errstate(over="raise", invalid="raise"):   # rank^-power can overflow
                 rows = np.stack([zipf_profile(catalog.num_items, power, a) for a in activity])
@@ -242,6 +259,8 @@ def parse_scenario(data: dict) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(f"invalid eval config: {exc}") from exc
+    if cfg.kernels.sampled:
+        check_cells("'samples' in eval", cfg.samples, profile.num_users, profile.num_slots)
 
     try:
         cfg.kernels.check(profile, cost)

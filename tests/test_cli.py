@@ -240,6 +240,48 @@ def test_scale_fits_growth(runner, tmp_path):
     assert 0.0 < summary["ratio_at_max"] < 1.0
 
 
+def test_scale_without_reduction_writes_a_null_exponent(runner, tmp_path, caplog):
+    # equally busy slots: prefetching moves no load, so log(delta) is undefined
+    family = tmp_path / "flat.json"
+    save_scenario({
+        "sizes": [1.0, 2.0],
+        "generator": {"kind": "zipf", "users": 1, "power": 1.0, "activity": [0.5, 0.5]},
+        "cost": {"kind": "quadratic"},
+        "eval": {"engine": "analytic_quadratic"},
+    }, family)
+    out = tmp_path / "flat.csv"
+    res = runner.invoke(main, ["scale", "--family", str(family), "--N", "2,3,4",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "exponent undefined" in res.output
+    assert "no cost reduction at N=2,3,4" in caplog.text
+    summary = json.loads(out.with_suffix(".json").read_text(), parse_constant=pytest.fail)
+    assert summary["exponent"] is None
+    assert [float(r["delta_c"]) for r in read_rows(out)] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "command, change, fragment",
+    [
+        (["optimize"], {"sizes": {"kind": "uniform", "count": 10**12, "low": 1.0, "high": 2.0}},
+         "'count' in sizes"),
+        (["optimize"], {"eval": {"engine": "monte_carlo", "samples": 10**12}}, "'samples' in eval"),
+        (["optimize", "--engine", "monte_carlo", "--samples", str(10**12)], {}, "--samples"),
+        (["simulate", "--samples", str(10**12)], {}, "--samples"),
+    ],
+)
+def test_oversized_input_fails_with_one_json_line(runner, tmp_path, command, change, fragment):
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(dict(two_user_scenario_dict(0.9, "quadratic"), **change)))
+    res = runner.invoke(main, [*command, "--scenario", str(bad), "--out", str(tmp_path / "o.csv")])
+    assert res.exit_code == 1
+    lines = [ln for ln in res.stderr.splitlines() if ln.strip()]
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ScenarioError"
+    assert fragment in err["message"] and "limit" in err["message"]
+
+
 def test_scale_seed_overrides_every_seed(runner, tmp_path):
     # the seed draws the catalog and, under Monte Carlo, the samples and the hash
     family = {

@@ -112,6 +112,29 @@ def test_marginal_matches_finite_difference(kind, frac):
     assert c.marginal(load) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "cost,hi",
+    [
+        (CostModel.quadratic(), 40.0),
+        (CostModel.outage(12.0), 11.0),
+        (CostModel.polynomial([0.0, 0.3, 0.1, 0.05]), 40.0),
+    ],
+)
+def test_second_derivative_matches_finite_difference_of_marginal(cost, hi):
+    loads = np.linspace(0.01, hi, 50)
+    h = 1e-5 * (1.0 + loads)
+    fd = (cost.marginal(loads + h) - cost.marginal(loads - h)) / (2.0 * h)
+    np.testing.assert_allclose(cost.second(loads), fd, rtol=1e-7)
+    assert isinstance(cost.second(1.0), float)
+    assert np.all(cost.second(loads) > 0.0)
+    # the same domain rules as cost and marginal
+    with pytest.raises(CostDomainError):
+        cost.second(np.array([1.0, -0.5]))
+    if cost.kind == "outage":
+        with pytest.raises(CostDomainError):
+            cost.second(12.0)
+
+
 def test_polynomial_horner_in_one_buffer_equals_the_plain_expression():
     coeffs = (0.0, 0.3, 0.1, 0.05)
     y = np.random.default_rng(5).uniform(0.0, 40.0, size=(3, 15625))

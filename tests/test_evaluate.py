@@ -15,6 +15,7 @@ from procache import (
     UnsupportedEngineError,
     cost_gradient_p,
     cost_gradient_x,
+    cost_hess_vec,
     expected_cycle_cost,
     nonproactive_cost,
 )
@@ -95,6 +96,9 @@ def test_eval_config_validation():
 def test_enumeration_size_guard(quad):
     prof = DemandProfile(np.full((12, 1, 3), 0.2))  # 4^12 outcomes per slot
     with pytest.raises(UnsupportedEngineError, match="monte_carlo"):
+        EvalConfig(engine="enumerate").kernels.check(prof, quad)
+    prof = DemandProfile(np.full((1000, 1, 2), 0.2))  # 3^1000 overflows a float
+    with pytest.raises(UnsupportedEngineError, match="10\\^477 outcomes"):
         EvalConfig(engine="enumerate").kernels.check(prof, quad)
 
 
@@ -405,6 +409,8 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
             a, b, a_se, b_se = kernels.marginal_stats(tables, cost)
             exact = not kernels.sampled
             grad_p = kernels.gradient_p(tables, cost) if exact else None
+            dtables = cycle_tables(prof, x[::-1, ::-1], np.zeros(prof.num_items), cfg)
+            da, db = kernels.hess_vec(tables, dtables, cost)
             if exact:
                 assert not se.any() and not a_se.any() and not b_se.any()
             for t in range(prof.num_slots):
@@ -416,6 +422,8 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
                 assert np.array_equal(b_t[:, 0], b[:, t]) and np.array_equal(b_se_t[:, 0], b_se[:, t])
                 if exact:
                     assert np.array_equal(kernels.gradient_p(one, cost)[:, 0], grad_p[:, t])
+                da_t, db_t = kernels.hess_vec(one, dtables.slot(t), cost)
+                assert da_t[0] == da[t] and np.array_equal(db_t[:, 0], db[:, t])
 
             # the cycle-level functions are the full batch
             res = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
@@ -425,6 +433,47 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
             if exact:
                 gp = cost_gradient_p(prof, x, cost, cfg, catalog=catalog)
                 assert np.array_equal(gp, grad_p / prof.num_slots)
+
+
+# ---------------------------------------------------------------------------
+# Curvature: the Hessian-vector kernel against differences of the gradient
+
+
+def _curvature_cases(engine):
+    kinds = ("quadratic",) if engine == "analytic_quadratic" else ("quadratic", "cubic", "outage")
+    for kind in kinds:
+        rng = np.random.default_rng(5)
+        for case, (catalog, prof, x, cost) in enumerate(_grid_cases(kind)):
+            if kind == "cubic":
+                cost = CostModel.polynomial([0.0, 0.3, 0.1, 0.05])
+            cfg = EvalConfig(engine=engine, samples=(1, 2, 37, 300)[case % 4], seed=case)
+            d = rng.uniform(-1.0, 1.0, size=x.shape) * catalog.sizes
+            yield catalog, prof, x, d, cost, cfg
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_hess_vec_is_the_derivative_of_the_gradient(engine):
+    # Richardson-extrapolated central differences: O(h^4) truncation, so the
+    # outage cost's higher derivatives stay below the rounding of the gradient
+    h = 1e-3
+    for catalog, prof, x, d, cost, cfg in _curvature_cases(engine):
+        def diff(step):
+            up = cost_gradient_x(prof, x + step * d, cost, cfg, catalog=catalog)
+            down = cost_gradient_x(prof, x - step * d, cost, cfg, catalog=catalog)
+            return (up - down) / (2.0 * step)
+
+        fd = (4.0 * diff(h / 2) - diff(h)) / 3.0
+        hv = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog)
+        assert np.abs(hv - fd).max() <= 1e-9 * np.abs(fd).max()
+
+
+def test_analytic_hess_vec_equals_enumeration():
+    for (catalog, prof, x, d, cost, cfg), (*_, ref_cfg) in zip(
+        _curvature_cases("analytic_quadratic"), _curvature_cases("enumerate")
+    ):
+        got = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog)
+        ref = cost_hess_vec(prof, x, d, cost, ref_cfg, catalog=catalog)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_allocation_gradient_enumerates_each_slot_once(monkeypatch):

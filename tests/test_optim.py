@@ -335,6 +335,7 @@ def test_box_descent_clamps_active_bounds():
     res = box_projected_descent(
         lambda x: float(((x - target) ** 2).sum()),
         lambda x: 2.0 * (x - target),
+        lambda x, v: 2.0 * v,
         np.full(3, 0.5),
         np.zeros(3),
         np.ones(3),
@@ -354,10 +355,13 @@ def test_box_descent_nonquadratic_interior_min():
     def grad(x):
         return np.array([4.0 * (x[0] - 0.3) ** 3, 2.0 * (x[1] - 0.7)])
 
+    def hess(x, v):
+        return np.array([12.0 * (x[0] - 0.3) ** 2, 2.0]) * v
+
     # the quartic axis is flat near its optimum (the gradient dies cubically),
     # so ask for a looser stationarity level and a wider berth on x
     res = box_projected_descent(
-        value, grad, np.array([0.9, 0.1]), np.zeros(2), np.ones(2), tol=1e-6
+        value, grad, hess, np.array([0.9, 0.1]), np.zeros(2), np.ones(2), tol=1e-6
     )
     assert res.converged
     assert np.allclose(res.x, opt, atol=1e-2)
@@ -368,6 +372,7 @@ def test_box_descent_starts_at_solution():
     res = box_projected_descent(
         lambda x: float((x**2).sum()),
         lambda x: 2.0 * x,
+        lambda x, v: 2.0 * v,
         np.zeros(4),
         np.zeros(4),
         np.ones(4),
@@ -381,7 +386,8 @@ def test_box_descent_starts_at_solution():
 def test_box_descent_stall_reports_a_python_bool():
     # a flat objective with a nonzero gradient: no step can decrease it
     res = box_projected_descent(
-        lambda x: 0.0, lambda x: np.ones(3), np.full(3, 0.5), np.zeros(3), np.ones(3)
+        lambda x: 0.0, lambda x: np.ones(3), lambda x, v: np.zeros(3),
+        np.full(3, 0.5), np.zeros(3), np.ones(3),
     )
     assert res.iterations == 0 and res.grad_norm > 1e-8   # left through the stall branch
     assert type(res.converged) is bool

@@ -18,7 +18,10 @@ from procache import (
     scaling_curve,
     solve_proactive,
 )
+from procache import proactive
+from procache.costs import CostDomainError
 from procache.evaluate import slot_marginal_stats
+from procache.experiments import SCALING_SCENARIO
 
 from conftest import random_instance
 
@@ -226,6 +229,47 @@ def test_scaling_curve_small_family():
     for p in curve.points:
         assert p.optimized <= p.nonproactive
         assert p.ratio == pytest.approx(p.delta / p.nonproactive)
+
+
+def test_newton_solve_of_the_paper_family_ends_on_its_relative_tolerance():
+    # 600k coordinates at an objective of 4e8: the stop must not depend on that scale
+    scn = parse_scenario(SCALING_SCENARIO).with_users(1500)
+    res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg, tol=1e-6)
+    assert (res.stop, res.converged) == ("tol", True)
+    assert res.iterations <= 3
+    g = cost_gradient_x(scn.profile, res.allocation, scn.cost, scn.cfg, catalog=scn.catalog)
+    x, sizes = res.allocation.x, scn.catalog.sizes
+    pg0 = cost_gradient_x(scn.profile, None, scn.cost, scn.cfg, catalog=scn.catalog)
+    assert res.grad_norm == pytest.approx(np.linalg.norm(x - np.clip(x - g, 0.0, sizes)))
+    assert res.grad_norm <= 1e-6 * np.linalg.norm(np.clip(-pg0, 0.0, sizes))
+
+
+def test_newton_steps_that_overflow_the_outage_capacity_are_rejected(monkeypatch):
+    # six Zipf users near capacity: full Newton steps push a slot past mu
+    sizes = np.linspace(1.0, 2.0, 4)
+    rows = np.array([a * (1.0 / np.arange(1, 5)) / np.sum(1.0 / np.arange(1, 5))
+                     for a in (0.2, 0.95, 0.6)])
+    prof, catalog = DemandProfile(np.broadcast_to(rows, (6, 3, 4)).copy()), ItemCatalog(sizes)
+    cost, cfg = CostModel.outage(1.05 * 6 * 2.0), EvalConfig(engine="enumerate")
+    overflows = []
+    evaluate = proactive.expected_cycle_cost
+
+    def counted(*args, **kwargs):
+        try:
+            return evaluate(*args, **kwargs)
+        except CostDomainError:
+            overflows.append(1)
+            raise
+
+    monkeypatch.setattr(proactive, "expected_cycle_cost", counted)
+    res = solve_proactive(prof, catalog, cost, cfg)
+    assert overflows and res.converged
+    assert res.cost < nonproactive_cost(prof, catalog, cost, cfg).value
+    assert np.all(np.diff(res.objective_trace) < 0.0)
+    x = res.allocation.x
+    assert np.all((x >= 0.0) & (x <= sizes))   # a feasible plan, not a clipped overflow
+    peak = np.max(np.roll(x.sum(axis=(0, 2)), -1) + np.sum(np.max(sizes - x, axis=2), axis=0))
+    assert peak < cost.mu
 
 
 def test_solver_reports_per_iteration_objective(tiny, quad, enum_cfg):

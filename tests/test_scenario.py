@@ -15,7 +15,8 @@ from procache import (
     zipf_profile,
 )
 from procache.experiments import two_user_scenario_dict
-from procache.scenario import scenario_hash
+from procache import scenario
+from procache.scenario import CELL_LIMIT, scenario_hash
 
 # the two-user study at peak activity 0.9: users x (off-peak, peak) x items
 TWO_USER_PROBS = [
@@ -341,6 +342,38 @@ def test_with_users_regrows_the_generator_population():
     assert base.source["generator"]["users"] == 2   # the source is copied, not edited
     with pytest.raises(ScenarioError, match="'generator' block"):
         parse_scenario(two_user_scenario_dict(0.9, "quadratic")).with_users(3)
+
+
+_HUGE = 10**12
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        (dict(_generated(), sizes={"kind": "uniform", "count": _HUGE, "low": 1.0, "high": 2.0}),
+         "'count' in sizes"),
+        (_generated(users=_HUGE), "'users' in generator"),
+        (_generated(users=CELL_LIMIT // 2 + 1), "'users' in generator"),   # x 1 slot x 2 items
+        (dict(_generated(), eval={"engine": "monte_carlo", "samples": _HUGE}), "'samples' in eval"),
+        (dict(_generated(), eval={"engine": "monte_carlo", "samples": CELL_LIMIT // 2 + 1}),
+         "'samples' in eval"),                                            # x 2 users x 1 slot
+    ],
+)
+def test_oversized_arrays_are_refused_naming_the_key(data, fragment):
+    with pytest.raises(ScenarioError, match="limit") as err:
+        parse_scenario(data)
+    assert fragment in str(err.value)
+
+
+def test_the_cell_limit_itself_parses(monkeypatch):
+    monkeypatch.setattr(scenario, "CELL_LIMIT", 20)     # 10 users x 1 slot x 2 items
+    assert parse_scenario(_generated(users=10)).profile.num_users == 10
+    with pytest.raises(ScenarioError, match="'users' in generator"):
+        parse_scenario(_generated()).with_users(11)      # the scale ladder re-parses
+    mc = dict(_generated(users=2), eval={"engine": "monte_carlo", "samples": 10})
+    assert parse_scenario(mc).cfg.samples == 10
+    with pytest.raises(ScenarioError, match="'samples' in eval"):
+        parse_scenario(dict(mc, eval={"engine": "monte_carlo", "samples": 11}))
 
 
 # Every count-like value stays small so that no example allocates a large array.

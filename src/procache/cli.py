@@ -42,7 +42,7 @@ from .scenario import Scenario, ScenarioError, check_cells, load_scenario, parse
 from .shaping import boundary_check, shape_demand
 
 
-_TOL_HELP = "Solver tolerance, relative to the starting projected-gradient norm."
+_TOL_HELP = "Solver tolerance, relative to the projected-gradient norm at zero prefetch."
 
 
 def _fail(exc: Exception) -> None:
@@ -93,9 +93,7 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
     if samples < 1:
         raise click.BadParameter("--samples must be a positive integer")
     scn = load_scenario(scenario_path)
-    check_cells("--samples", samples, scn.profile.num_users, scn.profile.num_slots)
-    cfg = EvalConfig(engine="monte_carlo", samples=samples,
-                     seed=scn.seed if seed is None else seed)
+    cfg = _override_eval(scn, "monte_carlo", samples, seed)
     allocation = None
     if alloc_path is not None:
         allocation = _read_alloc(alloc_path, scn)
@@ -132,7 +130,7 @@ def _read_alloc(path, scn: Scenario) -> np.ndarray:
 def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     """Minimize the cycle cost over proactive downloads."""
     scn = load_scenario(scenario_path)
-    cfg = _override_engine(scn, engine, samples)
+    cfg = _override_eval(scn, engine, samples)
     base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, cfg)
     solved = solve_proactive(scn.profile, scn.catalog, scn.cost, cfg,
                              tol=tol, max_iters=max_iters)
@@ -157,8 +155,9 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     )
 
 
-def _override_engine(scn: Scenario, engine, samples) -> EvalConfig:
-    changes = {"engine": engine, "samples": samples}
+def _override_eval(scn: Scenario, engine, samples, seed=None) -> EvalConfig:
+    """The scenario's evaluation config with the options that were given; None keeps a field."""
+    changes = {"engine": engine, "samples": samples, "seed": seed}
     cfg = replace(scn.cfg, **{key: v for key, v in changes.items() if v is not None})
     if cfg.kernels.sampled:
         check_cells("--samples", cfg.samples, scn.profile.num_users, scn.profile.num_slots)

@@ -157,6 +157,39 @@ def _cg(hv, b: np.ndarray, rtol: float) -> np.ndarray:
     return p
 
 
+def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lower, upper) -> float:
+    """|x - P(x - g)|, P the projection onto the box [lower, upper]: 0 at a stationary point."""
+    return float(np.linalg.norm(x - np.minimum(np.maximum(x - g, lower), upper)))
+
+
+def _arc_search(value_fn, clip, x, fx, g, step):
+    """Armijo search along the projection arc ``P(x + t step)``, halving ``t`` from 1.
+
+    Returns ``(trial, f_trial)`` or ``None``, and whether the search ended
+    flat: when the whole step predicts a decrease ``g.(trial - x)`` below
+    the floating-point resolution of ``f``, or a trial passes the Armijo
+    test without falling.  A trial that predicts no decrease is halved, not
+    given up on: a projected Newton step can point uphill at ``t = 1`` and
+    still descend along a shorter stretch of its arc.  Halving down to an
+    unresolvable decrease without passing the test is a failure, not flat.
+    """
+    resolution = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
+    t = 1.0
+    for k in range(60):
+        trial = clip(x + t * step)
+        decrease = float(np.vdot(g, trial - x))
+        if decrease < 0.0:
+            if -decrease <= resolution:
+                return None, k == 0
+            f_trial = value_fn(trial)
+            if np.isfinite(f_trial) and f_trial <= fx + 1e-4 * decrease:
+                # once 1e-4 * decrease underflows against |fx|, an equal value
+                # passes the Armijo test: that is no descent either
+                return ((trial, f_trial), False) if f_trial < fx else (None, True)
+        t *= 0.5
+    return None, False
+
+
 def box_projected_descent(
     value_fn,
     grad_fn,
@@ -166,6 +199,7 @@ def box_projected_descent(
     upper,
     tol: float = 1e-8,
     max_iters: int = 5000,
+    scale: float | None = None,
 ) -> BoxDescentResult:
     """Projected Newton-CG on a box (Bertsekas 1982; CG on the free variables as in TRON).
 
@@ -174,24 +208,25 @@ def box_projected_descent(
     widest box side)`` of a bound that the gradient pushes against) on a
     projected gradient step, solves the Newton system on the others by
     conjugate gradient to the forcing term ``min(1e-3, pg / pg0)``, and runs
-    an Armijo search along the projection arc ``P(x + t d)``.  ``value_fn``
-    may return ``inf`` outside the objective's domain; the search rejects
-    such trials.  Descent is monotone.
+    an Armijo search along the projection arc ``P(x + t d)``.  When that
+    search fails (the box can turn a Newton step uphill, since the Hessian
+    couples bound and free coordinates), the iteration searches along the
+    projected gradient arc instead.  ``value_fn`` may return ``inf``
+    outside the objective's domain; the searches reject such trials.
+    Descent is monotone.
 
     The run stops with ``"tol"`` once the projected gradient norm ``pg`` is
-    at most ``tol`` times its value at ``x0``; with ``"stalled"`` when no
-    step lowers the objective, which counts as converged when the predicted
-    decrease is below the floating-point resolution of the objective; and
-    with ``"cap"`` after ``max_iters`` iterations.
+    at most ``tol * scale``, ``scale`` defaulting to ``pg`` at ``x0``; with
+    ``"stalled"`` when no step is accepted, which counts as converged when
+    the last search ended flat (the decrease left is below the objective's
+    floating-point resolution); and with ``"cap"`` after ``max_iters``
+    iterations.
     """
     lower = np.broadcast_to(np.asarray(lower, dtype=float), np.shape(x0))
     upper = np.broadcast_to(np.asarray(upper, dtype=float), np.shape(x0))
 
     def clip(z):
         return np.minimum(np.maximum(z, lower), upper)
-
-    def pg_norm(x, g):
-        return float(np.linalg.norm(x - clip(x - g)))
 
     x = clip(np.asarray(x0, dtype=float))
     fx = value_fn(x)
@@ -200,11 +235,12 @@ def box_projected_descent(
     g = grad_fn(x)
     trace = [fx]
     width = float(np.max(upper - lower, initial=0.0))
-    pg = pg0 = pg_norm(x, g)
+    pg = pg0 = projected_gradient_norm(x, g, lower, upper)
+    stop_at = tol * (pg0 if scale is None else scale)
     scatter = np.zeros(x.shape)   # one full-size buffer for every Hessian product
 
     it, flat = 0, False
-    while pg > tol * pg0 and it < max_iters:
+    while pg > stop_at and it < max_iters:
         eps = min(pg, 1e-3 * width)
         binding = ((x <= lower + eps) & (g > 0.0)) | ((x >= upper - eps) & (g < 0.0))
         free = np.flatnonzero(~binding)
@@ -218,33 +254,17 @@ def box_projected_descent(
 
             step.flat[free] = _cg(hv, step.ravel()[free], min(1e-3, pg / pg0))
 
-        t, accepted = 1.0, False
-        trial = clip(x + step)
-        decrease = float(np.vdot(g, trial - x))
-        if -decrease <= 16.0 * np.finfo(float).eps * (1.0 + abs(fx)):
-            flat = True    # no decrease left that f can represent
+        found, flat = _arc_search(value_fn, clip, x, fx, g, step)
+        if found is None and not flat and free.size:
+            found, flat = _arc_search(value_fn, clip, x, fx, g, -g)
+        if found is None:
             break
-        for _ in range(60):
-            if decrease >= 0.0:
-                break
-            f_trial = value_fn(trial)
-            if np.isfinite(f_trial) and f_trial <= fx + 1e-4 * decrease:
-                # once 1e-4 * decrease underflows against |fx|, an equal value
-                # passes the Armijo test: that is no descent either
-                accepted = f_trial < fx
-                flat = not accepted
-                break
-            t *= 0.5
-            trial = clip(x + t * step)
-            decrease = float(np.vdot(g, trial - x))
-        if not accepted:
-            break
-        x, fx = trial, f_trial
+        x, fx = found
         g = grad_fn(x)
         trace.append(fx)
-        pg = pg_norm(x, g)
+        pg = projected_gradient_norm(x, g, lower, upper)
         it += 1
-    stop = "tol" if pg <= tol * pg0 else "stalled" if it < max_iters else "cap"
+    stop = "tol" if pg <= stop_at else "stalled" if it < max_iters else "cap"
     converged = stop == "tol" or (stop == "stalled" and flat)
     return BoxDescentResult(x, float(fx), bool(converged), it, pg, np.array(trace), stop)
 

@@ -29,7 +29,7 @@ from .evaluate import (
     nonproactive_cost,
     slot_marginal_stats,
 )
-from .optim import box_projected_descent, golden_section_min
+from .optim import box_projected_descent, golden_section_min, projected_gradient_norm
 
 log = logging.getLogger(__name__)
 
@@ -113,7 +113,11 @@ def solve_proactive(
     Hessian-vector products from the engine's curvature kernel
     (:func:`~procache.evaluate.cost_hess_vec`), then an Armijo search along
     the projection arc.  ``tol`` is relative: the run stops once the
-    projected gradient norm is at most ``tol`` times its value at the start.
+    projected gradient norm is at most ``tol`` times its value at the zero
+    allocation, so a warm start ``x0`` changes how fast the solve gets there
+    but not how accurate it is (a warm start under which the zero
+    allocation overflows, or where zero is already optimal, measures from
+    ``x0`` instead).
     Descent is monotone and the run is deterministic for a given
     configuration (the Monte Carlo engine re-uses its fixed sample streams,
     so even stochastic evaluation yields a repeatable trajectory, and its
@@ -139,15 +143,23 @@ def solve_proactive(
     def hess(x, d):
         return cost_hess_vec(profile, x, d, cost, cfg, catalog=catalog)
 
+    upper = np.broadcast_to(sizes, (n_users, n_slots, m_items))
+    zero = np.zeros(upper.shape)
+    scale = None     # None measures from x0, the zero allocation on a cold start
     if x0 is None or not np.isfinite(value(x0)):
-        x0 = np.zeros((n_users, n_slots, m_items))
+        x0 = zero
         if not np.isfinite(value(x0)):
             # nothing to optimize: even pure reactive service overflows;
             # surface the untranslated domain error
             expected_cycle_cost(profile, x0, cost, cfg, catalog=catalog)
+    else:
+        try:
+            scale = projected_gradient_norm(zero, grad(zero), 0.0, upper) or None
+        except CostDomainError:
+            pass     # the zero allocation overflows: measure from the warm start
 
     res = box_projected_descent(
-        value, grad, hess, x0, 0.0, np.broadcast_to(sizes, x0.shape), tol=tol, max_iters=max_iters
+        value, grad, hess, x0, 0.0, upper, tol=tol, max_iters=max_iters, scale=scale
     )
     if not res.converged:
         log.warning(

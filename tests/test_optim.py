@@ -383,6 +383,23 @@ def test_box_descent_starts_at_solution():
 
 
 
+def test_box_descent_recovers_when_the_box_turns_the_newton_step_uphill():
+    # coupled quadratic: the full Newton step clips to a move that raises f
+    # (g.(P(x0 + p) - x0) = +0.24), yet shorter stretches of the arc descend
+    h = np.array([[1.0, 0.9], [0.9, 1.0]])
+    x0 = np.array([0.01, 0.5])
+    c = np.array([1.0, 0.5]) - h @ x0           # gradient (1, 0.5) at x0
+    res = box_projected_descent(
+        lambda x: float(0.5 * x @ h @ x + c @ x),
+        lambda x: h @ x + c,
+        lambda x, v: h @ v,
+        x0, np.zeros(2), np.ones(2),
+    )
+    assert res.stop == "tol" and res.converged
+    assert np.allclose(res.x, [0.0, 0.009], atol=1e-9)   # x2 = -c2, x1 held at 0
+    assert np.all(np.diff(res.trace) < 0.0)
+
+
 def test_box_descent_stall_reports_a_python_bool():
     # a flat objective with a nonzero gradient: no step can decrease it
     res = box_projected_descent(

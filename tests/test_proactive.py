@@ -23,7 +23,7 @@ from procache.costs import CostDomainError
 from procache.evaluate import slot_marginal_stats
 from procache.experiments import SCALING_SCENARIO
 
-from conftest import random_instance
+from conftest import random_instance, two_user_pair
 
 OPTIMIZED_QUAD = 15.410789534883722
 OPTIMAL_COORD = (0, 1, 0)  # the only download worth making in the pilot
@@ -81,6 +81,20 @@ def test_warm_start_is_a_fixed_point(two_user, quad, enum_cfg):
     again = solve_proactive(prof, catalog, quad, enum_cfg, x0=first.allocation.x)
     assert again.iterations <= 2
     assert again.cost == pytest.approx(first.cost, abs=1e-12)
+
+
+def test_warm_solve_meets_the_same_tolerance_as_a_cold_one(outage, enum_cfg):
+    # shaping re-solves each nudged profile from the last plan: the stop is
+    # measured against the zero allocation, not against that good start
+    catalog, prof = two_user_pair(0.9)
+    first = solve_proactive(prof, catalog, outage, enum_cfg)
+    _, nudged = two_user_pair(0.899)
+    warm = solve_proactive(nudged, catalog, outage, enum_cfg, x0=first.allocation.x)
+    cold = solve_proactive(nudged, catalog, outage, enum_cfg)
+    g0 = cost_gradient_x(nudged, None, outage, enum_cfg, catalog=catalog)
+    assert warm.stop == "tol"
+    assert warm.grad_norm <= 1e-8 * np.linalg.norm(np.clip(-g0, 0.0, catalog.sizes))
+    assert warm.cost == pytest.approx(cold.cost, rel=1e-12)
 
 
 def test_tiny_instance_closed_form(tiny, quad, enum_cfg):

@@ -107,14 +107,48 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
 
 
 def _read_alloc(path, scn: Scenario) -> np.ndarray:
+    """The allocation CSV as an (N, T, M) array (items numbered from 1).
+
+    A row whose index is not an integer in range, whose ``x`` is not a
+    number in [0, S(item)], or that repeats a (user, slot, item) raises
+    :class:`ScenarioError` naming its line and column.
+    """
     x = np.zeros(scn.profile.probs.shape)
+    n_users, n_slots, m_items = x.shape
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         needed = {"user", "slot", "item", "x"}
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise ScenarioError(f"allocation CSV needs columns {sorted(needed)}")
+        seen = set()
         for row in reader:
-            x[int(row["user"]), int(row["slot"]), int(row["item"]) - 1] = float(row["x"])
+            where = f"allocation CSV line {reader.line_num}"
+            cell = []
+            for key, lo, hi in (("user", 0, n_users - 1), ("slot", 0, n_slots - 1),
+                                ("item", 1, m_items)):
+                try:
+                    index = int(row[key])
+                except (TypeError, ValueError):
+                    index = None
+                if index is None or not lo <= index <= hi:
+                    raise ScenarioError(
+                        f"{where}, column {key!r}: {row[key]!r} is not an integer in [{lo}, {hi}]"
+                    )
+                cell.append(index)
+            n, t, m = cell[0], cell[1], cell[2] - 1
+            if (n, t, m) in seen:
+                raise ScenarioError(f"{where}, columns 'user', 'slot', 'item': "
+                                    f"({n}, {t}, {m + 1}) appears twice")
+            seen.add((n, t, m))
+            size = float(scn.catalog.sizes[m])
+            try:
+                value = float(row["x"])
+            except (TypeError, ValueError):
+                value = np.nan
+            if not 0.0 <= value <= size:
+                raise ScenarioError(f"{where}, column 'x': {row['x']!r} is not a number "
+                                    f"in [0, {size!r}], the size of item {m + 1}")
+            x[n, t, m] = value
     return x
 
 

@@ -10,12 +10,19 @@ where the second term is the proactive traffic sent during ``t`` and indices
 wrap modulo T.  The cycle objective is the slot average of ``E[C(Y_t)]``.
 
 Three interchangeable engines evaluate the expectations.  Each is one
-:class:`Engine` record, a guard and four kernels (value, marginal costs,
-probability gradient and the curvature kernel behind
+:class:`Engine` record, a guard and five kernels (value, marginal costs,
+probability gradient, and the curvature state and kernel behind
 :func:`cost_hess_vec`), and
 :attr:`EvalConfig.kernels` is the one place the engine name is looked up.
 The kernels work on :class:`Tables`, all slots batched in the profile's own
 (N, T, M) layout; a one-slot slice is the batch of one.
+
+A :class:`Point` is one allocation ready for evaluation.  It builds its
+tables once, on first use, and the engine's curvature state at ``x`` once,
+so a solver that asks for the value, the gradient and many Hessian products
+at one iterate pays for them once.  The cycle-level functions take a point
+wherever they take an allocation; a bare allocation becomes a point for the
+one call.
 
 * ``enumerate``: exact product-form enumeration, feasible while
   ``(M+1)^N <= 1e7`` per slot.  Each user's axis holds only the choices it
@@ -25,9 +32,12 @@ The kernels work on :class:`Tables`, all slots batched in the profile's own
   slowest axis, with at most 1e7 outcomes per batch.  The value, ``E[C'(Y)]``
   and the per-(user, item) ``E[I C'(Y)]`` all come from that grid: the last
   is the axis-n marginal of ``P C'(Y)``, since ``P(c) = prod_n w[n, c_n]``.
-  The curvature kernel takes the same marginals of ``P C''(Y) dY``.  The
-  probability gradient builds one grid per user, that user's every
-  choice against the other users' support.
+  The curvature kernel takes the same marginals of ``P C''(Y) dY``, building
+  the grid again for each direction: a batch can reach 1e7 outcomes, so no
+  grid is kept.  Before the value kernel builds a batch's grid it checks the
+  heaviest outcome, so a trial that overflows an outage capacity raises
+  without one.  The probability gradient builds one grid per user, that
+  user's every choice against the other users' support.
 * ``analytic_quadratic``: closed-form first/second moments, valid only for
   polynomial costs of degree <= 2, where ``C''`` is constant;
 * ``monte_carlo``: seeded counter-based sampling with reported standard
@@ -47,6 +57,7 @@ probability overflows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -169,6 +180,31 @@ def cycle_tables(
     return Tables(profile.probs, profile.silence, sizes[None, None, :] - x, const, draws)
 
 
+class Point:
+    """Allocation ``x`` ready for evaluation under ``(profile, cost, cfg)``.
+
+    The engine guard runs once, here.  The :class:`Tables` are built on
+    first use and the engine's curvature state (:class:`Engine`) once, and
+    every value, gradient and Hessian product at the point reads them.
+    ``x`` is made read-only: an in-place write would leave that state stale.
+    """
+
+    def __init__(self, profile: DemandProfile, x, sizes: np.ndarray, cost: CostModel,
+                 cfg: EvalConfig):
+        cfg.kernels.check(profile, cost)
+        self.x = np.asarray(x, dtype=float)
+        self.x.setflags(write=False)
+        self.profile, self.sizes, self.cost, self.cfg = profile, sizes, cost, cfg
+
+    @cached_property
+    def tables(self) -> Tables:
+        return cycle_tables(self.profile, self.x, self.sizes, self.cfg)
+
+    @cached_property
+    def curvature(self):
+        return self.cfg.kernels.curvature(self.tables, self.cost)
+
+
 def _weights(tables: Tables) -> np.ndarray:
     """Every slot's choice probabilities (T, N, M+1), silent column first."""
     return np.concatenate([tables.silence[:, :, None], tables.probs], axis=2).transpose(1, 0, 2)
@@ -275,10 +311,40 @@ def _enum_check(profile: DemandProfile, cost: CostModel) -> None:
         )
 
 
+def _check_heaviest(ws: list, vs: list, const: np.ndarray, cost: CostModel) -> None:
+    """Raise the grid's :class:`CostDomainError` before the grid is built.
+
+    A row's heaviest outcome takes every user's largest load.  Added up in
+    :func:`_grid`'s order, its load equals that grid cell bit for bit and
+    tops the row.  When the batch's heaviest load reaches the domain limit
+    and one of its cells is reachable (its probability, multiplied in the
+    grid's order, is positive), that load is the largest reachable one, the
+    value the grid's domain check reports.  Otherwise the grid decides, and
+    so it does when a negative entry could fail that check on a low load
+    first.
+    """
+    limit = cost.domain_limit
+    if limit == np.inf:
+        return
+    load = const
+    for v in vs[::-1]:
+        load = v.max(axis=1) + load
+    top = load.max()
+    if top < limit or const.min() < 0.0 or min(v.min() for v in vs) < 0.0:
+        return
+    rows = np.flatnonzero(load == top)
+    prob = np.ones(len(rows))
+    for w, v in zip(ws[::-1], vs[::-1]):
+        prob = w[rows, v[rows].argmax(axis=1)] * prob
+    if prob.max() > 0.0:
+        raise CostDomainError(float(top), limit)
+
+
 def _enum_expected_cost(tables: Tables, cost: CostModel):
     const = tables.const
     out = np.empty(len(const))
     for s, ws, vs, _ in _batches(_weights(tables), _values(tables)):
+        _check_heaviest(ws, vs, const[s], cost)
         loads, probs, live = _joint(ws, vs, const[s])
         out[s] = np.einsum("tk,tk->t", probs, _on_live(cost.cost, loads, live))
     return out, np.zeros(len(const))
@@ -312,7 +378,11 @@ def _enum_marginal_stats(tables: Tables, cost: CostModel):
     return a, b, np.zeros_like(a), np.broadcast_to(0.0, b.shape)
 
 
-def _enum_hess_vec(tables: Tables, dtables: Tables, cost: CostModel):
+def _no_curvature(tables: Tables, cost: CostModel) -> None:
+    return None
+
+
+def _enum_hess_vec(tables: Tables, curv: None, dtables: Tables, cost: CostModel):
     return _enum_marginals(tables, cost.second, dtables)
 
 
@@ -373,12 +443,15 @@ def _analytic_marginal_stats(tables: Tables, cost: CostModel):
     return c1 + 2.0 * c2 * ey, b, np.zeros(len(ey)), np.broadcast_to(0.0, b.shape)
 
 
-def _analytic_hess_vec(tables: Tables, dtables: Tables, cost: CostModel):
+def _analytic_hess_vec(tables: Tables, curv: None, dtables: Tables, cost: CostModel):
     """``C''`` is the constant ``2 c2``, so ``da = 2 c2 dE[Y]`` and
-    ``db = 2 c2 p (dE[Y] - dE[X_n] + dv)``."""
+    ``db = 2 c2 p (dE[Y] - dE[X_n] + dv)``, built in one buffer."""
     c2 = 2.0 * cost.poly_coeffs()[2]
     _, dmean_u, dey = _moments(dtables, cost)
-    return c2 * dey, c2 * tables.probs * ((dey - dmean_u)[:, :, None] + dtables.v)
+    db = np.add((dey - dmean_u)[:, :, None], dtables.v)
+    db *= tables.probs
+    db *= c2
+    return c2 * dey, db
 
 
 def _analytic_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
@@ -438,10 +511,15 @@ def _mc_marginal_stats(tables: Tables, cost: CostModel):
     return a, b, a_se, b_se
 
 
-def _mc_hess_vec(tables: Tables, dtables: Tables, cost: CostModel):
+def _mc_curvature(tables: Tables, cost: CostModel) -> np.ndarray:
+    """``C''(Y)`` on the draws, (T, K)."""
+    return cost.second(_mc_loads(_values(tables), tables.const, tables.draws))
+
+
+def _mc_hess_vec(tables: Tables, curv: np.ndarray, dtables: Tables, cost: CostModel):
     choices = tables.draws
-    d = cost.second(_mc_loads(_values(tables), tables.const, choices))
-    d *= _mc_loads(_values(dtables), dtables.const, choices)
+    d = _mc_loads(_values(dtables), dtables.const, choices)
+    d *= curv
     return d.mean(axis=1), _mc_bin_means(choices, tables.v.shape[2] + 1, d)
 
 
@@ -453,7 +531,7 @@ def _mc_gradient_p(tables: Tables, cost: CostModel):
 
 @dataclass(frozen=True)
 class Engine:
-    """One engine: a guard and four kernels on :class:`Tables`.
+    """One engine: a guard and five kernels on :class:`Tables`.
 
     ``check(profile, cost)`` raises :class:`UnsupportedEngineError` on an
     instance the engine cannot handle.  Each kernel takes ``(tables, cost)``:
@@ -464,11 +542,17 @@ class Engine:
       n requests item m;
     * ``gradient_p``: ``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` (N, T, M).
 
-    ``hess_vec(tables, dtables, cost)`` is the curvature kernel: ``(da, db)``
-    with ``da = E[C''(Y) dY]`` (T,) and ``db = E[I_n(m) C''(Y) dY]``
-    (N, T, M), where ``dtables`` carry a load direction the way ``tables``
-    carry the loads (see :func:`cost_hess_vec`).  The outcome distribution
-    does not depend on the allocation, so these are the exact derivatives of
+    ``curvature(tables, cost)`` is what the curvature kernel reads at the
+    allocation, built once per :class:`Point`: ``C''(Y)`` on the draws
+    (T, K) for ``monte_carlo``, ``None`` for ``analytic_quadratic`` (``C''``
+    is constant) and for ``enumerate`` (its grid is rebuilt per product,
+    since keeping one per batch would multiply peak memory).
+    ``hess_vec(tables, curv, dtables, cost)`` is the curvature kernel:
+    ``(da, db)`` with ``da = E[C''(Y) dY]`` (T,) and
+    ``db = E[I_n(m) C''(Y) dY]`` (N, T, M), where ``curv`` is that state
+    and ``dtables`` carry a load direction the way ``tables`` carry the
+    loads (see :func:`cost_hess_vec`).  The outcome distribution does not
+    depend on the allocation, so these are the exact derivatives of
     ``marginal_stats``' ``(a, b)`` along that direction.
 
     ``sampled`` engines read the profile's memoised draws.  The exact
@@ -480,21 +564,23 @@ class Engine:
     expected_cost: Callable
     marginal_stats: Callable
     gradient_p: Callable
+    curvature: Callable
     hess_vec: Callable
     sampled: bool = False
 
 
 _ENGINES = {
     "enumerate": Engine(
-        _enum_check, _enum_expected_cost, _enum_marginal_stats, _enum_gradient_p, _enum_hess_vec
+        _enum_check, _enum_expected_cost, _enum_marginal_stats, _enum_gradient_p,
+        _no_curvature, _enum_hess_vec,
     ),
     "analytic_quadratic": Engine(
         _analytic_check, _analytic_expected_cost, _analytic_marginal_stats, _analytic_gradient_p,
-        _analytic_hess_vec,
+        _no_curvature, _analytic_hess_vec,
     ),
     "monte_carlo": Engine(
         lambda profile, cost: None, _mc_expected_cost, _mc_marginal_stats, _mc_gradient_p,
-        _mc_hess_vec, sampled=True,
+        _mc_curvature, _mc_hess_vec, sampled=True,
     ),
 }
 ENGINES = tuple(_ENGINES)
@@ -504,11 +590,15 @@ ENGINES = tuple(_ENGINES)
 # cycle-level evaluation
 
 
-def _checked_tables(profile, allocation, cost, cfg, catalog) -> Tables:
-    x = _as_x(profile, allocation)
-    sizes = _sizes_of(allocation, catalog)
-    cfg.kernels.check(profile, cost)
-    return cycle_tables(profile, x, sizes, cfg)
+def _checked_point(profile, allocation, cost, cfg, catalog) -> Point:
+    """``allocation`` as a :class:`Point` under ``(profile, cost, cfg)``."""
+    if isinstance(allocation, Point):
+        if allocation.profile is not profile or (allocation.cost, allocation.cfg) != (cost, cfg):
+            raise ValueError("point was built for another profile, cost or config")
+        return allocation
+    # a view: making the point's x read-only leaves the caller's array writable
+    x = _as_x(profile, allocation).view()
+    return Point(profile, x, _sizes_of(allocation, catalog), cost, cfg)
 
 
 def slot_marginal_stats(
@@ -526,7 +616,7 @@ def expected_cycle_cost(
     catalog: ItemCatalog | None = None,
 ) -> EvalResult:
     """Slot-averaged expected cost of the cycle under ``allocation``."""
-    tables = _checked_tables(profile, allocation, cost, cfg, catalog)
+    tables = _checked_point(profile, allocation, cost, cfg, catalog).tables
     slot_vals, slot_errs = cfg.kernels.expected_cost(tables, cost)
     value = float(slot_vals.mean())
     stderr = float(np.sqrt(np.sum(slot_errs**2)) / profile.num_slots)
@@ -554,7 +644,7 @@ def cost_gradient_x(
     ``(E[C'(Y_{t-1})] - E[I_{n,t}(m) C'(Y_t)]) / T``.  The Monte Carlo
     engine applies the same pathwise rule sample by sample.
     """
-    tables = _checked_tables(profile, allocation, cost, cfg, catalog)
+    tables = _checked_point(profile, allocation, cost, cfg, catalog).tables
     a, b, _, _ = cfg.kernels.marginal_stats(tables, cost)
     return (np.roll(a, 1)[None, :, None] - b) / profile.num_slots
 
@@ -577,11 +667,12 @@ def cost_hess_vec(
     every engine because the outcome distribution does not depend on the
     allocation.  The direction's tables are :func:`cycle_tables` at
     allocation ``d`` with zero item sizes: ``v = -d`` and ``const`` its
-    prefetch volume.
+    prefetch volume.  Given a :class:`Point`, every product reads its tables
+    and curvature state instead of building them again.
     """
-    tables = _checked_tables(profile, allocation, cost, cfg, catalog)
+    point = _checked_point(profile, allocation, cost, cfg, catalog)
     dtables = cycle_tables(profile, np.asarray(d, dtype=float), np.zeros(profile.num_items), cfg)
-    da, db = cfg.kernels.hess_vec(tables, dtables, cost)
+    da, db = cfg.kernels.hess_vec(point.tables, point.curvature, dtables, cost)
     return (np.roll(da, 1)[None, :, None] - db) / profile.num_slots
 
 
@@ -604,5 +695,5 @@ def cost_gradient_p(
     currently zero (otherwise the cycle cost itself would be infinite), and
     it tells the caller that no mass may move onto that item.
     """
-    tables = _checked_tables(profile, allocation, cost, cfg, catalog)
+    tables = _checked_point(profile, allocation, cost, cfg, catalog).tables
     return cfg.kernels.gradient_p(tables, cost) / profile.num_slots

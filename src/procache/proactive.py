@@ -21,6 +21,7 @@ from .demand import DemandProfile, ItemCatalog
 from .evaluate import (
     EvalConfig,
     EvalResult,
+    Point,
     ProactiveAllocation,
     cost_gradient_x,
     cost_hess_vec,
@@ -126,22 +127,35 @@ def solve_proactive(
     infinite-cost trial, never clipped.  A warm start that
     overflows under the given profile falls back to the zero allocation,
     which is feasible whenever the non-proactive cost is.
+
+    Each iterate is one :class:`~procache.evaluate.Point`, kept while the
+    descent passes the same array: the trial value, the gradient once the
+    trial is accepted and every Hessian product at it share its tables and
+    curvature state.
     """
-    cfg.kernels.check(profile, cost)
     sizes = catalog.sizes
     n_users, n_slots, m_items = profile.probs.shape
+    if x0 is not None:
+        x0 = np.array(x0, dtype=float)   # a point makes its x read-only: not the caller's
+    point = None
+
+    def at(x):
+        nonlocal point
+        if point is None or point.x is not x:
+            point = Point(profile, x, sizes, cost, cfg)
+        return point
 
     def value(x):
         try:
-            return expected_cycle_cost(profile, x, cost, cfg, catalog=catalog).value
+            return expected_cycle_cost(profile, at(x), cost, cfg).value
         except CostDomainError:
             return np.inf
 
     def grad(x):
-        return cost_gradient_x(profile, x, cost, cfg, catalog=catalog)
+        return cost_gradient_x(profile, at(x), cost, cfg)
 
     def hess(x, d):
-        return cost_hess_vec(profile, x, d, cost, cfg, catalog=catalog)
+        return cost_hess_vec(profile, at(x), d, cost, cfg)
 
     upper = np.broadcast_to(sizes, (n_users, n_slots, m_items))
     zero = np.zeros(upper.shape)
@@ -151,7 +165,7 @@ def solve_proactive(
         if not np.isfinite(value(x0)):
             # nothing to optimize: even pure reactive service overflows;
             # surface the untranslated domain error
-            expected_cycle_cost(profile, x0, cost, cfg, catalog=catalog)
+            expected_cycle_cost(profile, at(x0), cost, cfg)
     else:
         try:
             scale = projected_gradient_norm(zero, grad(zero), 0.0, upper) or None

@@ -126,6 +126,37 @@ def test_optimize_then_simulate_roundtrip(runner, quad_scenario, tmp_path):
     assert summary["value"] < BASE_QUAD - 2.0
 
 
+@pytest.mark.parametrize(
+    "rows, line, column",
+    [
+        (["5,0,1,0.5"], 2, "'user'"),
+        (["-1,0,1,0.5"], 2, "'user'"),
+        (["0,0,1,0.5", "0,1.5,1,0.5"], 3, "'slot'"),
+        (["0,0,0,0.5"], 2, "'item'"),
+        (["0,0,1,7.5"], 2, "'x'"),
+        (["0,0,1,nan"], 2, "'x'"),
+        (["0,0,1,0.5", "1,1,2,1.0", "0,0,1,0.25"], 4, "'item'"),
+    ],
+    ids=["user-past-end", "user-negative", "slot-fraction", "item-zero", "x-past-size", "x-nan",
+         "duplicate"],
+)
+def test_simulate_refuses_a_bad_allocation_row(runner, tmp_path, rows, line, column):
+    # two users, two slots, items of size 1 and 2
+    scenario = dict(two_user_scenario_dict(0.9, "quadratic"), sizes=[1.0, 2.0],
+                    profiles=[[[0.2, 0.1], [0.5, 0.3]], [[0.1, 0.1], [0.6, 0.2]]])
+    save_scenario(scenario, tmp_path / "s.json")
+    (tmp_path / "alloc.csv").write_text("\n".join(["user,slot,item,x", *rows]) + "\n")
+    res = runner.invoke(main, ["simulate", "--scenario", str(tmp_path / "s.json"),
+                               "--samples", "10", "--alloc", str(tmp_path / "alloc.csv"),
+                               "--out", str(tmp_path / "sim.csv")])
+    assert res.exit_code == 1
+    lines = [ln for ln in res.stderr.splitlines() if ln.strip()]
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ScenarioError"
+    assert f"allocation CSV line {line}, column" in err["message"] and column in err["message"]
+
+
 def test_shape_payload_and_trace(runner, quad_scenario, tmp_path):
     out = tmp_path / "shaped.json"
     trace = tmp_path / "trace.csv"

@@ -19,8 +19,9 @@ from procache import (
     expected_cycle_cost,
     nonproactive_cost,
 )
+from procache import evaluate
 from procache.costs import CostDomainError
-from procache.evaluate import ENGINES, cycle_tables, slot_marginal_stats
+from procache.evaluate import ENGINES, Point, cycle_tables, slot_marginal_stats
 from procache.rng import substream
 
 from conftest import random_instance
@@ -410,7 +411,7 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
             exact = not kernels.sampled
             grad_p = kernels.gradient_p(tables, cost) if exact else None
             dtables = cycle_tables(prof, x[::-1, ::-1], np.zeros(prof.num_items), cfg)
-            da, db = kernels.hess_vec(tables, dtables, cost)
+            da, db = kernels.hess_vec(tables, kernels.curvature(tables, cost), dtables, cost)
             if exact:
                 assert not se.any() and not a_se.any() and not b_se.any()
             for t in range(prof.num_slots):
@@ -422,7 +423,7 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
                 assert np.array_equal(b_t[:, 0], b[:, t]) and np.array_equal(b_se_t[:, 0], b_se[:, t])
                 if exact:
                     assert np.array_equal(kernels.gradient_p(one, cost)[:, 0], grad_p[:, t])
-                da_t, db_t = kernels.hess_vec(one, dtables.slot(t), cost)
+                da_t, db_t = kernels.hess_vec(one, kernels.curvature(one, cost), dtables.slot(t), cost)
                 assert da_t[0] == da[t] and np.array_equal(db_t[:, 0], db[:, t])
 
             # the cycle-level functions are the full batch
@@ -474,6 +475,68 @@ def test_analytic_hess_vec_equals_enumeration():
         got = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog)
         ref = cost_hess_vec(prof, x, d, cost, ref_cfg, catalog=catalog)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_point_evaluates_like_its_bare_allocation(engine):
+    for catalog, prof, x, d, cost, cfg in _curvature_cases(engine):
+        point = Point(prof, x.copy(), catalog.sizes, cost, cfg)
+        for _ in range(2):   # the second round reads the memoised state
+            res = expected_cycle_cost(prof, point, cost, cfg)
+            ref = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
+            assert (res.value, res.stderr) == (ref.value, ref.stderr)
+            assert np.array_equal(res.slot_values, ref.slot_values)
+            assert np.array_equal(res.slot_stderrs, ref.slot_stderrs)
+            assert np.array_equal(cost_gradient_x(prof, point, cost, cfg),
+                                  cost_gradient_x(prof, x, cost, cfg, catalog=catalog))
+            assert np.array_equal(cost_hess_vec(prof, point, d, cost, cfg),
+                                  cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog))
+        assert x.flags.writeable    # a bare allocation is viewed, not frozen
+        with pytest.raises(ValueError):
+            point.x[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="another profile"):
+            expected_cycle_cost(prof, point, cost, EvalConfig(engine=engine, samples=5, seed=99))
+
+
+def test_overflow_precheck_raises_the_grids_own_error(monkeypatch):
+    cfg = EvalConfig(engine="enumerate")
+    grids = []
+    joint = evaluate._joint
+    monkeypatch.setattr(evaluate, "_joint", lambda *args: grids.append(1) or joint(*args))
+
+    def errors(prof, x, cost, catalog):
+        """The error with the precheck and without it, and the grids each built."""
+        found = []
+        for check in (evaluate._check_heaviest, lambda *args: None):
+            grids.clear()
+            with monkeypatch.context() as m:
+                m.setattr(evaluate, "_check_heaviest", check)
+                with pytest.raises(CostDomainError) as err:
+                    expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
+            found.append(((err.value.load, err.value.limit), len(grids)))
+        return found
+
+    for catalog, prof, x, cost in _grid_cases("outage"):
+        tight = CostModel.outage(0.5 * cost.mu)   # below the heaviest reachable load
+        (early, built_early), (late, built_late) = errors(prof, x, tight, catalog)
+        assert early == late and built_early == built_late - 1   # no grid for that batch
+    # x past an item's size makes a load negative, which the grid's check reports first
+    x = np.zeros((2, 2, 2))
+    x[0, 1, 0] = 5.0
+    prof = DemandProfile(np.full((2, 2, 2), 0.25))
+    (early, _), (late, _) = errors(prof, x, CostModel.outage(3.0), ItemCatalog([1.0, 2.0]))
+    assert early == late and early[0] < 0.0
+
+
+def test_overflow_precheck_leaves_an_unreachable_heaviest_outcome_to_the_grid(monkeypatch):
+    # all three users on the big item would load 150 > mu, at probability 1e-600 = 0.0
+    catalog = ItemCatalog([1.0, 50.0])
+    probs = np.zeros((3, 1, 2))
+    probs[:, 0] = [0.5, 1e-200]
+    prof, cost, cfg = DemandProfile(probs), CostModel.outage(60.0), EvalConfig()
+    res = nonproactive_cost(prof, catalog, cost, cfg)
+    monkeypatch.setattr(evaluate, "_check_heaviest", lambda *args: None)
+    assert np.isfinite(res.value) and res.value == nonproactive_cost(prof, catalog, cost, cfg).value
 
 
 def test_allocation_gradient_enumerates_each_slot_once(monkeypatch):

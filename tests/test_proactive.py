@@ -18,7 +18,7 @@ from procache import (
     scaling_curve,
     solve_proactive,
 )
-from procache import proactive
+from procache import evaluate, proactive
 from procache.costs import CostDomainError
 from procache.evaluate import slot_marginal_stats
 from procache.experiments import SCALING_SCENARIO
@@ -256,6 +256,24 @@ def test_newton_solve_of_the_paper_family_ends_on_its_relative_tolerance():
     pg0 = cost_gradient_x(scn.profile, None, scn.cost, scn.cfg, catalog=scn.catalog)
     assert res.grad_norm == pytest.approx(np.linalg.norm(x - np.clip(x - g, 0.0, sizes)))
     assert res.grad_norm <= 1e-6 * np.linalg.norm(np.clip(-pg0, 0.0, sizes))
+
+
+def test_a_cold_solve_builds_the_tables_once_per_iterate(monkeypatch):
+    # direction tables carry zero sizes; allocation tables the catalog's
+    scn = parse_scenario(SCALING_SCENARIO).with_users(200)
+    iterates, directions = [], []
+    build = evaluate.cycle_tables
+
+    def counted(profile, x, sizes, cfg):
+        (iterates if np.any(sizes) else directions).append(x)
+        return build(profile, x, sizes, cfg)
+
+    monkeypatch.setattr(evaluate, "cycle_tables", counted)
+    res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg, tol=1e-6)
+    assert res.converged and directions
+    # the list keeps every iterate alive, so no two of them share an id
+    assert len({id(x) for x in iterates}) == len(iterates)
+    assert len(iterates) < len(directions)
 
 
 def test_newton_steps_that_overflow_the_outage_capacity_are_rejected(monkeypatch):

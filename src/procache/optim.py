@@ -75,30 +75,91 @@ def _ball_path(c: np.ndarray, d: np.ndarray, total, r_sq, s_max: float) -> np.nd
 
     P is :func:`project_simplex_slice`; ``c`` and ``d`` are (R, M), each row
     of ``d`` sums to 0 and is 0 where ``c`` is ``-inf`` (items held at
-    zero).  The distance never decreases in s.  The first trial is the
-    bound sqrt(r_sq) / |d|, inside whenever P(c) = c since P is
-    nonexpansive; s then doubles while inside and bisects once a trial
-    lands outside, until the midpoint equals an endpoint.  Rows with
-    ``d = 0`` or ``r_sq = 0`` return P(c).
+    zero).  The distance never decreases in s, and it is piecewise
+    quadratic (Condat 2016; the homotopy of a parametric QP, Best 1996):
+    while the support S of P(c + s d) is fixed, P(c + s d)_S = c_S + s d_S -
+    theta_a - s mu with mu = mean_S d and theta_a = (sum_S c - total) / |S|,
+    so the squared distance is A s^2 + B with A = sum_S (d - mu)^2.
+
+    Each round projects every live row once at its trial s, reads S, and
+    jumps to that piece's root, with B taken from the distance just
+    measured and the target pulled in by ``2 M eps`` of r_sq so the jump
+    lands inside rather than an ulp outside; the root is capped at s_max,
+    and a piece with A = 0, or one that never re-enters the ball, has none.
+    A bracket of the largest trial inside and the least outside guards the
+    jumps: a root outside it falls back to the midpoint, or to doubling
+    while nothing outside is known.  Where rounding holds the measured
+    distance flat across many ulps of s, each further trial outside steps
+    down twice as far as the last.  A row stops at a trial inside the ball
+    whose support repeats after a jump, or whose piece root is not above
+    it, or whose support is the face of largest d (where P(c + s d) stops
+    moving); or once its bracket is narrower than ``4 eps total / |d|``,
+    since P is nonexpansive and no s left in it moves P by more than
+    ``4 eps total``.  The returned point is a trial that passed the
+    distance test, or P(c) when none did (as with bisection).  The first
+    trial is sqrt(r_sq) / |d|, inside whenever P(c) = c.  Rows with ``d =
+    0`` or ``r_sq = 0`` return P(c).  A row still searching after 64 + M
+    rounds raises ``RuntimeError`` naming it.
     """
     c0 = np.where(c > -np.inf, c, 0.0)
-
-    def inside(s, rows):
-        p = project_simplex_slice(c[rows] + s[:, None] * d[rows], total[rows])
-        return np.sum((p - c0[rows]) ** 2, axis=-1) <= r_sq[rows]
-
+    n_rows, m = c.shape
     dn = np.sqrt(np.sum(d * d, axis=-1))
-    rows = np.flatnonzero((dn > 0.0) & (r_sq > 0.0))
-    lo, hi, s = np.zeros(len(c)), np.full(len(c), np.inf), np.zeros(len(c))
+    live = (dn > 0.0) & (r_sq > 0.0)
+    out = np.empty(c.shape)
+    if not live.all():
+        out[~live] = project_simplex_slice(c[~live], total[~live])
+    rows = np.flatnonzero(live)
+    lo, hi, s = np.zeros(n_rows), np.full(n_rows, np.inf), np.zeros(n_rows)
     s[rows] = np.minimum(np.sqrt(r_sq[rows]) / dn[rows], s_max)
-    with np.errstate(over="ignore"):    # s overflowing to inf ends the doubling
-        while rows.size:
-            ok = inside(s[rows], rows)
-            lo[rows[ok]] = s[rows[ok]]
-            hi[rows[~ok]] = s[rows[~ok]]
-            s = np.where(hi < np.inf, 0.5 * (lo + hi), np.minimum(2.0 * lo, s_max))
-            rows = np.flatnonzero((lo < s) & (s < hi))
-    return project_simplex_slice(c + lo[:, None] * d, total)
+    eps = np.finfo(float).eps
+    aim, tight = 2.0 * m * eps, 4.0 * eps * total / np.where(live, dn, 1.0)
+    top = d == d.max(axis=-1, keepdims=True)     # the face where P(c + s d) stops moving
+    back = np.zeros(n_rows)                      # trials outside in a row
+    support = np.zeros(c.shape, dtype=bool)      # of each row's last trial
+    jumped = np.zeros(n_rows, dtype=bool)        # the trial is that support's root
+    found = np.zeros(n_rows, dtype=bool)         # some trial was inside: out holds P at lo
+    settle = np.zeros(n_rows, dtype=bool)        # stuck with none inside: return P(c)
+    # a piece with A = 0, or one that stays outside, gives an inf or nan root
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(64 + m):
+            if not rows.size:
+                break
+            dr, sr = d[rows], s[rows]
+            p = project_simplex_slice(c[rows] + sr[:, None] * dr, total[rows])
+            x = p - c0[rows]
+            excess = np.einsum("ij,ij->i", x, x) - r_sq[rows]
+            ok = excess <= 0.0
+            lo[rows[ok]], hi[rows[~ok]] = sr[ok], sr[~ok]
+            out[rows[ok | settle[rows]]] = p[ok | settle[rows]]
+            found[rows[ok]] = True
+            back[rows] = np.where(ok, 0.0, back[rows] + 1.0)
+            on = p > 0.0
+            mu = np.einsum("ij,ij->i", dr, on) / on.sum(axis=-1)
+            x = (dr - mu[:, None]) * on
+            a = np.einsum("ij,ij->i", x, x)
+            # A sr^2 + B = r_sq + excess on the piece through sr
+            root = np.minimum(np.sqrt(sr * sr - (excess + aim * r_sq[rows]) / a), s_max)
+            # rounding can hold the distance flat over many ulps of s: each
+            # further trial outside steps down twice as far as the last
+            b = back[rows]
+            root = np.where(b > 1.0, sr - (sr - root) * 2.0 ** (b - 1.0), root)
+            l, h = lo[rows], hi[rows]
+            jump = (l < root) & (root < h)
+            fallback = np.where(h < np.inf, 0.5 * (l + h), np.minimum(2.0 * l, s_max))
+            nxt = np.where(jump, root, fallback)
+            # P is nonexpansive: no point left in the bracket moves it by more
+            # than (h - l) |d|, so a bracket that narrow leaves nothing to find
+            stuck = ~((l < nxt) & (nxt < h)) | (h - l <= tight[rows])
+            same = jumped[rows] & np.all(on == support[rows], axis=-1)
+            last = np.all(on == top[rows], axis=-1)
+            on_root = same | last | ~(root > sr + 4.0 * np.spacing(sr))
+            done = settle[rows] | (stuck & found[rows]) | (ok & on_root)
+            support[rows], jumped[rows], settle[rows] = on, jump, stuck & ~done
+            s[rows] = np.where(stuck, l, nxt)
+            rows = rows[~done]
+    if rows.size:
+        raise RuntimeError(f"ball path search did not settle on rows {rows.tolist()}")
+    return out
 
 
 def project_ball_slice(v: np.ndarray, center: np.ndarray, radius, total) -> np.ndarray:
@@ -228,7 +289,9 @@ def box_projected_descent(
     def clip(z):
         return np.minimum(np.maximum(z, lower), upper)
 
-    x = clip(np.asarray(x0, dtype=float))
+    x = np.asarray(x0, dtype=float)
+    if np.any((x < lower) | (x > upper)):
+        x = clip(x)   # a start inside the box stays the caller's array, and so its memo
     fx = value_fn(x)
     if not np.isfinite(fx):
         raise ValueError("descent must start inside the objective domain")
@@ -281,7 +344,8 @@ def linear_min_over_ball_slice(g: np.ndarray, center: np.ndarray, radius, total)
     If the projection of the center onto the cheapest face (the items of
     least gradient) lies in the ball, it is optimal.  Otherwise, by KKT, the
     minimizer is P(c - s g) for the largest s that keeps it in the ball, P
-    the simplex-slice projection (:func:`_ball_path`).
+    the simplex-slice projection; :func:`_ball_path` finds that s exactly,
+    piece by piece of the projection's support, in a few batched rounds.
     """
     g = np.asarray(g, dtype=float)
     center = np.asarray(center, dtype=float)

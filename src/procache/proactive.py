@@ -131,25 +131,30 @@ def solve_proactive(
     Each iterate is one :class:`~procache.evaluate.Point`, kept while the
     descent passes the same array: the trial value, the gradient once the
     trial is accepted and every Hessian product at it share its tables and
-    curvature state.
+    curvature state, and its value is computed once.  The descent starts
+    from the start array itself, so the start is built once too.
     """
     sizes = catalog.sizes
     n_users, n_slots, m_items = profile.probs.shape
     if x0 is not None:
         x0 = np.array(x0, dtype=float)   # a point makes its x read-only: not the caller's
-    point = None
+    point, point_value = None, None
 
     def at(x):
-        nonlocal point
+        nonlocal point, point_value
         if point is None or point.x is not x:
-            point = Point(profile, x, sizes, cost, cfg)
+            point, point_value = Point(profile, x, sizes, cost, cfg), None
         return point
 
     def value(x):
-        try:
-            return expected_cycle_cost(profile, at(x), cost, cfg).value
-        except CostDomainError:
-            return np.inf
+        nonlocal point_value
+        at(x)
+        if point_value is None:
+            try:
+                point_value = expected_cycle_cost(profile, point, cost, cfg).value
+            except CostDomainError:
+                point_value = np.inf
+        return point_value
 
     def grad(x):
         return cost_gradient_x(profile, at(x), cost, cfg)
@@ -160,17 +165,18 @@ def solve_proactive(
     upper = np.broadcast_to(sizes, (n_users, n_slots, m_items))
     zero = np.zeros(upper.shape)
     scale = None     # None measures from x0, the zero allocation on a cold start
-    if x0 is None or not np.isfinite(value(x0)):
-        x0 = zero
-        if not np.isfinite(value(x0)):
-            # nothing to optimize: even pure reactive service overflows;
-            # surface the untranslated domain error
-            expected_cycle_cost(profile, at(x0), cost, cfg)
-    else:
+    if x0 is not None:
         try:
             scale = projected_gradient_norm(zero, grad(zero), 0.0, upper) or None
         except CostDomainError:
             pass     # the zero allocation overflows: measure from the warm start
+    # the start's point is the last one built, so the descent reuses it
+    if x0 is None or not np.isfinite(value(x0)):
+        x0, scale = zero, None
+        if not np.isfinite(value(x0)):
+            # nothing to optimize: even pure reactive service overflows;
+            # surface the untranslated domain error
+            expected_cycle_cost(profile, at(x0), cost, cfg)
 
     res = box_projected_descent(
         value, grad, hess, x0, 0.0, upper, tol=tol, max_iters=max_iters, scale=scale

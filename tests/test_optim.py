@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procache import optim, shaping
+from procache.experiments import SCALING_SCENARIO
 from procache.optim import (
     _INVPHI,
     box_projected_descent,
@@ -13,6 +15,7 @@ from procache.optim import (
     project_ball_slice,
     project_simplex_slice,
 )
+from procache.scenario import parse_scenario
 
 
 def feasible_point(rng, center, radius, total):
@@ -84,6 +87,57 @@ def _oracle_linear_min(g, center, radius, total, tol=1e-10, max_iters=20000):
                 break
         p[fin] = x
     return p
+
+
+def _bisection_ball_path(c, d, total, r_sq, s_max):
+    """Test oracle: the ball path by doubling and bisection, the kernel the
+    piece-root search replaced.  The first trial is sqrt(r_sq) / |d|; s
+    doubles while inside and bisects once a trial lands outside, until the
+    midpoint equals an endpoint."""
+    c0 = np.where(c > -np.inf, c, 0.0)
+
+    def inside(s, rows):
+        p = project_simplex_slice(c[rows] + s[:, None] * d[rows], total[rows])
+        return np.sum((p - c0[rows]) ** 2, axis=-1) <= r_sq[rows]
+
+    dn = np.sqrt(np.sum(d * d, axis=-1))
+    rows = np.flatnonzero((dn > 0.0) & (r_sq > 0.0))
+    lo, hi, s = np.zeros(len(c)), np.full(len(c), np.inf), np.zeros(len(c))
+    s[rows] = np.minimum(np.sqrt(r_sq[rows]) / dn[rows], s_max)
+    with np.errstate(over="ignore"):
+        while rows.size:
+            ok = inside(s[rows], rows)
+            lo[rows[ok]] = s[rows[ok]]
+            hi[rows[~ok]] = s[rows[~ok]]
+            s = np.where(hi < np.inf, 0.5 * (lo + hi), np.minimum(2.0 * lo, s_max))
+            rows = np.flatnonzero((lo < s) & (s < hi))
+    return project_simplex_slice(c + lo[:, None] * d, total)
+
+
+def _recorded_paths(monkeypatch):
+    """Record every call of ``optim._ball_path``: its arguments and result."""
+    calls, kernel = [], optim._ball_path
+
+    def recorded(c, d, total, r_sq, s_max):
+        out = kernel(c, d, total, r_sq, s_max)
+        calls.append((c, d, total, r_sq, s_max, out))
+        return out
+
+    monkeypatch.setattr(optim, "_ball_path", recorded)
+    return calls
+
+
+def _counted_projections(monkeypatch):
+    """Count ``project_simplex_slice`` calls made inside ``procache.optim``."""
+    count = [0]
+    project = optim.project_simplex_slice
+
+    def counted(v, total):
+        count[0] += 1
+        return project(v, total)
+
+    monkeypatch.setattr(optim, "project_simplex_slice", counted)
+    return count
 
 
 def _random_rows(rng, count, m):
@@ -314,6 +368,169 @@ def test_linear_min_tied_minima_land_on_the_cheapest_face():
     assert y[0] == y[1] and y.sum() == pytest.approx(0.9, abs=1e-15)
     ref = _oracle_linear_min(g, center, 0.2, 0.9)
     assert float(g @ y) <= float(g @ ref) + 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 20, 50])
+def test_piece_root_search_matches_the_bisection_oracle(monkeypatch, m):
+    # the 320 seeded rows of the Dykstra test (m <= 7) plus M = 20 and 50
+    # batches: the same linear step as with the bisection kernel, feasible,
+    # and every path row on its ball boundary
+    g, center, radius, total = _random_rows(np.random.default_rng(100 + m), 64, m)
+    paths = _recorded_paths(monkeypatch)
+    out = linear_min_over_ball_slice(g, center, radius, total)
+    monkeypatch.setattr(optim, "_ball_path", _bisection_ball_path)
+    ref = linear_min_over_ball_slice(g, center, radius, total)
+    assert paths and sum(len(call[0]) for call in paths) >= 16
+    gap = np.linalg.norm(out - ref, axis=-1)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(ref, axis=-1))
+    assert out.min() >= -1e-12
+    assert np.all(np.abs(out.sum(axis=-1) - total) <= 1e-12)
+    assert np.all(np.linalg.norm(out - center, axis=-1) <= radius + 1e-12)
+    for c, d, _, r_sq, s_max, p in paths:
+        assert s_max == np.inf      # so no path row ends on the cap
+        moved = np.linalg.norm(p - np.where(c > -np.inf, c, 0.0), axis=-1)
+        assert np.all(np.abs(moved - np.sqrt(r_sq)) <= 1e-12 * np.sqrt(r_sq))
+
+
+def test_piece_root_search_stops_at_a_first_guess_on_its_root(monkeypatch):
+    # the ball lies inside the face: the first trial sqrt(r_sq) / |d| is the
+    # root, and the search ends after that one projection
+    center, g, r = np.array([0.4, 0.3, 0.3]), np.array([1.0, 0.0, -1.0]), 0.05
+    count = _counted_projections(monkeypatch)
+    x = linear_min_over_ball_slice(g, center, r, 1.0)
+    assert count[0] == 2                  # the face check, then one round
+    gp = g - g.mean()
+    assert np.allclose(x, center - r * gp / np.linalg.norm(gp), rtol=0.0, atol=1e-15)
+
+
+def test_piece_root_search_lands_its_jump_inside(monkeypatch):
+    # one jump from the first trial reaches the root of its piece; aimed
+    # exactly at the root, it lands an ulp outside and needs more rounds
+    c = np.array([[0.19, 0.38, 0.01, 0.41999999999999993]])
+    d = np.array([[1.2, 1.1, -1.3, -1.0]])
+    args = (c, d, np.ones(1), np.array([0.42**2]), np.inf)
+    count = _counted_projections(monkeypatch)
+    out = optim._ball_path(*args)
+    assert count[0] == 2
+    assert np.linalg.norm(out - c) == pytest.approx(0.42, rel=1e-14)
+    assert np.linalg.norm(out - _bisection_ball_path(*args)) <= 1e-14
+
+
+def test_piece_root_search_crosses_a_one_item_piece(monkeypatch):
+    # the center lies off the simplex, so the path starts on a one-item piece
+    # (A = 0, no root) inside the ball, and the root lies on a later piece
+    center = np.array([1.5, -0.2, -0.3])
+    v = center + np.array([1.0, 3.0, -4.0])
+    calls = _recorded_paths(monkeypatch)
+    supports = []
+    project = optim.project_simplex_slice
+
+    def spied(w, total):
+        p = project(w, total)
+        supports.append(int(np.count_nonzero(p)))
+        return p
+
+    monkeypatch.setattr(optim, "project_simplex_slice", spied)
+    out = project_ball_slice(v, center, 0.7, 1.0)
+    assert supports[0] == 1 and supports[-1] == 2
+    ref = _bisection_ball_path(*calls[0][:5])[0]
+    assert np.allclose(out, ref, rtol=0.0, atol=1e-15)
+    assert np.linalg.norm(out - center) == pytest.approx(0.7, rel=1e-12)
+    assert np.linalg.norm(v - out) < np.linalg.norm(v - np.array([1.0, 0.0, 0.0]))
+    # uncapped, the search doubles across the one-item piece instead
+    c, d, total, r_sq = calls[0][:4]
+    far = optim._ball_path(c, d, total, r_sq, np.inf)
+    assert np.allclose(far, _bisection_ball_path(c, d, total, r_sq, np.inf), rtol=0.0, atol=1e-15)
+    assert np.linalg.norm(far - center) == pytest.approx(0.7, rel=1e-12)
+
+
+def test_piece_root_search_lets_items_leave_their_face(monkeypatch):
+    # items 2 and 3 start at 0; d_2 lies above the support mean, so item 2
+    # enters the support at once, while item 3 (below it) stays at exactly 0
+    center, g = np.array([0.6, 0.4, 0.0, 0.0]), np.array([0.0, 0.5, -1.0, 1.0])
+    out = linear_min_over_ball_slice(g, center, 0.3, 1.0)
+    monkeypatch.setattr(optim, "_ball_path", _bisection_ball_path)
+    ref = linear_min_over_ball_slice(g, center, 0.3, 1.0)
+    assert out[2] > 0.0 and out[3] == 0.0
+    assert np.allclose(out, ref, rtol=0.0, atol=1e-14)
+    assert np.linalg.norm(out - center) == pytest.approx(0.3, rel=1e-12)
+
+
+def test_piece_root_search_keeps_the_cap_of_a_ball_projection(monkeypatch):
+    # v lies inside the ball: s is capped at 1 and the projection is v itself
+    center, v = np.array([0.5, 0.3, 0.2]), np.array([0.45, 0.33, 0.22])
+    count = _counted_projections(monkeypatch)
+    assert np.allclose(project_ball_slice(v, center, 0.2, 1.0), v, rtol=0.0, atol=1e-15)
+    assert count[0] == 1
+    # a vertex inside the ball past the one-item collapse is P(v) as well
+    count[0] = 0
+    out = project_ball_slice(np.array([3.0, -1.0, -1.0]), center, 0.7, 1.0)
+    assert np.array_equal(out, [1.0, 0.0, 0.0]) and count[0] == 1
+
+
+def test_piece_root_search_takes_few_rounds_on_the_shaping_rows(monkeypatch):
+    # analytic Zipf shaping, N = 50: the bisection took 59 projections per
+    # step; a fallback to it would show here
+    scn = parse_scenario(SCALING_SCENARIO).with_users(50)
+    count = _counted_projections(monkeypatch)
+    per_step = []
+    step = shaping.linear_min_over_ball_slice
+
+    def counted_step(*args):
+        before = count[0]
+        out = step(*args)
+        per_step.append(count[0] - before)
+        return out
+
+    monkeypatch.setattr(shaping, "linear_min_over_ball_slice", counted_step)
+    res = shaping.shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, 0.2)
+    assert res.converged and per_step
+    assert max(per_step) <= 8
+
+
+@pytest.mark.parametrize("c, d, r", [
+    # rounding holds the distance flat over thousands of ulps of s, so the
+    # piece's correction alone keeps landing outside; steps must widen
+    ([100.113, 0.312, 0.575], [-0.08666666666666667, -0.7566666666666666, 0.8433333333333334],
+     1.4180229454419981e-08),
+    # the measured distance takes two values across the last bracket, which
+    # the piece roots would otherwise bisect for some 40 rounds
+    ([1000.696, 0.233, 0.072], [0.8766666666666667, -0.3733333333333333, -0.5033333333333334],
+     3.905099230492991e-11),
+])
+def test_piece_root_search_settles_where_rounding_flattens_the_distance(monkeypatch, c, d, r):
+    c, d = np.array([c]), np.array([d])
+    args = (c, d, c.sum(axis=-1), np.array([r * r]), np.inf)
+    ref = _bisection_ball_path(*args)
+    count = _counted_projections(monkeypatch)
+    out = optim._ball_path(*args)
+    assert count[0] <= 4
+    assert np.sum((out - c) ** 2) <= r * r
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_piece_root_search_falls_back_to_p_of_c_below_rounding():
+    # c lies on the slice, but P(c) rounds 1.2e-16 away from it, further than
+    # the radius: no trial passes the distance test, and the search returns
+    # P(c), as the bisection did, instead of running out of rounds
+    c = np.array([[1.001, 0.252, 0.747]])
+    args = (c, np.array([[1.0, -0.5, -0.5]]), np.array([2.0]), np.array([6e-17**2]), np.inf)
+    p_c = project_simplex_slice(c, 2.0)
+    assert not np.array_equal(p_c, c)
+    out = optim._ball_path(*args)
+    assert np.array_equal(out, p_c)
+    assert np.array_equal(out, _bisection_ball_path(*args))
+
+
+def test_a_path_search_that_cannot_settle_names_its_rows(monkeypatch):
+    # a broken projection whose every trial lands outside the ball: the
+    # search runs out of rounds (halving from s = 1e15 down to the bracket
+    # tolerance takes about 100) and says so instead of returning
+    monkeypatch.setattr(optim, "project_simplex_slice", lambda v, total: np.full_like(v, 1e20))
+    c = np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]])
+    d = np.array([[1.0, -0.5, -0.5], [-1.0, 0.0, 1.0]])
+    with pytest.raises(RuntimeError, match=r"rows \[0, 1\]"):
+        optim._ball_path(c, d, np.ones(2), np.full(2, 1e30), np.inf)
 
 
 def test_ball_slice_projection_matches_the_dykstra_oracle():

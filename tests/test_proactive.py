@@ -276,6 +276,37 @@ def test_a_cold_solve_builds_the_tables_once_per_iterate(monkeypatch):
     assert len(iterates) < len(directions)
 
 
+def test_cold_and_warm_solves_build_their_start_once(monkeypatch, outage, enum_cfg):
+    # the descent starts from the solve's own start array, so its probe of
+    # the start value and the descent's first iterate share one point
+    catalog, prof = two_user_pair(0.9)
+    first = solve_proactive(prof, catalog, outage, enum_cfg)
+    _, nudged = two_user_pair(0.899)
+    built, values = [], []
+    build, value = evaluate.cycle_tables, proactive.expected_cycle_cost
+
+    def counted(profile, x, sizes, cfg):
+        if np.any(sizes):
+            built.append(np.array(x))
+        return build(profile, x, sizes, cfg)
+
+    def valued(*args, **kwargs):
+        values.append(1)
+        return value(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "cycle_tables", counted)
+    monkeypatch.setattr(proactive, "expected_cycle_cost", valued)
+    for start in (None, first.allocation.x):
+        built.clear()
+        values.clear()
+        res = solve_proactive(nudged, catalog, outage, enum_cfg, x0=start)
+        assert res.converged
+        x0 = np.zeros_like(first.allocation.x) if start is None else start
+        assert sum(np.array_equal(x, x0) for x in built) == 1
+        # one value per point; a warm solve also takes the gradient at zero
+        assert len(values) == len(built) - (start is not None)
+
+
 def test_newton_steps_that_overflow_the_outage_capacity_are_rejected(monkeypatch):
     # six Zipf users near capacity: full Newton steps push a slot past mu
     sizes = np.linspace(1.0, 2.0, 4)

@@ -88,14 +88,15 @@ def _ball_path(c: np.ndarray, d: np.ndarray, total, r_sq, s_max: float) -> np.nd
     and a piece with A = 0, or one that never re-enters the ball, has none.
     A bracket of the largest trial inside and the least outside guards the
     jumps: a root outside it falls back to the midpoint, or to doubling
-    while nothing outside is known.  Where rounding holds the measured
-    distance flat across many ulps of s, each further trial outside steps
-    down twice as far as the last.  A row stops at a trial inside the ball
-    whose support repeats after a jump, or whose piece root is not above
-    it, or whose support is the face of largest d (where P(c + s d) stops
-    moving); or once its bracket is narrower than ``4 eps total / |d|``,
-    since P is nonexpansive and no s left in it moves P by more than
-    ``4 eps total``.  The returned point is a trial that passed the
+    while nothing outside is known.  A jump that lands outside on its own
+    piece missed by rounding alone, which can hold the measured distance
+    flat across many ulps of s: each such miss in a row steps down twice as
+    far as the last (a miss on another piece takes that piece's root as
+    is).  A row stops at a trial inside the ball whose support repeats
+    after a jump, or whose piece root is not above it, or whose support is
+    the face of largest d (where P(c + s d) stops moving); or once its
+    bracket is narrower than ``4 eps total / |d|``, since P is nonexpansive
+    and no s left in it moves P by more than ``4 eps total``.  The returned point is a trial that passed the
     distance test, or P(c) when none did (as with bisection).  The first
     trial is sqrt(r_sq) / |d|, inside whenever P(c) = c.  Rows with ``d =
     0`` or ``r_sq = 0`` return P(c).  A row still searching after 64 + M
@@ -104,21 +105,17 @@ def _ball_path(c: np.ndarray, d: np.ndarray, total, r_sq, s_max: float) -> np.nd
     c0 = np.where(c > -np.inf, c, 0.0)
     n_rows, m = c.shape
     dn = np.sqrt(np.sum(d * d, axis=-1))
-    live = (dn > 0.0) & (r_sq > 0.0)
-    out = np.empty(c.shape)
-    if not live.all():
-        out[~live] = project_simplex_slice(c[~live], total[~live])
-    rows = np.flatnonzero(live)
+    rows = np.flatnonzero((dn > 0.0) & (r_sq > 0.0))
     lo, hi, s = np.zeros(n_rows), np.full(n_rows, np.inf), np.zeros(n_rows)
     s[rows] = np.minimum(np.sqrt(r_sq[rows]) / dn[rows], s_max)
     eps = np.finfo(float).eps
-    aim, tight = 2.0 * m * eps, 4.0 * eps * total / np.where(live, dn, 1.0)
+    aim, tight = 2.0 * m * eps, 4.0 * eps * total / np.where(dn > 0.0, dn, 1.0)
     top = d == d.max(axis=-1, keepdims=True)     # the face where P(c + s d) stops moving
-    back = np.zeros(n_rows)                      # trials outside in a row
+    back = np.zeros(n_rows)                      # jumps in a row that missed their own piece
     support = np.zeros(c.shape, dtype=bool)      # of each row's last trial
     jumped = np.zeros(n_rows, dtype=bool)        # the trial is that support's root
     found = np.zeros(n_rows, dtype=bool)         # some trial was inside: out holds P at lo
-    settle = np.zeros(n_rows, dtype=bool)        # stuck with none inside: return P(c)
+    out = np.empty(c.shape)
     # a piece with A = 0, or one that stays outside, gives an inf or nan root
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(64 + m):
@@ -130,19 +127,21 @@ def _ball_path(c: np.ndarray, d: np.ndarray, total, r_sq, s_max: float) -> np.nd
             excess = np.einsum("ij,ij->i", x, x) - r_sq[rows]
             ok = excess <= 0.0
             lo[rows[ok]], hi[rows[~ok]] = sr[ok], sr[~ok]
-            out[rows[ok | settle[rows]]] = p[ok | settle[rows]]
+            out[rows[ok]] = p[ok]
             found[rows[ok]] = True
-            back[rows] = np.where(ok, 0.0, back[rows] + 1.0)
             on = p > 0.0
+            same = jumped[rows] & np.all(on == support[rows], axis=-1)
             mu = np.einsum("ij,ij->i", dr, on) / on.sum(axis=-1)
             x = (dr - mu[:, None]) * on
             a = np.einsum("ij,ij->i", x, x)
             # A sr^2 + B = r_sq + excess on the piece through sr
             root = np.minimum(np.sqrt(sr * sr - (excess + aim * r_sq[rows]) / a), s_max)
-            # rounding can hold the distance flat over many ulps of s: each
-            # further trial outside steps down twice as far as the last
+            # a jump outside on its own piece missed its root by rounding alone,
+            # which can hold the distance flat over many ulps of s: each such
+            # miss in a row steps down twice as far as the last
+            back[rows] = np.where(same & ~ok, back[rows] + 1.0, 0.0)
             b = back[rows]
-            root = np.where(b > 1.0, sr - (sr - root) * 2.0 ** (b - 1.0), root)
+            root = np.where(b > 0.0, sr - (sr - root) * 2.0 ** b, root)
             l, h = lo[rows], hi[rows]
             jump = (l < root) & (root < h)
             fallback = np.where(h < np.inf, 0.5 * (l + h), np.minimum(2.0 * l, s_max))
@@ -150,15 +149,15 @@ def _ball_path(c: np.ndarray, d: np.ndarray, total, r_sq, s_max: float) -> np.nd
             # P is nonexpansive: no point left in the bracket moves it by more
             # than (h - l) |d|, so a bracket that narrow leaves nothing to find
             stuck = ~((l < nxt) & (nxt < h)) | (h - l <= tight[rows])
-            same = jumped[rows] & np.all(on == support[rows], axis=-1)
             last = np.all(on == top[rows], axis=-1)
             on_root = same | last | ~(root > sr + 4.0 * np.spacing(sr))
-            done = settle[rows] | (stuck & found[rows]) | (ok & on_root)
-            support[rows], jumped[rows], settle[rows] = on, jump, stuck & ~done
-            s[rows] = np.where(stuck, l, nxt)
+            done = stuck | (ok & on_root)
+            support[rows], jumped[rows], s[rows] = on, jump, nxt
             rows = rows[~done]
     if rows.size:
         raise RuntimeError(f"ball path search did not settle on rows {rows.tolist()}")
+    if not found.all():
+        out[~found] = project_simplex_slice(c[~found], total[~found])
     return out
 
 

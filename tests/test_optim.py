@@ -444,6 +444,27 @@ def test_piece_root_search_crosses_a_one_item_piece(monkeypatch):
     assert np.linalg.norm(far - center) == pytest.approx(0.7, rel=1e-12)
 
 
+def test_piece_root_search_jumps_back_to_an_earlier_piece_without_widening(monkeypatch):
+    # the center has negative coordinates, so items enter the support along
+    # the path: the first trial (support {0, 1, 2}) is outside, and so is the
+    # root of its piece, which lies back on the piece of support {0, 1}.  That
+    # second miss is on another piece, not a rounding stall, so the next step
+    # is that piece's own root, not one widened past it into the ball
+    center, r = np.array([1.9, -0.1, -0.3, -0.5]), np.sqrt(1.5)
+    g, v = np.array([2.0, -1.0, -1.0, 0.0]), np.array([-0.1, 0.9, 0.7, -0.5])
+    calls = _recorded_paths(monkeypatch)
+    out = linear_min_over_ball_slice(g, center, r, 1.0)
+    proj = project_ball_slice(v, center, r, 1.0)
+    assert len(calls) == 2
+    for (c, d, total, r_sq, s_max, got), want in zip(calls, (out, proj)):
+        ref = _bisection_ball_path(c, d, total, r_sq, s_max)[0]
+        assert np.array_equal(got[0], want)
+        assert np.allclose(want, ref, rtol=0.0, atol=1e-14)
+        assert np.linalg.norm(want - center) == pytest.approx(r, rel=1e-12)
+    assert np.allclose(out, [0.85192593, 0.14807407, 0.0, 0.0], rtol=0.0, atol=1e-8)
+    assert float(g @ out) == pytest.approx(1.55577779, abs=1e-8)
+
+
 def test_piece_root_search_lets_items_leave_their_face(monkeypatch):
     # items 2 and 3 start at 0; d_2 lies above the support mean, so item 2
     # enters the support at once, while item 3 (below it) stays at exactly 0

@@ -22,7 +22,10 @@ tables once, on first use, and the engine's curvature state at ``x`` once,
 so a solver that asks for the value, the gradient and many Hessian products
 at one iterate pays for them once.  The cycle-level functions take a point
 wherever they take an allocation; a bare allocation becomes a point for the
-one call.
+one call.  A Hessian product reads its direction ``d`` as it is, with the
+direction's per-slot prefetch volume, and :func:`cost_hess_vec` writes it
+into a caller's ``out`` buffer (``d`` itself if the caller likes), so a
+Newton-CG loop takes products without (N, T, M) temporaries.
 
 * ``enumerate``: exact product-form enumeration, feasible while
   ``(M+1)^N <= 1e7`` per slot.  Each user's axis holds only the choices it
@@ -169,15 +172,21 @@ class Tables(NamedTuple):
         return Tables(self.probs[:, s], self.silence[:, s], self.v[:, s], self.const[s], draws)
 
 
+def prefetch_volume(x: np.ndarray) -> np.ndarray:
+    """The proactive traffic of allocation (or direction) ``x`` per slot, (T,):
+    slot t carries what is sent during it, ``x[:, t+1].sum()`` (indices wrap)."""
+    n_slots = x.shape[1]
+    return np.array([x[:, (t + 1) % n_slots, :].sum() for t in range(n_slots)])
+
+
 def cycle_tables(
     profile: DemandProfile, x: np.ndarray, sizes: np.ndarray, cfg: EvalConfig
 ) -> Tables:
-    """Every slot's kernel inputs at allocation ``x``: slot t carries the
-    prefetch volume sent during it, ``x[:, t+1].sum()``."""
-    n_slots = profile.num_slots
-    const = np.array([x[:, (t + 1) % n_slots, :].sum() for t in range(n_slots)])
+    """Every slot's kernel inputs at allocation ``x``, ``const`` its
+    :func:`prefetch_volume`."""
     draws = profile.draws(cfg.seed, cfg.samples) if cfg.kernels.sampled else None
-    return Tables(profile.probs, profile.silence, sizes[None, None, :] - x, const, draws)
+    return Tables(profile.probs, profile.silence, sizes[None, None, :] - x, prefetch_volume(x),
+                  draws)
 
 
 class Point:
@@ -210,11 +219,15 @@ def _weights(tables: Tables) -> np.ndarray:
     return np.concatenate([tables.silence[:, :, None], tables.probs], axis=2).transpose(1, 0, 2)
 
 
-def _values(tables: Tables) -> np.ndarray:
-    """Every slot's load values (T, N, M+1), the silent column 0."""
-    n_users, n_slots, m_items = tables.v.shape
+def _values(v: np.ndarray, direction: bool = False) -> np.ndarray:
+    """Every slot's load values (T, N, M+1), the silent column 0: ``v`` (N, T,
+    M), or ``0 - v`` for a ``direction``, whose prefetch removes load."""
+    n_users, n_slots, m_items = v.shape
     val = np.zeros((n_slots, n_users, m_items + 1))
-    val[:, :, 1:] = tables.v.transpose(1, 0, 2)
+    if direction:
+        np.subtract(0.0, v.transpose(1, 0, 2), out=val[:, :, 1:])
+    else:
+        val[:, :, 1:] = v.transpose(1, 0, 2)
     return val
 
 
@@ -343,28 +356,30 @@ def _check_heaviest(ws: list, vs: list, const: np.ndarray, cost: CostModel) -> N
 def _enum_expected_cost(tables: Tables, cost: CostModel):
     const = tables.const
     out = np.empty(len(const))
-    for s, ws, vs, _ in _batches(_weights(tables), _values(tables)):
+    for s, ws, vs, _ in _batches(_weights(tables), _values(tables.v)):
         _check_heaviest(ws, vs, const[s], cost)
         loads, probs, live = _joint(ws, vs, const[s])
         out[s] = np.einsum("tk,tk->t", probs, _on_live(cost.cost, loads, live))
     return out, np.zeros(len(const))
 
 
-def _enum_marginals(tables: Tables, weight, dtables: Tables | None = None):
+def _enum_marginals(tables: Tables, weight, d=None, dconst=None, out=None):
     """``(a, b)`` with ``a = E[W]`` and ``b[n] = E[I_n(m) W]``, ``W = weight(Y)``
-    times ``dY`` when ``dtables`` give a load direction.  ``b[n]`` is the
-    axis-n marginal of ``P W`` over the joint grid, since
-    ``P(c) = prod_n w[n, c_n]``; items of zero weight get 0."""
+    times ``dY`` when ``(d, dconst)`` give a direction (see :class:`Engine`).
+    ``b[n]`` is the axis-n marginal of ``P W`` over the joint grid, since
+    ``P(c) = prod_n w[n, c_n]``; items of zero weight get 0.  ``b`` is
+    written into ``out`` when given, which may be ``d``: its loads are read
+    first."""
     w = _weights(tables)
     n_slots, n_users, width = w.shape
-    vals = [_values(tables)] + ([] if dtables is None else [_values(dtables)])
+    vals = [_values(tables.v)] + ([] if d is None else [_values(d, direction=True)])
     a = np.empty(n_slots)
-    b = np.empty((n_users, n_slots, width - 1))
+    b = np.empty((n_users, n_slots, width - 1)) if out is None else out
     for s, ws, vs, *dvs, cols in _batches(w, *vals):
         loads, probs, live = _joint(ws, vs, tables.const[s])
         probs *= _on_live(weight, loads, live)
-        if dtables is not None:
-            probs *= _grid(dvs[0], np.add, dtables.const[s])
+        if d is not None:
+            probs *= _grid(dvs[0], np.add, dconst[s])
         sums = _axis_sums(probs, [t.shape[1] for t in ws], width)
         a[s] = sums[0].sum(axis=1)
         if cols is not None:   # back to column order
@@ -382,8 +397,8 @@ def _no_curvature(tables: Tables, cost: CostModel) -> None:
     return None
 
 
-def _enum_hess_vec(tables: Tables, curv: None, dtables: Tables, cost: CostModel):
-    return _enum_marginals(tables, cost.second, dtables)
+def _enum_hess_vec(tables: Tables, curv: None, d, dconst, cost: CostModel, out=None):
+    return _enum_marginals(tables, cost.second, d, dconst, out)
 
 
 def _enum_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
@@ -394,7 +409,7 @@ def _enum_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
     outcome with ``P_-n > 0`` leaves the cost's domain; a silent one that
     does raises :class:`CostDomainError`.
     """
-    w, val, const = _weights(tables), _values(tables), tables.const
+    w, val, const = _weights(tables), _values(tables.v), tables.const
     n_slots, n_users, width = w.shape
     grad = np.empty((n_users, n_slots, width - 1))
     for n in range(n_users):
@@ -431,24 +446,30 @@ def _moments(tables: Tables, cost: CostModel):
 
 def _analytic_expected_cost(tables: Tables, cost: CostModel):
     (c0, c1, c2), mean_u, ey = _moments(tables, cost)
-    m2_u = np.einsum("ntm,ntm->nt", tables.probs, tables.v * tables.v)
+    m2_u = np.einsum("ntm,ntm,ntm->nt", tables.probs, tables.v, tables.v)
     vary = (m2_u - mean_u**2).sum(axis=0)
     return c0 + c1 * ey + c2 * (vary + ey * ey), np.zeros(len(ey))
 
 
 def _analytic_marginal_stats(tables: Tables, cost: CostModel):
-    """``C'`` is affine, so ``E[I_n(m) C'(Y)] = p C'(v + E[Y] - E[X_n])``."""
+    """``C'`` is affine, so ``E[I_n(m) C'(Y)] = p C'(v + E[Y] - E[X_n])``,
+    built in one buffer."""
     (_, c1, c2), mean_u, ey = _moments(tables, cost)
-    b = tables.probs * (c1 + 2.0 * c2 * ((ey - mean_u)[:, :, None] + tables.v))
+    b = np.add((ey - mean_u)[:, :, None], tables.v)
+    b *= 2.0 * c2
+    b += c1
+    b *= tables.probs
     return c1 + 2.0 * c2 * ey, b, np.zeros(len(ey)), np.broadcast_to(0.0, b.shape)
 
 
-def _analytic_hess_vec(tables: Tables, curv: None, dtables: Tables, cost: CostModel):
-    """``C''`` is the constant ``2 c2``, so ``da = 2 c2 dE[Y]`` and
-    ``db = 2 c2 p (dE[Y] - dE[X_n] + dv)``, built in one buffer."""
+def _analytic_hess_vec(tables: Tables, curv: None, d, dconst, cost: CostModel, out=None):
+    """``C''`` is the constant ``2 c2`` and a request's load moves by ``-d``,
+    so ``da = 2 c2 dE[Y]`` and ``db = 2 c2 p (dE[Y] + E[d_n] - d)``, built in
+    ``out`` (which may be ``d``) or in one new buffer."""
     c2 = 2.0 * cost.poly_coeffs()[2]
-    _, dmean_u, dey = _moments(dtables, cost)
-    db = np.add((dey - dmean_u)[:, :, None], dtables.v)
+    dmean_u = np.einsum("ntm,ntm->nt", tables.probs, d)
+    dey = dconst - dmean_u.sum(axis=0)
+    db = np.subtract((dey + dmean_u)[:, :, None], d, out=out)
     db *= tables.probs
     db *= c2
     return c2 * dey, db
@@ -483,24 +504,25 @@ def _mean_se(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mc_expected_cost(tables: Tables, cost: CostModel):
-    return _mean_se(cost.cost(_mc_loads(_values(tables), tables.const, tables.draws)))
+    return _mean_se(cost.cost(_mc_loads(_values(tables.v), tables.const, tables.draws)))
 
 
-def _mc_bin_means(choices: np.ndarray, width: int, d: np.ndarray) -> np.ndarray:
+def _mc_bin_means(choices: np.ndarray, width: int, d: np.ndarray, out=None) -> np.ndarray:
     """Per-(user, slot, item) sample mean of ``d`` (T, K) over the draws where
-    that user requests that item, i.e. the estimate of ``E[I_n(m) d]`` (N, T, M)."""
+    that user requests that item, i.e. the estimate of ``E[I_n(m) d]`` (N, T,
+    M), written into ``out`` when given."""
     n_slots, n_users, k = choices.shape
     cells = np.arange(n_users)[None, :, None] * n_slots + np.arange(n_slots)[:, None, None]
     bins = (cells * width + choices).ravel()          # one bin per (n, t, choice)
     weights = np.broadcast_to(d[:, None, :], choices.shape).ravel()
     total = np.bincount(bins, weights=weights, minlength=n_users * n_slots * width)
-    return total.reshape(n_users, n_slots, width)[:, :, 1:] / k
+    return np.divide(total.reshape(n_users, n_slots, width)[:, :, 1:], k, out=out)
 
 
 def _mc_marginal_stats(tables: Tables, cost: CostModel):
     choices, width = tables.draws, tables.v.shape[2] + 1
     k = choices.shape[2]
-    d = cost.marginal(_mc_loads(_values(tables), tables.const, choices))
+    d = cost.marginal(_mc_loads(_values(tables.v), tables.const, choices))
     a, a_se = _mean_se(d)
     b = _mc_bin_means(choices, width, d)
     if k > 1:
@@ -513,14 +535,14 @@ def _mc_marginal_stats(tables: Tables, cost: CostModel):
 
 def _mc_curvature(tables: Tables, cost: CostModel) -> np.ndarray:
     """``C''(Y)`` on the draws, (T, K)."""
-    return cost.second(_mc_loads(_values(tables), tables.const, tables.draws))
+    return cost.second(_mc_loads(_values(tables.v), tables.const, tables.draws))
 
 
-def _mc_hess_vec(tables: Tables, curv: np.ndarray, dtables: Tables, cost: CostModel):
+def _mc_hess_vec(tables: Tables, curv: np.ndarray, d, dconst, cost: CostModel, out=None):
     choices = tables.draws
-    d = _mc_loads(_values(dtables), dtables.const, choices)
-    d *= curv
-    return d.mean(axis=1), _mc_bin_means(choices, tables.v.shape[2] + 1, d)
+    dy = _mc_loads(_values(d, direction=True), dconst, choices)
+    dy *= curv
+    return dy.mean(axis=1), _mc_bin_means(choices, tables.v.shape[2] + 1, dy, out)
 
 
 def _mc_gradient_p(tables: Tables, cost: CostModel):
@@ -547,17 +569,22 @@ class Engine:
     (T, K) for ``monte_carlo``, ``None`` for ``analytic_quadratic`` (``C''``
     is constant) and for ``enumerate`` (its grid is rebuilt per product,
     since keeping one per batch would multiply peak memory).
-    ``hess_vec(tables, curv, dtables, cost)`` is the curvature kernel:
-    ``(da, db)`` with ``da = E[C''(Y) dY]`` (T,) and
-    ``db = E[I_n(m) C''(Y) dY]`` (N, T, M), where ``curv`` is that state
-    and ``dtables`` carry a load direction the way ``tables`` carry the
-    loads (see :func:`cost_hess_vec`).  The outcome distribution does not
-    depend on the allocation, so these are the exact derivatives of
-    ``marginal_stats``' ``(a, b)`` along that direction.
+    ``hess_vec(tables, curv, d, dconst, cost, out=None)`` is the curvature
+    kernel: ``(da, db)`` with ``da = E[C''(Y) dY]`` (T,) and
+    ``db = E[I_n(m) C''(Y) dY]`` (N, T, M), where ``curv`` is that state,
+    ``d`` (N, T, M) the direction itself and ``dconst`` (T,) its
+    :func:`prefetch_volume`, so that ``dY_t = dconst[t] - sum_n d[n, t,
+    m_n]`` (see :func:`cost_hess_vec`).  ``db`` is written into ``out``
+    when given, which may be ``d`` itself: a kernel reads all of ``d``
+    before it writes.  The outcome distribution does not depend on the
+    allocation, so these are the exact derivatives of ``marginal_stats``'
+    ``(a, b)`` along that direction.
 
     ``sampled`` engines read the profile's memoised draws.  The exact
     engines' errors are zeros; ``b_se`` is a read-only broadcast, so the
     hot ``cost_gradient_x`` path allocates no (N, T, M) array for it.
+    ``b`` and ``db`` are new arrays (or ``out``) that the cycle-level
+    functions turn into the gradient and the product in place.
     """
 
     check: Callable
@@ -599,6 +626,13 @@ def _checked_point(profile, allocation, cost, cfg, catalog) -> Point:
     # a view: making the point's x read-only leaves the caller's array writable
     x = _as_x(profile, allocation).view()
     return Point(profile, x, _sizes_of(allocation, catalog), cost, cfg)
+
+
+def _combine(a: np.ndarray, b: np.ndarray, n_slots: int) -> np.ndarray:
+    """``(roll(a, 1) - b) / T`` in ``b``'s own buffer, for slot t-1's ``a``."""
+    np.subtract(np.roll(a, 1)[None, :, None], b, out=b)
+    b /= n_slots
+    return b
 
 
 def slot_marginal_stats(
@@ -646,7 +680,7 @@ def cost_gradient_x(
     """
     tables = _checked_point(profile, allocation, cost, cfg, catalog).tables
     a, b, _, _ = cfg.kernels.marginal_stats(tables, cost)
-    return (np.roll(a, 1)[None, :, None] - b) / profile.num_slots
+    return _combine(a, b, profile.num_slots)
 
 
 def cost_hess_vec(
@@ -656,6 +690,7 @@ def cost_hess_vec(
     cost: CostModel,
     cfg: EvalConfig,
     catalog: ItemCatalog | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Hessian of the cycle cost in the allocation times the direction ``d``, (N, T, M).
 
@@ -665,15 +700,18 @@ def cost_hess_vec(
     :func:`cost_gradient_x` along ``d`` is therefore
     ``(E[C''(Y_{t-1}) dY_{t-1}] - E[I_{n,t}(m) C''(Y_t) dY_t]) / T``, exact on
     every engine because the outcome distribution does not depend on the
-    allocation.  The direction's tables are :func:`cycle_tables` at
-    allocation ``d`` with zero item sizes: ``v = -d`` and ``const`` its
-    prefetch volume.  Given a :class:`Point`, every product reads its tables
-    and curvature state instead of building them again.
+    allocation.  The kernel reads ``d`` as it is, with its
+    :func:`prefetch_volume`.  Given a :class:`Point`, every product reads its
+    tables and curvature state instead of building them again.
+
+    The product is written into ``out`` when given (a float (N, T, M)
+    array, which may be ``d`` itself), so a solver that keeps one buffer
+    takes its products without an allocation of that size.
     """
     point = _checked_point(profile, allocation, cost, cfg, catalog)
-    dtables = cycle_tables(profile, np.asarray(d, dtype=float), np.zeros(profile.num_items), cfg)
-    da, db = cfg.kernels.hess_vec(point.tables, point.curvature, dtables, cost)
-    return (np.roll(da, 1)[None, :, None] - db) / profile.num_slots
+    d = np.asarray(d, dtype=float)
+    da, db = cfg.kernels.hess_vec(point.tables, point.curvature, d, prefetch_volume(d), cost, out)
+    return _combine(da, db, profile.num_slots)
 
 
 def cost_gradient_p(

@@ -96,11 +96,18 @@ def _ball_path(c: np.ndarray, d: np.ndarray, total, r_sq, s_max: float) -> np.nd
     after a jump, or whose piece root is not above it, or whose support is
     the face of largest d (where P(c + s d) stops moving); or once its
     bracket is narrower than ``4 eps total / |d|``, since P is nonexpansive
-    and no s left in it moves P by more than ``4 eps total``.  The returned point is a trial that passed the
-    distance test, or P(c) when none did (as with bisection).  The first
-    trial is sqrt(r_sq) / |d|, inside whenever P(c) = c.  Rows with ``d =
-    0`` or ``r_sq = 0`` return P(c).  A row still searching after 64 + M
-    rounds raises ``RuntimeError`` naming it.
+    and no s left in it moves P by more than ``4 eps total``.  The returned
+    point is a trial that passed the distance test, or P(c) when none did
+    (as with bisection).  The first trial is sqrt(r_sq) / |d|, inside
+    whenever P(c) = c.  Rows with ``d = 0`` or ``r_sq = 0`` return P(c).  A
+    row still searching after 64 + M rounds raises ``RuntimeError`` naming
+    it.
+
+    P(c) is the point of the nonnegative slice closest to c, so when it lies
+    outside the ball the region is empty, and the search raises
+    ``ValueError``.  P(c) of a feasible c can round a little away from it, so
+    the distance may pass the radius by ``4 M eps`` times ``|c|_1 + total``
+    (the rounding of P's threshold).
     """
     c0 = np.where(c > -np.inf, c, 0.0)
     n_rows, m = c.shape
@@ -157,7 +164,13 @@ def _ball_path(c: np.ndarray, d: np.ndarray, total, r_sq, s_max: float) -> np.nd
     if rows.size:
         raise RuntimeError(f"ball path search did not settle on rows {rows.tolist()}")
     if not found.all():
-        out[~found] = project_simplex_slice(c[~found], total[~found])
+        miss = ~found
+        p = project_simplex_slice(c[miss], total[miss])
+        x = p - c0[miss]
+        slack = 4.0 * m * eps * (np.abs(c0[miss]).sum(axis=-1) + total[miss])
+        if np.any(np.sqrt(np.einsum("ij,ij->i", x, x)) - np.sqrt(r_sq[miss]) > slack):
+            raise ValueError("ball misses the nonnegative part of the sum slice")
+        out[miss] = p
     return out
 
 
@@ -166,7 +179,9 @@ def project_ball_slice(v: np.ndarray, center: np.ndarray, radius, total) -> np.n
 
     By KKT the projection is P(center + s (v - center)) for the largest s in
     [0, 1] that keeps it in the ball, P the simplex-slice projection; rows
-    of (..., M) arrays are projected independently.
+    of (..., M) arrays are projected independently.  A row whose set is
+    empty (its ball misses the nonnegative part of the slice) raises
+    ``ValueError``.
     """
     c = np.asarray(center, dtype=float)
     d = np.asarray(v, dtype=float) - c
@@ -217,12 +232,19 @@ def _cg(hv, b: np.ndarray, rtol: float) -> np.ndarray:
     return p
 
 
-def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lower, upper) -> float:
-    """|x - P(x - g)|, P the projection onto the box [lower, upper]: 0 at a stationary point."""
-    return float(np.linalg.norm(x - np.minimum(np.maximum(x - g, lower), upper)))
+def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lower, upper, out=None) -> float:
+    """|x - P(x - g)|, P the projection onto the box [lower, upper]: 0 at a stationary point.
+
+    ``lower`` and ``upper`` broadcast against ``x``.  The whole chain runs in
+    one array of ``x``'s shape, ``out`` when given."""
+    z = np.subtract(x, g, out=out)
+    np.maximum(z, lower, out=z)
+    np.minimum(z, upper, out=z)
+    np.subtract(x, z, out=z)
+    return float(np.linalg.norm(z))
 
 
-def _arc_search(value_fn, clip, x, fx, g, step):
+def _arc_search(value_fn, clip, x, fx, g, step, work):
     """Armijo search along the projection arc ``P(x + t step)``, halving ``t`` from 1.
 
     Returns ``(trial, f_trial)`` or ``None``, and whether the search ended
@@ -232,12 +254,15 @@ def _arc_search(value_fn, clip, x, fx, g, step):
     given up on: a projected Newton step can point uphill at ``t = 1`` and
     still descend along a shorter stretch of its arc.  Halving down to an
     unresolvable decrease without passing the test is a failure, not flat.
+    Each trial is a new array, clipped in place; ``work`` holds ``trial - x``.
     """
     resolution = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
     t = 1.0
     for k in range(60):
-        trial = clip(x + t * step)
-        decrease = float(np.vdot(g, trial - x))
+        trial = np.multiply(step, t)
+        trial += x
+        clip(trial)
+        decrease = float(np.vdot(g, np.subtract(trial, x, out=work)))
         if decrease < 0.0:
             if -decrease <= resolution:
                 return None, k == 0
@@ -263,7 +288,12 @@ def box_projected_descent(
 ) -> BoxDescentResult:
     """Projected Newton-CG on a box (Bertsekas 1982; CG on the free variables as in TRON).
 
-    ``hess_fn(x, v)`` is the Hessian at ``x`` times ``v``.  Each iteration
+    ``hess_fn(x, v)`` is the Hessian at ``x`` times ``v``; it may return its
+    product in ``v``'s own buffer, which the descent holds for the whole run
+    (it also holds the arc search's and ``pg``'s temporaries) and refills
+    before each product.  ``lower`` and ``upper`` are scalars
+    or arrays that broadcast against ``x0`` (a per-item size vector, say)
+    and stay that compact, so no box-sized array is built.  Each iteration
     holds the epsilon-binding coordinates (within ``eps = min(pg, 1e-3 *
     widest box side)`` of a bound that the gradient pushes against) on a
     projected gradient step, solves the Newton system on the others by
@@ -282,49 +312,52 @@ def box_projected_descent(
     floating-point resolution); and with ``"cap"`` after ``max_iters``
     iterations.
     """
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), np.shape(x0))
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), np.shape(x0))
+    x = np.asarray(x0, dtype=float)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    if np.broadcast_shapes(x.shape, lower.shape, upper.shape) != x.shape:
+        raise ValueError(f"box bounds {lower.shape} and {upper.shape} do not fit x {x.shape}")
 
     def clip(z):
-        return np.minimum(np.maximum(z, lower), upper)
+        """``z`` moved into the box in place."""
+        np.maximum(z, lower, out=z)
+        return np.minimum(z, upper, out=z)
 
-    x = np.asarray(x0, dtype=float)
     if np.any((x < lower) | (x > upper)):
-        x = clip(x)   # a start inside the box stays the caller's array, and so its memo
+        x = clip(x.copy())   # a start inside the box stays the caller's array, and so its memo
     fx = value_fn(x)
     if not np.isfinite(fx):
         raise ValueError("descent must start inside the objective domain")
     g = grad_fn(x)
     trace = [fx]
     width = float(np.max(upper - lower, initial=0.0))
-    pg = pg0 = projected_gradient_norm(x, g, lower, upper)
+    scatter = np.empty(x.shape)   # the one work buffer: CG products, trial - x, pg
+    step = np.empty(x.shape)
+    pg = pg0 = projected_gradient_norm(x, g, lower, upper, out=scatter)
     stop_at = tol * (pg0 if scale is None else scale)
-    scatter = np.zeros(x.shape)   # one full-size buffer for every Hessian product
 
     it, flat = 0, False
     while pg > stop_at and it < max_iters:
         eps = min(pg, 1e-3 * width)
         binding = ((x <= lower + eps) & (g > 0.0)) | ((x >= upper - eps) & (g < 0.0))
         free = np.flatnonzero(~binding)
-        step = -g
+        np.negative(g, out=step)
         if free.size:
-            scatter[...] = 0.0
-
             def hv(v):
+                scatter.fill(0.0)
                 scatter.flat[free] = v
                 return hess_fn(x, scatter).ravel()[free]
 
             step.flat[free] = _cg(hv, step.ravel()[free], min(1e-3, pg / pg0))
 
-        found, flat = _arc_search(value_fn, clip, x, fx, g, step)
+        found, flat = _arc_search(value_fn, clip, x, fx, g, step, scatter)
         if found is None and not flat and free.size:
-            found, flat = _arc_search(value_fn, clip, x, fx, g, -g)
+            found, flat = _arc_search(value_fn, clip, x, fx, g, np.negative(g, out=step), scatter)
         if found is None:
             break
         x, fx = found
         g = grad_fn(x)
         trace.append(fx)
-        pg = projected_gradient_norm(x, g, lower, upper)
+        pg = projected_gradient_norm(x, g, lower, upper, out=scatter)
         it += 1
     stop = "tol" if pg <= stop_at else "stalled" if it < max_iters else "cap"
     converged = stop == "tol" or (stop == "stalled" and flat)
@@ -339,6 +372,9 @@ def linear_min_over_ball_slice(g: np.ndarray, center: np.ndarray, radius, total)
     gradient entries mark items no mass may move onto: they stay at exactly
     0 and their center mass shrinks the radius.  The center is then shifted
     onto the sum slice, and the fixed offset shrinks the radius further.
+
+    A row whose region is empty (the ball does not reach the slice, or
+    reaches it only outside the nonnegative orthant) raises ``ValueError``.
 
     If the projection of the center onto the cheapest face (the items of
     least gradient) lies in the ball, it is optimal.  Otherwise, by KKT, the

@@ -160,14 +160,14 @@ def solve_proactive(
         return cost_gradient_x(profile, at(x), cost, cfg)
 
     def hess(x, d):
-        return cost_hess_vec(profile, at(x), d, cost, cfg)
+        # the descent holds d for the whole solve: the product overwrites it
+        return cost_hess_vec(profile, at(x), d, cost, cfg, out=d)
 
-    upper = np.broadcast_to(sizes, (n_users, n_slots, m_items))
-    zero = np.zeros(upper.shape)
+    zero = np.zeros((n_users, n_slots, m_items))
     scale = None     # None measures from x0, the zero allocation on a cold start
     if x0 is not None:
         try:
-            scale = projected_gradient_norm(zero, grad(zero), 0.0, upper) or None
+            scale = projected_gradient_norm(zero, grad(zero), 0.0, sizes) or None
         except CostDomainError:
             pass     # the zero allocation overflows: measure from the warm start
     # the start's point is the last one built, so the descent reuses it
@@ -179,7 +179,7 @@ def solve_proactive(
             expected_cycle_cost(profile, at(x0), cost, cfg)
 
     res = box_projected_descent(
-        value, grad, hess, x0, 0.0, upper, tol=tol, max_iters=max_iters, scale=scale
+        value, grad, hess, x0, 0.0, sizes, tol=tol, max_iters=max_iters, scale=scale
     )
     if not res.converged:
         log.warning(

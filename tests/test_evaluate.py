@@ -19,9 +19,10 @@ from procache import (
     expected_cycle_cost,
     nonproactive_cost,
 )
-from procache import evaluate
+from procache import evaluate, parse_scenario
 from procache.costs import CostDomainError
-from procache.evaluate import ENGINES, Point, cycle_tables, slot_marginal_stats
+from procache.evaluate import ENGINES, Point, cycle_tables, prefetch_volume, slot_marginal_stats
+from procache.experiments import SCALING_SCENARIO
 from procache.rng import substream
 
 from conftest import random_instance
@@ -410,8 +411,9 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
             a, b, a_se, b_se = kernels.marginal_stats(tables, cost)
             exact = not kernels.sampled
             grad_p = kernels.gradient_p(tables, cost) if exact else None
-            dtables = cycle_tables(prof, x[::-1, ::-1], np.zeros(prof.num_items), cfg)
-            da, db = kernels.hess_vec(tables, kernels.curvature(tables, cost), dtables, cost)
+            d = x[::-1, ::-1]
+            dconst = prefetch_volume(d)
+            da, db = kernels.hess_vec(tables, kernels.curvature(tables, cost), d, dconst, cost)
             if exact:
                 assert not se.any() and not a_se.any() and not b_se.any()
             for t in range(prof.num_slots):
@@ -423,7 +425,8 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
                 assert np.array_equal(b_t[:, 0], b[:, t]) and np.array_equal(b_se_t[:, 0], b_se[:, t])
                 if exact:
                     assert np.array_equal(kernels.gradient_p(one, cost)[:, 0], grad_p[:, t])
-                da_t, db_t = kernels.hess_vec(one, kernels.curvature(one, cost), dtables.slot(t), cost)
+                da_t, db_t = kernels.hess_vec(one, kernels.curvature(one, cost), d[:, t:t + 1],
+                                              dconst[t:t + 1], cost)
                 assert da_t[0] == da[t] and np.array_equal(db_t[:, 0], db[:, t])
 
             # the cycle-level functions are the full batch
@@ -475,6 +478,36 @@ def test_analytic_hess_vec_equals_enumeration():
         got = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog)
         ref = cost_hess_vec(prof, x, d, cost, ref_cfg, catalog=catalog)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_hess_vec_into_out_equals_a_new_product(engine):
+    for catalog, prof, x, d, cost, cfg in _curvature_cases(engine):
+        ref = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog)
+        buf = np.full_like(d, np.nan)
+        got = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog, out=buf)
+        assert got is buf and np.array_equal(got, ref)
+        # the product written over its own direction reads all of it first
+        over = d.copy()
+        got = cost_hess_vec(prof, x, over, cost, cfg, catalog=catalog, out=over)
+        assert got is over and np.array_equal(got, ref)
+
+
+def test_an_analytic_product_into_a_buffer_allocates_no_full_size_array():
+    scn = parse_scenario(SCALING_SCENARIO).with_users(200)
+    prof, cost, cfg = scn.profile, scn.cost, scn.cfg
+    point = Point(prof, np.zeros(prof.probs.shape), scn.catalog.sizes, cost, cfg)
+    d = np.random.default_rng(4).uniform(-1.0, 1.0, size=prof.probs.shape)
+    buf = np.empty_like(d)
+    ref = cost_hess_vec(prof, point, d, cost, cfg)   # builds the point's tables
+    tracemalloc.start()
+    try:
+        cost_hess_vec(prof, point, d, cost, cfg, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(buf, ref)
+    assert peak < prof.probs.nbytes, peak
 
 
 @pytest.mark.parametrize("engine", ENGINES)

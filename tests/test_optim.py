@@ -29,25 +29,29 @@ def feasible_point(rng, center, radius, total):
     return center + lam * (z0 - center)
 
 
-def _dykstra_ball_slice(v, center, radius, total, tol=1e-13, max_rounds=2000):
+def _dykstra_ball_slice(v, center, radius, total, tol=1e-13, max_rounds=20000):
     """Test oracle: projection onto the ball/slice/orthant set by Dykstra's
     alternating projections (Boyle & Dykstra 1986), the solver the exact
-    path kernel replaced."""
+    path kernel replaced.  A round can leave the iterate in place while the
+    increments still move (the iterate then leaves later), so the oracle
+    stops only once the iterate and both increments settle, and raises at
+    the round cap rather than return an unsettled point."""
     x = np.asarray(v, dtype=float).copy()
     inc_ball = np.zeros_like(x)
     inc_slice = np.zeros_like(x)
-    prev = None
     for _ in range(max_rounds):
         z = x + inc_ball
         dist = float(np.linalg.norm(z - center))
         y = z.copy() if dist <= radius or dist == 0.0 else center + (z - center) * (radius / dist)
-        inc_ball = z - y
-        x = project_simplex_slice(y + inc_slice, total)
-        inc_slice = y + inc_slice - x
-        if prev is not None and float(np.linalg.norm(x - prev)) <= tol:
-            break
-        prev = x
-    return x
+        ball = z - y
+        x_next = project_simplex_slice(y + inc_slice, total)
+        slice_ = y + inc_slice - x_next
+        moved = max(float(np.linalg.norm(x_next - x)), float(np.linalg.norm(ball - inc_ball)),
+                    float(np.linalg.norm(slice_ - inc_slice)))
+        x, inc_ball, inc_slice = x_next, ball, slice_
+        if moved <= tol:
+            return x
+    raise RuntimeError(f"Dykstra oracle did not settle in {max_rounds} rounds")
 
 
 def _oracle_linear_min(g, center, radius, total, tol=1e-10, max_iters=20000):
@@ -554,18 +558,76 @@ def test_a_path_search_that_cannot_settle_names_its_rows(monkeypatch):
         optim._ball_path(c, d, np.ones(2), np.full(2, 1e30), np.inf)
 
 
+def _off_simplex_cases(rng, count):
+    """Centers with negative coordinates and off-slice sums, each with a
+    radius that reaches the nonnegative part of the slice."""
+    for _ in range(count):
+        d = int(rng.integers(2, 7))
+        total = float(rng.uniform(0.3, 2.0))
+        center = rng.dirichlet(np.ones(d)) * total + rng.normal(size=d) * 0.3 * total
+        reach = float(np.linalg.norm(project_simplex_slice(center, total) - center))
+        yield center, reach + float(rng.uniform(0.05, 0.8) * total), total
+
+
 def test_ball_slice_projection_matches_the_dykstra_oracle():
+    def check(v, center, radius, total):
+        proj = project_ball_slice(v, center, radius, total)
+        ref = _dykstra_ball_slice(v, center, radius, total)
+        assert np.allclose(proj, ref, atol=1e-9)
+        assert np.linalg.norm(v - proj) <= np.linalg.norm(v - ref) + 1e-12
+
     rng = np.random.default_rng(3)
     for _ in range(60):
         d = int(rng.integers(2, 7))
         total = float(rng.uniform(0.3, 2.0))
         center = rng.dirichlet(np.ones(d)) * total
         radius = float(rng.uniform(0.05, 0.8) * total)
-        v = center + rng.normal(size=d) * radius * 2.0
-        proj = project_ball_slice(v, center, radius, total)
-        ref = _dykstra_ball_slice(v, center, radius, total)
-        assert np.allclose(proj, ref, atol=1e-9)
-        assert np.linalg.norm(v - proj) <= np.linalg.norm(v - ref) + 1e-12
+        check(center + rng.normal(size=d) * radius * 2.0, center, radius, total)
+    # the instance the oracle once stopped early on, then off-simplex centers
+    center = np.array([1.5, -0.2, -0.3])
+    check(center + np.array([1.0, 3.0, -4.0]), center, 0.7, 1.0)
+    rng = np.random.default_rng(11)
+    for center, radius, total in _off_simplex_cases(rng, 60):
+        check(center + rng.normal(size=center.size) * radius * 2.0, center, radius, total)
+
+
+def test_the_dykstra_oracle_settles_before_it_stops():
+    # one round leaves the iterate at (1, 0, 0) while the increments still
+    # move; the projection is (0.9287, 0.0713, 0), 0.016 closer to v
+    center = np.array([1.5, -0.2, -0.3])
+    v = center + np.array([1.0, 3.0, -4.0])
+    ref = _dykstra_ball_slice(v, center, 0.7, 1.0)
+    np.testing.assert_allclose(ref, [0.92869251, 0.07130749, 0.0], atol=1e-8)
+    assert np.linalg.norm(v - ref) < np.linalg.norm(v - [1.0, 0.0, 0.0]) - 0.01
+    with pytest.raises(RuntimeError, match="did not settle"):
+        _dykstra_ball_slice(v, center, 0.7, 1.0, max_rounds=3)
+
+
+def test_an_empty_region_raises():
+    # the ball around an off-slice center reaches the slice only where some
+    # coordinate is negative: no feasible point, so no answer either
+    g, center = np.array([0.0, 1.0, 2.0]), np.array([0.9, 0.05, 0.05])
+    with pytest.raises(ValueError, match="misses the nonnegative part"):
+        linear_min_over_ball_slice(g, center, 0.3, 0.5)
+    with pytest.raises(ValueError, match="misses the nonnegative part"):
+        project_ball_slice(g, center, 0.3, 0.5)
+    # batched: feasible rows do not hide the empty one
+    centers = np.stack([[0.2, 0.2, 0.1], [0.1, 0.3, 0.1], center])
+    with pytest.raises(ValueError, match="misses the nonnegative part"):
+        project_ball_slice(np.stack([g, g, g]), centers, 0.3, 0.5)
+    with pytest.raises(ValueError, match="misses the nonnegative part"):
+        linear_min_over_ball_slice(np.stack([g, g, g]), centers, [0.3, 0.0, 0.3], 0.5)
+
+
+def test_a_feasible_center_below_the_rounding_of_p_does_not_raise():
+    # P(c) rounds 1.2e-16 away from the on-slice c, further than the radius
+    c = np.array([1.001, 0.252, 0.747])
+    assert np.linalg.norm(project_simplex_slice(c, 2.0) - c) > 1e-16
+    for r in (1e-16, 6e-17):
+        out = linear_min_over_ball_slice(np.array([1.0, 0.0, 2.0]), c, r, 2.0)
+        assert np.abs(out - c).max() <= 1e-15
+        out = project_ball_slice(c + np.array([1.0, -0.5, -0.5]), c, r, 2.0)
+        assert np.abs(out - c).max() <= 1e-15
 
 
 def test_box_descent_clamps_active_bounds():

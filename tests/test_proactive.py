@@ -1,5 +1,8 @@
 """Download optimization, active sets, the scalar policy, bounds, scaling."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,17 +261,41 @@ def test_newton_solve_of_the_paper_family_ends_on_its_relative_tolerance():
     assert res.grad_norm <= 1e-6 * np.linalg.norm(np.clip(-pg0, 0.0, sizes))
 
 
+def test_a_cold_solve_holds_few_full_size_arrays():
+    # Hessian products reuse the descent's one work buffer: the traced peak is
+    # the start, the iterate, its trial's tables, two gradients, the step and
+    # that buffer, about 7.3 allocation-sized arrays; one more full-size
+    # temporary alive at the peak passes 8
+    scn = parse_scenario(SCALING_SCENARIO).with_users(200)
+    tracemalloc.start()
+    try:
+        res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg, tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stop == "tol"
+    assert peak < 8 * scn.profile.probs.nbytes, peak / scn.profile.probs.nbytes
+
+
 def test_a_cold_solve_builds_the_tables_once_per_iterate(monkeypatch):
-    # direction tables carry zero sizes; allocation tables the catalog's
+    # tables are built for allocations only; a direction enters the kernel as itself
     scn = parse_scenario(SCALING_SCENARIO).with_users(200)
     iterates, directions = [], []
     build = evaluate.cycle_tables
+    engine = scn.cfg.kernels
 
     def counted(profile, x, sizes, cfg):
-        (iterates if np.any(sizes) else directions).append(x)
+        assert np.array_equal(sizes, scn.catalog.sizes)
+        iterates.append(x)
         return build(profile, x, sizes, cfg)
 
+    def product(tables, curv, d, dconst, cost, out=None):
+        directions.append(d)
+        return engine.hess_vec(tables, curv, d, dconst, cost, out)
+
     monkeypatch.setattr(evaluate, "cycle_tables", counted)
+    monkeypatch.setitem(evaluate._ENGINES, scn.cfg.engine,
+                        dataclasses.replace(engine, hess_vec=product))
     res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg, tol=1e-6)
     assert res.converged and directions
     # the list keeps every iterate alive, so no two of them share an id

@@ -35,7 +35,6 @@ from .proactive import (
     ScalingCurve,
     SolveResult,
     active_sets,
-    marginal_cost_ratio,
     policy_a,
     reduction_bounds,
     scaling_curve,
@@ -45,7 +44,6 @@ from .recommend import (
     RatingResult,
     RatingVector,
     solve_rating,
-    verify_mapping,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, save_scenario
 from .shaping import (

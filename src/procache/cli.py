@@ -12,7 +12,6 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -20,10 +19,8 @@ import numpy as np
 
 from . import __version__
 from .costs import CostDomainError
-from .demand import DemandProfile
 from .evaluate import (
     ENGINES,
-    EvalConfig,
     UnsupportedEngineError,
     expected_cycle_cost,
     nonproactive_cost,
@@ -38,7 +35,7 @@ from .experiments import (
 )
 from .proactive import scaling_curve, solve_proactive
 from .recommend import solve_rating
-from .scenario import Scenario, ScenarioError, check_cells, load_scenario, parse_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .shaping import boundary_check, shape_demand
 
 
@@ -92,8 +89,8 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
     """Monte Carlo estimate of the cycle cost, slot by slot."""
     if samples < 1:
         raise click.BadParameter("--samples must be a positive integer")
-    scn = load_scenario(scenario_path)
-    cfg = _override_eval(scn, "monte_carlo", samples, seed)
+    scn = load_scenario(scenario_path).with_eval("monte_carlo", samples, seed)
+    cfg = scn.cfg
     allocation = None
     if alloc_path is not None:
         allocation = _read_alloc(alloc_path, scn)
@@ -163,14 +160,14 @@ def _read_alloc(path, scn: Scenario) -> np.ndarray:
 @_guarded
 def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     """Minimize the cycle cost over proactive downloads."""
-    scn = load_scenario(scenario_path)
-    cfg = _override_eval(scn, engine, samples)
+    scn = load_scenario(scenario_path).with_eval(engine, samples)
+    cfg = scn.cfg
     base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, cfg)
     solved = solve_proactive(scn.profile, scn.catalog, scn.cost, cfg,
                              tol=tol, max_iters=max_iters)
     res = expected_cycle_cost(scn.profile, solved.allocation, scn.cost, cfg)
     _write_slot_rows(out_path, cfg.engine, res)
-    x = solved.allocation.x
+    x = scn.per_user(solved.allocation.x)
     n, t, m = np.nonzero(x)
     alloc_path = Path(out_path).with_name(Path(out_path).stem + "_alloc.csv")
     write_csv(alloc_path, ["user", "slot", "item", "x"], zip(n, t, m + 1, x[n, t, m]))
@@ -187,15 +184,6 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
         f"nonproactive {base.value:.6g} -> proactive {solved.cost:.6g} "
         f"({solved.iterations} iterations, converged={solved.converged})"
     )
-
-
-def _override_eval(scn: Scenario, engine, samples, seed=None) -> EvalConfig:
-    """The scenario's evaluation config with the options that were given; None keeps a field."""
-    changes = {"engine": engine, "samples": samples, "seed": seed}
-    cfg = replace(scn.cfg, **{key: v for key, v in changes.items() if v is not None})
-    if cfg.kernels.sampled:
-        check_cells("--samples", cfg.samples, scn.profile.num_users, scn.profile.num_slots)
-    return cfg
 
 
 @main.command()
@@ -222,8 +210,8 @@ def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
         "f0_final": float(result.trace.objectives[-1]),
         "outer_iterations": len(result.trace) - 1,
         "max_boundary_residual": float(np.max(boundary.scaled_residual)),
-        "profiles": result.profile.probs.tolist(),
-        "silence": result.profile.silence.tolist(),
+        "profiles": scn.per_user(result.profile.probs).tolist(),
+        "silence": scn.per_user(result.profile.silence).tolist(),
     })
     write_json(out_path, payload)
     click.echo(

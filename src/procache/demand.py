@@ -5,6 +5,10 @@ user ``n`` requests item ``m`` with probability ``probs[n, t, m]`` and stays
 silent with probability ``silence[n, t] = 1 - sum_m probs[n, t, m]``; at most
 one request per user per slot.  Slot indices wrap modulo ``T`` everywhere.
 
+A profile's rows are user classes: row ``k`` stands for ``counts[k]``
+identical users (one each by default), and :meth:`DemandProfile.expanded`
+repeats every row once per user.
+
 Probability rows must satisfy nonnegativity and ``sum_m p + q = 1`` to within
 1e-12.  Rows off by at most 1e-9 are renormalized with a warning; anything
 worse is rejected.
@@ -21,6 +25,7 @@ from .rng import substream
 
 _EXACT_TOL = 1e-12
 _RENORM_TOL = 1e-9
+MAX_COUNT = 2**53  # class sizes stay exact as float weights
 
 SILENT = 0  # outcome code for "no request"
 
@@ -111,12 +116,14 @@ def validate_profile(probs, silence=None, tol: float = _EXACT_TOL) -> list[Viola
 
 @dataclass(frozen=True)
 class DemandProfile:
-    """Cyclic request probabilities for all users: probs (N, T, M), silence (N, T)."""
+    """Cyclic request probabilities of user classes: probs (K, T, M), silence
+    (K, T), and counts (K,), the number of identical users each row stands for."""
 
     probs: np.ndarray
     silence: np.ndarray
+    counts: np.ndarray
 
-    def __init__(self, probs, silence=None):
+    def __init__(self, probs, silence=None, counts=None):
         p = np.array(probs, dtype=float)
         if p.ndim != 3:
             raise ValueError(f"probs must be (users, slots, items); got {p.shape}")
@@ -130,6 +137,7 @@ class DemandProfile:
         for name, arr in (("probs", p), ("silence", q)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"demand profile {name} must be finite")
+        c = _class_counts(counts, p.shape[0])
 
         worst = 0.0
         if p.size:
@@ -155,11 +163,34 @@ class DemandProfile:
         q.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "silence", q)
+        object.__setattr__(self, "counts", c)
+        weights = None
+        if np.any(c > 1):
+            weights = c.astype(float)
+            weights.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_draws", {})
 
     @property
     def num_users(self) -> int:
+        """Users in all classes: ``counts.sum()``."""
+        if self.per_user:
+            return len(self.counts)
+        return int(self.counts.sum(dtype=object))   # a Python int: no int64 overflow
+
+    @property
+    def num_classes(self) -> int:
         return int(self.probs.shape[0])
+
+    @property
+    def per_user(self) -> bool:
+        """Every class holds one user: the rows are the users."""
+        return self._weights is None
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        """The class sizes as float weights (K,), ``None`` when every class holds one user."""
+        return self._weights
 
     @property
     def num_slots(self) -> int:
@@ -170,8 +201,18 @@ class DemandProfile:
         return int(self.probs.shape[2])
 
     def with_probs(self, probs) -> "DemandProfile":
-        """Same silence pattern, new request probabilities."""
-        return DemandProfile(probs, self.silence)
+        """Same silence pattern and class sizes, new request probabilities."""
+        return DemandProfile(probs, self.silence, self.counts)
+
+    def expanded(self) -> "DemandProfile":
+        """The one-row-per-user profile: each class row repeated once per user, in order.
+
+        A profile whose classes each hold one user is its own expansion.
+        """
+        if self.per_user:
+            return self
+        return DemandProfile(np.repeat(self.probs, self.counts, axis=0),
+                             np.repeat(self.silence, self.counts, axis=0))
 
     def draws(self, seed: int, count: int) -> np.ndarray:
         """Read-only outcome codes of ``count`` samples per (slot, user); shape (T, N, count).
@@ -181,8 +222,12 @@ class DemandProfile:
         draws come back regardless of how many samples any caller requests.
         The array is drawn on first use and kept on the profile, so every
         later value and gradient call with the same seed and count reads it
-        instead of drawing again.
+        instead of drawing again.  The streams are per user, so a profile
+        with a class of several users raises ``ValueError``: draw from
+        :meth:`expanded`.
         """
+        if not self.per_user:
+            raise ValueError("draws need one row per user; sample profile.expanded()")
         key = (int(seed), int(count))
         out = self._draws.get(key)
         if out is None:
@@ -196,6 +241,25 @@ class DemandProfile:
             out.setflags(write=False)
             self._draws[key] = out
         return out
+
+
+def _class_counts(counts, num_rows: int) -> np.ndarray:
+    """``counts`` as a read-only int64 (K,) vector of integers in [1, MAX_COUNT]; ones if None."""
+    if counts is None:
+        c = np.ones(num_rows, dtype=np.int64)
+    else:
+        raw = np.asarray(counts)
+        if raw.shape != (num_rows,):
+            raise ValueError(f"counts must list one size per class ({num_rows}); got {raw.shape}")
+        if raw.dtype.kind not in "iuf" or not np.all(np.isfinite(raw)):
+            raise ValueError("counts must be integers")
+        if raw.dtype.kind == "f" and not np.all(raw == np.floor(raw)):
+            raise ValueError("counts must be integers")
+        if raw.size and (raw.min() < 1 or raw.max() > MAX_COUNT):
+            raise ValueError(f"counts must lie in [1, 2**53]; got {raw.min()} to {raw.max()}")
+        c = raw.astype(np.int64)
+    c.setflags(write=False)
+    return c
 
 
 def entropy(pi) -> float:

@@ -15,7 +15,20 @@ probability gradient, and the curvature state and kernel behind
 :func:`cost_hess_vec`), and
 :attr:`EvalConfig.kernels` is the one place the engine name is looked up.
 The kernels work on :class:`Tables`, all slots batched in the profile's own
-(N, T, M) layout; a one-slot slice is the batch of one.
+(K, T, M) layout; a one-slot slice is the batch of one.
+
+A row of the profile is a class of ``counts[k]`` identical users
+(:class:`~procache.demand.DemandProfile`).  The problem does not change when
+two identical users swap places and it is convex, so averaging an optimum
+over those swaps gives a symmetric one: solving for one (T, M) block per
+class is exact.  Only ``analytic_quadratic`` solves on classes
+(:attr:`Engine.classes`).  Its kernels weight every sum over rows by the
+counts, and the cycle-level gradients and Hessian product scale each row by
+its count, which makes them the exact derivatives of the cost as a function
+of the class rows (the sum over each class's copies).  The other engines
+work per user and refuse a count above 1; they take
+:meth:`~procache.demand.DemandProfile.expanded`.  Where every count is 1 no
+weight is applied, so per-user arithmetic is unchanged bit for bit.
 
 A :class:`Point` is one allocation ready for evaluation.  It builds its
 tables once, on first use, and the engine's curvature state at ``x`` once,
@@ -153,9 +166,10 @@ class Tables(NamedTuple):
     """Kernel inputs for a batch of slots, in the profile's (N, T, M) layout.
 
     ``v`` is the load a request adds to its slot (S - x; a silent user adds
-    0), ``const`` (T,) the load every outcome of the slot carries, and
+    0), ``const`` (T,) the load every outcome of the slot carries,
     ``draws`` the Monte Carlo outcome codes (T, N, K), ``None`` for the
-    exact engines.
+    exact engines, and ``counts`` the class sizes as float weights (K,),
+    ``None`` when every row is one user.
     """
 
     probs: np.ndarray
@@ -163,18 +177,30 @@ class Tables(NamedTuple):
     v: np.ndarray
     const: np.ndarray
     draws: np.ndarray | None
+    counts: np.ndarray | None
 
     def slot(self, t: int) -> "Tables":
         """The one-slot batch of slot ``t`` (indices wrap)."""
         t %= len(self.const)
         s = slice(t, t + 1)
         draws = None if self.draws is None else self.draws[s]
-        return Tables(self.probs[:, s], self.silence[:, s], self.v[:, s], self.const[s], draws)
+        return Tables(self.probs[:, s], self.silence[:, s], self.v[:, s], self.const[s], draws,
+                      self.counts)
 
 
-def prefetch_volume(x: np.ndarray) -> np.ndarray:
+def weigh_classes(arr: np.ndarray, counts: np.ndarray | None) -> np.ndarray:
+    """``arr`` with row ``k`` (its first axis) scaled by ``counts[k]``; ``arr``
+    itself when ``counts`` is ``None`` (every row one user)."""
+    if counts is None:
+        return arr
+    return arr * counts.reshape((-1,) + (1,) * (arr.ndim - 1))
+
+
+def prefetch_volume(x: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """The proactive traffic of allocation (or direction) ``x`` per slot, (T,):
-    slot t carries what is sent during it, ``x[:, t+1].sum()`` (indices wrap)."""
+    slot t carries what is sent during it, ``x[:, t+1].sum()`` (indices wrap),
+    each row counted once per user of its class."""
+    x = weigh_classes(x, counts)
     n_slots = x.shape[1]
     return np.array([x[:, (t + 1) % n_slots, :].sum() for t in range(n_slots)])
 
@@ -185,8 +211,9 @@ def cycle_tables(
     """Every slot's kernel inputs at allocation ``x``, ``const`` its
     :func:`prefetch_volume`."""
     draws = profile.draws(cfg.seed, cfg.samples) if cfg.kernels.sampled else None
-    return Tables(profile.probs, profile.silence, sizes[None, None, :] - x, prefetch_volume(x),
-                  draws)
+    counts = profile.weights
+    return Tables(profile.probs, profile.silence, sizes[None, None, :] - x,
+                  prefetch_volume(x, counts), draws, counts)
 
 
 class Point:
@@ -314,7 +341,16 @@ def _joint(ws: list, vs: list, const: np.ndarray):
 # underflow to 0, so the cost still sees only outcomes of positive probability.
 
 
+def _per_user_check(profile: DemandProfile, engine: str) -> None:
+    if not profile.per_user:
+        raise UnsupportedEngineError(
+            f"the {engine} engine evaluates one row per user, and this profile has a class "
+            f"of {int(profile.counts.max())} users; pass profile.expanded()"
+        )
+
+
 def _enum_check(profile: DemandProfile, cost: CostModel) -> None:
+    _per_user_check(profile, "enumerate")
     # (M+1)^N overflows a float past N ~ 308 / log10(M+1): compare logarithms
     digits = profile.num_users * np.log10(profile.num_items + 1)
     if digits > np.log10(_ENUM_LIMIT):
@@ -439,15 +475,15 @@ def _analytic_check(profile: DemandProfile, cost: CostModel) -> None:
 
 
 def _moments(tables: Tables, cost: CostModel):
-    """Cost coefficients, every user's mean load (N, T) and E[Y] (T,)."""
+    """Cost coefficients, every class's per-user mean load (K, T) and E[Y] (T,)."""
     mean_u = np.einsum("ntm,ntm->nt", tables.probs, tables.v)
-    return cost.poly_coeffs(), mean_u, tables.const + mean_u.sum(axis=0)
+    return cost.poly_coeffs(), mean_u, tables.const + weigh_classes(mean_u, tables.counts).sum(axis=0)
 
 
 def _analytic_expected_cost(tables: Tables, cost: CostModel):
     (c0, c1, c2), mean_u, ey = _moments(tables, cost)
     m2_u = np.einsum("ntm,ntm,ntm->nt", tables.probs, tables.v, tables.v)
-    vary = (m2_u - mean_u**2).sum(axis=0)
+    vary = weigh_classes(m2_u - mean_u**2, tables.counts).sum(axis=0)
     return c0 + c1 * ey + c2 * (vary + ey * ey), np.zeros(len(ey))
 
 
@@ -468,7 +504,7 @@ def _analytic_hess_vec(tables: Tables, curv: None, d, dconst, cost: CostModel, o
     ``out`` (which may be ``d``) or in one new buffer."""
     c2 = 2.0 * cost.poly_coeffs()[2]
     dmean_u = np.einsum("ntm,ntm->nt", tables.probs, d)
-    dey = dconst - dmean_u.sum(axis=0)
+    dey = dconst - weigh_classes(dmean_u, tables.counts).sum(axis=0)
     db = np.subtract((dey + dmean_u)[:, :, None], d, out=out)
     db *= tables.probs
     db *= c2
@@ -580,6 +616,12 @@ class Engine:
     allocation, so these are the exact derivatives of ``marginal_stats``'
     ``(a, b)`` along that direction.
 
+    Rows are classes of ``tables.counts`` identical users.  An engine with
+    ``classes`` weights every sum over rows by the counts, so its ``a`` and
+    ``da`` are the slot's whole statistics and its per-row ``b``, ``db`` and
+    ``gradient_p`` those of one user of the class; the other engines'
+    ``check`` refuses a count above 1.
+
     ``sampled`` engines read the profile's memoised draws.  The exact
     engines' errors are zeros; ``b_se`` is a read-only broadcast, so the
     hot ``cost_gradient_x`` path allocates no (N, T, M) array for it.
@@ -594,6 +636,7 @@ class Engine:
     curvature: Callable
     hess_vec: Callable
     sampled: bool = False
+    classes: bool = False
 
 
 _ENGINES = {
@@ -603,10 +646,10 @@ _ENGINES = {
     ),
     "analytic_quadratic": Engine(
         _analytic_check, _analytic_expected_cost, _analytic_marginal_stats, _analytic_gradient_p,
-        _no_curvature, _analytic_hess_vec,
+        _no_curvature, _analytic_hess_vec, classes=True,
     ),
     "monte_carlo": Engine(
-        lambda profile, cost: None, _mc_expected_cost, _mc_marginal_stats, _mc_gradient_p,
+        lambda profile, cost: _per_user_check(profile, "monte_carlo"), _mc_expected_cost, _mc_marginal_stats, _mc_gradient_p,
         _mc_curvature, _mc_hess_vec, sampled=True,
     ),
 }
@@ -628,10 +671,13 @@ def _checked_point(profile, allocation, cost, cfg, catalog) -> Point:
     return Point(profile, x, _sizes_of(allocation, catalog), cost, cfg)
 
 
-def _combine(a: np.ndarray, b: np.ndarray, n_slots: int) -> np.ndarray:
-    """``(roll(a, 1) - b) / T`` in ``b``'s own buffer, for slot t-1's ``a``."""
+def _combine(a: np.ndarray, b: np.ndarray, tables: Tables) -> np.ndarray:
+    """``(roll(a, 1) - b) / T`` in ``b``'s own buffer, for slot t-1's ``a``, each
+    row then scaled by its class size: the sum over the class's copies."""
     np.subtract(np.roll(a, 1)[None, :, None], b, out=b)
-    b /= n_slots
+    b /= len(tables.const)
+    if tables.counts is not None:
+        b *= tables.counts[:, None, None]
     return b
 
 
@@ -676,11 +722,13 @@ def cost_gradient_x(
     Raising x[n, t, m] adds traffic to slot t-1 and removes the reactive
     remainder from slot t, so the coordinate derivative is
     ``(E[C'(Y_{t-1})] - E[I_{n,t}(m) C'(Y_t)]) / T``.  The Monte Carlo
-    engine applies the same pathwise rule sample by sample.
+    engine applies the same pathwise rule sample by sample.  On a profile of
+    classes, row k moves all ``counts[k]`` users of its class together, so
+    its entry is that derivative times the count.
     """
     tables = _checked_point(profile, allocation, cost, cfg, catalog).tables
     a, b, _, _ = cfg.kernels.marginal_stats(tables, cost)
-    return _combine(a, b, profile.num_slots)
+    return _combine(a, b, tables)
 
 
 def cost_hess_vec(
@@ -702,16 +750,19 @@ def cost_hess_vec(
     every engine because the outcome distribution does not depend on the
     allocation.  The kernel reads ``d`` as it is, with its
     :func:`prefetch_volume`.  Given a :class:`Point`, every product reads its
-    tables and curvature state instead of building them again.
+    tables and curvature state instead of building them again.  On a profile
+    of classes ``d``'s row k moves every user of class k, and the product's
+    row is scaled by the count, as in :func:`cost_gradient_x`.
 
     The product is written into ``out`` when given (a float (N, T, M)
     array, which may be ``d`` itself), so a solver that keeps one buffer
     takes its products without an allocation of that size.
     """
     point = _checked_point(profile, allocation, cost, cfg, catalog)
-    d = np.asarray(d, dtype=float)
-    da, db = cfg.kernels.hess_vec(point.tables, point.curvature, d, prefetch_volume(d), cost, out)
-    return _combine(da, db, profile.num_slots)
+    tables, d = point.tables, np.asarray(d, dtype=float)
+    da, db = cfg.kernels.hess_vec(tables, point.curvature, d, prefetch_volume(d, tables.counts),
+                                  cost, out)
+    return _combine(da, db, tables)
 
 
 def cost_gradient_p(
@@ -725,7 +776,9 @@ def cost_gradient_p(
 
     The derivative against p[n, t, m] (trading probability mass against the
     silent state) is ``(E_-n[C(Y_t) | n -> m] - E_-n[C(Y_t) | n silent]) / T``
-    and needs conditional expectations, so only exact engines qualify.
+    and needs conditional expectations, so only exact engines qualify.  On
+    a profile of classes row k moves the probabilities of every user of class
+    k, so it is that derivative times the count.
 
     A coordinate comes back ``+inf`` when the conditional expectation
     diverges, i.e. requesting item m would overload a bounded-capacity cost
@@ -734,4 +787,4 @@ def cost_gradient_p(
     it tells the caller that no mass may move onto that item.
     """
     tables = _checked_point(profile, allocation, cost, cfg, catalog).tables
-    return cfg.kernels.gradient_p(tables, cost) / profile.num_slots
+    return weigh_classes(cfg.kernels.gradient_p(tables, cost) / profile.num_slots, tables.counts)

@@ -313,6 +313,7 @@ def box_projected_descent(
     iterations.
     """
     x = np.asarray(x0, dtype=float)
+    del x0   # the start is freed once the first accepted step moves x off it
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if np.broadcast_shapes(x.shape, lower.shape, upper.shape) != x.shape:
         raise ValueError(f"box bounds {lower.shape} and {upper.shape} do not fit x {x.shape}")

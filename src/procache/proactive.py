@@ -29,6 +29,7 @@ from .evaluate import (
     expected_cycle_cost,
     nonproactive_cost,
     slot_marginal_stats,
+    weigh_classes,
 )
 from .optim import box_projected_descent, golden_section_min, projected_gradient_norm
 
@@ -46,19 +47,22 @@ class ActiveSets:
     one unit of that user's slot-t demand into slot t-1 is positive under
     non-proactive loads.  With the Monte Carlo engine, cells whose statistic
     is within 4 standard errors of zero are excluded from membership and
-    listed in ``undecided``.
+    listed in ``undecided``.  On a profile of classes the rows are classes
+    and ``counts`` their sizes as float weights (``None`` when every row is
+    one user).
     """
 
     member: np.ndarray            # (N, T, M) bool
     stat: np.ndarray              # (N, T, M) the decision statistic
     undecided: tuple = field(default=())
+    counts: np.ndarray | None = None
 
     def users(self, t: int, m: int) -> tuple[int, ...]:
         return tuple(int(n) for n in np.nonzero(self.member[:, t, m])[0])
 
     def pair_counts(self) -> np.ndarray:
-        """Number of active (user, item) pairs per slot."""
-        return self.member.sum(axis=(0, 2)).astype(int)
+        """Number of active (user, item) pairs per slot, each class row counted once per user."""
+        return weigh_classes(self.member.sum(axis=2), self.counts).sum(axis=0)
 
     @property
     def any_active(self) -> bool:
@@ -82,7 +86,7 @@ def active_sets(
     else:
         member = stat > _MEMBER_MARGIN
         undecided = ()
-    return ActiveSets(member=member, stat=stat, undecided=undecided)
+    return ActiveSets(member=member, stat=stat, undecided=undecided, counts=profile.weights)
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,7 @@ def solve_proactive(
     trial is accepted and every Hessian product at it share its tables and
     curvature state, and its value is computed once.  The descent starts
     from the start array itself, so the start is built once too.
+    The descent holds the start only until its first accepted step.
     """
     sizes = catalog.sizes
     n_users, n_slots, m_items = profile.probs.shape
@@ -170,16 +175,17 @@ def solve_proactive(
             scale = projected_gradient_norm(zero, grad(zero), 0.0, sizes) or None
         except CostDomainError:
             pass     # the zero allocation overflows: measure from the warm start
-    # the start's point is the last one built, so the descent reuses it
     if x0 is None or not np.isfinite(value(x0)):
         x0, scale = zero, None
         if not np.isfinite(value(x0)):
             # nothing to optimize: even pure reactive service overflows;
             # surface the untranslated domain error
             expected_cycle_cost(profile, at(x0), cost, cfg)
-
+    # the start's point is the last one built, so the descent reuses it; the
+    # start is passed as point.x alone, so it is freed once the descent moves off
+    del zero, x0
     res = box_projected_descent(
-        value, grad, hess, x0, 0.0, sizes, tol=tol, max_iters=max_iters, scale=scale
+        value, grad, hess, point.x, 0.0, sizes, tol=tol, max_iters=max_iters, scale=scale
     )
     if not res.converged:
         log.warning(
@@ -214,7 +220,7 @@ def _policy_slot_objective(tables, cost, cfg, sets, t):
     """phi_t(x): expected cost of slots t-1 and t when every active pair
     prefetches exactly x units; ``tables`` hold the cycle at x = 0."""
     prev, cur = tables.slot(t - 1), tables.slot(t)
-    pairs = int(sets.member[:, t, :].sum())
+    pairs = sets.pair_counts()[t]
     member = sets.member[:, t:t + 1]
     expected_cost = cfg.kernels.expected_cost
 
@@ -317,8 +323,9 @@ def reduction_bounds(
     nonempty.
     """
     sets = active_sets(profile, catalog, cost, cfg)
-    n_slots = profile.num_slots
-    upper = float(np.sum(sets.stat * sets.member * catalog.sizes[None, None, :])) / n_slots
+    n_slots, counts = profile.num_slots, profile.weights
+    upper = float(np.sum(weigh_classes(sets.stat * sets.member * catalog.sizes[None, None, :],
+                                       counts))) / n_slots
 
     # the at-zero statistic re-evaluated with slot t's own pairs prefetching
     # x_tilde[t] and slot t-1 carrying that traffic
@@ -328,7 +335,8 @@ def reduction_bounds(
     _, b_mod, _, _ = stats(tables._replace(v=tables.v - pol.allocation.x), cost)
     shifted = np.roll(pol.x_tilde * sets.pair_counts(), -1)
     a_shift, _, _, _ = stats(tables._replace(const=shifted), cost)
-    gain = np.sum((b_mod - np.roll(a_shift, 1)[None, :, None]) * sets.member, axis=(0, 2))
+    gain = np.sum(weigh_classes((b_mod - np.roll(a_shift, 1)[None, :, None]) * sets.member,
+                                counts), axis=(0, 2))
     lower = float(np.sum(pol.x_tilde * gain)) / n_slots
 
     base = nonproactive_cost(profile, catalog, cost, cfg)
@@ -345,22 +353,6 @@ def reduction_bounds(
         policy=pol,
         solve=solved,
     )
-
-
-def marginal_cost_ratio(
-    profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, cfg: EvalConfig
-) -> np.ndarray:
-    """Diagnostic per-slot ratio E[C'(L_t)] / E[C'(L_{t-1})] at zero allocation.
-
-    A slot whose ratio exceeds 1 is a load peak relative to its predecessor;
-    sustained ratios above 1 on slots with nonempty active sets indicate the
-    regime where the reduction keeps growing superlinearly with the user
-    count.  Purely informational; no algorithm branches on it.
-    """
-    a, _, _, _ = slot_marginal_stats(
-        profile, np.zeros_like(profile.probs), catalog.sizes, cost, cfg
-    )
-    return a / np.roll(a, 1)
 
 
 @dataclass(frozen=True)

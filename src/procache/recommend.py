@@ -78,15 +78,3 @@ def solve_rating(target_probs, silence: float, intrinsic) -> RatingResult:
         # realizes the profile, so stay infinitesimally above zero
         s = _TINY * s_cap
     return RatingResult(RatingVector(s * pi), float(s), clamped, False)
-
-
-def verify_mapping(v, silence: float) -> np.ndarray:
-    """Request probabilities induced by displayed ratings (round-trip check)."""
-    arr = RatingVector(v).v
-    activity = 1.0 - float(silence)
-    if activity <= 0.0:
-        return np.zeros_like(arr)
-    total = float(arr.sum())
-    if total <= 0.0:
-        raise ValueError("an active user needs at least one positive rating")
-    return activity * arr / total

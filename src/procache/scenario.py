@@ -12,15 +12,27 @@ Schema (all floats unless noted)::
       "sizes": [3, 2, 4]                    # or {"kind": "uniform",
                                             #     "count": 50, "low": 10, "high": 30}
       "slots": 2,                           # optional with explicit profiles
-      "profiles": [ [[..M..] per slot] per user ],
+      "profiles": [ [[..M..] per slot] per user class ],
+      "counts": [3, 1],                     # optional with profiles: users per
+                                            # row, integers in [1, 2**53]
       "generator": {"kind": "zipf", "users": 2, "power": 4,
-                    "activity": [0.1, 0.9]},   # alternative to "profiles"
+                    "activity": [0.1, 0.9]},   # alternative to "profiles":
+                                               # one class of "users" users
       "cost": {"kind": "quadratic"}         # or {"kind": "outage", "mu": 9.8}
                                             # or {"kind": "polynomial", "coeffs": [..]}
       "eval": {"engine": "enumerate", "samples": 0},
       "alpha": 0.2,                         # scalar or per-user list
       "seed": 7
     }
+
+A profile row stands for ``counts`` identical users (one by default).  A
+per-user ``alpha`` list holds one budget per user, in row order; a class
+whose users' budgets differ is split into users of their own.  The
+:class:`Scenario` holds the profile in the form its engine solves on: the
+classes for an engine with :attr:`~procache.evaluate.Engine.classes`,
+:meth:`~procache.demand.DemandProfile.expanded` (one row per user)
+otherwise.  :data:`CELL_LIMIT` bounds classes x slots x items for the class
+form and users x slots x items for the expansion.
 
 The scenario hash is the sha256 of the canonical (sorted-key) JSON of the
 input, so reports can state exactly what they were computed from.
@@ -31,18 +43,19 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .costs import CostModel
-from .demand import DemandProfile, ItemCatalog, zipf_profile
+from .demand import MAX_COUNT, DemandProfile, ItemCatalog, zipf_profile
 from .evaluate import EvalConfig, UnsupportedEngineError
 from .rng import substream
 
 _SIZE_STREAM = (997, 991)  # namespace ids for catalog draws
-# Largest array a scenario may ask for, in cells: users x slots x items for
-# the profile and allocation, samples x users x slots for Monte Carlo draws.
+# Largest array a scenario may ask for, in cells: rows x slots x items for
+# the profile and allocation (classes for an engine that solves on them,
+# users otherwise), samples x users x slots for Monte Carlo draws.
 # A solve holds several such arrays at once, 80 MB each at this limit.
 CELL_LIMIT = 10_000_000
 
@@ -119,12 +132,61 @@ def check_cells(key: str, *dims: int) -> None:
         )
 
 
+def _counts(value, num_rows: int) -> np.ndarray:
+    """The 'counts' list: one integer in [1, 2**53] per profile row."""
+    if not isinstance(value, list) or len(value) != num_rows:
+        size = len(value) if isinstance(value, list) else "no list"
+        raise ScenarioError(f"'counts' must list one user count per profile row "
+                            f"({num_rows}), got {size}")
+    counts = [_integer(v, "'counts'", 1) for v in value]
+    if max(counts) > MAX_COUNT:
+        raise ScenarioError(f"'counts' asks for {max(counts)} users in a row; the limit is 2**53")
+    return np.array(counts, dtype=np.int64)
+
+
+def _users_key(source: dict) -> str:
+    """The input that sets the user count, as a cell-limit error names it."""
+    return "'users' in generator" if "generator" in source else "'counts'"
+
+
+def _split_by_alpha(profile: DemandProfile, alpha: np.ndarray):
+    """Class rows and per-row budgets from one budget per user: a class whose
+    users' budgets differ becomes users of their own."""
+    counts = profile.counts
+    starts = np.cumsum(counts) - counts
+    varies = np.minimum.reduceat(alpha, starts) != np.maximum.reduceat(alpha, starts)
+    if not varies.any():
+        return profile, alpha[starts]
+    reps = np.where(varies, counts, 1)
+    counts = np.repeat(np.where(varies, 1, counts), reps)
+    rows = DemandProfile(np.repeat(profile.probs, reps, axis=0),
+                         np.repeat(profile.silence, reps, axis=0), counts)
+    return rows, alpha[np.cumsum(counts) - counts]
+
+
+def _engine_form(classes: DemandProfile, class_alpha: np.ndarray, cfg: EvalConfig,
+                 users_key: str, samples_key: str):
+    """The profile and budgets in the form ``cfg``'s engine solves on, checked
+    against :data:`CELL_LIMIT`."""
+    profile, alpha = classes, class_alpha
+    if not (cfg.kernels.classes or classes.per_user):
+        check_cells(users_key, classes.num_users, classes.num_slots, classes.num_items)
+        profile, alpha = classes.expanded(), np.repeat(class_alpha, classes.counts)
+    if cfg.kernels.sampled:
+        check_cells(samples_key, cfg.samples, profile.num_users, profile.num_slots)
+    return profile, alpha
+
+
 def _refuse_constant(token: str):
     raise ScenarioError(f"not valid JSON: {token} is not a strict JSON number")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario.  ``profile`` and ``alpha`` (one budget per row) are
+    in the form ``cfg``'s engine solves on; ``classes`` and ``class_alpha``
+    are the class form they come from."""
+
     catalog: ItemCatalog
     profile: DemandProfile
     cost: CostModel
@@ -132,10 +194,34 @@ class Scenario:
     alpha: np.ndarray
     seed: int
     source: dict
+    classes: DemandProfile
+    class_alpha: np.ndarray
 
     @property
     def hash(self) -> str:
         return scenario_hash(self.source)
+
+    def with_eval(self, engine=None, samples=None, seed=None) -> "Scenario":
+        """The scenario under the command line's ``--engine``, ``--samples`` and
+        ``--seed`` overrides; ``None`` keeps a field.
+
+        The profile and budgets are rebuilt in the form the new engine solves
+        on.  A sample count past :data:`CELL_LIMIT` is refused naming
+        ``--samples``.
+        """
+        changes = {"engine": engine, "samples": samples, "seed": seed}
+        cfg = replace(self.cfg, **{key: v for key, v in changes.items() if v is not None})
+        profile, alpha = _engine_form(self.classes, self.class_alpha, cfg,
+                                      _users_key(self.source), "--samples")
+        return replace(self, cfg=cfg, profile=profile, alpha=alpha)
+
+    def per_user(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` (one per row of ``profile``) repeated once per user of its
+        class, refused past :data:`CELL_LIMIT`."""
+        if self.profile.per_user:
+            return rows
+        check_cells(_users_key(self.source), self.profile.num_users, *rows.shape[1:])
+        return np.repeat(rows, self.profile.counts, axis=0)
 
     def with_users(self, num_users: int) -> "Scenario":
         """The same generator scenario grown or shrunk to ``num_users`` users."""
@@ -156,7 +242,7 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError("scenario must be a JSON object")
     _require_keys(
         data,
-        {"sizes", "slots", "profiles", "generator", "cost", "eval", "alpha", "seed"},
+        {"sizes", "slots", "profiles", "counts", "generator", "cost", "eval", "alpha", "seed"},
         "scenario",
     )
     seed = _integer(data.get("seed", 0), "'seed'", 0)
@@ -198,16 +284,21 @@ def parse_scenario(data: dict) -> Scenario:
                 f"'slots' is {data['slots']} but profiles have {probs.shape[1]} slots"
             )
         check_cells("'profiles'", *probs.shape)
+        counts = _counts(data["counts"], probs.shape[0]) if "counts" in data else None
         try:
-            profile = DemandProfile(probs)
+            profile = DemandProfile(probs, counts=counts)
         except ValueError as exc:
             raise ScenarioError(f"invalid profiles: {exc}") from exc
     else:
+        if "counts" in data:
+            raise ScenarioError("'counts' goes with 'profiles'; a generator sets 'users'")
         gen_spec = _block(data, "generator")
         _require_keys(gen_spec, {"kind", "users", "power", "activity"}, "generator")
         if _need(gen_spec, "kind", "generator") != "zipf":
             raise ScenarioError(f"unknown generator kind {gen_spec['kind']!r}")
         users = _integer(_need(gen_spec, "users", "generator"), "'users' in generator", 1)
+        if users > MAX_COUNT:
+            raise ScenarioError(f"'users' in generator asks for {users} users; the limit is 2**53")
         power = _number(_need(gen_spec, "power", "generator"), "'power' in generator")
         activity = np.atleast_1d(
             _numbers(_need(gen_spec, "activity", "generator"), "'activity' in generator")
@@ -216,11 +307,10 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioError(
                 f"'slots' is {data['slots']} but generator lists {activity.size} activities"
             )
-        check_cells("'users' in generator", users, activity.size, catalog.num_items)
         try:
             with np.errstate(over="raise", invalid="raise"):   # rank^-power can overflow
                 rows = np.stack([zipf_profile(catalog.num_items, power, a) for a in activity])
-            profile = DemandProfile(np.broadcast_to(rows, (users,) + rows.shape).copy())
+            profile = DemandProfile(rows[None], counts=[users])
         except (ValueError, FloatingPointError) as exc:
             raise ScenarioError(f"invalid generator: {exc}") from exc
 
@@ -259,32 +349,38 @@ def parse_scenario(data: dict) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(f"invalid eval config: {exc}") from exc
-    if cfg.kernels.sampled:
-        check_cells("'samples' in eval", cfg.samples, profile.num_users, profile.num_slots)
+
+    alpha_spec = _numbers(data.get("alpha", 0.2), "'alpha'")
+    if alpha_spec.ndim == 0 or alpha_spec.shape == (1,):
+        class_alpha = np.full(profile.num_classes, float(alpha_spec.reshape(-1)[0]))
+    elif alpha_spec.shape == (profile.num_users,):
+        profile, class_alpha = _split_by_alpha(profile, alpha_spec)
+    else:
+        raise ScenarioError(
+            f"'alpha' lists {alpha_spec.size} budgets for {profile.num_users} users"
+        )
+    if np.any(class_alpha < 0):
+        raise ScenarioError("alpha must be nonnegative")
+    users_key = _users_key(data)
+    check_cells(users_key, *profile.probs.shape)
+    engine_profile, alpha = _engine_form(profile, class_alpha, cfg, users_key,
+                                         "'samples' in eval")
 
     try:
-        cfg.kernels.check(profile, cost)
+        cfg.kernels.check(engine_profile, cost)
     except UnsupportedEngineError as exc:
         raise ScenarioError(f"engine mismatch: {exc}") from exc
 
-    alpha_spec = _numbers(data.get("alpha", 0.2), "'alpha'")
-    try:
-        alpha = np.broadcast_to(alpha_spec, (profile.num_users,)).copy()
-    except ValueError as exc:
-        raise ScenarioError(
-            f"'alpha' lists {alpha_spec.size} budgets for {profile.num_users} users"
-        ) from exc
-    if np.any(alpha < 0):
-        raise ScenarioError("alpha must be nonnegative")
-
     return Scenario(
         catalog=catalog,
-        profile=profile,
+        profile=engine_profile,
         cost=cost,
         cfg=cfg,
         alpha=alpha,
         seed=seed,
         source=data,
+        classes=profile,
+        class_alpha=class_alpha,
     )
 
 

@@ -59,18 +59,6 @@ class EBCRegion:
             radius = activity * alpha * entropy(center / activity)
         return cls(center=center, activity=activity, alpha=float(alpha), radius=radius)
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
-        p = np.asarray(p, dtype=float)
-        return (
-            bool(np.all(p >= -tol))
-            and abs(float(p.sum()) - self.activity) <= max(tol, 1e-12)
-            and float(np.linalg.norm(p - self.center)) <= self.radius + tol
-        )
-
-    def strictly_inside_slice(self) -> bool:
-        """True when the ball cannot touch a nonnegativity face of the slice."""
-        return bool(_strictly_inside(self.center, np.asarray(self.radius)))
-
 
 def _strictly_inside(center, radius):
     """Per row: the ball cannot touch a nonnegativity face of the slice.
@@ -85,14 +73,17 @@ def _strictly_inside(center, radius):
 
 
 def ebc_regions(profile: DemandProfile, alpha) -> list[list[EBCRegion]]:
-    """Per-user, per-slot regions; ``alpha`` is a scalar or per-user vector."""
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (profile.num_users,))
+    """Per-row, per-slot regions; ``alpha`` is a scalar or one budget per row.
+
+    On a profile of classes a row's region is that of each of its users.
+    """
+    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (profile.num_classes,))
     return [
         [
             EBCRegion.around(profile.probs[n, t], profile.silence[n, t], float(alphas[n]))
             for t in range(profile.num_slots)
         ]
-        for n in range(profile.num_users)
+        for n in range(profile.num_classes)
     ]
 
 
@@ -174,6 +165,11 @@ def shape_demand(
     allocation (so the download half-step can only lower the cost).  Stops
     when successive objectives differ by at most ``tol_outer * (1 + |f|)``.
     A cost increase beyond roundoff raises :class:`ShapingDescentError`.
+
+    On a profile of classes the regions and ``alpha`` are per row.  A row's
+    probability gradient is its count times a user's, and the linear step's
+    minimizer does not change under that positive scale, so the classes
+    follow the per-user path exactly.
     """
     regions = ebc_regions(profile, alpha)
     center, radius, activity = _stack(regions)

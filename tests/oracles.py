@@ -4,7 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procache import ProactiveAllocation, sample_outcomes
+from procache import ProactiveAllocation, RatingVector, sample_outcomes
+from procache.evaluate import slot_marginal_stats
+from procache.shaping import _strictly_inside
 
 
 @dataclass(frozen=True)
@@ -66,3 +68,41 @@ def conditional(profile, user: int, slot: int) -> ConditionalProfile:
     if active <= 0.0:
         raise ValueError("conditional profile undefined for an always-silent slot")
     return ConditionalProfile(np.asarray(profile.probs[user, t], dtype=float) / active)
+
+
+def verify_mapping(v, silence: float) -> np.ndarray:
+    """Request probabilities induced by displayed ratings (round-trip check)."""
+    arr = RatingVector(v).v
+    activity = 1.0 - float(silence)
+    if activity <= 0.0:
+        return np.zeros_like(arr)
+    total = float(arr.sum())
+    if total <= 0.0:
+        raise ValueError("an active user needs at least one positive rating")
+    return activity * arr / total
+
+
+def marginal_cost_ratio(profile, catalog, cost, cfg) -> np.ndarray:
+    """Per-slot ratio E[C'(L_t)] / E[C'(L_{t-1})] at zero allocation.
+
+    A slot whose ratio exceeds 1 is a load peak relative to its predecessor.
+    """
+    a, _, _, _ = slot_marginal_stats(
+        profile, np.zeros_like(profile.probs), catalog.sizes, cost, cfg
+    )
+    return a / np.roll(a, 1)
+
+
+def region_contains(region, p, tol: float = 1e-9) -> bool:
+    """``p`` lies in the entropy-ball region (to ``tol``)."""
+    p = np.asarray(p, dtype=float)
+    return (
+        bool(np.all(p >= -tol))
+        and abs(float(p.sum()) - region.activity) <= max(tol, 1e-12)
+        and float(np.linalg.norm(p - region.center)) <= region.radius + tol
+    )
+
+
+def strictly_inside_slice(region) -> bool:
+    """True when the region's ball cannot touch a nonnegativity face of the slice."""
+    return bool(_strictly_inside(region.center, np.asarray(region.radius)))

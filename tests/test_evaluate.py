@@ -495,7 +495,7 @@ def test_hess_vec_into_out_equals_a_new_product(engine):
 
 def test_an_analytic_product_into_a_buffer_allocates_no_full_size_array():
     scn = parse_scenario(SCALING_SCENARIO).with_users(200)
-    prof, cost, cfg = scn.profile, scn.cost, scn.cfg
+    prof, cost, cfg = scn.profile.expanded(), scn.cost, scn.cfg   # the full-N path
     point = Point(prof, np.zeros(prof.probs.shape), scn.catalog.sizes, cost, cfg)
     d = np.random.default_rng(4).uniform(-1.0, 1.0, size=prof.probs.shape)
     buf = np.empty_like(d)

@@ -497,6 +497,7 @@ def test_piece_root_search_takes_few_rounds_on_the_shaping_rows(monkeypatch):
     # analytic Zipf shaping, N = 50: the bisection took 59 projections per
     # step; a fallback to it would show here
     scn = parse_scenario(SCALING_SCENARIO).with_users(50)
+    prof = scn.profile.expanded()   # one row per user, as the bisection saw them
     count = _counted_projections(monkeypatch)
     per_step = []
     step = shaping.linear_min_over_ball_slice
@@ -508,7 +509,7 @@ def test_piece_root_search_takes_few_rounds_on_the_shaping_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(shaping, "linear_min_over_ball_slice", counted_step)
-    res = shaping.shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, 0.2)
+    res = shaping.shape_demand(prof, scn.catalog, scn.cost, scn.cfg, 0.2)
     assert res.converged and per_step
     assert max(per_step) <= 8
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procache import RatingResult, RatingVector, solve_rating, verify_mapping
+from procache import RatingResult, RatingVector, solve_rating
+
+from oracles import verify_mapping
 
 
 def solve_rating_descent(target_probs, silence, intrinsic, tol=1e-12, max_iters=100000):

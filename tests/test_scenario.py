@@ -47,12 +47,16 @@ def test_parse_generator_scenario():
         "seed": 3,
     }
     sc = parse_scenario(data)
-    assert sc.profile.probs.shape == (4, 2, 3)
-    assert np.allclose(sc.profile.probs[2, 0], zipf_profile(3, 4.0, 0.9))
-    assert np.allclose(sc.profile.probs[0, 1], zipf_profile(3, 4.0, 0.5))
+    # the analytic engine solves on one class of the 4 identical users
+    assert sc.profile.counts.tolist() == [4] and sc.profile.num_users == 4
+    assert sc.alpha.tolist() == [0.2]  # default budget, per class
+    prof = sc.profile.expanded()
+    assert prof.probs.shape == (4, 2, 3)
+    assert np.allclose(prof.probs[2, 0], zipf_profile(3, 4.0, 0.9))
+    assert np.allclose(prof.probs[0, 1], zipf_profile(3, 4.0, 0.5))
     # users share one preference ranking; only activity varies by slot
-    assert np.allclose(sc.profile.probs[0], sc.profile.probs[3])
-    assert sc.alpha.tolist() == [0.2] * 4  # default budget
+    assert np.allclose(prof.probs[0], prof.probs[3])
+    assert sc.with_eval("enumerate").alpha.tolist() == [0.2] * 4
 
 
 @pytest.mark.parametrize(

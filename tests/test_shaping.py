@@ -18,7 +18,7 @@ from procache import (
 )
 from procache.optim import linear_min_over_ball_slice
 
-from oracles import conditional
+from oracles import conditional, region_contains, strictly_inside_slice
 
 
 def linear_min_over_ebc(gradient, region):
@@ -90,12 +90,12 @@ def test_region_contains(two_user):
     _, prof = two_user
     region = EBCRegion.around(prof.probs[0, 1], prof.silence[0, 1], 0.2)
     center = np.asarray(prof.probs[0, 1])
-    assert region.contains(center)
+    assert region_contains(region, center)
     step = np.array([1.0, -0.5, -0.5])
     boundary = center + region.radius * step / np.linalg.norm(step)
-    assert region.contains(boundary, tol=1e-9)
-    assert not region.contains(center + 2.0 * region.radius * step / np.linalg.norm(step))
-    assert not region.contains(np.array([0.95, 0.05, -0.1]))  # leaves the orthant
+    assert region_contains(region, boundary, tol=1e-9)
+    assert not region_contains(region, center + 2.0 * region.radius * step / np.linalg.norm(step))
+    assert not region_contains(region, np.array([0.95, 0.05, -0.1]))  # leaves the orthant
 
 
 def test_region_face_contact_detection(two_user):
@@ -104,10 +104,10 @@ def test_region_face_contact_detection(two_user):
     for n in range(2):
         for t in range(2):
             region = EBCRegion.around(prof.probs[n, t], prof.silence[n, t], 0.2)
-            assert not region.strictly_inside_slice()
+            assert not strictly_inside_slice(region)
     roomy = EBCRegion.around(np.full(3, 0.3), 0.1, 0.05)
-    assert roomy.strictly_inside_slice()
-    assert EBCRegion.around((0.9,), 0.1, 0.3).strictly_inside_slice()  # one item
+    assert strictly_inside_slice(roomy)
+    assert strictly_inside_slice(EBCRegion.around((0.9,), 0.1, 0.3))  # one item
 
 
 def test_regions_broadcast_alpha(two_user):
@@ -245,8 +245,8 @@ def test_boundary_check_interior_case(quad, enum_cfg):
     prof = DemandProfile(probs)
     result = shape_demand(prof, catalog, quad, enum_cfg, alpha=0.05)
     regions = result.regions
-    assert regions[0][0].strictly_inside_slice()
-    assert regions[0][1].strictly_inside_slice()
+    assert strictly_inside_slice(regions[0][0])
+    assert strictly_inside_slice(regions[0][1])
     report = boundary_check(result.profile, regions)
     assert report.hypothesis_ok.all()
     assert report.passed

@@ -54,7 +54,6 @@ from .shaping import (
     ShapingTrace,
     boundary_check,
     ebc_regions,
-    fully_flexible_optimum,
     shape_demand,
 )
 

@@ -62,12 +62,6 @@ class ItemCatalog:
     def min_size(self) -> float:
         return float(self.sizes.min())
 
-    def smallest_item(self) -> tuple[int, bool]:
-        """Index of the smallest item (lowest index wins ties) and a tie flag."""
-        m_star = int(np.argmin(self.sizes))
-        tied = int(np.sum(self.sizes == self.sizes[m_star])) > 1
-        return m_star, tied
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -263,10 +257,15 @@ def _class_counts(counts, num_rows: int) -> np.ndarray:
 
 
 def entropy(pi) -> float:
-    """Shannon entropy (natural log) of a preference vector; 0 log 0 = 0."""
+    """Shannon entropy (natural log) of a preference vector; 0 log 0 = 0.
+
+    Exactly 0 for at most one positive entry, and never negative.
+    """
     arr = np.asarray(pi, dtype=float)
     pos = arr[arr > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    if pos.size <= 1:
+        return 0.0   # a point mass, even one that rounds off 1
+    return max(0.0, float(-np.sum(pos * np.log(pos))))
 
 
 def zipf_profile(num_items: int, power: float, activity: float = 1.0) -> np.ndarray:

@@ -52,7 +52,7 @@ SCALING_SCENARIO = {
 CSV_SCHEMA_VERSION = 1
 
 
-def two_user_scenario_dict(p_peak: float, cost_kind: str, engine: str = "enumerate") -> dict:
+def two_user_scenario_dict(p_peak: float, cost_kind: str) -> dict:
     """Two users, three items, an off-peak and a peak slot."""
     costs = {"quadratic": {"kind": "quadratic"},
              "outage": {"kind": "outage", "mu": OUTAGE_CAPACITY}}
@@ -65,7 +65,7 @@ def two_user_scenario_dict(p_peak: float, cost_kind: str, engine: str = "enumera
             [list(TWO_USER_OFFPEAK * pi), list(p_peak * pi)] for pi in prefs
         ],
         "cost": costs[cost_kind],
-        "eval": {"engine": engine},
+        "eval": {"engine": "enumerate"},
         "alpha": 0.2,
         "seed": 0,
     }

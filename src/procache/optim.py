@@ -1,4 +1,4 @@
-"""Small numeric building blocks: line search, projections, box Newton descent.
+"""Small numeric building blocks: a scalar root search, projections, box Newton descent.
 
 Everything here is deterministic; the only state is the caller's iterate.
 """
@@ -12,37 +12,26 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
+def increasing_root(fn, hi: float) -> float:
+    """Least x in [0, hi] with ``fn(x) >= 0`` for a nondecreasing ``fn``, or
+    ``hi`` when ``fn(hi) < 0``.
 
-def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Argmin of a unimodal function on [lo, hi] to absolute tolerance ``tol``.
-
-    ``fn`` may return ``inf`` on part of the interval (domain overflow); the
-    bracketing comparisons handle that as long as the finite region is an
-    interval, which unimodality guarantees.  Once no float lies strictly
-    between ``a`` and ``b``, every probe is an endpoint and the loop has at
-    most four states, so four such rounds that leave the bracket open would
-    cycle forever: a ``tol`` below the float spacing stops there.
+    Bisection until no float lies strictly between the bracket ends, so the
+    float format bounds the loop and the root is exact to the last bit.
+    ``fn`` may return ``+inf`` (an unbounded slope past a capacity).
     """
-    a, b = float(lo), float(hi)
-    if b < a:
-        raise ValueError("empty interval")
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    stuck = 0   # rounds run on a bracket that can no longer shrink
-    while (b - a) > tol and stuck < 4:
-        stuck += not (a < 0.5 * (a + b) < b)
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
+    lo, hi = 0.0, float(hi)
+    if fn(lo) >= 0.0:
+        return lo
+    if fn(hi) < 0.0:
+        return hi
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        if fn(mid) >= 0.0:
+            hi = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+            lo = mid
+    return hi
 
 
 def project_simplex_slice(v: np.ndarray, total) -> np.ndarray:

@@ -31,7 +31,7 @@ from .evaluate import (
     slot_marginal_stats,
     weigh_classes,
 )
-from .optim import box_projected_descent, golden_section_min, projected_gradient_norm
+from .optim import box_projected_descent, increasing_root, projected_gradient_norm
 
 log = logging.getLogger(__name__)
 
@@ -56,9 +56,6 @@ class ActiveSets:
     stat: np.ndarray              # (N, T, M) the decision statistic
     undecided: tuple = field(default=())
     counts: np.ndarray | None = None
-
-    def users(self, t: int, m: int) -> tuple[int, ...]:
-        return tuple(int(n) for n in np.nonzero(self.member[:, t, m])[0])
 
     def pair_counts(self) -> np.ndarray:
         """Number of active (user, item) pairs per slot, each class row counted once per user."""
@@ -216,23 +213,24 @@ class PolicyAResult:
     all_empty: bool
 
 
-def _policy_slot_objective(tables, cost, cfg, sets, t):
-    """phi_t(x): expected cost of slots t-1 and t when every active pair
-    prefetches exactly x units; ``tables`` hold the cycle at x = 0."""
+def _exchange_slope(tables, cost, cfg, sets, t):
+    """phi_t'(x), where phi_t(x) is the expected cost of slots t-1 and t when
+    every active pair of slot t prefetches exactly x units; ``tables`` hold
+    the cycle at x = 0.  Past an outage capacity the slope is ``+inf``."""
     prev, cur = tables.slot(t - 1), tables.slot(t)
     pairs = sets.pair_counts()[t]
     member = sets.member[:, t:t + 1]
-    expected_cost = cfg.kernels.expected_cost
+    marginal_stats = cfg.kernels.marginal_stats
 
-    def phi(xv: float) -> float:
+    def slope(xv: float) -> float:
         try:
-            first, _ = expected_cost(prev._replace(const=prev.const + xv * pairs), cost)
-            second, _ = expected_cost(cur._replace(v=cur.v - xv * member), cost)
+            a, _, _, _ = marginal_stats(prev._replace(const=prev.const + xv * pairs), cost)
+            _, b, _, _ = marginal_stats(cur._replace(v=cur.v - xv * member), cost)
         except CostDomainError:
             return np.inf
-        return float(first[0] + second[0])
+        return float(pairs * a[0] - np.sum(weigh_classes(b * member, sets.counts)))
 
-    return phi
+    return slope
 
 
 def policy_a(
@@ -241,17 +239,15 @@ def policy_a(
     cost: CostModel,
     cfg: EvalConfig,
     sets: ActiveSets | None = None,
-    r_rule=None,
-    line_tol: float = 1e-8,
 ) -> PolicyAResult:
     """Per-slot scalar prefetch for every active (user, item) pair.
 
-    For each slot with a nonempty active set, the scalar x_hat[t] minimizes
-    the two-slot exchange cost over [0, min_m S(m)] (golden section to
-    ``line_tol``); the allocated amount x_tilde[t] backs off by r, which by
-    default is 1e-3 times the smallest x_hat over slots with active pairs.
-    ``r_rule`` may be a float (absolute r) or a callable mapping the x_hat
-    vector to r.
+    For each slot with a nonempty active set, x_hat[t] minimizes the convex
+    two-slot exchange cost phi_t over [0, min_m S(m)]: it is the root of the
+    exact, nondecreasing slope phi_t' (:func:`_exchange_slope`), found by
+    bisection down to adjacent floats.  The allocated amount x_tilde[t]
+    backs off by r, 1e-3 times the smallest x_hat over slots with active
+    pairs.
     """
     if sets is None:
         sets = active_sets(profile, catalog, cost, cfg)
@@ -259,21 +255,11 @@ def policy_a(
     pair_counts = sets.pair_counts()
     x_hat = np.zeros(n_slots)
     tables = cycle_tables(profile, np.zeros_like(profile.probs), catalog.sizes, cfg)
-    for t in range(n_slots):
-        if pair_counts[t] == 0:
-            continue
-        phi = _policy_slot_objective(tables, cost, cfg, sets, t)
-        x_hat[t] = golden_section_min(phi, 0.0, catalog.min_size, tol=line_tol)
+    for t in np.flatnonzero(pair_counts):
+        x_hat[t] = increasing_root(_exchange_slope(tables, cost, cfg, sets, t), catalog.min_size)
 
     all_empty = not sets.any_active
-    if all_empty:
-        r = 0.0
-    elif r_rule is None:
-        r = 1e-3 * float(x_hat[pair_counts > 0].min())
-    elif callable(r_rule):
-        r = float(r_rule(x_hat))
-    else:
-        r = float(r_rule)
+    r = 0.0 if all_empty else 1e-3 * float(x_hat[pair_counts > 0].min())
     x_tilde = np.where(pair_counts > 0, np.maximum(x_hat - r, 0.0), 0.0)
 
     x = np.where(sets.member, x_tilde[None, :, None], 0.0)
@@ -316,28 +302,24 @@ def reduction_bounds(
     """Bound and measure the cost reduction from proactive downloads.
 
     The upper bound charges every active pair its full item size against the
-    at-zero exchange statistic; the lower bound charges the policy scalars
-    against the statistic re-evaluated at the policy's own loads.  Both
-    bounds come from the same active sets, so ``lower <= delta <= upper``
-    holds for exact engines, with ``lower > 0`` as soon as any set is
-    nonempty.
+    at-zero exchange statistic.  The lower bound is the sum over slots of
+    ``x_tilde[t] * -phi_t'(x_tilde[t]) / T``: each slot's backed-off policy
+    scalar against the exact exchange slope whose root is ``x_hat[t]``
+    (:func:`policy_a`).  Both bounds come from the same active sets, so
+    ``lower <= delta <= upper`` holds for exact engines, with ``lower > 0``
+    as soon as any set is nonempty.
     """
     sets = active_sets(profile, catalog, cost, cfg)
     n_slots, counts = profile.num_slots, profile.weights
     upper = float(np.sum(weigh_classes(sets.stat * sets.member * catalog.sizes[None, None, :],
                                        counts))) / n_slots
 
-    # the at-zero statistic re-evaluated with slot t's own pairs prefetching
-    # x_tilde[t] and slot t-1 carrying that traffic
     pol = policy_a(profile, catalog, cost, cfg, sets=sets)
     tables = cycle_tables(profile, np.zeros_like(profile.probs), catalog.sizes, cfg)
-    stats = cfg.kernels.marginal_stats
-    _, b_mod, _, _ = stats(tables._replace(v=tables.v - pol.allocation.x), cost)
-    shifted = np.roll(pol.x_tilde * sets.pair_counts(), -1)
-    a_shift, _, _, _ = stats(tables._replace(const=shifted), cost)
-    gain = np.sum(weigh_classes((b_mod - np.roll(a_shift, 1)[None, :, None]) * sets.member,
-                                counts), axis=(0, 2))
-    lower = float(np.sum(pol.x_tilde * gain)) / n_slots
+    lower = float(sum(
+        pol.x_tilde[t] * -_exchange_slope(tables, cost, cfg, sets, t)(pol.x_tilde[t])
+        for t in np.flatnonzero(sets.pair_counts())
+    )) / n_slots
 
     base = nonproactive_cost(profile, catalog, cost, cfg)
     solved = solve_proactive(profile, catalog, cost, cfg, tol=tol, max_iters=max_iters)

@@ -32,6 +32,8 @@ from .proactive import SolveResult, solve_proactive
 
 log = logging.getLogger(__name__)
 
+BOUNDARY_TOL = 1e-3   # largest scaled boundary residual a shaped optimum may show
+
 
 class ShapingDescentError(RuntimeError):
     """The alternating scheme produced a cost increase, which is a bug trap:
@@ -87,25 +89,6 @@ def ebc_regions(profile: DemandProfile, alpha) -> list[list[EBCRegion]]:
     ]
 
 
-def fully_flexible_optimum(
-    catalog: ItemCatalog, silence: np.ndarray
-) -> tuple[DemandProfile, bool]:
-    """Best shaped profile when preferences are unconstrained.
-
-    With total freedom, each user's whole activity goes onto one smallest
-    item (a point mass), since that minimizes every load moment
-    simultaneously.  Ties across equally small items are broken toward the
-    lowest item index; the returned flag reports whether a tie occurred.
-    """
-    q = np.asarray(silence, dtype=float)
-    if q.ndim != 2:
-        raise ValueError("silence must be (users, slots)")
-    m_star, tied = catalog.smallest_item()
-    probs = np.zeros(q.shape + (catalog.num_items,))
-    probs[:, :, m_star] = 1.0 - q
-    return DemandProfile(probs, q), tied
-
-
 def _stack(regions):
     """The region grid as (N, T, M) centers and (N, T) radii and activities."""
     return tuple(
@@ -154,8 +137,6 @@ def shape_demand(
     alpha,
     tol_outer: float = 1e-8,
     max_outer: int = 100,
-    inner_tol: float = 1e-8,
-    inner_max_iters: int = 5000,
 ) -> ShapeResult:
     """Alternate shaped-profile steps and download re-optimization.
 
@@ -174,9 +155,7 @@ def shape_demand(
     regions = ebc_regions(profile, alpha)
     center, radius, activity = _stack(regions)
 
-    solved = solve_proactive(
-        profile, catalog, cost, cfg, tol=inner_tol, max_iters=inner_max_iters
-    )
+    solved = solve_proactive(profile, catalog, cost, cfg)
     f_prev = solved.cost
     current = profile
     objectives = [f_prev]
@@ -208,9 +187,7 @@ def shape_demand(
                 cand = profile.with_probs(current.probs + tau * d)
                 try:
                     cand_solved = solve_proactive(
-                        cand, catalog, cost, cfg,
-                        tol=inner_tol, max_iters=inner_max_iters,
-                        x0=solved.allocation.x,
+                        cand, catalog, cost, cfg, x0=solved.allocation.x
                     )
                 except CostDomainError:
                     tau *= 0.5   # even the zero allocation overflows here
@@ -253,12 +230,10 @@ class BoundaryReport:
     raw_residual: np.ndarray        # (N, T) | |p - center| - radius |
     scaled_residual: np.ndarray     # (N, T) residual in conditional units
     hypothesis_ok: np.ndarray       # (N, T) ball strictly inside the slice
-    passed: bool                    # all hypothesis-satisfying cells within tol
+    passed: bool                    # all hypothesis-satisfying cells within BOUNDARY_TOL
 
 
-def boundary_check(
-    profile: DemandProfile, regions, tol: float = 1e-3
-) -> BoundaryReport:
+def boundary_check(profile: DemandProfile, regions) -> BoundaryReport:
     """Measure how far each shaped profile sits from its ball boundary.
 
     At a shaped optimum whose ball lies strictly inside the nonnegativity
@@ -268,7 +243,7 @@ def boundary_check(
     center, radius, activity = _stack(regions)
     raw, scaled = _residuals(profile.probs, center, radius, activity)
     hyp = _strictly_inside(center, radius) & (radius > 0.0)
-    passed = bool(np.all(scaled[hyp] <= tol)) if hyp.any() else True
+    passed = bool(np.all(scaled[hyp] <= BOUNDARY_TOL)) if hyp.any() else True
     return BoundaryReport(
         raw_residual=raw, scaled_residual=scaled, hypothesis_ok=hyp, passed=passed
     )

@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procache import ProactiveAllocation, RatingVector, sample_outcomes
-from procache.evaluate import slot_marginal_stats
+from procache import DemandProfile, ProactiveAllocation, RatingVector, sample_outcomes
+from procache.evaluate import expected_cycle_cost, slot_marginal_stats
 from procache.shaping import _strictly_inside
 
 
@@ -106,3 +106,48 @@ def region_contains(region, p, tol: float = 1e-9) -> bool:
 def strictly_inside_slice(region) -> bool:
     """True when the region's ball cannot touch a nonnegativity face of the slice."""
     return bool(_strictly_inside(region.center, np.asarray(region.radius)))
+
+
+def active_users(sets, t: int, m: int) -> tuple[int, ...]:
+    """Rows of ``sets`` active for item ``m`` in slot ``t``."""
+    return tuple(int(n) for n in np.nonzero(sets.member[:, t, m])[0])
+
+
+def smallest_item(catalog) -> tuple[int, bool]:
+    """Index of the smallest item (lowest index wins ties) and a tie flag."""
+    m_star = int(np.argmin(catalog.sizes))
+    tied = int(np.sum(catalog.sizes == catalog.sizes[m_star])) > 1
+    return m_star, tied
+
+
+def fully_flexible_optimum(catalog, silence: np.ndarray):
+    """Best shaped profile when preferences are unconstrained, and a tie flag.
+
+    With total freedom, each user's whole activity goes onto one smallest
+    item (a point mass), since that minimizes every load moment
+    simultaneously.  Ties across equally small items are broken toward the
+    lowest item index; the returned flag reports whether a tie occurred.
+    """
+    q = np.asarray(silence, dtype=float)
+    if q.ndim != 2:
+        raise ValueError("silence must be (users, slots)")
+    m_star, tied = smallest_item(catalog)
+    probs = np.zeros(q.shape + (catalog.num_items,))
+    probs[:, :, m_star] = 1.0 - q
+    return DemandProfile(probs, q), tied
+
+
+def policy_vertex(profile, catalog, cost, cfg, sets, t: int) -> float:
+    """x_hat[t] in closed form under a degree-2 cost: the vertex of the
+    parabola through the cycle cost at three full allocations in which slot
+    t's active pairs prefetch 0, S/2 and S (S the smallest item size),
+    clipped to [0, S]."""
+    d = catalog.min_size / 2.0
+
+    def cycle(u):
+        x = np.zeros(profile.probs.shape)
+        x[:, t][sets.member[:, t]] = u
+        return expected_cycle_cost(profile, x, cost, cfg, catalog=catalog).value
+
+    f0, f1, f2 = cycle(0.0), cycle(d), cycle(2.0 * d)
+    return min(max(d - d * (f2 - f0) / (2.0 * (f2 - 2.0 * f1 + f0)), 0.0), 2.0 * d)

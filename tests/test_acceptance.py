@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 from conftest import cost_for, random_instance, two_user_pair
+from oracles import fully_flexible_optimum
 
 from procache import (
     CostModel,
@@ -19,7 +20,6 @@ from procache import (
     cost_gradient_x,
     entropy,
     expected_cycle_cost,
-    fully_flexible_optimum,
     nonproactive_cost,
     parse_scenario,
     reduction_bounds,

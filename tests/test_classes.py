@@ -112,20 +112,17 @@ def test_class_sets_policy_and_bounds_equal_the_per_user_ones():
         assert _rel(rep(got.stat), want.stat) <= EXACT
         assert np.array_equal(got.pair_counts(), want.pair_counts())
 
-        # the policy's per-slot objective, on a grid of prefetch amounts
+        # the policy's per-slot exchange slope, on a grid of prefetch amounts
         zero_c = cycle_tables(pc, np.zeros_like(pc.probs), catalog.sizes, ANALYTIC)
         zero_e = cycle_tables(pe, np.zeros_like(pe.probs), catalog.sizes, ANALYTIC)
         for t in np.flatnonzero(got.pair_counts()):
-            phi_c = proactive._policy_slot_objective(zero_c, cost, ANALYTIC, got, t)
-            phi_e = proactive._policy_slot_objective(zero_e, cost, ANALYTIC, want, t)
-            for xv in np.linspace(0.0, catalog.min_size, 7):
-                assert _rel(phi_c(xv), phi_e(xv)) <= EXACT
+            slope_c = proactive._exchange_slope(zero_c, cost, ANALYTIC, got, t)
+            slope_e = proactive._exchange_slope(zero_e, cost, ANALYTIC, want, t)
+            grid = np.linspace(0.0, catalog.min_size, 7)
+            assert _rel([slope_c(xv) for xv in grid], [slope_e(xv) for xv in grid]) <= EXACT
 
         pol_c, pol_e = policy_a(pc, catalog, cost, ANALYTIC), policy_a(pe, catalog, cost, ANALYTIC)
-        # golden section stops where phi is flat to rounding, ~sqrt(eps) from
-        # its minimum, so the scalars agree to that resolution only; at equal
-        # scalars the policy costs agree exactly
-        assert _rel(pol_c.x_hat, pol_e.x_hat) <= 1e-6
+        assert _rel(pol_c.x_hat, pol_e.x_hat) <= EXACT
         x_e = np.where(want.member, pol_c.x_tilde[None, :, None], 0.0)
         assert _rel(pol_c.cost.value,
                     expected_cycle_cost(pe, x_e, cost, ANALYTIC, catalog=catalog).value) <= EXACT
@@ -134,9 +131,7 @@ def test_class_sets_policy_and_bounds_equal_the_per_user_ones():
                      reduction_bounds(pe, catalog, cost, ANALYTIC))
         for key in ("nonproactive", "optimized", "delta", "upper"):
             assert _rel(getattr(got, key), getattr(want, key)) <= EXACT, key
-        # lower reads a statistic that vanishes at x_hat, 1e-3 x_hat away,
-        # so it inherits the scalars' resolution
-        assert _rel(got.lower, want.lower) <= 1e-3
+        assert _rel(got.lower, want.lower) <= EXACT
 
 
 def test_profile_counts_are_validated():
@@ -173,7 +168,7 @@ def test_per_user_engines_refuse_a_class_of_several_users():
 
 
 def _profiles_scenario(**extra):
-    data = two_user_scenario_dict(0.9, "quadratic", engine="analytic_quadratic")
+    data = dict(two_user_scenario_dict(0.9, "quadratic"), eval={"engine": "analytic_quadratic"})
     data.update(extra)
     return data
 

@@ -14,7 +14,7 @@ from procache import (
     zipf_profile,
 )
 
-from oracles import RequestOutcome, conditional, sample_outcome
+from oracles import RequestOutcome, conditional, sample_outcome, smallest_item
 
 ENTROPY_811 = 0.639031859650177  # H(0.8, 0.1, 0.1), natural log
 ENTROPY_316 = 0.8979457248567797  # H(0.3, 0.1, 0.6)
@@ -25,11 +25,11 @@ def test_catalog_basic():
     cat = ItemCatalog([3.0, 2.0, 4.0])
     assert cat.num_items == 3
     assert cat.min_size == 2.0
-    assert cat.smallest_item() == (1, False)
+    assert smallest_item(cat) == (1, False)
 
 
 def test_catalog_tie_breaks_to_lowest_index():
-    assert ItemCatalog([2.0, 2.0, 4.0]).smallest_item() == (0, True)
+    assert smallest_item(ItemCatalog([2.0, 2.0, 4.0])) == (0, True)
 
 
 @pytest.mark.parametrize("bad", [[], [0.0], [-1.0, 2.0], [np.inf], [[1.0, 2.0]]])
@@ -142,6 +142,13 @@ def test_entropy_frozen_values():
 def test_entropy_point_mass_and_uniform():
     assert entropy((1.0, 0.0, 0.0)) == 0.0
     assert entropy(np.full(4, 0.25)) == pytest.approx(np.log(4.0))
+
+
+def test_entropy_is_exactly_zero_on_a_point_mass_that_rounds_off_one():
+    for pi in ((1.0 + 2.0**-52,), (0.0, 1.0 - 2.0**-53), (0.7 / 0.7,), (0.0, 0.0), ()):
+        h = entropy(pi)
+        assert h == 0.0 and np.copysign(1.0, h) == 1.0
+    assert entropy((2.0, 0.5)) == 0.0   # never negative, even off the simplex
 
 
 def test_entropy_of_a_conditional_preference(two_user):

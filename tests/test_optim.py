@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from procache import optim, shaping
 from procache.experiments import SCALING_SCENARIO
 from procache.optim import (
-    _INVPHI,
     box_projected_descent,
-    golden_section_min,
+    increasing_root,
     linear_min_over_ball_slice,
     project_ball_slice,
     project_simplex_slice,
@@ -176,44 +175,52 @@ def _random_rows(rng, count, m):
     return g, center, radius, total
 
 
-def test_golden_section_interior_min():
-    x = golden_section_min(lambda u: (u - 1.3) ** 2, 0.0, 3.0)
-    assert x == pytest.approx(1.3, abs=1e-6)
+def _counted(fn):
+    """``fn`` and the list of the points it was called at."""
+    calls = []
+
+    def wrapped(u):
+        calls.append(u)
+        return fn(u)
+
+    return wrapped, calls
 
 
-def test_golden_section_boundary_min():
-    assert golden_section_min(lambda u: u * u, 1.0, 2.0) == pytest.approx(1.0, abs=1e-6)
+def test_increasing_root_interior_root():
+    assert increasing_root(lambda u: u - 1.3, 3.0) == 1.3
+    # the least float with a nonnegative slope: one below it is negative
+    slope = lambda u: 2.0 * u - 0.7  # noqa: E731
+    x = increasing_root(slope, 1.0)
+    assert slope(x) >= 0.0 > slope(np.nextafter(x, 0.0))
 
 
-def test_golden_section_stops_below_the_float_spacing():
-    # tol = 1e-8 is below the spacing of floats near 1e8 (1.5e-8), so the
-    # bracket can never get that narrow; the search stops once it can no
-    # longer shrink, at the float spacing of the answer
-    x = golden_section_min(lambda u: (u - 0.9e8) ** 2, 0.0, 1e8)
-    assert abs(x - 0.9e8) <= 4 * np.spacing(0.9e8)
+def test_increasing_root_negative_up_to_hi_returns_hi():
+    fn, calls = _counted(lambda u: u - 5.0)
+    assert increasing_root(fn, 2.0) == 2.0
+    assert calls == [0.0, 2.0]
 
 
-def test_golden_section_unchanged_where_tol_is_reachable():
-    def plain(fn, a, b, tol):
-        c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-        fc, fd = fn(c), fn(d)
-        while (b - a) > tol:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = fn(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = fn(d)
-        return 0.5 * (a + b)
+def test_increasing_root_at_zero():
+    fn, calls = _counted(lambda u: u + 1.0)
+    assert increasing_root(fn, 2.0) == 0.0
+    assert calls == [0.0]
 
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        lo, width = rng.uniform(-10.0, 10.0), rng.uniform(0.0, 20.0)
-        target, tol = lo + rng.uniform(0.0, width), 10.0 ** rng.uniform(-12, -2)
-        fn = lambda u, t=target: abs(u - t) ** 1.5  # noqa: E731
-        assert golden_section_min(fn, lo, lo + width, tol) == plain(fn, lo, lo + width, tol)
+
+def test_increasing_root_reads_an_infinite_tail_as_nonnegative():
+    # past a capacity the slope is unbounded: +inf bounds the bracket from above
+    fn = lambda u: -1.0 if u < 0.25 else np.inf  # noqa: E731
+    assert increasing_root(fn, 1.0) == 0.25
+    fn = lambda u: u - 0.5 if u < 0.75 else np.inf  # noqa: E731
+    assert increasing_root(fn, 1.0) == 0.5
+
+
+def test_increasing_root_ends_on_adjacent_floats():
+    # the float spacing near 0.9e8 is 1.5e-8: the bracket closes on two
+    # neighbouring floats there, whatever the slope's scale
+    root = 0.9e8 + 0.3
+    fn, calls = _counted(lambda u: u - root)
+    assert increasing_root(fn, 1e8) == root
+    assert len(calls) <= 2 + 64
 
 
 @given(

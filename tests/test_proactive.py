@@ -26,17 +26,22 @@ from procache.evaluate import slot_marginal_stats
 from procache.experiments import SCALING_SCENARIO
 
 from conftest import random_instance, two_user_pair
-from oracles import marginal_cost_ratio
+from oracles import active_users, marginal_cost_ratio, policy_vertex
 
 OPTIMIZED_QUAD = 15.410789534883722
 OPTIMAL_COORD = (0, 1, 0)  # the only download worth making in the pilot
 OPTIMAL_VALUE = 2.1965116279069767
 OPTIMIZED_OUTAGE = 0.7623816508182035
-POLICY_XHAT = (0.0, 0.6527649306301605)
-POLICY_XTILDE = (0.0, 0.6521121656995303)
-POLICY_STEP = 0.0006527649306301605
-POLICY_COST = 17.068072282808103
-BOUNDS_LOWER = 0.004979049267887226
+# the policy and its lower bound in closed form: under the quadratic cost the
+# cycle cost is a parabola in the slot-1 scalar u (cost F(u)), so x_hat is the
+# vertex through F(0), F(S/2), F(S) (``oracles.policy_vertex``), x_tilde =
+# x_hat - 1e-3 x_hat, POLICY_COST = F(x_tilde), and the lower bound is
+# x_tilde * -F'(x_tilde) = x_tilde * F'' * (x_hat - x_tilde)
+POLICY_XHAT = (0.0, 0.6527649533189699)
+POLICY_XTILDE = (0.0, 0.6521121883656509)
+POLICY_STEP = 0.0006527649533189699
+POLICY_COST = 17.068072282635043
+BOUNDS_LOWER = 0.004978876558172027
 BOUNDS_UPPER = 25.873000000000005
 DELTA_QUAD = 4.149210465116283
 TINY_X = 27.0 / 19.0
@@ -114,8 +119,8 @@ def test_active_sets_structure(two_user, quad, enum_cfg):
     expect[0, 1, 0] = expect[1, 1, 0] = expect[1, 1, 2] = True
     assert np.array_equal(sets.member, expect)
     assert sets.pair_counts().tolist() == [0, 3]
-    assert sets.users(1, 0) == (0, 1)
-    assert sets.users(0, 0) == ()
+    assert active_users(sets, 1, 0) == (0, 1)
+    assert active_users(sets, 0, 0) == ()
     assert sets.any_active
     assert sets.undecided == ()
     assert sets.stat[0, 1, 0] > 0.0
@@ -156,13 +161,34 @@ def test_policy_frozen_values(two_user, quad, enum_cfg):
     assert OPTIMIZED_QUAD <= pol.cost.value <= 19.5601
 
 
-def test_policy_respects_explicit_reduction(two_user, quad, enum_cfg):
-    catalog, prof = two_user
-    pol = policy_a(prof, catalog, quad, enum_cfg, r_rule=0.1)
-    assert pol.reduction_step == 0.1
-    assert pol.x_tilde[1] == pytest.approx(pol.x_hat[1] - 0.1)
-    ruled = policy_a(prof, catalog, quad, enum_cfg, r_rule=lambda xh: 0.5 * xh.max())
-    assert ruled.reduction_step == pytest.approx(0.5 * ruled.x_hat.max())
+def test_policy_backs_off_by_a_thousandth_of_the_smallest_scalar(quad, enum_cfg):
+    live_counts = []
+    for seed in range(30):
+        catalog, prof = random_instance(np.random.default_rng(seed))
+        pol = policy_a(prof, catalog, quad, enum_cfg)
+        live = pol.sets.pair_counts() > 0
+        live_counts.append(int(live.sum()))
+        if not live.any():
+            assert pol.reduction_step == 0.0 and not pol.x_tilde.any()
+            continue
+        assert pol.reduction_step == 1e-3 * pol.x_hat[live].min()
+        assert np.array_equal(pol.x_tilde[live], pol.x_hat[live] - pol.reduction_step)
+        assert not pol.x_tilde[~live].any()
+    assert max(live_counts) >= 2   # some case has a smallest scalar to pick
+
+
+def test_policy_scalar_is_the_vertex_of_the_quadratic_exchange_cost(quad):
+    # under the quadratic cost phi_t is a parabola, so its minimizer over
+    # [0, S] is the clipped vertex through three cycle-cost values
+    for engine in ("enumerate", "analytic_quadratic"):
+        cfg, rng, checked = EvalConfig(engine=engine), np.random.default_rng(23), 0
+        while checked < 24:
+            catalog, prof = random_instance(rng)
+            pol = policy_a(prof, catalog, quad, cfg)
+            for t in np.flatnonzero(pol.sets.pair_counts()):
+                vertex = policy_vertex(prof, catalog, quad, cfg, pol.sets, t)
+                assert pol.x_hat[t] == pytest.approx(vertex, rel=1e-11, abs=0.0)
+                checked += 1
 
 
 def test_policy_and_bounds_collapse_without_active_pairs(quad, enum_cfg):
@@ -402,23 +428,19 @@ def _lower_per_slot(prof, catalog, cost, cfg, rep):
 
 
 def test_policy_and_bounds_agree_across_exact_engines(two_user):
-    # x_hat minimizes phi_t, which is flat to rounding within ~1e-7 of its argmin
-    # (relative to the search interval [0, min size]), so the two engines'
-    # golden-section searches part by that much; a small x_hat is held to the
-    # interval's scale.  The lower bound is x_tilde times a statistic that
-    # vanishes at x_hat and sits only ~1e-3 x_hat away from it, so its error is
-    # that gap amplified; it is held to the scale of the upper bound.
+    # x_hat is the root of the exact exchange slope, to the last bit, and the
+    # lower bound reads the same slope at x_tilde: both engines agree to rounding
     rng = np.random.default_rng(19)
     cases = [two_user] + [random_instance(rng) for _ in range(20)]
     quad = CostModel.quadratic()
     for catalog, prof in cases:
         ref = reduction_bounds(prof, catalog, quad, EvalConfig(engine="enumerate"))
         got = reduction_bounds(prof, catalog, quad, EvalConfig(engine="analytic_quadratic"))
-        assert np.allclose(got.policy.x_hat, ref.policy.x_hat, rtol=1e-6, atol=1e-6 * catalog.min_size)
+        assert np.allclose(got.policy.x_hat, ref.policy.x_hat, rtol=1e-12, atol=0.0)
         assert got.policy_cost == pytest.approx(ref.policy_cost, rel=1e-6)
         assert got.upper == pytest.approx(ref.upper, rel=1e-6)
         assert got.delta == pytest.approx(ref.delta, rel=1e-6, abs=1e-12)
-        assert got.lower == pytest.approx(ref.lower, rel=1e-6, abs=1e-6 * ref.upper)
+        assert got.lower == pytest.approx(ref.lower, rel=1e-12, abs=0.0)
         for rep, cfg in ((ref, EvalConfig(engine="enumerate")),
                          (got, EvalConfig(engine="analytic_quadratic"))):
             oracle = _lower_per_slot(prof, catalog, quad, cfg, rep)

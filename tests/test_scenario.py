@@ -168,7 +168,7 @@ def test_invalid_cost_and_eval_are_wrapped():
 
 
 def test_engine_mismatch_is_caught_at_parse():
-    data = two_user_scenario_dict(0.9, "outage", engine="analytic_quadratic")
+    data = dict(two_user_scenario_dict(0.9, "outage"), eval={"engine": "analytic_quadratic"})
     with pytest.raises(ScenarioError, match="engine mismatch:"):
         parse_scenario(data)
 

@@ -12,13 +12,12 @@ from procache import (
     cost_gradient_p,
     ebc_regions,
     entropy,
-    fully_flexible_optimum,
     shape_demand,
     solve_proactive,
 )
 from procache.optim import linear_min_over_ball_slice
 
-from oracles import conditional, region_contains, strictly_inside_slice
+from oracles import conditional, fully_flexible_optimum, region_contains, strictly_inside_slice
 
 
 def linear_min_over_ebc(gradient, region):
@@ -216,6 +215,16 @@ def test_shape_demand_zero_alpha_returns_input(two_user, quad, enum_cfg):
     assert len(result.trace) == 1
     assert np.array_equal(result.profile.probs, prof.probs)
     assert result.trace.objectives[0] == pytest.approx(15.410789534883722, abs=1e-9)
+
+
+def test_one_item_shaping_keeps_the_profile(quad, enum_cfg, analytic_cfg):
+    # center / activity rounds off 1 for one item; the radii must still be 0
+    catalog, prof = ItemCatalog([2.0]), DemandProfile([[[0.3], [0.7]], [[0.2], [0.9]]])
+    for cfg in (enum_cfg, analytic_cfg):
+        result = shape_demand(prof, catalog, quad, cfg, alpha=0.2)
+        assert all(region.radius == 0.0 for row in result.regions for region in row)
+        assert result.converged and len(result.trace) == 1
+        assert np.array_equal(result.profile.probs, prof.probs)
 
 
 def test_shape_demand_per_user_budgets(two_user, outage, enum_cfg):

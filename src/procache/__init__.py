@@ -48,7 +48,7 @@ from .recommend import (
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, save_scenario
 from .shaping import (
     BoundaryReport,
-    EBCRegion,
+    Regions,
     ShapeResult,
     ShapingDescentError,
     ShapingTrace,

@@ -35,7 +35,14 @@ from .experiments import (
 )
 from .proactive import scaling_curve, solve_proactive
 from .recommend import solve_rating
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    parse_rating_inputs,
+    parse_scenario,
+    read_json,
+)
 from .shaping import boundary_check, shape_demand
 
 
@@ -58,6 +65,14 @@ def _guarded(fn):
             _fail(exc)
 
     return wrapper
+
+
+def _check_solver_options(tol: float, max_iters: int) -> None:
+    """Refuse a ``--tol`` that is not finite and nonnegative, or a ``--max-iters`` below 1."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ScenarioError(f"--tol must be a finite nonnegative number, got {tol!r}")
+    if max_iters < 1:
+        raise ScenarioError(f"--max-iters must be at least 1, got {max_iters}")
 
 
 def _summary(scn: Scenario, extra: dict) -> dict:
@@ -160,6 +175,7 @@ def _read_alloc(path, scn: Scenario) -> np.ndarray:
 @_guarded
 def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     """Minimize the cycle cost over proactive downloads."""
+    _check_solver_options(tol, max_iters)
     scn = load_scenario(scenario_path).with_eval(engine, samples)
     cfg = scn.cfg
     base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, cfg)
@@ -197,6 +213,7 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
 @_guarded
 def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
     """Shape demand inside the per-user entropy balls, then re-optimize."""
+    _check_solver_options(tol, max_iters)
     scn = load_scenario(scenario_path)
     alphas = scn.alpha if alpha is None else alpha
     result = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, alphas,
@@ -229,30 +246,14 @@ def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
 @_guarded
 def recommend(profile_path, ratings_path, out_path):
     """Ratings closest to the intrinsic ones that realize the shaped demand."""
-    with open(profile_path) as fh:
-        shaped = json.load(fh)
-    for key in ("profiles", "silence"):
-        if key not in shaped:
-            raise ScenarioError(f"profile file lacks key {key!r}")
-    with open(ratings_path) as fh:
-        ratings_doc = json.load(fh)
-    if not isinstance(ratings_doc, dict) or "rows" not in ratings_doc:
-        raise ScenarioError("ratings file needs a top-level 'rows' list")
-    rows_in = ratings_doc["rows"]
-    profiles = shaped["profiles"]
-    silence = shaped["silence"]
-    if len(rows_in) != len(profiles):
-        raise ScenarioError(
-            f"{len(rows_in)} rating rows for {len(profiles)} users"
-        )
+    probs, silence, rows = parse_rating_inputs(read_json(profile_path), read_json(ratings_path))
     out_rows = []
-    for n, (user_slots, user_silence) in enumerate(zip(profiles, silence)):
-        for t, (p_row, q) in enumerate(zip(user_slots, user_silence)):
-            res = solve_rating(np.asarray(p_row, dtype=float), float(q), rows_in[n])
-            for m, v in enumerate(res.ratings.v):
-                out_rows.append((n, t, m + 1, float(v), res.scale, int(res.clamped)))
+    for n, t in np.ndindex(silence.shape):
+        res = solve_rating(probs[n, t], silence[n, t], rows[n])
+        for m, v in enumerate(res.ratings.v):
+            out_rows.append((n, t, m + 1, float(v), res.scale, int(res.clamped)))
     write_csv(out_path, ["user", "slot", "item", "rating", "scale", "clamped"], out_rows)
-    click.echo(f"wrote ratings for {len(profiles)} users to {out_path}")
+    click.echo(f"wrote ratings for {len(rows)} users to {out_path}")
 
 
 @main.command()
@@ -267,6 +268,7 @@ def recommend(profile_path, ratings_path, out_path):
 @_guarded
 def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
     """Sweep the user count and fit the reduction's growth exponent."""
+    _check_solver_options(tol, max_iters)
     scn = load_scenario(family_path)
     if seed is not None:
         scn = parse_scenario(dict(scn.source, seed=seed))

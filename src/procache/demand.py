@@ -256,16 +256,16 @@ def _class_counts(counts, num_rows: int) -> np.ndarray:
     return c
 
 
-def entropy(pi) -> float:
-    """Shannon entropy (natural log) of a preference vector; 0 log 0 = 0.
-
-    Exactly 0 for at most one positive entry, and never negative.
-    """
-    arr = np.asarray(pi, dtype=float)
-    pos = arr[arr > 0.0]
-    if pos.size <= 1:
-        return 0.0   # a point mass, even one that rounds off 1
-    return max(0.0, float(-np.sum(pos * np.log(pos))))
+def entropy(pi):
+    """Shannon entropy (natural log, 0 log 0 = 0) along the last axis: a float for a
+    vector, an (...) array for (..., M) rows.  Exactly 0 for at most one positive
+    entry (a point mass, even one that rounds off 1), and never negative."""
+    arr = np.atleast_1d(np.asarray(pi, dtype=float))
+    pos = arr > 0.0
+    safe = np.where(pos, arr, 1.0)   # log 1 = 0 stands in for 0 log 0
+    h = -np.sum(safe * np.log(safe), axis=-1)
+    h = np.where((np.count_nonzero(pos, axis=-1) > 1) & (h > 0.0), h, 0.0)
+    return float(h) if arr.ndim == 1 else h
 
 
 def zipf_profile(num_items: int, power: float, activity: float = 1.0) -> np.ndarray:

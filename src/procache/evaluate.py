@@ -681,13 +681,6 @@ def _combine(a: np.ndarray, b: np.ndarray, tables: Tables) -> np.ndarray:
     return b
 
 
-def slot_marginal_stats(
-    profile: DemandProfile, x: np.ndarray, sizes: np.ndarray, cost: CostModel, cfg: EvalConfig
-):
-    """Every slot's ``(a, b, a_se, b_se)`` at allocation ``x`` (see :class:`Engine`)."""
-    return cfg.kernels.marginal_stats(cycle_tables(profile, x, sizes, cfg), cost)
-
-
 def expected_cycle_cost(
     profile: DemandProfile,
     allocation,

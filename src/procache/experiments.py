@@ -101,10 +101,10 @@ def _fmt(v):
 
 
 def write_json(path, payload) -> None:
-    """Strict JSON: a NaN or infinity raises instead of writing a token no JSON reader takes."""
+    """Strict JSON, encoded before the file is opened: a NaN or infinity raises and writes nothing."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_scaling_csv(path, curve: ScalingCurve) -> None:

@@ -25,10 +25,8 @@ from .evaluate import (
     ProactiveAllocation,
     cost_gradient_x,
     cost_hess_vec,
-    cycle_tables,
     expected_cycle_cost,
     nonproactive_cost,
-    slot_marginal_stats,
     weigh_classes,
 )
 from .optim import box_projected_descent, increasing_root, projected_gradient_norm
@@ -66,14 +64,12 @@ class ActiveSets:
         return bool(self.member.any())
 
 
-def active_sets(
-    profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, cfg: EvalConfig
-) -> ActiveSets:
-    """Decide membership from E[I_{n,t}(m) C'(L_t)] - E[C'(L_{t-1})] at x = 0."""
-    cfg.kernels.check(profile, cost)
-    a, b, a_se, b_se = slot_marginal_stats(
-        profile, np.zeros_like(profile.probs), catalog.sizes, cost, cfg
-    )
+def active_sets(profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, cfg: EvalConfig,
+                zero: Point | None = None) -> ActiveSets:
+    """Decide membership from E[I_{n,t}(m) C'(L_t)] - E[C'(L_{t-1})] at x = 0,
+    read from ``zero``, the zero allocation's point (built when omitted)."""
+    zero = zero or Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
+    a, b, a_se, b_se = cfg.kernels.marginal_stats(zero.tables, cost)
     stat = b - np.roll(a, 1)[None, :, None]
     if cfg.kernels.sampled:
         sigma = np.sqrt(b_se**2 + np.roll(a_se, 1)[None, :, None] ** 2)
@@ -211,6 +207,7 @@ class PolicyAResult:
     sets: ActiveSets
     cost: EvalResult
     all_empty: bool
+    slopes: dict                  # slot t -> phi_t', for every slot with active pairs
 
 
 def _exchange_slope(tables, cost, cfg, sets, t):
@@ -239,6 +236,7 @@ def policy_a(
     cost: CostModel,
     cfg: EvalConfig,
     sets: ActiveSets | None = None,
+    zero: Point | None = None,
 ) -> PolicyAResult:
     """Per-slot scalar prefetch for every active (user, item) pair.
 
@@ -247,16 +245,16 @@ def policy_a(
     exact, nondecreasing slope phi_t' (:func:`_exchange_slope`), found by
     bisection down to adjacent floats.  The allocated amount x_tilde[t]
     backs off by r, 1e-3 times the smallest x_hat over slots with active
-    pairs.
+    pairs.  ``zero`` is the zero allocation's point, built here when omitted.
     """
-    if sets is None:
-        sets = active_sets(profile, catalog, cost, cfg)
-    n_slots = profile.num_slots
+    zero = zero or Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
+    sets = sets or active_sets(profile, catalog, cost, cfg, zero)
     pair_counts = sets.pair_counts()
-    x_hat = np.zeros(n_slots)
-    tables = cycle_tables(profile, np.zeros_like(profile.probs), catalog.sizes, cfg)
-    for t in np.flatnonzero(pair_counts):
-        x_hat[t] = increasing_root(_exchange_slope(tables, cost, cfg, sets, t), catalog.min_size)
+    x_hat = np.zeros(profile.num_slots)
+    slopes = {t: _exchange_slope(zero.tables, cost, cfg, sets, t)
+              for t in np.flatnonzero(pair_counts)}
+    for t, slope in slopes.items():
+        x_hat[t] = increasing_root(slope, catalog.min_size)
 
     all_empty = not sets.any_active
     r = 0.0 if all_empty else 1e-3 * float(x_hat[pair_counts > 0].min())
@@ -273,6 +271,7 @@ def policy_a(
         sets=sets,
         cost=cost_res,
         all_empty=all_empty,
+        slopes=slopes,
     )
 
 
@@ -307,21 +306,21 @@ def reduction_bounds(
     scalar against the exact exchange slope whose root is ``x_hat[t]``
     (:func:`policy_a`).  Both bounds come from the same active sets, so
     ``lower <= delta <= upper`` holds for exact engines, with ``lower > 0``
-    as soon as any set is nonempty.
+    as soon as any set is nonempty.  One zero-allocation point serves the
+    sets, the policy, both bounds and the non-proactive cost.
     """
-    sets = active_sets(profile, catalog, cost, cfg)
+    zero = Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
+    sets = active_sets(profile, catalog, cost, cfg, zero)
     n_slots, counts = profile.num_slots, profile.weights
     upper = float(np.sum(weigh_classes(sets.stat * sets.member * catalog.sizes[None, None, :],
                                        counts))) / n_slots
 
-    pol = policy_a(profile, catalog, cost, cfg, sets=sets)
-    tables = cycle_tables(profile, np.zeros_like(profile.probs), catalog.sizes, cfg)
+    pol = policy_a(profile, catalog, cost, cfg, sets=sets, zero=zero)
     lower = float(sum(
-        pol.x_tilde[t] * -_exchange_slope(tables, cost, cfg, sets, t)(pol.x_tilde[t])
-        for t in np.flatnonzero(sets.pair_counts())
+        pol.x_tilde[t] * -slope(pol.x_tilde[t]) for t, slope in pol.slopes.items()
     )) / n_slots
 
-    base = nonproactive_cost(profile, catalog, cost, cfg)
+    base = expected_cycle_cost(profile, zero, cost, cfg)
     solved = solve_proactive(profile, catalog, cost, cfg, tol=tol, max_iters=max_iters)
     delta = base.value - solved.cost
     return CostReductionReport(

@@ -31,7 +31,7 @@ class RatingVector:
         arr = np.array(v, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("ratings must form a nonempty vector")
-        if np.any(arr < -_TINY) or np.any(arr > 1.0 + _TINY):
+        if not np.all((arr >= -_TINY) & (arr <= 1.0 + _TINY)):
             raise ValueError("ratings must lie in [0, 1]")
         arr = np.clip(arr, 0.0, 1.0)
         arr.setflags(write=False)
@@ -58,12 +58,14 @@ def solve_rating(target_probs, silence: float, intrinsic) -> RatingResult:
     r = RatingVector(intrinsic).v
     if p.shape != r.shape:
         raise ValueError("target profile and ratings must share the item dimension")
+    if not -_TINY <= float(silence) <= 1.0 + _TINY:
+        raise ValueError(f"silence must lie in [0, 1], got {silence!r}")
     activity = 1.0 - float(silence)
     if activity <= _TINY:
         return RatingResult(RatingVector(r), 1.0, False, True)
-    if np.any(p < -_TINY):
+    if not np.all(p >= -_TINY):
         raise ValueError("target probabilities must be nonnegative")
-    if abs(float(p.sum()) - activity) > 1e-9:
+    if not abs(float(p.sum()) - activity) <= 1e-9:
         raise ValueError(
             f"target probabilities sum to {p.sum():.12g}, activity is {activity:.12g}"
         )

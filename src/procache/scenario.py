@@ -384,13 +384,39 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def read_json(path):
+    """A JSON file's value; malformed JSON or a ``NaN`` or infinity token raises ScenarioError."""
     with open(path) as fh:
         try:
-            data = json.load(fh, parse_constant=_refuse_constant)
+            return json.load(fh, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from exc
-    return parse_scenario(data)
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(read_json(path))
+
+
+def parse_rating_inputs(shaped, ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``recommend``'s inputs: the shaped ``profiles`` (N, T, M) and ``silence``
+    (N, T), and the intrinsic rating ``rows`` (N, M), every entry in [0, 1]."""
+    if not (isinstance(shaped, dict) and isinstance(ratings, dict)):
+        raise ScenarioError("the profile and ratings files must each hold a JSON object")
+    probs, silence, rows = (
+        _numbers(_need(doc, key, where), repr(key))
+        for doc, key, where in ((shaped, "profiles", "profile file"),
+                                (shaped, "silence", "profile file"),
+                                (ratings, "rows", "ratings file")))
+    if probs.ndim != 3:
+        raise ScenarioError(f"'profiles' must nest users, slots and items; got {probs.shape}")
+    for key, arr, want, what in (("silence", silence, probs.shape[:2], "users x slots"),
+                                 ("rows", rows, probs.shape[::2], "rating rows, one per user")):
+        if arr.shape != want:
+            raise ScenarioError(f"{key!r} must hold {what}, {want}; got {arr.shape}")
+    for key, arr in (("profiles", probs), ("silence", silence), ("rows", rows)):
+        if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
+            raise ScenarioError(f"{key!r} entries must lie in [0, 1]")
+    return probs, silence, rows
 
 
 def save_scenario(data: dict, path) -> None:

@@ -8,7 +8,9 @@ probabilities), stays nonnegative, and moves at most
 
 in Euclidean norm, where H is the natural-log entropy of the conditional
 preference.  Users with concentrated preferences thus concede little;
-indifferent users concede more.
+indifferent users concede more.  ``ebc_regions`` computes every (row, slot)
+ball at once as one :class:`Regions` record of arrays, and it is the one
+place the budget ``alpha`` is checked.
 
 ``shape_demand`` alternates a linearized profile step inside each ball with
 a full re-optimization of the proactive downloads, driving the cycle cost
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,73 +43,56 @@ class ShapingDescentError(RuntimeError):
     each half-step is constructed to be non-increasing."""
 
 
-@dataclass(frozen=True)
-class EBCRegion:
-    """Feasible shaped profiles for one user in one slot."""
+class Regions(NamedTuple):
+    """Every (row, slot) region: ball centers (K, T, M), radii and activities
+    (K, T), in the argument order of :func:`~procache.optim.linear_min_over_ball_slice`."""
 
     center: np.ndarray
-    activity: float
-    alpha: float
-    radius: float
-
-    @classmethod
-    def around(cls, probs_row, silence: float, alpha: float) -> "EBCRegion":
-        center = np.array(probs_row, dtype=float)
-        center.setflags(write=False)
-        activity = 1.0 - float(silence)
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        radius = 0.0
-        if activity > 0.0 and alpha > 0.0:
-            radius = activity * alpha * entropy(center / activity)
-        return cls(center=center, activity=activity, alpha=float(alpha), radius=radius)
+    radius: np.ndarray
+    activity: np.ndarray
 
 
-def _strictly_inside(center, radius):
+def ebc_regions(profile: DemandProfile, alpha) -> Regions:
+    """Every (row, slot) ball: radius ``activity * alpha * H(probs / activity)``, 0 for
+    a silent slot or a zero budget.  ``alpha`` is a scalar or one budget per row, each
+    finite and nonnegative, else ``ValueError``.  On a profile of classes a row's
+    region is that of each of its users."""
+    alphas = np.asarray(alpha, dtype=float)
+    valid = np.isfinite(alphas) & (alphas >= 0.0)
+    if alphas.shape not in ((), (profile.num_classes,)) or not valid.all():
+        raise ValueError(f"alpha must be finite and nonnegative, one value or one per row "
+                         f"({profile.num_classes})")
+    activity, alphas = 1.0 - profile.silence, alphas.reshape(-1, 1)
+    live = (activity > 0.0) & (alphas > 0.0)
+    pi = np.divide(profile.probs, activity[..., None], out=np.zeros(profile.probs.shape),
+                   where=live[..., None])
+    radius = np.where(live, activity * alphas * entropy(pi), 0.0)
+    return Regions(center=profile.probs, radius=radius, activity=activity)
+
+
+def _strictly_inside(regions: Regions) -> np.ndarray:
     """Per row: the ball cannot touch a nonnegativity face of the slice.
 
     Within the sum slice, the most negative any coordinate can get is
     ``center_m - radius * sqrt(1 - 1/M)``; positivity of that lower
     envelope for every m keeps the ball strictly interior.
     """
+    center, radius = regions.center, regions.radius
     m = center.shape[-1]
     reach = radius * np.sqrt(1.0 - 1.0 / m)
     return (m == 1) | (radius == 0.0) | np.all(center - reach[..., None] > 0.0, axis=-1)
 
 
-def ebc_regions(profile: DemandProfile, alpha) -> list[list[EBCRegion]]:
-    """Per-row, per-slot regions; ``alpha`` is a scalar or one budget per row.
-
-    On a profile of classes a row's region is that of each of its users.
-    """
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (profile.num_classes,))
-    return [
-        [
-            EBCRegion.around(profile.probs[n, t], profile.silence[n, t], float(alphas[n]))
-            for t in range(profile.num_slots)
-        ]
-        for n in range(profile.num_classes)
-    ]
-
-
-def _stack(regions):
-    """The region grid as (N, T, M) centers and (N, T) radii and activities."""
-    return tuple(
-        np.array([[getattr(r, key) for r in row] for row in regions])
-        for key in ("center", "radius", "activity")
-    )
-
-
-def _residuals(probs, center, radius, activity):
+def _residuals(probs, regions: Regions):
     """Raw and activity-scaled | |p - center| - radius | per (user, slot).
 
     Both are 0 where the radius is 0; a positive radius implies a positive
     activity.
     """
-    live = radius > 0.0
-    moved = np.linalg.norm(probs - center, axis=-1)
-    raw = np.where(live, np.abs(moved - radius), 0.0)
-    return raw, np.divide(raw, activity, out=np.zeros_like(raw), where=live)
+    live = regions.radius > 0.0
+    moved = np.linalg.norm(probs - regions.center, axis=-1)
+    raw = np.where(live, np.abs(moved - regions.radius), 0.0)
+    return raw, np.divide(raw, regions.activity, out=np.zeros_like(raw), where=live)
 
 
 @dataclass(frozen=True)
@@ -124,7 +110,7 @@ class ShapingTrace:
 class ShapeResult:
     profile: DemandProfile
     solve: SolveResult
-    regions: list
+    regions: Regions
     trace: ShapingTrace
     converged: bool
 
@@ -153,21 +139,20 @@ def shape_demand(
     follow the per-user path exactly.
     """
     regions = ebc_regions(profile, alpha)
-    center, radius, activity = _stack(regions)
 
     solved = solve_proactive(profile, catalog, cost, cfg)
     f_prev = solved.cost
     current = profile
     objectives = [f_prev]
-    residuals = [_residuals(current.probs, center, radius, activity)[1].max()]
+    residuals = [_residuals(current.probs, regions)[1].max()]
 
     converged = False
-    if not radius.any():
+    if not regions.radius.any():
         converged = True  # nothing to shape; the trace is the initial point
     else:
         for _ in range(max_outer):
             grad = cost_gradient_p(current, solved.allocation, cost, cfg)
-            target = linear_min_over_ball_slice(grad, center, radius, activity)
+            target = linear_min_over_ball_slice(grad, *regions)
             d = target - current.probs
             fin = np.isfinite(grad)
             pred = float(np.sum(grad[fin] * d[fin]))
@@ -181,14 +166,10 @@ def shape_demand(
             # cycle cost drops.  Full steps pass the test whenever the plain
             # split already descends.
             tau, accepted = 1.0, False
-            cand = current
-            cand_solved = solved
             for _ in range(60):
                 cand = profile.with_probs(current.probs + tau * d)
                 try:
-                    cand_solved = solve_proactive(
-                        cand, catalog, cost, cfg, x0=solved.allocation.x
-                    )
+                    cand_solved = solve_proactive(cand, catalog, cost, cfg, x0=solved.allocation.x)
                 except CostDomainError:
                     tau *= 0.5   # even the zero allocation overflows here
                     continue
@@ -206,21 +187,17 @@ def shape_demand(
             current, solved = cand, cand_solved
             f_new = solved.cost
             if f_new > f_prev + 1e-9 * (1.0 + abs(f_prev)):
-                raise ShapingDescentError(
-                    f"cycle cost rose from {f_prev:.12g} to {f_new:.12g}"
-                )
+                raise ShapingDescentError(f"cycle cost rose from {f_prev:.12g} to {f_new:.12g}")
             objectives.append(f_new)
-            residuals.append(_residuals(current.probs, center, radius, activity)[1].max())
+            residuals.append(_residuals(current.probs, regions)[1].max())
             if abs(f_new - f_prev) <= tol_outer * (1.0 + abs(f_new)):
                 converged = True
-                f_prev = f_new
                 break
             f_prev = f_new
 
     trace = ShapingTrace(objectives=np.array(objectives), residuals=np.array(residuals))
-    return ShapeResult(
-        profile=current, solve=solved, regions=regions, trace=trace, converged=converged
-    )
+    return ShapeResult(profile=current, solve=solved, regions=regions, trace=trace,
+                       converged=converged)
 
 
 @dataclass(frozen=True)
@@ -233,16 +210,15 @@ class BoundaryReport:
     passed: bool                    # all hypothesis-satisfying cells within BOUNDARY_TOL
 
 
-def boundary_check(profile: DemandProfile, regions) -> BoundaryReport:
+def boundary_check(profile: DemandProfile, regions: Regions) -> BoundaryReport:
     """Measure how far each shaped profile sits from its ball boundary.
 
     At a shaped optimum whose ball lies strictly inside the nonnegativity
     faces, the profile must land on the boundary; cells where the ball
     touches a face are flagged and their residuals are informational only.
     """
-    center, radius, activity = _stack(regions)
-    raw, scaled = _residuals(profile.probs, center, radius, activity)
-    hyp = _strictly_inside(center, radius) & (radius > 0.0)
+    raw, scaled = _residuals(profile.probs, regions)
+    hyp = _strictly_inside(regions) & (regions.radius > 0.0)
     passed = bool(np.all(scaled[hyp] <= BOUNDARY_TOL)) if hyp.any() else True
     return BoundaryReport(
         raw_residual=raw, scaled_residual=scaled, hypothesis_ok=hyp, passed=passed

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from procache import DemandProfile, ProactiveAllocation, RatingVector, sample_outcomes
-from procache.evaluate import expected_cycle_cost, slot_marginal_stats
+from procache.evaluate import cycle_tables, expected_cycle_cost
 from procache.shaping import _strictly_inside
 
 
@@ -82,6 +82,11 @@ def verify_mapping(v, silence: float) -> np.ndarray:
     return activity * arr / total
 
 
+def slot_marginal_stats(profile, x, sizes, cost, cfg):
+    """Every slot's ``(a, b, a_se, b_se)`` at allocation ``x`` (see ``evaluate.Engine``)."""
+    return cfg.kernels.marginal_stats(cycle_tables(profile, x, sizes, cfg), cost)
+
+
 def marginal_cost_ratio(profile, catalog, cost, cfg) -> np.ndarray:
     """Per-slot ratio E[C'(L_t)] / E[C'(L_{t-1})] at zero allocation.
 
@@ -93,19 +98,32 @@ def marginal_cost_ratio(profile, catalog, cost, cfg) -> np.ndarray:
     return a / np.roll(a, 1)
 
 
-def region_contains(region, p, tol: float = 1e-9) -> bool:
-    """``p`` lies in the entropy-ball region (to ``tol``)."""
+def cell_radius(probs_row, silence: float, alpha: float) -> float:
+    """Entropy-ball radius of one (user, slot) cell, ``activity * alpha * H(pi)``,
+    with H summed over the positive entries of ``pi = probs_row / activity`` alone."""
+    activity = 1.0 - float(silence)
+    if activity <= 0.0 or alpha <= 0.0:
+        return 0.0
+    pi = np.asarray(probs_row, dtype=float) / activity
+    pos = pi[pi > 0.0]
+    if pos.size <= 1:
+        return 0.0   # a point mass, even one that rounds off 1
+    return activity * float(alpha) * max(0.0, float(-np.sum(pos * np.log(pos))))
+
+
+def region_contains(regions, n: int, t: int, p, tol: float = 1e-9) -> bool:
+    """``p`` lies in the entropy-ball region of row ``n``, slot ``t`` (to ``tol``)."""
     p = np.asarray(p, dtype=float)
     return (
         bool(np.all(p >= -tol))
-        and abs(float(p.sum()) - region.activity) <= max(tol, 1e-12)
-        and float(np.linalg.norm(p - region.center)) <= region.radius + tol
+        and abs(float(p.sum()) - regions.activity[n, t]) <= max(tol, 1e-12)
+        and float(np.linalg.norm(p - regions.center[n, t])) <= regions.radius[n, t] + tol
     )
 
 
-def strictly_inside_slice(region) -> bool:
-    """True when the region's ball cannot touch a nonnegativity face of the slice."""
-    return bool(_strictly_inside(region.center, np.asarray(region.radius)))
+def strictly_inside_slice(regions, n: int, t: int) -> bool:
+    """The ball of row ``n``, slot ``t`` cannot touch a nonnegativity face of the slice."""
+    return bool(_strictly_inside(regions)[n, t])
 
 
 def active_users(sets, t: int, m: int) -> tuple[int, ...]:

@@ -9,7 +9,12 @@ import pytest
 from click.testing import CliRunner
 
 from procache.cli import main
-from procache.experiments import SCALING_LADDER, SCALING_SCENARIO, two_user_scenario_dict
+from procache.experiments import (
+    SCALING_LADDER,
+    SCALING_SCENARIO,
+    two_user_scenario_dict,
+    write_json,
+)
 from procache.scenario import save_scenario, scenario_hash
 
 BASE_QUAD = 19.560000000000006
@@ -237,6 +242,92 @@ def test_recommend_rejects_malformed_inputs(runner, tmp_path):
     )
     assert res.exit_code == 1
     assert "rating rows" in json.loads(res.stderr)["message"]
+
+
+def _recommend_error(runner, tmp_path, profile_text, ratings_text):
+    """The error payload of ``recommend`` on the given file texts."""
+    profile, ratings = tmp_path / "profile.json", tmp_path / "prefs.json"
+    profile.write_text(profile_text)
+    ratings.write_text(ratings_text)
+    res = runner.invoke(main, ["recommend", "--profile", str(profile), "--ratings", str(ratings),
+                               "--out", str(tmp_path / "ratings.csv")])
+    assert res.exit_code == 1, res.output
+    lines = [ln for ln in res.stderr.splitlines() if ln.strip()]
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+ONE_USER = json.dumps({"profiles": [[[0.5, 0.4]]], "silence": [[0.1]]})
+
+
+@pytest.mark.parametrize(
+    "profile_text, ratings_text, fragment",
+    [
+        (ONE_USER, '{"rows": [[NaN, 0.5]]}', "NaN"),
+        (ONE_USER, '{"rows": [[Infinity, 0.5]]}', "Infinity"),
+        ('{"profiles": [[[NaN, 0.4]]], "silence": [[0.1]]}', '{"rows": [[0.5, 0.5]]}', "NaN"),
+        (ONE_USER, '{"rows": [[1.5, 0.5]]}', "'rows'"),
+        (ONE_USER, '{"rows": [[-0.5, 0.5]]}', "'rows'"),
+        (ONE_USER, '{"rows": [["high", 0.5]]}', "'rows'"),
+        (ONE_USER, '{"rows": [[0.5, 0.5, 0.5]]}', "'rows'"),
+        ('{"profiles": [[[1.5, 0.4]]], "silence": [[0.1]]}', '{"rows": [[0.5, 0.5]]}',
+         "'profiles'"),
+        ('{"profiles": [[[0.5, 0.4]]], "silence": [[-0.1]]}', '{"rows": [[0.5, 0.5]]}',
+         "'silence'"),
+        ('{"profiles": [[[0.5, 0.4], [0.2, 0.3]]], "silence": [[0.1]]}',
+         '{"rows": [[0.5, 0.5]]}', "'silence'"),
+        ('{"profiles": [[0.5, 0.4]], "silence": [0.1]}', '{"rows": [[0.5, 0.5]]}', "'profiles'"),
+    ],
+    ids=["nan-rating", "infinite-rating", "nan-probability", "rating-above-1",
+         "negative-rating", "text-rating", "rating-row-too-long", "probability-above-1",
+         "negative-silence", "silence-short-of-the-slots", "profiles-not-3d"],
+)
+def test_recommend_parses_strictly(runner, tmp_path, profile_text, ratings_text, fragment):
+    err = _recommend_error(runner, tmp_path, profile_text, ratings_text)
+    assert err["error"] == "ScenarioError"
+    assert fragment in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["optimize", "--tol", "nan"], "--tol"),
+        (["optimize", "--tol", "inf"], "--tol"),
+        (["optimize", "--tol", "-1e-3"], "--tol"),
+        (["optimize", "--max-iters", "-3"], "--max-iters"),
+        (["optimize", "--max-iters", "0"], "--max-iters"),
+        (["shape", "--tol", "nan"], "--tol"),
+        (["shape", "--max-iters", "0"], "--max-iters"),
+        (["scale", "--N", "2,3,4", "--tol", "-1"], "--tol"),
+        (["scale", "--N", "2,3,4", "--max-iters", "0"], "--max-iters"),
+    ],
+)
+def test_solver_options_are_checked(runner, quad_scenario, tmp_path, command, option):
+    flag = "--family" if command[0] == "scale" else "--scenario"
+    out = tmp_path / "o.csv"
+    res = runner.invoke(main, [*command, flag, str(quad_scenario), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    err = json.loads(res.stderr)
+    assert err["error"] == "ScenarioError"
+    assert option in err["message"]
+    assert not any(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-0.1"])
+def test_shape_refuses_a_bad_alpha(runner, quad_scenario, tmp_path, alpha):
+    out = tmp_path / "shaped.json"
+    res = runner.invoke(main, ["shape", "--scenario", str(quad_scenario), "--alpha", alpha,
+                               "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "alpha" in json.loads(res.stderr)["message"]
+    assert not out.exists()
+
+
+def test_write_json_leaves_no_file_when_encoding_fails(tmp_path):
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_json(out, {"ok": 1.0, "bad": float("inf")})
+    assert not out.exists()
 
 
 def test_scale_fits_growth(runner, tmp_path):

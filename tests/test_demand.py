@@ -149,6 +149,17 @@ def test_entropy_is_exactly_zero_on_a_point_mass_that_rounds_off_one():
         h = entropy(pi)
         assert h == 0.0 and np.copysign(1.0, h) == 1.0
     assert entropy((2.0, 0.5)) == 0.0   # never negative, even off the simplex
+    assert entropy(0.5) == 0.0          # a lone number is a one-entry vector
+
+
+def test_entropy_works_row_wise():
+    # zeros, a point mass and an off-simplex row side by side raise no warning
+    rows = np.array([[[0.8, 0.1, 0.1], [1.0, 0.0, 0.0]], [[0.0, 0.3, 0.7], [2.0, 0.5, 0.0]]])
+    h = entropy(rows)
+    assert h.shape == (2, 2)
+    assert all(h[i, j] == entropy(rows[i, j]) for i, j in np.ndindex(2, 2))
+    assert h[0, 0] == pytest.approx(ENTROPY_811, abs=1e-15)
+    assert h[0, 1] == 0.0 and h[1, 1] == 0.0 and np.all(np.copysign(1.0, h) == 1.0)
 
 
 def test_entropy_of_a_conditional_preference(two_user):

@@ -21,12 +21,12 @@ from procache import (
 )
 from procache import evaluate, parse_scenario
 from procache.costs import CostDomainError
-from procache.evaluate import ENGINES, Point, cycle_tables, prefetch_volume, slot_marginal_stats
+from procache.evaluate import ENGINES, Point, cycle_tables, prefetch_volume
 from procache.experiments import SCALING_SCENARIO
 from procache.rng import substream
 
 from conftest import random_instance
-from oracles import RequestOutcome, slot_load
+from oracles import RequestOutcome, slot_load, slot_marginal_stats
 
 NONPROACTIVE_QUAD = 19.560000000000006
 NONPROACTIVE_QUAD_SLOTS = (2.4000000000000004, 36.720000000000013)

@@ -22,11 +22,10 @@ from procache import (
 )
 from procache import evaluate, proactive
 from procache.costs import CostDomainError
-from procache.evaluate import slot_marginal_stats
 from procache.experiments import SCALING_SCENARIO
 
 from conftest import random_instance, two_user_pair
-from oracles import active_users, marginal_cost_ratio, policy_vertex
+from oracles import active_users, marginal_cost_ratio, policy_vertex, slot_marginal_stats
 
 OPTIMIZED_QUAD = 15.410789534883722
 OPTIMAL_COORD = (0, 1, 0)  # the only download worth making in the pilot
@@ -214,6 +213,23 @@ def test_reduction_bounds_frozen(two_user, quad, enum_cfg):
     assert rep.policy_cost == pytest.approx(POLICY_COST, abs=1e-9)
     assert rep.lower > 0.0
     assert rep.lower <= rep.delta <= rep.upper
+
+
+def test_reduction_bounds_build_the_zero_allocation_tables_twice(monkeypatch, two_user, quad,
+                                                                 enum_cfg):
+    # one zero point serves the sets, the policy, both bounds and the
+    # non-proactive cost; the solve builds its own start
+    catalog, prof = two_user
+    at_zero = []
+    build = evaluate.cycle_tables
+
+    def counted(profile, x, sizes, cfg):
+        at_zero.append(not np.any(x))
+        return build(profile, x, sizes, cfg)
+
+    monkeypatch.setattr(evaluate, "cycle_tables", counted)
+    reduction_bounds(prof, catalog, quad, enum_cfg)
+    assert sum(at_zero) == 2
 
 
 def test_full_prefetch_needs_a_peak_to_dodge(quad, enum_cfg):

@@ -57,6 +57,16 @@ def test_rating_vector_validation():
     assert RatingVector([-1e-14, 0.5]).v[0] == 0.0  # numerical dust clipped
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_ratings_and_targets_are_refused(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        RatingVector([bad, 0.5])
+    with pytest.raises(ValueError):
+        solve_rating(np.array([bad, 0.4]), 0.1, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        solve_rating(np.array([0.5, 0.4]), bad, [0.5, 0.5])
+
+
 def test_mapping_is_proportional():
     probs = verify_mapping([0.6, 0.3, 0.1], silence=0.2)
     assert probs.sum() == pytest.approx(0.8)

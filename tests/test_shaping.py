@@ -5,7 +5,6 @@ import pytest
 
 from procache import (
     DemandProfile,
-    EBCRegion,
     ItemCatalog,
     ShapingDescentError,
     boundary_check,
@@ -13,16 +12,30 @@ from procache import (
     ebc_regions,
     entropy,
     shape_demand,
+    parse_scenario,
     solve_proactive,
 )
+from procache.experiments import SCALING_SCENARIO
 from procache.optim import linear_min_over_ball_slice
 
-from oracles import conditional, fully_flexible_optimum, region_contains, strictly_inside_slice
+from oracles import (
+    cell_radius,
+    conditional,
+    fully_flexible_optimum,
+    region_contains,
+    strictly_inside_slice,
+)
 
 
-def linear_min_over_ebc(gradient, region):
+def one_cell(probs_row, silence, alpha):
+    """The regions of a one-user, one-slot profile."""
+    return ebc_regions(DemandProfile([[probs_row]], [[silence]]), alpha)
+
+
+def linear_min_over_ebc(gradient, regions, n=0, t=0):
     """The shaping step on one region: minimize a linear functional of its profile."""
-    return linear_min_over_ball_slice(gradient, region.center, region.radius, region.activity)
+    return linear_min_over_ball_slice(gradient, regions.center[n, t], regions.radius[n, t],
+                                      regions.activity[n, t])
 
 
 def shaping_gain_condition(p_orig, p_candidate, x_row, sizes):
@@ -68,54 +81,101 @@ SPLIT_PEAK_U1 = (0.35370337639743610, 0.45126487449667452, 0.19503174910588944)
 
 def test_region_radius_formula(two_user):
     _, prof = two_user
-    region = EBCRegion.around(prof.probs[0, 1], prof.silence[0, 1], 0.2)
-    assert region.radius == pytest.approx(RADIUS_U0_PEAK, abs=1e-15)
-    assert region.radius == pytest.approx(
+    regions = ebc_regions(prof, 0.2)
+    assert regions.radius[0, 1] == pytest.approx(RADIUS_U0_PEAK, abs=1e-15)
+    assert regions.radius[0, 1] == pytest.approx(
         0.9 * 0.2 * entropy(np.asarray(prof.probs[0, 1]) / 0.9)
     )
-    other = EBCRegion.around(prof.probs[1, 1], prof.silence[1, 1], 0.2)
-    assert other.radius == pytest.approx(RADIUS_U1_PEAK, abs=1e-15)
+    assert regions.radius[1, 1] == pytest.approx(RADIUS_U1_PEAK, abs=1e-15)
+    assert regions.center is prof.probs
+    assert np.array_equal(regions.activity, 1.0 - prof.silence)
 
 
 def test_region_degenerate_radii():
-    assert EBCRegion.around((0.4, 0.4), 0.2, 0.0).radius == 0.0
-    assert EBCRegion.around((0.0, 0.0), 1.0, 0.5).radius == 0.0  # silent slot
-    assert EBCRegion.around((1.0, 0.0), 0.0, 0.5).radius == 0.0  # point mass
+    assert one_cell((0.4, 0.4), 0.2, 0.0).radius[0, 0] == 0.0
+    assert one_cell((0.0, 0.0), 1.0, 0.5).radius[0, 0] == 0.0  # silent slot
+    assert one_cell((1.0, 0.0), 0.0, 0.5).radius[0, 0] == 0.0  # point mass
     with pytest.raises(ValueError, match="nonnegative"):
-        EBCRegion.around((0.5, 0.4), 0.1, -0.1)
+        one_cell((0.5, 0.4), 0.1, -0.1)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, (0.2, np.nan), (0.2,), (0.1, 0.2, 0.3)])
+def test_regions_refuse_a_bad_alpha(two_user, alpha):
+    _, prof = two_user
+    with pytest.raises(ValueError, match="alpha"):
+        ebc_regions(prof, alpha)
+
+
+def _random_rows(rng, rows, m_items, zero_share):
+    """Activities in (0, 1] and probability rows on them, some entries exactly 0."""
+    probs = rng.random((rows, 1, m_items)) ** 3
+    probs[rng.random(probs.shape) < zero_share] = 0.0
+    probs[:, :, 0] += 1e-3
+    activity = rng.uniform(0.05, 1.0, size=(rows, 1))
+    probs *= (activity / probs.sum(axis=2))[:, :, None]
+    return DemandProfile(probs, 1.0 - activity)
+
+
+def _oracle_radii(profile, alpha):
+    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (profile.num_classes,))
+    return np.array([[cell_radius(profile.probs[n, t], profile.silence[n, t], alphas[n])
+                      for t in range(profile.num_slots)] for n in range(profile.num_classes)])
+
+
+def test_row_wise_radii_equal_the_per_cell_oracle(two_user):
+    rng = np.random.default_rng(13)
+    _, prof = two_user
+    exact = [(prof, 0.2), (prof, (0.1, 0.6))]
+    for power in (0.5, 1.0, 4.0):
+        zipf = parse_scenario(dict(SCALING_SCENARIO, generator=dict(
+            SCALING_SCENARIO["generator"], users=3, power=power)))
+        exact.append((zipf.profile, 0.2))
+    for m_items in range(1, 8):
+        exact.append((_random_rows(rng, 40, m_items, 0.3), rng.uniform(0.0, 1.0, 40)))
+    for m_items in (8, 13, 50):
+        exact.append((_random_rows(rng, 40, m_items, 0.0), 0.37))
+    for profile, alpha in exact:
+        assert np.array_equal(ebc_regions(profile, alpha).radius, _oracle_radii(profile, alpha))
+
+    # past 7 items numpy's pairwise sum groups the terms by position, so
+    # zero entries move the grouping: equal to roundoff
+    for m_items in (8, 13, 50):
+        profile = _random_rows(rng, 40, m_items, 0.3)
+        got, want = ebc_regions(profile, 0.6).radius, _oracle_radii(profile, 0.6)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 def test_region_contains(two_user):
     _, prof = two_user
-    region = EBCRegion.around(prof.probs[0, 1], prof.silence[0, 1], 0.2)
-    center = np.asarray(prof.probs[0, 1])
-    assert region_contains(region, center)
+    regions = ebc_regions(prof, 0.2)
+    center, radius = np.asarray(prof.probs[0, 1]), regions.radius[0, 1]
+    assert region_contains(regions, 0, 1, center)
     step = np.array([1.0, -0.5, -0.5])
-    boundary = center + region.radius * step / np.linalg.norm(step)
-    assert region_contains(region, boundary, tol=1e-9)
-    assert not region_contains(region, center + 2.0 * region.radius * step / np.linalg.norm(step))
-    assert not region_contains(region, np.array([0.95, 0.05, -0.1]))  # leaves the orthant
+    boundary = center + radius * step / np.linalg.norm(step)
+    assert region_contains(regions, 0, 1, boundary, tol=1e-9)
+    assert not region_contains(regions, 0, 1, center + 2.0 * radius * step / np.linalg.norm(step))
+    assert not region_contains(regions, 0, 1, np.array([0.95, 0.05, -0.1]))  # leaves the orthant
 
 
 def test_region_face_contact_detection(two_user):
     _, prof = two_user
     # every pilot region can push some coordinate to zero within its budget
+    regions = ebc_regions(prof, 0.2)
     for n in range(2):
         for t in range(2):
-            region = EBCRegion.around(prof.probs[n, t], prof.silence[n, t], 0.2)
-            assert not strictly_inside_slice(region)
-    roomy = EBCRegion.around(np.full(3, 0.3), 0.1, 0.05)
-    assert strictly_inside_slice(roomy)
-    assert strictly_inside_slice(EBCRegion.around((0.9,), 0.1, 0.3))  # one item
+            assert not strictly_inside_slice(regions, n, t)
+    roomy = one_cell(np.full(3, 0.3), 0.1, 0.05)
+    assert strictly_inside_slice(roomy, 0, 0)
+    assert strictly_inside_slice(one_cell((0.9,), 0.1, 0.3), 0, 0)  # one item
 
 
 def test_regions_broadcast_alpha(two_user):
     _, prof = two_user
     flat = ebc_regions(prof, 0.2)
     split = ebc_regions(prof, (0.1, 0.6))
-    assert flat[0][1].radius == pytest.approx(RADIUS_U0_PEAK)
-    assert split[0][1].radius == pytest.approx(RADIUS_U0_PEAK / 2.0)
-    assert split[1][1].radius == pytest.approx(3.0 * RADIUS_U1_PEAK)
+    assert flat.radius[0, 1] == pytest.approx(RADIUS_U0_PEAK)
+    assert split.radius[0, 1] == pytest.approx(RADIUS_U0_PEAK / 2.0)
+    assert split.radius[1, 1] == pytest.approx(3.0 * RADIUS_U1_PEAK)
     with pytest.raises(ValueError):
         ebc_regions(prof, -0.2)
 
@@ -135,29 +195,31 @@ def test_fully_flexible_optimum_points_at_smallest_item(two_user):
 
 
 def test_linear_min_over_ebc_basics():
-    region = EBCRegion.around(np.full(3, 0.3), 0.1, 0.05)
+    region = one_cell(np.full(3, 0.3), 0.1, 0.05)
+    center, radius = region.center[0, 0], region.radius[0, 0]
     g = np.array([1.0, 0.0, -1.0])
     x = linear_min_over_ebc(g, region)
     gp = g - g.mean()
-    assert np.allclose(x, region.center - region.radius * gp / np.linalg.norm(gp), atol=1e-9)
+    assert np.allclose(x, center - radius * gp / np.linalg.norm(gp), atol=1e-9)
 
-    frozen = EBCRegion.around(np.full(3, 0.3), 0.1, 0.0)
-    assert np.allclose(linear_min_over_ebc(g, frozen), frozen.center)
+    frozen = one_cell(np.full(3, 0.3), 0.1, 0.0)
+    assert np.allclose(linear_min_over_ebc(g, frozen), frozen.center[0, 0])
     with pytest.raises(ValueError, match="dimension mismatch"):
         linear_min_over_ebc(np.ones(4), region)
 
 
 def test_linear_min_over_ebc_avoids_diverging_items():
-    region = EBCRegion.around(np.array([0.05, 0.85]), 0.1, 0.37)
-    assert region.radius > 0.05  # enough budget to zero the first item
+    region = one_cell(np.array([0.05, 0.85]), 0.1, 0.37)
+    center, radius = region.center[0, 0], region.radius[0, 0]
+    assert radius > 0.05  # enough budget to zero the first item
     x = linear_min_over_ebc(np.array([np.inf, 1.0]), region)
     assert x[0] == 0.0
     assert x[1] == pytest.approx(0.9)
-    assert np.linalg.norm(x - region.center) <= region.radius + 1e-12
+    assert np.linalg.norm(x - center) <= radius + 1e-12
 
 
 def test_linear_min_over_ebc_cannot_shed_enough_mass():
-    region = EBCRegion.around(np.array([0.5, 0.4]), 0.1, 0.12)
+    region = one_cell(np.array([0.5, 0.4]), 0.1, 0.12)
     with pytest.raises(ValueError, match="diverging"):
         linear_min_over_ebc(np.array([np.inf, 1.0]), region)
     with pytest.raises(ValueError, match="diverging"):
@@ -201,7 +263,7 @@ def test_shape_demand_is_stationary_at_its_answer(two_user, quad, enum_cfg):
     pred = 0.0
     for n in range(2):
         for t in range(2):
-            target = linear_min_over_ebc(grad[n, t], result.regions[n][t])
+            target = linear_min_over_ebc(grad[n, t], result.regions, n, t)
             d = target - result.profile.probs[n, t]
             fin = np.isfinite(grad[n, t])
             pred += float(grad[n, t][fin] @ d[fin])
@@ -222,7 +284,7 @@ def test_one_item_shaping_keeps_the_profile(quad, enum_cfg, analytic_cfg):
     catalog, prof = ItemCatalog([2.0]), DemandProfile([[[0.3], [0.7]], [[0.2], [0.9]]])
     for cfg in (enum_cfg, analytic_cfg):
         result = shape_demand(prof, catalog, quad, cfg, alpha=0.2)
-        assert all(region.radius == 0.0 for row in result.regions for region in row)
+        assert np.all(result.regions.radius == 0.0)
         assert result.converged and len(result.trace) == 1
         assert np.array_equal(result.profile.probs, prof.probs)
 
@@ -254,8 +316,8 @@ def test_boundary_check_interior_case(quad, enum_cfg):
     prof = DemandProfile(probs)
     result = shape_demand(prof, catalog, quad, enum_cfg, alpha=0.05)
     regions = result.regions
-    assert strictly_inside_slice(regions[0][0])
-    assert strictly_inside_slice(regions[0][1])
+    assert strictly_inside_slice(regions, 0, 0)
+    assert strictly_inside_slice(regions, 0, 1)
     report = boundary_check(result.profile, regions)
     assert report.hypothesis_ok.all()
     assert report.passed

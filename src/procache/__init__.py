@@ -47,12 +47,9 @@ from .recommend import (
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, save_scenario
 from .shaping import (
-    BoundaryReport,
     Regions,
     ShapeResult,
-    ShapingDescentError,
     ShapingTrace,
-    boundary_check,
     ebc_regions,
     shape_demand,
 )

@@ -43,7 +43,7 @@ from .scenario import (
     parse_scenario,
     read_json,
 )
-from .shaping import boundary_check, shape_demand
+from .shaping import shape_demand
 
 
 _TOL_HELP = "Solver tolerance, relative to the projected-gradient norm at zero prefetch."
@@ -218,7 +218,6 @@ def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
     alphas = scn.alpha if alpha is None else alpha
     result = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, alphas,
                           tol_outer=tol, max_outer=max_iters)
-    boundary = boundary_check(result.profile, result.regions)
     if trace_path is not None:
         write_trace_csv(trace_path, result.trace)
     payload = _summary(scn, {
@@ -226,7 +225,7 @@ def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
         "f0_initial": float(result.trace.objectives[0]),
         "f0_final": float(result.trace.objectives[-1]),
         "outer_iterations": len(result.trace) - 1,
-        "max_boundary_residual": float(np.max(boundary.scaled_residual)),
+        "max_boundary_residual": float(result.trace.residuals[-1]),
         "profiles": scn.per_user(result.profile.probs).tolist(),
         "silence": scn.per_user(result.profile.silence).tolist(),
     })

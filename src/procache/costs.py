@@ -9,9 +9,9 @@ families are provided:
   :class:`CostDomainError` rather than being clipped
 * ``polynomial``: nonnegative coefficients, degree at least 2
 
-Monotonicity and strict convexity are probed numerically on a grid at
-construction time, so a family extension that fails either property is
-rejected immediately instead of corrupting downstream optimization.
+Each constructor's checks prove both properties: with mu > 0, or with
+nonnegative coefficients, degree at least 2 and a positive leading one,
+C' > 0 and C'' > 0 on (0, limit).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_PROBE_POINTS = 1000
 
 
 class CostDomainError(ValueError):
@@ -44,15 +42,13 @@ class CostModel:
 
     @classmethod
     def quadratic(cls) -> "CostModel":
-        return cls(kind="quadratic")
+        return cls(kind="quadratic", coeffs=(0.0, 0.0, 1.0))
 
     @classmethod
     def outage(cls, mu: float) -> "CostModel":
         if not mu > 0:
             raise ValueError(f"outage capacity must be positive, got {mu}")
-        model = cls(kind="outage", mu=float(mu))
-        model._probe()
-        return model
+        return cls(kind="outage", mu=float(mu))
 
     @classmethod
     def polynomial(cls, coeffs) -> "CostModel":
@@ -64,17 +60,13 @@ class CostModel:
             raise ValueError("polynomial cost coefficients must be nonnegative")
         if c[-1] == 0.0:
             raise ValueError("leading polynomial coefficient must be positive")
-        model = cls(kind="polynomial", coeffs=c)
-        model._probe()
-        return model
+        return cls(kind="polynomial", coeffs=c)
 
     @property
     def degree(self) -> int:
-        if self.kind == "quadratic":
-            return 2
-        if self.kind == "polynomial":
-            return len(self.coeffs) - 1
-        raise ValueError(f"degree undefined for {self.kind} cost")
+        if self.kind == "outage":
+            raise ValueError("degree undefined for outage cost")
+        return len(self.coeffs) - 1
 
     @property
     def domain_limit(self) -> float:
@@ -82,11 +74,9 @@ class CostModel:
 
     def poly_coeffs(self) -> tuple[float, ...]:
         """(c0, c1, c2, ...) when the family is a polynomial, else error."""
-        if self.kind == "quadratic":
-            return (0.0, 0.0, 1.0)
-        if self.kind == "polynomial":
-            return self.coeffs
-        raise ValueError(f"{self.kind} cost has no polynomial coefficients")
+        if self.kind == "outage":
+            raise ValueError("outage cost has no polynomial coefficients")
+        return self.coeffs
 
     def cost(self, load):
         """C(load); vectorized, raises CostDomainError outside the domain."""
@@ -152,15 +142,3 @@ class CostModel:
             np.multiply(out, arr, out=out)   # one buffer, no temporaries
             out += c
         return out
-
-    def _probe(self, probe_max: float = 100.0) -> None:
-        # interior grid: C'(0) = 0 is legal (pure quadratic), so skip the origin
-        hi = min(probe_max, self.domain_limit * (1.0 - 1e-6))
-        grid = np.linspace(hi / _PROBE_POINTS, hi, _PROBE_POINTS)
-        d1 = self.marginal(grid)
-        if np.any(d1 <= 0):
-            raise ValueError(f"{self.kind} cost is not strictly increasing")
-        h = grid[1] - grid[0]
-        d2 = np.diff(d1) / h
-        if np.any(d2 <= 0):
-            raise ValueError(f"{self.kind} cost is not strictly convex")

@@ -24,7 +24,7 @@ from .evaluate import nonproactive_cost
 from .proactive import ScalingCurve, scaling_curve, solve_proactive
 from .recommend import solve_rating
 from .scenario import Scenario, parse_scenario
-from .shaping import ShapingTrace, boundary_check, shape_demand
+from .shaping import ShapingTrace, shape_demand
 
 TWO_USER_SIZES = (3.0, 2.0, 4.0)
 TWO_USER_PREFS = ((0.8, 0.1, 0.1), (0.3, 0.1, 0.6))
@@ -154,7 +154,6 @@ def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
     scn = parse_scenario(two_user_scenario_dict(SHAPED_P_PEAK, cost_kind))
     base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, scn.cfg)
     shaped = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
-    boundary = boundary_check(shaped.profile, shaped.regions)
 
     rating_rows = []
     ratings_out = {}
@@ -191,7 +190,7 @@ def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
         "f0_final": float(shaped.trace.objectives[-1]),
         "outer_iterations": len(shaped.trace) - 1,
         "converged": shaped.converged,
-        "max_boundary_residual": float(np.max(boundary.scaled_residual)),
+        "max_boundary_residual": float(shaped.trace.residuals[-1]),
         "ratings": ratings_out,
     }
     return _finish_report(f"two_user_{cost_kind}", scn, metrics, out_dir,

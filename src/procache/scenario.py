@@ -399,7 +399,8 @@ def load_scenario(path) -> Scenario:
 
 def parse_rating_inputs(shaped, ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``recommend``'s inputs: the shaped ``profiles`` (N, T, M) and ``silence``
-    (N, T), and the intrinsic rating ``rows`` (N, M), every entry in [0, 1]."""
+    (N, T), and the intrinsic rating ``rows`` (N, M), every entry in [0, 1] and each
+    (user, slot) profile summing with its silence to 1."""
     if not (isinstance(shaped, dict) and isinstance(ratings, dict)):
         raise ScenarioError("the profile and ratings files must each hold a JSON object")
     probs, silence, rows = (
@@ -416,6 +417,11 @@ def parse_rating_inputs(shaped, ratings) -> tuple[np.ndarray, np.ndarray, np.nda
     for key, arr in (("profiles", probs), ("silence", silence), ("rows", rows)):
         if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
             raise ScenarioError(f"{key!r} entries must lie in [0, 1]")
+    off = np.argwhere(np.abs(probs.sum(-1) - (1.0 - silence)) > 1e-9)
+    if off.size:
+        n, t = map(int, off[0])
+        raise ScenarioError(f"'profiles' and 'silence' of user {n}, slot {t} must sum to 1 "
+                            f"(to 1e-9), got {probs[n, t].sum() + silence[n, t]:.12g}")
     return probs, silence, rows
 
 

@@ -6,7 +6,6 @@ import numpy as np
 
 from procache import DemandProfile, ProactiveAllocation, RatingVector, sample_outcomes
 from procache.evaluate import cycle_tables, expected_cycle_cost
-from procache.shaping import _strictly_inside
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,53 @@ def region_contains(regions, n: int, t: int, p, tol: float = 1e-9) -> bool:
     )
 
 
+BOUNDARY_TOL = 1e-3   # largest scaled boundary residual a shaped optimum may show
+
+
+def _strictly_inside(regions) -> np.ndarray:
+    """Per cell: the ball cannot touch a nonnegativity face of the slice.
+
+    Within the sum slice, the most negative any coordinate can get is
+    ``center_m - radius * sqrt(1 - 1/M)``; positivity of that lower
+    envelope for every m keeps the ball strictly interior.
+    """
+    center, radius = regions.center, regions.radius
+    m = center.shape[-1]
+    reach = radius * np.sqrt(1.0 - 1.0 / m)
+    return (m == 1) | (radius == 0.0) | np.all(center - reach[..., None] > 0.0, axis=-1)
+
+
 def strictly_inside_slice(regions, n: int, t: int) -> bool:
     """The ball of row ``n``, slot ``t`` cannot touch a nonnegativity face of the slice."""
     return bool(_strictly_inside(regions)[n, t])
+
+
+@dataclass(frozen=True)
+class BoundaryReport:
+    """Distance of each shaped profile from its region boundary."""
+
+    raw_residual: np.ndarray        # (N, T) | |p - center| - radius |
+    scaled_residual: np.ndarray     # (N, T) residual in conditional units
+    hypothesis_ok: np.ndarray       # (N, T) ball strictly inside the slice
+    passed: bool                    # all hypothesis-satisfying cells within BOUNDARY_TOL
+
+
+def boundary_check(profile, regions) -> BoundaryReport:
+    """Measure how far each shaped profile sits from its ball boundary.
+
+    At a shaped optimum whose ball lies strictly inside the nonnegativity
+    faces, the profile must land on the boundary; cells where the ball
+    touches a face are flagged and their residuals are informational only.
+    Both residuals are 0 where the radius is 0.
+    """
+    live = regions.radius > 0.0
+    moved = np.linalg.norm(profile.probs - regions.center, axis=-1)
+    raw = np.where(live, np.abs(moved - regions.radius), 0.0)
+    scaled = np.divide(raw, regions.activity, out=np.zeros_like(raw), where=live)
+    hyp = _strictly_inside(regions) & live
+    passed = bool(np.all(scaled[hyp] <= BOUNDARY_TOL)) if hyp.any() else True
+    return BoundaryReport(raw_residual=raw, scaled_residual=scaled, hypothesis_ok=hyp,
+                          passed=passed)
 
 
 def active_users(sets, t: int, m: int) -> tuple[int, ...]:

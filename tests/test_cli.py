@@ -15,7 +15,10 @@ from procache.experiments import (
     two_user_scenario_dict,
     write_json,
 )
-from procache.scenario import save_scenario, scenario_hash
+from procache.scenario import load_scenario, save_scenario, scenario_hash
+from procache.shaping import shape_demand
+
+from oracles import boundary_check
 
 BASE_QUAD = 19.560000000000006
 OPTIMIZED_QUAD = 15.410789534883722
@@ -190,6 +193,20 @@ def test_shape_payload_and_trace(runner, quad_scenario, tmp_path):
     assert all(b < a for a, b in zip(f0, f0[1:]))
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "outage"])
+def test_shape_reports_the_last_trace_residual(runner, tmp_path, kind):
+    scenario, out, trace = tmp_path / "s.json", tmp_path / "shaped.json", tmp_path / "trace.csv"
+    save_scenario(two_user_scenario_dict(0.9, kind), scenario)
+    res = runner.invoke(main, ["shape", "--scenario", str(scenario), "--out", str(out),
+                               "--trace", str(trace)])
+    assert res.exit_code == 0, res.output
+    reported = json.loads(out.read_text())["max_boundary_residual"]
+    assert reported == float(read_rows(trace)[-1]["max_boundary_residual"])
+    scn = load_scenario(scenario)
+    result = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
+    assert reported == float(np.max(boundary_check(result.profile, result.regions).scaled_residual))
+
+
 def test_recommend_realizes_shaped_demand(runner, quad_scenario, tmp_path):
     shaped = tmp_path / "shaped.json"
     res = runner.invoke(main, ["shape", "--scenario", str(quad_scenario), "--out", str(shaped)])
@@ -277,10 +294,16 @@ ONE_USER = json.dumps({"profiles": [[[0.5, 0.4]]], "silence": [[0.1]]})
         ('{"profiles": [[[0.5, 0.4], [0.2, 0.3]]], "silence": [[0.1]]}',
          '{"rows": [[0.5, 0.5]]}', "'silence'"),
         ('{"profiles": [[0.5, 0.4]], "silence": [0.1]}', '{"rows": [[0.5, 0.5]]}', "'profiles'"),
+        ('{"profiles": [[[0.5, 0.1]]], "silence": [[0.1]]}', '{"rows": [[0.5, 0.5]]}',
+         "'profiles' and 'silence' of user 0, slot 0"),
+        ('{"profiles": [[[0.5, 0.4], [0.5, 0.4]], [[0.5, 0.4], [0.3, 0.3]]],'
+         ' "silence": [[0.1, 0.1], [0.1, 0.1]]}', '{"rows": [[0.5, 0.5], [0.5, 0.5]]}',
+         "user 1, slot 1"),
     ],
     ids=["nan-rating", "infinite-rating", "nan-probability", "rating-above-1",
          "negative-rating", "text-rating", "rating-row-too-long", "probability-above-1",
-         "negative-silence", "silence-short-of-the-slots", "profiles-not-3d"],
+         "negative-silence", "silence-short-of-the-slots", "profiles-not-3d",
+         "row-short-of-1", "last-cell-short-of-1"],
 )
 def test_recommend_parses_strictly(runner, tmp_path, profile_text, ratings_text, fragment):
     err = _recommend_error(runner, tmp_path, profile_text, ratings_text)

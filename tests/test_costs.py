@@ -1,11 +1,12 @@
-"""Cost families: values, marginals, domain handling, convexity probes."""
+"""Cost families: values, marginals, domain handling, constructor checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procache import CostDomainError, CostModel
+from procache import CostDomainError, CostModel, parse_scenario
+from procache.experiments import two_user_scenario_dict
 
 
 def test_quadratic_values_and_metadata():
@@ -68,6 +69,28 @@ def test_outage_rejects_nonpositive_capacity():
     for mu in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
             CostModel.outage(mu)
+
+
+def test_tiny_leading_coefficient_is_a_valid_cost():
+    # C' and C'' are positive on (0, inf) by the constructor's own checks, though a
+    # finite difference of C' rounds to 0 here
+    c = CostModel.polynomial([0.0, 1.0, 1e-20])
+    assert c.degree == 2
+    assert c.marginal(1.0) == 1.0
+    assert c.second(1.0) == 2e-20
+    data = two_user_scenario_dict(0.9, "quadratic")
+    data["cost"] = {"kind": "polynomial", "coeffs": [0.0, 1.0, 1e-20]}
+    assert parse_scenario(data).cost == c
+
+
+@pytest.mark.parametrize("mu", [1e300, 1e-300])
+def test_extreme_outage_capacities_construct(mu):
+    # no overflow or division warning on construction (pytest makes those errors)
+    c = CostModel.outage(mu)
+    assert c.domain_limit == mu
+    assert c.cost(mu / 2.0) == 1.0
+    with pytest.raises(CostDomainError):
+        c.cost(mu)
 
 
 def test_outage_degree_undefined():

@@ -1,4 +1,4 @@
-"""Entropy-ball regions, the shaping descent, boundary checks, ratings gain."""
+"""Entropy-ball regions, the shaping descent, boundary residuals, ratings gain."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from procache import (
     DemandProfile,
     ItemCatalog,
-    ShapingDescentError,
-    boundary_check,
     cost_gradient_p,
     ebc_regions,
     entropy,
@@ -19,6 +17,7 @@ from procache.experiments import SCALING_SCENARIO
 from procache.optim import linear_min_over_ball_slice
 
 from oracles import (
+    boundary_check,
     cell_radius,
     conditional,
     fully_flexible_optimum,
@@ -340,7 +339,3 @@ def test_gain_condition_certifies_the_pilot_step(two_user, quad, enum_cfg):
     assert shaping_gain_condition(p0, p0, solved.allocation.x[0, 1], catalog.sizes) == 0.0
     with pytest.raises(ValueError, match="item dimension"):
         shaping_gain_condition(p0, cand[:2], solved.allocation.x[0, 1], catalog.sizes)
-
-
-def test_descent_error_is_a_runtime_error():
-    assert issubclass(ShapingDescentError, RuntimeError)

@@ -11,11 +11,14 @@ families are provided:
 
 Each constructor's checks prove both properties: with mu > 0, or with
 nonnegative coefficients, degree at least 2 and a positive leading one,
-C' > 0 and C'' > 0 on (0, limit).
+C' > 0 and C'' > 0 on (0, limit).  Each family's C, C' and C'' are one body,
+``CostModel._derivative``, and every evaluation engine reads a cost through
+``cost``, ``marginal`` and ``second`` only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +30,7 @@ class CostDomainError(ValueError):
     def __init__(self, load: float, limit: float):
         self.load = float(load)
         self.limit = float(limit)
-        super().__init__(
-            f"load {self.load:.6g} outside cost domain [0, {self.limit:.6g})"
-        )
+        super().__init__(f"load {self.load:.6g} outside cost domain [0, {self.limit:.6g})")
 
 
 @dataclass(frozen=True)
@@ -72,53 +73,34 @@ class CostModel:
     def domain_limit(self) -> float:
         return self.mu if self.kind == "outage" else np.inf
 
-    def poly_coeffs(self) -> tuple[float, ...]:
-        """(c0, c1, c2, ...) when the family is a polynomial, else error."""
-        if self.kind == "outage":
-            raise ValueError("outage cost has no polynomial coefficients")
-        return self.coeffs
-
     def cost(self, load):
         """C(load); vectorized, raises CostDomainError outside the domain."""
-        arr = np.asarray(load, dtype=float)
-        self._check_domain(arr)
-        if self.kind == "quadratic":
-            out = arr * arr
-        elif self.kind == "outage":
-            out = np.subtract(self.mu, arr, out=np.empty_like(arr))   # one buffer, no temporary
-            np.divide(arr, out, out=out)
-        else:
-            out = self._horner(arr, self.coeffs)
-        return float(out) if np.ndim(load) == 0 else out
+        return self._derivative(load, 0)
 
     def marginal(self, load):
         """C'(load); vectorized, same domain rules as :meth:`cost`."""
-        arr = np.asarray(load, dtype=float)
-        self._check_domain(arr)
-        if self.kind == "quadratic":
-            out = 2.0 * arr
-        elif self.kind == "outage":
-            out = np.subtract(self.mu, arr, out=np.empty_like(arr))
-            out *= out
-            np.divide(self.mu, out, out=out)
-        else:
-            deriv = tuple(j * c for j, c in enumerate(self.coeffs))[1:]
-            out = self._horner(arr, deriv)
-        return float(out) if np.ndim(load) == 0 else out
+        return self._derivative(load, 1)
 
     def second(self, load):
         """C''(load); vectorized, same domain rules as :meth:`cost`."""
+        return self._derivative(load, 2)
+
+    def _derivative(self, load, order: int):
+        """The ``order``-th derivative of C at ``load``, order 0 to 2: one body per family."""
         arr = np.asarray(load, dtype=float)
         self._check_domain(arr)
-        if self.kind == "quadratic":
-            out = np.full_like(arr, 2.0)
+        if self.kind == "quadratic":   # the fast path; Horner is slower per call
+            out = arr * arr if order == 0 else 2.0 * arr if order == 1 else np.full_like(arr, 2.0)
         elif self.kind == "outage":
-            out = np.subtract(self.mu, arr, out=np.empty_like(arr))
-            out *= out * out
-            np.divide(2.0 * self.mu, out, out=out)
-        else:
-            deriv = tuple(j * (j - 1) * c for j, c in enumerate(self.coeffs))[2:]
-            out = self._horner(arr, deriv)
+            out = np.subtract(self.mu, arr, out=np.empty_like(arr))   # one buffer, no temporary
+            if order == 0:
+                np.divide(arr, out, out=out)
+            else:   # k! mu / (mu - L)^(k+1)
+                out *= out if order == 1 else out * out
+                np.divide(math.factorial(order) * self.mu, out, out=out)
+        else:   # d^k/dL^k c_j L^j = j!/(j-k)! c_j L^(j-k)
+            deriv = [math.perm(j, order) * c for j, c in enumerate(self.coeffs)]
+            out = self._horner(arr, deriv[order:])
         return float(out) if np.ndim(load) == 0 else out
 
     def in_domain(self, load):

@@ -55,7 +55,9 @@ Newton-CG loop takes products without (N, T, M) temporaries.
   without one.  The probability gradient builds one grid per user, that
   user's every choice against the other users' support.
 * ``analytic_quadratic``: closed-form first/second moments, valid only for
-  polynomial costs of degree <= 2, where ``C''`` is constant;
+  polynomial costs of degree <= 2, where ``C''`` is constant.  Like the
+  other engines it reads the cost only through ``C``, ``C'`` and ``C''``:
+  ``E[C(Y)] = C(E[Y]) + C'' Var[Y] / 2``, and ``C'`` is affine;
 * ``monte_carlo``: seeded counter-based sampling with reported standard
   errors; estimates are reproducible bit-for-bit for a given seed.  The
   (T, N, K) outcome array is drawn once per (profile, seed, samples) by
@@ -474,35 +476,35 @@ def _analytic_check(profile: DemandProfile, cost: CostModel) -> None:
         )
 
 
-def _moments(tables: Tables, cost: CostModel):
-    """Cost coefficients, every class's per-user mean load (K, T) and E[Y] (T,)."""
+def _moments(tables: Tables):
+    """Every class's per-user mean load (K, T) and E[Y] (T,)."""
     mean_u = np.einsum("ntm,ntm->nt", tables.probs, tables.v)
-    return cost.poly_coeffs(), mean_u, tables.const + weigh_classes(mean_u, tables.counts).sum(axis=0)
+    return mean_u, tables.const + weigh_classes(mean_u, tables.counts).sum(axis=0)
 
 
 def _analytic_expected_cost(tables: Tables, cost: CostModel):
-    (c0, c1, c2), mean_u, ey = _moments(tables, cost)
+    """``C''`` is constant, so ``E[C(Y)] = C(E[Y]) + C'' Var[Y] / 2``."""
+    mean_u, ey = _moments(tables)
     m2_u = np.einsum("ntm,ntm,ntm->nt", tables.probs, tables.v, tables.v)
     vary = weigh_classes(m2_u - mean_u**2, tables.counts).sum(axis=0)
-    return c0 + c1 * ey + c2 * (vary + ey * ey), np.zeros(len(ey))
+    return cost.cost(ey) + 0.5 * cost.second(0.0) * vary, np.zeros(len(ey))
 
 
 def _analytic_marginal_stats(tables: Tables, cost: CostModel):
-    """``C'`` is affine, so ``E[I_n(m) C'(Y)] = p C'(v + E[Y] - E[X_n])``,
+    """``C'`` is affine, so ``E[I_n(m) C'(Y)] = p (v C'' + C'(E[Y] - E[X_n]))``,
     built in one buffer."""
-    (_, c1, c2), mean_u, ey = _moments(tables, cost)
-    b = np.add((ey - mean_u)[:, :, None], tables.v)
-    b *= 2.0 * c2
-    b += c1
+    mean_u, ey = _moments(tables)
+    b = tables.v * cost.second(0.0)
+    b += cost.marginal(ey - mean_u)[:, :, None]
     b *= tables.probs
-    return c1 + 2.0 * c2 * ey, b, np.zeros(len(ey)), np.broadcast_to(0.0, b.shape)
+    return cost.marginal(ey), b, np.zeros(len(ey)), np.broadcast_to(0.0, b.shape)
 
 
 def _analytic_hess_vec(tables: Tables, curv: None, d, dconst, cost: CostModel, out=None):
-    """``C''`` is the constant ``2 c2`` and a request's load moves by ``-d``,
-    so ``da = 2 c2 dE[Y]`` and ``db = 2 c2 p (dE[Y] + E[d_n] - d)``, built in
+    """``C''`` is constant and a request's load moves by ``-d``, so
+    ``da = C'' dE[Y]`` and ``db = C'' p (dE[Y] + E[d_n] - d)``, built in
     ``out`` (which may be ``d``) or in one new buffer."""
-    c2 = 2.0 * cost.poly_coeffs()[2]
+    c2 = cost.second(0.0)
     dmean_u = np.einsum("ntm,ntm->nt", tables.probs, d)
     dey = dconst - weigh_classes(dmean_u, tables.counts).sum(axis=0)
     db = np.subtract((dey + dmean_u)[:, :, None], d, out=out)
@@ -512,9 +514,9 @@ def _analytic_hess_vec(tables: Tables, curv: None, d, dconst, cost: CostModel, o
 
 
 def _analytic_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
-    """``E[C(v + Z)] - E[C(Z)]`` with Z the other users' load: ``v (c1 + c2 (v + 2 E[Z]))``."""
-    (_, c1, c2), mean_u, ey = _moments(tables, cost)
-    return tables.v * (c1 + c2 * (tables.v + 2.0 * (ey - mean_u)[:, :, None]))
+    """``E[C(v + Z)] - E[C(Z)]`` with Z the other users' load: ``v (C'(E[Z]) + C'' v / 2)``."""
+    mean_u, ey = _moments(tables)
+    return tables.v * (cost.marginal(ey - mean_u)[:, :, None] + 0.5 * cost.second(0.0) * tables.v)
 
 
 # ---------------------------------------------------------------------------

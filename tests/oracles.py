@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from procache import DemandProfile, ProactiveAllocation, RatingVector, sample_outcomes
-from procache.evaluate import cycle_tables, expected_cycle_cost
+from procache.evaluate import cycle_tables, expected_cycle_cost, weigh_classes
 
 
 @dataclass(frozen=True)
@@ -212,3 +212,73 @@ def policy_vertex(profile, catalog, cost, cfg, sets, t: int) -> float:
 
     f0, f1, f2 = cycle(0.0), cycle(d), cycle(2.0 * d)
     return min(max(d - d * (f2 - f0) / (2.0 * (f2 - 2.0 * f1 + f0)), 0.0), 2.0 * d)
+
+
+# ---------------------------------------------------------------------------
+# each cost method's own formula, and the analytic kernels on the polynomial
+# coefficients (c0, c1, c2), as they were written before the families had one
+# derivative body and the analytic engine read the cost through C, C', C''
+
+
+def _plain_horner(arr, coeffs):
+    out = np.zeros_like(arr)
+    for c in reversed(coeffs):
+        out = out * arr + c
+    return out
+
+
+def cost_formula(cost, load, order: int):
+    """C, C' or C'' (``order`` 0, 1, 2) of ``cost`` at ``load``, no domain check."""
+    arr = np.asarray(load, dtype=float)
+    if cost.kind == "quadratic":
+        out = (arr * arr, 2.0 * arr, np.full_like(arr, 2.0))[order]
+    elif cost.kind == "outage":
+        gap = cost.mu - arr
+        out = (arr / gap, cost.mu / (gap * gap), 2.0 * cost.mu / (gap * (gap * gap)))[order]
+    else:
+        out = _plain_horner(arr, [(1, j, j * (j - 1))[order] * c
+                                  for j, c in enumerate(cost.coeffs)][order:])
+    return float(out) if np.ndim(load) == 0 else out
+
+
+def _coeff_moments(tables):
+    mean_u = np.einsum("ntm,ntm->nt", tables.probs, tables.v)
+    return mean_u, tables.const + weigh_classes(mean_u, tables.counts).sum(axis=0)
+
+
+def coeff_expected_cost(tables, cost) -> np.ndarray:
+    """Every slot's E[C(Y)] (T,): ``c0 + c1 E[Y] + c2 (Var[Y] + E[Y]^2)``."""
+    c0, c1, c2 = cost.coeffs
+    mean_u, ey = _coeff_moments(tables)
+    m2_u = np.einsum("ntm,ntm,ntm->nt", tables.probs, tables.v, tables.v)
+    vary = weigh_classes(m2_u - mean_u**2, tables.counts).sum(axis=0)
+    return c0 + c1 * ey + c2 * (vary + ey * ey)
+
+
+def coeff_marginal_stats(tables, cost):
+    """E[C'(Y)] (T,) and E[I_n(m) C'(Y)] (K, T, M) = ``p (c1 + 2 c2 (v + E[Y] - E[X_n]))``."""
+    _, c1, c2 = cost.coeffs
+    mean_u, ey = _coeff_moments(tables)
+    b = np.add((ey - mean_u)[:, :, None], tables.v)
+    b *= 2.0 * c2
+    b += c1
+    b *= tables.probs
+    return c1 + 2.0 * c2 * ey, b
+
+
+def coeff_hess_vec(tables, d, dconst, cost):
+    """The curvature kernel's (da, db) along ``d``, with ``C'' = 2 c2``."""
+    c2 = 2.0 * cost.coeffs[2]
+    dmean_u = np.einsum("ntm,ntm->nt", tables.probs, d)
+    dey = dconst - weigh_classes(dmean_u, tables.counts).sum(axis=0)
+    db = (dey + dmean_u)[:, :, None] - d
+    db *= tables.probs
+    db *= c2
+    return c2 * dey, db
+
+
+def coeff_gradient_p(tables, cost) -> np.ndarray:
+    """E[C(v + Z)] - E[C(Z)] = ``v (c1 + c2 (v + 2 E[Z]))``, Z the other users' load."""
+    _, c1, c2 = cost.coeffs
+    mean_u, ey = _coeff_moments(tables)
+    return tables.v * (c1 + c2 * (tables.v + 2.0 * (ey - mean_u)[:, :, None]))

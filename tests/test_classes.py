@@ -29,9 +29,11 @@ from procache import (
 )
 from procache import proactive
 from procache.cli import main
-from procache.evaluate import cycle_tables
+from procache.evaluate import cycle_tables, prefetch_volume
 from procache.experiments import SCALING_SCENARIO, two_user_scenario_dict
 from procache.scenario import ScenarioError, save_scenario
+
+from oracles import coeff_expected_cost, coeff_gradient_p, coeff_hess_vec, coeff_marginal_stats
 
 ANALYTIC = EvalConfig(engine="analytic_quadratic")
 EXACT = 1e-12
@@ -85,6 +87,31 @@ def test_class_kernels_equal_the_per_user_kernels_folded_by_class():
         got = cost_hess_vec(pc, x, d, cost, ANALYTIC, catalog=catalog)
         want = cost_hess_vec(pe, rep(x), rep(d), cost, ANALYTIC, catalog=catalog)
         assert _rel(got, fold(want)) <= EXACT
+
+
+@pytest.mark.parametrize("per_user", [False, True], ids=["classes", "per-user"])
+def test_analytic_kernels_equal_the_coefficient_form(per_user):
+    # bit for bit on the quadratic (C' = 2y scales exactly); a degree-2
+    # polynomial may round differently by an ulp or so
+    engine = ANALYTIC.kernels
+    for catalog, profile, x, d, cost, _ in _class_cases():
+        if per_user:
+            profile, x, d = profile.expanded(), _rep(profile)(x), _rep(profile)(d)
+        tables = cycle_tables(profile, x, catalog.sizes, ANALYTIC)
+        dconst = prefetch_volume(d, tables.counts)
+        pairs = [
+            ((engine.expected_cost(tables, cost)[0],), (coeff_expected_cost(tables, cost),)),
+            (engine.marginal_stats(tables, cost)[:2], coeff_marginal_stats(tables, cost)),
+            (engine.hess_vec(tables, None, d, dconst, cost),
+             coeff_hess_vec(tables, d, dconst, cost)),
+            ((engine.gradient_p(tables, cost),), (coeff_gradient_p(tables, cost),)),
+        ]
+        for got, want in pairs:
+            for g, w in zip(got, want, strict=True):
+                if cost.kind == "quadratic":
+                    assert np.array_equal(g, w)
+                else:
+                    np.testing.assert_allclose(g, w, rtol=1e-15, atol=0.0)
 
 
 def test_class_solve_and_shaping_equal_the_per_user_ones():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from procache import CostDomainError, CostModel, parse_scenario
 from procache.experiments import two_user_scenario_dict
 
+from oracles import cost_formula
+
 
 def test_quadratic_values_and_metadata():
     c = CostModel.quadratic()
@@ -16,7 +18,7 @@ def test_quadratic_values_and_metadata():
     assert isinstance(c.cost(3.0), float)
     assert np.allclose(c.cost(np.array([0.0, 1.0, 2.0])), [0.0, 1.0, 4.0])
     assert c.degree == 2
-    assert c.poly_coeffs() == (0.0, 0.0, 1.0)
+    assert c.coeffs == (0.0, 0.0, 1.0)
     assert c.domain_limit == np.inf
 
 
@@ -53,7 +55,7 @@ def test_polynomial_eval():
     assert c.cost(2.0) == pytest.approx(0.3 * 2 + 0.1 * 4 + 0.05 * 8)
     assert c.marginal(2.0) == pytest.approx(0.3 + 0.2 * 2 + 0.15 * 4)
     assert c.degree == 3
-    assert c.poly_coeffs() == (0.0, 0.3, 0.1, 0.05)
+    assert c.coeffs == (0.0, 0.3, 0.1, 0.05)
     assert c.domain_limit == np.inf
 
 
@@ -96,8 +98,6 @@ def test_extreme_outage_capacities_construct(mu):
 def test_outage_degree_undefined():
     with pytest.raises(ValueError, match="degree"):
         CostModel.outage(5.0).degree
-    with pytest.raises(ValueError, match="coefficients"):
-        CostModel.outage(5.0).poly_coeffs()
 
 
 @pytest.mark.parametrize(
@@ -168,3 +168,25 @@ def test_polynomial_horner_in_one_buffer_equals_the_plain_expression():
     model = CostModel.polynomial(list(coeffs))
     assert np.array_equal(model.cost(y), ref)
     assert model.cost(2.0) == float(CostModel._horner(np.asarray(2.0), coeffs))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize(
+    "cost",
+    [
+        CostModel.quadratic(),
+        CostModel.outage(12.0),
+        CostModel.polynomial([0.5, 0.3, 0.1, 0.05]),
+        CostModel.polynomial([0.2, 0.7, 1.3]),
+    ],
+    ids=["quadratic", "outage", "cubic", "degree-2"],
+)
+def test_one_derivative_body_equals_each_methods_own_formula(cost, order):
+    method = (cost.cost, cost.marginal, cost.second)[order]
+    loads = np.random.default_rng(order).uniform(0.0, 11.9, size=(3, 40))
+    assert np.array_equal(cost._derivative(loads, order), cost_formula(cost, loads, order))
+    assert np.array_equal(method(loads), cost_formula(cost, loads, order))
+    for load in (0.0, 1.0, 7.25, 11.9):
+        got = cost._derivative(load, order)
+        assert isinstance(got, float) and got == cost_formula(cost, load, order)
+        assert method(load) == got

@@ -95,9 +95,11 @@ class CostModel:
             out = np.subtract(self.mu, arr, out=np.empty_like(arr))   # one buffer, no temporary
             if order == 0:
                 np.divide(arr, out, out=out)
-            else:   # k! mu / (mu - L)^(k+1)
+            else:   # k! mu / (mu - L)^(k+1) as (root / (mu - L))^(k+1), root^(k+1) = k! mu,
+                    # so no step leaves the float range unless the result does
+                root = math.sqrt(self.mu) if order == 1 else float(np.cbrt(2.0) * np.cbrt(self.mu))
+                np.divide(root, out, out=out)
                 out *= out if order == 1 else out * out
-                np.divide(math.factorial(order) * self.mu, out, out=out)
         else:   # d^k/dL^k c_j L^j = j!/(j-k)! c_j L^(j-k)
             deriv = [math.perm(j, order) * c for j, c in enumerate(self.coeffs)]
             out = self._horner(arr, deriv[order:])

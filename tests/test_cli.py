@@ -73,6 +73,23 @@ def test_optimize_outputs(runner, quad_scenario, tmp_path):
     assert summary["scenario_hash"] == scenario_hash(two_user_scenario_dict(0.9, "quadratic"))
 
 
+@pytest.mark.parametrize("mu", [1e200, 1e300])
+def test_optimize_under_an_extreme_outage_capacity(runner, tmp_path, mu):
+    # C(L) = L / (mu - L) is L / mu to within L / mu here, so a prefetch pays
+    # its whole size for an expected saving of p times it: no prefetch is optimal
+    data = two_user_scenario_dict(0.9, "outage")
+    data["cost"] = {"kind": "outage", "mu": mu}
+    path, out = tmp_path / "two_user.json", tmp_path / "opt.csv"
+    save_scenario(data, path)
+    res = runner.invoke(main, ["optimize", "--scenario", str(path), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert summary["converged"] and summary["iterations"] == 0 and summary["delta_c"] == 0.0
+    scn = load_scenario(path)
+    mean_load = float((scn.profile.probs * scn.catalog.sizes).sum()) / scn.profile.probs.shape[1]
+    assert summary["c_nonproactive"] == pytest.approx(mean_load / mu, rel=1e-12)
+
+
 def test_optimize_switches_to_monte_carlo_with_its_samples(runner, quad_scenario, tmp_path):
     # the scenario has no samples; both overrides apply before the config is checked
     out = tmp_path / "opt.csv"

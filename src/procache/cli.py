@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -18,13 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .costs import CostDomainError
-from .evaluate import (
-    ENGINES,
-    UnsupportedEngineError,
-    expected_cycle_cost,
-    nonproactive_cost,
-)
+from .evaluate import ENGINES, expected_cycle_cost, nonproactive_cost
 from .experiments import (
     reproduce_scaling,
     reproduce_two_user,
@@ -46,6 +41,8 @@ from .scenario import (
 from .shaping import shape_demand
 
 
+log = logging.getLogger(__name__)
+
 _TOL_HELP = "Solver tolerance, relative to the projected-gradient norm at zero prefetch."
 
 
@@ -60,8 +57,8 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ScenarioError, UnsupportedEngineError, CostDomainError,
-                ValueError, OSError) as exc:
+        # ScenarioError, CostDomainError and UnsupportedEngineError are ValueErrors
+        except (ValueError, OSError) as exc:
             _fail(exc)
 
     return wrapper
@@ -73,6 +70,31 @@ def _check_solver_options(tol: float, max_iters: int) -> None:
         raise ScenarioError(f"--tol must be a finite nonnegative number, got {tol!r}")
     if max_iters < 1:
         raise ScenarioError(f"--max-iters must be at least 1, got {max_iters}")
+
+
+def _refuse_overwrite(reads: dict, writes: dict) -> dict:
+    """Refuse, before any compute, an output option that names an input file.
+
+    ``reads`` and ``writes`` map input and output options to paths (None
+    where an option is not given); paths are compared once resolved.
+    Returns the inputs, resolved, each mapped to its option."""
+    inputs = {Path(path).resolve(): option for option, path in reads.items() if path is not None}
+    for option, path in writes.items():
+        source = None if path is None else inputs.get(Path(path).resolve())
+        if source is not None:
+            raise ScenarioError(f"{option} {str(path)!r} is the file {source} reads; "
+                                "refusing to overwrite an input")
+    return inputs
+
+
+def _beside_out(inputs: dict, path: Path, what: str) -> Path | None:
+    """``path`` for a file that ``--out`` implies, or None, with a warning,
+    where it is one of the ``inputs``: the run goes on without that file."""
+    source = inputs.get(path.resolve())
+    if source is not None:
+        log.warning("not writing %s %s of --out: it is the file %s reads", what, path, source)
+        return None
+    return path
 
 
 def _summary(scn: Scenario, extra: dict) -> dict:
@@ -95,7 +117,9 @@ def main():
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 @click.option("--samples", type=int, required=True, help="Monte Carlo sample count (> 0).")
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
+@click.option("--seed", type=int, default=None,
+              help="Sampling seed of the estimate; the catalog and the scenario hash "
+                   "stay those of the file's own seed.")
 @click.option("--alloc", "alloc_path", type=click.Path(exists=True), default=None,
               help="Allocation CSV from 'optimize'; default is no prefetching.")
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -104,6 +128,9 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
     """Monte Carlo estimate of the cycle cost, slot by slot."""
     if samples < 1:
         raise click.BadParameter("--samples must be a positive integer")
+    inputs = _refuse_overwrite({"--scenario": scenario_path, "--alloc": alloc_path},
+                               {"--out": out_path})
+    summary_path = _beside_out(inputs, Path(out_path).with_suffix(".json"), "the JSON summary")
     scn = load_scenario(scenario_path).with_eval("monte_carlo", samples, seed)
     cfg = scn.cfg
     allocation = None
@@ -111,10 +138,11 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
         allocation = _read_alloc(alloc_path, scn)
     res = expected_cycle_cost(scn.profile, allocation, scn.cost, cfg, catalog=scn.catalog)
     _write_slot_rows(out_path, cfg.engine, res)
-    write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
-        "engine": cfg.engine, "samples": samples, "seed": cfg.seed,
-        "value": res.value, "stderr": res.stderr,
-    }))
+    if summary_path is not None:
+        write_json(summary_path, _summary(scn, {
+            "engine": cfg.engine, "samples": samples, "seed": cfg.seed,
+            "value": res.value, "stderr": res.stderr,
+        }))
     click.echo(f"cycle cost {res.value:.6g} +- {res.stderr:.2g} ({samples} samples/slot)")
 
 
@@ -176,6 +204,10 @@ def _read_alloc(path, scn: Scenario) -> np.ndarray:
 def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     """Minimize the cycle cost over proactive downloads."""
     _check_solver_options(tol, max_iters)
+    inputs = _refuse_overwrite({"--scenario": scenario_path}, {"--out": out_path})
+    out = Path(out_path)
+    alloc_path = _beside_out(inputs, out.with_name(out.stem + "_alloc.csv"), "the allocation CSV")
+    summary_path = _beside_out(inputs, out.with_suffix(".json"), "the JSON summary")
     scn = load_scenario(scenario_path).with_eval(engine, samples)
     cfg = scn.cfg
     base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, cfg)
@@ -185,17 +217,18 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     _write_slot_rows(out_path, cfg.engine, res)
     x = scn.per_user(solved.allocation.x)
     n, t, m = np.nonzero(x)
-    alloc_path = Path(out_path).with_name(Path(out_path).stem + "_alloc.csv")
-    write_csv(alloc_path, ["user", "slot", "item", "x"], zip(n, t, m + 1, x[n, t, m]))
-    write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
-        "engine": cfg.engine,
-        "c_nonproactive": base.value,
-        "c_proactive": solved.cost,
-        "delta_c": base.value - solved.cost,
-        "converged": solved.converged,
-        "iterations": solved.iterations,
-        "grad_norm": solved.grad_norm,
-    }))
+    if alloc_path is not None:
+        write_csv(alloc_path, ["user", "slot", "item", "x"], zip(n, t, m + 1, x[n, t, m]))
+    if summary_path is not None:
+        write_json(summary_path, _summary(scn, {
+            "engine": cfg.engine,
+            "c_nonproactive": base.value,
+            "c_proactive": solved.cost,
+            "delta_c": base.value - solved.cost,
+            "converged": solved.converged,
+            "iterations": solved.iterations,
+            "grad_norm": solved.grad_norm,
+        }))
     click.echo(
         f"nonproactive {base.value:.6g} -> proactive {solved.cost:.6g} "
         f"({solved.iterations} iterations, converged={solved.converged})"
@@ -214,6 +247,7 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
 def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
     """Shape demand inside the per-user entropy balls, then re-optimize."""
     _check_solver_options(tol, max_iters)
+    _refuse_overwrite({"--scenario": scenario_path}, {"--out": out_path, "--trace": trace_path})
     scn = load_scenario(scenario_path)
     alphas = scn.alpha if alpha is None else alpha
     result = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, alphas,
@@ -245,6 +279,7 @@ def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
 @_guarded
 def recommend(profile_path, ratings_path, out_path):
     """Ratings closest to the intrinsic ones that realize the shaped demand."""
+    _refuse_overwrite({"--profile": profile_path, "--ratings": ratings_path}, {"--out": out_path})
     probs, silence, rows = parse_rating_inputs(read_json(profile_path), read_json(ratings_path))
     out_rows = []
     for n, t in np.ndindex(silence.shape):
@@ -260,7 +295,9 @@ def recommend(profile_path, ratings_path, out_path):
               help="Scenario file with a generator block; its user count is ignored.")
 @click.option("--N", "ladder_text", required=True,
               help="Comma-separated user-count ladder, e.g. 25,50,100,200.")
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
+@click.option("--seed", type=int, default=None,
+              help="Replace the scenario seed everywhere, as if the file said it: the "
+                   "catalog draw, the Monte Carlo samples and the scenario hash.")
 @click.option("--tol", type=float, default=1e-6, show_default=True, help=_TOL_HELP)
 @click.option("--max-iters", type=int, default=5000, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -268,6 +305,8 @@ def recommend(profile_path, ratings_path, out_path):
 def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
     """Sweep the user count and fit the reduction's growth exponent."""
     _check_solver_options(tol, max_iters)
+    inputs = _refuse_overwrite({"--family": family_path}, {"--out": out_path})
+    summary_path = _beside_out(inputs, Path(out_path).with_suffix(".json"), "the JSON summary")
     scn = load_scenario(family_path)
     if seed is not None:
         scn = parse_scenario(dict(scn.source, seed=seed))
@@ -277,11 +316,12 @@ def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
         raise ScenarioError(f"bad --N ladder {ladder_text!r}: {exc}") from exc
     curve = scaling_curve(scn, ladder, tol=tol, max_iters=max_iters)
     write_scaling_csv(out_path, curve)
-    write_json(Path(out_path).with_suffix(".json"), _summary(scn, {
-        "ladder": ladder,
-        "exponent": curve.exponent,
-        "ratio_at_max": curve.points[-1].ratio,
-    }))
+    if summary_path is not None:
+        write_json(summary_path, _summary(scn, {
+            "ladder": ladder,
+            "exponent": curve.exponent,
+            "ratio_at_max": curve.points[-1].ratio,
+        }))
     click.echo(
         f"exponent {_exponent_text(curve.exponent)}, ratio at N={curve.points[-1].num_users}: "
         f"{curve.points[-1].ratio:.4f}"

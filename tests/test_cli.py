@@ -15,7 +15,8 @@ from procache.experiments import (
     two_user_scenario_dict,
     write_json,
 )
-from procache.scenario import load_scenario, save_scenario, scenario_hash
+from procache.evaluate import expected_cycle_cost
+from procache.scenario import load_scenario, parse_scenario, save_scenario, scenario_hash
 from procache.shaping import shape_demand
 
 from oracles import boundary_check
@@ -411,7 +412,7 @@ def test_scale_without_reduction_writes_a_null_exponent(runner, tmp_path, caplog
         "cost": {"kind": "quadratic"},
         "eval": {"engine": "analytic_quadratic"},
     }, family)
-    out = tmp_path / "flat.csv"
+    out = tmp_path / "scale.csv"   # flat.csv's summary would be the family file itself
     res = runner.invoke(main, ["scale", "--family", str(family), "--N", "2,3,4",
                                "--out", str(out)])
     assert res.exit_code == 0, res.output
@@ -463,6 +464,94 @@ def test_scale_seed_overrides_every_seed(runner, tmp_path):
     for suffix in (".csv", ".json"):
         assert ((tmp_path / "override").with_suffix(suffix).read_bytes()
                 == (tmp_path / "saved").with_suffix(suffix).read_bytes())
+
+
+def test_simulate_seed_replaces_only_the_sampling_seed(runner, tmp_path):
+    # the catalog is the draw of the file's own seed, unlike scale --seed
+    data = dict(two_user_scenario_dict(0.9, "quadratic"),
+                sizes={"kind": "uniform", "count": 3, "low": 1.0, "high": 2.0})
+    path, out = tmp_path / "uniform.json", tmp_path / "sim.csv"
+    save_scenario(data, path)
+    res = runner.invoke(main, ["simulate", "--scenario", str(path), "--samples", "300",
+                               "--seed", "5", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(out.with_suffix(".json").read_text())
+    scn = load_scenario(path).with_eval("monte_carlo", 300, 5)
+    want = expected_cycle_cost(scn.profile, None, scn.cost, scn.cfg, catalog=scn.catalog)
+    assert summary["seed"] == 5 and summary["scenario_hash"] == scn.hash
+    assert summary["value"] == want.value
+    reseeded = load_scenario(path).source | {"seed": 5}
+    assert not np.array_equal(parse_scenario(reseeded).catalog.sizes, scn.catalog.sizes)
+
+
+def _overwrite_inputs(d):
+    """Valid inputs for every command, named so that a default output lands on them."""
+    d.joinpath("sub").mkdir()
+    for name in ("run.json", "opt_alloc.csv", "s.json"):
+        save_scenario(two_user_scenario_dict(0.9, "quadratic"), d / name)
+    save_scenario(SCALING_SCENARIO, d / "fam.json")
+    (d / "a.csv").write_text("user,slot,item,x\n")
+    (d / "p.json").write_text(json.dumps({"profiles": [[[0.5, 0.3, 0.1], [0.2, 0.2, 0.2]]],
+                                          "silence": [[0.1, 0.4]]}))
+    (d / "r.json").write_text(json.dumps({"rows": [[0.8, 0.1, 0.1]]}))
+
+
+_PATH_OPTIONS = {"--scenario", "--out", "--alloc", "--family", "--trace", "--profile", "--ratings"}
+
+
+@pytest.mark.parametrize(
+    "argv, target, options",
+    [
+        (["simulate", "--scenario", "s.json", "--samples", "10", "--alloc", "a.csv",
+          "--out", "sub/../a.csv"], "a.csv", ("--out", "--alloc")),
+        (["shape", "--scenario", "run.json", "--out", "run.json"], "run.json",
+         ("--out", "--scenario")),
+        (["shape", "--scenario", "run.json", "--trace", "run.json", "--out", "shaped.json"],
+         "run.json", ("--trace", "--scenario")),
+        (["recommend", "--profile", "p.json", "--ratings", "r.json", "--out", "r.json"], "r.json",
+         ("--out", "--ratings")),
+    ],
+)
+def test_an_output_option_naming_an_input_is_refused(runner, tmp_path, argv, target, options):
+    _overwrite_inputs(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv = [str(tmp_path / a) if prev in _PATH_OPTIONS else a
+            for prev, a in zip([None] + argv, argv)]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)
+    assert err["error"] == "ScenarioError"
+    assert all(option in err["message"] for option in options), err["message"]
+    # refused before any compute: every file as it was, and no new one
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert (tmp_path / target).read_bytes() == before[tmp_path / target]
+
+
+@pytest.mark.parametrize(
+    "argv, target, what, option",
+    [
+        (["optimize", "--scenario", "run.json", "--out", "run.csv"], "run.json",
+         "the JSON summary", "--scenario"),
+        (["optimize", "--scenario", "opt_alloc.csv", "--out", "opt.csv"], "opt_alloc.csv",
+         "the allocation CSV", "--scenario"),
+        (["simulate", "--scenario", "run.json", "--samples", "10", "--out", "run.csv"], "run.json",
+         "the JSON summary", "--scenario"),
+        (["scale", "--family", "fam.json", "--N", "2,3,4", "--out", "fam.csv"], "fam.json",
+         "the JSON summary", "--family"),
+    ],
+)
+def test_a_file_out_implies_is_not_written_over_an_input(runner, tmp_path, caplog, argv, target,
+                                                         what, option):
+    # the run goes on and writes --out itself; only the implied file is left out
+    _overwrite_inputs(tmp_path)
+    before = (tmp_path / target).read_bytes()
+    argv = [str(tmp_path / a) if prev in _PATH_OPTIONS else a
+            for prev, a in zip([None] + argv, argv)]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / target).read_bytes() == before
+    assert read_rows(argv[argv.index("--out") + 1])
+    assert f"not writing {what}" in caplog.text and option in caplog.text
 
 
 def test_scale_needs_a_generator(runner, quad_scenario, tmp_path):

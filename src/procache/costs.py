@@ -103,7 +103,7 @@ class CostModel:
         else:   # d^k/dL^k c_j L^j = j!/(j-k)! c_j L^(j-k)
             deriv = [math.perm(j, order) * c for j, c in enumerate(self.coeffs)]
             out = self._horner(arr, deriv[order:])
-        return float(out) if np.ndim(load) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def in_domain(self, load):
         """Boolean mask of loads where the cost is finite; tiny negatives pass."""
@@ -114,10 +114,10 @@ class CostModel:
         return bool(ok) if np.ndim(load) == 0 else ok
 
     def _check_domain(self, arr: np.ndarray) -> None:
-        if arr.size and float(np.min(arr)) < -1e-9:
-            raise CostDomainError(float(np.min(arr)), self.domain_limit)
-        if self.kind == "outage" and arr.size and float(np.max(arr)) >= self.mu:
-            raise CostDomainError(float(np.max(arr)), self.mu)
+        if arr.size and arr.min() < -1e-9:
+            raise CostDomainError(arr.min(), self.domain_limit)
+        if self.kind == "outage" and arr.size and arr.max() >= self.mu:
+            raise CostDomainError(arr.max(), self.mu)
 
     @staticmethod
     def _horner(arr: np.ndarray, coeffs) -> np.ndarray:

@@ -500,17 +500,20 @@ def _analytic_marginal_stats(tables: Tables, cost: CostModel):
     return cost.marginal(ey), b, np.zeros(len(ey)), np.broadcast_to(0.0, b.shape)
 
 
-def _analytic_hess_vec(tables: Tables, curv: None, d, dconst, cost: CostModel, out=None):
-    """``C''`` is constant and a request's load moves by ``-d``, so
-    ``da = C'' dE[Y]`` and ``db = C'' p (dE[Y] + E[d_n] - d)``, built in
+def _analytic_curvature(tables: Tables, cost: CostModel) -> float:
+    return cost.second(0.0)
+
+
+def _analytic_hess_vec(tables: Tables, curv: float, d, dconst, cost: CostModel, out=None):
+    """``C''`` is the constant ``curv`` and a request's load moves by ``-d``,
+    so ``da = C'' dE[Y]`` and ``db = C'' p (dE[Y] + E[d_n] - d)``, built in
     ``out`` (which may be ``d``) or in one new buffer."""
-    c2 = cost.second(0.0)
     dmean_u = np.einsum("ntm,ntm->nt", tables.probs, d)
     dey = dconst - weigh_classes(dmean_u, tables.counts).sum(axis=0)
     db = np.subtract((dey + dmean_u)[:, :, None], d, out=out)
     db *= tables.probs
-    db *= c2
-    return c2 * dey, db
+    db *= curv
+    return curv * dey, db
 
 
 def _analytic_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
@@ -604,9 +607,10 @@ class Engine:
 
     ``curvature(tables, cost)`` is what the curvature kernel reads at the
     allocation, built once per :class:`Point`: ``C''(Y)`` on the draws
-    (T, K) for ``monte_carlo``, ``None`` for ``analytic_quadratic`` (``C''``
-    is constant) and for ``enumerate`` (its grid is rebuilt per product,
-    since keeping one per batch would multiply peak memory).
+    (T, K) for ``monte_carlo``, the constant ``C''`` for
+    ``analytic_quadratic``, and ``None`` for ``enumerate`` (its grid is
+    rebuilt per product, since keeping one per batch would multiply peak
+    memory).
     ``hess_vec(tables, curv, d, dconst, cost, out=None)`` is the curvature
     kernel: ``(da, db)`` with ``da = E[C''(Y) dY]`` (T,) and
     ``db = E[I_n(m) C''(Y) dY]`` (N, T, M), where ``curv`` is that state,
@@ -648,7 +652,7 @@ _ENGINES = {
     ),
     "analytic_quadratic": Engine(
         _analytic_check, _analytic_expected_cost, _analytic_marginal_stats, _analytic_gradient_p,
-        _no_curvature, _analytic_hess_vec, classes=True,
+        _analytic_curvature, _analytic_hess_vec, classes=True,
     ),
     "monte_carlo": Engine(
         lambda profile, cost: _per_user_check(profile, "monte_carlo"), _mc_expected_cost, _mc_marginal_stats, _mc_gradient_p,

@@ -102,7 +102,7 @@ def test_analytic_kernels_equal_the_coefficient_form(per_user):
         pairs = [
             ((engine.expected_cost(tables, cost)[0],), (coeff_expected_cost(tables, cost),)),
             (engine.marginal_stats(tables, cost)[:2], coeff_marginal_stats(tables, cost)),
-            (engine.hess_vec(tables, None, d, dconst, cost),
+            (engine.hess_vec(tables, engine.curvature(tables, cost), d, dconst, cost),
              coeff_hess_vec(tables, d, dconst, cost)),
             ((engine.gradient_p(tables, cost),), (coeff_gradient_p(tables, cost),)),
         ]

@@ -43,7 +43,7 @@ from .shaping import shape_demand
 
 log = logging.getLogger(__name__)
 
-_TOL_HELP = "Solver tolerance, relative to the projected-gradient norm at zero prefetch."
+_TOL_HELP = "Solver tolerance on the certified gap to the least cost, relative to the cost."
 
 
 def _fail(exc: Exception) -> None:
@@ -72,29 +72,30 @@ def _check_solver_options(tol: float, max_iters: int) -> None:
         raise ScenarioError(f"--max-iters must be at least 1, got {max_iters}")
 
 
-def _refuse_overwrite(reads: dict, writes: dict) -> dict:
-    """Refuse, before any compute, an output option that names an input file.
-
-    ``reads`` and ``writes`` map input and output options to paths (None
-    where an option is not given); paths are compared once resolved.
-    Returns the inputs, resolved, each mapped to its option."""
+def _plan_outputs(reads: dict, writes: dict, implied: dict | None = None) -> list:
+    """Check, before any compute, the files a command writes: ``reads`` and
+    ``writes`` map options to paths (None where not given), ``implied`` names
+    the files ``--out`` implies.  An output option that names an input, or two
+    outputs that resolve to one file, raise ScenarioError; an implied file that
+    is an input is left out with a warning.  Returns the implied paths (None
+    where left out)."""
     inputs = {Path(path).resolve(): option for option, path in reads.items() if path is not None}
-    for option, path in writes.items():
-        source = None if path is None else inputs.get(Path(path).resolve())
-        if source is not None:
-            raise ScenarioError(f"{option} {str(path)!r} is the file {source} reads; "
+    implied = {f"{what} of --out": path for what, path in (implied or {}).items()}
+    outputs, kept = {}, []
+    for name, path in {**writes, **implied}.items():
+        where = None if path is None else Path(path).resolve()
+        if where in inputs and name in writes:
+            raise ScenarioError(f"{name} {str(path)!r} is the file {inputs[where]} reads; "
                                 "refusing to overwrite an input")
-    return inputs
-
-
-def _beside_out(inputs: dict, path: Path, what: str) -> Path | None:
-    """``path`` for a file that ``--out`` implies, or None, with a warning,
-    where it is one of the ``inputs``: the run goes on without that file."""
-    source = inputs.get(path.resolve())
-    if source is not None:
-        log.warning("not writing %s %s of --out: it is the file %s reads", what, path, source)
-        return None
-    return path
+        if where in inputs:
+            log.warning("not writing %s %s: it is the file %s reads", name, path, inputs[where])
+            where = path = None
+        if name in implied:
+            kept.append(path)
+        if where is not None and outputs.setdefault(where, name) != name:
+            raise ScenarioError(f"{outputs[where]} and {name} are both {str(path)!r}; "
+                                "refusing to write one over the other")
+    return kept
 
 
 def _summary(scn: Scenario, extra: dict) -> dict:
@@ -128,9 +129,9 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
     """Monte Carlo estimate of the cycle cost, slot by slot."""
     if samples < 1:
         raise click.BadParameter("--samples must be a positive integer")
-    inputs = _refuse_overwrite({"--scenario": scenario_path, "--alloc": alloc_path},
-                               {"--out": out_path})
-    summary_path = _beside_out(inputs, Path(out_path).with_suffix(".json"), "the JSON summary")
+    summary_path, = _plan_outputs({"--scenario": scenario_path, "--alloc": alloc_path},
+                                  {"--out": out_path},
+                                  {"the JSON summary": Path(out_path).with_suffix(".json")})
     scn = load_scenario(scenario_path).with_eval("monte_carlo", samples, seed)
     cfg = scn.cfg
     allocation = None
@@ -204,20 +205,22 @@ def _read_alloc(path, scn: Scenario) -> np.ndarray:
 def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     """Minimize the cycle cost over proactive downloads."""
     _check_solver_options(tol, max_iters)
-    inputs = _refuse_overwrite({"--scenario": scenario_path}, {"--out": out_path})
     out = Path(out_path)
-    alloc_path = _beside_out(inputs, out.with_name(out.stem + "_alloc.csv"), "the allocation CSV")
-    summary_path = _beside_out(inputs, out.with_suffix(".json"), "the JSON summary")
+    alloc_path, summary_path = _plan_outputs(
+        {"--scenario": scenario_path}, {"--out": out_path},
+        {"the allocation CSV": out.with_name(out.stem + "_alloc.csv"),
+         "the JSON summary": out.with_suffix(".json")})
     scn = load_scenario(scenario_path).with_eval(engine, samples)
+    scn.check_per_user()
     cfg = scn.cfg
     base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, cfg)
     solved = solve_proactive(scn.profile, scn.catalog, scn.cost, cfg,
                              tol=tol, max_iters=max_iters)
     res = expected_cycle_cost(scn.profile, solved.allocation, scn.cost, cfg)
     _write_slot_rows(out_path, cfg.engine, res)
-    x = scn.per_user(solved.allocation.x)
-    n, t, m = np.nonzero(x)
     if alloc_path is not None:
+        x = scn.per_user(solved.allocation.x)
+        n, t, m = np.nonzero(x)
         write_csv(alloc_path, ["user", "slot", "item", "x"], zip(n, t, m + 1, x[n, t, m]))
     if summary_path is not None:
         write_json(summary_path, _summary(scn, {
@@ -227,7 +230,8 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
             "delta_c": base.value - solved.cost,
             "converged": solved.converged,
             "iterations": solved.iterations,
-            "grad_norm": solved.grad_norm,
+            "gap": solved.gap,
+            "stop": solved.stop,
         }))
     click.echo(
         f"nonproactive {base.value:.6g} -> proactive {solved.cost:.6g} "
@@ -247,8 +251,9 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
 def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
     """Shape demand inside the per-user entropy balls, then re-optimize."""
     _check_solver_options(tol, max_iters)
-    _refuse_overwrite({"--scenario": scenario_path}, {"--out": out_path, "--trace": trace_path})
+    _plan_outputs({"--scenario": scenario_path}, {"--out": out_path, "--trace": trace_path})
     scn = load_scenario(scenario_path)
+    scn.check_per_user()
     alphas = scn.alpha if alpha is None else alpha
     result = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, alphas,
                           tol_outer=tol, max_outer=max_iters)
@@ -279,7 +284,7 @@ def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
 @_guarded
 def recommend(profile_path, ratings_path, out_path):
     """Ratings closest to the intrinsic ones that realize the shaped demand."""
-    _refuse_overwrite({"--profile": profile_path, "--ratings": ratings_path}, {"--out": out_path})
+    _plan_outputs({"--profile": profile_path, "--ratings": ratings_path}, {"--out": out_path})
     probs, silence, rows = parse_rating_inputs(read_json(profile_path), read_json(ratings_path))
     out_rows = []
     for n, t in np.ndindex(silence.shape):
@@ -298,15 +303,15 @@ def recommend(profile_path, ratings_path, out_path):
 @click.option("--seed", type=int, default=None,
               help="Replace the scenario seed everywhere, as if the file said it: the "
                    "catalog draw, the Monte Carlo samples and the scenario hash.")
-@click.option("--tol", type=float, default=1e-6, show_default=True, help=_TOL_HELP)
+@click.option("--tol", type=float, default=1e-8, show_default=True, help=_TOL_HELP)
 @click.option("--max-iters", type=int, default=5000, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_guarded
 def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
     """Sweep the user count and fit the reduction's growth exponent."""
     _check_solver_options(tol, max_iters)
-    inputs = _refuse_overwrite({"--family": family_path}, {"--out": out_path})
-    summary_path = _beside_out(inputs, Path(out_path).with_suffix(".json"), "the JSON summary")
+    summary_path, = _plan_outputs({"--family": family_path}, {"--out": out_path},
+                                  {"the JSON summary": Path(out_path).with_suffix(".json")})
     scn = load_scenario(family_path)
     if seed is not None:
         scn = parse_scenario(dict(scn.source, seed=seed))

@@ -185,11 +185,11 @@ def project_ball_slice(v: np.ndarray, center: np.ndarray, radius, total) -> np.n
 class BoxDescentResult:
     x: np.ndarray
     value: float
-    converged: bool
+    converged: bool    # stop is "tol" or "rounding"
     iterations: int
-    grad_norm: float
+    gap: float         # Frank-Wolfe gap at x: an upper bound on value - min
     trace: np.ndarray  # objective value per accepted iterate, starting at x0
-    stop: str          # "tol", "stalled" (no decrease found) or "cap" (max_iters)
+    stop: str          # "tol", "rounding", "stalled" or "cap"; see box_projected_descent
 
 
 def _cg(hv, b: np.ndarray, rtol: float) -> np.ndarray:
@@ -219,18 +219,6 @@ def _cg(hv, b: np.ndarray, rtol: float) -> np.ndarray:
         d += r
         rr = rr_new
     return p
-
-
-def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lower, upper, out=None) -> float:
-    """|x - P(x - g)|, P the projection onto the box [lower, upper]: 0 at a stationary point.
-
-    ``lower`` and ``upper`` broadcast against ``x``.  The whole chain runs in
-    one array of ``x``'s shape, ``out`` when given."""
-    z = np.subtract(x, g, out=out)
-    np.maximum(z, lower, out=z)
-    np.minimum(z, upper, out=z)
-    np.subtract(x, z, out=z)
-    return float(np.linalg.norm(z))
 
 
 def _arc_search(value_fn, clip, x, fx, g, step, work):
@@ -273,20 +261,20 @@ def box_projected_descent(
     upper,
     tol: float = 1e-8,
     max_iters: int = 5000,
-    scale: float | None = None,
 ) -> BoxDescentResult:
     """Projected Newton-CG on a box (Bertsekas 1982; CG on the free variables as in TRON).
 
     ``hess_fn(x, v)`` is the Hessian at ``x`` times ``v``; it may return its
     product in ``v``'s own buffer, which the descent holds for the whole run
-    (it also holds the arc search's and ``pg``'s temporaries) and refills
-    before each product.  ``lower`` and ``upper`` are scalars
+    (it also holds the temporaries of the arc search, the stop and ``pg``)
+    and refills before each product.  ``lower`` and ``upper`` are scalars
     or arrays that broadcast against ``x0`` (a per-item size vector, say)
-    and stay that compact, so no box-sized array is built.  Each iteration
-    holds the epsilon-binding coordinates (within ``eps = min(pg, 1e-3 *
-    widest box side)`` of a bound that the gradient pushes against) on a
-    projected gradient step, solves the Newton system on the others by
-    conjugate gradient to the forcing term ``min(1e-3, pg / pg0)``, and runs
+    and stay that compact, so no box-sized array is built.  With ``pg`` the
+    projected gradient norm ``|x - P(x - g)|``, each iteration holds the
+    epsilon-binding coordinates (within ``eps = min(pg, 1e-3 * widest box
+    side)`` of a bound that the gradient pushes against) on a projected
+    gradient step, solves the Newton system on the others by conjugate
+    gradient to the forcing term ``min(1e-3, pg / pg0)``, and runs
     an Armijo search along the projection arc ``P(x + t d)``.  When that
     search fails (the box can turn a Newton step uphill, since the Hessian
     couples bound and free coordinates), the iteration searches along the
@@ -294,12 +282,15 @@ def box_projected_descent(
     outside the objective's domain; the searches reject such trials.
     Descent is monotone.
 
-    The run stops with ``"tol"`` once the projected gradient norm ``pg`` is
-    at most ``tol * scale``, ``scale`` defaulting to ``pg`` at ``x0``; with
-    ``"stalled"`` when no step is accepted, which counts as converged when
-    the last search ended flat (the decrease left is below the objective's
-    floating-point resolution); and with ``"cap"`` after ``max_iters``
-    iterations.
+    The stop reads the box's Frank-Wolfe gap (Jaggi 2013) ``gap = sum max(g,
+    0) (x - lower) + max(-g, 0) (upper - x)``; for a convex objective
+    ``value - gap`` bounds its minimum from below.  The run stops with
+    ``"tol"`` once ``gap <= tol * |value|``, at any scale and from any start;
+    with ``"rounding"`` when a search ends flat (the decrease left is below
+    the objective's floating-point resolution); with ``"stalled"`` when one
+    finds no decrease above that; and with ``"cap"`` after ``max_iters``
+    iterations.  ``converged`` is ``"tol"`` or ``"rounding"``.  The bounds
+    must be finite.
     """
     x = np.asarray(x0, dtype=float)
     del x0   # the start is freed once the first accepted step moves x off it
@@ -320,13 +311,20 @@ def box_projected_descent(
     g = grad_fn(x)
     trace = [fx]
     width = float(np.max(upper - lower, initial=0.0))
-    scatter = np.empty(x.shape)   # the one work buffer: CG products, trial - x, pg
+    scatter = np.empty(x.shape)   # the one work buffer: CG products, trial - x, pg, gap
     step = np.empty(x.shape)
-    pg = pg0 = projected_gradient_norm(x, g, lower, upper, out=scatter)
-    stop_at = tol * (pg0 if scale is None else scale)
-
-    it, flat = 0, False
-    while pg > stop_at and it < max_iters:
+    it, pg0 = 0, None
+    while True:
+        # the projected gradient norm |x - P(x - g)|, then the Frank-Wolfe gap,
+        # in the work buffers; each term of the gap is nonnegative
+        clip(np.subtract(x, g, out=scatter))
+        pg = float(np.linalg.norm(np.subtract(x, scatter, out=scatter)))
+        pg0 = pg if pg0 is None else pg0
+        gap = float(np.vdot(np.maximum(g, 0.0, out=step), np.subtract(x, lower, out=scatter))
+                    - np.vdot(np.minimum(g, 0.0, out=step), np.subtract(upper, x, out=scatter)))
+        stop = "tol" if gap <= tol * abs(fx) else "cap" if it == max_iters else None
+        if stop:
+            break
         eps = min(pg, 1e-3 * width)
         binding = ((x <= lower + eps) & (g > 0.0)) | ((x >= upper - eps) & (g < 0.0))
         free = np.flatnonzero(~binding)
@@ -337,21 +335,20 @@ def box_projected_descent(
                 scatter.flat[free] = v
                 return hess_fn(x, scatter).ravel()[free]
 
-            step.flat[free] = _cg(hv, step.ravel()[free], min(1e-3, pg / pg0))
+            step.flat[free] = _cg(hv, step.ravel()[free], min(1e-3, pg / pg0) if pg0 else 1e-3)
 
         found, flat = _arc_search(value_fn, clip, x, fx, g, step, scatter)
         if found is None and not flat and free.size:
             found, flat = _arc_search(value_fn, clip, x, fx, g, np.negative(g, out=step), scatter)
         if found is None:
+            stop = "rounding" if flat else "stalled"
             break
         x, fx = found
         g = grad_fn(x)
         trace.append(fx)
-        pg = projected_gradient_norm(x, g, lower, upper, out=scatter)
         it += 1
-    stop = "tol" if pg <= stop_at else "stalled" if it < max_iters else "cap"
-    converged = stop == "tol" or (stop == "stalled" and flat)
-    return BoxDescentResult(x, float(fx), bool(converged), it, pg, np.array(trace), stop)
+    converged = stop in ("tol", "rounding")
+    return BoxDescentResult(x, float(fx), converged, it, gap, np.array(trace), stop)
 
 
 def linear_min_over_ball_slice(g: np.ndarray, center: np.ndarray, radius, total) -> np.ndarray:

@@ -29,7 +29,7 @@ from .evaluate import (
     nonproactive_cost,
     weigh_classes,
 )
-from .optim import box_projected_descent, increasing_root, projected_gradient_norm
+from .optim import box_projected_descent, increasing_root
 
 log = logging.getLogger(__name__)
 
@@ -88,11 +88,11 @@ class SolveResult:
 
     allocation: ProactiveAllocation
     cost: float
-    converged: bool
+    converged: bool               # stop is "tol" or "rounding"
     iterations: int
-    grad_norm: float
+    gap: float                    # certificate: cost - gap <= the least cost
     objective_trace: np.ndarray
-    stop: str                     # why the descent stopped: "tol", "stalled" or "cap"
+    stop: str                     # why the descent stopped: "tol", "rounding", "stalled" or "cap"
 
 
 def solve_proactive(
@@ -110,12 +110,13 @@ def solve_proactive(
     conjugate gradient on the coordinates off their bounds, with exact
     Hessian-vector products from the engine's curvature kernel
     (:func:`~procache.evaluate.cost_hess_vec`), then an Armijo search along
-    the projection arc.  ``tol`` is relative: the run stops once the
-    projected gradient norm is at most ``tol`` times its value at the zero
-    allocation, so a warm start ``x0`` changes how fast the solve gets there
-    but not how accurate it is (a warm start under which the zero
-    allocation overflows, or where zero is already optimal, measures from
-    ``x0`` instead).
+    the projection arc.  ``tol`` is relative to the cost: the run stops with
+    ``"tol"`` once the box's Frank-Wolfe gap, which bounds ``cost`` minus the
+    least cost, is at most ``tol * cost``, whatever the scale or the start
+    ``x0``.  ``stop`` is ``"rounding"`` (converged too) when no decrease is
+    left to represent, ``"stalled"`` when none is found above that, ``"cap"``
+    at ``max_iters``.  Under Monte Carlo the gap certifies the sample-average
+    cost only.
     Descent is monotone and the run is deterministic for a given
     configuration (the Monte Carlo engine re-uses its fixed sample streams,
     so even stochastic evaluation yields a repeatable trajectory, and its
@@ -133,7 +134,6 @@ def solve_proactive(
     The descent holds the start only until its first accepted step.
     """
     sizes = catalog.sizes
-    n_users, n_slots, m_items = profile.probs.shape
     if x0 is not None:
         x0 = np.array(x0, dtype=float)   # a point makes its x read-only: not the caller's
     point, point_value = None, None
@@ -161,36 +161,25 @@ def solve_proactive(
         # the descent holds d for the whole solve: the product overwrites it
         return cost_hess_vec(profile, at(x), d, cost, cfg, out=d)
 
-    zero = np.zeros((n_users, n_slots, m_items))
-    scale = None     # None measures from x0, the zero allocation on a cold start
-    if x0 is not None:
-        try:
-            scale = projected_gradient_norm(zero, grad(zero), 0.0, sizes) or None
-        except CostDomainError:
-            pass     # the zero allocation overflows: measure from the warm start
     if x0 is None or not np.isfinite(value(x0)):
-        x0, scale = zero, None
+        x0 = np.zeros(profile.probs.shape)
         if not np.isfinite(value(x0)):
             # nothing to optimize: even pure reactive service overflows;
             # surface the untranslated domain error
             expected_cycle_cost(profile, at(x0), cost, cfg)
     # the start's point is the last one built, so the descent reuses it; the
     # start is passed as point.x alone, so it is freed once the descent moves off
-    del zero, x0
-    res = box_projected_descent(
-        value, grad, hess, point.x, 0.0, sizes, tol=tol, max_iters=max_iters, scale=scale
-    )
+    del x0
+    res = box_projected_descent(value, grad, hess, point.x, 0.0, sizes, tol, max_iters)
     if not res.converged:
-        log.warning(
-            "solve_proactive did not reach tol=%.1e (stop: %s): %d iterations, grad norm %.3g",
-            tol, res.stop, res.iterations, res.grad_norm,
-        )
+        log.warning("solve_proactive did not reach tol=%.1e (stop: %s): %d iterations, gap %.3g",
+                    tol, res.stop, res.iterations, res.gap)
     return SolveResult(
         allocation=ProactiveAllocation(res.x, catalog),
         cost=res.value,
         converged=res.converged,
         iterations=res.iterations,
-        grad_norm=res.grad_norm,
+        gap=res.gap,
         objective_trace=res.trace,
         stop=res.stop,
     )
@@ -295,8 +284,6 @@ def reduction_bounds(
     catalog: ItemCatalog,
     cost: CostModel,
     cfg: EvalConfig,
-    tol: float = 1e-8,
-    max_iters: int = 5000,
 ) -> CostReductionReport:
     """Bound and measure the cost reduction from proactive downloads.
 
@@ -321,7 +308,7 @@ def reduction_bounds(
     )) / n_slots
 
     base = expected_cycle_cost(profile, zero, cost, cfg)
-    solved = solve_proactive(profile, catalog, cost, cfg, tol=tol, max_iters=max_iters)
+    solved = solve_proactive(profile, catalog, cost, cfg)
     delta = base.value - solved.cost
     return CostReductionReport(
         nonproactive=base.value,
@@ -352,7 +339,7 @@ class ScalingCurve:
     exponent: float | None        # None when some ladder point has no reduction
 
 
-def scaling_curve(family, ladder, tol: float = 1e-6, max_iters: int = 5000) -> ScalingCurve:
+def scaling_curve(family, ladder, tol: float = 1e-8, max_iters: int = 5000) -> ScalingCurve:
     """Cost reduction across a user-count ladder plus its log-log growth rate.
 
     ``family`` is a generator :class:`~procache.scenario.Scenario`; ladder

@@ -215,12 +215,16 @@ class Scenario:
                                       _users_key(self.source), "--samples")
         return replace(self, cfg=cfg, profile=profile, alpha=alpha)
 
+    def check_per_user(self) -> None:
+        """Refuse, past :data:`CELL_LIMIT`, a plan :meth:`per_user` would expand."""
+        check_cells(_users_key(self.source), self.profile.num_users, *self.profile.probs.shape[1:])
+
     def per_user(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` (one per row of ``profile``) repeated once per user of its
-        class, refused past :data:`CELL_LIMIT`."""
+        class, refused past :data:`CELL_LIMIT` (:meth:`check_per_user`)."""
         if self.profile.per_user:
             return rows
-        check_cells(_users_key(self.source), self.profile.num_users, *rows.shape[1:])
+        self.check_per_user()
         return np.repeat(rows, self.profile.counts, axis=0)
 
     def with_users(self, num_users: int) -> "Scenario":

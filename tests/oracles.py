@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from procache import DemandProfile, ProactiveAllocation, RatingVector, sample_outcomes
-from procache.evaluate import cycle_tables, expected_cycle_cost, weigh_classes
+from procache.evaluate import cost_gradient_x, cycle_tables, expected_cycle_cost, weigh_classes
 
 
 @dataclass(frozen=True)
@@ -282,3 +282,15 @@ def coeff_gradient_p(tables, cost) -> np.ndarray:
     _, c1, c2 = cost.coeffs
     mean_u, ey = _coeff_moments(tables)
     return tables.v * (c1 + c2 * (tables.v + 2.0 * (ey - mean_u)[:, :, None]))
+
+
+def box_gap(x, g, lower, upper) -> float:
+    """Frank-Wolfe gap g.(x - v) of the box [lower, upper], v the box vertex
+    that minimizes g.v: lower where g > 0, upper elsewhere."""
+    return float(np.sum(g * (x - np.where(g > 0.0, lower, upper))))
+
+
+def solve_gap(profile, catalog, cost, cfg, solved) -> float:
+    """:func:`box_gap` of a solve's plan over [0, S(m)], from a fresh gradient."""
+    g = cost_gradient_x(profile, solved.allocation, cost, cfg, catalog=catalog)
+    return box_gap(solved.allocation.x, g, 0.0, catalog.sizes)

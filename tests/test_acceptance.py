@@ -122,8 +122,10 @@ def test_reduction_bounds_sandwich_on_random_instances():
     for i in range(50):
         catalog, profile = random_instance(rng)
         cost = cost_for(kinds[i % 3], profile.num_users, profile.num_slots, catalog.sizes)
-        report = reduction_bounds(profile, catalog, cost, ENUM, tol=1e-10)
+        report = reduction_bounds(profile, catalog, cost, ENUM)
         slack = 1e-9 * (1.0 + abs(report.nonproactive))
+        # the solve's gap certifies delta to within slack of the exact reduction
+        assert report.solve.gap <= slack, f"instance {i}: gap {report.solve.gap:.2e}"
         assert report.lower <= report.delta + slack, f"instance {i}: lower bound broken"
         assert report.delta <= report.upper + slack, f"instance {i}: upper bound broken"
         if report.sets.any_active:

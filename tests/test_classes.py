@@ -253,6 +253,22 @@ def test_the_generator_emits_one_class_and_reaches_a_million_users():
         scn.per_user(np.zeros((1, 8, 50)))
 
 
+def test_a_plan_too_large_to_expand_per_user_is_refused_before_any_output(tmp_path):
+    # a million-user class solves, but its one-row-per-user outputs pass the
+    # cell limit: the command writes nothing instead of failing half way
+    path = tmp_path / "fam.json"
+    save_scenario(dict(SCALING_SCENARIO, generator=dict(SCALING_SCENARIO["generator"],
+                                                        users=10**6)), path)
+    runner = CliRunner()
+    for argv in (["optimize", "--out", str(tmp_path / "opt.csv")],
+                 ["shape", "--trace", str(tmp_path / "t.csv"), "--out", str(tmp_path / "s.json")]):
+        res = runner.invoke(main, [argv[0], "--scenario", str(path), *argv[1:]])
+        assert res.exit_code == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "ScenarioError" and "'users' in generator" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.json"]
+
+
 def test_optimize_and_shape_write_one_row_per_user(tmp_path):
     path = tmp_path / "fam.json"
     data = dict(SCALING_SCENARIO, alpha=0.2)

@@ -16,6 +16,8 @@ from procache.optim import (
 )
 from procache.scenario import parse_scenario
 
+from oracles import box_gap
+
 
 def feasible_point(rng, center, radius, total):
     """A point of the ball/slice/orthant set, built without any projector.
@@ -648,9 +650,11 @@ def test_box_descent_clamps_active_bounds():
         np.zeros(3),
         np.ones(3),
     )
-    assert res.converged
+    assert (res.stop, res.converged) == ("tol", True)
     assert np.allclose(res.x, [0.0, 0.5, 1.0], atol=1e-7)
-    assert res.grad_norm <= 1e-8
+    # the gap is the box's at the returned x, and certifies the default tol
+    assert res.gap == pytest.approx(box_gap(res.x, 2.0 * (res.x - target), 0.0, 1.0), rel=1e-12)
+    assert res.gap <= 1e-8 * res.value
     assert np.all(np.diff(res.trace) <= 1e-12)  # descent never loses ground
 
 
@@ -714,6 +718,7 @@ def test_box_descent_stall_reports_a_python_bool():
         lambda x: 0.0, lambda x: np.ones(3), lambda x, v: np.zeros(3),
         np.full(3, 0.5), np.zeros(3), np.ones(3),
     )
-    assert res.iterations == 0 and res.grad_norm > 1e-8   # left through the stall branch
+    # left through the stall branch, with the gap it could not close
+    assert (res.iterations, res.stop, res.gap) == (0, "stalled", 1.5)
     assert type(res.converged) is bool
     assert res.converged is False

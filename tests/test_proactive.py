@@ -22,10 +22,16 @@ from procache import (
 )
 from procache import evaluate, proactive
 from procache.costs import CostDomainError
-from procache.experiments import SCALING_SCENARIO
+from procache.experiments import OUTAGE_CAPACITY, SCALING_SCENARIO
 
-from conftest import random_instance, two_user_pair
-from oracles import active_users, marginal_cost_ratio, policy_vertex, slot_marginal_stats
+from conftest import cost_for, random_instance, two_user_pair
+from oracles import (
+    active_users,
+    marginal_cost_ratio,
+    policy_vertex,
+    slot_marginal_stats,
+    solve_gap,
+)
 
 OPTIMIZED_QUAD = 15.410789534883722
 OPTIMAL_COORD = (0, 1, 0)  # the only download worth making in the pilot
@@ -91,16 +97,16 @@ def test_warm_start_is_a_fixed_point(two_user, quad, enum_cfg):
 
 
 def test_warm_solve_meets_the_same_tolerance_as_a_cold_one(outage, enum_cfg):
-    # shaping re-solves each nudged profile from the last plan: the stop is
-    # measured against the zero allocation, not against that good start
+    # shaping re-solves each nudged profile from the last plan: the gap
+    # certifies the plan's cost against the least one, whatever the start
     catalog, prof = two_user_pair(0.9)
     first = solve_proactive(prof, catalog, outage, enum_cfg)
     _, nudged = two_user_pair(0.899)
     warm = solve_proactive(nudged, catalog, outage, enum_cfg, x0=first.allocation.x)
     cold = solve_proactive(nudged, catalog, outage, enum_cfg)
-    g0 = cost_gradient_x(nudged, None, outage, enum_cfg, catalog=catalog)
     assert warm.stop == "tol"
-    assert warm.grad_norm <= 1e-8 * np.linalg.norm(np.clip(-g0, 0.0, catalog.sizes))
+    assert warm.gap == pytest.approx(solve_gap(nudged, catalog, outage, enum_cfg, warm), rel=1e-12)
+    assert warm.gap <= 1e-8 * warm.cost
     assert warm.cost == pytest.approx(cold.cost, rel=1e-12)
 
 
@@ -296,11 +302,9 @@ def test_newton_solve_of_the_paper_family_ends_on_its_relative_tolerance():
     res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg, tol=1e-6)
     assert (res.stop, res.converged) == ("tol", True)
     assert res.iterations <= 3
-    g = cost_gradient_x(scn.profile, res.allocation, scn.cost, scn.cfg, catalog=scn.catalog)
-    x, sizes = res.allocation.x, scn.catalog.sizes
-    pg0 = cost_gradient_x(scn.profile, None, scn.cost, scn.cfg, catalog=scn.catalog)
-    assert res.grad_norm == pytest.approx(np.linalg.norm(x - np.clip(x - g, 0.0, sizes)))
-    assert res.grad_norm <= 1e-6 * np.linalg.norm(np.clip(-pg0, 0.0, sizes))
+    assert res.gap == pytest.approx(solve_gap(scn.profile, scn.catalog, scn.cost, scn.cfg, res),
+                                    rel=1e-12)
+    assert res.gap <= 1e-6 * res.cost
 
 
 def test_a_cold_solve_holds_few_full_size_arrays():
@@ -349,7 +353,8 @@ def test_a_cold_solve_builds_the_tables_once_per_iterate(monkeypatch):
 
 def test_cold_and_warm_solves_build_their_start_once(monkeypatch, outage, enum_cfg):
     # the descent starts from the solve's own start array, so its probe of
-    # the start value and the descent's first iterate share one point
+    # the start value and the descent's first iterate share one point; a
+    # warm solve builds no point at the zero allocation
     catalog, prof = two_user_pair(0.9)
     first = solve_proactive(prof, catalog, outage, enum_cfg)
     _, nudged = two_user_pair(0.899)
@@ -374,8 +379,8 @@ def test_cold_and_warm_solves_build_their_start_once(monkeypatch, outage, enum_c
         assert res.converged
         x0 = np.zeros_like(first.allocation.x) if start is None else start
         assert sum(np.array_equal(x, x0) for x in built) == 1
-        # one value per point; a warm solve also takes the gradient at zero
-        assert len(values) == len(built) - (start is not None)
+        assert start is None or all(np.any(x) for x in built)
+        assert len(values) == len(built)   # one value per point
 
 
 def test_newton_steps_that_overflow_the_outage_capacity_are_rejected(monkeypatch):
@@ -467,8 +472,57 @@ def test_policy_and_bounds_agree_across_exact_engines(two_user):
 def test_solve_reports_why_it_stopped(two_user, quad, enum_cfg, analytic_cfg):
     catalog, prof = two_user
     assert solve_proactive(prof, catalog, quad, enum_cfg).stop == "tol"
-    # the closed-form gradient bottoms out at 4.4e-16: no decrease left to represent
-    stalled = solve_proactive(prof, catalog, quad, analytic_cfg, tol=1e-16)
-    assert stalled.stop == "stalled" and stalled.converged and stalled.grad_norm > 1e-16
+    # the closed-form gradient bottoms out at 4.4e-16, and the gap it leaves
+    # is below 1e-16 of the cost: even that tolerance is certified
+    tight = solve_proactive(prof, catalog, quad, analytic_cfg, tol=1e-16)
+    assert (tight.stop, tight.converged) == ("tol", True)
+    assert 0.0 < tight.gap <= 1e-16 * tight.cost
     capped = solve_proactive(prof, catalog, quad, enum_cfg, max_iters=1)
     assert (capped.stop, capped.converged, capped.iterations) == ("cap", False, 1)
+    assert capped.gap > 1e-8 * capped.cost
+
+
+def test_solve_that_ends_flat_reports_rounding():
+    # instance 1 of the exhaustive grid search: at tol 1e-10 its outage descent
+    # ends with no decrease left to represent, its gap above tol * cost
+    catalog = ItemCatalog([0.8252071899905918])
+    prof = DemandProfile(np.array([0.35514134217454163, 0.8425204285868225]).reshape(1, 2, 1))
+    cost, cfg = cost_for("outage", 1, 2, catalog.sizes), EvalConfig(engine="enumerate")
+    res = solve_proactive(prof, catalog, cost, cfg, tol=1e-10)
+    assert (res.stop, res.converged) == ("rounding", True)
+    assert res.gap == pytest.approx(solve_gap(prof, catalog, cost, cfg, res), rel=1e-12)
+    assert 1e-10 * res.cost < res.gap < 1e-8 * res.cost
+
+
+@pytest.mark.parametrize("users", [25, 200, 10**3, 10**4, 10**5, 10**6])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_zipf_ladder_solves_end_on_a_certified_gap(users, tol):
+    # the reduction grows like the cost in N, so every point needs the same
+    # relative accuracy: the gap certifies it from N = 25 to 10^6
+    scn = parse_scenario(SCALING_SCENARIO).with_users(users)
+    res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg, tol=tol)
+    assert (res.stop, res.converged) == ("tol", True)
+    assert res.gap == pytest.approx(solve_gap(scn.profile, scn.catalog, scn.cost, scn.cfg, res),
+                                    rel=1e-12)
+    assert res.gap <= tol * res.cost
+
+
+def _gap_instances():
+    catalog, prof = two_user_pair(0.9)
+    scn = parse_scenario(SCALING_SCENARIO).with_users(200)
+    yield "quadratic", prof, catalog, CostModel.quadratic(), EvalConfig(engine="enumerate")
+    yield ("outage", prof, catalog, CostModel.outage(OUTAGE_CAPACITY),
+           EvalConfig(engine="enumerate"))
+    yield "classes", scn.profile, scn.catalog, scn.cost, scn.cfg
+    # in-sample: the gap bounds the sample-average cost the engine minimizes
+    yield ("monte_carlo", prof, catalog, CostModel.quadratic(),
+           EvalConfig(engine="monte_carlo", samples=500, seed=3))
+
+
+def test_an_early_gap_bounds_the_least_cost_from_below():
+    for name, prof, catalog, cost, cfg in _gap_instances():
+        early = solve_proactive(prof, catalog, cost, cfg, max_iters=1)
+        tight = solve_proactive(prof, catalog, cost, cfg)
+        assert early.stop == "cap" and early.gap > 1e-8 * early.cost, name
+        assert early.cost - early.gap <= tight.cost, name
+        assert early.gap == pytest.approx(solve_gap(prof, catalog, cost, cfg, early), rel=1e-12)

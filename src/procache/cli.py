@@ -242,7 +242,8 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 @click.option("--alpha", type=float, default=None, help="Override the scenario alpha for all users.")
-@click.option("--tol", type=float, default=1e-8, show_default=True, help="Outer stopping tolerance.")
+@click.option("--tol", type=float, default=1e-8, show_default=True,
+              help="Shaping tolerance on the linear step's gap, relative to the cost.")
 @click.option("--max-iters", type=int, default=100, show_default=True, help="Outer iteration cap.")
 @click.option("--trace", "trace_path", type=click.Path(), default=None,
               help="Write the per-iteration objective trace CSV here.")
@@ -264,6 +265,8 @@ def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
         "f0_initial": float(result.trace.objectives[0]),
         "f0_final": float(result.trace.objectives[-1]),
         "outer_iterations": len(result.trace) - 1,
+        "gap": float(result.trace.gaps[-1]),
+        "stop": result.stop,
         "max_boundary_residual": float(result.trace.residuals[-1]),
         "profiles": scn.per_user(result.profile.probs).tolist(),
         "silence": scn.per_user(result.profile.silence).tolist(),

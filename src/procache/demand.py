@@ -150,8 +150,8 @@ class DemandProfile:
             )
             p = np.clip(p, 0.0, None)
             q = np.clip(q, 0.0, 1.0)
-            scale = np.where(row_sums > 0.0, (1.0 - q) / np.where(row_sums > 0, row_sums, 1.0), 0.0)
-            p = p * scale[:, :, None]
+            kept = p.sum(axis=2)   # clipping moved the row sums: scale what is left
+            p *= np.divide(1.0 - q, kept, out=np.zeros(kept.shape), where=kept > 0.0)[..., None]
 
         p.setflags(write=False)
         q.setflags(write=False)

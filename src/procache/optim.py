@@ -225,22 +225,24 @@ def _arc_search(value_fn, clip, x, fx, g, step, work):
     """Armijo search along the projection arc ``P(x + t step)``, halving ``t`` from 1.
 
     Returns ``(trial, f_trial)`` or ``None``, and whether the search ended
-    flat: when the whole step predicts a decrease ``g.(trial - x)`` below
-    the floating-point resolution of ``f``, or a trial passes the Armijo
-    test without falling.  A trial that predicts no decrease is halved, not
-    given up on: a projected Newton step can point uphill at ``t = 1`` and
-    still descend along a shorter stretch of its arc.  Halving down to an
-    unresolvable decrease without passing the test is a failure, not flat.
+    flat: when the whole step rounds back to ``x`` or predicts a decrease
+    ``g.(trial - x)`` below ``16 eps |fx|``, the resolution of ``f`` at any
+    scale, or a trial passes the Armijo test without falling.  A trial that
+    predicts no decrease is halved, not given up on: a projected Newton step
+    can point uphill at ``t = 1`` and still descend along a shorter stretch
+    of its arc.  Halving down to an unresolvable decrease, or back to ``x``,
+    without passing the test is a failure, not flat.
     Each trial is a new array, clipped in place; ``work`` holds ``trial - x``.
     """
-    resolution = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
+    resolution = 16.0 * np.finfo(float).eps * abs(fx)
     t = 1.0
     for k in range(60):
         trial = np.multiply(step, t)
         trial += x
         clip(trial)
         decrease = float(np.vdot(g, np.subtract(trial, x, out=work)))
-        if decrease < 0.0:
+        # a trial equal to x decreases nothing, at this t or any shorter one
+        if decrease < 0.0 or not work.any():
             if -decrease <= resolution:
                 return None, k == 0
             f_trial = value_fn(trial)

@@ -16,8 +16,8 @@ place the budget ``alpha`` is checked.
 a full re-optimization of the proactive downloads, driving the cycle cost
 monotonically down.  At a shaped optimum interior to the simplex face
 constraints, the profile lands on the ball boundary; the :class:`ShapingTrace`
-records, for every accepted iterate, the cycle cost and the largest
-activity-scaled distance from that boundary.
+records, for every accepted iterate, the cycle cost, the largest
+activity-scaled distance from that boundary and the linear step's gap.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .costs import CostDomainError, CostModel
 from .demand import DemandProfile, ItemCatalog, entropy
 from .evaluate import EvalConfig, cost_gradient_p
-from .optim import linear_min_over_ball_slice
+from .optim import _arc_search, linear_min_over_ball_slice
 from .proactive import SolveResult, solve_proactive
 
 log = logging.getLogger(__name__)
@@ -75,10 +75,11 @@ def _max_residual(probs, regions: Regions) -> float:
 
 @dataclass(frozen=True)
 class ShapingTrace:
-    """Objective and boundary residual of each accepted outer iterate."""
+    """Objective, boundary residual and linear-step gap of each accepted outer iterate."""
 
     objectives: np.ndarray                  # (k+1,) cycle cost per outer iterate
     residuals: np.ndarray                   # (k+1,) max boundary residual per iterate
+    gaps: np.ndarray                        # (k+1,) linear step's gap; the last is the stop's
 
     def __len__(self) -> int:
         return len(self.objectives)
@@ -90,7 +91,8 @@ class ShapeResult:
     solve: SolveResult
     regions: Regions
     trace: ShapingTrace
-    converged: bool
+    converged: bool    # stop is "tol" or "rounding"
+    stop: str          # "tol", "rounding", "stalled" or "cap"; see shape_demand
 
 
 def shape_demand(
@@ -104,12 +106,17 @@ def shape_demand(
 ) -> ShapeResult:
     """Alternate shaped-profile steps and download re-optimization.
 
-    Each outer round linearizes the cycle cost at the current pair, moves
-    every (user, slot) profile to the minimizer of the linear model over its
-    region, then re-solves the downloads warm-started from the previous
-    allocation (so the download half-step can only lower the cost).  Stops
-    when successive objectives differ by at most ``tol_outer * (1 + |f|)``.
-    A step is accepted only below the last cost, so the trace strictly decreases.
+    Each outer round minimizes the cycle cost's linear model over every
+    (user, slot) region.  The run stops with ``"tol"`` once that step's gap
+    ``-sum g (target - p)``, over the finite entries of the probability
+    gradient ``g``, is at most ``tol_outer * |f|``, or ``"cap"`` after
+    ``max_outer`` rounds.  Otherwise the descent's Armijo search
+    (:func:`~procache.optim._arc_search`) walks toward ``target`` (the model
+    ignores cross-user curvature, so the full step can overshoot), valuing
+    each trial by a warm-started re-solve of the downloads, ``inf`` where
+    even the zero allocation overflows; it ends the run ``"rounding"`` or
+    ``"stalled"`` as it ends a solve.  ``converged`` is ``"tol"`` or
+    ``"rounding"``; the trace strictly decreases.
 
     On a profile of classes the regions and ``alpha`` are per row.  A row's
     probability gradient is its count times a user's, and the linear step's
@@ -117,59 +124,43 @@ def shape_demand(
     follow the per-user path exactly.
     """
     regions = ebc_regions(profile, alpha)
-
     solved = solve_proactive(profile, catalog, cost, cfg)
-    f_prev = solved.cost
-    current = profile
-    objectives = [f_prev]
-    residuals = [_max_residual(current.probs, regions)]
+    current, held = profile, (None,)   # held: the last trial's probabilities, profile, re-solve
+    objectives, residuals = [solved.cost], [_max_residual(profile.probs, regions)]
 
-    converged = False
-    if not regions.radius.any():
-        converged = True  # nothing to shape; the trace is the initial point
-    else:
-        for _ in range(max_outer):
-            grad = cost_gradient_p(current, solved.allocation, cost, cfg)
-            target = linear_min_over_ball_slice(grad, *regions)
-            d = target - current.probs
-            fin = np.isfinite(grad)
-            pred = float(np.sum(grad[fin] * d[fin]))
-            if pred >= -1e-15 * (1.0 + abs(f_prev)):
-                converged = True  # linear subproblem returns the iterate itself
-                break
+    def value(p):
+        nonlocal held
+        if held[0] is not p:
+            cand = profile.with_probs(p)
+            try:
+                held = p, cand, solve_proactive(cand, catalog, cost, cfg, x0=solved.allocation.x)
+            except CostDomainError:
+                return np.inf
+        return held[2].cost
 
-            # The exact profile step can overshoot (the linear model ignores
-            # cross-user curvature, which is violent for bounded-capacity
-            # costs), so backtrack toward the previous profile until the true
-            # cycle cost drops.  Full steps pass the test whenever the plain
-            # split already descends.
-            tau = 1.0
-            for _ in range(60):
-                cand = profile.with_probs(current.probs + tau * d)
-                try:
-                    cand_solved = solve_proactive(cand, catalog, cost, cfg, x0=solved.allocation.x)
-                except CostDomainError:
-                    tau *= 0.5   # even the zero allocation overflows here
-                    continue
-                if cand_solved.cost <= f_prev + 1e-4 * tau * pred:
-                    break
-                tau *= 0.5
-            else:
-                log.warning(
-                    "profile step found no descent despite predicted decrease "
-                    "%.3g; stopping at the last iterate", pred,
-                )
-                break
-
-            current, solved = cand, cand_solved
-            f_new = solved.cost
-            objectives.append(f_new)
-            residuals.append(_max_residual(current.probs, regions))
-            if abs(f_new - f_prev) <= tol_outer * (1.0 + abs(f_new)):
-                converged = True
-                break
-            f_prev = f_new
-
-    trace = ShapingTrace(objectives=np.array(objectives), residuals=np.array(residuals))
+    gaps, stop = ([], None) if regions.radius.any() else ([0.0], "tol")   # zero radii: no gradient
+    work = np.empty(profile.probs.shape)
+    while stop is None:
+        grad = cost_gradient_p(current, solved.allocation, cost, cfg)
+        g = np.where(np.isfinite(grad), grad, 0.0)   # the step holds diverging items at 0
+        step = linear_min_over_ball_slice(grad, *regions) - current.probs
+        gaps.append(-float(np.vdot(g, step)))
+        stop = ("tol" if gaps[-1] <= tol_outer * abs(solved.cost)
+                else "cap" if len(gaps) > max_outer else None)
+        if stop:
+            break
+        found, flat = _arc_search(value, lambda z: z, current.probs, solved.cost, g, step, work)
+        if found is None:
+            stop = "rounding" if flat else "stalled"
+            break
+        _, current, solved = held   # the accepted trial is the last one valued
+        objectives.append(solved.cost)
+        residuals.append(_max_residual(current.probs, regions))
+    converged = stop in ("tol", "rounding")
+    if not converged:
+        log.warning("shape_demand did not reach tol_outer=%.1e (stop: %s): %d rounds, gap %.3g",
+                    tol_outer, stop, len(objectives) - 1, gaps[-1])
+    trace = ShapingTrace(objectives=np.array(objectives), residuals=np.array(residuals),
+                         gaps=np.array(gaps))
     return ShapeResult(profile=current, solve=solved, regions=regions, trace=trace,
-                       converged=converged)
+                       converged=converged, stop=stop)

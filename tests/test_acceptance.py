@@ -28,7 +28,12 @@ from procache import (
     solve_proactive,
     solve_rating,
 )
-from procache.experiments import OUTAGE_CAPACITY, SCALING_LADDER, SCALING_SCENARIO
+from procache.experiments import (
+    OUTAGE_CAPACITY,
+    SCALING_LADDER,
+    SCALING_SCENARIO,
+    two_user_scenario_dict,
+)
 
 ENUM = EvalConfig(engine="enumerate")
 
@@ -112,6 +117,34 @@ def test_shaping_objective_strictly_decreases():
     elapsed = time.perf_counter() - t0
     print(f"[{elapsed:.2f}s]")
     assert elapsed < 30.0
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "outage"])
+def test_the_two_user_studies_read_the_same_in_any_size_unit(kind):
+    # sizes (and the outage capacity) in units 1e-12 to 1e4 times the study's:
+    # every stop is relative, so each solve and each shaping run takes the
+    # same steps, and the relative costs and the shaping gain do not move.
+    # The outage cost is dimensionless, so its case is the control.
+    runs = {}
+    for k in (-12, -8, -5, 0, 4):
+        scn = two_user_scenario_dict(0.9, kind)
+        scn["sizes"] = [size * 10.0**k for size in scn["sizes"]]
+        if kind == "outage":
+            scn["cost"] = dict(scn["cost"], mu=scn["cost"]["mu"] * 10.0**k)
+        scn = parse_scenario(scn)
+        report = reduction_bounds(scn.profile, scn.catalog, scn.cost, scn.cfg)
+        shaped = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
+        assert report.lower <= report.delta <= report.upper, f"10^{k}: sandwich broken"
+        final = shaped.trace.objectives[-1]
+        runs[k] = ((report.solve.stop, report.solve.iterations, shaped.stop, len(shaped.trace)),
+                   (report.optimized / report.nonproactive, final / report.nonproactive,
+                    1.0 - final / report.optimized))
+    steps, ratios = runs[0]
+    print(f"{kind}: solve and shaping steps {steps}, gain {float(ratios[2])!r}")
+    assert steps[0] == steps[2] == "tol"
+    for k, (k_steps, k_ratios) in runs.items():
+        assert k_steps == steps, f"10^{k}: {k_steps} against {steps}"
+        assert k_ratios == pytest.approx(ratios, rel=1e-12, abs=0.0), f"10^{k}"
 
 
 def test_reduction_bounds_sandwich_on_random_instances():

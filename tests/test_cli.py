@@ -195,6 +195,8 @@ def test_shape_payload_and_trace(runner, quad_scenario, tmp_path):
 
     payload = json.loads(out.read_text())
     assert payload["converged"] is True
+    assert payload["stop"] == "tol"
+    assert 0.0 <= payload["gap"] <= 1e-8 * payload["f0_final"]
     assert payload["f0_initial"] == pytest.approx(OPTIMIZED_QUAD, abs=1e-8)
     assert payload["f0_final"] == pytest.approx(12.802924091413765, abs=1e-6)
     assert payload["max_boundary_residual"] < 1e-9

@@ -81,6 +81,18 @@ def test_profile_renormalizes_tiny_slack():
     assert abs(prof.probs[0, 0].sum() + prof.silence[0, 0] - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("probs, silence", [
+    ([0.5, 0.5 + 5e-10, -5e-10], None),
+    ([0.4, 0.4 + 5e-10, -5e-10], [[0.2]]),
+])
+def test_profile_renormalizes_the_clipped_row(probs, silence):
+    # clipping the negative entry adds 5e-10 to the row: the scale must see it
+    with pytest.warns(UserWarning, match="renormalizing"):
+        prof = DemandProfile([[probs]], silence)
+    assert prof.probs.min() >= 0.0
+    assert abs(prof.probs[0, 0].sum() + prof.silence[0, 0] - 1.0) <= 1e-12
+
+
 def test_profile_dims_and_frozen_arrays(two_user):
     _, prof = two_user
     assert (prof.num_users, prof.num_slots, prof.num_items) == (2, 2, 3)

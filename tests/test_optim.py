@@ -712,6 +712,16 @@ def test_box_descent_recovers_when_the_box_turns_the_newton_step_uphill():
     assert np.all(np.diff(res.trace) < 0.0)
 
 
+def test_box_descent_step_that_rounds_back_to_x_ends_flat():
+    # the whole Newton step is below the rounding of x: no trial can leave x,
+    # so no representable decrease is left, and that is a converged stop
+    res = box_projected_descent(
+        lambda x: 1e-17 * x.sum(), lambda x: np.full(1, 1e-17), lambda x, v: 0 * v,
+        np.ones(1), 0.0, 2.0, tol=0.0,
+    )
+    assert (res.stop, res.converged, res.iterations) == ("rounding", True, 0)
+
+
 def test_box_descent_stall_reports_a_python_bool():
     # a flat objective with a nonzero gradient: no step can decrease it
     res = box_projected_descent(

@@ -59,9 +59,11 @@ QUAD_TRACE = (
     12.802924121135616,
     12.802924091413765,
 )
-QUAD_PEAK_U0 = (0.87752035500387893, 0.12173924623923113, 0.00074039875689002296)
-QUAD_PEAK_U1 = (0.31112205276586530, 0.22106186038117628, 0.46781608685295850)
-QUAD_OFFPEAK_U0 = (0.80537323230298563, 0.18756625435090704, 0.00706051334610795)
+# the shaped rows after two rounds, the first iterate whose linear-step gap
+# meets the default tolerance
+QUAD_PEAK_U0 = (0.877506363522242, 0.12175968516094618, 0.0007339513168118372)
+QUAD_PEAK_U1 = (0.31111854994169225, 0.2210638425123644, 0.46781760754594337)
+QUAD_OFFPEAK_U0 = (0.805374424973705, 0.18756560475510833, 0.007059970271186682)
 
 OUTAGE_TRACE = (
     0.7623816508182035,
@@ -228,8 +230,10 @@ def test_linear_min_over_ebc_cannot_shed_enough_mass():
 def test_shape_demand_quadratic_frozen(two_user, quad, enum_cfg):
     catalog, prof = two_user
     result = shape_demand(prof, catalog, quad, enum_cfg, alpha=0.2)
-    assert result.converged
-    assert np.allclose(result.trace.objectives, QUAD_TRACE, atol=1e-9)
+    assert (result.stop, result.converged) == ("tol", True)
+    assert np.allclose(result.trace.objectives, QUAD_TRACE[:3], atol=1e-9)
+    assert len(result.trace.gaps) == len(result.trace)
+    assert result.trace.gaps[-1] <= 1e-8 * result.trace.objectives[-1] < result.trace.gaps[-2]
     assert np.all(np.diff(result.trace.objectives) < 0.0)
     assert result.trace.residuals[-1] < 1e-9  # lands on the ball boundary
     assert len(result.trace.residuals) == len(result.trace)
@@ -245,8 +249,9 @@ def test_shape_demand_quadratic_frozen(two_user, quad, enum_cfg):
 def test_shape_demand_outage_frozen(two_user, outage, enum_cfg):
     catalog, prof = two_user
     result = shape_demand(prof, catalog, outage, enum_cfg, alpha=0.2)
-    assert result.converged
-    assert np.allclose(result.trace.objectives, OUTAGE_TRACE, atol=1e-9)
+    assert (result.stop, result.converged) == ("tol", True)
+    assert np.allclose(result.trace.objectives, OUTAGE_TRACE[:4], atol=1e-9)
+    assert result.trace.gaps[-1] <= 1e-8 * result.trace.objectives[-1] < result.trace.gaps[-2]
     assert np.all(np.diff(result.trace.objectives) < 0.0)
     assert np.allclose(conditional(result.profile, 0, 1).pi, OUTAGE_PEAK_U0, atol=1e-9)
     assert np.allclose(conditional(result.profile, 1, 1).pi, OUTAGE_PEAK_U1, atol=1e-9)
@@ -258,24 +263,36 @@ def test_shape_demand_outage_frozen(two_user, outage, enum_cfg):
 def test_shape_demand_is_stationary_at_its_answer(two_user, quad, enum_cfg):
     catalog, prof = two_user
     result = shape_demand(prof, catalog, quad, enum_cfg, alpha=0.2)
+    # the linear step's gap, recomputed row by row from a fresh gradient
     grad = cost_gradient_p(result.profile, result.solve.allocation, quad, enum_cfg)
-    pred = 0.0
+    gap = 0.0
     for n in range(2):
         for t in range(2):
             target = linear_min_over_ebc(grad[n, t], result.regions, n, t)
             d = target - result.profile.probs[n, t]
             fin = np.isfinite(grad[n, t])
-            pred += float(grad[n, t][fin] @ d[fin])
-    assert pred >= -1e-6 * (1.0 + abs(result.trace.objectives[-1]))
+            gap -= float(grad[n, t][fin] @ d[fin])
+    assert gap == pytest.approx(result.trace.gaps[-1], rel=1e-9)
+    assert 0.0 <= gap <= 1e-8 * abs(result.trace.objectives[-1])
 
 
 def test_shape_demand_zero_alpha_returns_input(two_user, quad, enum_cfg):
     catalog, prof = two_user
     result = shape_demand(prof, catalog, quad, enum_cfg, alpha=0.0)
-    assert result.converged
+    assert (result.stop, result.converged) == ("tol", True)
+    assert result.trace.gaps.tolist() == [0.0]
     assert len(result.trace) == 1
     assert np.array_equal(result.profile.probs, prof.probs)
     assert result.trace.objectives[0] == pytest.approx(15.410789534883722, abs=1e-9)
+
+
+def test_monte_carlo_shaping_at_zero_alpha_returns_input(two_user, quad, mc_cfg):
+    # a zero budget takes no gradient, which Monte Carlo does not offer
+    catalog, prof = two_user
+    result = shape_demand(prof, catalog, quad, mc_cfg(200), alpha=0.0)
+    assert (result.stop, len(result.trace)) == ("tol", 1)
+    assert np.array_equal(result.profile.probs, prof.probs)
+    assert result.trace.objectives[0] == result.solve.cost
 
 
 def test_one_item_shaping_keeps_the_profile(quad, enum_cfg, analytic_cfg):

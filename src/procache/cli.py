@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .evaluate import ENGINES, expected_cycle_cost, nonproactive_cost
+from .evaluate import ENGINES, expected_cycle_cost
 from .experiments import (
     reproduce_scaling,
     reproduce_two_user,
@@ -33,6 +33,7 @@ from .recommend import solve_rating
 from .scenario import (
     Scenario,
     ScenarioError,
+    check_seed,
     load_scenario,
     parse_rating_inputs,
     parse_scenario,
@@ -119,8 +120,8 @@ def main():
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 @click.option("--samples", type=int, required=True, help="Monte Carlo sample count (> 0).")
 @click.option("--seed", type=int, default=None,
-              help="Sampling seed of the estimate; the catalog and the scenario hash "
-                   "stay those of the file's own seed.")
+              help="Sampling seed of the estimate, an integer in [0, 2**53]; the catalog "
+                   "and the scenario hash stay those of the file's own seed.")
 @click.option("--alloc", "alloc_path", type=click.Path(exists=True), default=None,
               help="Allocation CSV from 'optimize'; default is no prefetching.")
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -129,6 +130,8 @@ def simulate(scenario_path, samples, seed, alloc_path, out_path):
     """Monte Carlo estimate of the cycle cost, slot by slot."""
     if samples < 1:
         raise click.BadParameter("--samples must be a positive integer")
+    if seed is not None:
+        check_seed(seed, "--seed")
     summary_path, = _plan_outputs({"--scenario": scenario_path, "--alloc": alloc_path},
                                   {"--out": out_path},
                                   {"the JSON summary": Path(out_path).with_suffix(".json")})
@@ -213,9 +216,9 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     scn = load_scenario(scenario_path).with_eval(engine, samples)
     scn.check_per_user()
     cfg = scn.cfg
-    base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, cfg)
     solved = solve_proactive(scn.profile, scn.catalog, scn.cost, cfg,
                              tol=tol, max_iters=max_iters)
+    base = solved.start
     res = expected_cycle_cost(scn.profile, solved.allocation, scn.cost, cfg)
     _write_slot_rows(out_path, cfg.engine, res)
     if alloc_path is not None:
@@ -304,8 +307,8 @@ def recommend(profile_path, ratings_path, out_path):
 @click.option("--N", "ladder_text", required=True,
               help="Comma-separated user-count ladder, e.g. 25,50,100,200.")
 @click.option("--seed", type=int, default=None,
-              help="Replace the scenario seed everywhere, as if the file said it: the "
-                   "catalog draw, the Monte Carlo samples and the scenario hash.")
+              help="Replace the scenario seed (in [0, 2**53]) everywhere, as if the file said "
+                   "it: the catalog draw, the Monte Carlo samples and the scenario hash.")
 @click.option("--tol", type=float, default=1e-8, show_default=True, help=_TOL_HELP)
 @click.option("--max-iters", type=int, default=5000, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -317,9 +320,11 @@ def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
                                   {"the JSON summary": Path(out_path).with_suffix(".json")})
     scn = load_scenario(family_path)
     if seed is not None:
-        scn = parse_scenario(dict(scn.source, seed=seed))
+        scn = parse_scenario(dict(scn.source, seed=check_seed(seed, "--seed")))
     try:
         ladder = [int(s) for s in ladder_text.split(",") if s.strip()]
+        if len(set(ladder)) < 3:
+            raise ValueError("the exponent fit needs at least 3 distinct user counts")
     except ValueError as exc:
         raise ScenarioError(f"bad --N ladder {ladder_text!r}: {exc}") from exc
     curve = scaling_curve(scn, ladder, tol=tol, max_iters=max_iters)

@@ -171,7 +171,8 @@ class Tables(NamedTuple):
     0), ``const`` (T,) the load every outcome of the slot carries,
     ``draws`` the Monte Carlo outcome codes (T, N, K), ``None`` for the
     exact engines, and ``counts`` the class sizes as float weights (K,),
-    ``None`` when every row is one user.
+    ``None`` when every row is one user.  Built by :func:`cycle_tables` and
+    kept by a :class:`Point`; other modules evaluate through the cycle-level functions.
     """
 
     probs: np.ndarray
@@ -180,14 +181,6 @@ class Tables(NamedTuple):
     const: np.ndarray
     draws: np.ndarray | None
     counts: np.ndarray | None
-
-    def slot(self, t: int) -> "Tables":
-        """The one-slot batch of slot ``t`` (indices wrap)."""
-        t %= len(self.const)
-        s = slice(t, t + 1)
-        draws = None if self.draws is None else self.draws[s]
-        return Tables(self.probs[:, s], self.silence[:, s], self.v[:, s], self.const[s], draws,
-                      self.counts)
 
 
 def weigh_classes(arr: np.ndarray, counts: np.ndarray | None) -> np.ndarray:

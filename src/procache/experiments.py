@@ -147,9 +147,8 @@ def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
     sweep_rows = []
     for p_peak in PP_GRID:
         scn = parse_scenario(two_user_scenario_dict(p_peak, cost_kind))
-        base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, scn.cfg)
         solved = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
-        sweep_rows.append((p_peak, base.value, solved.cost))
+        sweep_rows.append((p_peak, solved.start.value, solved.cost))
 
     scn = parse_scenario(two_user_scenario_dict(SHAPED_P_PEAK, cost_kind))
     base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, scn.cfg)

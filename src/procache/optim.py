@@ -12,6 +12,9 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+# rounding of a computed value, or of a difference, relative to the magnitudes involved
+RESOLUTION = 16.0 * np.finfo(float).eps
+
 
 def increasing_root(fn, hi: float) -> float:
     """Least x in [0, hi] with ``fn(x) >= 0`` for a nondecreasing ``fn``, or
@@ -234,7 +237,7 @@ def _arc_search(value_fn, clip, x, fx, g, step, work):
     without passing the test is a failure, not flat.
     Each trial is a new array, clipped in place; ``work`` holds ``trial - x``.
     """
-    resolution = 16.0 * np.finfo(float).eps * abs(fx)
+    resolution = RESOLUTION * abs(fx)
     t = 1.0
     for k in range(60):
         trial = np.multiply(step, t)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,26 +27,26 @@ from .evaluate import (
     cost_gradient_x,
     cost_hess_vec,
     expected_cycle_cost,
-    nonproactive_cost,
     weigh_classes,
 )
-from .optim import box_projected_descent, increasing_root
+from .optim import RESOLUTION, box_projected_descent, increasing_root
 
 log = logging.getLogger(__name__)
 
-_MEMBER_MARGIN = 1e-12
 _MC_SIGMAS = 4.0
+_OVERFLOW = EvalResult(np.inf, 0.0, np.empty(0), np.empty(0))   # loads past the cost's domain
 
 
 @dataclass(frozen=True)
 class ActiveSets:
     """Users for whom prefetching item m ahead of slot t pays off.
 
-    ``member[n, t, m]`` is True when the expected marginal saving of moving
-    one unit of that user's slot-t demand into slot t-1 is positive under
-    non-proactive loads.  With the Monte Carlo engine, cells whose statistic
-    is within 4 standard errors of zero are excluded from membership and
-    listed in ``undecided``.  On a profile of classes the rows are classes
+    ``member[n, t, m]`` is True when ``stat``, the expected marginal saving
+    ``b - a_{t-1}`` of moving one unit of that user's slot-t demand into slot
+    t-1 under non-proactive loads, clears ``max(4 sigma, 16 eps (|b| +
+    |a_{t-1}|))``: its Monte Carlo standard error (0 on exact engines) or its
+    rounding, whatever the unit of the loads.  ``undecided`` lists the cells
+    within that floor of zero.  On a profile of classes the rows are classes
     and ``counts`` their sizes as float weights (``None`` when every row is
     one user).
     """
@@ -70,15 +71,12 @@ def active_sets(profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, c
     read from ``zero``, the zero allocation's point (built when omitted)."""
     zero = zero or Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
     a, b, a_se, b_se = cfg.kernels.marginal_stats(zero.tables, cost)
-    stat = b - np.roll(a, 1)[None, :, None]
-    if cfg.kernels.sampled:
-        sigma = np.sqrt(b_se**2 + np.roll(a_se, 1)[None, :, None] ** 2)
-        member = stat > _MC_SIGMAS * sigma
-        undecided_mask = ~member & (stat >= -_MC_SIGMAS * sigma)
-        undecided = tuple(map(tuple, np.argwhere(undecided_mask)))
-    else:
-        member = stat > _MEMBER_MARGIN
-        undecided = ()
+    prev, prev_se = np.roll(a, 1)[None, :, None], np.roll(a_se, 1)[None, :, None]
+    stat = b - prev
+    floor = np.maximum(_MC_SIGMAS * np.sqrt(b_se**2 + prev_se**2),
+                       RESOLUTION * (np.abs(b) + np.abs(prev)))
+    member = stat > floor
+    undecided = tuple(map(tuple, np.argwhere(~member & (stat >= -floor))))
     return ActiveSets(member=member, stat=stat, undecided=undecided, counts=profile.weights)
 
 
@@ -93,6 +91,7 @@ class SolveResult:
     gap: float                    # certificate: cost - gap <= the least cost
     objective_trace: np.ndarray
     stop: str                     # why the descent stopped: "tol", "rounding", "stalled" or "cap"
+    start: EvalResult             # at the start; on a cold one, the non-proactive cost
 
 
 def solve_proactive(
@@ -102,7 +101,7 @@ def solve_proactive(
     cfg: EvalConfig,
     tol: float = 1e-8,
     max_iters: int = 5000,
-    x0: np.ndarray | None = None,
+    x0: np.ndarray | Point | None = None,
 ) -> SolveResult:
     """Minimize the cycle cost over allocations in [0, S(m)] per coordinate.
 
@@ -126,33 +125,35 @@ def solve_proactive(
     overflows under the given profile falls back to the zero allocation,
     which is feasible whenever the non-proactive cost is.
 
+    ``x0`` is an allocation or a :class:`~procache.evaluate.Point` built for
+    the same profile, cost and config, whose tables the solve then reuses.
+    The start is evaluated once; that evaluation is the result's ``start``.
+
     Each iterate is one :class:`~procache.evaluate.Point`, kept while the
     descent passes the same array: the trial value, the gradient once the
     trial is accepted and every Hessian product at it share its tables and
     curvature state, and its value is computed once.  The descent starts
-    from the start array itself, so the start is built once too.
-    The descent holds the start only until its first accepted step.
+    from the start point's own array, so the start is built once too, and
+    holds it only until its first accepted step.
     """
     sizes = catalog.sizes
-    if x0 is not None:
-        x0 = np.array(x0, dtype=float)   # a point makes its x read-only: not the caller's
-    point, point_value = None, None
+    point, evaluated = None, None   # the point at hand, and its evaluation once made
 
     def at(x):
-        nonlocal point, point_value
+        nonlocal point, evaluated
         if point is None or point.x is not x:
-            point, point_value = Point(profile, x, sizes, cost, cfg), None
+            point, evaluated = Point(profile, x, sizes, cost, cfg), None
         return point
 
     def value(x):
-        nonlocal point_value
+        nonlocal evaluated
         at(x)
-        if point_value is None:
+        if evaluated is None:
             try:
-                point_value = expected_cycle_cost(profile, point, cost, cfg).value
+                evaluated = expected_cycle_cost(profile, point, cost, cfg)
             except CostDomainError:
-                point_value = np.inf
-        return point_value
+                evaluated = _OVERFLOW
+        return evaluated.value
 
     def grad(x):
         return cost_gradient_x(profile, at(x), cost, cfg)
@@ -161,15 +162,17 @@ def solve_proactive(
         # the descent holds d for the whole solve: the product overwrites it
         return cost_hess_vec(profile, at(x), d, cost, cfg, out=d)
 
-    if x0 is None or not np.isfinite(value(x0)):
-        x0 = np.zeros(profile.probs.shape)
-        if not np.isfinite(value(x0)):
+    if isinstance(x0, Point):
+        point = x0   # evaluating it checks that it was built for this solve
+    elif x0 is not None:
+        at(np.array(x0, dtype=float))   # a point makes its x read-only: not the caller's
+    if point is None or not np.isfinite(value(point.x)):
+        at(np.zeros(profile.probs.shape))
+        if not np.isfinite(value(point.x)):
             # nothing to optimize: even pure reactive service overflows;
             # surface the untranslated domain error
-            expected_cycle_cost(profile, at(x0), cost, cfg)
-    # the start's point is the last one built, so the descent reuses it; the
-    # start is passed as point.x alone, so it is freed once the descent moves off
-    del x0
+            expected_cycle_cost(profile, point, cost, cfg)
+    start = evaluated
     res = box_projected_descent(value, grad, hess, point.x, 0.0, sizes, tol, max_iters)
     if not res.converged:
         log.warning("solve_proactive did not reach tol=%.1e (stop: %s): %d iterations, gap %.3g",
@@ -182,6 +185,7 @@ def solve_proactive(
         gap=res.gap,
         objective_trace=res.trace,
         stop=res.stop,
+        start=start,
     )
 
 
@@ -195,28 +199,19 @@ class PolicyAResult:
     reduction_step: float         # the r subtracted from x_hat
     sets: ActiveSets
     cost: EvalResult
-    all_empty: bool
-    slopes: dict                  # slot t -> phi_t', for every slot with active pairs
 
 
-def _exchange_slope(tables, cost, cfg, sets, t):
-    """phi_t'(x), where phi_t(x) is the expected cost of slots t-1 and t when
-    every active pair of slot t prefetches exactly x units; ``tables`` hold
-    the cycle at x = 0.  Past an outage capacity the slope is ``+inf``."""
-    prev, cur = tables.slot(t - 1), tables.slot(t)
-    pairs = sets.pair_counts()[t]
-    member = sets.member[:, t:t + 1]
-    marginal_stats = cfg.kernels.marginal_stats
-
-    def slope(xv: float) -> float:
-        try:
-            a, _, _, _ = marginal_stats(prev._replace(const=prev.const + xv * pairs), cost)
-            _, b, _, _ = marginal_stats(cur._replace(v=cur.v - xv * member), cost)
-        except CostDomainError:
-            return np.inf
-        return float(pairs * a[0] - np.sum(weigh_classes(b * member, sets.counts)))
-
-    return slope
+def _exchange_slope(profile, catalog, cost, cfg, sets, t, xv) -> float:
+    """phi_t'(xv) = T <cost_gradient_x(xv M_t), M_t>, where phi_t(x) is the
+    expected cost of slots t-1 and t when every active pair of slot t (M_t
+    marks them) prefetches exactly x units.  Past an outage capacity it is ``+inf``."""
+    pairs = np.zeros(sets.member.shape)
+    pairs[:, t] = sets.member[:, t]
+    try:
+        grad = cost_gradient_x(profile, xv * pairs, cost, cfg, catalog=catalog)
+    except CostDomainError:
+        return np.inf
+    return profile.num_slots * float(np.sum(grad * pairs))
 
 
 def policy_a(
@@ -225,7 +220,6 @@ def policy_a(
     cost: CostModel,
     cfg: EvalConfig,
     sets: ActiveSets | None = None,
-    zero: Point | None = None,
 ) -> PolicyAResult:
     """Per-slot scalar prefetch for every active (user, item) pair.
 
@@ -234,33 +228,27 @@ def policy_a(
     exact, nondecreasing slope phi_t' (:func:`_exchange_slope`), found by
     bisection down to adjacent floats.  The allocated amount x_tilde[t]
     backs off by r, 1e-3 times the smallest x_hat over slots with active
-    pairs.  ``zero`` is the zero allocation's point, built here when omitted.
+    pairs.  ``sets`` are built here when omitted.
     """
-    zero = zero or Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
-    sets = sets or active_sets(profile, catalog, cost, cfg, zero)
-    pair_counts = sets.pair_counts()
+    sets = sets or active_sets(profile, catalog, cost, cfg)
+    live = sets.pair_counts() > 0
     x_hat = np.zeros(profile.num_slots)
-    slopes = {t: _exchange_slope(zero.tables, cost, cfg, sets, t)
-              for t in np.flatnonzero(pair_counts)}
-    for t, slope in slopes.items():
-        x_hat[t] = increasing_root(slope, catalog.min_size)
+    for t in np.flatnonzero(live):
+        x_hat[t] = increasing_root(partial(_exchange_slope, profile, catalog, cost, cfg, sets, t),
+                                   catalog.min_size)
 
-    all_empty = not sets.any_active
-    r = 0.0 if all_empty else 1e-3 * float(x_hat[pair_counts > 0].min())
-    x_tilde = np.where(pair_counts > 0, np.maximum(x_hat - r, 0.0), 0.0)
+    r = 1e-3 * float(x_hat[live].min()) if live.any() else 0.0
+    x_tilde = np.where(live, np.maximum(x_hat - r, 0.0), 0.0)
 
     x = np.where(sets.member, x_tilde[None, :, None], 0.0)
     allocation = ProactiveAllocation(x, catalog)
-    cost_res = expected_cycle_cost(profile, allocation, cost, cfg)
     return PolicyAResult(
         allocation=allocation,
         x_hat=x_hat,
         x_tilde=x_tilde,
         reduction_step=r,
         sets=sets,
-        cost=cost_res,
-        all_empty=all_empty,
-        slopes=slopes,
+        cost=expected_cycle_cost(profile, allocation, cost, cfg),
     )
 
 
@@ -292,28 +280,28 @@ def reduction_bounds(
     ``x_tilde[t] * -phi_t'(x_tilde[t]) / T``: each slot's backed-off policy
     scalar against the exact exchange slope whose root is ``x_hat[t]``
     (:func:`policy_a`).  Both bounds come from the same active sets, so
-    ``lower <= delta <= upper`` holds for exact engines, with ``lower > 0``
-    as soon as any set is nonempty.  One zero-allocation point serves the
-    sets, the policy, both bounds and the non-proactive cost.
+    ``lower <= delta <= upper`` holds for exact engines in any unit of the
+    sizes, with ``lower > 0`` as soon as any set is nonempty.  One zero
+    point serves the sets and the solve's cold start, the non-proactive cost.
     """
     zero = Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
     sets = active_sets(profile, catalog, cost, cfg, zero)
-    n_slots, counts = profile.num_slots, profile.weights
+    n_slots = profile.num_slots
     upper = float(np.sum(weigh_classes(sets.stat * sets.member * catalog.sizes[None, None, :],
-                                       counts))) / n_slots
+                                       profile.weights))) / n_slots
 
-    pol = policy_a(profile, catalog, cost, cfg, sets=sets, zero=zero)
+    pol = policy_a(profile, catalog, cost, cfg, sets=sets)
     lower = float(sum(
-        pol.x_tilde[t] * -slope(pol.x_tilde[t]) for t, slope in pol.slopes.items()
+        pol.x_tilde[t] * -_exchange_slope(profile, catalog, cost, cfg, sets, t, pol.x_tilde[t])
+        for t in np.flatnonzero(sets.pair_counts())
     )) / n_slots
 
-    base = expected_cycle_cost(profile, zero, cost, cfg)
-    solved = solve_proactive(profile, catalog, cost, cfg)
-    delta = base.value - solved.cost
+    solved = solve_proactive(profile, catalog, cost, cfg, x0=zero)
+    base = solved.start
     return CostReductionReport(
         nonproactive=base.value,
         optimized=solved.cost,
-        delta=delta,
+        delta=base.value - solved.cost,
         lower=lower,
         upper=upper,
         policy_cost=pol.cost.value,
@@ -345,19 +333,19 @@ def scaling_curve(family, ladder, tol: float = 1e-8, max_iters: int = 5000) -> S
     ``family`` is a generator :class:`~procache.scenario.Scenario`; ladder
     point N is ``family.with_users(N)``, so every point shares its catalog,
     cost and evaluation config.  The exponent is the least-squares slope of
-    log(delta) against log(N) and needs at least three ladder points.  It is
+    log(delta) against log(N) and needs at least three distinct user counts.  It is
     ``None``, with a warning naming the points, when some ladder point shows
     no reduction (``delta <= 0``), since its logarithm is undefined.
     """
     ladder = [int(n) for n in ladder]
-    if len(ladder) < 3:
-        raise ValueError("exponent fit needs at least 3 ladder points")
+    if len(set(ladder)) < 3:
+        raise ValueError("exponent fit needs at least 3 ladder points with distinct user counts")
     points = []
     for n in ladder:
         scn = family.with_users(n)
-        base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, scn.cfg)
         solved = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg,
                                  tol=tol, max_iters=max_iters)
+        base = solved.start
         delta = base.value - solved.cost
         points.append(
             ScalingPoint(

@@ -13,6 +13,9 @@ import numpy as np
 
 _FOLD = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+# numpy reads a key list holding an id >= 2**63 as float64, exact up to 2**53
+# only: a larger seed could share its streams with another (2**53 + 1 with 2**53)
+MAX_SEED = 2**53
 
 
 def substream(seed: int, *ids: int) -> np.random.Generator:

@@ -50,7 +50,7 @@ import numpy as np
 from .costs import CostModel
 from .demand import MAX_COUNT, DemandProfile, ItemCatalog, zipf_profile
 from .evaluate import EvalConfig, UnsupportedEngineError
-from .rng import substream
+from .rng import MAX_SEED, substream
 
 _SIZE_STREAM = (997, 991)  # namespace ids for catalog draws
 # Largest array a scenario may ask for, in cells: rows x slots x items for
@@ -111,15 +111,22 @@ def _number(value, key: str) -> float:
     return float(arr)
 
 
-def _integer(value, key: str, minimum: int) -> int:
-    """An integral number of at least ``minimum``; bools and fractions are refused."""
+def _integer(value, key: str, minimum: int, maximum: int | None = None) -> int:
+    """An integral number in [``minimum``, ``maximum``]; bools and fractions are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ScenarioError(f"{key} must be an integer, got {value!r}")
     if isinstance(value, (float, np.floating)) and not float(value).is_integer():
         raise ScenarioError(f"{key} must be an integer, got {value!r}")
     if value < minimum:
         raise ScenarioError(f"{key} must be at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ScenarioError(f"{key} must be at most {maximum}, got {value!r}")
     return int(value)
+
+
+def check_seed(value, key: str) -> int:
+    """A seed, an integer in [0, :data:`~procache.rng.MAX_SEED`]; refused naming ``key``."""
+    return _integer(value, key, 0, MAX_SEED)
 
 
 def check_cells(key: str, *dims: int) -> None:
@@ -138,10 +145,7 @@ def _counts(value, num_rows: int) -> np.ndarray:
         size = len(value) if isinstance(value, list) else "no list"
         raise ScenarioError(f"'counts' must list one user count per profile row "
                             f"({num_rows}), got {size}")
-    counts = [_integer(v, "'counts'", 1) for v in value]
-    if max(counts) > MAX_COUNT:
-        raise ScenarioError(f"'counts' asks for {max(counts)} users in a row; the limit is 2**53")
-    return np.array(counts, dtype=np.int64)
+    return np.array([_integer(v, "'counts'", 1, MAX_COUNT) for v in value], dtype=np.int64)
 
 
 def _users_key(source: dict) -> str:
@@ -249,7 +253,7 @@ def parse_scenario(data: dict) -> Scenario:
         {"sizes", "slots", "profiles", "counts", "generator", "cost", "eval", "alpha", "seed"},
         "scenario",
     )
-    seed = _integer(data.get("seed", 0), "'seed'", 0)
+    seed = check_seed(data.get("seed", 0), "'seed'")
 
     sizes_spec = _need(data, "sizes", "scenario")
     if isinstance(sizes_spec, dict):
@@ -300,9 +304,8 @@ def parse_scenario(data: dict) -> Scenario:
         _require_keys(gen_spec, {"kind", "users", "power", "activity"}, "generator")
         if _need(gen_spec, "kind", "generator") != "zipf":
             raise ScenarioError(f"unknown generator kind {gen_spec['kind']!r}")
-        users = _integer(_need(gen_spec, "users", "generator"), "'users' in generator", 1)
-        if users > MAX_COUNT:
-            raise ScenarioError(f"'users' in generator asks for {users} users; the limit is 2**53")
+        users = _integer(_need(gen_spec, "users", "generator"), "'users' in generator", 1,
+                         MAX_COUNT)
         power = _number(_need(gen_spec, "power", "generator"), "'power' in generator")
         activity = np.atleast_1d(
             _numbers(_need(gen_spec, "activity", "generator"), "'activity' in generator")

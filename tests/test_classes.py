@@ -140,13 +140,12 @@ def test_class_sets_policy_and_bounds_equal_the_per_user_ones():
         assert np.array_equal(got.pair_counts(), want.pair_counts())
 
         # the policy's per-slot exchange slope, on a grid of prefetch amounts
-        zero_c = cycle_tables(pc, np.zeros_like(pc.probs), catalog.sizes, ANALYTIC)
-        zero_e = cycle_tables(pe, np.zeros_like(pe.probs), catalog.sizes, ANALYTIC)
         for t in np.flatnonzero(got.pair_counts()):
-            slope_c = proactive._exchange_slope(zero_c, cost, ANALYTIC, got, t)
-            slope_e = proactive._exchange_slope(zero_e, cost, ANALYTIC, want, t)
             grid = np.linspace(0.0, catalog.min_size, 7)
-            assert _rel([slope_c(xv) for xv in grid], [slope_e(xv) for xv in grid]) <= EXACT
+            assert _rel([proactive._exchange_slope(pc, catalog, cost, ANALYTIC, got, t, xv)
+                         for xv in grid],
+                        [proactive._exchange_slope(pe, catalog, cost, ANALYTIC, want, t, xv)
+                         for xv in grid]) <= EXACT
 
         pol_c, pol_e = policy_a(pc, catalog, cost, ANALYTIC), policy_a(pe, catalog, cost, ANALYTIC)
         assert _rel(pol_c.x_hat, pol_e.x_hat) <= EXACT

@@ -343,6 +343,14 @@ def test_recommend_parses_strictly(runner, tmp_path, profile_text, ratings_text,
         (["shape", "--max-iters", "0"], "--max-iters"),
         (["scale", "--N", "2,3,4", "--tol", "-1"], "--tol"),
         (["scale", "--N", "2,3,4", "--max-iters", "0"], "--max-iters"),
+        # past [0, 2**53] a seed ends in a numpy cast warning or shares its
+        # streams with another seed
+        (["simulate", "--samples", "300", "--seed", "-1"], "--seed"),
+        (["simulate", "--samples", "300", "--seed", str(2**64 - 1)], "--seed"),
+        (["scale", "--N", "2,3,4", "--seed", str(2**53 + 1)], "--seed"),
+        # the exponent fit needs three distinct points, not three entries
+        (["scale", "--N", "25,25,25"], "--N"),
+        (["scale", "--N", "2,3,2"], "--N"),
     ],
 )
 def test_solver_options_are_checked(runner, quad_scenario, tmp_path, command, option):

@@ -22,7 +22,8 @@ from procache import (
 )
 from procache import evaluate, proactive
 from procache.costs import CostDomainError
-from procache.experiments import OUTAGE_CAPACITY, SCALING_SCENARIO
+from procache.evaluate import ENGINES, Point
+from procache.experiments import OUTAGE_CAPACITY, SCALING_SCENARIO, two_user_scenario_dict
 
 from conftest import cost_for, random_instance, two_user_pair
 from oracles import (
@@ -158,7 +159,7 @@ def test_policy_frozen_values(two_user, quad, enum_cfg):
     assert np.allclose(pol.x_tilde, POLICY_XTILDE, atol=1e-9)
     assert pol.reduction_step == pytest.approx(POLICY_STEP, rel=1e-9)
     assert pol.cost.value == pytest.approx(POLICY_COST, abs=1e-9)
-    assert not pol.all_empty
+    assert pol.sets.any_active
     # every active pair downloads the slot scalar, everybody else nothing
     x = pol.allocation.x
     assert np.allclose(x[pol.sets.member], pol.x_tilde[1])
@@ -200,7 +201,7 @@ def test_policy_and_bounds_collapse_without_active_pairs(quad, enum_cfg):
     catalog = ItemCatalog([3.0])
     prof = DemandProfile(np.full((1, 2, 1), 0.5))  # flat demand, nothing to shift
     pol = policy_a(prof, catalog, quad, enum_cfg)
-    assert pol.all_empty
+    assert not pol.sets.any_active
     assert np.all(pol.allocation.x == 0.0)
     rep = reduction_bounds(prof, catalog, quad, enum_cfg)
     assert rep.lower == 0.0
@@ -221,21 +222,79 @@ def test_reduction_bounds_frozen(two_user, quad, enum_cfg):
     assert rep.lower <= rep.delta <= rep.upper
 
 
-def test_reduction_bounds_build_the_zero_allocation_tables_twice(monkeypatch, two_user, quad,
-                                                                 enum_cfg):
-    # one zero point serves the sets, the policy, both bounds and the
-    # non-proactive cost; the solve builds its own start
+def test_the_solve_inside_reduction_bounds_builds_no_zero_allocation_tables(monkeypatch, two_user,
+                                                                           quad, enum_cfg):
+    # the solve starts on the zero point the active sets were read from, and
+    # its evaluation there is the report's non-proactive cost
     catalog, prof = two_user
-    at_zero = []
-    build = evaluate.cycle_tables
+    builds, solving = [], []
+    build, solve = evaluate.cycle_tables, proactive.solve_proactive
 
     def counted(profile, x, sizes, cfg):
-        at_zero.append(not np.any(x))
+        builds.append((not np.any(x), bool(solving)))
         return build(profile, x, sizes, cfg)
 
+    def solved(*args, **kwargs):
+        solving.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.clear()
+
     monkeypatch.setattr(evaluate, "cycle_tables", counted)
-    reduction_bounds(prof, catalog, quad, enum_cfg)
-    assert sum(at_zero) == 2
+    monkeypatch.setattr(proactive, "solve_proactive", solved)
+    rep = reduction_bounds(prof, catalog, quad, enum_cfg)
+    assert (True, False) in builds and (False, True) in builds   # the sets and the descent
+    assert (True, True) not in builds
+    assert rep.nonproactive == rep.solve.start.value
+    assert rep.nonproactive == nonproactive_cost(prof, catalog, quad, enum_cfg).value
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "outage"])
+def test_reduction_bounds_do_not_depend_on_the_unit_of_the_sizes(kind):
+    # membership is relative to the loads' magnitude, so no unit of the sizes,
+    # however small it makes the costs, changes a set or a relative bound
+    reference = None
+    for k in (-16, -13, -12, -6, 0, 4):
+        data = two_user_scenario_dict(0.9, kind)
+        data["sizes"] = [s * 10.0**k for s in data["sizes"]]
+        if kind == "outage":
+            data["cost"]["mu"] *= 10.0**k
+        scn = parse_scenario(data)
+        rep = reduction_bounds(scn.profile, scn.catalog, scn.cost, scn.cfg)
+        assert rep.sets.member.sum() == (3 if kind == "quadratic" else 4), k
+        assert 0.0 < rep.lower <= rep.delta <= rep.upper, k
+        relative = np.array([rep.lower, rep.upper]) / rep.nonproactive
+        reference = relative if reference is None else reference
+        np.testing.assert_allclose(relative, reference, rtol=1e-12, atol=0.0, err_msg=str(k))
+
+
+@pytest.mark.parametrize("users", [25, 200, 10**3, 10**4, 10**6])
+def test_zipf_family_bounds_hold_as_one_class(users):
+    scn = parse_scenario(SCALING_SCENARIO).with_users(users)
+    rep = reduction_bounds(scn.profile, scn.catalog, scn.cost, scn.cfg)
+    assert rep.solve.stop == "tol"
+    assert 0.0 < rep.lower <= rep.delta <= rep.upper
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_solve_reports_the_evaluation_it_started_from(engine, two_user, quad, outage):
+    catalog, prof = two_user
+    cfg = EvalConfig(engine=engine, samples=300, seed=3)
+    for cost in (quad, outage) if engine == "enumerate" else (quad,):
+        cold = solve_proactive(prof, catalog, cost, cfg)
+        base = nonproactive_cost(prof, catalog, cost, cfg)
+        assert (cold.start.value, cold.start.stderr) == (base.value, base.stderr)
+        assert np.array_equal(cold.start.slot_values, base.slot_values)
+        assert np.array_equal(cold.start.slot_stderrs, base.slot_stderrs)
+        # a warm start is evaluated where it starts: at the cold solve's plan
+        warm = solve_proactive(prof, catalog, cost, cfg, x0=cold.allocation.x)
+        assert warm.start.value == cold.cost
+        # a start point is taken only from the solve's own profile, cost and config
+        zero = Point(prof, np.zeros(prof.probs.shape), catalog.sizes, cost, cfg)
+        assert solve_proactive(prof, catalog, cost, cfg, x0=zero).cost == cold.cost
+        with pytest.raises(ValueError, match="another profile"):
+            solve_proactive(prof.with_probs(prof.probs), catalog, cost, cfg, x0=zero)
 
 
 def test_full_prefetch_needs_a_peak_to_dodge(quad, enum_cfg):
@@ -279,8 +338,9 @@ SMALL_FAMILY = {
 
 
 def test_scaling_curve_needs_three_points():
-    with pytest.raises(ValueError, match="3 ladder points"):
-        scaling_curve(parse_scenario(SMALL_FAMILY), (4, 8))
+    for ladder in ((4, 8), (4, 4, 4), (4, 8, 4)):
+        with pytest.raises(ValueError, match="3 ladder points with distinct user counts"):
+            scaling_curve(parse_scenario(SMALL_FAMILY), ladder)
 
 
 def test_scaling_curve_small_family():

@@ -143,6 +143,8 @@ def test_uniform_sizes_are_seeded():
     assert a.catalog.num_items == 6
     assert np.all(a.catalog.sizes == b.catalog.sizes)
     assert not np.all(a.catalog.sizes == c.catalog.sizes)
+    # the largest seed keys its stream exactly, apart from its neighbour's
+    assert not np.all(build(2**53).catalog.sizes == build(2**53 - 1).catalog.sizes)
     assert np.all((a.catalog.sizes >= 10.0) & (a.catalog.sizes < 30.0))
 
     with pytest.raises(ScenarioError, match="unknown sizes kind 'normal'"):
@@ -292,6 +294,11 @@ def test_nan_profile_probability_is_rejected():
          "'count' in sizes must be an integer"),
         (dict(two_user_scenario_dict(0.9, "quadratic"), slots=2.5), "'slots' must be an integer"),
         (dict(two_user_scenario_dict(0.9, "quadratic"), slots=True), "'slots' must be an integer"),
+        # past 2**53 numpy rounds a Philox key through float64: seeds would collide
+        (dict(two_user_scenario_dict(0.9, "quadratic"), seed=2**53 + 1),
+         "'seed' must be at most"),
+        (dict(two_user_scenario_dict(0.9, "quadratic"), seed=2**64 - 1),
+         "'seed' must be at most"),
     ],
 )
 def test_integer_keys_are_strict(data, fragment):

@@ -10,9 +10,9 @@ where the second term is the proactive traffic sent during ``t`` and indices
 wrap modulo T.  The cycle objective is the slot average of ``E[C(Y_t)]``.
 
 Three interchangeable engines evaluate the expectations.  Each is one
-:class:`Engine` record, a guard and five kernels (value, marginal costs,
-probability gradient, and the curvature state and kernel behind
-:func:`cost_hess_vec`), and
+:class:`Engine` record: a guard, the state it builds at an allocation, and
+the kernels that read that state (value, marginal costs, probability
+gradient, and the Hessian product behind :func:`cost_hess_vec`).
 :attr:`EvalConfig.kernels` is the one place the engine name is looked up.
 The kernels work on :class:`Tables`, all slots batched in the profile's own
 (K, T, M) layout; a one-slot slice is the batch of one.
@@ -31,9 +31,9 @@ work per user and refuse a count above 1; they take
 weight is applied, so per-user arithmetic is unchanged bit for bit.
 
 A :class:`Point` is one allocation ready for evaluation.  It builds its
-tables once, on first use, and the engine's curvature state at ``x`` once,
-so a solver that asks for the value, the gradient and many Hessian products
-at one iterate pays for them once.  The cycle-level functions take a point
+tables once, on first use, and the engine's state at ``x`` once, so a
+solver that asks for the value, the gradient and many Hessian products at
+one iterate pays for them once.  The cycle-level functions take a point
 wherever they take an allocation; a bare allocation becomes a point for the
 one call.  A Hessian product reads its direction ``d`` as it is, with the
 direction's per-slot prefetch volume, and :func:`cost_hess_vec` writes it
@@ -61,9 +61,9 @@ Newton-CG loop takes products without (N, T, M) temporaries.
 * ``monte_carlo``: seeded counter-based sampling with reported standard
   errors; estimates are reproducible bit-for-bit for a given seed.  The
   (T, N, K) outcome array is drawn once per (profile, seed, samples) by
-  :meth:`DemandProfile.draws` and kept on the profile, so every value,
-  gradient and curvature call reads the same draws instead of drawing
-  again, and one batched kernel evaluates all slots at once.
+  :meth:`DemandProfile.draws` and kept on the profile; the state is the
+  loads they give, so every kernel reads the same draws and loads, all
+  slots at once.  It has no probability gradient.
 
 Expectations are only ever taken over reachable outcomes: enumeration leaves
 out zero-probability choices and masks outcome probabilities that underflow
@@ -112,7 +112,8 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class ProactiveAllocation:
-    """Per-user, per-slot, per-item proactive download amounts in [0, S(m)]."""
+    """Per-user, per-slot, per-item proactive download amounts in [0, S(m)]
+    (``1e-12 S(m)`` of rounding past either end is clipped)."""
 
     x: np.ndarray
     sizes: np.ndarray
@@ -126,7 +127,7 @@ class ProactiveAllocation:
                 f"allocation covers {arr.shape[2]} items, catalog has {catalog.num_items}"
             )
         hi = catalog.sizes[None, None, :]
-        if np.any(arr < -1e-12) or np.any(arr > hi + 1e-12):
+        if np.any(arr < -1e-12 * hi) or np.any(arr > hi * (1.0 + 1e-12)):
             raise ValueError("allocation outside [0, item size]")
         arr = np.clip(arr, 0.0, hi)
         arr.setflags(write=False)
@@ -215,8 +216,8 @@ class Point:
     """Allocation ``x`` ready for evaluation under ``(profile, cost, cfg)``.
 
     The engine guard runs once, here.  The :class:`Tables` are built on
-    first use and the engine's curvature state (:class:`Engine`) once, and
-    every value, gradient and Hessian product at the point reads them.
+    first use and the engine's state at ``x`` (:attr:`Engine.state`) once,
+    and every value, gradient and Hessian product at the point reads them.
     ``x`` is made read-only: an in-place write would leave that state stale.
     """
 
@@ -232,13 +233,8 @@ class Point:
         return cycle_tables(self.profile, self.x, self.sizes, self.cfg)
 
     @cached_property
-    def curvature(self):
-        return self.cfg.kernels.curvature(self.tables, self.cost)
-
-
-def _weights(tables: Tables) -> np.ndarray:
-    """Every slot's choice probabilities (T, N, M+1), silent column first."""
-    return np.concatenate([tables.silence[:, :, None], tables.probs], axis=2).transpose(1, 0, 2)
+    def state(self):
+        return self.cfg.kernels.state(self.tables, self.cost)
 
 
 def _values(v: np.ndarray, direction: bool = False) -> np.ndarray:
@@ -331,9 +327,8 @@ def _joint(ws: list, vs: list, const: np.ndarray):
     return _grid(vs, np.add, const), probs, live
 
 
-# The enumeration kernels work on (T, N, M+1) weight and value tables, silent
-# column first.  A grid holds only positive weights, but their products can
-# underflow to 0, so the cost still sees only outcomes of positive probability.
+# A grid holds only positive weights, but their products can underflow to 0,
+# so the cost still sees only outcomes of positive probability.
 
 
 def _per_user_check(profile: DemandProfile, engine: str) -> None:
@@ -384,26 +379,32 @@ def _check_heaviest(ws: list, vs: list, const: np.ndarray, cost: CostModel) -> N
         raise CostDomainError(float(top), limit)
 
 
-def _enum_expected_cost(tables: Tables, cost: CostModel):
+def _enum_state(tables: Tables, cost: CostModel):
+    """Every slot's choice probabilities and loads (T, N, M+1), silent column first."""
+    w = np.concatenate([tables.silence[:, :, None], tables.probs], axis=2).transpose(1, 0, 2)
+    return w, _values(tables.v)
+
+
+def _enum_expected_cost(tables: Tables, state, cost: CostModel):
     const = tables.const
     out = np.empty(len(const))
-    for s, ws, vs, _ in _batches(_weights(tables), _values(tables.v)):
+    for s, ws, vs, _ in _batches(*state):
         _check_heaviest(ws, vs, const[s], cost)
         loads, probs, live = _joint(ws, vs, const[s])
         out[s] = np.einsum("tk,tk->t", probs, _on_live(cost.cost, loads, live))
     return out, np.zeros(len(const))
 
 
-def _enum_marginals(tables: Tables, weight, d=None, dconst=None, out=None):
+def _enum_marginals(tables: Tables, state, weight, d=None, dconst=None, out=None):
     """``(a, b)`` with ``a = E[W]`` and ``b[n] = E[I_n(m) W]``, ``W = weight(Y)``
     times ``dY`` when ``(d, dconst)`` give a direction (see :class:`Engine`).
     ``b[n]`` is the axis-n marginal of ``P W`` over the joint grid, since
     ``P(c) = prod_n w[n, c_n]``; items of zero weight get 0.  ``b`` is
     written into ``out`` when given, which may be ``d``: its loads are read
     first."""
-    w = _weights(tables)
+    w, val = state
     n_slots, n_users, width = w.shape
-    vals = [_values(tables.v)] + ([] if d is None else [_values(d, direction=True)])
+    vals = [val] + ([] if d is None else [_values(d, direction=True)])
     a = np.empty(n_slots)
     b = np.empty((n_users, n_slots, width - 1)) if out is None else out
     for s, ws, vs, *dvs, cols in _batches(w, *vals):
@@ -419,20 +420,16 @@ def _enum_marginals(tables: Tables, weight, d=None, dconst=None, out=None):
     return a, b
 
 
-def _enum_marginal_stats(tables: Tables, cost: CostModel):
-    a, b = _enum_marginals(tables, cost.marginal)
+def _enum_marginal_stats(tables: Tables, state, cost: CostModel):
+    a, b = _enum_marginals(tables, state, cost.marginal)
     return a, b, np.zeros_like(a), np.broadcast_to(0.0, b.shape)
 
 
-def _no_curvature(tables: Tables, cost: CostModel) -> None:
-    return None
+def _enum_hess_vec(tables: Tables, state, d, dconst, cost: CostModel, out=None):
+    return _enum_marginals(tables, state, cost.second, d, dconst, out)
 
 
-def _enum_hess_vec(tables: Tables, curv: None, d, dconst, cost: CostModel, out=None):
-    return _enum_marginals(tables, cost.second, d, dconst, out)
-
-
-def _enum_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
+def _enum_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
     """For each user n, the loads grid takes all of n's choices as its slowest
     axis over the other users' reachable outcomes, whose probabilities
     ``P_-n`` weight every row alike, so one matrix product gives the
@@ -440,7 +437,7 @@ def _enum_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
     outcome with ``P_-n > 0`` leaves the cost's domain; a silent one that
     does raises :class:`CostDomainError`.
     """
-    w, val, const = _weights(tables), _values(tables.v), tables.const
+    (w, val), const = state, tables.const
     n_slots, n_users, width = w.shape
     grad = np.empty((n_users, n_slots, width - 1))
     for n in range(n_users):
@@ -469,54 +466,52 @@ def _analytic_check(profile: DemandProfile, cost: CostModel) -> None:
         )
 
 
-def _moments(tables: Tables):
-    """Every class's per-user mean load (K, T) and E[Y] (T,)."""
+def _analytic_state(tables: Tables, cost: CostModel):
+    """Every class's per-user mean load (K, T), E[Y] (T,) and the constant ``C''``."""
     mean_u = np.einsum("ntm,ntm->nt", tables.probs, tables.v)
-    return mean_u, tables.const + weigh_classes(mean_u, tables.counts).sum(axis=0)
+    ey = tables.const + weigh_classes(mean_u, tables.counts).sum(axis=0)
+    return mean_u, ey, cost.second(0.0)
 
 
-def _analytic_expected_cost(tables: Tables, cost: CostModel):
+def _analytic_expected_cost(tables: Tables, state, cost: CostModel):
     """``C''`` is constant, so ``E[C(Y)] = C(E[Y]) + C'' Var[Y] / 2``."""
-    mean_u, ey = _moments(tables)
+    mean_u, ey, curv = state
     m2_u = np.einsum("ntm,ntm,ntm->nt", tables.probs, tables.v, tables.v)
     vary = weigh_classes(m2_u - mean_u**2, tables.counts).sum(axis=0)
-    return cost.cost(ey) + 0.5 * cost.second(0.0) * vary, np.zeros(len(ey))
+    return cost.cost(ey) + 0.5 * curv * vary, np.zeros(len(ey))
 
 
-def _analytic_marginal_stats(tables: Tables, cost: CostModel):
+def _analytic_marginal_stats(tables: Tables, state, cost: CostModel):
     """``C'`` is affine, so ``E[I_n(m) C'(Y)] = p (v C'' + C'(E[Y] - E[X_n]))``,
     built in one buffer."""
-    mean_u, ey = _moments(tables)
-    b = tables.v * cost.second(0.0)
+    mean_u, ey, curv = state
+    b = tables.v * curv
     b += cost.marginal(ey - mean_u)[:, :, None]
     b *= tables.probs
     return cost.marginal(ey), b, np.zeros(len(ey)), np.broadcast_to(0.0, b.shape)
 
 
-def _analytic_curvature(tables: Tables, cost: CostModel) -> float:
-    return cost.second(0.0)
-
-
-def _analytic_hess_vec(tables: Tables, curv: float, d, dconst, cost: CostModel, out=None):
-    """``C''`` is the constant ``curv`` and a request's load moves by ``-d``,
-    so ``da = C'' dE[Y]`` and ``db = C'' p (dE[Y] + E[d_n] - d)``, built in
-    ``out`` (which may be ``d``) or in one new buffer."""
+def _analytic_hess_vec(tables: Tables, state, d, dconst, cost: CostModel, out=None):
+    """``C''`` is the state's constant ``state[2]`` and a request's load moves
+    by ``-d``, so ``da = C'' dE[Y]`` and ``db = C'' p (dE[Y] + E[d_n] - d)``,
+    built in ``out`` (which may be ``d``) or in one new buffer."""
     dmean_u = np.einsum("ntm,ntm->nt", tables.probs, d)
     dey = dconst - weigh_classes(dmean_u, tables.counts).sum(axis=0)
     db = np.subtract((dey + dmean_u)[:, :, None], d, out=out)
     db *= tables.probs
-    db *= curv
-    return curv * dey, db
+    db *= state[2]
+    return state[2] * dey, db
 
 
-def _analytic_gradient_p(tables: Tables, cost: CostModel) -> np.ndarray:
+def _analytic_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
     """``E[C(v + Z)] - E[C(Z)]`` with Z the other users' load: ``v (C'(E[Z]) + C'' v / 2)``."""
-    mean_u, ey = _moments(tables)
-    return tables.v * (cost.marginal(ey - mean_u)[:, :, None] + 0.5 * cost.second(0.0) * tables.v)
+    mean_u, ey, curv = state
+    return tables.v * (cost.marginal(ey - mean_u)[:, :, None] + 0.5 * curv * tables.v)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo: the kernels read the outcome codes ``tables.draws`` (T, N, K)
+# and the sampled loads they give at the point, the state (T, K)
 
 
 def _mc_loads(val: np.ndarray, const: np.ndarray, choices: np.ndarray) -> np.ndarray:
@@ -537,8 +532,12 @@ def _mean_se(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v.mean(axis=1), se
 
 
-def _mc_expected_cost(tables: Tables, cost: CostModel):
-    return _mean_se(cost.cost(_mc_loads(_values(tables.v), tables.const, tables.draws)))
+def _mc_state(tables: Tables, cost: CostModel) -> np.ndarray:
+    return _mc_loads(_values(tables.v), tables.const, tables.draws)
+
+
+def _mc_expected_cost(tables: Tables, loads, cost: CostModel):
+    return _mean_se(cost.cost(loads))
 
 
 def _mc_bin_means(choices: np.ndarray, width: int, d: np.ndarray, out=None) -> np.ndarray:
@@ -553,10 +552,10 @@ def _mc_bin_means(choices: np.ndarray, width: int, d: np.ndarray, out=None) -> n
     return np.divide(total.reshape(n_users, n_slots, width)[:, :, 1:], k, out=out)
 
 
-def _mc_marginal_stats(tables: Tables, cost: CostModel):
+def _mc_marginal_stats(tables: Tables, loads, cost: CostModel):
     choices, width = tables.draws, tables.v.shape[2] + 1
     k = choices.shape[2]
-    d = cost.marginal(_mc_loads(_values(tables.v), tables.const, choices))
+    d = cost.marginal(loads)
     a, a_se = _mean_se(d)
     b = _mc_bin_means(choices, width, d)
     if k > 1:
@@ -567,53 +566,42 @@ def _mc_marginal_stats(tables: Tables, cost: CostModel):
     return a, b, a_se, b_se
 
 
-def _mc_curvature(tables: Tables, cost: CostModel) -> np.ndarray:
-    """``C''(Y)`` on the draws, (T, K)."""
-    return cost.second(_mc_loads(_values(tables.v), tables.const, tables.draws))
-
-
-def _mc_hess_vec(tables: Tables, curv: np.ndarray, d, dconst, cost: CostModel, out=None):
+def _mc_hess_vec(tables: Tables, loads, d, dconst, cost: CostModel, out=None):
     choices = tables.draws
     dy = _mc_loads(_values(d, direction=True), dconst, choices)
-    dy *= curv
+    dy *= cost.second(loads)
     return dy.mean(axis=1), _mc_bin_means(choices, tables.v.shape[2] + 1, dy, out)
-
-
-def _mc_gradient_p(tables: Tables, cost: CostModel):
-    raise UnsupportedEngineError(
-        "this quantity needs an exact engine (enumerate or analytic_quadratic)"
-    )
 
 
 @dataclass(frozen=True)
 class Engine:
-    """One engine: a guard and five kernels on :class:`Tables`.
+    """One engine: a guard, a state and four kernels on :class:`Tables`.
 
     ``check(profile, cost)`` raises :class:`UnsupportedEngineError` on an
-    instance the engine cannot handle.  Each kernel takes ``(tables, cost)``:
+    instance the engine cannot handle.  ``state(tables, cost)`` is what the
+    engine computes at the allocation, built once per :class:`Point`: the
+    weight and load tables (T, N, M+1), silent column first, for
+    ``enumerate``; every row's mean load (K, T), ``E[Y]`` (T,) and the
+    constant ``C''`` for ``analytic_quadratic``; the sampled loads ``Y``
+    (T, K) for ``monte_carlo``.  Each kernel takes ``(tables, state, cost)``:
 
     * ``expected_cost``: per-slot ``E[C(Y)]`` and its standard error, (T,) each;
     * ``marginal_stats``: ``(a, b, a_se, b_se)`` with ``a = E[C'(Y)]`` (T,)
       and ``b = E[I_n(m) C'(Y)]`` (N, T, M), ``I_n(m)`` the event that user
       n requests item m;
-    * ``gradient_p``: ``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` (N, T, M).
+    * ``gradient_p``: ``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` (N, T, M);
+      ``None`` on ``monte_carlo``, which has no conditional expectations.
 
-    ``curvature(tables, cost)`` is what the curvature kernel reads at the
-    allocation, built once per :class:`Point`: ``C''(Y)`` on the draws
-    (T, K) for ``monte_carlo``, the constant ``C''`` for
-    ``analytic_quadratic``, and ``None`` for ``enumerate`` (its grid is
-    rebuilt per product, since keeping one per batch would multiply peak
-    memory).
-    ``hess_vec(tables, curv, d, dconst, cost, out=None)`` is the curvature
+    ``hess_vec(tables, state, d, dconst, cost, out=None)`` is the curvature
     kernel: ``(da, db)`` with ``da = E[C''(Y) dY]`` (T,) and
-    ``db = E[I_n(m) C''(Y) dY]`` (N, T, M), where ``curv`` is that state,
-    ``d`` (N, T, M) the direction itself and ``dconst`` (T,) its
-    :func:`prefetch_volume`, so that ``dY_t = dconst[t] - sum_n d[n, t,
-    m_n]`` (see :func:`cost_hess_vec`).  ``db`` is written into ``out``
-    when given, which may be ``d`` itself: a kernel reads all of ``d``
-    before it writes.  The outcome distribution does not depend on the
-    allocation, so these are the exact derivatives of ``marginal_stats``'
-    ``(a, b)`` along that direction.
+    ``db = E[I_n(m) C''(Y) dY]`` (N, T, M), where ``d`` (N, T, M) is the
+    direction itself and ``dconst`` (T,) its :func:`prefetch_volume`, so
+    that ``dY_t = dconst[t] - sum_n d[n, t, m_n]`` (see
+    :func:`cost_hess_vec`).  ``db`` is written into ``out`` when given,
+    which may be ``d`` itself: a kernel reads all of ``d`` before it writes.
+    The outcome distribution does not depend on the allocation, so these are
+    the exact derivatives of ``marginal_stats``' ``(a, b)`` along that
+    direction.
 
     Rows are classes of ``tables.counts`` identical users.  An engine with
     ``classes`` weights every sum over rows by the counts, so its ``a`` and
@@ -629,10 +617,10 @@ class Engine:
     """
 
     check: Callable
+    state: Callable
     expected_cost: Callable
     marginal_stats: Callable
-    gradient_p: Callable
-    curvature: Callable
+    gradient_p: Callable | None
     hess_vec: Callable
     sampled: bool = False
     classes: bool = False
@@ -640,16 +628,16 @@ class Engine:
 
 _ENGINES = {
     "enumerate": Engine(
-        _enum_check, _enum_expected_cost, _enum_marginal_stats, _enum_gradient_p,
-        _no_curvature, _enum_hess_vec,
+        _enum_check, _enum_state, _enum_expected_cost, _enum_marginal_stats, _enum_gradient_p,
+        _enum_hess_vec,
     ),
     "analytic_quadratic": Engine(
-        _analytic_check, _analytic_expected_cost, _analytic_marginal_stats, _analytic_gradient_p,
-        _analytic_curvature, _analytic_hess_vec, classes=True,
+        _analytic_check, _analytic_state, _analytic_expected_cost, _analytic_marginal_stats,
+        _analytic_gradient_p, _analytic_hess_vec, classes=True,
     ),
     "monte_carlo": Engine(
-        lambda profile, cost: _per_user_check(profile, "monte_carlo"), _mc_expected_cost, _mc_marginal_stats, _mc_gradient_p,
-        _mc_curvature, _mc_hess_vec, sampled=True,
+        lambda profile, cost: _per_user_check(profile, "monte_carlo"), _mc_state,
+        _mc_expected_cost, _mc_marginal_stats, None, _mc_hess_vec, sampled=True,
     ),
 }
 ENGINES = tuple(_ENGINES)
@@ -688,8 +676,8 @@ def expected_cycle_cost(
     catalog: ItemCatalog | None = None,
 ) -> EvalResult:
     """Slot-averaged expected cost of the cycle under ``allocation``."""
-    tables = _checked_point(profile, allocation, cost, cfg, catalog).tables
-    slot_vals, slot_errs = cfg.kernels.expected_cost(tables, cost)
+    point = _checked_point(profile, allocation, cost, cfg, catalog)
+    slot_vals, slot_errs = cfg.kernels.expected_cost(point.tables, point.state, cost)
     value = float(slot_vals.mean())
     stderr = float(np.sqrt(np.sum(slot_errs**2)) / profile.num_slots)
     return EvalResult(value, stderr, slot_vals, slot_errs)
@@ -718,9 +706,9 @@ def cost_gradient_x(
     classes, row k moves all ``counts[k]`` users of its class together, so
     its entry is that derivative times the count.
     """
-    tables = _checked_point(profile, allocation, cost, cfg, catalog).tables
-    a, b, _, _ = cfg.kernels.marginal_stats(tables, cost)
-    return _combine(a, b, tables)
+    point = _checked_point(profile, allocation, cost, cfg, catalog)
+    a, b, _, _ = cfg.kernels.marginal_stats(point.tables, point.state, cost)
+    return _combine(a, b, point.tables)
 
 
 def cost_hess_vec(
@@ -742,7 +730,7 @@ def cost_hess_vec(
     every engine because the outcome distribution does not depend on the
     allocation.  The kernel reads ``d`` as it is, with its
     :func:`prefetch_volume`.  Given a :class:`Point`, every product reads its
-    tables and curvature state instead of building them again.  On a profile
+    tables and state instead of building them again.  On a profile
     of classes ``d``'s row k moves every user of class k, and the product's
     row is scaled by the count, as in :func:`cost_gradient_x`.
 
@@ -752,7 +740,7 @@ def cost_hess_vec(
     """
     point = _checked_point(profile, allocation, cost, cfg, catalog)
     tables, d = point.tables, np.asarray(d, dtype=float)
-    da, db = cfg.kernels.hess_vec(tables, point.curvature, d, prefetch_volume(d, tables.counts),
+    da, db = cfg.kernels.hess_vec(tables, point.state, d, prefetch_volume(d, tables.counts),
                                   cost, out)
     return _combine(da, db, tables)
 
@@ -778,5 +766,9 @@ def cost_gradient_p(
     currently zero (otherwise the cycle cost itself would be infinite), and
     it tells the caller that no mass may move onto that item.
     """
-    tables = _checked_point(profile, allocation, cost, cfg, catalog).tables
-    return weigh_classes(cfg.kernels.gradient_p(tables, cost) / profile.num_slots, tables.counts)
+    point = _checked_point(profile, allocation, cost, cfg, catalog)
+    if cfg.kernels.gradient_p is None:
+        raise UnsupportedEngineError(
+            "this quantity needs an exact engine (enumerate or analytic_quadratic)")
+    grad = cfg.kernels.gradient_p(point.tables, point.state, cost)
+    return weigh_classes(grad / profile.num_slots, point.tables.counts)

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evaluate import nonproactive_cost
 from .proactive import ScalingCurve, scaling_curve, solve_proactive
 from .recommend import solve_rating
 from .scenario import Scenario, parse_scenario
@@ -151,7 +150,6 @@ def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
         sweep_rows.append((p_peak, solved.start.value, solved.cost))
 
     scn = parse_scenario(two_user_scenario_dict(SHAPED_P_PEAK, cost_kind))
-    base = nonproactive_cost(scn.profile, scn.catalog, scn.cost, scn.cfg)
     shaped = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
 
     rating_rows = []
@@ -183,7 +181,7 @@ def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
         "cost_kind": cost_kind,
         "alpha": scn.source["alpha"],
         "p_peak": SHAPED_P_PEAK,
-        "c_nonproactive": base.value,
+        "c_nonproactive": sweep_rows[PP_GRID.index(SHAPED_P_PEAK)][1],
         "c_shaped": shaped.solve.cost,
         "f0_initial": float(shaped.trace.objectives[0]),
         "f0_final": float(shaped.trace.objectives[-1]),

@@ -70,7 +70,7 @@ def active_sets(profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, c
     """Decide membership from E[I_{n,t}(m) C'(L_t)] - E[C'(L_{t-1})] at x = 0,
     read from ``zero``, the zero allocation's point (built when omitted)."""
     zero = zero or Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
-    a, b, a_se, b_se = cfg.kernels.marginal_stats(zero.tables, cost)
+    a, b, a_se, b_se = cfg.kernels.marginal_stats(zero.tables, zero.state, cost)
     prev, prev_se = np.roll(a, 1)[None, :, None], np.roll(a_se, 1)[None, :, None]
     stat = b - prev
     floor = np.maximum(_MC_SIGMAS * np.sqrt(b_se**2 + prev_se**2),
@@ -132,7 +132,7 @@ def solve_proactive(
     Each iterate is one :class:`~procache.evaluate.Point`, kept while the
     descent passes the same array: the trial value, the gradient once the
     trial is accepted and every Hessian product at it share its tables and
-    curvature state, and its value is computed once.  The descent starts
+    engine state, and its value is computed once.  The descent starts
     from the start point's own array, so the start is built once too, and
     holds it only until its first accepted step.
     """

@@ -30,7 +30,7 @@ import numpy as np
 
 from .costs import CostDomainError, CostModel
 from .demand import DemandProfile, ItemCatalog, entropy
-from .evaluate import EvalConfig, cost_gradient_p
+from .evaluate import EvalConfig, UnsupportedEngineError, cost_gradient_p
 from .optim import _arc_search, linear_min_over_ball_slice
 from .proactive import SolveResult, solve_proactive
 
@@ -121,9 +121,12 @@ def shape_demand(
     On a profile of classes the regions and ``alpha`` are per row.  A row's
     probability gradient is its count times a user's, and the linear step's
     minimizer does not change under that positive scale, so the classes
-    follow the per-user path exactly.
+    follow the per-user path exactly.  An engine with no probability gradient
+    raises ``UnsupportedEngineError`` before any solve if a radius is positive.
     """
     regions = ebc_regions(profile, alpha)
+    if regions.radius.any() and cfg.kernels.gradient_p is None:
+        raise UnsupportedEngineError(f"shaping needs a probability gradient: {cfg.engine} has none")
     solved = solve_proactive(profile, catalog, cost, cfg)
     current, held = profile, (None,)   # held: the last trial's probabilities, profile, re-solve
     objectives, residuals = [solved.cost], [_max_residual(profile.probs, regions)]

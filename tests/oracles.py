@@ -83,7 +83,8 @@ def verify_mapping(v, silence: float) -> np.ndarray:
 
 def slot_marginal_stats(profile, x, sizes, cost, cfg):
     """Every slot's ``(a, b, a_se, b_se)`` at allocation ``x`` (see ``evaluate.Engine``)."""
-    return cfg.kernels.marginal_stats(cycle_tables(profile, x, sizes, cfg), cost)
+    tables = cycle_tables(profile, x, sizes, cfg)
+    return cfg.kernels.marginal_stats(tables, cfg.kernels.state(tables, cost), cost)
 
 
 def marginal_cost_ratio(profile, catalog, cost, cfg) -> np.ndarray:

@@ -98,13 +98,12 @@ def test_analytic_kernels_equal_the_coefficient_form(per_user):
         if per_user:
             profile, x, d = profile.expanded(), _rep(profile)(x), _rep(profile)(d)
         tables = cycle_tables(profile, x, catalog.sizes, ANALYTIC)
-        dconst = prefetch_volume(d, tables.counts)
+        state, dconst = engine.state(tables, cost), prefetch_volume(d, tables.counts)
         pairs = [
-            ((engine.expected_cost(tables, cost)[0],), (coeff_expected_cost(tables, cost),)),
-            (engine.marginal_stats(tables, cost)[:2], coeff_marginal_stats(tables, cost)),
-            (engine.hess_vec(tables, engine.curvature(tables, cost), d, dconst, cost),
-             coeff_hess_vec(tables, d, dconst, cost)),
-            ((engine.gradient_p(tables, cost),), (coeff_gradient_p(tables, cost),)),
+            ((engine.expected_cost(tables, state, cost)[0],), (coeff_expected_cost(tables, cost),)),
+            (engine.marginal_stats(tables, state, cost)[:2], coeff_marginal_stats(tables, cost)),
+            (engine.hess_vec(tables, state, d, dconst, cost), coeff_hess_vec(tables, d, dconst, cost)),
+            ((engine.gradient_p(tables, state, cost),), (coeff_gradient_p(tables, cost),)),
         ]
         for got, want in pairs:
             for g, w in zip(got, want, strict=True):

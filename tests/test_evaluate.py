@@ -81,6 +81,13 @@ def test_allocation_bounds_checked(two_user):
         ProactiveAllocation(np.full(shape, 10.0), catalog)
     dusted = ProactiveAllocation(np.full(shape, -1e-13), catalog)
     assert np.all(dusted.x == 0.0)
+    # the slack is relative to each item's size: half an item is refused at
+    # any scale, and rounding past the size is clipped at any scale
+    with pytest.raises(ValueError, match="outside"):
+        ProactiveAllocation(np.full((1, 1, 1), -5e-13), ItemCatalog([1e-12]))
+    rounded = ProactiveAllocation(np.full((1, 1, 1), 1e4 * (1.0 + 4 * np.finfo(float).eps)),
+                                  ItemCatalog([1e4]))
+    assert np.all(rounded.x == 1e4)
     zeros = ProactiveAllocation.zeros(2, 2, catalog)
     assert zeros.x.shape == shape
     with pytest.raises(ValueError, match="catalog has"):
@@ -407,13 +414,15 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
             cfg = EvalConfig(engine=engine, samples=(1, 2, 37, 300)[case % 4], seed=case)
             kernels = cfg.kernels
             tables = cycle_tables(prof, x, catalog.sizes, cfg)
-            value, se = kernels.expected_cost(tables, cost)
-            a, b, a_se, b_se = kernels.marginal_stats(tables, cost)
+            state = kernels.state(tables, cost)
+            value, se = kernels.expected_cost(tables, state, cost)
+            a, b, a_se, b_se = kernels.marginal_stats(tables, state, cost)
             exact = not kernels.sampled
-            grad_p = kernels.gradient_p(tables, cost) if exact else None
+            assert exact == (kernels.gradient_p is not None)
+            grad_p = kernels.gradient_p(tables, state, cost) if exact else None
             d = x[::-1, ::-1]
             dconst = prefetch_volume(d)
-            da, db = kernels.hess_vec(tables, kernels.curvature(tables, cost), d, dconst, cost)
+            da, db = kernels.hess_vec(tables, state, d, dconst, cost)
             if exact:
                 assert not se.any() and not a_se.any() and not b_se.any()
             for t in range(prof.num_slots):
@@ -421,15 +430,16 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
                 one = tables._replace(probs=tables.probs[:, s], silence=tables.silence[:, s],
                                       v=tables.v[:, s], const=tables.const[s],
                                       draws=None if tables.draws is None else tables.draws[s])
-                value_t, se_t = kernels.expected_cost(one, cost)
+                one_state = kernels.state(one, cost)
+                value_t, se_t = kernels.expected_cost(one, one_state, cost)
                 assert (value_t[0], se_t[0]) == (value[t], se[t])
-                a_t, b_t, a_se_t, b_se_t = kernels.marginal_stats(one, cost)
+                a_t, b_t, a_se_t, b_se_t = kernels.marginal_stats(one, one_state, cost)
                 assert (a_t[0], a_se_t[0]) == (a[t], a_se[t])
                 assert np.array_equal(b_t[:, 0], b[:, t]) and np.array_equal(b_se_t[:, 0], b_se[:, t])
                 if exact:
-                    assert np.array_equal(kernels.gradient_p(one, cost)[:, 0], grad_p[:, t])
-                da_t, db_t = kernels.hess_vec(one, kernels.curvature(one, cost), d[:, t:t + 1],
-                                              dconst[t:t + 1], cost)
+                    assert np.array_equal(kernels.gradient_p(one, one_state, cost)[:, 0],
+                                          grad_p[:, t])
+                da_t, db_t = kernels.hess_vec(one, one_state, d[:, t:t + 1], dconst[t:t + 1], cost)
                 assert da_t[0] == da[t] and np.array_equal(db_t[:, 0], db[:, t])
 
             # the cycle-level functions are the full batch
@@ -440,6 +450,45 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
             if exact:
                 gp = cost_gradient_p(prof, x, cost, cfg, catalog=catalog)
                 assert np.array_equal(gp, grad_p / prof.num_slots)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_point_builds_its_engine_state_once(engine, two_user, quad, monkeypatch):
+    # the value, the gradient, two Hessian products and (on the exact engines)
+    # the probability gradient at one Point all read the state it built once:
+    # enumerate and monte_carlo tabulate the plan's loads, analytic_quadratic
+    # takes the constant C''
+    catalog, prof = two_user
+    x = 0.3 * np.broadcast_to(catalog.sizes, prof.probs.shape)
+    cfg = EvalConfig(engine=engine, samples=50, seed=3)
+    builds = []
+    if engine == "analytic_quadratic":
+        second = CostModel.second
+
+        def counted(self, load):
+            builds.append(load)
+            return second(self, load)
+
+        monkeypatch.setattr(CostModel, "second", counted)
+    else:
+        values = evaluate._values
+
+        def counted(v, direction=False):
+            if not direction:
+                builds.append(v)
+            return values(v, direction)
+
+        monkeypatch.setattr(evaluate, "_values", counted)
+    point = Point(prof, x, catalog.sizes, quad, cfg)
+    expected_cycle_cost(prof, point, quad, cfg)
+    cost_gradient_x(prof, point, quad, cfg)
+    for d in (x, x[::-1]):
+        cost_hess_vec(prof, point, d, quad, cfg)
+    if cfg.kernels.gradient_p is not None:
+        cost_gradient_p(prof, point, quad, cfg)
+    assert len(builds) == 1
+    if engine != "analytic_quadratic":
+        assert np.array_equal(builds[0], catalog.sizes - x)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from procache import (
     DemandProfile,
     ItemCatalog,
+    UnsupportedEngineError,
     cost_gradient_p,
     ebc_regions,
     entropy,
@@ -13,6 +14,7 @@ from procache import (
     parse_scenario,
     solve_proactive,
 )
+from procache import shaping
 from procache.experiments import SCALING_SCENARIO
 from procache.optim import linear_min_over_ball_slice
 
@@ -293,6 +295,22 @@ def test_monte_carlo_shaping_at_zero_alpha_returns_input(two_user, quad, mc_cfg)
     assert (result.stop, len(result.trace)) == ("tol", 1)
     assert np.array_equal(result.profile.probs, prof.probs)
     assert result.trace.objectives[0] == result.solve.cost
+
+
+def test_monte_carlo_shaping_refuses_before_it_solves(two_user, quad, mc_cfg, monkeypatch):
+    # Monte Carlo has no probability gradient: a positive budget is refused
+    # up front, not after a full download solve
+    catalog, prof = two_user
+    solve, calls = shaping.solve_proactive, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(shaping, "solve_proactive", counted)
+    with pytest.raises(UnsupportedEngineError, match="monte_carlo has none"):
+        shape_demand(prof, catalog, quad, mc_cfg(200), alpha=0.2)
+    assert calls == []
 
 
 def test_one_item_shaping_keeps_the_profile(quad, enum_cfg, analytic_cfg):

@@ -219,8 +219,7 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
     solved = solve_proactive(scn.profile, scn.catalog, scn.cost, cfg,
                              tol=tol, max_iters=max_iters)
     base = solved.start
-    res = expected_cycle_cost(scn.profile, solved.allocation, scn.cost, cfg)
-    _write_slot_rows(out_path, cfg.engine, res)
+    _write_slot_rows(out_path, cfg.engine, solved.final)
     if alloc_path is not None:
         x = scn.per_user(solved.allocation.x)
         n, t, m = np.nonzero(x)

@@ -216,25 +216,46 @@ class DemandProfile:
         draws come back regardless of how many samples any caller requests.
         The array is drawn on first use and kept on the profile, so every
         later value and gradient call with the same seed and count reads it
-        instead of drawing again.  The streams are per user, so a profile
-        with a class of several users raises ``ValueError``: draw from
-        :meth:`expanded`.
+        instead of drawing again.  The same first use builds the draws'
+        :func:`sample_index`, kept with them (:meth:`draw_index`).  The
+        streams are per user, so a profile with a class of several users
+        raises ``ValueError``: draw from :meth:`expanded`.
         """
+        return self._drawn(seed, count)[0]
+
+    def draw_index(self, seed: int, count: int) -> np.ndarray:
+        """The read-only :func:`sample_index` of :meth:`draws`, (T, N, count),
+        built once with them and kept on the profile."""
+        return self._drawn(seed, count)[1]
+
+    def _drawn(self, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         if not self.per_user:
             raise ValueError("draws need one row per user; sample profile.expanded()")
         key = (int(seed), int(count))
-        out = self._draws.get(key)
-        if out is None:
+        entry = self._draws.get(key)
+        if entry is None:
             n_users, n_slots, n_items = self.probs.shape
-            out = np.empty((n_slots, n_users, key[1]), dtype=np.int64)
+            codes = np.empty((n_slots, n_users, key[1]), dtype=np.int64)
             for t in range(n_slots):
                 for n in range(n_users):
                     u = substream(key[0], n, t).random(key[1])
                     idx = np.searchsorted(np.cumsum(self.probs[n, t]), u, side="right")
-                    out[t, n] = np.where(idx < n_items, idx + 1, SILENT)
-            out.setflags(write=False)
-            self._draws[key] = out
-        return out
+                    codes[t, n] = np.where(idx < n_items, idx + 1, SILENT)
+            index = sample_index(codes, n_items)
+            codes.setflags(write=False)
+            index.setflags(write=False)
+            entry = self._draws[key] = (codes, index)
+        return entry
+
+
+def sample_index(codes: np.ndarray, num_items: int) -> np.ndarray:
+    """Flat positions ``(t N + n)(M+1) + code`` of outcome codes (T, N, K) in a
+    (T, N, M+1) array of per-choice values, silent column first: ``take`` on
+    the raveled array reads every sample's value, and ``bincount`` sums
+    weights into one bin per (slot, user, choice)."""
+    n_slots, n_users, _ = codes.shape
+    cells = np.arange(n_slots * n_users, dtype=np.int64).reshape(n_slots, n_users, 1)
+    return cells * (num_items + 1) + codes
 
 
 def _class_counts(counts, num_rows: int) -> np.ndarray:

@@ -61,9 +61,15 @@ Newton-CG loop takes products without (N, T, M) temporaries.
 * ``monte_carlo``: seeded counter-based sampling with reported standard
   errors; estimates are reproducible bit-for-bit for a given seed.  The
   (T, N, K) outcome array is drawn once per (profile, seed, samples) by
-  :meth:`DemandProfile.draws` and kept on the profile; the state is the
-  loads they give, so every kernel reads the same draws and loads, all
-  slots at once.  It has no probability gradient.
+  :meth:`DemandProfile.draws` and kept on the profile, together with its
+  flat sample index ``(t N + n)(M+1) + code`` into a (T, N, M+1) table of
+  per-choice values, built once with the draws.  The kernels read only
+  that index: a load (or a direction's load change) is one gather from
+  the value table, added up user by user, and every per-(user, item) mean
+  is one ``bincount`` over it.  The state is the sampled loads, so every
+  kernel reads the same draws and loads, all slots at once.  Standard
+  errors of the marginal statistics are computed only when asked for
+  (:attr:`Engine.marginal_errors`).  It has no probability gradient.
 
 Expectations are only ever taken over reachable outcomes: enumeration leaves
 out zero-probability choices and masks outcome probabilities that underflow
@@ -170,7 +176,9 @@ class Tables(NamedTuple):
 
     ``v`` is the load a request adds to its slot (S - x; a silent user adds
     0), ``const`` (T,) the load every outcome of the slot carries,
-    ``draws`` the Monte Carlo outcome codes (T, N, K), ``None`` for the
+    ``index`` the Monte Carlo draws' flat sample index (T, N, K) into a
+    (T, N, M+1) table of per-choice values
+    (:meth:`~procache.demand.DemandProfile.draw_index`), ``None`` for the
     exact engines, and ``counts`` the class sizes as float weights (K,),
     ``None`` when every row is one user.  Built by :func:`cycle_tables` and
     kept by a :class:`Point`; other modules evaluate through the cycle-level functions.
@@ -180,7 +188,7 @@ class Tables(NamedTuple):
     silence: np.ndarray
     v: np.ndarray
     const: np.ndarray
-    draws: np.ndarray | None
+    index: np.ndarray | None
     counts: np.ndarray | None
 
 
@@ -206,10 +214,10 @@ def cycle_tables(
 ) -> Tables:
     """Every slot's kernel inputs at allocation ``x``, ``const`` its
     :func:`prefetch_volume`."""
-    draws = profile.draws(cfg.seed, cfg.samples) if cfg.kernels.sampled else None
+    index = profile.draw_index(cfg.seed, cfg.samples) if cfg.kernels.sampled else None
     counts = profile.weights
     return Tables(profile.probs, profile.silence, sizes[None, None, :] - x,
-                  prefetch_volume(x, counts), draws, counts)
+                  prefetch_volume(x, counts), index, counts)
 
 
 class Point:
@@ -331,6 +339,11 @@ def _joint(ws: list, vs: list, const: np.ndarray):
 # so the cost still sees only outcomes of positive probability.
 
 
+def _exact_errors(tables: Tables, state, cost: CostModel, b: np.ndarray):
+    """An exact engine's ``(a_se, b_se)``: zeros, ``b_se`` a read-only broadcast."""
+    return np.zeros(len(tables.const)), np.broadcast_to(0.0, b.shape)
+
+
 def _per_user_check(profile: DemandProfile, engine: str) -> None:
     if not profile.per_user:
         raise UnsupportedEngineError(
@@ -421,8 +434,7 @@ def _enum_marginals(tables: Tables, state, weight, d=None, dconst=None, out=None
 
 
 def _enum_marginal_stats(tables: Tables, state, cost: CostModel):
-    a, b = _enum_marginals(tables, state, cost.marginal)
-    return a, b, np.zeros_like(a), np.broadcast_to(0.0, b.shape)
+    return _enum_marginals(tables, state, cost.marginal)
 
 
 def _enum_hess_vec(tables: Tables, state, d, dconst, cost: CostModel, out=None):
@@ -488,7 +500,7 @@ def _analytic_marginal_stats(tables: Tables, state, cost: CostModel):
     b = tables.v * curv
     b += cost.marginal(ey - mean_u)[:, :, None]
     b *= tables.probs
-    return cost.marginal(ey), b, np.zeros(len(ey)), np.broadcast_to(0.0, b.shape)
+    return cost.marginal(ey), b
 
 
 def _analytic_hess_vec(tables: Tables, state, d, dconst, cost: CostModel, out=None):
@@ -510,18 +522,21 @@ def _analytic_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo: the kernels read the outcome codes ``tables.draws`` (T, N, K)
-# and the sampled loads they give at the point, the state (T, K)
+# Monte Carlo: the kernels read the draws' flat sample index ``tables.index``
+# (T, N, K), built once with the draws, and the sampled loads it gives at the
+# point, the state (T, K).  A gather through the index reads every sample's
+# value out of a (T, N, M+1) value table; a bincount over it sums into one bin
+# per (slot, user, choice).
 
 
-def _mc_loads(val: np.ndarray, const: np.ndarray, choices: np.ndarray) -> np.ndarray:
-    """Sampled slot loads (T, K); users are added one at a time, in user order."""
-    n_slots, n_users, k = choices.shape
-    rows = np.arange(n_slots)[:, None]
-    y = np.empty((n_slots, k))
+def _mc_loads(val: np.ndarray, const: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Sampled slot loads (T, K) from the value table ``val`` (T, N, M+1);
+    users are added one at a time, in user order."""
+    gathered = val.ravel().take(index)          # (T, N, K)
+    y = np.empty((index.shape[0], index.shape[2]))
     y[:] = const[:, None]
-    for n in range(n_users):
-        y += val[rows, n, choices[:, n]]
+    for n in range(index.shape[1]):
+        y += gathered[:, n]
     return y
 
 
@@ -533,49 +548,48 @@ def _mean_se(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mc_state(tables: Tables, cost: CostModel) -> np.ndarray:
-    return _mc_loads(_values(tables.v), tables.const, tables.draws)
+    return _mc_loads(_values(tables.v), tables.const, tables.index)
 
 
 def _mc_expected_cost(tables: Tables, loads, cost: CostModel):
     return _mean_se(cost.cost(loads))
 
 
-def _mc_bin_means(choices: np.ndarray, width: int, d: np.ndarray, out=None) -> np.ndarray:
+def _mc_bin_means(tables: Tables, d: np.ndarray, out=None) -> np.ndarray:
     """Per-(user, slot, item) sample mean of ``d`` (T, K) over the draws where
     that user requests that item, i.e. the estimate of ``E[I_n(m) d]`` (N, T,
-    M), written into ``out`` when given."""
-    n_slots, n_users, k = choices.shape
-    cells = np.arange(n_users)[None, :, None] * n_slots + np.arange(n_slots)[:, None, None]
-    bins = (cells * width + choices).ravel()          # one bin per (n, t, choice)
-    weights = np.broadcast_to(d[:, None, :], choices.shape).ravel()
-    total = np.bincount(bins, weights=weights, minlength=n_users * n_slots * width)
-    return np.divide(total.reshape(n_users, n_slots, width)[:, :, 1:], k, out=out)
+    M), written into ``out`` when given (a new C-ordered array otherwise)."""
+    index, (n_users, n_slots, m_items) = tables.index, tables.v.shape
+    weights = np.broadcast_to(d[:, None, :], index.shape).ravel()
+    total = np.bincount(index.ravel(), weights=weights,
+                        minlength=n_slots * n_users * (m_items + 1))
+    means = total.reshape(n_slots, n_users, m_items + 1)[:, :, 1:].transpose(1, 0, 2)
+    return np.divide(means, d.shape[1], out=np.empty(tables.v.shape) if out is None else out)
 
 
 def _mc_marginal_stats(tables: Tables, loads, cost: CostModel):
-    choices, width = tables.draws, tables.v.shape[2] + 1
-    k = choices.shape[2]
     d = cost.marginal(loads)
-    a, a_se = _mean_se(d)
-    b = _mc_bin_means(choices, width, d)
-    if k > 1:
-        var = np.maximum(_mc_bin_means(choices, width, d * d) - b**2, 0.0)
-        b_se = np.sqrt(var / (k - 1))
-    else:
-        b_se = np.zeros_like(b)
-    return a, b, a_se, b_se
+    return d.mean(axis=1), _mc_bin_means(tables, d)
+
+
+def _mc_marginal_errors(tables: Tables, loads, cost: CostModel, b: np.ndarray):
+    k = loads.shape[1]
+    d = cost.marginal(loads)
+    if k == 1:
+        return np.zeros(len(d)), np.zeros_like(b)
+    var = np.maximum(_mc_bin_means(tables, d * d) - b**2, 0.0)
+    return _mean_se(d)[1], np.sqrt(var / (k - 1))
 
 
 def _mc_hess_vec(tables: Tables, loads, d, dconst, cost: CostModel, out=None):
-    choices = tables.draws
-    dy = _mc_loads(_values(d, direction=True), dconst, choices)
+    dy = _mc_loads(_values(d, direction=True), dconst, tables.index)
     dy *= cost.second(loads)
-    return dy.mean(axis=1), _mc_bin_means(choices, tables.v.shape[2] + 1, dy, out)
+    return dy.mean(axis=1), _mc_bin_means(tables, dy, out)
 
 
 @dataclass(frozen=True)
 class Engine:
-    """One engine: a guard, a state and four kernels on :class:`Tables`.
+    """One engine: a guard, a state and five kernels on :class:`Tables`.
 
     ``check(profile, cost)`` raises :class:`UnsupportedEngineError` on an
     instance the engine cannot handle.  ``state(tables, cost)`` is what the
@@ -586,9 +600,11 @@ class Engine:
     (T, K) for ``monte_carlo``.  Each kernel takes ``(tables, state, cost)``:
 
     * ``expected_cost``: per-slot ``E[C(Y)]`` and its standard error, (T,) each;
-    * ``marginal_stats``: ``(a, b, a_se, b_se)`` with ``a = E[C'(Y)]`` (T,)
-      and ``b = E[I_n(m) C'(Y)]`` (N, T, M), ``I_n(m)`` the event that user
-      n requests item m;
+    * ``marginal_stats``: ``(a, b)`` with ``a = E[C'(Y)]`` (T,) and
+      ``b = E[I_n(m) C'(Y)]`` (N, T, M), ``I_n(m)`` the event that user n
+      requests item m;
+    * ``marginal_errors(tables, state, cost, b)``: the standard errors
+      ``(a_se, b_se)`` of those, given ``marginal_stats``' ``b``;
     * ``gradient_p``: ``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` (N, T, M);
       ``None`` on ``monte_carlo``, which has no conditional expectations.
 
@@ -609,9 +625,10 @@ class Engine:
     ``gradient_p`` those of one user of the class; the other engines'
     ``check`` refuses a count above 1.
 
-    ``sampled`` engines read the profile's memoised draws.  The exact
-    engines' errors are zeros; ``b_se`` is a read-only broadcast, so the
-    hot ``cost_gradient_x`` path allocates no (N, T, M) array for it.
+    ``sampled`` engines read the profile's memoised draws through their
+    sample index.  The exact engines' errors are zeros, ``b_se`` a read-only
+    broadcast; only :func:`~procache.proactive.active_sets` asks for them,
+    so the hot ``cost_gradient_x`` path computes no errors.
     ``b`` and ``db`` are new arrays (or ``out``) that the cycle-level
     functions turn into the gradient and the product in place.
     """
@@ -620,6 +637,7 @@ class Engine:
     state: Callable
     expected_cost: Callable
     marginal_stats: Callable
+    marginal_errors: Callable
     gradient_p: Callable | None
     hess_vec: Callable
     sampled: bool = False
@@ -628,16 +646,17 @@ class Engine:
 
 _ENGINES = {
     "enumerate": Engine(
-        _enum_check, _enum_state, _enum_expected_cost, _enum_marginal_stats, _enum_gradient_p,
-        _enum_hess_vec,
+        _enum_check, _enum_state, _enum_expected_cost, _enum_marginal_stats, _exact_errors,
+        _enum_gradient_p, _enum_hess_vec,
     ),
     "analytic_quadratic": Engine(
         _analytic_check, _analytic_state, _analytic_expected_cost, _analytic_marginal_stats,
-        _analytic_gradient_p, _analytic_hess_vec, classes=True,
+        _exact_errors, _analytic_gradient_p, _analytic_hess_vec, classes=True,
     ),
     "monte_carlo": Engine(
         lambda profile, cost: _per_user_check(profile, "monte_carlo"), _mc_state,
-        _mc_expected_cost, _mc_marginal_stats, None, _mc_hess_vec, sampled=True,
+        _mc_expected_cost, _mc_marginal_stats, _mc_marginal_errors, None, _mc_hess_vec,
+        sampled=True,
     ),
 }
 ENGINES = tuple(_ENGINES)
@@ -707,7 +726,7 @@ def cost_gradient_x(
     its entry is that derivative times the count.
     """
     point = _checked_point(profile, allocation, cost, cfg, catalog)
-    a, b, _, _ = cfg.kernels.marginal_stats(point.tables, point.state, cost)
+    a, b = cfg.kernels.marginal_stats(point.tables, point.state, cost)
     return _combine(a, b, point.tables)
 
 

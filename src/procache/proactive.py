@@ -70,7 +70,8 @@ def active_sets(profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, c
     """Decide membership from E[I_{n,t}(m) C'(L_t)] - E[C'(L_{t-1})] at x = 0,
     read from ``zero``, the zero allocation's point (built when omitted)."""
     zero = zero or Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
-    a, b, a_se, b_se = cfg.kernels.marginal_stats(zero.tables, zero.state, cost)
+    a, b = cfg.kernels.marginal_stats(zero.tables, zero.state, cost)
+    a_se, b_se = cfg.kernels.marginal_errors(zero.tables, zero.state, cost, b)
     prev, prev_se = np.roll(a, 1)[None, :, None], np.roll(a_se, 1)[None, :, None]
     stat = b - prev
     floor = np.maximum(_MC_SIGMAS * np.sqrt(b_se**2 + prev_se**2),
@@ -92,6 +93,7 @@ class SolveResult:
     objective_trace: np.ndarray
     stop: str                     # why the descent stopped: "tol", "rounding", "stalled" or "cap"
     start: EvalResult             # at the start; on a cold one, the non-proactive cost
+    final: EvalResult             # at the answer, the last accepted iterate
 
 
 def solve_proactive(
@@ -127,7 +129,8 @@ def solve_proactive(
 
     ``x0`` is an allocation or a :class:`~procache.evaluate.Point` built for
     the same profile, cost and config, whose tables the solve then reuses.
-    The start is evaluated once; that evaluation is the result's ``start``.
+    The start is evaluated once; that evaluation is the result's ``start``,
+    and the answer's, made by the descent, is its ``final``.
 
     Each iterate is one :class:`~procache.evaluate.Point`, kept while the
     descent passes the same array: the trial value, the gradient once the
@@ -138,6 +141,7 @@ def solve_proactive(
     """
     sizes = catalog.sizes
     point, evaluated = None, None   # the point at hand, and its evaluation once made
+    accepted = None                 # the evaluation of the last accepted iterate
 
     def at(x):
         nonlocal point, evaluated
@@ -156,7 +160,11 @@ def solve_proactive(
         return evaluated.value
 
     def grad(x):
-        return cost_gradient_x(profile, at(x), cost, cfg)
+        # the descent takes gradients only at the iterates it accepts
+        nonlocal accepted
+        value(x)
+        accepted = evaluated
+        return cost_gradient_x(profile, point, cost, cfg)
 
     def hess(x, d):
         # the descent holds d for the whole solve: the product overwrites it
@@ -186,6 +194,7 @@ def solve_proactive(
         objective_trace=res.trace,
         stop=res.stop,
         start=start,
+        final=accepted,
     )
 
 

@@ -82,7 +82,7 @@ def verify_mapping(v, silence: float) -> np.ndarray:
 
 
 def slot_marginal_stats(profile, x, sizes, cost, cfg):
-    """Every slot's ``(a, b, a_se, b_se)`` at allocation ``x`` (see ``evaluate.Engine``)."""
+    """Every slot's ``(a, b)`` at allocation ``x`` (see ``evaluate.Engine``)."""
     tables = cycle_tables(profile, x, sizes, cfg)
     return cfg.kernels.marginal_stats(tables, cfg.kernels.state(tables, cost), cost)
 
@@ -92,7 +92,7 @@ def marginal_cost_ratio(profile, catalog, cost, cfg) -> np.ndarray:
 
     A slot whose ratio exceeds 1 is a load peak relative to its predecessor.
     """
-    a, _, _, _ = slot_marginal_stats(
+    a, _ = slot_marginal_stats(
         profile, np.zeros_like(profile.probs), catalog.sizes, cost, cfg
     )
     return a / np.roll(a, 1)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against real scenario files in a temp directory."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import procache.cli
+from procache import evaluate
 from procache.cli import main
 from procache.experiments import (
     SCALING_LADDER,
@@ -99,6 +102,35 @@ def test_optimize_switches_to_monte_carlo_with_its_samples(runner, quad_scenario
     assert res.exit_code == 0, res.output
     assert json.loads((tmp_path / "opt.json").read_text())["engine"] == "monte_carlo"
     assert all(float(r["stderr"]) > 0.0 for r in read_rows(out))
+
+
+@pytest.mark.parametrize("engine", ["enumerate", "monte_carlo"])
+def test_optimize_makes_no_value_call_after_the_solve(engine, runner, quad_scenario, tmp_path,
+                                                      monkeypatch):
+    # the per-slot rows come from the solve's own evaluation of its answer
+    solved, calls = [], []
+    kernels = evaluate._ENGINES[engine]
+
+    def value(*args):
+        calls.append(bool(solved))
+        return kernels.expected_cost(*args)
+
+    def solve(*args, original=procache.cli.solve_proactive, **kwargs):
+        solved.append(original(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setitem(evaluate._ENGINES, engine,
+                        dataclasses.replace(kernels, expected_cost=value))
+    monkeypatch.setattr(procache.cli, "solve_proactive", solve)
+    out = tmp_path / "opt.csv"
+    res = runner.invoke(main, ["optimize", "--scenario", str(quad_scenario), "--engine", engine,
+                               "--samples", "50", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert len(solved) == 1 and calls and not any(calls)
+    final = solved[0].final
+    rows = read_rows(out)
+    assert [float(r["value"]) for r in rows] == final.slot_values.tolist()
+    assert [float(r["stderr"]) for r in rows] == final.slot_stderrs.tolist()
 
 
 def test_simulate_is_seeded_and_unbiased(runner, quad_scenario, tmp_path):

@@ -21,6 +21,7 @@ from procache import (
 )
 from procache import evaluate, parse_scenario
 from procache.costs import CostDomainError
+from procache.demand import sample_index
 from procache.evaluate import ENGINES, Point, cycle_tables, prefetch_volume
 from procache.experiments import SCALING_SCENARIO
 from procache.rng import substream
@@ -245,7 +246,8 @@ def test_reachable_overload_still_raises(two_user, enum_cfg):
 def _loop_mc_stats(val, const, choices, cost):
     """Reference: one slot's sampled loads built user by user, b by per-user bincounts.
 
-    ``val`` (N, M+1) holds each choice's load, silent column first."""
+    ``val`` (N, M+1) holds each choice's load, silent column first.  Returns
+    the loads too, and the errors ``(a_se, b_se)`` of ``(a, b)``."""
     n_users, k = choices.shape
     y = np.full(k, const)
     for n in range(n_users):
@@ -254,10 +256,30 @@ def _loop_mc_stats(val, const, choices, cost):
     d = cost.marginal(y)
     m_width = val.shape[1]
     b = np.empty((n_users, m_width - 1))
+    b_se = np.zeros((n_users, m_width - 1))
     for n in range(n_users):
         b[n] = np.bincount(choices[n], weights=d, minlength=m_width)[1:] / k
+        if k > 1:
+            sq = np.bincount(choices[n], weights=d * d, minlength=m_width)[1:] / k
+            b_se[n] = np.sqrt(np.maximum(sq - b[n] ** 2, 0.0) / (k - 1))
     se = float(c.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-    return float(c.mean()), se, float(d.mean()), b
+    a_se = float(d.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
+    return y, (float(c.mean()), se, float(d.mean()), b, a_se, b_se)
+
+
+def _loop_mc_hess_vec(y, dval, dconst, choices, cost):
+    """Reference: one slot's ``(da, db)`` along a direction whose choice loads
+    are ``dval`` (N, M+1), silent column first, user by user."""
+    n_users, k = choices.shape
+    dy = np.full(k, dconst)
+    for n in range(n_users):
+        dy += dval[n][choices[n]]
+    dy *= cost.second(y)
+    m_width = dval.shape[1]
+    db = np.empty((n_users, m_width - 1))
+    for n in range(n_users):
+        db[n] = np.bincount(choices[n], weights=dy, minlength=m_width)[1:] / k
+    return float(dy.mean()), db
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "outage"])
@@ -272,20 +294,35 @@ def test_batched_monte_carlo_equals_per_slot_oracle(kind):
             cost = CostModel.outage(2.0 * n_users * (m_items + 1) * float(catalog.sizes.max()))
         cfg = EvalConfig(engine="monte_carlo", samples=(1, 2, 37, 300)[case % 4], seed=case)
         x = rng.uniform(0.0, 1.0, size=prof.probs.shape) * catalog.sizes[None, None, :]
+        # a direction of either sign, from its own stream so the instances stay put
+        d = np.random.default_rng(case).normal(size=prof.probs.shape) * catalog.sizes
 
         res = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
         grad = cost_gradient_x(prof, x, cost, cfg, catalog=catalog)
-        a, b, _, _ = slot_marginal_stats(prof, x, catalog.sizes, cost, cfg)
+        a, b = slot_marginal_stats(prof, x, catalog.sizes, cost, cfg)
+        tables = cycle_tables(prof, x, catalog.sizes, cfg)
+        state = cfg.kernels.state(tables, cost)
+        a_se, b_se = cfg.kernels.marginal_errors(tables, state, cost, b)
+        dconst = prefetch_volume(d)
+        da, db = cfg.kernels.hess_vec(tables, state, d, dconst, cost)
         draws = prof.draws(cfg.seed, cfg.samples)
         for t in range(n_slots):
             val = np.concatenate([np.zeros((n_users, 1)), catalog.sizes - x[:, t]], axis=1)
             const = float(x[:, (t + 1) % n_slots].sum())
-            ref_value, ref_se, ref_a, ref_b = _loop_mc_stats(val, const, draws[t], cost)
+            y, ref = _loop_mc_stats(val, const, draws[t], cost)
+            ref_value, ref_se, ref_a, ref_b, ref_a_se, ref_b_se = ref
             assert (res.slot_values[t], res.slot_stderrs[t]) == (ref_value, ref_se)
             assert a[t] == ref_a
             assert np.array_equal(b[:, t, :], ref_b)
+            assert a_se[t] == ref_a_se
+            assert np.array_equal(b_se[:, t, :], ref_b_se)
+            dval = np.concatenate([np.zeros((n_users, 1)), 0.0 - d[:, t]], axis=1)
+            ref_da, ref_db = _loop_mc_hess_vec(y, dval, dconst[t], draws[t], cost)
+            assert da[t] == ref_da
+            assert np.array_equal(db[:, t, :], ref_db)
         assert np.array_equal(grad, (np.roll(a, 1)[None, :, None] - b) / n_slots)
         assert grad.flags.c_contiguous   # norms of a transposed view sum in another order
+        assert db.flags.c_contiguous
 
 
 def test_memoised_draws_equal_fresh_substreams():
@@ -319,6 +356,33 @@ def test_monte_carlo_draws_once_per_slot_and_user(two_user, quad, mc_cfg, monkey
     solved = solve_proactive(prof, catalog, quad, cfg)
     assert solved.iterations > 1
     assert sorted(streams) == sorted((4, n, t) for n in range(2) for t in range(2))
+
+
+def test_the_sample_index_is_built_once_with_the_draws(two_user, quad, mc_cfg, monkeypatch):
+    import procache.demand
+    from procache import solve_proactive
+
+    built = []
+    monkeypatch.setattr(procache.demand, "sample_index",
+                        lambda *args: built.append(args) or sample_index(*args))
+    catalog, prof = two_user
+    for seed, count in ((4, 200), (4, 37), (5, 200)):
+        cfg = mc_cfg(count, seed=seed)
+        index = prof.draw_index(seed, count)
+        assert not index.flags.writeable
+        assert index.shape == (prof.num_slots, prof.num_users, count)
+        assert np.array_equal(index, sample_index(prof.draws(seed, count), prof.num_items))
+        for _ in range(2):
+            prof.draws(seed, count)
+            assert prof.draw_index(seed, count) is index
+        assert solve_proactive(prof, catalog, quad, cfg).iterations > 1
+        assert Point(prof, np.zeros(prof.probs.shape), catalog.sizes, quad, cfg).tables.index is index
+    assert len(built) == 3
+    # the index lives on its profile: an equal profile builds its own
+    twin = DemandProfile(prof.probs)
+    assert twin.draw_index(4, 200) is not prof.draw_index(4, 200)
+    assert np.array_equal(twin.draw_index(4, 200), prof.draw_index(4, 200))
+    assert len(built) == 4
 
 
 def test_monte_carlo_overflowing_load_still_raises(two_user, mc_cfg):
@@ -416,7 +480,8 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
             tables = cycle_tables(prof, x, catalog.sizes, cfg)
             state = kernels.state(tables, cost)
             value, se = kernels.expected_cost(tables, state, cost)
-            a, b, a_se, b_se = kernels.marginal_stats(tables, state, cost)
+            a, b = kernels.marginal_stats(tables, state, cost)
+            a_se, b_se = kernels.marginal_errors(tables, state, cost, b)
             exact = not kernels.sampled
             assert exact == (kernels.gradient_p is not None)
             grad_p = kernels.gradient_p(tables, state, cost) if exact else None
@@ -427,13 +492,16 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
                 assert not se.any() and not a_se.any() and not b_se.any()
             for t in range(prof.num_slots):
                 s = slice(t, t + 1)
+                # the slice's own sample index, built from its draws as the tables build theirs
+                index = None if tables.index is None else sample_index(
+                    prof.draws(cfg.seed, cfg.samples)[s], prof.num_items)
                 one = tables._replace(probs=tables.probs[:, s], silence=tables.silence[:, s],
-                                      v=tables.v[:, s], const=tables.const[s],
-                                      draws=None if tables.draws is None else tables.draws[s])
+                                      v=tables.v[:, s], const=tables.const[s], index=index)
                 one_state = kernels.state(one, cost)
                 value_t, se_t = kernels.expected_cost(one, one_state, cost)
                 assert (value_t[0], se_t[0]) == (value[t], se[t])
-                a_t, b_t, a_se_t, b_se_t = kernels.marginal_stats(one, one_state, cost)
+                a_t, b_t = kernels.marginal_stats(one, one_state, cost)
+                a_se_t, b_se_t = kernels.marginal_errors(one, one_state, cost, b_t)
                 assert (a_t[0], a_se_t[0]) == (a[t], a_se[t])
                 assert np.array_equal(b_t[:, 0], b[:, t]) and np.array_equal(b_se_t[:, 0], b_se[:, t])
                 if exact:

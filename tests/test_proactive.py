@@ -13,6 +13,7 @@ from procache import (
     ItemCatalog,
     active_sets,
     cost_gradient_x,
+    expected_cycle_cost,
     nonproactive_cost,
     parse_scenario,
     policy_a,
@@ -290,6 +291,14 @@ def test_a_solve_reports_the_evaluation_it_started_from(engine, two_user, quad, 
         # a warm start is evaluated where it starts: at the cold solve's plan
         warm = solve_proactive(prof, catalog, cost, cfg, x0=cold.allocation.x)
         assert warm.start.value == cold.cost
+        # and the descent's evaluation of its answer is the one a caller gets
+        # by evaluating the returned plan again, to the last bit
+        for solved in (cold, warm):
+            again = expected_cycle_cost(prof, solved.allocation, cost, cfg)
+            assert solved.final.value == solved.cost == again.value
+            assert solved.final.stderr == again.stderr
+            assert np.array_equal(solved.final.slot_values, again.slot_values)
+            assert np.array_equal(solved.final.slot_stderrs, again.slot_stderrs)
         # a start point is taken only from the solve's own profile, cost and config
         zero = Point(prof, np.zeros(prof.probs.shape), catalog.sizes, cost, cfg)
         assert solve_proactive(prof, catalog, cost, cfg, x0=zero).cost == cold.cost
@@ -503,7 +512,7 @@ def _lower_per_slot(prof, catalog, cost, cfg, rep):
     for t in range(n_slots):
         x = np.zeros(prof.probs.shape)
         x[:, t][member[:, t]] = x_tilde[t]
-        a, b, _, _ = slot_marginal_stats(prof, x, catalog.sizes, cost, cfg)
+        a, b = slot_marginal_stats(prof, x, catalog.sizes, cost, cfg)
         lower += x_tilde[t] * float(np.sum((b[:, t] - a[t - 1]) * member[:, t]))
     return lower / n_slots
 

@@ -20,7 +20,6 @@ from .demand import (
 from .evaluate import (
     EvalConfig,
     EvalResult,
-    ProactiveAllocation,
     UnsupportedEngineError,
     cost_gradient_p,
     cost_gradient_x,

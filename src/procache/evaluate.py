@@ -34,11 +34,12 @@ A :class:`Point` is one allocation ready for evaluation.  It builds its
 tables once, on first use, and the engine's state at ``x`` once, so a
 solver that asks for the value, the gradient and many Hessian products at
 one iterate pays for them once.  The cycle-level functions take a point
-wherever they take an allocation; a bare allocation becomes a point for the
-one call.  A Hessian product reads its direction ``d`` as it is, with the
-direction's per-slot prefetch volume, and :func:`cost_hess_vec` writes it
-into a caller's ``out`` buffer (``d`` itself if the caller likes), so a
-Newton-CG loop takes products without (N, T, M) temporaries.
+or a bare (N, T, M) array, which needs ``catalog=`` (``None`` is the zero
+allocation) and becomes a point for the one call.  A Hessian product reads
+its direction ``d`` as it is, with the direction's per-slot prefetch
+volume, and :func:`cost_hess_vec` writes it into a caller's ``out`` buffer
+(``d`` itself if the caller likes), so a Newton-CG loop takes products
+without (N, T, M) temporaries.
 
 * ``enumerate``: exact product-form enumeration, feasible while
   ``(M+1)^N <= 1e7`` per slot.  Each user's axis holds only the choices it
@@ -117,35 +118,6 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
-class ProactiveAllocation:
-    """Per-user, per-slot, per-item proactive download amounts in [0, S(m)]
-    (``1e-12 S(m)`` of rounding past either end is clipped)."""
-
-    x: np.ndarray
-    sizes: np.ndarray
-
-    def __init__(self, x, catalog: ItemCatalog):
-        arr = np.array(x, dtype=float)
-        if arr.ndim != 3:
-            raise ValueError(f"allocation must be (users, slots, items); got {arr.shape}")
-        if arr.shape[2] != catalog.num_items:
-            raise ValueError(
-                f"allocation covers {arr.shape[2]} items, catalog has {catalog.num_items}"
-            )
-        hi = catalog.sizes[None, None, :]
-        if np.any(arr < -1e-12 * hi) or np.any(arr > hi * (1.0 + 1e-12)):
-            raise ValueError("allocation outside [0, item size]")
-        arr = np.clip(arr, 0.0, hi)
-        arr.setflags(write=False)
-        object.__setattr__(self, "x", arr)
-        object.__setattr__(self, "sizes", catalog.sizes)
-
-    @classmethod
-    def zeros(cls, num_users: int, num_slots: int, catalog: ItemCatalog):
-        return cls(np.zeros((num_users, num_slots, catalog.num_items)), catalog)
-
-
-@dataclass(frozen=True)
 class EvalResult:
     """Cycle cost with per-slot breakdown; stderr is 0 for exact engines."""
 
@@ -153,22 +125,6 @@ class EvalResult:
     stderr: float
     slot_values: np.ndarray
     slot_stderrs: np.ndarray
-
-
-def _as_x(profile: DemandProfile, allocation) -> np.ndarray:
-    if allocation is None:
-        return np.zeros(profile.probs.shape)
-    if isinstance(allocation, ProactiveAllocation):
-        return allocation.x
-    return np.asarray(allocation, dtype=float)
-
-
-def _sizes_of(allocation, catalog) -> np.ndarray:
-    if isinstance(allocation, ProactiveAllocation):
-        return allocation.sizes
-    if catalog is None:
-        raise ValueError("need a catalog when the allocation is a bare array")
-    return catalog.sizes
 
 
 class Tables(NamedTuple):
@@ -223,16 +179,21 @@ def cycle_tables(
 class Point:
     """Allocation ``x`` ready for evaluation under ``(profile, cost, cfg)``.
 
-    The engine guard runs once, here.  The :class:`Tables` are built on
-    first use and the engine's state at ``x`` (:attr:`Engine.state`) once,
-    and every value, gradient and Hessian product at the point reads them.
-    ``x`` is made read-only: an in-place write would leave that state stale.
+    The engine guard runs once, here; ``x`` must have the profile's shape
+    and ``sizes`` one entry per item (``x`` is not checked against them).  The
+    :class:`Tables` are built on first use and the engine's state at ``x``
+    (:attr:`Engine.state`) once, and every value, gradient and Hessian
+    product at the point reads them.  ``x`` is made read-only: an in-place
+    write would leave that state stale.
     """
 
     def __init__(self, profile: DemandProfile, x, sizes: np.ndarray, cost: CostModel,
                  cfg: EvalConfig):
         cfg.kernels.check(profile, cost)
         self.x = np.asarray(x, dtype=float)
+        if self.x.shape != profile.probs.shape or np.shape(sizes) != profile.probs.shape[2:]:
+            raise ValueError(f"allocation {self.x.shape} and sizes {np.shape(sizes)} do not fit "
+                             f"the profile {profile.probs.shape}")
         self.x.setflags(write=False)
         self.profile, self.sizes, self.cost, self.cfg = profile, sizes, cost, cfg
 
@@ -672,9 +633,11 @@ def _checked_point(profile, allocation, cost, cfg, catalog) -> Point:
         if allocation.profile is not profile or (allocation.cost, allocation.cfg) != (cost, cfg):
             raise ValueError("point was built for another profile, cost or config")
         return allocation
+    if catalog is None:
+        raise ValueError("need a catalog when the allocation is a bare array")
+    x = np.zeros(profile.probs.shape) if allocation is None else allocation
     # a view: making the point's x read-only leaves the caller's array writable
-    x = _as_x(profile, allocation).view()
-    return Point(profile, x, _sizes_of(allocation, catalog), cost, cfg)
+    return Point(profile, np.asarray(x, dtype=float).view(), catalog.sizes, cost, cfg)
 
 
 def _combine(a: np.ndarray, b: np.ndarray, tables: Tables) -> np.ndarray:

@@ -290,12 +290,15 @@ def box_projected_descent(
     The stop reads the box's Frank-Wolfe gap (Jaggi 2013) ``gap = sum max(g,
     0) (x - lower) + max(-g, 0) (upper - x)``; for a convex objective
     ``value - gap`` bounds its minimum from below.  The run stops with
-    ``"tol"`` once ``gap <= tol * |value|``, at any scale and from any start;
-    with ``"rounding"`` when a search ends flat (the decrease left is below
-    the objective's floating-point resolution); with ``"stalled"`` when one
-    finds no decrease above that; and with ``"cap"`` after ``max_iters``
-    iterations.  ``converged`` is ``"tol"`` or ``"rounding"``.  The bounds
-    must be finite.
+    ``"tol"`` once ``gap <= tol * |value|``, at any scale and from any start.
+    That relative stop needs a least value away from 0, as a cycle cost's
+    is (positive): near a least value of 0 the gap shrinks no faster than
+    ``value``, so such a run ends on ``"rounding"`` once it has descended
+    to the last bits.  It stops with ``"rounding"`` when a search ends flat
+    (the decrease left is below the objective's floating-point resolution);
+    with ``"stalled"`` when one finds no decrease above that; and with
+    ``"cap"`` after ``max_iters`` iterations.  ``converged`` is ``"tol"`` or
+    ``"rounding"``.  The bounds must be finite.
     """
     x = np.asarray(x0, dtype=float)
     del x0   # the start is freed once the first accepted step moves x off it

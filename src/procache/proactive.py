@@ -23,7 +23,6 @@ from .evaluate import (
     EvalConfig,
     EvalResult,
     Point,
-    ProactiveAllocation,
     cost_gradient_x,
     cost_hess_vec,
     expected_cycle_cost,
@@ -60,10 +59,6 @@ class ActiveSets:
         """Number of active (user, item) pairs per slot, each class row counted once per user."""
         return weigh_classes(self.member.sum(axis=2), self.counts).sum(axis=0)
 
-    @property
-    def any_active(self) -> bool:
-        return bool(self.member.any())
-
 
 def active_sets(profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, cfg: EvalConfig,
                 zero: Point | None = None) -> ActiveSets:
@@ -83,9 +78,11 @@ def active_sets(profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, c
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of the box-constrained cycle-cost minimization."""
+    """Outcome of the box-constrained cycle-cost minimization.  ``allocation``
+    is the answer as a :class:`~procache.evaluate.Point`: on a ``"tol"`` or
+    ``"cap"`` stop the descent's last one, its tables and state built."""
 
-    allocation: ProactiveAllocation
+    allocation: Point
     cost: float
     converged: bool               # stop is "tol" or "rounding"
     iterations: int
@@ -130,7 +127,8 @@ def solve_proactive(
     ``x0`` is an allocation or a :class:`~procache.evaluate.Point` built for
     the same profile, cost and config, whose tables the solve then reuses.
     The start is evaluated once; that evaluation is the result's ``start``,
-    and the answer's, made by the descent, is its ``final``.
+    and the answer's, made by the descent, is its ``final``.  The answer
+    itself, ``allocation``, is a point (see :class:`SolveResult`).
 
     Each iterate is one :class:`~procache.evaluate.Point`, kept while the
     descent passes the same array: the trial value, the gradient once the
@@ -186,7 +184,7 @@ def solve_proactive(
         log.warning("solve_proactive did not reach tol=%.1e (stop: %s): %d iterations, gap %.3g",
                     tol, res.stop, res.iterations, res.gap)
     return SolveResult(
-        allocation=ProactiveAllocation(res.x, catalog),
+        allocation=at(res.x),
         cost=res.value,
         converged=res.converged,
         iterations=res.iterations,
@@ -200,9 +198,10 @@ def solve_proactive(
 
 @dataclass(frozen=True)
 class PolicyAResult:
-    """One-scalar-per-slot prefetch policy built on the active sets."""
+    """One-scalar-per-slot prefetch policy built on the active sets; its
+    ``allocation`` is a :class:`~procache.evaluate.Point`, valued as ``cost``."""
 
-    allocation: ProactiveAllocation
+    allocation: Point
     x_hat: np.ndarray             # (T,) unreduced per-slot scalars
     x_tilde: np.ndarray           # (T,) scalars actually allocated
     reduction_step: float         # the r subtracted from x_hat
@@ -250,7 +249,7 @@ def policy_a(
     x_tilde = np.where(live, np.maximum(x_hat - r, 0.0), 0.0)
 
     x = np.where(sets.member, x_tilde[None, :, None], 0.0)
-    allocation = ProactiveAllocation(x, catalog)
+    allocation = Point(profile, x, catalog.sizes, cost, cfg)
     return PolicyAResult(
         allocation=allocation,
         x_hat=x_hat,

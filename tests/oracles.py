@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procache import DemandProfile, ProactiveAllocation, RatingVector, sample_outcomes
+from procache import DemandProfile, RatingVector, sample_outcomes
 from procache.evaluate import cost_gradient_x, cycle_tables, expected_cycle_cost, weigh_classes
 
 
@@ -29,18 +29,18 @@ def sample_outcome(profile, slot: int, seed: int, index: int = 0) -> RequestOutc
     return RequestOutcome(sample_outcomes(profile, slot, seed, index + 1)[:, index])
 
 
-def slot_load(outcome: RequestOutcome, alloc: ProactiveAllocation, slot: int) -> float:
-    """Realized load of one slot under the given requests and allocation."""
-    n_users, n_slots, _ = alloc.x.shape
+def slot_load(outcome: RequestOutcome, x: np.ndarray, sizes: np.ndarray, slot: int) -> float:
+    """Realized load of one slot under the given requests and allocation ``x``."""
+    n_users, n_slots, _ = x.shape
     t = slot % n_slots
     choices = outcome.choices
     if choices.shape[0] != n_users:
         raise ValueError(f"outcome covers {choices.shape[0]} users, allocation {n_users}")
-    load = float(alloc.x[:, (t + 1) % n_slots, :].sum())
+    load = float(x[:, (t + 1) % n_slots, :].sum())
     req = choices > 0
     for n in np.nonzero(req)[0]:
         m = int(choices[n]) - 1
-        load += float(alloc.sizes[m] - alloc.x[n, t, m])
+        load += float(sizes[m] - x[n, t, m])
     return load
 
 

@@ -161,7 +161,7 @@ def test_reduction_bounds_sandwich_on_random_instances():
         assert report.solve.gap <= slack, f"instance {i}: gap {report.solve.gap:.2e}"
         assert report.lower <= report.delta + slack, f"instance {i}: lower bound broken"
         assert report.delta <= report.upper + slack, f"instance {i}: upper bound broken"
-        if report.sets.any_active:
+        if report.sets.member.any():
             assert report.lower > 0.0, f"instance {i}: active sets but zero lower bound"
             active_count += 1
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """Engines: frozen exact values, cross-engine agreement, gradients, guards."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,13 +12,13 @@ from procache import (
     DemandProfile,
     EvalConfig,
     ItemCatalog,
-    ProactiveAllocation,
     UnsupportedEngineError,
     cost_gradient_p,
     cost_gradient_x,
     cost_hess_vec,
     expected_cycle_cost,
     nonproactive_cost,
+    solve_proactive,
 )
 from procache import evaluate, parse_scenario
 from procache.costs import CostDomainError
@@ -55,16 +56,15 @@ def test_engines_agree_on_quadratic(two_user, quad, enum_cfg, analytic_cfg, mc_c
     catalog, prof = two_user
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 0.4, size=prof.probs.shape) * catalog.sizes[None, None, :]
-    alloc = ProactiveAllocation(x, catalog)
-    exact = expected_cycle_cost(prof, alloc, quad, enum_cfg)
-    closed = expected_cycle_cost(prof, alloc, quad, analytic_cfg)
+    exact = expected_cycle_cost(prof, x, quad, enum_cfg, catalog=catalog)
+    closed = expected_cycle_cost(prof, x, quad, analytic_cfg, catalog=catalog)
     assert closed.value == pytest.approx(exact.value, abs=1e-12)
     assert np.allclose(closed.slot_values, exact.slot_values, atol=1e-12)
 
-    est = expected_cycle_cost(prof, alloc, quad, mc_cfg(20000))
+    est = expected_cycle_cost(prof, x, quad, mc_cfg(20000), catalog=catalog)
     assert est.stderr > 0.0
     assert abs(est.value - exact.value) <= 4.0 * est.stderr
-    again = expected_cycle_cost(prof, alloc, quad, mc_cfg(20000))
+    again = expected_cycle_cost(prof, x, quad, mc_cfg(20000), catalog=catalog)
     assert again.value == est.value and again.stderr == est.stderr  # bit-for-bit
 
 
@@ -75,24 +75,22 @@ def test_monte_carlo_tracks_outage_too(two_user, outage, enum_cfg, mc_cfg):
     assert abs(est.value - exact.value) <= 4.0 * est.stderr
 
 
-def test_allocation_bounds_checked(two_user):
+def test_a_point_refuses_an_allocation_of_another_shape(two_user, quad, enum_cfg):
+    # unchecked, a wrong item count fails deep inside numpy broadcasting or broadcasts silently
     catalog, prof = two_user
-    shape = prof.probs.shape
-    with pytest.raises(ValueError, match="outside"):
-        ProactiveAllocation(np.full(shape, 10.0), catalog)
-    dusted = ProactiveAllocation(np.full(shape, -1e-13), catalog)
-    assert np.all(dusted.x == 0.0)
-    # the slack is relative to each item's size: half an item is refused at
-    # any scale, and rounding past the size is clipped at any scale
-    with pytest.raises(ValueError, match="outside"):
-        ProactiveAllocation(np.full((1, 1, 1), -5e-13), ItemCatalog([1e-12]))
-    rounded = ProactiveAllocation(np.full((1, 1, 1), 1e4 * (1.0 + 4 * np.finfo(float).eps)),
-                                  ItemCatalog([1e4]))
-    assert np.all(rounded.x == 1e4)
-    zeros = ProactiveAllocation.zeros(2, 2, catalog)
-    assert zeros.x.shape == shape
-    with pytest.raises(ValueError, match="catalog has"):
-        ProactiveAllocation(np.zeros((2, 2, 5)), catalog)
+    for shape in ((2, 2, 5), (2, 2, 1), (1, 2, 3), (2, 3)):
+        both = f"{re.escape(str(shape))}.*{re.escape(str(prof.probs.shape))}"
+        with pytest.raises(ValueError, match=both):
+            Point(prof, np.zeros(shape), catalog.sizes, quad, enum_cfg)
+        with pytest.raises(ValueError, match=both):
+            expected_cycle_cost(prof, np.zeros(shape), quad, enum_cfg, catalog=catalog)
+    assert Point(prof, np.zeros((2, 2, 3)), catalog.sizes, quad, enum_cfg).x.shape == (2, 2, 3)
+    # so does a catalog of another item count
+    for sizes in ([3.0], [3.0, 2.0, 4.0, 1.0]):
+        with pytest.raises(ValueError, match=re.escape(f"sizes ({len(sizes)},)")):
+            expected_cycle_cost(prof, None, quad, enum_cfg, catalog=ItemCatalog(sizes))
+        with pytest.raises(ValueError, match=re.escape(f"sizes ({len(sizes)},)")):
+            solve_proactive(prof, ItemCatalog(sizes), quad, enum_cfg)
 
 
 def test_eval_config_validation():
@@ -137,14 +135,13 @@ def test_slot_load_hand_check(two_user):
     x = np.zeros((2, 2, 3))
     x[0, 1, 0] = 1.0
     x[1, 0, 2] = 0.5
-    alloc = ProactiveAllocation(x, catalog)
     both = RequestOutcome([1, 3])  # user 0 takes item 1, user 1 takes item 3
     # slot 1: (3 - 1) + (4 - 0) reactive, plus 0.5 prefetched for slot 0
-    assert slot_load(both, alloc, 1) == pytest.approx(6.5)
+    assert slot_load(both, x, catalog.sizes, 1) == pytest.approx(6.5)
     silent = RequestOutcome([0, 0])
-    assert slot_load(silent, alloc, 0) == pytest.approx(float(x[:, 1, :].sum()))
+    assert slot_load(silent, x, catalog.sizes, 0) == pytest.approx(float(x[:, 1, :].sum()))
     with pytest.raises(ValueError, match="users"):
-        slot_load(RequestOutcome([1]), alloc, 0)
+        slot_load(RequestOutcome([1]), x, catalog.sizes, 0)
 
 
 def _fd_cost(prof, x, catalog, cost, cfg, coord, h):
@@ -344,7 +341,6 @@ def test_memoised_draws_equal_fresh_substreams():
 
 def test_monte_carlo_draws_once_per_slot_and_user(two_user, quad, mc_cfg, monkeypatch):
     import procache.demand
-    from procache import solve_proactive
 
     streams = []
     monkeypatch.setattr(
@@ -360,7 +356,6 @@ def test_monte_carlo_draws_once_per_slot_and_user(two_user, quad, mc_cfg, monkey
 
 def test_the_sample_index_is_built_once_with_the_draws(two_user, quad, mc_cfg, monkeypatch):
     import procache.demand
-    from procache import solve_proactive
 
     built = []
     monkeypatch.setattr(procache.demand, "sample_index",

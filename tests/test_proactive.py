@@ -128,7 +128,7 @@ def test_active_sets_structure(two_user, quad, enum_cfg):
     assert sets.pair_counts().tolist() == [0, 3]
     assert active_users(sets, 1, 0) == (0, 1)
     assert active_users(sets, 0, 0) == ()
-    assert sets.any_active
+    assert sets.member.any()
     assert sets.undecided == ()
     assert sets.stat[0, 1, 0] > 0.0
     assert np.all(sets.stat[:, 0, :] <= 0.0)  # the quiet slot never pays
@@ -160,7 +160,7 @@ def test_policy_frozen_values(two_user, quad, enum_cfg):
     assert np.allclose(pol.x_tilde, POLICY_XTILDE, atol=1e-9)
     assert pol.reduction_step == pytest.approx(POLICY_STEP, rel=1e-9)
     assert pol.cost.value == pytest.approx(POLICY_COST, abs=1e-9)
-    assert pol.sets.any_active
+    assert pol.sets.member.any()
     # every active pair downloads the slot scalar, everybody else nothing
     x = pol.allocation.x
     assert np.allclose(x[pol.sets.member], pol.x_tilde[1])
@@ -202,7 +202,7 @@ def test_policy_and_bounds_collapse_without_active_pairs(quad, enum_cfg):
     catalog = ItemCatalog([3.0])
     prof = DemandProfile(np.full((1, 2, 1), 0.5))  # flat demand, nothing to shift
     pol = policy_a(prof, catalog, quad, enum_cfg)
-    assert not pol.sets.any_active
+    assert not pol.sets.member.any()
     assert np.all(pol.allocation.x == 0.0)
     rep = reduction_bounds(prof, catalog, quad, enum_cfg)
     assert rep.lower == 0.0
@@ -294,7 +294,7 @@ def test_a_solve_reports_the_evaluation_it_started_from(engine, two_user, quad, 
         # and the descent's evaluation of its answer is the one a caller gets
         # by evaluating the returned plan again, to the last bit
         for solved in (cold, warm):
-            again = expected_cycle_cost(prof, solved.allocation, cost, cfg)
+            again = expected_cycle_cost(prof, solved.allocation.x, cost, cfg, catalog=catalog)
             assert solved.final.value == solved.cost == again.value
             assert solved.final.stderr == again.stderr
             assert np.array_equal(solved.final.slot_values, again.slot_values)
@@ -304,6 +304,42 @@ def test_a_solve_reports_the_evaluation_it_started_from(engine, two_user, quad, 
         assert solve_proactive(prof, catalog, cost, cfg, x0=zero).cost == cold.cost
         with pytest.raises(ValueError, match="another profile"):
             solve_proactive(prof.with_probs(prof.probs), catalog, cost, cfg, x0=zero)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_solve_returns_its_answer_as_a_point(engine, two_user, quad, monkeypatch):
+    # stopped on tol, the answer is the descent's last point, its tables and
+    # state built; when the descent valued a trial past its answer (a search
+    # that ends rounding or stalled), the answer is a new point that builds
+    # them on first use
+    catalog, prof = two_user
+    cfg = EvalConfig(engine=engine, samples=300, seed=3)
+    build, built = evaluate.cycle_tables, []
+    descent = proactive.box_projected_descent
+
+    def counted(profile, x, sizes, cfg):
+        built.append(x)
+        return build(profile, x, sizes, cfg)
+
+    def then_a_trial(value_fn, *args):
+        res = descent(value_fn, *args)
+        value_fn(res.x.copy())
+        return res
+
+    monkeypatch.setattr(evaluate, "cycle_tables", counted)
+    for trial_after in (False, True):
+        if trial_after:
+            monkeypatch.setattr(proactive, "box_projected_descent", then_a_trial)
+        solved = solve_proactive(prof, catalog, quad, cfg)
+        answer, count = solved.allocation, len(built)
+        assert solved.stop == "tol"
+        assert isinstance(answer, Point) and answer.profile is prof
+        assert answer.sizes is catalog.sizes and not answer.x.flags.writeable
+        assert ({"tables", "state"} <= vars(answer).keys()) != trial_after
+        assert (built[-1] is answer.x) != trial_after
+        assert expected_cycle_cost(prof, answer, quad, cfg).value == solved.final.value
+        cost_gradient_x(prof, answer, quad, cfg)
+        assert len(built) == count + trial_after
 
 
 def test_full_prefetch_needs_a_peak_to_dodge(quad, enum_cfg):

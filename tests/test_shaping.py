@@ -14,8 +14,8 @@ from procache import (
     parse_scenario,
     solve_proactive,
 )
-from procache import shaping
-from procache.experiments import SCALING_SCENARIO
+from procache import evaluate, shaping
+from procache.experiments import SCALING_SCENARIO, two_user_scenario_dict
 from procache.optim import linear_min_over_ball_slice
 
 from oracles import (
@@ -311,6 +311,24 @@ def test_monte_carlo_shaping_refuses_before_it_solves(two_user, quad, mc_cfg, mo
     with pytest.raises(UnsupportedEngineError, match="monte_carlo has none"):
         shape_demand(prof, catalog, quad, mc_cfg(200), alpha=0.2)
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["outage", "quadratic"])
+def test_shaping_builds_the_tables_of_a_plan_once(kind, monkeypatch):
+    # each accepted round's probability gradient reads the tables its
+    # re-solve built at the answer, instead of building them again
+    scn = parse_scenario(two_user_scenario_dict(0.9, kind))
+    build, built = evaluate.cycle_tables, []
+
+    def counted(profile, x, sizes, cfg):
+        built.append((profile, x.tobytes()))   # keeps each profile alive: ids stay unique
+        return build(profile, x, sizes, cfg)
+
+    monkeypatch.setattr(evaluate, "cycle_tables", counted)
+    result = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
+    assert len(result.trace) > 1 and built
+    keys = [(id(profile), x) for profile, x in built]
+    assert len(set(keys)) == len(keys)
 
 
 def test_one_item_shaping_keeps_the_profile(quad, enum_cfg, analytic_cfg):

@@ -12,7 +12,8 @@ wrap modulo T.  The cycle objective is the slot average of ``E[C(Y_t)]``.
 Three interchangeable engines evaluate the expectations.  Each is one
 :class:`Engine` record: a guard, the state it builds at an allocation, and
 the kernels that read that state (value, marginal costs, probability
-gradient, and the Hessian product behind :func:`cost_hess_vec`).
+gradient, and the curvature operator behind :func:`hess_operator` and
+:func:`cost_hess_vec`).
 :attr:`EvalConfig.kernels` is the one place the engine name is looked up.
 The kernels work on :class:`Tables`, all slots batched in the profile's own
 (K, T, M) layout; a one-slot slice is the batch of one.
@@ -35,11 +36,10 @@ tables once, on first use, and the engine's state at ``x`` once, so a
 solver that asks for the value, the gradient and many Hessian products at
 one iterate pays for them once.  The cycle-level functions take a point
 or a bare (N, T, M) array, which needs ``catalog=`` (``None`` is the zero
-allocation) and becomes a point for the one call.  A Hessian product reads
-its direction ``d`` as it is, with the direction's per-slot prefetch
-volume, and :func:`cost_hess_vec` writes it into a caller's ``out`` buffer
-(``d`` itself if the caller likes), so a Newton-CG loop takes products
-without (N, T, M) temporaries.
+allocation) and becomes a point for the one call.  A Newton-CG iteration
+takes its products from one :func:`hess_operator` on its free coordinates;
+:func:`cost_hess_vec` is that operator with every coordinate free, and
+writes into a caller's ``out`` buffer (``d`` itself if the caller likes).
 
 * ``enumerate``: exact product-form enumeration, feasible while
   ``(M+1)^N <= 1e7`` per slot.  Each user's axis holds only the choices it
@@ -65,10 +65,11 @@ without (N, T, M) temporaries.
   :meth:`DemandProfile.draws` and kept on the profile, together with its
   flat sample index ``(t N + n)(M+1) + code`` into a (T, N, M+1) table of
   per-choice values, built once with the draws.  The kernels read only
-  that index: a load (or a direction's load change) is one gather from
-  the value table, added up user by user, and every per-(user, item) mean
-  is one ``bincount`` over it.  The state is the sampled loads, so every
-  kernel reads the same draws and loads, all slots at once.  Standard
+  that index: a load is one gather from the value table, added up user by
+  user, and every per-(user, item) mean is one ``bincount`` over it.  The
+  state is the sampled loads, so every kernel reads the same draws and
+  loads, all slots at once.  The curvature operator reads only the draws
+  that hit its free coordinates (:func:`_mc_hess_op`).  Standard
   errors of the marginal statistics are computed only when asked for
   (:attr:`Engine.marginal_errors`).  It has no probability gradient.
 
@@ -183,8 +184,9 @@ class Point:
     and ``sizes`` one entry per item (``x`` is not checked against them).  The
     :class:`Tables` are built on first use and the engine's state at ``x``
     (:attr:`Engine.state`) once, and every value, gradient and Hessian
-    product at the point reads them.  ``x`` is made read-only: an in-place
-    write would leave that state stale.
+    product at the point reads them; :func:`cost_hess_vec` builds the
+    curvature operator on every coordinate once too.  ``x`` is made
+    read-only: an in-place write would leave that state stale.
     """
 
     def __init__(self, profile: DemandProfile, x, sizes: np.ndarray, cost: CostModel,
@@ -204,6 +206,11 @@ class Point:
     @cached_property
     def state(self):
         return self.cfg.kernels.state(self.tables, self.cost)
+
+    @cached_property
+    def curvature(self):
+        """The engine's curvature operator on every coordinate (``free=None``)."""
+        return self.cfg.kernels.hess_op(self.tables, self.state, self.cost, None)
 
 
 def _values(v: np.ndarray, direction: bool = False) -> np.ndarray:
@@ -516,16 +523,16 @@ def _mc_expected_cost(tables: Tables, loads, cost: CostModel):
     return _mean_se(cost.cost(loads))
 
 
-def _mc_bin_means(tables: Tables, d: np.ndarray, out=None) -> np.ndarray:
+def _mc_bin_means(tables: Tables, d: np.ndarray) -> np.ndarray:
     """Per-(user, slot, item) sample mean of ``d`` (T, K) over the draws where
     that user requests that item, i.e. the estimate of ``E[I_n(m) d]`` (N, T,
-    M), written into ``out`` when given (a new C-ordered array otherwise)."""
+    M), as a new C-ordered array."""
     index, (n_users, n_slots, m_items) = tables.index, tables.v.shape
     weights = np.broadcast_to(d[:, None, :], index.shape).ravel()
     total = np.bincount(index.ravel(), weights=weights,
                         minlength=n_slots * n_users * (m_items + 1))
     means = total.reshape(n_slots, n_users, m_items + 1)[:, :, 1:].transpose(1, 0, 2)
-    return np.divide(means, d.shape[1], out=np.empty(tables.v.shape) if out is None else out)
+    return np.divide(means, d.shape[1], out=np.empty(tables.v.shape))
 
 
 def _mc_marginal_stats(tables: Tables, loads, cost: CostModel):
@@ -542,10 +549,66 @@ def _mc_marginal_errors(tables: Tables, loads, cost: CostModel, b: np.ndarray):
     return _mean_se(d)[1], np.sqrt(var / (k - 1))
 
 
-def _mc_hess_vec(tables: Tables, loads, d, dconst, cost: CostModel, out=None):
-    dy = _mc_loads(_values(d, direction=True), dconst, tables.index)
-    dy *= cost.second(loads)
-    return dy.mean(axis=1), _mc_bin_means(tables, dy, out)
+def _mc_hess_op(tables: Tables, loads, cost: CostModel, free):
+    """Reads only the draws whose (slot, user, choice) is a free coordinate:
+    a direction zero elsewhere moves no other load.  Built once: those draws
+    in (t, n, k) order, and ``C''(Y)``.  A product adds their ``-d`` into
+    the loads in that order, user order within a sample as in
+    :func:`_mc_loads`, and bins them per free coordinate in sample order,
+    as a ``bincount`` over every draw does: the same sums, bit for bit."""
+    index, shape = tables.index, tables.v.shape
+    n_slots, n_users, k = index.shape
+    whole = free is None
+    position = np.full((n_slots, n_users, shape[2] + 1), -1)   # each bin's place in free
+    if whole:
+        free = np.arange(tables.v.size)
+        position[:, :, 1:] = free.reshape(shape).transpose(1, 0, 2)
+    else:
+        n, t, m = np.unravel_index(free, shape)
+        position[t, n, m + 1] = np.arange(free.size)
+    hit = position.ravel().take(index).ravel()
+    draws = np.flatnonzero(hit >= 0)
+    sample = np.broadcast_to(np.arange(n_slots * k).reshape(n_slots, 1, k), index.shape)
+    bins, samples = hit[draws], sample.ravel()[draws]   # samples: t K + k, into (T, K)
+    curv = cost.second(loads)
+    scatter = None if whole else np.zeros(shape)
+
+    def product(v, dconst=None, out=None):
+        if whole:
+            d, v = v, np.ravel(v)
+        else:
+            d = scatter
+            d.flat[free] = v
+        dy = np.empty((n_slots, k))
+        dy[:] = (prefetch_volume(d) if dconst is None else dconst)[:, None]
+        np.add.at(dy.ravel(), samples, np.subtract(0.0, v[bins]))
+        dy *= curv
+        # no hitting draw leaves an empty, integer bincount: the division makes it float
+        total = np.bincount(bins, weights=dy.ravel()[samples], minlength=free.size)
+        return dy.mean(axis=1), np.divide(total.reshape(shape) if whole else total, k, out=out)
+    return product
+
+
+def _scattered(kernel):
+    """An exact engine's ``hess_op`` over its full-array ``kernel(tables,
+    state, d, dconst, cost, out)``: on a free set the direction is scattered
+    into one zeroed buffer, which also takes ``db``, gathered back on ``free``."""
+    def build(tables: Tables, state, cost: CostModel, free):
+        def full(d, dconst=None, out=None):
+            if dconst is None:
+                dconst = prefetch_volume(d, tables.counts)
+            return kernel(tables, state, d, dconst, cost, out)
+        if free is None:
+            return full
+        scatter = np.empty(tables.v.shape)
+
+        def product(v):
+            scatter.fill(0.0)
+            scatter.flat[free] = v
+            da, db = full(scatter, out=scatter)
+            return da, db.ravel()[free]
+        return product
+    return build
 
 
 @dataclass(frozen=True)
@@ -569,16 +632,17 @@ class Engine:
     * ``gradient_p``: ``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` (N, T, M);
       ``None`` on ``monte_carlo``, which has no conditional expectations.
 
-    ``hess_vec(tables, state, d, dconst, cost, out=None)`` is the curvature
-    kernel: ``(da, db)`` with ``da = E[C''(Y) dY]`` (T,) and
-    ``db = E[I_n(m) C''(Y) dY]`` (N, T, M), where ``d`` (N, T, M) is the
-    direction itself and ``dconst`` (T,) its :func:`prefetch_volume`, so
-    that ``dY_t = dconst[t] - sum_n d[n, t, m_n]`` (see
-    :func:`cost_hess_vec`).  ``db`` is written into ``out`` when given,
-    which may be ``d`` itself: a kernel reads all of ``d`` before it writes.
-    The outcome distribution does not depend on the allocation, so these are
-    the exact derivatives of ``marginal_stats``' ``(a, b)`` along that
-    direction.
+    ``hess_op(tables, state, cost, free)`` builds the curvature operator:
+    ``product(v)`` gives ``(da, db)``, ``da = E[C''(Y) dY]`` (T,) and ``db =
+    E[I_n(m) C''(Y) dY]`` on ``free`` (distinct flat coordinates into (N,
+    T, M)), for a direction whose entries there are ``v`` and zero
+    elsewhere.  With ``free=None``, ``product(d, dconst=None, out=None)``
+    takes the whole direction ``d`` and gives ``db`` (N, T, M), into ``out``
+    when given, which may be ``d``: a kernel reads all of ``d`` first.
+    ``dconst`` (T,) is the direction's :func:`prefetch_volume`, taken from
+    it when not given: ``dY_t = dconst[t] - sum_n d[n, t, m_n]``.  The
+    outcome distribution does not depend on the allocation, so these are
+    the exact derivatives of ``marginal_stats``' ``(a, b)`` along ``d``.
 
     Rows are classes of ``tables.counts`` identical users.  An engine with
     ``classes`` weights every sum over rows by the counts, so its ``a`` and
@@ -600,7 +664,7 @@ class Engine:
     marginal_stats: Callable
     marginal_errors: Callable
     gradient_p: Callable | None
-    hess_vec: Callable
+    hess_op: Callable
     sampled: bool = False
     classes: bool = False
 
@@ -608,15 +672,15 @@ class Engine:
 _ENGINES = {
     "enumerate": Engine(
         _enum_check, _enum_state, _enum_expected_cost, _enum_marginal_stats, _exact_errors,
-        _enum_gradient_p, _enum_hess_vec,
+        _enum_gradient_p, _scattered(_enum_hess_vec),
     ),
     "analytic_quadratic": Engine(
         _analytic_check, _analytic_state, _analytic_expected_cost, _analytic_marginal_stats,
-        _exact_errors, _analytic_gradient_p, _analytic_hess_vec, classes=True,
+        _exact_errors, _analytic_gradient_p, _scattered(_analytic_hess_vec), classes=True,
     ),
     "monte_carlo": Engine(
         lambda profile, cost: _per_user_check(profile, "monte_carlo"), _mc_state,
-        _mc_expected_cost, _mc_marginal_stats, _mc_marginal_errors, None, _mc_hess_vec,
+        _mc_expected_cost, _mc_marginal_stats, _mc_marginal_errors, None, _mc_hess_op,
         sampled=True,
     ),
 }
@@ -712,7 +776,7 @@ def cost_hess_vec(
     every engine because the outcome distribution does not depend on the
     allocation.  The kernel reads ``d`` as it is, with its
     :func:`prefetch_volume`.  Given a :class:`Point`, every product reads its
-    tables and state instead of building them again.  On a profile
+    tables, state and curvature operator instead of building them again.  On a profile
     of classes ``d``'s row k moves every user of class k, and the product's
     row is scaled by the count, as in :func:`cost_gradient_x`.
 
@@ -721,10 +785,43 @@ def cost_hess_vec(
     takes its products without an allocation of that size.
     """
     point = _checked_point(profile, allocation, cost, cfg, catalog)
-    tables, d = point.tables, np.asarray(d, dtype=float)
-    da, db = cfg.kernels.hess_vec(tables, point.state, d, prefetch_volume(d, tables.counts),
-                                  cost, out)
-    return _combine(da, db, tables)
+    da, db = point.curvature(np.asarray(d, dtype=float), out=out)
+    return _combine(da, db, point.tables)
+
+
+def hess_operator(
+    profile: DemandProfile,
+    allocation,
+    cost: CostModel,
+    cfg: EvalConfig,
+    free: np.ndarray,
+    catalog: ItemCatalog | None = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The Hessian of the cycle cost on the coordinates ``free`` (distinct
+    flat indices into (N, T, M)), as a product ``hv(v)``.
+
+    ``v`` holds a direction's entries on ``free`` (zero elsewhere); ``hv``
+    returns :func:`cost_hess_vec`'s entries there, bit for bit, as a new
+    vector.  What every product shares (on Monte Carlo the draws that hit
+    ``free`` and ``C''(Y)``) is built once, here.  The operator keeps the
+    point alive.
+    """
+    point = _checked_point(profile, allocation, cost, cfg, catalog)
+    tables = point.tables
+    product = cfg.kernels.hess_op(tables, point.state, cost, free)
+    rows, slots, _ = np.unravel_index(free, tables.v.shape)
+    prev = (slots - 1) % len(tables.const)
+    scale = None if tables.counts is None else tables.counts[rows]
+
+    def hv(v):
+        # _combine on the free coordinates: (da[t-1] - db) / T, times the count
+        da, db = product(v)
+        np.subtract(da[prev], db, out=db)
+        db /= len(tables.const)
+        if scale is not None:
+            db *= scale
+        return db
+    return hv
 
 
 def cost_gradient_p(

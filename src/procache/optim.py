@@ -198,7 +198,8 @@ class BoxDescentResult:
 def _cg(hv, b: np.ndarray, rtol: float) -> np.ndarray:
     """Conjugate gradient from 0 on ``H p = b`` until ``|b - H p| <= rtol |b|``.
 
-    ``hv`` is the product with ``H``.  On zero or negative curvature the
+    ``hv`` is the product with ``H``, a new vector; the descent passes the
+    Hessian on its free coordinates.  On zero or negative curvature the
     iterate so far is returned, or ``b`` itself on the first step, so the
     result is always a descent direction for the model ``p.H.p / 2 - b.p``.
     """
@@ -269,12 +270,16 @@ def box_projected_descent(
 ) -> BoxDescentResult:
     """Projected Newton-CG on a box (Bertsekas 1982; CG on the free variables as in TRON).
 
-    ``hess_fn(x, v)`` is the Hessian at ``x`` times ``v``; it may return its
-    product in ``v``'s own buffer, which the descent holds for the whole run
-    (it also holds the temporaries of the arc search, the stop and ``pg``)
-    and refills before each product.  ``lower`` and ``upper`` are scalars
-    or arrays that broadcast against ``x0`` (a per-item size vector, say)
-    and stay that compact, so no box-sized array is built.  With ``pg`` the
+    ``hess_fn(x, free)`` returns the Hessian at ``x`` on the coordinates
+    ``free`` (a sorted array of flat indices into ``x``) as a product
+    ``hv(v)``, which takes and returns vectors on ``free``: the reduced
+    Hessian of TRON (Lin & Moré 1999).  The descent calls it once per
+    iteration whose free set is nonempty, and drops the operator after CG,
+    before the search, so whatever it holds at ``x`` is freed with it.  One
+    work buffer holds the temporaries of the arc search, the stop and
+    ``pg``.  ``lower`` and ``upper`` are scalars or arrays that broadcast
+    against ``x0`` (a per-item size vector, say) and stay that compact, so
+    no box-sized array is built.  With ``pg`` the
     projected gradient norm ``|x - P(x - g)|``, each iteration holds the
     epsilon-binding coordinates (within ``eps = min(pg, 1e-3 * widest box
     side)`` of a bound that the gradient pushes against) on a projected
@@ -319,7 +324,7 @@ def box_projected_descent(
     g = grad_fn(x)
     trace = [fx]
     width = float(np.max(upper - lower, initial=0.0))
-    scatter = np.empty(x.shape)   # the one work buffer: CG products, trial - x, pg, gap
+    scatter = np.empty(x.shape)   # the one work buffer: trial - x, pg, gap
     step = np.empty(x.shape)
     it, pg0 = 0, None
     while True:
@@ -338,12 +343,9 @@ def box_projected_descent(
         free = np.flatnonzero(~binding)
         np.negative(g, out=step)
         if free.size:
-            def hv(v):
-                scatter.fill(0.0)
-                scatter.flat[free] = v
-                return hess_fn(x, scatter).ravel()[free]
-
+            hv = hess_fn(x, free)
             step.flat[free] = _cg(hv, step.ravel()[free], min(1e-3, pg / pg0) if pg0 else 1e-3)
+            del hv   # it may hold the iterate's own evaluation state: free it before the search
 
         found, flat = _arc_search(value_fn, clip, x, fx, g, step, scatter)
         if found is None and not flat and free.size:

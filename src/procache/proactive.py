@@ -24,8 +24,8 @@ from .evaluate import (
     EvalResult,
     Point,
     cost_gradient_x,
-    cost_hess_vec,
     expected_cycle_cost,
+    hess_operator,
     weigh_classes,
 )
 from .optim import RESOLUTION, box_projected_descent, increasing_root
@@ -106,12 +106,12 @@ def solve_proactive(
 
     Projected Newton-CG (:func:`~procache.optim.box_projected_descent`):
     conjugate gradient on the coordinates off their bounds, with exact
-    Hessian-vector products from the engine's curvature kernel
-    (:func:`~procache.evaluate.cost_hess_vec`), then an Armijo search along
-    the projection arc.  ``tol`` is relative to the cost: the run stops with
-    ``"tol"`` once the box's Frank-Wolfe gap, which bounds ``cost`` minus the
-    least cost, is at most ``tol * cost``, whatever the scale or the start
-    ``x0``.  ``stop`` is ``"rounding"`` (converged too) when no decrease is
+    Hessian-vector products on those coordinates from one curvature operator
+    per iteration (:func:`~procache.evaluate.hess_operator`), then an Armijo
+    search along the projection arc.  ``tol`` is relative to the cost: the
+    run stops with ``"tol"`` once the box's Frank-Wolfe gap, which bounds
+    ``cost`` minus the least cost, is at most ``tol * cost``, whatever the
+    scale or the start ``x0``.  ``stop`` is ``"rounding"`` (converged too) when no decrease is
     left to represent, ``"stalled"`` when none is found above that, ``"cap"``
     at ``max_iters``.  Under Monte Carlo the gap certifies the sample-average
     cost only.
@@ -132,7 +132,7 @@ def solve_proactive(
 
     Each iterate is one :class:`~procache.evaluate.Point`, kept while the
     descent passes the same array: the trial value, the gradient once the
-    trial is accepted and every Hessian product at it share its tables and
+    trial is accepted and the curvature operator at it share its tables and
     engine state, and its value is computed once.  The descent starts
     from the start point's own array, so the start is built once too, and
     holds it only until its first accepted step.
@@ -164,9 +164,8 @@ def solve_proactive(
         accepted = evaluated
         return cost_gradient_x(profile, point, cost, cfg)
 
-    def hess(x, d):
-        # the descent holds d for the whole solve: the product overwrites it
-        return cost_hess_vec(profile, at(x), d, cost, cfg, out=d)
+    def hess(x, free):
+        return hess_operator(profile, at(x), cost, cfg, free)
 
     if isinstance(x0, Point):
         point = x0   # evaluating it checks that it was built for this solve

@@ -102,7 +102,8 @@ def test_analytic_kernels_equal_the_coefficient_form(per_user):
         pairs = [
             ((engine.expected_cost(tables, state, cost)[0],), (coeff_expected_cost(tables, cost),)),
             (engine.marginal_stats(tables, state, cost)[:2], coeff_marginal_stats(tables, cost)),
-            (engine.hess_vec(tables, state, d, dconst, cost), coeff_hess_vec(tables, d, dconst, cost)),
+            (engine.hess_op(tables, state, cost, None)(d, dconst),
+             coeff_hess_vec(tables, d, dconst, cost)),
             ((engine.gradient_p(tables, state, cost),), (coeff_gradient_p(tables, cost),)),
         ]
         for got, want in pairs:

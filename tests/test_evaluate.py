@@ -301,7 +301,7 @@ def test_batched_monte_carlo_equals_per_slot_oracle(kind):
         state = cfg.kernels.state(tables, cost)
         a_se, b_se = cfg.kernels.marginal_errors(tables, state, cost, b)
         dconst = prefetch_volume(d)
-        da, db = cfg.kernels.hess_vec(tables, state, d, dconst, cost)
+        da, db = cfg.kernels.hess_op(tables, state, cost, None)(d, dconst)
         draws = prof.draws(cfg.seed, cfg.samples)
         for t in range(n_slots):
             val = np.concatenate([np.zeros((n_users, 1)), catalog.sizes - x[:, t]], axis=1)
@@ -320,6 +320,69 @@ def test_batched_monte_carlo_equals_per_slot_oracle(kind):
         assert np.array_equal(grad, (np.roll(a, 1)[None, :, None] - b) / n_slots)
         assert grad.flags.c_contiguous   # norms of a transposed view sum in another order
         assert db.flags.c_contiguous
+
+
+def _loop_mc_product(prof, x, sizes, d, cost, cfg):
+    """Reference: the Monte Carlo Hessian product (N, T, M) slot by slot from
+    the per-user loop oracles, combined as :func:`cost_hess_vec` combines."""
+    n_users, n_slots, _ = prof.probs.shape
+    draws, dconst = prof.draws(cfg.seed, cfg.samples), prefetch_volume(d)
+    da, db = np.empty(n_slots), np.empty(d.shape)
+    for t in range(n_slots):
+        val = np.concatenate([np.zeros((n_users, 1)), sizes - x[:, t]], axis=1)
+        y, _ = _loop_mc_stats(val, float(x[:, (t + 1) % n_slots].sum()), draws[t], cost)
+        dval = np.concatenate([np.zeros((n_users, 1)), 0.0 - d[:, t]], axis=1)
+        da[t], db[:, t] = _loop_mc_hess_vec(y, dval, dconst[t], draws[t], cost)
+    return (np.roll(da, 1)[None, :, None] - db) / n_slots
+
+
+@pytest.mark.parametrize("engine, kind", [(e, k) for e in ENGINES for k in ("quadratic", "outage")
+                                           if (e, k) != ("analytic_quadratic", "outage")])
+def test_an_operator_on_a_free_set_equals_the_full_product_there(engine, kind):
+    # on random free sets, on one that no draw hits and on every coordinate,
+    # the operator's product is cost_hess_vec's entries on the free set, bit
+    # for bit, for a direction zero elsewhere; on Monte Carlo both are the
+    # per-user loop oracle's
+    rng = np.random.default_rng(23)
+    sampled, unhit = engine == "monte_carlo", 0
+    for case in range(36):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+        if engine == "enumerate":   # keep the outcome grid small
+            shape = (min(shape[0], 3),) + shape[1:]
+        sizes = rng.uniform(0.5, 3.0, size=shape[2])
+        raw = rng.uniform(0.0, 1.0, size=shape[:2] + (shape[2] + 1,))
+        raw[:, :, 1:][rng.random(shape) < 0.3] = 0.0    # items nobody requests
+        raw /= raw.sum(axis=2, keepdims=True)
+        prof = DemandProfile(raw[:, :, 1:])
+        if kind == "quadratic":
+            cost = CostModel.quadratic()
+        else:   # clear of every load an allocation inside the box can cause
+            cost = CostModel.outage(2.0 * shape[0] * (shape[2] + 1) * float(sizes.max()))
+        cfg = EvalConfig(engine=engine, samples=(1, 2, 37, 300)[case % 4], seed=case)
+        x = rng.uniform(0.0, 1.0, size=shape) * sizes
+        d = np.random.default_rng(case).normal(size=shape) * sizes
+        point = Point(prof, x, sizes, cost, cfg)
+        frees = [np.sort(rng.choice(x.size, size=int(rng.integers(1, x.size + 1)), replace=False)),
+                 np.arange(x.size)]
+        if sampled:
+            draws = prof.draws(cfg.seed, cfg.samples)
+            t, n, _ = np.indices(draws.shape)
+            hit = np.zeros(shape[:2] + (shape[2] + 1,), dtype=bool)
+            hit[n, t, draws] = True
+            hit = hit[:, :, 1:]   # the silent choice is no coordinate
+            if not hit.all():
+                frees.append(np.flatnonzero(~hit))
+                unhit += 1
+        for free in frees:
+            masked = np.zeros(shape)
+            masked.flat[free] = d.flat[free]
+            got = evaluate.hess_operator(prof, point, cost, cfg, free)(d.ravel()[free])
+            full = cost_hess_vec(prof, point, masked, cost, cfg)
+            assert got.dtype == float and got.shape == free.shape
+            assert np.array_equal(got, full.ravel()[free])
+            if sampled:
+                assert np.array_equal(full, _loop_mc_product(prof, x, sizes, masked, cost, cfg))
+    assert unhit >= 10 or not sampled
 
 
 def test_memoised_draws_equal_fresh_substreams():
@@ -482,7 +545,7 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
             grad_p = kernels.gradient_p(tables, state, cost) if exact else None
             d = x[::-1, ::-1]
             dconst = prefetch_volume(d)
-            da, db = kernels.hess_vec(tables, state, d, dconst, cost)
+            da, db = kernels.hess_op(tables, state, cost, None)(d, dconst)
             if exact:
                 assert not se.any() and not a_se.any() and not b_se.any()
             for t in range(prof.num_slots):
@@ -502,7 +565,8 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
                 if exact:
                     assert np.array_equal(kernels.gradient_p(one, one_state, cost)[:, 0],
                                           grad_p[:, t])
-                da_t, db_t = kernels.hess_vec(one, one_state, d[:, t:t + 1], dconst[t:t + 1], cost)
+                da_t, db_t = kernels.hess_op(one, one_state, cost, None)(d[:, t:t + 1],
+                                                                      dconst[t:t + 1])
                 assert da_t[0] == da[t] and np.array_equal(db_t[:, 0], db[:, t])
 
             # the cycle-level functions are the full batch

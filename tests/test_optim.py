@@ -640,12 +640,21 @@ def test_a_feasible_center_below_the_rounding_of_p_does_not_raise():
         assert np.abs(out - c).max() <= 1e-15
 
 
+def reduced(hess):
+    """``hess_fn(x, free)`` from a dense Hessian ``hess(x)``: its (free, free)
+    block as a product on ``free``."""
+    def hess_fn(x, free):
+        h = hess(x)[np.ix_(free, free)]
+        return lambda v: h @ v
+    return hess_fn
+
+
 def test_box_descent_clamps_active_bounds():
     target = np.array([-1.0, 0.5, 2.0])
     res = box_projected_descent(
         lambda x: float(((x - target) ** 2).sum()),
         lambda x: 2.0 * (x - target),
-        lambda x, v: 2.0 * v,
+        reduced(lambda x: 2.0 * np.eye(3)),
         np.full(3, 0.5),
         np.zeros(3),
         np.ones(3),
@@ -667,8 +676,9 @@ def test_box_descent_nonquadratic_interior_min():
     def grad(x):
         return np.array([4.0 * (x[0] - 0.3) ** 3, 2.0 * (x[1] - 0.7)])
 
-    def hess(x, v):
-        return np.array([12.0 * (x[0] - 0.3) ** 2, 2.0]) * v
+    @reduced
+    def hess(x):
+        return np.diag([12.0 * (x[0] - 0.3) ** 2, 2.0])
 
     # the quartic axis is flat near its optimum (the gradient dies cubically),
     # so ask for a looser stationarity level and a wider berth on x
@@ -704,7 +714,7 @@ def test_box_descent_recovers_when_the_box_turns_the_newton_step_uphill():
     res = box_projected_descent(
         lambda x: float(0.5 * x @ h @ x + c @ x),
         lambda x: h @ x + c,
-        lambda x, v: h @ v,
+        reduced(lambda x: h),
         x0, np.zeros(2), np.ones(2),
     )
     assert res.stop == "tol" and res.converged
@@ -716,7 +726,7 @@ def test_box_descent_step_that_rounds_back_to_x_ends_flat():
     # the whole Newton step is below the rounding of x: no trial can leave x,
     # so no representable decrease is left, and that is a converged stop
     res = box_projected_descent(
-        lambda x: 1e-17 * x.sum(), lambda x: np.full(1, 1e-17), lambda x, v: 0 * v,
+        lambda x: 1e-17 * x.sum(), lambda x: np.full(1, 1e-17), reduced(lambda x: np.zeros((1, 1))),
         np.ones(1), 0.0, 2.0, tol=0.0,
     )
     assert (res.stop, res.converged, res.iterations) == ("rounding", True, 0)
@@ -725,10 +735,56 @@ def test_box_descent_step_that_rounds_back_to_x_ends_flat():
 def test_box_descent_stall_reports_a_python_bool():
     # a flat objective with a nonzero gradient: no step can decrease it
     res = box_projected_descent(
-        lambda x: 0.0, lambda x: np.ones(3), lambda x, v: np.zeros(3),
+        lambda x: 0.0, lambda x: np.ones(3), reduced(lambda x: np.zeros((3, 3))),
         np.full(3, 0.5), np.zeros(3), np.ones(3),
     )
     # left through the stall branch, with the gap it could not close
     assert (res.iterations, res.stop, res.gap) == (0, "stalled", 1.5)
     assert type(res.converged) is bool
     assert res.converged is False
+
+
+@pytest.mark.parametrize("c, x0", [
+    (np.array([-1.0, 0.4, 0.3, -2.5]), np.array([0.9, 0.2, 1e-6, 0.5])),
+    (np.array([1.0, 0.4, 0.3, 2.5]), np.full(4, 1e-6)),
+], ids=["free", "all-binding"])
+def test_box_descent_asks_for_one_operator_per_iteration_on_its_free_set(c, x0):
+    # a coupled quadratic: each iteration with a nonempty free set (the
+    # coordinates the binding rule leaves off their bounds, recomputed here
+    # from the iterate and its gradient) asks once, for that set.  The first
+    # start's iterates reach a bound; from the second every coordinate binds,
+    # and that iteration asks for none
+    h = np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.3, 0.0],
+                  [0.0, 0.3, 1.5, 0.2], [0.0, 0.0, 0.2, 1.0]])
+    iterates, calls = [], []
+
+    def grad(x):
+        iterates.append(x.copy())
+        return h @ x + c
+
+    def hess_fn(x, free):
+        calls.append((x.copy(), free.copy()))
+        return reduced(lambda x: h)(x, free)
+
+    res = box_projected_descent(lambda x: float(0.5 * x @ h @ x + c @ x), grad, hess_fn,
+                                x0, np.zeros(4), np.ones(4), tol=1e-12)
+    assert res.converged
+    # the iterations are every accepted iterate but the one the stop read
+    started = iterates if res.stop != "tol" else iterates[:-1]
+    assert len(started) == res.iterations
+    want = []
+    for x in started:
+        g = h @ x + c
+        pg = float(np.linalg.norm(x - np.clip(x - g, 0.0, 1.0)))
+        eps = min(pg, 1e-3)
+        free = np.flatnonzero(~(((x <= eps) & (g > 0.0)) | ((x >= 1.0 - eps) & (g < 0.0))))
+        if free.size:
+            want.append((x, free))
+    if c[0] < 0.0:
+        assert len(want) == res.iterations >= 2
+        assert any(f.size < 4 for _, f in want)   # some iteration holds a coordinate
+    else:
+        assert (res.iterations, len(want)) == (1, 0)
+    assert len(calls) == len(want)
+    for (x, free), (x_want, free_want) in zip(calls, want):
+        assert np.array_equal(x, x_want) and np.array_equal(free, free_want)

@@ -1,6 +1,7 @@
 """Download optimization, active sets, the scalar policy, bounds, scaling."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -442,18 +443,87 @@ def test_a_cold_solve_builds_the_tables_once_per_iterate(monkeypatch):
         iterates.append(x)
         return build(profile, x, sizes, cfg)
 
-    def product(tables, curv, d, dconst, cost, out=None):
-        directions.append(d)
-        return engine.hess_vec(tables, curv, d, dconst, cost, out)
+    def operator(tables, curv, cost, free):
+        product = engine.hess_op(tables, curv, cost, free)
+
+        def recorded(v, *args):
+            directions.append(v)
+            return product(v, *args)
+        return recorded
 
     monkeypatch.setattr(evaluate, "cycle_tables", counted)
     monkeypatch.setitem(evaluate._ENGINES, scn.cfg.engine,
-                        dataclasses.replace(engine, hess_vec=product))
+                        dataclasses.replace(engine, hess_op=operator))
     res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg, tol=1e-6)
     assert res.converged and directions
     # the list keeps every iterate alive, so no two of them share an id
     assert len({id(x) for x in iterates}) == len(iterates)
     assert len(iterates) < len(directions)
+
+
+def test_a_monte_carlo_solve_takes_c2_once_per_newton_iteration(monkeypatch):
+    # each iteration builds one curvature operator on its free set, and that
+    # operator evaluates C''(Y) once for all of the iteration's CG products
+    scn = parse_scenario(SCALING_SCENARIO).with_users(10).with_eval("monte_carlo", 300)
+    engine, second = scn.cfg.kernels, CostModel.second
+    seconds, builds, products = [], [], []
+
+    def counted_second(self, load):
+        seconds.append(load)
+        return second(self, load)
+
+    def operator(tables, loads, cost, free):
+        builds.append(free)
+        product = engine.hess_op(tables, loads, cost, free)
+
+        def counted(v, *args):
+            products.append(v)
+            return product(v, *args)
+        return counted
+
+    monkeypatch.setattr(CostModel, "second", counted_second)
+    monkeypatch.setitem(evaluate._ENGINES, "monte_carlo",
+                        dataclasses.replace(engine, hess_op=operator))
+    res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
+    assert res.stop == "tol"
+    # every iteration had a free set; a stop on tol starts no iteration
+    assert len(seconds) == len(builds) == res.iterations
+    assert len(products) > 2 * len(builds)
+    assert all(0 < free.size < scn.profile.probs.size for free in builds)
+
+
+# the Monte Carlo answers, frozen: SHA-256 of the plan's and the objective
+# trace's bytes, the gap's hex form, the iterations and the stop
+FROZEN_MONTE_CARLO = {
+    ("zipf10", 300): ("c56947521b9e71774cdc2c59c2918ad7122d5ea44f7ecbd75723a2177cf1e268",
+                      "98e96e7499fdbaca1943d79522a473f4e26495a80cbad3e6b425c23f7ee2167d",
+                      "0x1.07d628de67172p-31", 15, "tol"),
+    ("quadratic", 300): ("4f5fece8b8fd389068947489f1dc011b042eae23e977a21f1b2f0630c1560963",
+                         "96417a56f3ee0e2d0052bbfbcd74e12131913d3f72d9ce9400178d088871f2ea",
+                         "0x1.36196792909d4p-45", 4, "tol"),
+    ("outage", 300): ("1778e343a3549220b22ac39d0836b5847357f865f91ae8025d35387143dd8d95",
+                      "3a6d81066c38c633d8ecd32e343bebbf36b42c8b71401f77b79f9470fa09d43b",
+                      "0x1.f853d4484d991p-37", 5, "tol"),
+    ("outage", 1): ("a7426421d1b647ccdafd08082171f101800d86774ea5c821698321d87877a847",
+                    "5f49c8c392d3d3eca53ed110813e91d2e958c23d049d080e2848a04cc7611a19",
+                    "0x0.0p+0", 5, "tol"),
+}
+
+
+@pytest.mark.parametrize("study, samples", list(FROZEN_MONTE_CARLO))
+def test_monte_carlo_answers_are_frozen(study, samples):
+    # the Zipf family at 10 users and the two-user studies, each solved at
+    # its scenario seed; a change to the sample streams re-freezes these
+    if study == "zipf10":
+        scn = parse_scenario(SCALING_SCENARIO).with_users(10)
+    else:
+        scn = parse_scenario(two_user_scenario_dict(0.9, study))
+    scn = scn.with_eval("monte_carlo", samples)
+    res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
+    got = (hashlib.sha256(res.allocation.x.tobytes()).hexdigest(),
+           hashlib.sha256(res.objective_trace.tobytes()).hexdigest(),
+           res.gap.hex(), res.iterations, res.stop)
+    assert got == FROZEN_MONTE_CARLO[study, samples]
 
 
 def test_cold_and_warm_solves_build_their_start_once(monkeypatch, outage, enum_cfg):

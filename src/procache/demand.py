@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -163,7 +164,7 @@ class DemandProfile:
             weights = c.astype(float)
             weights.setflags(write=False)
         object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_draws", {})
+        object.__setattr__(self, "_memo", {})
 
     @property
     def num_users(self) -> int:
@@ -228,24 +229,32 @@ class DemandProfile:
         built once with them and kept on the profile."""
         return self._drawn(seed, count)[1]
 
+    def memo(self, key, build: Callable):
+        """``build()``, called on first use of ``key`` and kept on the profile:
+        the draws and their sample index, and an engine's outcome structure."""
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = build()
+        return entry
+
     def _drawn(self, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         if not self.per_user:
             raise ValueError("draws need one row per user; sample profile.expanded()")
-        key = (int(seed), int(count))
-        entry = self._draws.get(key)
-        if entry is None:
+        seed, count = int(seed), int(count)
+
+        def draw():
             n_users, n_slots, n_items = self.probs.shape
-            codes = np.empty((n_slots, n_users, key[1]), dtype=np.int64)
+            codes = np.empty((n_slots, n_users, count), dtype=np.int64)
             for t in range(n_slots):
                 for n in range(n_users):
-                    u = substream(key[0], n, t).random(key[1])
+                    u = substream(seed, n, t).random(count)
                     idx = np.searchsorted(np.cumsum(self.probs[n, t]), u, side="right")
                     codes[t, n] = np.where(idx < n_items, idx + 1, SILENT)
             index = sample_index(codes, n_items)
             codes.setflags(write=False)
             index.setflags(write=False)
-            entry = self._draws[key] = (codes, index)
-        return entry
+            return codes, index
+        return self.memo((seed, count), draw)
 
 
 def sample_index(codes: np.ndarray, num_items: int) -> np.ndarray:

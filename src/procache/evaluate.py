@@ -49,12 +49,16 @@ writes into a caller's ``out`` buffer (``d`` itself if the caller likes).
   slowest axis, with at most 1e7 outcomes per batch.  The value, ``E[C'(Y)]``
   and the per-(user, item) ``E[I C'(Y)]`` all come from that grid: the last
   is the axis-n marginal of ``P C'(Y)``, since ``P(c) = prod_n w[n, c_n]``.
-  The curvature kernel takes the same marginals of ``P C''(Y) dY``, building
-  the grid again for each direction: a batch can reach 1e7 outcomes, so no
-  grid is kept.  Before the value kernel builds a batch's grid it checks the
-  heaviest outcome, so a trial that overflows an outage capacity raises
-  without one.  The probability gradient builds one grid per user, that
-  user's every choice against the other users' support.
+  The curvature kernel takes the same marginals of ``P C''(Y) dY``.  The
+  batches and their probability grids are kept on the profile
+  (:class:`_Outcomes`); a point builds each batch's loads grid on first use
+  and keeps it, so its value, gradient and products read one grid.  Grids
+  are kept only while the cycle's reachable support, summed over batches,
+  is at most 1e7 cells, the bound one batch obeys; past it each call builds
+  its own.  Before a loads grid is built its heaviest outcome is checked,
+  so a trial that overflows an outage capacity raises without one.  The
+  probability gradient builds one grid per user, that user's every choice
+  against the other users' support.
 * ``analytic_quadratic``: closed-form first/second moments, valid only for
   polynomial costs of degree <= 2, where ``C''`` is constant.  Like the
   other engines it reads the cost only through ``C``, ``C'`` and ``C''``:
@@ -133,19 +137,19 @@ class Tables(NamedTuple):
 
     ``v`` is the load a request adds to its slot (S - x; a silent user adds
     0), ``const`` (T,) the load every outcome of the slot carries,
-    ``index`` the Monte Carlo draws' flat sample index (T, N, K) into a
-    (T, N, M+1) table of per-choice values
-    (:meth:`~procache.demand.DemandProfile.draw_index`), ``None`` for the
-    exact engines, and ``counts`` the class sizes as float weights (K,),
-    ``None`` when every row is one user.  Built by :func:`cycle_tables` and
-    kept by a :class:`Point`; other modules evaluate through the cycle-level functions.
+    ``outcomes`` the engine's outcome structure (:attr:`Engine.outcomes`):
+    the Monte Carlo draws' flat sample index (T, N, K) into a (T, N, M+1)
+    table of per-choice values, or the enumeration's :class:`_Outcomes`;
+    and ``counts`` the class sizes as float weights (K,), ``None`` when
+    every row is one user.  Built by :func:`cycle_tables` and kept by a
+    :class:`Point`; other modules evaluate through the cycle-level functions.
     """
 
     probs: np.ndarray
     silence: np.ndarray
     v: np.ndarray
     const: np.ndarray
-    index: np.ndarray | None
+    outcomes: object
     counts: np.ndarray | None
 
 
@@ -171,10 +175,9 @@ def cycle_tables(
 ) -> Tables:
     """Every slot's kernel inputs at allocation ``x``, ``const`` its
     :func:`prefetch_volume`."""
-    index = profile.draw_index(cfg.seed, cfg.samples) if cfg.kernels.sampled else None
     counts = profile.weights
     return Tables(profile.probs, profile.silence, sizes[None, None, :] - x,
-                  prefetch_volume(x, counts), index, counts)
+                  prefetch_volume(x, counts), cfg.kernels.outcomes(profile, cfg), counts)
 
 
 class Point:
@@ -229,17 +232,16 @@ def _values(v: np.ndarray, direction: bool = False) -> np.ndarray:
 # enumeration
 
 
-def _batches(w: np.ndarray, *vals: np.ndarray, full: int | None = None):
+def _batches(w: np.ndarray, full: int | None = None):
     """Slot batches to enumerate, each over the choices its users can make.
 
     A user's grid axis holds only its choices of positive probability (all
     of them for user ``full``), so a grid follows the reachable support
     rather than (M+1)^N.  Slots share a batch when every user has the same
     number of such choices, and a batch holds at most ``_ENUM_LIMIT``
-    outcomes.  Yields the slot indices ``s``, the per-user weight tables and,
-    for each of ``vals``, its per-user value tables (lists of (B, K_n)), and
-    the column order ``cols`` (B, N, M+1) that puts the enumerated columns
-    first, ``None`` when that is all of them.
+    outcomes.  Yields the slot indices ``s``, the users' numbers of choices
+    ``widths`` and the column order ``cols`` (B, N, M+1) that puts the
+    enumerated columns first, ``None`` when that is all of them.
     """
     live = w > 0.0
     if full is not None:
@@ -251,11 +253,13 @@ def _batches(w: np.ndarray, *vals: np.ndarray, full: int | None = None):
         step = max(1, _ENUM_LIMIT // int(np.prod(widths)))
         for lo in range(0, len(slots), step):
             s = np.array(slots[lo:lo + step])
-            tabs, cols = [w[s]] + [val[s] for val in vals], None
-            if not live[s].all():
-                cols = np.argsort(~live[s], axis=2, kind="stable")
-                tabs = [np.take_along_axis(tab, cols, 2) for tab in tabs]
-            yield (s, *[[tab[:, n, :k] for n, k in enumerate(widths)] for tab in tabs], cols)
+            yield s, widths, None if live[s].all() else np.argsort(~live[s], axis=2, kind="stable")
+
+
+def _cut(tab: np.ndarray, s: np.ndarray, widths: tuple, cols) -> list:
+    """A (T, N, M+1) table's per-user tables (B, K_n) on a batch's slots."""
+    tab = tab[s] if cols is None else np.take_along_axis(tab[s], cols, 2)
+    return [tab[:, n, :k] for n, k in enumerate(widths)]
 
 
 def _grid(tables: list, op, start: np.ndarray) -> np.ndarray:
@@ -271,7 +275,7 @@ def _grid(tables: list, op, start: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _axis_sums(grid: np.ndarray, widths: list, width: int) -> np.ndarray:
+def _axis_sums(grid: np.ndarray, widths: tuple, width: int) -> np.ndarray:
     """Sum a (B, prod K_n) outcome grid over all users but one: (N, B, width).
 
     Entries past a user's K_n are 0.  Summing off the fastest user at each
@@ -295,16 +299,41 @@ def _on_live(fn, loads, live):
     return out
 
 
-def _joint(ws: list, vs: list, const: np.ndarray):
-    """Loads and probabilities of every joint outcome of a slot batch, plus the
-    mask of outcomes with positive probability (``None`` when all of them have)."""
-    probs = _grid(ws, np.multiply, np.ones(len(const)))
-    live = None if probs.min() > 0.0 else probs > 0.0
-    return _grid(vs, np.add, const), probs, live
+def _chances(ws: list, rows: int) -> tuple:
+    """A batch's read-only probability grid and the mask of its outcomes of
+    positive probability, ``None`` when all of them have.  A grid holds only
+    positive weights, but their products can underflow to 0, so the cost
+    still sees only outcomes of positive probability."""
+    probs = _grid(ws, np.multiply, np.ones(rows))
+    probs.setflags(write=False)
+    return probs, None if probs.min() > 0.0 else probs > 0.0
 
 
-# A grid holds only positive weights, but their products can underflow to 0,
-# so the cost still sees only outcomes of positive probability.
+class _Outcomes(NamedTuple):
+    """A profile's weight table ``w`` (T, N, M+1), silent column first, its
+    :func:`_batches` ``(s, widths, cols, ws)`` with per-user weight tables
+    ``ws``, and their :func:`_chances`, kept (here and by each point's
+    :class:`_EnumState`) only while the cycle's reachable support, summed
+    over batches, is at most ``_ENUM_LIMIT`` cells: past that ``grids`` is
+    ``None`` and every call builds its own."""
+
+    w: np.ndarray
+    batches: list
+    grids: list | None
+
+    @classmethod
+    def of(cls, profile: DemandProfile) -> "_Outcomes":
+        w = np.concatenate([profile.silence[:, :, None], profile.probs], axis=2).transpose(1, 0, 2)
+        batches = [(s, widths, cols, _cut(w, s, widths, cols)) for s, widths, cols in _batches(w)]
+        cells = sum(len(s) * int(np.prod(widths)) for s, widths, *_ in batches)
+        grids = None if cells > _ENUM_LIMIT else [_chances(b[3], len(b[0])) for b in batches]
+        return cls(w, batches, grids)
+
+    def chances(self, i: int) -> tuple:
+        """Batch ``i``'s probability grid and live mask, kept or built for the call."""
+        if self.grids is None:
+            return _chances(self.batches[i][3], len(self.batches[i][0]))
+        return self.grids[i]
 
 
 def _exact_errors(tables: Tables, state, cost: CostModel, b: np.ndarray):
@@ -360,40 +389,62 @@ def _check_heaviest(ws: list, vs: list, const: np.ndarray, cost: CostModel) -> N
         raise CostDomainError(float(top), limit)
 
 
-def _enum_state(tables: Tables, cost: CostModel):
-    """Every slot's choice probabilities and loads (T, N, M+1), silent column first."""
-    w = np.concatenate([tables.silence[:, :, None], tables.probs], axis=2).transpose(1, 0, 2)
-    return w, _values(tables.v)
+class _EnumState:
+    """A point's value table ``val`` (T, N, M+1), silent column first, and each
+    batch's loads grid, built on first use after :func:`_check_heaviest` (so
+    an overflowing trial raises without it), kept read-only within the budget."""
+
+    def __init__(self, tables: Tables, cost: CostModel):
+        self.tables, self.cost, self.val = tables, cost, _values(tables.v)
+        self.kept = {}
+
+    def loads(self, i: int) -> np.ndarray:
+        grid = self.kept.get(i)
+        if grid is None:
+            grid = self.build(i)
+            if self.tables.outcomes.grids is not None:
+                grid.setflags(write=False)
+                self.kept[i] = grid
+        return grid
+
+    def build(self, i: int) -> np.ndarray:
+        s, widths, cols, ws = self.tables.outcomes.batches[i]
+        vs, const = _cut(self.val, s, widths, cols), self.tables.const[s]
+        _check_heaviest(ws, vs, const, self.cost)
+        return _grid(vs, np.add, const)
 
 
-def _enum_expected_cost(tables: Tables, state, cost: CostModel):
-    const = tables.const
-    out = np.empty(len(const))
-    for s, ws, vs, _ in _batches(*state):
-        _check_heaviest(ws, vs, const[s], cost)
-        loads, probs, live = _joint(ws, vs, const[s])
+def _enum_expected_cost(tables: Tables, state: _EnumState, cost: CostModel):
+    out = np.empty(len(tables.const))
+    for i, (s, *_) in enumerate(tables.outcomes.batches):
+        loads = state.loads(i)
+        probs, live = tables.outcomes.chances(i)
         out[s] = np.einsum("tk,tk->t", probs, _on_live(cost.cost, loads, live))
-    return out, np.zeros(len(const))
+    return out, np.zeros(len(tables.const))
 
 
-def _enum_marginals(tables: Tables, state, weight, d=None, dconst=None, out=None):
+def _enum_marginals(tables: Tables, state: _EnumState, weight, d=None, dconst=None, out=None):
     """``(a, b)`` with ``a = E[W]`` and ``b[n] = E[I_n(m) W]``, ``W = weight(Y)``
     times ``dY`` when ``(d, dconst)`` give a direction (see :class:`Engine`).
     ``b[n]`` is the axis-n marginal of ``P W`` over the joint grid, since
-    ``P(c) = prod_n w[n, c_n]``; items of zero weight get 0.  ``b`` is
+    ``P(c) = prod_n w[n, c_n]``; items of zero weight get 0.  ``P W`` is
+    built in the new grid ``weight(Y)``, never in a kept one.  ``b`` is
     written into ``out`` when given, which may be ``d``: its loads are read
     first."""
-    w, val = state
-    n_slots, n_users, width = w.shape
-    vals = [val] + ([] if d is None else [_values(d, direction=True)])
+    outcomes = tables.outcomes
+    n_slots, n_users, width = outcomes.w.shape
+    dval = None if d is None else _values(d, direction=True)
     a = np.empty(n_slots)
     b = np.empty((n_users, n_slots, width - 1)) if out is None else out
-    for s, ws, vs, *dvs, cols in _batches(w, *vals):
-        loads, probs, live = _joint(ws, vs, tables.const[s])
-        probs *= _on_live(weight, loads, live)
+    for i, (s, widths, cols, _) in enumerate(outcomes.batches):
+        probs, live = outcomes.chances(i)
+        grid = _on_live(weight, state.loads(i), live)
+        grid *= probs
+        del probs, live   # past the budget, this call's grids go before the next is built
         if d is not None:
-            probs *= _grid(dvs[0], np.add, dconst[s])
-        sums = _axis_sums(probs, [t.shape[1] for t in ws], width)
+            grid *= _grid(_cut(dval, s, widths, cols), np.add, dconst[s])
+        sums = _axis_sums(grid, widths, width)
+        del grid
         a[s] = sums[0].sum(axis=1)
         if cols is not None:   # back to column order
             np.put_along_axis(sums, cols.transpose(1, 0, 2), sums.copy(), axis=2)
@@ -417,11 +468,12 @@ def _enum_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
     outcome with ``P_-n > 0`` leaves the cost's domain; a silent one that
     does raises :class:`CostDomainError`.
     """
-    (w, val), const = state, tables.const
+    w, val, const = tables.outcomes.w, state.val, tables.const
     n_slots, n_users, width = w.shape
     grad = np.empty((n_users, n_slots, width - 1))
     for n in range(n_users):
-        for s, ws, vs, _ in _batches(w, val, full=n):
+        for s, widths, cols in _batches(w, full=n):
+            ws, vs = _cut(w, s, widths, cols), _cut(val, s, widths, cols)
             del ws[n]
             probs = _grid(ws, np.multiply, np.ones(len(s)))                        # (B, K)
             loads = _grid([vs.pop(n)] + vs, np.add, const[s]).reshape(len(s), width, -1)
@@ -490,7 +542,7 @@ def _analytic_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo: the kernels read the draws' flat sample index ``tables.index``
+# Monte Carlo: the kernels read the draws' flat sample index ``tables.outcomes``
 # (T, N, K), built once with the draws, and the sampled loads it gives at the
 # point, the state (T, K).  A gather through the index reads every sample's
 # value out of a (T, N, M+1) value table; a bincount over it sums into one bin
@@ -516,7 +568,7 @@ def _mean_se(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mc_state(tables: Tables, cost: CostModel) -> np.ndarray:
-    return _mc_loads(_values(tables.v), tables.const, tables.index)
+    return _mc_loads(_values(tables.v), tables.const, tables.outcomes)
 
 
 def _mc_expected_cost(tables: Tables, loads, cost: CostModel):
@@ -527,7 +579,7 @@ def _mc_bin_means(tables: Tables, d: np.ndarray) -> np.ndarray:
     """Per-(user, slot, item) sample mean of ``d`` (T, K) over the draws where
     that user requests that item, i.e. the estimate of ``E[I_n(m) d]`` (N, T,
     M), as a new C-ordered array."""
-    index, (n_users, n_slots, m_items) = tables.index, tables.v.shape
+    index, (n_users, n_slots, m_items) = tables.outcomes, tables.v.shape
     weights = np.broadcast_to(d[:, None, :], index.shape).ravel()
     total = np.bincount(index.ravel(), weights=weights,
                         minlength=n_slots * n_users * (m_items + 1))
@@ -556,7 +608,7 @@ def _mc_hess_op(tables: Tables, loads, cost: CostModel, free):
     the loads in that order, user order within a sample as in
     :func:`_mc_loads`, and bins them per free coordinate in sample order,
     as a ``bincount`` over every draw does: the same sums, bit for bit."""
-    index, shape = tables.index, tables.v.shape
+    index, shape = tables.outcomes, tables.v.shape
     n_slots, n_users, k = index.shape
     whole = free is None
     position = np.full((n_slots, n_users, shape[2] + 1), -1)   # each bin's place in free
@@ -613,15 +665,19 @@ def _scattered(kernel):
 
 @dataclass(frozen=True)
 class Engine:
-    """One engine: a guard, a state and five kernels on :class:`Tables`.
+    """One engine: a guard, outcomes, a state and five kernels on :class:`Tables`.
 
     ``check(profile, cost)`` raises :class:`UnsupportedEngineError` on an
-    instance the engine cannot handle.  ``state(tables, cost)`` is what the
-    engine computes at the allocation, built once per :class:`Point`: the
-    weight and load tables (T, N, M+1), silent column first, for
-    ``enumerate``; every row's mean load (K, T), ``E[Y]`` (T,) and the
-    constant ``C''`` for ``analytic_quadratic``; the sampled loads ``Y``
-    (T, K) for ``monte_carlo``.  Each kernel takes ``(tables, state, cost)``:
+    instance the engine cannot handle.  ``outcomes(profile, cfg)`` is what
+    it builds from the profile alone, kept on it
+    (:meth:`~procache.demand.DemandProfile.memo`): :class:`_Outcomes` for
+    ``enumerate``, the draws' sample index for ``monte_carlo``.
+    ``state(tables, cost)`` is what the engine computes at the allocation,
+    built once per :class:`Point`: the value table and loads grids
+    (:class:`_EnumState`) for ``enumerate``; every row's mean load (K, T),
+    ``E[Y]`` (T,) and the constant ``C''`` for ``analytic_quadratic``; the
+    sampled loads ``Y`` (T, K) for ``monte_carlo``.  Each kernel takes
+    ``(tables, state, cost)``:
 
     * ``expected_cost``: per-slot ``E[C(Y)]`` and its standard error, (T,) each;
     * ``marginal_stats``: ``(a, b)`` with ``a = E[C'(Y)]`` (T,) and
@@ -665,14 +721,16 @@ class Engine:
     marginal_errors: Callable
     gradient_p: Callable | None
     hess_op: Callable
+    outcomes: Callable = lambda profile, cfg: None
     sampled: bool = False
     classes: bool = False
 
 
 _ENGINES = {
     "enumerate": Engine(
-        _enum_check, _enum_state, _enum_expected_cost, _enum_marginal_stats, _exact_errors,
+        _enum_check, _EnumState, _enum_expected_cost, _enum_marginal_stats, _exact_errors,
         _enum_gradient_p, _scattered(_enum_hess_vec),
+        outcomes=lambda profile, cfg: profile.memo("enumerate", lambda: _Outcomes.of(profile)),
     ),
     "analytic_quadratic": Engine(
         _analytic_check, _analytic_state, _analytic_expected_cost, _analytic_marginal_stats,
@@ -681,7 +739,7 @@ _ENGINES = {
     "monte_carlo": Engine(
         lambda profile, cost: _per_user_check(profile, "monte_carlo"), _mc_state,
         _mc_expected_cost, _mc_marginal_stats, _mc_marginal_errors, None, _mc_hess_op,
-        sampled=True,
+        outcomes=lambda profile, cfg: profile.draw_index(cfg.seed, cfg.samples), sampled=True,
     ),
 }
 ENGINES = tuple(_ENGINES)

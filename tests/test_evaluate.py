@@ -23,7 +23,7 @@ from procache import (
 from procache import evaluate, parse_scenario
 from procache.costs import CostDomainError
 from procache.demand import sample_index
-from procache.evaluate import ENGINES, Point, cycle_tables, prefetch_volume
+from procache.evaluate import ENGINES, Point, cycle_tables, hess_operator, prefetch_volume
 from procache.experiments import SCALING_SCENARIO
 from procache.rng import substream
 
@@ -434,7 +434,8 @@ def test_the_sample_index_is_built_once_with_the_draws(two_user, quad, mc_cfg, m
             prof.draws(seed, count)
             assert prof.draw_index(seed, count) is index
         assert solve_proactive(prof, catalog, quad, cfg).iterations > 1
-        assert Point(prof, np.zeros(prof.probs.shape), catalog.sizes, quad, cfg).tables.index is index
+        point = Point(prof, np.zeros(prof.probs.shape), catalog.sizes, quad, cfg)
+        assert point.tables.outcomes is index
     assert len(built) == 3
     # the index lives on its profile: an equal profile builds its own
     twin = DemandProfile(prof.probs)
@@ -550,11 +551,15 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
                 assert not se.any() and not a_se.any() and not b_se.any()
             for t in range(prof.num_slots):
                 s = slice(t, t + 1)
-                # the slice's own sample index, built from its draws as the tables build theirs
-                index = None if tables.index is None else sample_index(
-                    prof.draws(cfg.seed, cfg.samples)[s], prof.num_items)
+                # the slice's own outcome structure: the sample index of its draws, or
+                # the batches and grids of its one-slot profile, as the tables build theirs
+                if kernels.sampled:
+                    outcomes = sample_index(prof.draws(cfg.seed, cfg.samples)[s], prof.num_items)
+                else:
+                    outcomes = kernels.outcomes(DemandProfile(prof.probs[:, s], prof.silence[:, s]),
+                                                cfg)
                 one = tables._replace(probs=tables.probs[:, s], silence=tables.silence[:, s],
-                                      v=tables.v[:, s], const=tables.const[s], index=index)
+                                      v=tables.v[:, s], const=tables.const[s], outcomes=outcomes)
                 one_state = kernels.state(one, cost)
                 value_t, se_t = kernels.expected_cost(one, one_state, cost)
                 assert (value_t[0], se_t[0]) == (value[t], se[t])
@@ -712,9 +717,15 @@ def test_a_point_evaluates_like_its_bare_allocation(engine):
 
 def test_overflow_precheck_raises_the_grids_own_error(monkeypatch):
     cfg = EvalConfig(engine="enumerate")
-    grids = []
-    joint = evaluate._joint
-    monkeypatch.setattr(evaluate, "_joint", lambda *args: grids.append(1) or joint(*args))
+    grids = []   # the loads grids the per-point builder returned
+    build = evaluate._EnumState.build
+
+    def counted(self, i):
+        grid = build(self, i)
+        grids.append(i)
+        return grid
+
+    monkeypatch.setattr(evaluate._EnumState, "build", counted)
 
     def errors(prof, x, cost, catalog):
         """The error with the precheck and without it, and the grids each built."""
@@ -796,3 +807,149 @@ def test_underflowing_outcome_probability_never_reaches_the_cost():
     gp = cost_gradient_p(prof, None, cost, cfg, catalog=catalog)
     assert np.all(np.isfinite(gp[:, :, 0]))
     assert np.all(gp[:, :, 1] == np.inf)   # one other user on it has probability 1e-200
+
+
+# ---------------------------------------------------------------------------
+# Kept grids: probabilities once per profile, loads once per point
+
+
+def _cyclic_outage():
+    """6 users, 3 slots, 4 items under an outage cost just above the heaviest
+    outcome's load of 12, with a busy middle slot.  User 0 never asks
+    for item 4 in slot 2, so slots 0 and 1 (15625 outcomes each) share one
+    batch and slot 2 (12500) has its own."""
+    rng = np.random.default_rng(24)
+    probs = rng.dirichlet(np.ones(4), size=(6, 3)) * np.array([0.2, 0.95, 0.6])[:, None]
+    probs[0, 2, 3] = 0.0
+    catalog = ItemCatalog(np.linspace(1.0, 2.0, 4))
+    return catalog, DemandProfile(probs), CostModel.outage(14.0)
+
+
+def _counting(monkeypatch, owner, name):
+    """Patch ``owner.name`` to record its first argument past ``self`` on every
+    return; the list of records."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args):
+        out = fn(*args)
+        calls.append(args[-1])
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_solve_builds_each_probability_grid_once_per_profile(monkeypatch):
+    catalog, prof, cost = _cyclic_outage()
+    built = _counting(monkeypatch, evaluate, "_chances")   # records the batch's slot count
+    solved = solve_proactive(prof, catalog, cost, EvalConfig())
+    assert solved.iterations > 1
+    outcomes = solved.allocation.tables.outcomes
+    assert [len(s) for s, *_ in outcomes.batches] == [2, 1] and outcomes.grids is not None
+    assert built == [2, 1]
+    solve_proactive(prof, catalog, cost, EvalConfig(), x0=solved.allocation.x)
+    assert built == [2, 1]   # a second solve on the profile builds none
+    solve_proactive(DemandProfile(prof.probs), catalog, cost, EvalConfig())
+    assert built == [2, 1, 2, 1]   # an equal profile builds its own
+
+
+def test_a_point_builds_each_loads_grid_once(monkeypatch):
+    catalog, prof, cost = _cyclic_outage()
+    cfg = EvalConfig()
+    built = _counting(monkeypatch, evaluate._EnumState, "build")   # records the batch
+    x = 0.01 * np.broadcast_to(catalog.sizes, prof.probs.shape)
+    d = np.random.default_rng(3).uniform(-1.0, 1.0, size=x.shape)
+    free = np.flatnonzero(d > 0.0)
+    point = Point(prof, x, catalog.sizes, cost, cfg)
+    value = expected_cycle_cost(prof, point, cost, cfg).value
+    cost_gradient_x(prof, point, cost, cfg)
+    for v in (d, x, d[::-1]):
+        cost_hess_vec(prof, point, v, cost, cfg)
+    product = hess_operator(prof, point, cost, cfg, free)
+    for v in (d.ravel()[free], x.ravel()[free]):
+        product(v)
+    cost_gradient_p(prof, point, cost, cfg)
+    assert expected_cycle_cost(prof, point, cost, cfg).value == value
+    assert built == [0, 1]
+    kept = point.state.kept
+    assert sorted(kept) == [0, 1] and not any(grid.flags.writeable for grid in kept.values())
+    for probs, live in point.tables.outcomes.grids:
+        assert not probs.flags.writeable and live is None
+
+
+def test_past_the_budget_nothing_is_kept_and_the_bits_stay(monkeypatch):
+    catalog, prof, cost = _cyclic_outage()
+    cfg = EvalConfig()
+    x = 0.01 * np.broadcast_to(catalog.sizes, prof.probs.shape)
+    d = np.random.default_rng(3).uniform(-1.0, 1.0, size=x.shape)
+    free = np.flatnonzero(d > 0.0)
+
+    def run(profile):
+        point = Point(profile, x, catalog.sizes, cost, cfg)
+        found = []
+        for _ in range(2):
+            found += [expected_cycle_cost(profile, point, cost, cfg).slot_values,
+                      cost_gradient_x(profile, point, cost, cfg),
+                      cost_hess_vec(profile, point, d, cost, cfg),
+                      hess_operator(profile, point, cost, cfg, free)(d.ravel()[free]),
+                      cost_gradient_p(profile, point, cost, cfg)]
+        solved = solve_proactive(profile, catalog, cost, cfg)
+        return point, found + [solved.allocation.x, solved.objective_trace]
+
+    _, ref = run(prof)
+    # each batch (2 x 15625 and 12500 outcomes) still fits the limit, so the
+    # batches stay the same, but the cycle's 43750 outcomes do not
+    monkeypatch.setattr(evaluate, "_ENUM_LIMIT", 40_000)
+    built = _counting(monkeypatch, evaluate, "_chances")
+    point, got = run(DemandProfile(prof.probs))
+    outcomes = point.tables.outcomes
+    assert [len(s) for s, *_ in outcomes.batches] == [2, 1]
+    assert outcomes.grids is None and point.state.kept == {}
+    assert len(built) > 10 * len(outcomes.batches)   # every call built its own
+    assert len(got) == len(ref) and all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def _underflow_cases():
+    """Every user asks for the big item at probability 1e-200, so an outcome
+    where two of them do has probability 0.0: the live-mask path.  Under the
+    outage cost that outcome would overflow mu = 60."""
+    rng = np.random.default_rng(11)
+    catalog = ItemCatalog([1.0, 50.0])
+    probs = np.zeros((3, 2, 2))
+    probs[:, :, 0], probs[:, :, 1] = 0.5, 1e-200
+    x = rng.uniform(0.0, 0.5, size=probs.shape)
+    for cost in (CostModel.quadratic(), CostModel.polynomial([0.0, 0.3, 0.1, 0.05]),
+                 CostModel.outage(60.0)):
+        d = rng.uniform(-1.0, 1.0, size=probs.shape)
+        yield catalog, DemandProfile(probs), x, d, cost, EvalConfig()
+
+
+def test_kept_grids_give_the_bits_of_a_cold_profile():
+    # cold: each quantity on a new profile and a bare array, which build
+    # every grid for that one call; warm: points on one profile, whose
+    # outcome structure and loads grids later calls read
+    rng = np.random.default_rng(24)
+    paths = set()
+    for catalog, prof, x, d, cost, cfg in (*_curvature_cases("enumerate"), *_underflow_cases()):
+        free = np.sort(rng.choice(x.size, max(1, x.size // 2), replace=False))
+        quantities = (
+            lambda p, at, **kw: expected_cycle_cost(p, at, cost, cfg, **kw).slot_values,
+            lambda p, at, **kw: cost_gradient_x(p, at, cost, cfg, **kw),
+            lambda p, at, **kw: cost_hess_vec(p, at, d, cost, cfg, **kw),
+            lambda p, at, **kw: hess_operator(p, at, cost, cfg, free, **kw)(d.ravel()[free]),
+            lambda p, at, **kw: cost_gradient_p(p, at, cost, cfg, **kw),
+        )
+        cold = [q(DemandProfile(prof.probs, prof.silence), x, catalog=catalog) for q in quantities]
+        for _ in range(2):   # the second point finds the profile's structure built
+            point = Point(prof, x, catalog.sizes, cost, cfg)
+            for _ in range(2):   # the second round reads the point's kept loads grids
+                for q, ref in zip(quantities, cold):
+                    assert np.array_equal(q(prof, point), ref)
+            outcomes = point.tables.outcomes
+            assert outcomes.grids is not None
+            assert len(point.state.kept) == len(outcomes.batches)
+        if any(cols is not None for _, _, cols, _ in outcomes.batches):
+            paths.add("column order")
+        if any(live is not None for _, live in outcomes.grids):
+            paths.add("live mask")
+    assert paths == {"column order", "live mask"}

@@ -717,15 +717,7 @@ def test_a_point_evaluates_like_its_bare_allocation(engine):
 
 def test_overflow_precheck_raises_the_grids_own_error(monkeypatch):
     cfg = EvalConfig(engine="enumerate")
-    grids = []   # the loads grids the per-point builder returned
-    build = evaluate._EnumState.build
-
-    def counted(self, i):
-        grid = build(self, i)
-        grids.append(i)
-        return grid
-
-    monkeypatch.setattr(evaluate._EnumState, "build", counted)
+    grids = _counting(monkeypatch, evaluate._EnumState, "build")   # loads grids built per point
 
     def errors(prof, x, cost, catalog):
         """The error with the precheck and without it, and the grids each built."""
@@ -826,8 +818,8 @@ def _cyclic_outage():
 
 
 def _counting(monkeypatch, owner, name):
-    """Patch ``owner.name`` to record its first argument past ``self`` on every
-    return; the list of records."""
+    """Patch ``owner.name`` to record its last argument each time it returns;
+    the list of records (a call that raises records nothing)."""
     calls, fn = [], getattr(owner, name)
 
     def counted(*args):
@@ -924,6 +916,29 @@ def _underflow_cases():
         yield catalog, DemandProfile(probs), x, d, cost, EvalConfig()
 
 
+def _rebuilt_marginals(prof, x, sizes, weight, d=None):
+    """The enumeration's ``(a, b)`` with every grid built for the call and
+    multiplied in the order the kernels keep: ``P weight(Y)``, then ``dY``."""
+    w = np.concatenate([prof.silence[:, :, None], prof.probs], axis=2).transpose(1, 0, 2)
+    n_slots, n_users, width = w.shape
+    tabs = [w, evaluate._values(sizes - x)] + ([] if d is None else [evaluate._values(d, True)])
+    const = [prefetch_volume(x)] + ([] if d is None else [prefetch_volume(d)])
+    a, b = np.empty(n_slots), np.empty((n_users, n_slots, width - 1))
+    for s, widths, cols in evaluate._batches(w):
+        ws, *vs = [evaluate._cut(tab, s, widths, cols) for tab in tabs]
+        probs = evaluate._grid(ws, np.multiply, np.ones(len(s)))
+        loads = evaluate._grid(vs[0], np.add, const[0][s])
+        probs *= evaluate._on_live(weight, loads, probs > 0.0)
+        if d is not None:
+            probs *= evaluate._grid(vs[1], np.add, const[1][s])
+        sums = evaluate._axis_sums(probs, widths, width)
+        a[s] = sums[0].sum(axis=1)
+        if cols is not None:
+            np.put_along_axis(sums, cols.transpose(1, 0, 2), sums.copy(), axis=2)
+        b[:, s] = sums[:, :, 1:]
+    return a, b
+
+
 def test_kept_grids_give_the_bits_of_a_cold_profile():
     # cold: each quantity on a new profile and a bare array, which build
     # every grid for that one call; warm: points on one profile, whose
@@ -948,6 +963,11 @@ def test_kept_grids_give_the_bits_of_a_cold_profile():
             outcomes = point.tables.outcomes
             assert outcomes.grids is not None
             assert len(point.state.kept) == len(outcomes.batches)
+            for got, ref in ((cfg.kernels.marginal_stats(point.tables, point.state, cost),
+                              _rebuilt_marginals(prof, x, catalog.sizes, cost.marginal)),
+                             (point.curvature(d),
+                              _rebuilt_marginals(prof, x, catalog.sizes, cost.second, d))):
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
         if any(cols is not None for _, _, cols, _ in outcomes.batches):
             paths.add("column order")
         if any(live is not None for _, live in outcomes.grids):

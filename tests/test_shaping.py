@@ -77,6 +77,20 @@ OUTAGE_TRACE = (
 OUTAGE_PEAK_U0 = (0.8758308798319185, 0.1241691201680813, 0.0)
 OUTAGE_PEAK_U1 = (0.31508932955606500, 0.21876988147825860, 0.46614078896567634)
 
+# six users, three slots and four items under a tight outage cost, on the
+# enumerate engine: bits frozen at the commit before the enumeration kept
+# its grids.  Users 4 and 5 differ from the rest in the last bits of their
+# peak rows, because each user's marginal is summed along its own axis.
+CYCLIC_TRACE = (0.786213600171236, 0.5434108134954364, 0.5429416301909086, 0.5429415118271775)
+CYCLIC_OFFPEAK = (   # slots 0 and 2, every user
+    (0.13274698840143773, 0.056830751167851724, 0.010422260430710494, 0.0),
+    (0.3981352166756894, 0.17069474617710578, 0.03117003714720482, 0.0),
+)
+CYCLIC_PEAK = 4 * [(0.642455699079791, 0.24344892002083612, 0.06409538089937275, 0.0)] + [
+    (0.6424556990797912, 0.24344892002083604, 0.06409538089937296, 0.0),
+    (0.6424556990797912, 0.24344892002083615, 0.0640953808993728, 0.0),
+]
+
 SPLIT_ALPHA_FINAL = 0.5565801553451664  # outage run with alpha = (0.1, 0.6)
 SPLIT_PEAK_U0 = (0.83140845952391829, 0.12037817718367866, 0.04821336329240311)
 SPLIT_PEAK_U1 = (0.35370337639743610, 0.45126487449667452, 0.19503174910588944)
@@ -260,6 +274,28 @@ def test_shape_demand_outage_frozen(two_user, outage, enum_cfg):
     # the first user's peak ball reaches the nonnegativity face and pins
     # the unpopular item at exactly zero mass
     assert result.profile.probs[0, 1, 2] == 0.0
+
+
+def cyclic_outage_scenario() -> dict:
+    """Six identical users, Zipf rows on four items of sizes linspace(1, 2) at
+    activities (0.2, 0.95, 0.6), outage capacity 1.05 * 6 * 2, alpha 0.2."""
+    sizes = np.linspace(1.0, 2.0, 4)
+    w = np.arange(1, 5, dtype=float) ** -1.0
+    rows = np.stack([a * w / w.sum() for a in (0.2, 0.95, 0.6)])
+    return {"sizes": sizes.tolist(), "profiles": np.broadcast_to(rows, (6, 3, 4)).tolist(),
+            "cost": {"kind": "outage", "mu": 1.05 * 6 * 2.0}, "eval": {"engine": "enumerate"},
+            "alpha": 0.2}
+
+
+def test_shape_demand_cyclic_outage_frozen():
+    scn = parse_scenario(cyclic_outage_scenario())
+    result = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
+    assert result.stop == "tol"
+    assert tuple(result.trace.objectives) == CYCLIC_TRACE
+    assert result.profile.probs.tolist() == [
+        [list(CYCLIC_OFFPEAK[0]), list(peak), list(CYCLIC_OFFPEAK[1])] for peak in CYCLIC_PEAK
+    ]
+    assert np.array_equal(result.profile.silence, scn.profile.silence)
 
 
 def test_shape_demand_is_stationary_at_its_answer(two_user, quad, enum_cfg):

@@ -23,7 +23,6 @@ from .evaluate import (
     UnsupportedEngineError,
     cost_gradient_p,
     cost_gradient_x,
-    cost_hess_vec,
     expected_cycle_cost,
     nonproactive_cost,
 )

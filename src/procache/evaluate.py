@@ -12,8 +12,7 @@ wrap modulo T.  The cycle objective is the slot average of ``E[C(Y_t)]``.
 Three interchangeable engines evaluate the expectations.  Each is one
 :class:`Engine` record: a guard, the state it builds at an allocation, and
 the kernels that read that state (value, marginal costs, probability
-gradient, and the curvature operator behind :func:`hess_operator` and
-:func:`cost_hess_vec`).
+gradient, and the curvature operator behind :func:`hess_operator`).
 :attr:`EvalConfig.kernels` is the one place the engine name is looked up.
 The kernels work on :class:`Tables`, all slots batched in the profile's own
 (K, T, M) layout; a one-slot slice is the batch of one.
@@ -36,10 +35,9 @@ tables once, on first use, and the engine's state at ``x`` once, so a
 solver that asks for the value, the gradient and many Hessian products at
 one iterate pays for them once.  The cycle-level functions take a point
 or a bare (N, T, M) array, which needs ``catalog=`` (``None`` is the zero
-allocation) and becomes a point for the one call.  A Newton-CG iteration
-takes its products from one :func:`hess_operator` on its free coordinates;
-:func:`cost_hess_vec` is that operator with every coordinate free, and
-writes into a caller's ``out`` buffer (``d`` itself if the caller likes).
+allocation) and becomes a point for the one call.  The one Hessian product
+is :func:`hess_operator`, built on a set of free coordinates: a Newton-CG
+iteration builds one on its free set and takes all its products from it.
 
 * ``enumerate``: exact product-form enumeration, feasible while
   ``(M+1)^N <= 1e7`` per slot.  Each user's axis holds only the choices it
@@ -146,7 +144,6 @@ class Tables(NamedTuple):
     """
 
     probs: np.ndarray
-    silence: np.ndarray
     v: np.ndarray
     const: np.ndarray
     outcomes: object
@@ -176,8 +173,8 @@ def cycle_tables(
     """Every slot's kernel inputs at allocation ``x``, ``const`` its
     :func:`prefetch_volume`."""
     counts = profile.weights
-    return Tables(profile.probs, profile.silence, sizes[None, None, :] - x,
-                  prefetch_volume(x, counts), cfg.kernels.outcomes(profile, cfg), counts)
+    return Tables(profile.probs, sizes[None, None, :] - x, prefetch_volume(x, counts),
+                  cfg.kernels.outcomes(profile, cfg), counts)
 
 
 class Point:
@@ -187,9 +184,8 @@ class Point:
     and ``sizes`` one entry per item (``x`` is not checked against them).  The
     :class:`Tables` are built on first use and the engine's state at ``x``
     (:attr:`Engine.state`) once, and every value, gradient and Hessian
-    product at the point reads them; :func:`cost_hess_vec` builds the
-    curvature operator on every coordinate once too.  ``x`` is made
-    read-only: an in-place write would leave that state stale.
+    product at the point reads them.  ``x`` is made read-only: an in-place
+    write would leave that state stale.
     """
 
     def __init__(self, profile: DemandProfile, x, sizes: np.ndarray, cost: CostModel,
@@ -209,11 +205,6 @@ class Point:
     @cached_property
     def state(self):
         return self.cfg.kernels.state(self.tables, self.cost)
-
-    @cached_property
-    def curvature(self):
-        """The engine's curvature operator on every coordinate (``free=None``)."""
-        return self.cfg.kernels.hess_op(self.tables, self.state, self.cost, None)
 
 
 def _values(v: np.ndarray, direction: bool = False) -> np.ndarray:
@@ -423,19 +414,18 @@ def _enum_expected_cost(tables: Tables, state: _EnumState, cost: CostModel):
     return out, np.zeros(len(tables.const))
 
 
-def _enum_marginals(tables: Tables, state: _EnumState, weight, d=None, dconst=None, out=None):
+def _enum_marginals(tables: Tables, state: _EnumState, weight, d=None, dconst=None):
     """``(a, b)`` with ``a = E[W]`` and ``b[n] = E[I_n(m) W]``, ``W = weight(Y)``
     times ``dY`` when ``(d, dconst)`` give a direction (see :class:`Engine`).
     ``b[n]`` is the axis-n marginal of ``P W`` over the joint grid, since
     ``P(c) = prod_n w[n, c_n]``; items of zero weight get 0.  ``P W`` is
-    built in the new grid ``weight(Y)``, never in a kept one.  ``b`` is
-    written into ``out`` when given, which may be ``d``: its loads are read
-    first."""
+    built in the new grid ``weight(Y)``, never in a kept one.  Along a
+    direction ``b`` is written over ``d``, whose loads are read first."""
     outcomes = tables.outcomes
     n_slots, n_users, width = outcomes.w.shape
     dval = None if d is None else _values(d, direction=True)
     a = np.empty(n_slots)
-    b = np.empty((n_users, n_slots, width - 1)) if out is None else out
+    b = np.empty((n_users, n_slots, width - 1)) if d is None else d
     for i, (s, widths, cols, _) in enumerate(outcomes.batches):
         probs, live = outcomes.chances(i)
         grid = _on_live(weight, state.loads(i), live)
@@ -456,8 +446,8 @@ def _enum_marginal_stats(tables: Tables, state, cost: CostModel):
     return _enum_marginals(tables, state, cost.marginal)
 
 
-def _enum_hess_vec(tables: Tables, state, d, dconst, cost: CostModel, out=None):
-    return _enum_marginals(tables, state, cost.second, d, dconst, out)
+def _enum_hess_vec(tables: Tables, state, d, dconst, cost: CostModel):
+    return _enum_marginals(tables, state, cost.second, d, dconst)
 
 
 def _enum_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
@@ -523,13 +513,13 @@ def _analytic_marginal_stats(tables: Tables, state, cost: CostModel):
     return cost.marginal(ey), b
 
 
-def _analytic_hess_vec(tables: Tables, state, d, dconst, cost: CostModel, out=None):
+def _analytic_hess_vec(tables: Tables, state, d, dconst, cost: CostModel):
     """``C''`` is the state's constant ``state[2]`` and a request's load moves
     by ``-d``, so ``da = C'' dE[Y]`` and ``db = C'' p (dE[Y] + E[d_n] - d)``,
-    built in ``out`` (which may be ``d``) or in one new buffer."""
+    built over ``d``."""
     dmean_u = np.einsum("ntm,ntm->nt", tables.probs, d)
     dey = dconst - weigh_classes(dmean_u, tables.counts).sum(axis=0)
-    db = np.subtract((dey + dmean_u)[:, :, None], d, out=out)
+    db = np.subtract((dey + dmean_u)[:, :, None], d, out=d)
     db *= tables.probs
     db *= state[2]
     return state[2] * dey, db
@@ -610,54 +600,43 @@ def _mc_hess_op(tables: Tables, loads, cost: CostModel, free):
     as a ``bincount`` over every draw does: the same sums, bit for bit."""
     index, shape = tables.outcomes, tables.v.shape
     n_slots, n_users, k = index.shape
-    whole = free is None
     position = np.full((n_slots, n_users, shape[2] + 1), -1)   # each bin's place in free
-    if whole:
-        free = np.arange(tables.v.size)
-        position[:, :, 1:] = free.reshape(shape).transpose(1, 0, 2)
-    else:
-        n, t, m = np.unravel_index(free, shape)
-        position[t, n, m + 1] = np.arange(free.size)
+    n, t, m = np.unravel_index(free, shape)
+    position[t, n, m + 1] = np.arange(free.size)
     hit = position.ravel().take(index).ravel()
     draws = np.flatnonzero(hit >= 0)
     sample = np.broadcast_to(np.arange(n_slots * k).reshape(n_slots, 1, k), index.shape)
     bins, samples = hit[draws], sample.ravel()[draws]   # samples: t K + k, into (T, K)
     curv = cost.second(loads)
-    scatter = None if whole else np.zeros(shape)
+    scatter = np.zeros(shape)
 
-    def product(v, dconst=None, out=None):
-        if whole:
-            d, v = v, np.ravel(v)
-        else:
-            d = scatter
-            d.flat[free] = v
+    def product(v, dconst=None):
+        if dconst is None:
+            scatter.flat[free] = v
+            dconst = prefetch_volume(scatter)
         dy = np.empty((n_slots, k))
-        dy[:] = (prefetch_volume(d) if dconst is None else dconst)[:, None]
+        dy[:] = dconst[:, None]
         np.add.at(dy.ravel(), samples, np.subtract(0.0, v[bins]))
         dy *= curv
         # no hitting draw leaves an empty, integer bincount: the division makes it float
         total = np.bincount(bins, weights=dy.ravel()[samples], minlength=free.size)
-        return dy.mean(axis=1), np.divide(total.reshape(shape) if whole else total, k, out=out)
+        return dy.mean(axis=1), total / k
     return product
 
 
 def _scattered(kernel):
-    """An exact engine's ``hess_op`` over its full-array ``kernel(tables,
-    state, d, dconst, cost, out)``: on a free set the direction is scattered
-    into one zeroed buffer, which also takes ``db``, gathered back on ``free``."""
+    """An exact engine's ``hess_op`` over its whole-array ``kernel(tables,
+    state, d, dconst, cost)``, which builds ``db`` over ``d``: the direction
+    is scattered into one zeroed buffer and ``db`` gathered back on ``free``."""
     def build(tables: Tables, state, cost: CostModel, free):
-        def full(d, dconst=None, out=None):
-            if dconst is None:
-                dconst = prefetch_volume(d, tables.counts)
-            return kernel(tables, state, d, dconst, cost, out)
-        if free is None:
-            return full
         scatter = np.empty(tables.v.shape)
 
-        def product(v):
+        def product(v, dconst=None):
             scatter.fill(0.0)
             scatter.flat[free] = v
-            da, db = full(scatter, out=scatter)
+            if dconst is None:
+                dconst = prefetch_volume(scatter, tables.counts)
+            da, db = kernel(tables, state, scatter, dconst, cost)
             return da, db.ravel()[free]
         return product
     return build
@@ -688,17 +667,15 @@ class Engine:
     * ``gradient_p``: ``E_-n[C(Y) | n -> m] - E_-n[C(Y) | n silent]`` (N, T, M);
       ``None`` on ``monte_carlo``, which has no conditional expectations.
 
-    ``hess_op(tables, state, cost, free)`` builds the curvature operator:
-    ``product(v)`` gives ``(da, db)``, ``da = E[C''(Y) dY]`` (T,) and ``db =
-    E[I_n(m) C''(Y) dY]`` on ``free`` (distinct flat coordinates into (N,
-    T, M)), for a direction whose entries there are ``v`` and zero
-    elsewhere.  With ``free=None``, ``product(d, dconst=None, out=None)``
-    takes the whole direction ``d`` and gives ``db`` (N, T, M), into ``out``
-    when given, which may be ``d``: a kernel reads all of ``d`` first.
-    ``dconst`` (T,) is the direction's :func:`prefetch_volume`, taken from
-    it when not given: ``dY_t = dconst[t] - sum_n d[n, t, m_n]``.  The
-    outcome distribution does not depend on the allocation, so these are
-    the exact derivatives of ``marginal_stats``' ``(a, b)`` along ``d``.
+    ``hess_op(tables, state, cost, free)`` builds the curvature operator on
+    ``free`` (distinct flat coordinates into (N, T, M)): ``product(v,
+    dconst=None)`` gives ``(da, db)``, ``da = E[C''(Y) dY]`` (T,) and ``db =
+    E[I_n(m) C''(Y) dY]`` on ``free``, for a direction ``d`` whose entries
+    there are ``v`` and zero elsewhere.  ``dconst`` (T,) is ``d``'s
+    :func:`prefetch_volume`, taken from it when not given (a one-slot slice
+    of the tables needs it given): ``dY_t = dconst[t] - sum_n d[n, t, m_n]``.
+    The outcome distribution does not depend on the allocation, so these
+    are the exact derivatives of ``marginal_stats``' ``(a, b)`` along ``d``.
 
     Rows are classes of ``tables.counts`` identical users.  An engine with
     ``classes`` weights every sum over rows by the counts, so its ``a`` and
@@ -710,8 +687,8 @@ class Engine:
     sample index.  The exact engines' errors are zeros, ``b_se`` a read-only
     broadcast; only :func:`~procache.proactive.active_sets` asks for them,
     so the hot ``cost_gradient_x`` path computes no errors.
-    ``b`` and ``db`` are new arrays (or ``out``) that the cycle-level
-    functions turn into the gradient and the product in place.
+    ``b`` and ``db`` are new arrays, which the cycle-level functions turn
+    into the gradient and the product in place.
     """
 
     check: Callable
@@ -815,38 +792,6 @@ def cost_gradient_x(
     return _combine(a, b, point.tables)
 
 
-def cost_hess_vec(
-    profile: DemandProfile,
-    allocation,
-    d: np.ndarray,
-    cost: CostModel,
-    cfg: EvalConfig,
-    catalog: ItemCatalog | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Hessian of the cycle cost in the allocation times the direction ``d``, (N, T, M).
-
-    Moving the allocation along ``d`` changes the load of slot t by
-    ``dY_t = sum_{n, m} d[n, t+1, m] - sum_n d[n, t, m_n]``, the second sum
-    over the users requesting some ``m_n``.  The derivative of
-    :func:`cost_gradient_x` along ``d`` is therefore
-    ``(E[C''(Y_{t-1}) dY_{t-1}] - E[I_{n,t}(m) C''(Y_t) dY_t]) / T``, exact on
-    every engine because the outcome distribution does not depend on the
-    allocation.  The kernel reads ``d`` as it is, with its
-    :func:`prefetch_volume`.  Given a :class:`Point`, every product reads its
-    tables, state and curvature operator instead of building them again.  On a profile
-    of classes ``d``'s row k moves every user of class k, and the product's
-    row is scaled by the count, as in :func:`cost_gradient_x`.
-
-    The product is written into ``out`` when given (a float (N, T, M)
-    array, which may be ``d`` itself), so a solver that keeps one buffer
-    takes its products without an allocation of that size.
-    """
-    point = _checked_point(profile, allocation, cost, cfg, catalog)
-    da, db = point.curvature(np.asarray(d, dtype=float), out=out)
-    return _combine(da, db, point.tables)
-
-
 def hess_operator(
     profile: DemandProfile,
     allocation,
@@ -855,14 +800,22 @@ def hess_operator(
     free: np.ndarray,
     catalog: ItemCatalog | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The Hessian of the cycle cost on the coordinates ``free`` (distinct
-    flat indices into (N, T, M)), as a product ``hv(v)``.
+    """The Hessian of the cycle cost in the allocation on the coordinates
+    ``free`` (distinct flat indices into (N, T, M)), as a product ``hv(v)``
+    that takes and returns new vectors shaped like ``free``: ``v`` holds the
+    entries there of a direction ``d`` that is zero elsewhere.
 
-    ``v`` holds a direction's entries on ``free`` (zero elsewhere); ``hv``
-    returns :func:`cost_hess_vec`'s entries there, bit for bit, as a new
-    vector.  What every product shares (on Monte Carlo the draws that hit
-    ``free`` and ``C''(Y)``) is built once, here.  The operator keeps the
-    point alive.
+    Moving the allocation along ``d`` changes the load of slot t by
+    ``dY_t = sum_{n, m} d[n, t+1, m] - sum_n d[n, t, m_n]``, the second sum
+    over the users requesting some ``m_n``.  The derivative of
+    :func:`cost_gradient_x` along ``d`` is therefore
+    ``(E[C''(Y_{t-1}) dY_{t-1}] - E[I_{n,t}(m) C''(Y_t) dY_t]) / T``, exact on
+    every engine because the outcome distribution does not depend on the
+    allocation.  On a profile of classes ``d``'s row k moves every user of
+    class k, and the product's row is scaled by the count, as in
+    :func:`cost_gradient_x`.  What every product shares is built once,
+    here: the point's tables and state, and on Monte Carlo the draws that
+    hit ``free`` and ``C''(Y)``.  The operator keeps the point alive.
     """
     point = _checked_point(profile, allocation, cost, cfg, catalog)
     tables = point.tables
@@ -872,6 +825,8 @@ def hess_operator(
     scale = None if tables.counts is None else tables.counts[rows]
 
     def hv(v):
+        if np.shape(v) != free.shape:
+            raise ValueError(f"product vector {np.shape(v)} on a free set of {free.shape}")
         # _combine on the free coordinates: (da[t-1] - db) / T, times the count
         da, db = product(v)
         np.subtract(da[prev], db, out=db)

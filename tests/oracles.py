@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from procache import DemandProfile, RatingVector, sample_outcomes
-from procache.evaluate import cost_gradient_x, cycle_tables, expected_cycle_cost, weigh_classes
+from procache.evaluate import (cost_gradient_x, cycle_tables, expected_cycle_cost, hess_operator,
+                               weigh_classes)
 
 
 @dataclass(frozen=True)
@@ -265,6 +266,19 @@ def coeff_marginal_stats(tables, cost):
     b += c1
     b *= tables.probs
     return c1 + 2.0 * c2 * ey, b
+
+
+def hess_vec(profile, allocation, d, cost, cfg, catalog=None) -> np.ndarray:
+    """The cycle cost's Hessian times the whole direction ``d`` (N, T, M):
+    :func:`~procache.evaluate.hess_operator` with every coordinate free."""
+    hv = hess_operator(profile, allocation, cost, cfg, np.arange(np.size(d)), catalog)
+    return hv(np.ravel(d)).reshape(np.shape(d))
+
+
+def kernel_hess_vec(engine, tables, state, cost, d, dconst=None):
+    """An engine's curvature kernel ``(da, db)`` along the whole direction ``d``."""
+    da, db = engine.hess_op(tables, state, cost, np.arange(d.size))(d.ravel(), dconst)
+    return da, db.reshape(d.shape)
 
 
 def coeff_hess_vec(tables, d, dconst, cost):

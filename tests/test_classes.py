@@ -19,7 +19,6 @@ from procache import (
     active_sets,
     cost_gradient_p,
     cost_gradient_x,
-    cost_hess_vec,
     expected_cycle_cost,
     parse_scenario,
     policy_a,
@@ -33,7 +32,8 @@ from procache.evaluate import cycle_tables, prefetch_volume
 from procache.experiments import SCALING_SCENARIO, two_user_scenario_dict
 from procache.scenario import ScenarioError, save_scenario
 
-from oracles import coeff_expected_cost, coeff_gradient_p, coeff_hess_vec, coeff_marginal_stats
+from oracles import (coeff_expected_cost, coeff_gradient_p, coeff_hess_vec, coeff_marginal_stats,
+                     hess_vec, kernel_hess_vec)
 
 ANALYTIC = EvalConfig(engine="analytic_quadratic")
 EXACT = 1e-12
@@ -84,8 +84,8 @@ def test_class_kernels_equal_the_per_user_kernels_folded_by_class():
         for fn in (cost_gradient_x, cost_gradient_p):
             got = fn(pc, x, cost, ANALYTIC, catalog=catalog)
             assert _rel(got, fold(fn(pe, rep(x), cost, ANALYTIC, catalog=catalog))) <= EXACT
-        got = cost_hess_vec(pc, x, d, cost, ANALYTIC, catalog=catalog)
-        want = cost_hess_vec(pe, rep(x), rep(d), cost, ANALYTIC, catalog=catalog)
+        got = hess_vec(pc, x, d, cost, ANALYTIC, catalog=catalog)
+        want = hess_vec(pe, rep(x), rep(d), cost, ANALYTIC, catalog=catalog)
         assert _rel(got, fold(want)) <= EXACT
 
 
@@ -102,7 +102,7 @@ def test_analytic_kernels_equal_the_coefficient_form(per_user):
         pairs = [
             ((engine.expected_cost(tables, state, cost)[0],), (coeff_expected_cost(tables, cost),)),
             (engine.marginal_stats(tables, state, cost)[:2], coeff_marginal_stats(tables, cost)),
-            (engine.hess_op(tables, state, cost, None)(d, dconst),
+            (kernel_hess_vec(engine, tables, state, cost, d, dconst),
              coeff_hess_vec(tables, d, dconst, cost)),
             ((engine.gradient_p(tables, state, cost),), (coeff_gradient_p(tables, cost),)),
         ]

@@ -15,7 +15,6 @@ from procache import (
     UnsupportedEngineError,
     cost_gradient_p,
     cost_gradient_x,
-    cost_hess_vec,
     expected_cycle_cost,
     nonproactive_cost,
     solve_proactive,
@@ -28,7 +27,7 @@ from procache.experiments import SCALING_SCENARIO
 from procache.rng import substream
 
 from conftest import random_instance
-from oracles import RequestOutcome, slot_load, slot_marginal_stats
+from oracles import RequestOutcome, hess_vec, kernel_hess_vec, slot_load, slot_marginal_stats
 
 NONPROACTIVE_QUAD = 19.560000000000006
 NONPROACTIVE_QUAD_SLOTS = (2.4000000000000004, 36.720000000000013)
@@ -301,7 +300,7 @@ def test_batched_monte_carlo_equals_per_slot_oracle(kind):
         state = cfg.kernels.state(tables, cost)
         a_se, b_se = cfg.kernels.marginal_errors(tables, state, cost, b)
         dconst = prefetch_volume(d)
-        da, db = cfg.kernels.hess_op(tables, state, cost, None)(d, dconst)
+        da, db = kernel_hess_vec(cfg.kernels, tables, state, cost, d, dconst)
         draws = prof.draws(cfg.seed, cfg.samples)
         for t in range(n_slots):
             val = np.concatenate([np.zeros((n_users, 1)), catalog.sizes - x[:, t]], axis=1)
@@ -324,7 +323,7 @@ def test_batched_monte_carlo_equals_per_slot_oracle(kind):
 
 def _loop_mc_product(prof, x, sizes, d, cost, cfg):
     """Reference: the Monte Carlo Hessian product (N, T, M) slot by slot from
-    the per-user loop oracles, combined as :func:`cost_hess_vec` combines."""
+    the per-user loop oracles, combined as :func:`hess_operator` combines."""
     n_users, n_slots, _ = prof.probs.shape
     draws, dconst = prof.draws(cfg.seed, cfg.samples), prefetch_volume(d)
     da, db = np.empty(n_slots), np.empty(d.shape)
@@ -340,9 +339,9 @@ def _loop_mc_product(prof, x, sizes, d, cost, cfg):
                                            if (e, k) != ("analytic_quadratic", "outage")])
 def test_an_operator_on_a_free_set_equals_the_full_product_there(engine, kind):
     # on random free sets, on one that no draw hits and on every coordinate,
-    # the operator's product is cost_hess_vec's entries on the free set, bit
-    # for bit, for a direction zero elsewhere; on Monte Carlo both are the
-    # per-user loop oracle's
+    # the operator's product is the whole product's entries on the free set,
+    # bit for bit, for a direction zero elsewhere; on Monte Carlo both are
+    # the per-user loop oracle's
     rng = np.random.default_rng(23)
     sampled, unhit = engine == "monte_carlo", 0
     for case in range(36):
@@ -377,7 +376,7 @@ def test_an_operator_on_a_free_set_equals_the_full_product_there(engine, kind):
             masked = np.zeros(shape)
             masked.flat[free] = d.flat[free]
             got = evaluate.hess_operator(prof, point, cost, cfg, free)(d.ravel()[free])
-            full = cost_hess_vec(prof, point, masked, cost, cfg)
+            full = hess_vec(prof, point, masked, cost, cfg)
             assert got.dtype == float and got.shape == free.shape
             assert np.array_equal(got, full.ravel()[free])
             if sampled:
@@ -546,7 +545,7 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
             grad_p = kernels.gradient_p(tables, state, cost) if exact else None
             d = x[::-1, ::-1]
             dconst = prefetch_volume(d)
-            da, db = kernels.hess_op(tables, state, cost, None)(d, dconst)
+            da, db = kernel_hess_vec(kernels, tables, state, cost, d, dconst)
             if exact:
                 assert not se.any() and not a_se.any() and not b_se.any()
             for t in range(prof.num_slots):
@@ -558,8 +557,8 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
                 else:
                     outcomes = kernels.outcomes(DemandProfile(prof.probs[:, s], prof.silence[:, s]),
                                                 cfg)
-                one = tables._replace(probs=tables.probs[:, s], silence=tables.silence[:, s],
-                                      v=tables.v[:, s], const=tables.const[s], outcomes=outcomes)
+                one = tables._replace(probs=tables.probs[:, s], v=tables.v[:, s],
+                                      const=tables.const[s], outcomes=outcomes)
                 one_state = kernels.state(one, cost)
                 value_t, se_t = kernels.expected_cost(one, one_state, cost)
                 assert (value_t[0], se_t[0]) == (value[t], se[t])
@@ -570,8 +569,8 @@ def test_kernels_on_one_slot_slices_equal_the_full_batch(engine):
                 if exact:
                     assert np.array_equal(kernels.gradient_p(one, one_state, cost)[:, 0],
                                           grad_p[:, t])
-                da_t, db_t = kernels.hess_op(one, one_state, cost, None)(d[:, t:t + 1],
-                                                                      dconst[t:t + 1])
+                da_t, db_t = kernel_hess_vec(kernels, one, one_state, cost, d[:, t:t + 1],
+                                             dconst[t:t + 1])
                 assert da_t[0] == da[t] and np.array_equal(db_t[:, 0], db[:, t])
 
             # the cycle-level functions are the full batch
@@ -615,7 +614,7 @@ def test_a_point_builds_its_engine_state_once(engine, two_user, quad, monkeypatc
     expected_cycle_cost(prof, point, quad, cfg)
     cost_gradient_x(prof, point, quad, cfg)
     for d in (x, x[::-1]):
-        cost_hess_vec(prof, point, d, quad, cfg)
+        hess_vec(prof, point, d, quad, cfg)
     if cfg.kernels.gradient_p is not None:
         cost_gradient_p(prof, point, quad, cfg)
     assert len(builds) == 1
@@ -651,7 +650,7 @@ def test_hess_vec_is_the_derivative_of_the_gradient(engine):
             return (up - down) / (2.0 * step)
 
         fd = (4.0 * diff(h / 2) - diff(h)) / 3.0
-        hv = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog)
+        hv = hess_vec(prof, x, d, cost, cfg, catalog=catalog)
         assert np.abs(hv - fd).max() <= 1e-9 * np.abs(fd).max()
 
 
@@ -659,39 +658,42 @@ def test_analytic_hess_vec_equals_enumeration():
     for (catalog, prof, x, d, cost, cfg), (*_, ref_cfg) in zip(
         _curvature_cases("analytic_quadratic"), _curvature_cases("enumerate")
     ):
-        got = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog)
-        ref = cost_hess_vec(prof, x, d, cost, ref_cfg, catalog=catalog)
+        got = hess_vec(prof, x, d, cost, cfg, catalog=catalog)
+        ref = hess_vec(prof, x, d, cost, ref_cfg, catalog=catalog)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_hess_vec_into_out_equals_a_new_product(engine):
-    for catalog, prof, x, d, cost, cfg in _curvature_cases(engine):
-        ref = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog)
-        buf = np.full_like(d, np.nan)
-        got = cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog, out=buf)
-        assert got is buf and np.array_equal(got, ref)
-        # the product written over its own direction reads all of it first
-        over = d.copy()
-        got = cost_hess_vec(prof, x, over, cost, cfg, catalog=catalog, out=over)
-        assert got is over and np.array_equal(got, ref)
-
-
-def test_an_analytic_product_into_a_buffer_allocates_no_full_size_array():
+def test_an_analytic_product_holds_two_plan_sized_arrays():
+    # every coordinate free on the per-user plan: the operator's own buffer
+    # takes the direction and db, so a product holds only the gathered result
+    # and da[prev]
     scn = parse_scenario(SCALING_SCENARIO).with_users(200)
     prof, cost, cfg = scn.profile.expanded(), scn.cost, scn.cfg   # the full-N path
     point = Point(prof, np.zeros(prof.probs.shape), scn.catalog.sizes, cost, cfg)
-    d = np.random.default_rng(4).uniform(-1.0, 1.0, size=prof.probs.shape)
-    buf = np.empty_like(d)
-    ref = cost_hess_vec(prof, point, d, cost, cfg)   # builds the point's tables
+    v = np.random.default_rng(4).uniform(-1.0, 1.0, size=prof.probs.size)
+    hv = hess_operator(prof, point, cost, cfg, np.arange(v.size))   # builds the point's tables
+    ref = hv(v)
     tracemalloc.start()
     try:
-        cost_hess_vec(prof, point, d, cost, cfg, out=buf)
+        got = hv(v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(buf, ref)
-    assert peak < prof.probs.nbytes, peak
+    assert np.array_equal(got, ref)
+    assert peak < 2.01 * prof.probs.nbytes, peak / prof.probs.nbytes
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_product_refuses_a_vector_not_shaped_like_its_free_set(engine, two_user, quad):
+    # unchecked, the scatter cycles or truncates a wrong-length vector
+    catalog, prof = two_user
+    cfg = EvalConfig(engine=engine, samples=50, seed=3)
+    free = np.array([0, 2, 5, 7, 11])
+    hv = hess_operator(prof, None, quad, cfg, free, catalog=catalog)
+    for shape in ((1,), (2,), (4,), (6,), (8,), (5, 1), ()):
+        with pytest.raises(ValueError, match=f"{re.escape(str(shape))}.*{re.escape('(5,)')}"):
+            hv(np.ones(shape))
+    assert hv(np.ones(5)).shape == (5,)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -706,8 +708,8 @@ def test_a_point_evaluates_like_its_bare_allocation(engine):
             assert np.array_equal(res.slot_stderrs, ref.slot_stderrs)
             assert np.array_equal(cost_gradient_x(prof, point, cost, cfg),
                                   cost_gradient_x(prof, x, cost, cfg, catalog=catalog))
-            assert np.array_equal(cost_hess_vec(prof, point, d, cost, cfg),
-                                  cost_hess_vec(prof, x, d, cost, cfg, catalog=catalog))
+            assert np.array_equal(hess_vec(prof, point, d, cost, cfg),
+                                  hess_vec(prof, x, d, cost, cfg, catalog=catalog))
         assert x.flags.writeable    # a bare allocation is viewed, not frozen
         with pytest.raises(ValueError):
             point.x[0, 0, 0] = 0.0
@@ -856,7 +858,7 @@ def test_a_point_builds_each_loads_grid_once(monkeypatch):
     value = expected_cycle_cost(prof, point, cost, cfg).value
     cost_gradient_x(prof, point, cost, cfg)
     for v in (d, x, d[::-1]):
-        cost_hess_vec(prof, point, v, cost, cfg)
+        hess_vec(prof, point, v, cost, cfg)
     product = hess_operator(prof, point, cost, cfg, free)
     for v in (d.ravel()[free], x.ravel()[free]):
         product(v)
@@ -882,7 +884,7 @@ def test_past_the_budget_nothing_is_kept_and_the_bits_stay(monkeypatch):
         for _ in range(2):
             found += [expected_cycle_cost(profile, point, cost, cfg).slot_values,
                       cost_gradient_x(profile, point, cost, cfg),
-                      cost_hess_vec(profile, point, d, cost, cfg),
+                      hess_vec(profile, point, d, cost, cfg),
                       hess_operator(profile, point, cost, cfg, free)(d.ravel()[free]),
                       cost_gradient_p(profile, point, cost, cfg)]
         solved = solve_proactive(profile, catalog, cost, cfg)
@@ -950,7 +952,7 @@ def test_kept_grids_give_the_bits_of_a_cold_profile():
         quantities = (
             lambda p, at, **kw: expected_cycle_cost(p, at, cost, cfg, **kw).slot_values,
             lambda p, at, **kw: cost_gradient_x(p, at, cost, cfg, **kw),
-            lambda p, at, **kw: cost_hess_vec(p, at, d, cost, cfg, **kw),
+            lambda p, at, **kw: hess_vec(p, at, d, cost, cfg, **kw),
             lambda p, at, **kw: hess_operator(p, at, cost, cfg, free, **kw)(d.ravel()[free]),
             lambda p, at, **kw: cost_gradient_p(p, at, cost, cfg, **kw),
         )
@@ -965,7 +967,7 @@ def test_kept_grids_give_the_bits_of_a_cold_profile():
             assert len(point.state.kept) == len(outcomes.batches)
             for got, ref in ((cfg.kernels.marginal_stats(point.tables, point.state, cost),
                               _rebuilt_marginals(prof, x, catalog.sizes, cost.marginal)),
-                             (point.curvature(d),
+                             (kernel_hess_vec(cfg.kernels, point.tables, point.state, cost, d),
                               _rebuilt_marginals(prof, x, catalog.sizes, cost.second, d))):
                 assert all(np.array_equal(g, r) for g, r in zip(got, ref))
         if any(cols is not None for _, _, cols, _ in outcomes.batches):

@@ -322,7 +322,9 @@ def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
         scn = parse_scenario(dict(scn.source, seed=check_seed(seed, "--seed")))
     try:
         ladder = [int(s) for s in ladder_text.split(",") if s.strip()]
-        if len(set(ladder)) < 3:
+        if min(ladder, default=1) < 1 or len(set(ladder)) < len(ladder):
+            raise ValueError("user counts must be positive and each listed once")
+        if len(ladder) < 3:
             raise ValueError("the exponent fit needs at least 3 distinct user counts")
     except ValueError as exc:
         raise ScenarioError(f"bad --N ladder {ladder_text!r}: {exc}") from exc

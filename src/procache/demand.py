@@ -210,34 +210,25 @@ class DemandProfile:
                              np.repeat(self.silence, self.counts, axis=0))
 
     def draws(self, seed: int, count: int) -> np.ndarray:
-        """Read-only outcome codes of ``count`` samples per (slot, user); shape (T, N, count).
+        """Read-only outcome codes of ``count`` samples per (slot, user), (T, N,
+        count): a new array read back exactly from :meth:`draw_index`, the
+        index modulo M+1."""
+        codes = self.draw_index(seed, count) % (self.num_items + 1)
+        codes.setflags(write=False)
+        return codes
+
+    def draw_index(self, seed: int, count: int) -> np.ndarray:
+        """The read-only :func:`sample_index` of ``count`` samples per (slot,
+        user), (T, N, count).
 
         Sample ``i`` of user ``n`` in slot ``t`` comes from stream
         ``(seed, n, t)`` and depends only on ``(seed, n, t, i)``, so the same
         draws come back regardless of how many samples any caller requests.
-        The array is drawn on first use and kept on the profile, so every
-        later value and gradient call with the same seed and count reads it
-        instead of drawing again.  The same first use builds the draws'
-        :func:`sample_index`, kept with them (:meth:`draw_index`).  The
-        streams are per user, so a profile with a class of several users
-        raises ``ValueError``: draw from :meth:`expanded`.
+        The index is drawn on first use and kept on the profile, the one
+        array of the draws it keeps.  The streams are per user, so a profile
+        with a class of several users raises ``ValueError``: draw from
+        :meth:`expanded`.
         """
-        return self._drawn(seed, count)[0]
-
-    def draw_index(self, seed: int, count: int) -> np.ndarray:
-        """The read-only :func:`sample_index` of :meth:`draws`, (T, N, count),
-        built once with them and kept on the profile."""
-        return self._drawn(seed, count)[1]
-
-    def memo(self, key, build: Callable):
-        """``build()``, called on first use of ``key`` and kept on the profile:
-        the draws and their sample index, and an engine's outcome structure."""
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = self._memo[key] = build()
-        return entry
-
-    def _drawn(self, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         if not self.per_user:
             raise ValueError("draws need one row per user; sample profile.expanded()")
         seed, count = int(seed), int(count)
@@ -251,10 +242,17 @@ class DemandProfile:
                     idx = np.searchsorted(np.cumsum(self.probs[n, t]), u, side="right")
                     codes[t, n] = np.where(idx < n_items, idx + 1, SILENT)
             index = sample_index(codes, n_items)
-            codes.setflags(write=False)
             index.setflags(write=False)
-            return codes, index
+            return index
         return self.memo((seed, count), draw)
+
+    def memo(self, key, build: Callable):
+        """``build()``, called on first use of ``key`` and kept on the profile:
+        the draws' sample index, and an engine's outcome structure."""
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = build()
+        return entry
 
 
 def sample_index(codes: np.ndarray, num_items: int) -> np.ndarray:
@@ -318,7 +316,7 @@ def sample_outcomes(
 ) -> np.ndarray:
     """Outcome codes of ``count`` samples for one slot; shape (N, count).
 
-    The slot's rows of :meth:`DemandProfile.draws`, so repeated calls draw
-    nothing new.
+    The slot's rows of :meth:`DemandProfile.draws`, read back from the kept
+    index alone, so repeated calls draw nothing new.
     """
-    return profile.draws(seed, count)[slot % profile.num_slots]
+    return profile.draw_index(seed, count)[slot % profile.num_slots] % (profile.num_items + 1)

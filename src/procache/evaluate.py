@@ -53,22 +53,21 @@ iteration builds one on its free set and takes all its products from it.
   and keeps it, so its value, gradient and products read one grid.  Grids
   are kept only while the cycle's reachable support, summed over batches,
   is at most 1e7 cells, the bound one batch obeys; past it each call builds
-  its own.  Before a loads grid is built its heaviest outcome is checked,
-  so a trial that overflows an outage capacity raises without one.  The
-  probability gradient builds one grid per user, that user's every choice
-  against the other users' support.
+  its own.  A trial that overflows an outage capacity raises from its loads
+  grid, in the cost's domain check.  The probability gradient builds one
+  grid per user, that user's every choice against the other users' support.
 * ``analytic_quadratic``: closed-form first/second moments, valid only for
   polynomial costs of degree <= 2, where ``C''`` is constant.  Like the
   other engines it reads the cost only through ``C``, ``C'`` and ``C''``:
   ``E[C(Y)] = C(E[Y]) + C'' Var[Y] / 2``, and ``C'`` is affine;
 * ``monte_carlo``: seeded counter-based sampling with reported standard
   errors; estimates are reproducible bit-for-bit for a given seed.  The
-  (T, N, K) outcome array is drawn once per (profile, seed, samples) by
-  :meth:`DemandProfile.draws` and kept on the profile, together with its
-  flat sample index ``(t N + n)(M+1) + code`` into a (T, N, M+1) table of
-  per-choice values, built once with the draws.  The kernels read only
-  that index: a load is one gather from the value table, added up user by
-  user, and every per-(user, item) mean is one ``bincount`` over it.  The
+  draws are made once per (profile, seed, samples) and kept on the profile
+  only as their flat sample index ``(t N + n)(M+1) + code`` (T, N, K) into
+  a (T, N, M+1) table of per-choice values
+  (:meth:`DemandProfile.draw_index`).  The kernels read only that index: a
+  load is one gather from the value table, added up user by user, and
+  every per-(user, item) mean is one ``bincount`` over it.  The
   state is the sampled loads, so every kernel reads the same draws and
   loads, all slots at once.  The curvature operator reads only the draws
   that hit its free coordinates (:func:`_mc_hess_op`).  Standard
@@ -351,42 +350,13 @@ def _enum_check(profile: DemandProfile, cost: CostModel) -> None:
         )
 
 
-def _check_heaviest(ws: list, vs: list, const: np.ndarray, cost: CostModel) -> None:
-    """Raise the grid's :class:`CostDomainError` before the grid is built.
-
-    A row's heaviest outcome takes every user's largest load.  Added up in
-    :func:`_grid`'s order, its load equals that grid cell bit for bit and
-    tops the row.  When the batch's heaviest load reaches the domain limit
-    and one of its cells is reachable (its probability, multiplied in the
-    grid's order, is positive), that load is the largest reachable one, the
-    value the grid's domain check reports.  Otherwise the grid decides, and
-    so it does when a negative entry could fail that check on a low load
-    first.
-    """
-    limit = cost.domain_limit
-    if limit == np.inf:
-        return
-    load = const
-    for v in vs[::-1]:
-        load = v.max(axis=1) + load
-    top = load.max()
-    if top < limit or const.min() < 0.0 or min(v.min() for v in vs) < 0.0:
-        return
-    rows = np.flatnonzero(load == top)
-    prob = np.ones(len(rows))
-    for w, v in zip(ws[::-1], vs[::-1]):
-        prob = w[rows, v[rows].argmax(axis=1)] * prob
-    if prob.max() > 0.0:
-        raise CostDomainError(float(top), limit)
-
-
 class _EnumState:
     """A point's value table ``val`` (T, N, M+1), silent column first, and each
-    batch's loads grid, built on first use after :func:`_check_heaviest` (so
-    an overflowing trial raises without it), kept read-only within the budget."""
+    batch's loads grid, built on first use and kept read-only within the
+    budget.  An overflowing trial raises from its grid's domain check."""
 
     def __init__(self, tables: Tables, cost: CostModel):
-        self.tables, self.cost, self.val = tables, cost, _values(tables.v)
+        self.tables, self.val = tables, _values(tables.v)
         self.kept = {}
 
     def loads(self, i: int) -> np.ndarray:
@@ -399,10 +369,8 @@ class _EnumState:
         return grid
 
     def build(self, i: int) -> np.ndarray:
-        s, widths, cols, ws = self.tables.outcomes.batches[i]
-        vs, const = _cut(self.val, s, widths, cols), self.tables.const[s]
-        _check_heaviest(ws, vs, const, self.cost)
-        return _grid(vs, np.add, const)
+        s, widths, cols, _ = self.tables.outcomes.batches[i]
+        return _grid(_cut(self.val, s, widths, cols), np.add, self.tables.const[s])
 
 
 def _enum_expected_cost(tables: Tables, state: _EnumState, cost: CostModel):
@@ -683,8 +651,8 @@ class Engine:
     ``gradient_p`` those of one user of the class; the other engines'
     ``check`` refuses a count above 1.
 
-    ``sampled`` engines read the profile's memoised draws through their
-    sample index.  The exact engines' errors are zeros, ``b_se`` a read-only
+    ``sampled`` engines read the draws through the sample index the profile
+    keeps.  The exact engines' errors are zeros, ``b_se`` a read-only
     broadcast; only :func:`~procache.proactive.active_sets` asks for them,
     so the hot ``cost_gradient_x`` path computes no errors.
     ``b`` and ``db`` are new arrays, which the cycle-level functions turn
@@ -814,8 +782,9 @@ def hess_operator(
     allocation.  On a profile of classes ``d``'s row k moves every user of
     class k, and the product's row is scaled by the count, as in
     :func:`cost_gradient_x`.  What every product shares is built once,
-    here: the point's tables and state, and on Monte Carlo the draws that
-    hit ``free`` and ``C''(Y)``.  The operator keeps the point alive.
+    here: the point's tables and state, a buffer for ``da`` on ``free``'s
+    previous slots, and on Monte Carlo the draws that hit ``free`` and
+    ``C''(Y)``.  The operator keeps the point alive.
     """
     point = _checked_point(profile, allocation, cost, cfg, catalog)
     tables = point.tables
@@ -823,13 +792,15 @@ def hess_operator(
     rows, slots, _ = np.unravel_index(free, tables.v.shape)
     prev = (slots - 1) % len(tables.const)
     scale = None if tables.counts is None else tables.counts[rows]
+    shifted = np.empty(free.shape)
 
     def hv(v):
         if np.shape(v) != free.shape:
             raise ValueError(f"product vector {np.shape(v)} on a free set of {free.shape}")
-        # _combine on the free coordinates: (da[t-1] - db) / T, times the count
+        # _combine on the free coordinates: (da[t-1] - db) / T, times the count;
+        # prev is in range, and "clip" lets take write into its buffer unbuffered
         da, db = product(v)
-        np.subtract(da[prev], db, out=db)
+        np.subtract(da.take(prev, out=shifted, mode="clip"), db, out=db)
         db /= len(tables.const)
         if scale is not None:
             db *= scale

@@ -4,7 +4,8 @@ A scenario pins the item catalog, the cyclic demand profile (explicit rows
 or a generator), the cost family, the evaluation engine, the shaping
 budgets, and the seed.  Parsing is strict: unknown keys anywhere are
 rejected by name, and cross-field consistency (dimensions, engine versus
-cost family) is checked at load time so a bad file fails before any compute.
+cost family, a polynomial cost that overflows a float at the heaviest slot
+load) is checked at load time so a bad file fails before any compute.
 
 Schema (all floats unless noted)::
 
@@ -181,6 +182,23 @@ def _engine_form(classes: DemandProfile, class_alpha: np.ndarray, cfg: EvalConfi
     return profile, alpha
 
 
+def _check_float_range(catalog: ItemCatalog, num_users: int, cost: CostModel) -> None:
+    """Refuse, naming the keys, a polynomial cost that leaves the float range at
+    the heaviest load a plan can put in a slot, ``N (max S + sum S)``: every
+    user's largest item plus a prefetch of the whole catalog.  ``L * L`` is
+    checked too, since the moments square loads.  Outage costs are left out:
+    their trials past ``mu`` raise :class:`~procache.costs.CostDomainError`."""
+    if cost.kind == "outage":
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        load = float(num_users) * (catalog.sizes.max() + catalog.sizes.sum())
+        values = (load * load, cost.cost(load), cost.marginal(load), cost.second(load))
+    if not np.all(np.isfinite(values)):
+        keys = "'sizes'" + (" and 'coeffs' in cost" if cost.kind == "polynomial" else "")
+        raise ScenarioError(f"{keys} overflow a float: at the heaviest slot load a plan can "
+                            f"make, N (max S + sum S) = {load:.3g}, the cost is not finite")
+
+
 def _refuse_constant(token: str):
     raise ScenarioError(f"not valid JSON: {token} is not a strict JSON number")
 
@@ -342,6 +360,7 @@ def parse_scenario(data: dict) -> Scenario:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"invalid cost: {exc}") from exc
+    _check_float_range(catalog, profile.num_users, cost)
 
     eval_spec = _block(data, "eval", {})
     _require_keys(eval_spec, {"engine", "samples"}, "eval")

@@ -383,6 +383,11 @@ def test_recommend_parses_strictly(runner, tmp_path, profile_text, ratings_text,
         # the exponent fit needs three distinct points, not three entries
         (["scale", "--N", "25,25,25"], "--N"),
         (["scale", "--N", "2,3,2"], "--N"),
+        # a repeated count is solved, written and fitted twice; a count below 1
+        # was refused naming the generator's 'users'
+        (["scale", "--N", "1,1,2,3"], "--N"),
+        (["scale", "--N", "0,1,2"], "--N"),
+        (["scale", "--N", "-4,2,3,5"], "--N"),
     ],
 )
 def test_solver_options_are_checked(runner, quad_scenario, tmp_path, command, option):
@@ -394,6 +399,36 @@ def test_solver_options_are_checked(runner, quad_scenario, tmp_path, command, op
     assert err["error"] == "ScenarioError"
     assert option in err["message"]
     assert not any(tmp_path.glob("o*"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["optimize", "shape", "simulate"])
+@pytest.mark.parametrize(
+    "change, keys",
+    [
+        ({"sizes": [1e200] * 3}, ["'sizes'"]),
+        ({"sizes": [1e160] * 3, "eval": {"engine": "analytic_quadratic"}}, ["'sizes'"]),
+        ({"cost": {"kind": "polynomial", "coeffs": [0, 0, 1e308]}},
+         ["'sizes'", "'coeffs' in cost"]),
+        ({"sizes": [1e80] * 3, "cost": {"kind": "polynomial", "coeffs": [1, 0, 0, 0, 1]}},
+         ["'sizes'", "'coeffs' in cost"]),
+    ],
+    ids=["sizes-1e200", "sizes-1e160-analytic", "coeffs-1e308", "quartic-sizes-1e80"],
+)
+def test_a_load_past_the_float_range_is_refused_at_parse_time(runner, tmp_path, command, change,
+                                                               keys):
+    # unrefused, the solve fails naming no key, and simulate writes non-finite rows
+    scenario = tmp_path / "big.json"
+    scenario.write_text(json.dumps({**two_user_scenario_dict(0.9, "quadratic"), **change}))
+    samples = ["--samples", "50"] if command == "simulate" else []
+    res = runner.invoke(main, [command, "--scenario", str(scenario), *samples,
+                               "--out", str(tmp_path / "o.csv")])
+    assert res.exit_code == 1, res.output
+    line, = res.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ScenarioError"
+    assert all(key in err["message"] for key in keys), err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.1"])

@@ -389,10 +389,12 @@ def test_memoised_draws_equal_fresh_substreams():
     for _ in range(6):
         _, prof = random_instance(rng)
         seed, count = int(rng.integers(0, 1000)), int(rng.integers(1, 200))
-        draws = prof.draws(seed, count)
+        draws, index = prof.draws(seed, count), prof.draw_index(seed, count)
         assert draws.shape == (prof.num_slots, prof.num_users, count)
-        assert not draws.flags.writeable
-        assert prof.draws(seed, count) is draws
+        again = prof.draws(seed, count)
+        assert not (draws.flags.writeable or again.flags.writeable)
+        assert np.array_equal(again, draws)
+        assert prof.draw_index(seed, count) is index   # the kept index, drawn once
         for t in range(prof.num_slots):
             for n in range(prof.num_users):
                 u = substream(seed, n, t).random(count)
@@ -443,6 +445,24 @@ def test_the_sample_index_is_built_once_with_the_draws(two_user, quad, mc_cfg, m
     assert len(built) == 4
 
 
+def test_a_profile_keeps_only_the_draws_index():
+    # the codes are read back from the index, so the profile holds one array per draw
+    prof = DemandProfile(np.full((20, 4, 5), 0.1))
+    prof.draw_index(0, 1)   # numpy's first sampling call keeps caches of its own
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = prof.draw_index(3, 2000)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        codes = prof.draws(3, 2000)
+        del codes
+        again = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert index.nbytes <= kept < 1.1 * index.nbytes, kept / index.nbytes
+    assert again < 1.1 * index.nbytes, again / index.nbytes   # reading the codes keeps nothing
+
+
 def test_monte_carlo_overflowing_load_still_raises(two_user, mc_cfg):
     catalog, prof = two_user
     tight = CostModel.outage(5.0)   # both users requesting at the peak overflow it
@@ -457,9 +477,11 @@ def test_monte_carlo_overflowing_load_still_raises(two_user, mc_cfg):
 
 
 def _brute_force(prof, x, sizes, cost):
-    """Value, grad_x and grad_p by visiting every joint outcome one at a time."""
+    """Value, grad_x, grad_p and each slot's heaviest reachable load (T,), by
+    visiting every joint outcome one at a time."""
     n_users, n_slots, m_items = prof.probs.shape
     value = np.zeros(n_slots)
+    heaviest = np.full(n_slots, -np.inf)
     a = np.zeros(n_slots)
     b = np.zeros((n_users, n_slots, m_items))
     cond = np.zeros((n_users, n_slots, m_items + 1))   # E_-n[C(Y) | n -> c], c = 0 silent
@@ -471,6 +493,7 @@ def _brute_force(prof, x, sizes, cost):
             load = ahead + sum(sizes[k - 1] - x[n, t, k - 1] for n, k in enumerate(c) if k)
             p = [w[n, k] for n, k in enumerate(c)]
             if np.prod(p) > 0.0:
+                heaviest[t] = max(heaviest[t], load)
                 value[t] += np.prod(p) * cost.cost(load)
                 a[t] += np.prod(p) * cost.marginal(load)
                 for n, k in enumerate(c):
@@ -484,7 +507,7 @@ def _brute_force(prof, x, sizes, cost):
                     over[n, t, k] = True
     grad_x = (np.roll(a, 1)[None, :, None] - b) / n_slots
     grad_p = np.where(over[:, :, 1:], np.inf, cond[:, :, 1:] - cond[:, :, :1]) / n_slots
-    return value, grad_x, grad_p
+    return value, grad_x, grad_p, heaviest
 
 
 def _grid_cases(kind):
@@ -514,7 +537,7 @@ def test_enumeration_grid_matches_brute_force(kind):
     cfg = EvalConfig(engine="enumerate")
     faces = 0
     for catalog, prof, x, cost in _grid_cases(kind):
-        value, grad_x, grad_p = _brute_force(prof, x, catalog.sizes, cost)
+        value, grad_x, grad_p, _ = _brute_force(prof, x, catalog.sizes, cost)
         res = expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
         np.testing.assert_allclose(res.slot_values, value, rtol=1e-12)
         gx = cost_gradient_x(prof, x, cost, cfg, catalog=catalog)
@@ -663,10 +686,9 @@ def test_analytic_hess_vec_equals_enumeration():
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-def test_an_analytic_product_holds_two_plan_sized_arrays():
-    # every coordinate free on the per-user plan: the operator's own buffer
-    # takes the direction and db, so a product holds only the gathered result
-    # and da[prev]
+def test_an_analytic_product_holds_one_plan_sized_array():
+    # every coordinate free on the per-user plan: the operator's own buffers
+    # take the direction, db and da[prev], so a product holds only the result
     scn = parse_scenario(SCALING_SCENARIO).with_users(200)
     prof, cost, cfg = scn.profile.expanded(), scn.cost, scn.cfg   # the full-N path
     point = Point(prof, np.zeros(prof.probs.shape), scn.catalog.sizes, cost, cfg)
@@ -680,7 +702,7 @@ def test_an_analytic_product_holds_two_plan_sized_arrays():
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, ref)
-    assert peak < 2.01 * prof.probs.nbytes, peak / prof.probs.nbytes
+    assert peak < 1.01 * prof.probs.nbytes, peak / prof.probs.nbytes
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -717,43 +739,25 @@ def test_a_point_evaluates_like_its_bare_allocation(engine):
             expected_cycle_cost(prof, point, cost, EvalConfig(engine=engine, samples=5, seed=99))
 
 
-def test_overflow_precheck_raises_the_grids_own_error(monkeypatch):
+def test_an_overflowing_trial_raises_a_slots_heaviest_reachable_load():
     cfg = EvalConfig(engine="enumerate")
-    grids = _counting(monkeypatch, evaluate._EnumState, "build")   # loads grids built per point
-
-    def errors(prof, x, cost, catalog):
-        """The error with the precheck and without it, and the grids each built."""
-        found = []
-        for check in (evaluate._check_heaviest, lambda *args: None):
-            grids.clear()
-            with monkeypatch.context() as m:
-                m.setattr(evaluate, "_check_heaviest", check)
-                with pytest.raises(CostDomainError) as err:
-                    expected_cycle_cost(prof, x, cost, cfg, catalog=catalog)
-            found.append(((err.value.load, err.value.limit), len(grids)))
-        return found
-
     for catalog, prof, x, cost in _grid_cases("outage"):
+        heaviest = _brute_force(prof, x, catalog.sizes, cost)[3]
         tight = CostModel.outage(0.5 * cost.mu)   # below the heaviest reachable load
-        (early, built_early), (late, built_late) = errors(prof, x, tight, catalog)
-        assert early == late and built_early == built_late - 1   # no grid for that batch
+        with pytest.raises(CostDomainError) as err:
+            expected_cycle_cost(prof, x, tight, cfg, catalog=catalog)
+        # a slot's heaviest reachable load, past the limit; the oracle adds it up in
+        # another order, so it may differ in the last bits
+        load, limit = err.value.load, err.value.limit
+        assert limit == tight.mu and load >= limit
+        assert np.isclose(heaviest, load, rtol=1e-14, atol=0.0).any(), (load, heaviest)
     # x past an item's size makes a load negative, which the grid's check reports first
     x = np.zeros((2, 2, 2))
     x[0, 1, 0] = 5.0
     prof = DemandProfile(np.full((2, 2, 2), 0.25))
-    (early, _), (late, _) = errors(prof, x, CostModel.outage(3.0), ItemCatalog([1.0, 2.0]))
-    assert early == late and early[0] < 0.0
-
-
-def test_overflow_precheck_leaves_an_unreachable_heaviest_outcome_to_the_grid(monkeypatch):
-    # all three users on the big item would load 150 > mu, at probability 1e-600 = 0.0
-    catalog = ItemCatalog([1.0, 50.0])
-    probs = np.zeros((3, 1, 2))
-    probs[:, 0] = [0.5, 1e-200]
-    prof, cost, cfg = DemandProfile(probs), CostModel.outage(60.0), EvalConfig()
-    res = nonproactive_cost(prof, catalog, cost, cfg)
-    monkeypatch.setattr(evaluate, "_check_heaviest", lambda *args: None)
-    assert np.isfinite(res.value) and res.value == nonproactive_cost(prof, catalog, cost, cfg).value
+    with pytest.raises(CostDomainError) as err:
+        expected_cycle_cost(prof, x, CostModel.outage(3.0), cfg, catalog=ItemCatalog([1.0, 2.0]))
+    assert (err.value.load, err.value.limit) == (-4.0, 3.0)
 
 
 def test_allocation_gradient_enumerates_each_slot_once(monkeypatch):

@@ -317,9 +317,10 @@ def scale(family_path, ladder_text, seed, tol, max_iters, out_path):
     _check_solver_options(tol, max_iters)
     summary_path, = _plan_outputs({"--family": family_path}, {"--out": out_path},
                                   {"the JSON summary": Path(out_path).with_suffix(".json")})
-    scn = load_scenario(family_path)
-    if seed is not None:
-        scn = parse_scenario(dict(scn.source, seed=check_seed(seed, "--seed")))
+    data = read_json(family_path)
+    if seed is not None and isinstance(data, dict):   # parse_scenario refuses a non-object
+        data = dict(data, seed=check_seed(seed, "--seed"))
+    scn = parse_scenario(data)
     try:
         ladder = [int(s) for s in ladder_text.split(",") if s.strip()]
         if min(ladder, default=1) < 1 or len(set(ladder)) < len(ladder):

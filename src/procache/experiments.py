@@ -38,7 +38,7 @@ SCALING_SILENCE = (0.1, 0.05, 0.7, 0.2, 0.8, 0.01, 0.4, 0.9)
 SCALING_LADDER = (25, 50, 100, 200)
 
 # identical Zipf users over a fixed uniformly drawn catalog; the scaling study
-# runs it at each ladder point through Scenario.with_users
+# parses it once and derives each ladder point with Scenario.with_users
 SCALING_SCENARIO = {
     "sizes": {"kind": "uniform", "count": 50, "low": 10.0, "high": 30.0},
     "generator": {"kind": "zipf", "users": max(SCALING_LADDER), "power": 4.0,
@@ -143,14 +143,18 @@ def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sweep_rows = []
-    for p_peak in PP_GRID:
-        scn = parse_scenario(two_user_scenario_dict(p_peak, cost_kind))
-        solved = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
-        sweep_rows.append((p_peak, solved.start.value, solved.cost))
-
     scn = parse_scenario(two_user_scenario_dict(SHAPED_P_PEAK, cost_kind))
     shaped = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
+
+    # the shaped point's row is the shaping run's first solve, not a second one
+    sweep_rows = []
+    for p_peak in PP_GRID:
+        if p_peak == SHAPED_P_PEAK:
+            sweep_rows.append((p_peak, shaped.start.value, shaped.trace.objectives[0]))
+            continue
+        point = parse_scenario(two_user_scenario_dict(p_peak, cost_kind))
+        solved = solve_proactive(point.profile, point.catalog, point.cost, point.cfg)
+        sweep_rows.append((p_peak, solved.start.value, solved.cost))
 
     rating_rows = []
     ratings_out = {}

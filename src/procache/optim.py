@@ -403,6 +403,9 @@ def linear_min_over_ball_slice(g: np.ndarray, center: np.ndarray, radius, total)
     c = np.where(fin, c + gap[:, None], -np.inf)
     mean = np.sum(np.where(fin, g, 0.0), axis=-1, keepdims=True) / m[:, None]
     gs = np.where(fin, g - mean, 0.0)
+    # each row scaled by a power of two to |gs| < 1: the minimizer ignores a
+    # positive scale, the scaling is exact, and _ball_path's squares stay finite
+    gs = np.ldexp(gs, -np.frexp(np.abs(gs).max(axis=-1, keepdims=True))[1])
 
     cheapest = np.where(fin, gs, np.inf).min(axis=-1, keepdims=True)
     step = project_simplex_slice(np.where(fin & (gs == cheapest), c, -np.inf), total)

@@ -338,8 +338,9 @@ def scaling_curve(family, ladder, tol: float = 1e-8, max_iters: int = 5000) -> S
     """Cost reduction across a user-count ladder plus its log-log growth rate.
 
     ``family`` is a generator :class:`~procache.scenario.Scenario`; ladder
-    point N is ``family.with_users(N)``, so every point shares its catalog,
-    cost and evaluation config.  The exponent is the least-squares slope of
+    point N is ``family.with_users(N)``, derived from the parsed family
+    without a second parse, so every point shares its catalog, cost and
+    evaluation config.  The exponent is the least-squares slope of
     log(delta) against log(N) and needs at least three distinct user counts.  It is
     ``None``, with a warning naming the points, when some ladder point shows
     no reduction (``delta <= 0``), since its logarithm is undefined.

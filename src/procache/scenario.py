@@ -41,7 +41,6 @@ input, so reports can state exactly what they were computed from.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -250,12 +249,20 @@ class Scenario:
         return np.repeat(rows, self.profile.counts, axis=0)
 
     def with_users(self, num_users: int) -> "Scenario":
-        """The same generator scenario grown or shrunk to ``num_users`` users."""
+        """The same generator scenario grown or shrunk to ``num_users`` users.
+
+        The point is derived, not re-parsed: it keeps the catalog, cost,
+        evaluation config (a :meth:`with_eval` override included), seed and
+        the generator's class row, and only the checks that depend on the
+        user count run again (:func:`_at_users`, shared with
+        :func:`parse_scenario`), so it equals the parse of the source with
+        ``users`` edited.  The source is copied, not edited.
+        """
         if "generator" not in self.source:
             raise ScenarioError("scaling needs a scenario with a 'generator' block")
-        data = copy.deepcopy(self.source)
-        data["generator"]["users"] = int(num_users)
-        return parse_scenario(data)
+        users = int(num_users)
+        data = dict(self.source, generator=dict(self.source["generator"], users=users))
+        return _at_users(data, self.catalog, self.classes, self.cost, self.cfg, self.seed, users)
 
 
 def scenario_hash(data: dict) -> str:
@@ -297,6 +304,7 @@ def parse_scenario(data: dict) -> Scenario:
     if has_profiles == has_generator:
         raise ScenarioError("scenario needs exactly one of 'profiles' or 'generator'")
 
+    users = None
     if has_profiles:
         probs = _numbers(data["profiles"], "'profiles'")
         if probs.ndim != 3:
@@ -322,8 +330,7 @@ def parse_scenario(data: dict) -> Scenario:
         _require_keys(gen_spec, {"kind", "users", "power", "activity"}, "generator")
         if _need(gen_spec, "kind", "generator") != "zipf":
             raise ScenarioError(f"unknown generator kind {gen_spec['kind']!r}")
-        users = _integer(_need(gen_spec, "users", "generator"), "'users' in generator", 1,
-                         MAX_COUNT)
+        users = _need(gen_spec, "users", "generator")
         power = _number(_need(gen_spec, "power", "generator"), "'power' in generator")
         activity = np.atleast_1d(
             _numbers(_need(gen_spec, "activity", "generator"), "'activity' in generator")
@@ -335,7 +342,7 @@ def parse_scenario(data: dict) -> Scenario:
         try:
             with np.errstate(over="raise", invalid="raise"):   # rank^-power can overflow
                 rows = np.stack([zipf_profile(catalog.num_items, power, a) for a in activity])
-            profile = DemandProfile(rows[None], counts=[users])
+            profile = DemandProfile(rows[None])
         except (ValueError, FloatingPointError) as exc:
             raise ScenarioError(f"invalid generator: {exc}") from exc
 
@@ -360,7 +367,6 @@ def parse_scenario(data: dict) -> Scenario:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"invalid cost: {exc}") from exc
-    _check_float_range(catalog, profile.num_users, cost)
 
     eval_spec = _block(data, "eval", {})
     _require_keys(eval_spec, {"engine", "samples"}, "eval")
@@ -375,6 +381,23 @@ def parse_scenario(data: dict) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(f"invalid eval config: {exc}") from exc
+
+    return _at_users(data, catalog, profile, cost, cfg, seed, users)
+
+
+def _at_users(data: dict, catalog: ItemCatalog, profile: DemandProfile, cost: CostModel,
+              cfg: EvalConfig, seed: int, users=None) -> Scenario:
+    """The part of a parse that depends on the user count: a generator's
+    ``users`` bound, the float-range check, the budgets, the cell limits,
+    the engine's form and its guard.  :func:`parse_scenario` ends here, and
+    :meth:`Scenario.with_users` runs only this.  With ``users`` given,
+    ``profile``'s first row (every row of a generator's classes is the
+    same) becomes one class of that many users; its probabilities and
+    silence are kept as they are, so a renormalized row is not redone."""
+    if users is not None:
+        users = _integer(users, "'users' in generator", 1, MAX_COUNT)
+        profile = DemandProfile(profile.probs[:1], profile.silence[:1], counts=[users])
+    _check_float_range(catalog, profile.num_users, cost)
 
     alpha_spec = _numbers(data.get("alpha", 0.2), "'alpha'")
     if alpha_spec.ndim == 0 or alpha_spec.shape == (1,):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .costs import CostDomainError, CostModel
 from .demand import DemandProfile, ItemCatalog, entropy
-from .evaluate import EvalConfig, UnsupportedEngineError, cost_gradient_p
+from .evaluate import EvalConfig, EvalResult, UnsupportedEngineError, cost_gradient_p
 from .optim import _arc_search, linear_min_over_ball_slice
 from .proactive import SolveResult, solve_proactive
 
@@ -89,6 +89,7 @@ class ShapingTrace:
 class ShapeResult:
     profile: DemandProfile
     solve: SolveResult
+    start: EvalResult   # the input profile at the zero allocation, from the first solve
     regions: Regions
     trace: ShapingTrace
     converged: bool    # stop is "tol" or "rounding"
@@ -128,6 +129,7 @@ def shape_demand(
     if regions.radius.any() and cfg.kernels.gradient_p is None:
         raise UnsupportedEngineError(f"shaping needs a probability gradient: {cfg.engine} has none")
     solved = solve_proactive(profile, catalog, cost, cfg)
+    start = solved.start
     current, held = profile, (None,)   # held: the last trial's probabilities, profile, re-solve
     objectives, residuals = [solved.cost], [_max_residual(profile.probs, regions)]
 
@@ -165,5 +167,5 @@ def shape_demand(
                     tol_outer, stop, len(objectives) - 1, gaps[-1])
     trace = ShapingTrace(objectives=np.array(objectives), residuals=np.array(residuals),
                          gaps=np.array(gaps))
-    return ShapeResult(profile=current, solve=solved, regions=regions, trace=trace,
+    return ShapeResult(profile=current, solve=solved, start=start, regions=regions, trace=trace,
                        converged=converged, stop=stop)

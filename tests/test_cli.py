@@ -10,11 +10,14 @@ import pytest
 from click.testing import CliRunner
 
 import procache.cli
-from procache import evaluate
+from procache import evaluate, experiments, proactive, scenario, shaping
 from procache.cli import main
 from procache.experiments import (
+    PP_GRID,
     SCALING_LADDER,
     SCALING_SCENARIO,
+    SHAPED_P_PEAK,
+    reproduce_two_user,
     two_user_scenario_dict,
     write_json,
 )
@@ -746,6 +749,61 @@ def test_reference_study_two_user_quadratic(runner, tmp_path):
     sweep = read_rows(out_dir / "sweep.csv")
     assert len(sweep) == 9
     assert all(float(r["c_proactive"]) <= float(r["c_nonproactive"]) + 1e-12 for r in sweep)
+
+
+def _counted(monkeypatch, fn, *modules):
+    """Replace ``fn`` by a wrapper in each of ``modules``; returns the list of calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [[], ["--seed", "11"]])
+def test_scale_parses_its_family_once(runner, tmp_path, monkeypatch, extra):
+    # each ladder point is derived from the parsed family, and --seed edits
+    # the file's object before its one parse
+    family = tmp_path / "fam.json"
+    save_scenario(SCALING_SCENARIO, family)
+    parses = _counted(monkeypatch, parse_scenario, scenario, procache.cli, experiments)
+    res = runner.invoke(main, ["scale", "--family", str(family), *extra, "--N", "25,50,100,200",
+                               "--out", str(tmp_path / "s.csv")])
+    assert res.exit_code == 0, res.output
+    assert len(parses) == 1
+    assert parses[0][0]["seed"] == (int(extra[1]) if extra else SCALING_SCENARIO["seed"])
+    assert len(read_rows(tmp_path / "s.csv")) == 4
+
+
+def test_the_scaling_study_parses_once(runner, tmp_path, monkeypatch):
+    parses = _counted(monkeypatch, parse_scenario, scenario, procache.cli, experiments)
+    res = runner.invoke(main, ["reproduce-paper", "scaling", "--out", str(tmp_path / "s")])
+    assert res.exit_code == 0, res.output
+    assert len(parses) == 1
+    assert len(read_rows(tmp_path / "s" / "scaling.csv")) == len(SCALING_LADDER)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "outage"])
+def test_the_two_user_study_solves_its_shaped_point_once(tmp_path, monkeypatch, kind):
+    # the sweep's p_peak = 0.9 row is the shaping run's first (cold) solve
+    scn = parse_scenario(two_user_scenario_dict(SHAPED_P_PEAK, kind))
+    cold = proactive.solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
+    solves = _counted(monkeypatch, proactive.solve_proactive, shaping, experiments)
+    shaped = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
+    shaping_solves = len(solves)
+    assert (shaped.start.value, shaped.trace.objectives[0]) == (cold.start.value, cold.cost)
+
+    solves.clear()
+    reproduce_two_user(kind, tmp_path)
+    assert len(solves) == shaping_solves + len(PP_GRID) - 1
+    row = read_rows(tmp_path / "sweep.csv")[PP_GRID.index(SHAPED_P_PEAK)]
+    assert float(row["p_peak"]) == SHAPED_P_PEAK
+    assert (float(row["c_nonproactive"]), float(row["c_proactive"])) == (cold.start.value,
+                                                                        cold.cost)
 
 
 def _tree(root):

@@ -380,11 +380,78 @@ def test_the_cell_limit_itself_parses(monkeypatch):
     monkeypatch.setattr(scenario, "CELL_LIMIT", 20)     # 10 users x 1 slot x 2 items
     assert parse_scenario(_generated(users=10)).profile.num_users == 10
     with pytest.raises(ScenarioError, match="'users' in generator"):
-        parse_scenario(_generated()).with_users(11)      # the scale ladder re-parses
+        parse_scenario(_generated()).with_users(11)      # a ladder point runs the same check
     mc = dict(_generated(users=2), eval={"engine": "monte_carlo", "samples": 10})
     assert parse_scenario(mc).cfg.samples == 10
     with pytest.raises(ScenarioError, match="'samples' in eval"):
         parse_scenario(dict(mc, eval={"engine": "monte_carlo", "samples": 11}))
+
+
+def _point_or_refusal(build):
+    """A scenario's fields as exact bits, or the text of the ScenarioError it raised."""
+    try:
+        scn = build()
+    except ScenarioError as exc:
+        return str(exc)
+    arrays = (scn.profile.probs, scn.profile.silence, scn.profile.counts, scn.alpha,
+              scn.classes.probs, scn.classes.silence, scn.classes.counts, scn.class_alpha,
+              scn.catalog.sizes)
+    return ([(a.shape, a.dtype.str, a.tobytes()) for a in arrays],
+            scn.cost, scn.cfg, scn.seed, scn.source, scn.hash)
+
+
+def _family(engine, **changes):
+    """A generator family on a drawn catalog: 3 users, 2 slots, 3 items."""
+    data = {"sizes": {"kind": "uniform", "count": 3, "low": 1.0, "high": 2.0},
+            "generator": {"kind": "zipf", "users": 3, "power": 2.5, "activity": [0.7, 0.3]},
+            "cost": {"kind": "quadratic"}, "eval": engine, "seed": 5}
+    return data | changes
+
+
+def _edited(data, users):
+    return data | {"generator": data["generator"] | {"users": users}}
+
+
+_ENGINES = {"analytic_quadratic": {"engine": "analytic_quadratic"},
+            "enumerate": {"engine": "enumerate"},
+            "monte_carlo": {"engine": "monte_carlo", "samples": 4}}
+
+
+@pytest.mark.parametrize("users", [1, 2, 7, 250])
+@pytest.mark.parametrize("budgets", [{}, {"alpha": [0.2, 0.2, 0.2]}, {"alpha": [0.1, 0.2, 0.3]}])
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_a_ladder_point_is_the_parse_of_its_edited_source(engine, budgets, users):
+    # the class form (analytic) and the expansion (enumerate, Monte Carlo),
+    # a split per-user budget list, and refusals (the list's length, 250
+    # users past the enumeration limit) read the same either way
+    data = _family(_ENGINES[engine], **budgets)
+    base = parse_scenario(data)
+    want = _point_or_refusal(lambda: parse_scenario(_edited(data, users)))
+    assert _point_or_refusal(lambda: base.with_users(users)) == want
+    assert base.source == data and data["generator"]["users"] == 3   # not edited
+
+
+@pytest.mark.parametrize(
+    "data, users, fragment",
+    [
+        (_generated(), 11, "'users' in generator asks for 11 x 1 x 2"),   # with CELL_LIMIT 20
+        (_family(_ENGINES["monte_carlo"], sizes=[1e100, 1e100],
+                 cost={"kind": "polynomial", "coeffs": [0, 0, 1, 0.01]}), 1000,
+         "'sizes' and 'coeffs' in cost overflow a float"),
+        (_family(_ENGINES["analytic_quadratic"], alpha=[0.1, 0.2, 0.3]), 4,
+         "'alpha' lists 3 budgets for 4 users"),
+        (_generated(), 30, "engine mismatch: enumeration would visit"),
+        (_generated(), 0, "'users' in generator must be at least 1"),
+        (_generated(), 2**53 + 1, "'users' in generator must be at most"),
+    ],
+)
+def test_a_ladder_point_refuses_as_a_fresh_parse_does(monkeypatch, data, users, fragment):
+    if "asks for" in fragment:
+        monkeypatch.setattr(scenario, "CELL_LIMIT", 20)     # 10 users x 1 slot x 2 items
+    base = parse_scenario(data)
+    refusal = _point_or_refusal(lambda: base.with_users(users))
+    assert fragment in refusal
+    assert refusal == _point_or_refusal(lambda: parse_scenario(_edited(data, users)))
 
 
 # Every count-like value stays small so that no example allocates a large array.

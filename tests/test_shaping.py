@@ -243,6 +243,40 @@ def test_linear_min_over_ebc_cannot_shed_enough_mass():
         linear_min_over_ebc(np.array([np.inf, np.inf]), region)
 
 
+def test_linear_step_ignores_a_power_of_two_scale_of_the_gradient():
+    # each row is scaled to |g - mean g| < 1 before the ball path, so a
+    # gradient near the float range gives the same bits as a unit one
+    rng = np.random.default_rng(29)
+    center = rng.dirichlet(np.ones(5), size=(4, 3)) * 0.9
+    radius = np.full((4, 3), 0.05)
+    g = rng.normal(size=(4, 3, 5))
+    unit = linear_min_over_ball_slice(g, center, radius, 0.9)
+    with np.errstate(all="raise"):
+        for k in (-1000, -300, 300, 1000):
+            assert np.array_equal(linear_min_over_ball_slice(g * 2.0**k, center, radius, 0.9), unit)
+
+
+def _two_user_shaped(sizes):
+    data = two_user_scenario_dict(0.9, "quadratic") | {"sizes": list(sizes)}
+    scn = parse_scenario(data)
+    return shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shaping_near_the_float_range_takes_the_unit_size_steps():
+    # sizes 2^500 times the study's scale every load, cost and gradient by
+    # an exact power of two, so the shaped profiles are the unit-size ones;
+    # sizes 1e150 pass the parse-time check (8e150 squares to 6.4e301) and
+    # the shaping gradient's squares would leave the float range
+    unit, big = _two_user_shaped((3.0, 2.0, 4.0)), _two_user_shaped(2.0**500 * np.array([3, 2, 4]))
+    assert big.stop == unit.stop == "tol" and len(big.trace) == len(unit.trace)
+    assert np.array_equal(big.profile.probs, unit.profile.probs)
+    assert np.array_equal(big.profile.silence, unit.profile.silence)
+    near, ones = _two_user_shaped([1e150] * 3), _two_user_shaped([1.0] * 3)
+    assert near.stop == ones.stop == "tol" and len(near.trace) == len(ones.trace) > 1
+    assert np.allclose(near.profile.probs, ones.profile.probs, rtol=0.0, atol=1e-16)
+
+
 def test_shape_demand_quadratic_frozen(two_user, quad, enum_cfg):
     catalog, prof = two_user
     result = shape_demand(prof, catalog, quad, enum_cfg, alpha=0.2)

@@ -573,8 +573,8 @@ def _mc_hess_op(tables: Tables, loads, cost: CostModel, free):
     position[t, n, m + 1] = np.arange(free.size)
     hit = position.ravel().take(index).ravel()
     draws = np.flatnonzero(hit >= 0)
-    sample = np.broadcast_to(np.arange(n_slots * k).reshape(n_slots, 1, k), index.shape)
-    bins, samples = hit[draws], sample.ravel()[draws]   # samples: t K + k, into (T, K)
+    # a flat draw t N K + n K + k is sample t K + k of the loads (T, K)
+    bins, samples = hit[draws], draws // (n_users * k) * k + draws % k
     curv = cost.second(loads)
     scatter = np.zeros(shape)
 
@@ -584,11 +584,11 @@ def _mc_hess_op(tables: Tables, loads, cost: CostModel, free):
             dconst = prefetch_volume(scatter)
         dy = np.empty((n_slots, k))
         dy[:] = dconst[:, None]
-        np.add.at(dy.ravel(), samples, np.subtract(0.0, v[bins]))
+        np.add.at(dy.ravel(), samples, np.subtract(0.0, v)[bins])
         dy *= curv
         # no hitting draw leaves an empty, integer bincount: the division makes it float
         total = np.bincount(bins, weights=dy.ravel()[samples], minlength=free.size)
-        return dy.mean(axis=1), total / k
+        return np.add.reduce(dy, axis=1) / k, total / k
     return product
 
 
@@ -710,7 +710,7 @@ def _checked_point(profile, allocation, cost, cfg, catalog) -> Point:
 def _combine(a: np.ndarray, b: np.ndarray, tables: Tables) -> np.ndarray:
     """``(roll(a, 1) - b) / T`` in ``b``'s own buffer, for slot t-1's ``a``, each
     row then scaled by its class size: the sum over the class's copies."""
-    np.subtract(np.roll(a, 1)[None, :, None], b, out=b)
+    np.subtract(np.concatenate((a[-1:], a[:-1]))[None, :, None], b, out=b)
     b /= len(tables.const)
     if tables.counts is not None:
         b *= tables.counts[:, None, None]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .proactive import ScalingCurve, scaling_curve, solve_proactive
+from .proactive import ScalingCurve, scaling_curve, solve_continued
 from .recommend import solve_rating
 from .scenario import Scenario, parse_scenario
 from .shaping import ShapingTrace, shape_demand
@@ -136,6 +136,11 @@ def _finish_report(name: str, scn: Scenario, metrics: dict, out_dir: Path,
 def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
     """Sweep the peak probability, then shape and re-rate at the busiest point.
 
+    Each sweep point after the first starts from the previous point's plan
+    (:func:`~procache.proactive.solve_continued`), so the last bits of its
+    ``c_proactive`` can depend on the grid it is in; the busiest point's row
+    is the shaping run's first, cold, solve.
+
     Writes ``sweep.csv`` (p_peak, c_nonproactive, c_proactive), ``trace.csv``
     (iter, f0, max_boundary_residual), and ``ratings.csv`` (user, item,
     pi_orig, pi_shaped, rating) into ``out_dir``.
@@ -147,14 +152,15 @@ def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
     shaped = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
 
     # the shaped point's row is the shaping run's first solve, not a second one
-    sweep_rows = []
+    sweep_rows, plan = [], None
     for p_peak in PP_GRID:
         if p_peak == SHAPED_P_PEAK:
             sweep_rows.append((p_peak, shaped.start.value, shaped.trace.objectives[0]))
             continue
         point = parse_scenario(two_user_scenario_dict(p_peak, cost_kind))
-        solved = solve_proactive(point.profile, point.catalog, point.cost, point.cfg)
-        sweep_rows.append((p_peak, solved.start.value, solved.cost))
+        solved, base = solve_continued(point.profile, point.catalog, point.cost, point.cfg, plan)
+        plan = solved.allocation.x
+        sweep_rows.append((p_peak, base.value, solved.cost))
 
     rating_rows = []
     ratings_out = {}

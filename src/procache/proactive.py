@@ -6,7 +6,8 @@ users whose requests are worth prefetching at all under the non-proactive
 loads; ``policy_a`` turns those sets into a one-scalar-per-slot allocation
 whose cost reduction admits closed-form bounds, computed by
 ``reduction_bounds``.  ``scaling_curve`` sweeps a generator scenario over a
-user-count ladder and fits the growth exponent of the reduction.
+user-count ladder and fits the growth exponent of the reduction; it solves
+each point after the first from the previous one's plan (``solve_continued``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .evaluate import (
     cost_gradient_x,
     expected_cycle_cost,
     hess_operator,
+    nonproactive_cost,
     weigh_classes,
 )
 from .optim import RESOLUTION, box_projected_descent, increasing_root
@@ -67,7 +69,8 @@ def active_sets(profile: DemandProfile, catalog: ItemCatalog, cost: CostModel, c
     zero = zero or Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
     a, b = cfg.kernels.marginal_stats(zero.tables, zero.state, cost)
     a_se, b_se = cfg.kernels.marginal_errors(zero.tables, zero.state, cost, b)
-    prev, prev_se = np.roll(a, 1)[None, :, None], np.roll(a_se, 1)[None, :, None]
+    prev = np.concatenate((a[-1:], a[:-1]))[None, :, None]
+    prev_se = np.concatenate((a_se[-1:], a_se[:-1]))[None, :, None]
     stat = b - prev
     floor = np.maximum(_MC_SIGMAS * np.sqrt(b_se**2 + prev_se**2),
                        RESOLUTION * (np.abs(b) + np.abs(prev)))
@@ -193,6 +196,26 @@ def solve_proactive(
         start=start,
         final=accepted,
     )
+
+
+def solve_continued(
+    profile: DemandProfile,
+    catalog: ItemCatalog,
+    cost: CostModel,
+    cfg: EvalConfig,
+    plan: np.ndarray | None,
+    **solver,
+) -> tuple[SolveResult, EvalResult]:
+    """One point of a sweep over near-identical problems: :func:`solve_proactive`
+    started from ``plan``, the previous point's answer, when it has this
+    profile's shape, and from zero otherwise (numerical continuation;
+    Allgower & Georg 1990).  Returns the solve and the non-proactive cost:
+    a cold solve's own start, or on a warm one the same zero-plan evaluation
+    made apart, so it has the same bits either way.  ``solver`` goes to
+    :func:`solve_proactive`."""
+    warm = plan is not None and plan.shape == profile.probs.shape
+    solved = solve_proactive(profile, catalog, cost, cfg, x0=plan if warm else None, **solver)
+    return solved, nonproactive_cost(profile, catalog, cost, cfg) if warm else solved.start
 
 
 @dataclass(frozen=True)
@@ -340,20 +363,28 @@ def scaling_curve(family, ladder, tol: float = 1e-8, max_iters: int = 5000) -> S
     ``family`` is a generator :class:`~procache.scenario.Scenario`; ladder
     point N is ``family.with_users(N)``, derived from the parsed family
     without a second parse, so every point shares its catalog, cost and
-    evaluation config.  The exponent is the least-squares slope of
-    log(delta) against log(N) and needs at least three distinct user counts.  It is
-    ``None``, with a warning naming the points, when some ladder point shows
-    no reduction (``delta <= 0``), since its logarithm is undefined.
+    evaluation config.  Each point after the first starts warm, from the
+    previous point's plan, when that plan has the new profile's shape: a
+    profile of classes keeps one row per class at every N, while a
+    per-user engine's rows grow with N and its points start cold.  The
+    descent stops on the same relative gap from any start, but the last bits
+    of a warm point's optimized cost (and of its ``delta`` and ``ratio``)
+    can depend on the ladder it is in.  Its non-proactive cost and standard
+    error are the zero plan's, as on a cold start.  The exponent is the
+    least-squares slope of log(delta) against log(N) and needs at least
+    three distinct user counts.  It is ``None``, with a warning naming the
+    points, when some ladder point shows no reduction (``delta <= 0``),
+    since its logarithm is undefined.
     """
     ladder = [int(n) for n in ladder]
     if len(set(ladder)) < 3:
         raise ValueError("exponent fit needs at least 3 ladder points with distinct user counts")
-    points = []
+    points, plan = [], None
     for n in ladder:
         scn = family.with_users(n)
-        solved = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg,
-                                 tol=tol, max_iters=max_iters)
-        base = solved.start
+        solved, base = solve_continued(scn.profile, scn.catalog, scn.cost, scn.cfg, plan,
+                                       tol=tol, max_iters=max_iters)
+        plan = solved.allocation.x
         delta = base.value - solved.cost
         points.append(
             ScalingPoint(

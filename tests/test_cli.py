@@ -792,7 +792,7 @@ def test_the_two_user_study_solves_its_shaped_point_once(tmp_path, monkeypatch, 
     # the sweep's p_peak = 0.9 row is the shaping run's first (cold) solve
     scn = parse_scenario(two_user_scenario_dict(SHAPED_P_PEAK, kind))
     cold = proactive.solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
-    solves = _counted(monkeypatch, proactive.solve_proactive, shaping, experiments)
+    solves = _counted(monkeypatch, proactive.solve_proactive, shaping, proactive)
     shaped = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
     shaping_solves = len(solves)
     assert (shaped.start.value, shaped.trace.objectives[0]) == (cold.start.value, cold.cost)
@@ -804,6 +804,36 @@ def test_the_two_user_study_solves_its_shaped_point_once(tmp_path, monkeypatch, 
     assert float(row["p_peak"]) == SHAPED_P_PEAK
     assert (float(row["c_nonproactive"]), float(row["c_proactive"])) == (cold.start.value,
                                                                         cold.cost)
+
+
+@pytest.mark.parametrize("kind, warm_iterations, cold_iterations",
+                         [("quadratic", 9, 13), ("outage", 17, 21)])
+def test_a_warm_sweep_row_agrees_with_its_cold_solve(tmp_path, monkeypatch, kind,
+                                                     warm_iterations, cold_iterations):
+    # sweep points after the first start from the previous plan: the zero-plan
+    # column keeps its bits, the optimized cost moves by a few ulps at most
+    solve, iterations, cold_total = proactive.solve_proactive, [], 0
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(proactive, "solve_proactive", counted)
+    reproduce_two_user(kind, tmp_path)
+    assert sum(iterations) == warm_iterations
+    rows = read_rows(tmp_path / "sweep.csv")
+    for p_peak, row in zip(PP_GRID, rows, strict=True):
+        scn = parse_scenario(two_user_scenario_dict(p_peak, kind))
+        cold = solve(scn.profile, scn.catalog, scn.cost, scn.cfg)
+        assert float(row["p_peak"]) == p_peak
+        assert float(row["c_nonproactive"]) == cold.start.value
+        assert float(row["c_proactive"]) == pytest.approx(cold.cost, rel=1e-12, abs=0)
+        if p_peak == SHAPED_P_PEAK:
+            assert float(row["c_proactive"]) == cold.cost
+        else:
+            cold_total += cold.iterations
+    assert cold_total == cold_iterations
 
 
 def _tree(root):

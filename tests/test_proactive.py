@@ -25,7 +25,12 @@ from procache import (
 from procache import evaluate, proactive
 from procache.costs import CostDomainError
 from procache.evaluate import ENGINES, Point
-from procache.experiments import OUTAGE_CAPACITY, SCALING_SCENARIO, two_user_scenario_dict
+from procache.experiments import (
+    OUTAGE_CAPACITY,
+    SCALING_LADDER,
+    SCALING_SCENARIO,
+    two_user_scenario_dict,
+)
 
 from conftest import cost_for, random_instance, two_user_pair
 from oracles import (
@@ -400,6 +405,73 @@ def test_scaling_curve_small_family():
     for p in curve.points:
         assert p.optimized <= p.nonproactive
         assert p.ratio == pytest.approx(p.delta / p.nonproactive)
+
+
+BENCH_LADDER = (250, 500, 1000, 1500)   # perfbench's scale_analytic ladder on this family
+# a degree-2 polynomial cost with a constant and a linear term, on the paper's family
+POLY2_FAMILY = {**SCALING_SCENARIO, "cost": {"kind": "polynomial", "coeffs": [0.5, 0.3, 1.0]}}
+
+
+def _cold_solves(family, ladder):
+    for n in ladder:
+        scn = family.with_users(n)
+        yield solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
+
+
+@pytest.mark.parametrize("source, ladder", [
+    (SCALING_SCENARIO, SCALING_LADDER),
+    (SCALING_SCENARIO, BENCH_LADDER),
+    (SCALING_SCENARIO, (200, 25, 100, 50)),
+    (SCALING_SCENARIO, (1500, 250, 1000, 500)),
+    (POLY2_FAMILY, (25, 50, 100, 200)),
+])
+def test_a_warm_ladder_point_agrees_with_its_cold_solve(source, ladder):
+    # class-form points start from the previous point's plan: the zero-plan
+    # columns keep their bits, the optimized cost moves by a few ulps at most
+    family = parse_scenario(source)
+    curve = scaling_curve(family, ladder)
+    for p, cold in zip(curve.points, _cold_solves(family, ladder), strict=True):
+        base = cold.start.value
+        assert (p.nonproactive, p.stderr) == (base, cold.start.stderr)
+        assert p.optimized == pytest.approx(cold.cost, rel=1e-12, abs=0)
+        assert p.delta == pytest.approx(base - cold.cost, rel=1e-12, abs=0)
+        assert p.ratio == pytest.approx((base - cold.cost) / base, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("engine", ["monte_carlo", "enumerate"])
+def test_a_per_user_ladder_is_its_cold_solves(engine):
+    # a per-user engine's plan grows a row per user, so no point starts warm
+    if engine == "monte_carlo":
+        family, ladder = parse_scenario(SCALING_SCENARIO).with_eval("monte_carlo", 100), (5, 10, 20)
+    else:
+        family = parse_scenario({**SMALL_FAMILY, "eval": {"engine": "enumerate"}})
+        ladder = (2, 3, 4)
+    curve = scaling_curve(family, ladder)
+    for p, cold in zip(curve.points, _cold_solves(family, ladder), strict=True):
+        base = cold.start
+        assert p == proactive.ScalingPoint(p.num_users, base.value, cold.cost,
+                                           base.value - cold.cost,
+                                           (base.value - cold.cost) / base.value, base.stderr)
+
+
+def test_a_warm_ladder_point_takes_one_newton_iteration(monkeypatch):
+    # the benchmark's and the paper's ladders: 2 + 1 + 1 + 1 iterations each,
+    # where eight cold solves take 2 each
+    solve, iterations = proactive.solve_proactive, []
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(proactive, "solve_proactive", counted)
+    family = parse_scenario(SCALING_SCENARIO)
+    for ladder in (BENCH_LADDER, SCALING_LADDER):
+        scaling_curve(family, ladder)
+    assert iterations == [2, 1, 1, 1] * 2
+    cold = [res.iterations for ladder in (BENCH_LADDER, SCALING_LADDER)
+            for res in _cold_solves(family, ladder)]
+    assert cold == [2] * 8
 
 
 def test_newton_solve_of_the_paper_family_ends_on_its_relative_tolerance():

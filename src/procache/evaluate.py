@@ -48,14 +48,18 @@ iteration builds one on its free set and takes all its products from it.
   and the per-(user, item) ``E[I C'(Y)]`` all come from that grid: the last
   is the axis-n marginal of ``P C'(Y)``, since ``P(c) = prod_n w[n, c_n]``.
   The curvature kernel takes the same marginals of ``P C''(Y) dY``.  The
-  batches and their probability grids are kept on the profile
+  batches, their probability grids and the ones vector the marginal sums
+  multiply by are kept on the profile
   (:class:`_Outcomes`); a point builds each batch's loads grid on first use
   and keeps it, so its value, gradient and products read one grid.  Grids
   are kept only while the cycle's reachable support, summed over batches,
   is at most 1e7 cells, the bound one batch obeys; past it each call builds
   its own.  A trial that overflows an outage capacity raises from its loads
   grid, in the cost's domain check.  The probability gradient builds one
-  grid per user, that user's every choice against the other users' support.
+  grid per user, that user's every choice against the other users' support,
+  and values it with the cost as it is.  Only a grid with a load outside the
+  cost's domain builds the in-domain mask: its choices that overflow at
+  positive probability get ``+inf``, and an overflowing silent choice raises.
 * ``analytic_quadratic``: closed-form first/second moments, valid only for
   polynomial costs of degree <= 2, where ``C''`` is constant.  Like the
   other engines it reads the cost only through ``C``, ``C'`` and ``C''``:
@@ -265,18 +269,32 @@ def _grid(tables: list, op, start: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _axis_sums(grid: np.ndarray, widths: tuple, width: int) -> np.ndarray:
+def _ones_for(widths_each) -> np.ndarray:
+    """A read-only ones vector long enough for every sum :func:`_axis_sums`
+    takes on grids of the users' numbers of choices in ``widths_each``.  Each
+    summed axis is some ``K_n`` or ``K_0 ... K_{n-1}``, so the vector is at
+    most one row of the largest grid; a leading slice serves a shorter axis."""
+    ones = np.ones(max(max(max(widths), int(np.prod(widths[:-1]))) for widths in widths_each))
+    ones.setflags(write=False)
+    return ones
+
+
+def _axis_sums(grid: np.ndarray, widths: tuple, width: int, ones=None) -> np.ndarray:
     """Sum a (B, prod K_n) outcome grid over all users but one: (N, B, width).
 
     Entries past a user's K_n are 0.  Summing off the fastest user at each
     step leaves the grid of the users before it, so the N marginals cost
-    about one pass over the grid.
+    about one pass over the grid.  Each sum is a product with a leading
+    slice of ``ones``, the batches' vector kept in :class:`_Outcomes`
+    (:func:`_ones_for`), or one built for the call when it is ``None``.
     """
+    if ones is None:
+        ones = _ones_for([widths])
     out = np.zeros((len(widths), len(grid), width))
     for n in range(len(widths) - 1, -1, -1):
         grid = grid.reshape(len(grid), -1, widths[n])      # (B, K_0...K_{n-1}, K_n)
-        out[n, :, :widths[n]] = np.ones(grid.shape[1]) @ grid
-        grid = grid @ np.ones(widths[n])
+        out[n, :, :widths[n]] = ones[:grid.shape[1]] @ grid
+        grid = grid @ ones[:widths[n]]
     return out
 
 
@@ -302,13 +320,17 @@ def _chances(ws: list, rows: int) -> tuple:
 class _Outcomes(NamedTuple):
     """A profile's weight table ``w`` (T, N, M+1), silent column first, its
     :func:`_batches` ``(s, widths, cols, ws)`` with per-user weight tables
-    ``ws``, and their :func:`_chances`, kept (here and by each point's
-    :class:`_EnumState`) only while the cycle's reachable support, summed
-    over batches, is at most ``_ENUM_LIMIT`` cells: past that ``grids`` is
-    ``None`` and every call builds its own."""
+    ``ws``, the read-only ``ones`` vector whose leading slices
+    :func:`_axis_sums` multiplies every batch's grids by (:func:`_ones_for`),
+    and the batches' :func:`_chances`.  ``ones`` is kept with the batches,
+    so it is freed with the profile.  The chances are kept (here and by
+    each point's :class:`_EnumState`) only while the cycle's reachable
+    support, summed over batches, is at most ``_ENUM_LIMIT`` cells: past
+    that ``grids`` is ``None`` and every call builds its own."""
 
     w: np.ndarray
     batches: list
+    ones: np.ndarray
     grids: list | None
 
     @classmethod
@@ -317,7 +339,7 @@ class _Outcomes(NamedTuple):
         batches = [(s, widths, cols, _cut(w, s, widths, cols)) for s, widths, cols in _batches(w)]
         cells = sum(len(s) * int(np.prod(widths)) for s, widths, *_ in batches)
         grids = None if cells > _ENUM_LIMIT else [_chances(b[3], len(b[0])) for b in batches]
-        return cls(w, batches, grids)
+        return cls(w, batches, _ones_for(b[1] for b in batches), grids)
 
     def chances(self, i: int) -> tuple:
         """Batch ``i``'s probability grid and live mask, kept or built for the call."""
@@ -401,7 +423,7 @@ def _enum_marginals(tables: Tables, state: _EnumState, weight, d=None, dconst=No
         del probs, live   # past the budget, this call's grids go before the next is built
         if d is not None:
             grid *= _grid(_cut(dval, s, widths, cols), np.add, dconst[s])
-        sums = _axis_sums(grid, widths, width)
+        sums = _axis_sums(grid, widths, width, outcomes.ones)
         del grid
         a[s] = sums[0].sum(axis=1)
         if cols is not None:   # back to column order
@@ -422,9 +444,12 @@ def _enum_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
     """For each user n, the loads grid takes all of n's choices as its slowest
     axis over the other users' reachable outcomes, whose probabilities
     ``P_-n`` weight every row alike, so one matrix product gives the
-    conditional expectation of every choice.  An entry is ``+inf`` when an
-    outcome with ``P_-n > 0`` leaves the cost's domain; a silent one that
-    does raises :class:`CostDomainError`.
+    conditional expectation of every choice.
+
+    A grid is valued with ``cost.cost`` as it is.  Only a grid that leaves
+    the cost's domain takes :func:`_masked_differences`, where an entry is
+    ``+inf`` when an outcome with ``P_-n > 0`` leaves the domain and a
+    silent one that does raises :class:`CostDomainError`.
     """
     w, val, const = tables.outcomes.w, state.val, tables.const
     n_slots, n_users, width = w.shape
@@ -435,14 +460,29 @@ def _enum_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
             del ws[n]
             probs = _grid(ws, np.multiply, np.ones(len(s)))                        # (B, K)
             loads = _grid([vs.pop(n)] + vs, np.add, const[s]).reshape(len(s), width, -1)
-            ok = cost.in_domain(loads)
-            cond = (_on_live(cost.cost, loads, ok) @ probs[:, :, None])[:, :, 0]
-            bad = ~ok & (probs > 0.0)[:, None, :]
-            out = bad.any(axis=2)
-            if out[:, 0].any():   # the silent baseline itself overflows
-                raise CostDomainError(float(loads[bad].max()), cost.domain_limit)
-            grad[n, s] = np.where(out[:, 1:], np.inf, cond[:, 1:] - cond[:, :1])
+            try:
+                values = cost.cost(loads)
+            except CostDomainError:
+                grad[n, s] = _masked_differences(loads, probs, cost)
+                continue
+            cond = (values @ probs[:, :, None])[:, :, 0]
+            grad[n, s] = cond[:, 1:] - cond[:, :1]
     return grad
+
+
+def _masked_differences(loads: np.ndarray, probs: np.ndarray, cost: CostModel) -> np.ndarray:
+    """:func:`_enum_gradient_p`'s differences on a loads grid (B, M+1, K)
+    that leaves the cost's domain: only its in-domain loads reach the cost,
+    a choice with an outcome past the domain at ``P_-n > 0`` gets ``+inf``,
+    and a silent choice with one raises :class:`CostDomainError` at the
+    heaviest such load."""
+    ok = cost.in_domain(loads)
+    cond = (_on_live(cost.cost, loads, ok) @ probs[:, :, None])[:, :, 0]
+    bad = ~ok & (probs > 0.0)[:, None, :]
+    out = bad.any(axis=2)
+    if out[:, 0].any():   # the silent baseline itself overflows
+        raise CostDomainError(float(loads[bad].max()), cost.domain_limit)
+    return np.where(out[:, 1:], np.inf, cond[:, 1:] - cond[:, :1])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .demand import DemandProfile
 from .proactive import ScalingCurve, scaling_curve, solve_continued
 from .recommend import solve_rating
 from .scenario import Scenario, parse_scenario
@@ -51,18 +52,22 @@ SCALING_SCENARIO = {
 CSV_SCHEMA_VERSION = 1
 
 
+def two_user_profiles(p_peak: float) -> list:
+    """The two users' request probabilities, off-peak then peak slot: the
+    ``profiles`` of :func:`two_user_scenario_dict`."""
+    return [[list(TWO_USER_OFFPEAK * pi), list(p_peak * pi)]
+            for pi in np.asarray(TWO_USER_PREFS)]
+
+
 def two_user_scenario_dict(p_peak: float, cost_kind: str) -> dict:
     """Two users, three items, an off-peak and a peak slot."""
     costs = {"quadratic": {"kind": "quadratic"},
              "outage": {"kind": "outage", "mu": OUTAGE_CAPACITY}}
     if cost_kind not in costs:
         raise ValueError(f"unknown two-user cost kind {cost_kind!r}")
-    prefs = np.asarray(TWO_USER_PREFS)
     return {
         "sizes": list(TWO_USER_SIZES),
-        "profiles": [
-            [list(TWO_USER_OFFPEAK * pi), list(p_peak * pi)] for pi in prefs
-        ],
+        "profiles": two_user_profiles(p_peak),
         "cost": costs[cost_kind],
         "eval": {"engine": "enumerate"},
         "alpha": 0.2,
@@ -136,6 +141,12 @@ def _finish_report(name: str, scn: Scenario, metrics: dict, out_dir: Path,
 def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
     """Sweep the peak probability, then shape and re-rate at the busiest point.
 
+    The study's scenario is parsed once, at the busiest point.  The other
+    sweep points differ from it only in their profiles, so each is a
+    :class:`~procache.demand.DemandProfile` of :func:`two_user_profiles`
+    solved under the parsed catalog, cost and evaluation config: what a
+    parse of its own scenario would give, without the parse.
+
     Each sweep point after the first starts from the previous point's plan
     (:func:`~procache.proactive.solve_continued`), so the last bits of its
     ``c_proactive`` can depend on the grid it is in; the busiest point's row
@@ -157,8 +168,8 @@ def reproduce_two_user(cost_kind: str, out_dir) -> RunReport:
         if p_peak == SHAPED_P_PEAK:
             sweep_rows.append((p_peak, shaped.start.value, shaped.trace.objectives[0]))
             continue
-        point = parse_scenario(two_user_scenario_dict(p_peak, cost_kind))
-        solved, base = solve_continued(point.profile, point.catalog, point.cost, point.cfg, plan)
+        point = DemandProfile(two_user_profiles(p_peak))
+        solved, base = solve_continued(point, scn.catalog, scn.cost, scn.cfg, plan)
         plan = solved.allocation.x
         sweep_rows.append((p_peak, base.value, solved.cost))
 

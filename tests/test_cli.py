@@ -788,6 +788,28 @@ def test_the_scaling_study_parses_once(runner, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "outage"])
+def test_the_two_user_study_parses_once(runner, tmp_path, monkeypatch, kind):
+    # the sweep points are derived from the one parsed study: each solves its
+    # own profile under the study's catalog, cost and config, and that
+    # profile is the parse of its own scenario's, bit for bit
+    parses = _counted(monkeypatch, parse_scenario, scenario, procache.cli, experiments)
+    solves = _counted(monkeypatch, proactive.solve_continued, experiments)
+    res = runner.invoke(main, ["reproduce-paper", f"two-user-{kind}", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert len(parses) == 1
+    study = parse_scenario(two_user_scenario_dict(SHAPED_P_PEAK, kind))
+    points = [p_peak for p_peak in PP_GRID if p_peak != SHAPED_P_PEAK]
+    for p_peak, (profile, catalog, cost, cfg, _) in zip(points, solves, strict=True):
+        parsed = parse_scenario(two_user_scenario_dict(p_peak, kind))
+        for field in ("probs", "silence", "counts"):
+            got, want = getattr(profile, field), getattr(parsed.profile, field)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (p_peak, field)
+        assert catalog.sizes.tobytes() == parsed.catalog.sizes.tobytes()
+        assert (cost, cfg) == (parsed.cost, parsed.cfg) == (study.cost, study.cfg)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "outage"])
 def test_the_two_user_study_solves_its_shaped_point_once(tmp_path, monkeypatch, kind):
     # the sweep's p_peak = 0.9 row is the shaping run's first (cold) solve
     scn = parse_scenario(two_user_scenario_dict(SHAPED_P_PEAK, kind))

@@ -25,6 +25,7 @@ from procache.demand import sample_index
 from procache.evaluate import ENGINES, Point, cycle_tables, hess_operator, prefetch_volume
 from procache.experiments import SCALING_SCENARIO
 from procache.rng import substream
+from procache.shaping import shape_demand
 
 from conftest import random_instance
 from oracles import RequestOutcome, hess_vec, kernel_hess_vec, slot_load, slot_marginal_stats
@@ -737,6 +738,70 @@ def test_a_point_evaluates_like_its_bare_allocation(engine):
             point.x[0, 0, 0] = 0.0
         with pytest.raises(ValueError, match="another profile"):
             expected_cycle_cost(prof, point, cost, EvalConfig(engine=engine, samples=5, seed=99))
+
+
+def _masked_gradient_p(prof, x, sizes, cost):
+    """The enumeration's probability gradient with every grid on the masked
+    path: only in-domain loads reach the cost, a choice with an outcome past
+    the domain at ``P_-n > 0`` is ``+inf``, and a silent one raises at the
+    batch's heaviest such load."""
+    w = np.concatenate([prof.silence[:, :, None], prof.probs], axis=2).transpose(1, 0, 2)
+    val, const = evaluate._values(sizes - x), prefetch_volume(x)
+    n_slots, n_users, width = w.shape
+    grad = np.empty((n_users, n_slots, width - 1))
+    for n in range(n_users):
+        for s, widths, cols in evaluate._batches(w, full=n):
+            ws, vs = evaluate._cut(w, s, widths, cols), evaluate._cut(val, s, widths, cols)
+            del ws[n]
+            probs = evaluate._grid(ws, np.multiply, np.ones(len(s)))
+            loads = evaluate._grid([vs.pop(n)] + vs, np.add, const[s]).reshape(len(s), width, -1)
+            ok = (loads >= -1e-9) & (loads < cost.mu)
+            values = np.zeros_like(loads)
+            values[ok] = cost.cost(loads[ok])
+            cond = (values @ probs[:, :, None])[:, :, 0]
+            bad = ~ok & (probs > 0.0)[:, None, :]
+            out = bad.any(axis=2)
+            if out[:, 0].any():
+                raise CostDomainError(float(loads[bad].max()), cost.mu)
+            grad[n, s] = np.where(out[:, 1:], np.inf, cond[:, 1:] - cond[:, :1])
+    return grad / n_slots
+
+
+def test_probability_gradient_masks_only_grids_that_leave_the_domain(monkeypatch):
+    # three capacities per case: past every load any grid holds, the case's
+    # own (clear of reachable loads, not of every choice), and half of that
+    masks = _counting(monkeypatch, CostModel, "in_domain")
+    cfg = EvalConfig(engine="enumerate")
+    seen = set()
+    for catalog, prof, x, cost in _grid_cases("outage"):
+        heaviest = ((catalog.sizes - x).max(axis=2).sum(axis=0)
+                    + np.roll(x.sum(axis=(0, 2)), -1)).max()
+        for mu in (2.0 * heaviest, cost.mu, 0.5 * cost.mu):
+            at = CostModel.outage(mu)
+            try:
+                want = _masked_gradient_p(prof, x, catalog.sizes, at)
+            except CostDomainError as exc:
+                with pytest.raises(CostDomainError) as err:
+                    cost_gradient_p(prof, x, at, cfg, catalog=catalog)
+                assert (err.value.load, err.value.limit) == (exc.load, exc.limit)
+                seen.add("baseline raises")
+                continue
+            masks.clear()
+            got = cost_gradient_p(prof, x, at, cfg, catalog=catalog)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            assert got.tobytes() == want.tobytes()
+            if np.isinf(want).any():
+                seen.add("faces")
+            elif mu == 2.0 * heaviest:
+                assert masks == []   # no grid left the domain: no mask was built
+                seen.add("in domain")
+    assert seen == {"in domain", "faces", "baseline raises"}
+
+    # no grid of the cyclic instance leaves its domain, over a whole shaping run
+    catalog, prof, cost = _cyclic_outage()
+    masks.clear()
+    shaped = shape_demand(prof, catalog, cost, cfg, 0.2)
+    assert len(shaped.trace) > 1 and masks == []
 
 
 def test_an_overflowing_trial_raises_a_slots_heaviest_reachable_load():

@@ -70,11 +70,13 @@ iteration builds one on its free set and takes all its products from it.
   only as their flat sample index ``(t N + n)(M+1) + code`` (T, N, K) into
   a (T, N, M+1) table of per-choice values
   (:meth:`DemandProfile.draw_index`).  The kernels read only that index: a
-  load is one gather from the value table, added up user by user, and
-  every per-(user, item) mean is one ``bincount`` over it.  The
+  load adds up one gather per user from the value table, in user order,
+  and every per-(user, item) mean is one ``bincount`` over it.  The
   state is the sampled loads, so every kernel reads the same draws and
-  loads, all slots at once.  The curvature operator reads only the draws
-  that hit its free coordinates (:func:`_mc_hess_op`).  Standard
+  loads, all slots at once.  The curvature operator groups each slot's
+  samples by the free coordinates their draws hit (their hit pattern),
+  once per free set, and a product works per pattern, not per draw
+  (:func:`_mc_hess_op`).  Standard
   errors of the marginal statistics are computed only when asked for
   (:attr:`Engine.marginal_errors`).  It has no probability gradient.
 
@@ -87,6 +89,7 @@ probability overflows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -97,6 +100,7 @@ from .costs import CostDomainError, CostModel
 from .demand import DemandProfile, ItemCatalog
 
 _ENUM_LIMIT = 10_000_000
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class UnsupportedEngineError(ValueError):
@@ -237,17 +241,43 @@ def _batches(w: np.ndarray, full: int | None = None):
     ``widths`` and the column order ``cols`` (B, N, M+1) that puts the
     enumerated columns first, ``None`` when that is all of them.
     """
+    return _batching(w)(full)
+
+
+def _batching(w: np.ndarray):
+    """:func:`_batches` of ``w`` for any ``full``, as ``batches(full)``:
+    the live mask, each (slot, user)'s number of live choices and the
+    column order are computed once, for a caller that batches per user.
+    User ``full``'s row of the order is the identity, all its choices live."""
     live = w > 0.0
-    if full is not None:
-        live[:, full] = True
-    groups = {}
-    for t, widths in enumerate(live.sum(axis=2).tolist()):
-        groups.setdefault(tuple(widths), []).append(t)
-    for widths, slots in groups.items():
-        step = max(1, _ENUM_LIMIT // int(np.prod(widths)))
-        for lo in range(0, len(slots), step):
-            s = np.array(slots[lo:lo + step])
-            yield s, widths, None if live[s].all() else np.argsort(~live[s], axis=2, kind="stable")
+    rows = live.sum(axis=2).tolist()
+    short = ~live.all(axis=2)                # (T, N): a choice of zero weight
+    order = np.argsort(~live, axis=2, kind="stable") if short.any() else None
+    width = w.shape[2]
+
+    def cols_of(s, full):
+        cut = short[s]
+        if full is not None:
+            cut[:, full] = False
+        if not cut.any():
+            return None
+        cols = order[s]
+        if full is not None:
+            cols[:, full] = np.arange(width)
+        return cols
+
+    def batches(full=None):
+        groups = {}
+        for t, widths in enumerate(rows):
+            if full is not None:
+                widths = widths[:full] + [width] + widths[full + 1:]
+            groups.setdefault(tuple(widths), []).append(t)
+        for widths, slots in groups.items():
+            step = max(1, _ENUM_LIMIT // math.prod(widths))
+            for lo in range(0, len(slots), step):
+                s = np.array(slots[lo:lo + step])
+                yield s, widths, None if order is None else cols_of(s, full)
+    return batches
 
 
 def _cut(tab: np.ndarray, s: np.ndarray, widths: tuple, cols) -> list:
@@ -454,8 +484,9 @@ def _enum_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
     w, val, const = tables.outcomes.w, state.val, tables.const
     n_slots, n_users, width = w.shape
     grad = np.empty((n_users, n_slots, width - 1))
+    batches = _batching(w)
     for n in range(n_users):
-        for s, widths, cols in _batches(w, full=n):
+        for s, widths, cols in batches(n):
             ws, vs = _cut(w, s, widths, cols), _cut(val, s, widths, cols)
             del ws[n]
             probs = _grid(ws, np.multiply, np.ones(len(s)))                        # (B, K)
@@ -549,12 +580,15 @@ def _analytic_gradient_p(tables: Tables, state, cost: CostModel) -> np.ndarray:
 
 def _mc_loads(val: np.ndarray, const: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Sampled slot loads (T, K) from the value table ``val`` (T, N, M+1);
-    users are added one at a time, in user order."""
-    gathered = val.ravel().take(index)          # (T, N, K)
+    users are gathered one at a time into one (T, K) buffer and added in
+    user order."""
     y = np.empty((index.shape[0], index.shape[2]))
     y[:] = const[:, None]
+    gathered = np.empty_like(y)
     for n in range(index.shape[1]):
-        y += gathered[:, n]
+        # the index is in range, and "clip" lets take write into its buffer unbuffered
+        val.take(index[:, n], out=gathered, mode="clip")
+        y += gathered
     return y
 
 
@@ -599,36 +633,83 @@ def _mc_marginal_errors(tables: Tables, loads, cost: CostModel, b: np.ndarray):
     return _mean_se(d)[1], np.sqrt(var / (k - 1))
 
 
+def _dense(keys: np.ndarray):
+    """Flat integer ``keys`` renumbered 0, 1, ... in sorted order: ``(ids,
+    first)``, ``first`` the position of each distinct key's first occurrence."""
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    return ids, first
+
+
 def _mc_hess_op(tables: Tables, loads, cost: CostModel, free):
-    """Reads only the draws whose (slot, user, choice) is a free coordinate:
-    a direction zero elsewhere moves no other load.  Built once: those draws
-    in (t, n, k) order, and ``C''(Y)``.  A product adds their ``-d`` into
-    the loads in that order, user order within a sample as in
-    :func:`_mc_loads`, and bins them per free coordinate in sample order,
-    as a ``bincount`` over every draw does: the same sums, bit for bit."""
+    """Works per hit pattern, not per draw.  A direction zero off ``free``
+    moves a sample's load in slot t by the volume sent in t minus the
+    direction's entries at the free coordinates the sample's draws hit
+    there, so samples with the same slot and the same hits move alike.
+
+    Built once, from one gather of the draw index: each sample's pattern
+    key, in mixed radix over the users' 1-based ranks of their hit among
+    their free coordinates in that slot (0 for none), the slot the most
+    significant digit.  Users join the key in chunks whose radix product
+    keeps it in int64, and the key is renumbered densely (:func:`_dense`)
+    before a chunk would pass it, so the grouping is exact, with no
+    hashing.  Each pattern keeps its slot, its members (the free
+    coordinates its first sample hits, in user order) and its samples' sum
+    of ``C''(Y)``.  A product takes the volume sent per slot with one
+    ``bincount`` over the free coordinates' sending slots, each pattern's
+    ``dY`` (that volume minus its members' entries), and bins ``C'' dY``
+    back per slot and per member: its work grows with the patterns and
+    their members, not with the draws."""
     index, shape = tables.outcomes, tables.v.shape
     n_slots, n_users, k = index.shape
-    position = np.full((n_slots, n_users, shape[2] + 1), -1)   # each bin's place in free
     n, t, m = np.unravel_index(free, shape)
+    # each free coordinate's 1-based rank among its user's in its slot, in free's order
+    cell = t * n_users + n
+    order = cell.argsort(kind="stable")
+    counts = np.bincount(cell, minlength=n_slots * n_users)
+    rank = np.empty(free.size, dtype=np.int64)
+    rank[order] = np.arange(1, free.size + 1) - (np.cumsum(counts) - counts)[cell[order]]
+    radix = counts.reshape(n_slots, n_users).max(axis=0) + 1
+    users = np.flatnonzero(radix > 1)
+    # a chunk's radix product times at most T K dense ids stays in int64
+    limit, place, cuts, spans = _INT64_MAX // (n_slots * k), np.zeros(n_users, np.int64), [0], [1]
+    for u, r in enumerate(radix.tolist()):
+        if spans[-1] * r > limit:
+            cuts.append(u)
+            spans.append(1)
+        place[u] = spans[-1]
+        spans[-1] *= r
+    digit = np.zeros((n_slots, n_users, shape[2] + 1), dtype=np.int64)
+    digit[t, n, m + 1] = rank * place[n]
+    digits = digit.ravel().take(index)            # (T, N, K): the one scan of the draws
+    key, count = np.arange(n_slots)[:, None], n_slots    # (T, K) from the first chunk on
+    for lo, hi, span in zip(cuts, cuts[1:] + [n_users], spans):
+        if count * span > _INT64_MAX:
+            key, first = _dense(key.ravel())
+            key, count = key.reshape(n_slots, k), first.size
+        key = key * span + digits[:, lo:hi].sum(axis=1)
+        count *= span
+    del digits   # its memory serves the arrays below
+    pattern, first = _dense(key.ravel())
+    slot = first // k
+    curv = np.bincount(pattern, weights=cost.second(loads).ravel(), minlength=first.size)
+    position = np.full((n_slots, n_users, shape[2] + 1), -1)   # each bin's place in free
     position[t, n, m + 1] = np.arange(free.size)
-    hit = position.ravel().take(index).ravel()
-    draws = np.flatnonzero(hit >= 0)
-    # a flat draw t N K + n K + k is sample t K + k of the loads (T, K)
-    bins, samples = hit[draws], draws // (n_users * k) * k + draws % k
-    curv = cost.second(loads)
-    scatter = np.zeros(shape)
+    # each pattern's draws by its users with a free coordinate, (P, U)
+    hits = np.add.outer(slot * (n_users * k) + first % k, users * k)
+    hits = position.ravel().take(index.ravel().take(hits), out=hits, mode="clip").ravel()
+    member = np.flatnonzero(hits >= 0)
+    owner, member = member // max(users.size, 1), hits[member]
+    send = (t - 1) % n_slots
 
     def product(v, dconst=None):
         if dconst is None:
-            scatter.flat[free] = v
-            dconst = prefetch_volume(scatter)
-        dy = np.empty((n_slots, k))
-        dy[:] = dconst[:, None]
-        np.add.at(dy.ravel(), samples, np.subtract(0.0, v)[bins])
-        dy *= curv
-        # no hitting draw leaves an empty, integer bincount: the division makes it float
-        total = np.bincount(bins, weights=dy.ravel()[samples], minlength=free.size)
-        return np.add.reduce(dy, axis=1) / k, total / k
+            dconst = np.bincount(send, weights=v, minlength=n_slots)
+        # an empty free set or no member leaves an integer bincount: curv and
+        # the division make them float
+        dy = (dconst.take(slot) - np.bincount(owner, weights=v.take(member),
+                                              minlength=first.size)) * curv
+        return (np.bincount(slot, weights=dy, minlength=n_slots) / k,
+                np.bincount(member, weights=dy.take(owner), minlength=free.size) / k)
     return product
 
 
@@ -823,8 +904,9 @@ def hess_operator(
     class k, and the product's row is scaled by the count, as in
     :func:`cost_gradient_x`.  What every product shares is built once,
     here: the point's tables and state, a buffer for ``da`` on ``free``'s
-    previous slots, and on Monte Carlo the draws that hit ``free`` and
-    ``C''(Y)``.  The operator keeps the point alive.
+    previous slots, and on Monte Carlo the samples grouped by the free
+    coordinates they hit, with each group's sum of ``C''(Y)``.  The
+    operator keeps the point alive.
     """
     point = _checked_point(profile, allocation, cost, cfg, catalog)
     tables = point.tables

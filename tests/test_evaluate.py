@@ -1,6 +1,7 @@
 """Engines: frozen exact values, cross-engine agreement, gradients, guards."""
 
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -279,6 +280,78 @@ def _loop_mc_hess_vec(y, dval, dconst, choices, cost):
     return float(dy.mean()), db
 
 
+# The Monte Carlo curvature operator sums per hit pattern (the samples of a
+# slot whose draws hit the same free coordinates), the per-user loop oracle
+# per sample, so their last bits differ.  Both are held to an exactly rounded
+# reference instead, within a bound on the operator's rounding error:
+#   * a pattern's dY is the volume sent in its slot, a sum of at most S
+#     entries (S = 1 when it is given), minus at most N member entries;
+#   * its C''(Y) sum and the sum over a slot's patterns (or over the patterns
+#     holding one coordinate) together add each sample's term at most K + 1
+#     times, since the patterns split the slot's K samples;
+#   * one product, the division by K and the combination into the product
+#     (da[t-1] - db) / T round once each.
+# A chain of n roundings is off by at most n u / (1 - n u) times the sum of
+# the absolute values of its terms (u = 2^-53), and the reference, with every
+# dY and every sum rounded exactly, by at most 4 u of the same sum.  So
+# |product - reference| <= (K + N + S + 10) u * sum_k |C''(Y_k)| (sum |sent|
+# + sum_n |d[n, t, m_n]|) / K, the sum over the samples of the slot (the
+# requesting ones for db); the loop oracle's chain (N additions into dY,
+# then K into the mean or bin) meets it as well.  A product that left out or
+# double-counted one sample would miss it by about 1/K of that sum.
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _mc_exact_product(prof, x, sizes, d, cost, cfg, dconst=None):
+    """Exactly rounded ``(da, db)`` of the Monte Carlo curvature kernel along
+    ``d`` (N, T, M), each dY and each sum by ``math.fsum``, with the sums of
+    absolute terms ``(abs_da, abs_db)`` and the rounding bound ``slack``
+    that scales them (see above).  The volume sent in slot t is ``dconst[t]``
+    when given, else the entries ``d[:, t+1]``."""
+    draws = prof.draws(cfg.seed, cfg.samples)
+    n_users, n_slots, m_items = d.shape
+    k = cfg.samples
+    da, abs_da = np.empty(n_slots), np.empty(n_slots)
+    db, abs_db = np.zeros(d.shape), np.zeros(d.shape)
+    most_sent = 1
+    for t in range(n_slots):
+        val = np.concatenate([np.zeros((n_users, 1)), sizes - x[:, t]], axis=1)
+        y, _ = _loop_mc_stats(val, float(x[:, (t + 1) % n_slots].sum()), draws[t], cost)
+        curv = cost.second(y)
+        if dconst is None:
+            sent = d[:, (t + 1) % n_slots].ravel().tolist()
+            most_sent = max(most_sent, len(sent))
+        else:
+            sent = [float(dconst[t])]
+        terms, abs_terms = np.empty(k), np.empty(k)
+        for s in range(k):
+            parts = sent + [-d[n, t, c - 1] for n, c in enumerate(draws[t, :, s]) if c > 0]
+            terms[s] = curv[s] * math.fsum(parts)
+            abs_terms[s] = abs(curv[s]) * math.fsum(np.abs(parts))
+        da[t], abs_da[t] = math.fsum(terms) / k, math.fsum(abs_terms) / k
+        for n in range(n_users):
+            for m in range(m_items):
+                asked = draws[t, n] == m + 1
+                db[n, t, m] = math.fsum(terms[asked]) / k
+                abs_db[n, t, m] = math.fsum(abs_terms[asked]) / k
+    slack = (k + n_users + most_sent + 10) * UNIT_ROUNDOFF
+    return da, db, abs_da, abs_db, slack
+
+
+def _mc_exact_hess(prof, x, sizes, d, cost, cfg):
+    """The exactly rounded Hessian product along ``d`` (N, T, M), combined as
+    :func:`hess_operator` combines, and the bound on a product's distance
+    from it, per coordinate."""
+    da, db, abs_da, abs_db, slack = _mc_exact_product(prof, x, sizes, d, cost, cfg)
+    n_slots = d.shape[1]
+    ref = (np.roll(da, 1)[None, :, None] - db) / n_slots
+    return ref, slack * (np.roll(abs_da, 1)[None, :, None] + abs_db) / n_slots
+
+
+def _within(got, ref, bound):
+    return bool(np.all(np.abs(got - ref) <= bound))
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "outage"])
 def test_batched_monte_carlo_equals_per_slot_oracle(kind):
     rng = np.random.default_rng(2024)
@@ -303,6 +376,8 @@ def test_batched_monte_carlo_equals_per_slot_oracle(kind):
         dconst = prefetch_volume(d)
         da, db = kernel_hess_vec(cfg.kernels, tables, state, cost, d, dconst)
         draws = prof.draws(cfg.seed, cfg.samples)
+        exact_da, exact_db, abs_da, abs_db, slack = _mc_exact_product(
+            prof, x, catalog.sizes, d, cost, cfg, dconst)
         for t in range(n_slots):
             val = np.concatenate([np.zeros((n_users, 1)), catalog.sizes - x[:, t]], axis=1)
             const = float(x[:, (t + 1) % n_slots].sum())
@@ -315,8 +390,11 @@ def test_batched_monte_carlo_equals_per_slot_oracle(kind):
             assert np.array_equal(b_se[:, t, :], ref_b_se)
             dval = np.concatenate([np.zeros((n_users, 1)), 0.0 - d[:, t]], axis=1)
             ref_da, ref_db = _loop_mc_hess_vec(y, dval, dconst[t], draws[t], cost)
-            assert da[t] == ref_da
-            assert np.array_equal(db[:, t, :], ref_db)
+            # the curvature product sums per hit pattern: held, as the loop
+            # oracle is, to the exactly rounded sums within the bound above
+            for got_da, got_db in ((da[t], db[:, t, :]), (ref_da, ref_db)):
+                assert _within(got_da, exact_da[t], slack * abs_da[t])
+                assert _within(got_db, exact_db[:, t, :], slack * abs_db[:, t, :])
         assert np.array_equal(grad, (np.roll(a, 1)[None, :, None] - b) / n_slots)
         assert grad.flags.c_contiguous   # norms of a transposed view sum in another order
         assert db.flags.c_contiguous
@@ -341,8 +419,9 @@ def _loop_mc_product(prof, x, sizes, d, cost, cfg):
 def test_an_operator_on_a_free_set_equals_the_full_product_there(engine, kind):
     # on random free sets, on one that no draw hits and on every coordinate,
     # the operator's product is the whole product's entries on the free set,
-    # bit for bit, for a direction zero elsewhere; on Monte Carlo both are
-    # the per-user loop oracle's
+    # bit for bit, for a direction zero elsewhere; on Monte Carlo, which sums
+    # per hit pattern, it, the whole product and the per-user loop oracle
+    # are each within the rounding bound of the exactly rounded product
     rng = np.random.default_rng(23)
     sampled, unhit = engine == "monte_carlo", 0
     for case in range(36):
@@ -379,10 +458,117 @@ def test_an_operator_on_a_free_set_equals_the_full_product_there(engine, kind):
             got = evaluate.hess_operator(prof, point, cost, cfg, free)(d.ravel()[free])
             full = hess_vec(prof, point, masked, cost, cfg)
             assert got.dtype == float and got.shape == free.shape
-            assert np.array_equal(got, full.ravel()[free])
-            if sampled:
-                assert np.array_equal(full, _loop_mc_product(prof, x, sizes, masked, cost, cfg))
+            if not sampled:
+                assert np.array_equal(got, full.ravel()[free])
+                continue
+            ref, bound = _mc_exact_hess(prof, x, sizes, masked, cost, cfg)
+            assert _within(got, ref.ravel()[free], bound.ravel()[free])
+            assert _within(full, ref, bound)
+            assert _within(_loop_mc_product(prof, x, sizes, masked, cost, cfg), ref, bound)
     assert unhit >= 10 or not sampled
+
+
+def _mc_case(rng, shape, samples, seed, kind="quadratic", silent=None):
+    """A random per-user Monte Carlo instance of ``shape`` (N, T, M): its
+    profile, sizes, cost, config and a plan inside the box.  ``silent``
+    fixes every user's silence, else it is drawn with the items."""
+    sizes = rng.uniform(0.5, 3.0, size=shape[2])
+    raw = rng.uniform(0.0, 1.0, size=shape[:2] + (shape[2] + 1,))
+    if silent is not None:
+        raw[:, :, 1:] *= (1.0 - silent) / raw[:, :, 1:].sum(axis=2, keepdims=True)
+        raw[:, :, 0] = silent
+    raw /= raw.sum(axis=2, keepdims=True)
+    if kind == "quadratic":
+        cost = CostModel.quadratic()
+    else:   # clear of every load an allocation inside the box can cause
+        cost = CostModel.outage(2.0 * shape[0] * (shape[2] + 1) * float(sizes.max()))
+    cfg = EvalConfig(engine="monte_carlo", samples=samples, seed=seed)
+    x = rng.uniform(0.0, 1.0, size=shape) * sizes
+    return DemandProfile(raw[:, :, 1:]), sizes, cost, cfg, x
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "outage"])
+def test_monte_carlo_products_are_symmetric(kind):
+    # the sampled Hessian is sum over samples of C''(Y) g g^T / (K T), g the
+    # sample's load change per coordinate, so u.Hv = v.Hu up to rounding:
+    # each product within its bound of the exactly rounded one (see
+    # _mc_exact_product) and each dot product of F terms within (F + 2) u
+    rng = np.random.default_rng(31)
+    for case in range(16):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+        prof, sizes, cost, cfg, x = _mc_case(rng, shape, (1, 2, 37, 300)[case % 4], case, kind)
+        free = np.sort(rng.choice(x.size, size=int(rng.integers(1, x.size + 1)), replace=False))
+        hv = hess_operator(prof, x, cost, cfg, free, catalog=ItemCatalog(sizes))
+        u, v = rng.normal(size=(2, free.size)) * sizes[np.unravel_index(free, shape)[2]]
+        hu, hvv = hv(u), hv(v)
+        allowed = (free.size + 2) * UNIT_ROUNDOFF * (np.abs(u) @ np.abs(hvv) + np.abs(v) @ np.abs(hu))
+        for a, b in ((u, v), (v, u)):
+            d = np.zeros(shape)
+            d.flat[free] = b
+            _, bound = _mc_exact_hess(prof, x, sizes, d, cost, cfg)
+            allowed += np.abs(a) @ bound.ravel()[free]
+        assert abs(u @ hvv - v @ hu) <= allowed
+
+
+def test_monte_carlo_pattern_keys_are_renumbered_past_int64(monkeypatch):
+    # 40 users, every coordinate free: each user's radix is M+1 = 4 and 4^40
+    # passes int64, so the key is renumbered densely between user chunks.
+    # With every coordinate free a sample's pattern is its slot's choice
+    # vector, so the patterns must be exactly the distinct choice vectors
+    # (most samples repeat one: each user asks for its first item at 0.97)
+    rng = np.random.default_rng(40)
+    shape = (40, 2, 3)
+    prof, sizes, cost, cfg, x = _mc_case(rng, shape, 50, 3)
+    probs = np.full(shape, 0.01)
+    probs[:, :, 0] = 0.97
+    prof = DemandProfile(probs)
+    counted, dense = [], evaluate._dense
+    monkeypatch.setattr(evaluate, "_dense", lambda keys: counted.append(dense(keys)) or counted[-1])
+    d = np.random.default_rng(1).normal(size=shape) * sizes
+    got = hess_operator(prof, x, cost, cfg, np.arange(x.size), catalog=ItemCatalog(sizes))(d.ravel())
+    assert len(counted) >= 2   # renumbered at least once before the last
+    draws = prof.draws(cfg.seed, cfg.samples)
+    distinct = [np.unique(draws[t].T, axis=0, return_inverse=True) for t in range(shape[1])]
+    patterns = sum(len(rows) for rows, _ in distinct)
+    assert counted[-1][1].size == patterns < shape[1] * cfg.samples
+    vectors = np.concatenate([inverse.ravel() + sum(len(r) for r, _ in distinct[:t])
+                              for t, (_, inverse) in enumerate(distinct)])
+    # the same grouping: each pattern id goes with one choice vector
+    assert len(np.unique(np.stack([counted[-1][0], vectors]), axis=1)[0]) == patterns
+    ref, bound = _mc_exact_hess(prof, x, sizes, d, cost, cfg)
+    assert _within(got.reshape(shape), ref, bound)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "outage"])
+def test_monte_carlo_operator_edges(kind):
+    # a free set that no draw hits (items nobody asks for), the empty free
+    # set, and one sample per slot, each on random instances
+    rng = np.random.default_rng(77)
+    for case in range(12):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(2, 6)))
+        samples = (1, 37, 300)[case % 3]
+        prof, sizes, cost, cfg, x = _mc_case(rng, shape, samples, case, kind)
+        probs = np.array(prof.probs)
+        probs[:, :, 0] = 0.0   # item 0 is never drawn
+        prof = DemandProfile(probs)
+        catalog = ItemCatalog(sizes)
+        d = np.random.default_rng(case).normal(size=shape) * sizes
+        unhit = np.flatnonzero(np.broadcast_to(np.arange(shape[2]) == 0, shape))
+        frees = [unhit, np.arange(0), np.arange(x.size)]
+        if samples == 1:
+            frees.append(np.sort(rng.choice(x.size, size=int(rng.integers(1, x.size + 1)),
+                                            replace=False)))
+        for free in frees:
+            got = hess_operator(prof, x, cost, cfg, free, catalog=catalog)(d.ravel()[free])
+            assert got.dtype == float and got.shape == free.shape
+            masked = np.zeros(shape)
+            masked.flat[free] = d.flat[free]
+            ref, bound = _mc_exact_hess(prof, x, sizes, masked, cost, cfg)
+            assert _within(got, ref.ravel()[free], bound.ravel()[free])
+            if free is unhit:   # no member: db is exactly 0
+                point = Point(prof, x, sizes, cost, cfg)
+                _, db = cfg.kernels.hess_op(point.tables, point.state, cost, free)(d.ravel()[free])
+                assert db.dtype == float and not db.any()
 
 
 def test_memoised_draws_equal_fresh_substreams():

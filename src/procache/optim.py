@@ -14,6 +14,9 @@ log = logging.getLogger(__name__)
 
 # rounding of a computed value, or of a difference, relative to the magnitudes involved
 RESOLUTION = 16.0 * np.finfo(float).eps
+# most CG passes per Newton step, and the share of crossings that ends them (_face_step)
+FACE_PASSES = 3
+FACE_CROSSED = 0.5
 
 
 def increasing_root(fn, hi: float) -> float:
@@ -225,6 +228,43 @@ def _cg(hv, b: np.ndarray, rtol: float) -> np.ndarray:
     return p
 
 
+def _face_step(hv, b: np.ndarray, rtol: float, land) -> np.ndarray:
+    """CG step ``p`` on ``H p = b`` (``b = -g``), re-solved on the face it lands on.
+
+    ``land(p)`` gives, for a step on the free set, where ``x + p`` leaves the
+    box there, and a function for the move ``P(x + p) - x`` there.  Each
+    coordinate that leaves is fixed at the bound it crosses, with that move
+    ``delta``, and CG runs again from 0 on the rest with right-hand side
+    ``b - H delta`` (TRON's subspace step; Lin & Moré 1999), through
+    products of vectors that are zero off them.  Another pass runs only
+    while fewer than ``FACE_CROSSED`` of the coordinates the last pass
+    solved crossed, and at most ``FACE_PASSES`` run; otherwise the arc
+    search clips the last step.
+    """
+    p = _cg(hv, b, rtol)
+    keep = slice(None)   # the coordinates the last pass solved
+    for _ in range(FACE_PASSES - 1):
+        out, move = land(p)
+        out = out[keep]
+        crossed = int(np.count_nonzero(out))
+        if not crossed or crossed >= FACE_CROSSED * out.size:
+            break
+        solved = np.arange(b.size)[keep]
+        fixed, keep = solved[out], solved[~out]
+        p[fixed] = move()[fixed]
+        v = p.copy()
+        v[keep] = 0.0      # every fixed move so far
+        rhs = b[keep] - hv(v)[keep]
+        v[:] = 0.0         # and from here on 0 off keep
+
+        def sub(u):
+            v[keep] = u
+            return hv(v)[keep]
+
+        p[keep] = _cg(sub, rhs, rtol)
+    return p
+
+
 def _arc_search(value_fn, clip, x, fx, g, step, work):
     """Armijo search along the projection arc ``P(x + t step)``, halving ``t`` from 1.
 
@@ -276,21 +316,25 @@ def box_projected_descent(
     Hessian of TRON (Lin & Moré 1999).  The descent calls it once per
     iteration whose free set is nonempty, and drops the operator after CG,
     before the search, so whatever it holds at ``x`` is freed with it.  One
-    work buffer holds the temporaries of the arc search, the stop and
-    ``pg``.  ``lower`` and ``upper`` are scalars or arrays that broadcast
-    against ``x0`` (a per-item size vector, say) and stay that compact, so
-    no box-sized array is built.  With ``pg`` the
+    work buffer holds the temporaries of the arc search, the face step's
+    ``x + p``, the stop and ``pg``.  ``lower`` and ``upper`` are scalars or
+    arrays that broadcast against ``x0`` (a per-item size vector, say) and
+    stay that compact, so no box-sized array is built.  With ``pg`` the
     projected gradient norm ``|x - P(x - g)|``, each iteration holds the
     epsilon-binding coordinates (within ``eps = min(pg, 1e-3 * widest box
     side)`` of a bound that the gradient pushes against) on a projected
     gradient step, solves the Newton system on the others by conjugate
     gradient to the forcing term ``min(1e-3, pg / pg0)``, and runs
-    an Armijo search along the projection arc ``P(x + t d)``.  When that
-    search fails (the box can turn a Newton step uphill, since the Hessian
-    couples bound and free coordinates), the iteration searches along the
-    projected gradient arc instead.  ``value_fn`` may return ``inf``
-    outside the objective's domain; the searches reject such trials.
-    Descent is monotone.
+    an Armijo search along the projection arc ``P(x + t d)``, with ``d``
+    re-solved on the face it lands on (:func:`_face_step`, through the same
+    operator).  When that search fails (the box can turn a Newton step
+    uphill, since the Hessian couples bound and free coordinates), the
+    iteration searches along the projected gradient arc instead.
+    ``value_fn`` may return ``inf`` outside the objective's domain; the
+    searches reject such trials.  A search that ends flat (below) is
+    followed by the full trial ``P(x + d)``, taken when its value is at most
+    ``RESOLUTION * |value|`` above the iterate's and its gap is lower: one
+    value and one gradient.  Descent is monotone up to that resolution.
 
     The stop reads the box's Frank-Wolfe gap (Jaggi 2013) ``gap = sum max(g,
     0) (x - lower) + max(-g, 0) (upper - x)``; for a convex objective
@@ -300,7 +344,8 @@ def box_projected_descent(
     is (positive): near a least value of 0 the gap shrinks no faster than
     ``value``, so such a run ends on ``"rounding"`` once it has descended
     to the last bits.  It stops with ``"rounding"`` when a search ends flat
-    (the decrease left is below the objective's floating-point resolution);
+    (the decrease left is below the objective's floating-point resolution)
+    and the certified step is refused;
     with ``"stalled"`` when one finds no decrease above that; and with
     ``"cap"`` after ``max_iters`` iterations.  ``converged`` is ``"tol"`` or
     ``"rounding"``.  The bounds must be finite.
@@ -324,17 +369,30 @@ def box_projected_descent(
     g = grad_fn(x)
     trace = [fx]
     width = float(np.max(upper - lower, initial=0.0))
-    scatter = np.empty(x.shape)   # the one work buffer: trial - x, pg, gap
+    scatter = np.empty(x.shape)   # the one work buffer: trial - x, x + p, pg, gap
     step = np.empty(x.shape)
     it, pg0 = 0, None
+
+    def land(p):
+        """For a step ``p`` on the free set: where ``x + p`` leaves the box
+        there, and a function for the move ``P(x + p) - x`` (work buffer)."""
+        step.flat[free] = p
+        np.add(x, step, out=scatter)
+        out = scatter < lower
+        out |= scatter > upper
+        return out.ravel()[free], lambda: np.subtract(clip(scatter), x, out=scatter).ravel()[free]
+
+    def gap_at(x, g):
+        """The Frank-Wolfe gap at ``x``, in the work buffers; each term is nonnegative."""
+        return float(np.vdot(np.maximum(g, 0.0, out=step), np.subtract(x, lower, out=scatter))
+                     - np.vdot(np.minimum(g, 0.0, out=step), np.subtract(upper, x, out=scatter)))
+
     while True:
-        # the projected gradient norm |x - P(x - g)|, then the Frank-Wolfe gap,
-        # in the work buffers; each term of the gap is nonnegative
+        # the projected gradient norm |x - P(x - g)| in the work buffer
         clip(np.subtract(x, g, out=scatter))
         pg = float(np.linalg.norm(np.subtract(x, scatter, out=scatter)))
         pg0 = pg if pg0 is None else pg0
-        gap = float(np.vdot(np.maximum(g, 0.0, out=step), np.subtract(x, lower, out=scatter))
-                    - np.vdot(np.minimum(g, 0.0, out=step), np.subtract(upper, x, out=scatter)))
+        gap = gap_at(x, g)
         stop = "tol" if gap <= tol * abs(fx) else "cap" if it == max_iters else None
         if stop:
             break
@@ -344,17 +402,26 @@ def box_projected_descent(
         np.negative(g, out=step)
         if free.size:
             hv = hess_fn(x, free)
-            step.flat[free] = _cg(hv, step.ravel()[free], min(1e-3, pg / pg0) if pg0 else 1e-3)
+            step.flat[free] = _face_step(hv, step.ravel()[free],
+                                         min(1e-3, pg / pg0) if pg0 else 1e-3, land)
             del hv   # it may hold the iterate's own evaluation state: free it before the search
 
         found, flat = _arc_search(value_fn, clip, x, fx, g, step, scatter)
         if found is None and not flat and free.size:
             found, flat = _arc_search(value_fn, clip, x, fx, g, np.negative(g, out=step), scatter)
+        g_next = None
+        if found is None and flat:   # the certified flat step
+            trial = clip(np.add(x, step))
+            f_trial = value_fn(trial)
+            if f_trial <= fx + RESOLUTION * abs(fx):
+                g_next = grad_fn(trial)
+                if gap_at(trial, g_next) < gap:
+                    found = trial, f_trial
         if found is None:
             stop = "rounding" if flat else "stalled"
             break
         x, fx = found
-        g = grad_fn(x)
+        g = grad_fn(x) if g_next is None else g_next
         trace.append(fx)
         it += 1
     converged = stop in ("tol", "rounding")

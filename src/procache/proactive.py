@@ -35,6 +35,8 @@ from .optim import RESOLUTION, box_projected_descent, increasing_root
 log = logging.getLogger(__name__)
 
 _MC_SIGMAS = 4.0
+# reduction_bounds' solve tolerance: its gap certifies delta to 1e-10 of the cost
+REDUCTION_TOL = 1e-10
 _OVERFLOW = EvalResult(np.inf, 0.0, np.empty(0), np.empty(0))   # loads past the cost's domain
 
 
@@ -108,20 +110,23 @@ def solve_proactive(
     """Minimize the cycle cost over allocations in [0, S(m)] per coordinate.
 
     Projected Newton-CG (:func:`~procache.optim.box_projected_descent`):
-    conjugate gradient on the coordinates off their bounds, with exact
-    Hessian-vector products on those coordinates from one curvature operator
-    per iteration (:func:`~procache.evaluate.hess_operator`), then an Armijo
-    search along the projection arc.  ``tol`` is relative to the cost: the
-    run stops with ``"tol"`` once the box's Frank-Wolfe gap, which bounds
-    ``cost`` minus the least cost, is at most ``tol * cost``, whatever the
-    scale or the start ``x0``.  ``stop`` is ``"rounding"`` (converged too) when no decrease is
-    left to represent, ``"stalled"`` when none is found above that, ``"cap"``
-    at ``max_iters``.  Under Monte Carlo the gap certifies the sample-average
-    cost only.
-    Descent is monotone and the run is deterministic for a given
-    configuration (the Monte Carlo engine re-uses its fixed sample streams,
-    so even stochastic evaluation yields a repeatable trajectory, and its
-    Hessian is exact for that sample average).  An allocation that overflows
+    conjugate gradient on the coordinates off their bounds, re-solved on the
+    face the step lands on, with exact Hessian-vector products on those
+    coordinates from one curvature operator per iteration
+    (:func:`~procache.evaluate.hess_operator`), then an Armijo search along
+    the projection arc.  ``tol`` is relative to the cost: the run stops with
+    ``"tol"`` once the box's Frank-Wolfe gap, which bounds ``cost`` minus the
+    least cost, is at most ``tol * cost``, whatever the scale or the start
+    ``x0``.  ``stop`` is ``"rounding"`` (converged too) when no decrease is
+    left to represent and the full step does not lower the gap within the
+    cost's resolution, ``"stalled"`` when no decrease is found above that,
+    ``"cap"`` at ``max_iters``.  Under Monte Carlo the gap certifies the
+    sample-average cost only.
+    Descent is monotone up to ``16 eps`` of the cost, and the run is
+    deterministic for a given configuration (the Monte Carlo engine re-uses
+    its fixed sample streams, so even stochastic evaluation yields a
+    repeatable trajectory, and its Hessian is exact for that sample
+    average).  An allocation that overflows
     an outage-capacity cost during the line search is rejected as an
     infinite-cost trial, never clipped.  A warm start that
     overflows under the given profile falls back to the zero allocation,
@@ -161,10 +166,11 @@ def solve_proactive(
         return evaluated.value
 
     def grad(x):
-        # the descent takes gradients only at the iterates it accepts
+        # the descent takes gradients at the iterates it accepts, and at a
+        # flat step's trial, which it may reject and end on the iterate before
         nonlocal accepted
         value(x)
-        accepted = evaluated
+        accepted = x, evaluated
         return cost_gradient_x(profile, point, cost, cfg)
 
     def hess(x, free):
@@ -185,8 +191,12 @@ def solve_proactive(
     if not res.converged:
         log.warning("solve_proactive did not reach tol=%.1e (stop: %s): %d iterations, gap %.3g",
                     tol, res.stop, res.iterations, res.gap)
+    allocation = at(res.x)
+    if accepted[0] is not res.x:   # a refused flat step took the last gradient
+        value(res.x)
+        accepted = res.x, evaluated
     return SolveResult(
-        allocation=at(res.x),
+        allocation=allocation,
         cost=res.value,
         converged=res.converged,
         iterations=res.iterations,
@@ -194,7 +204,7 @@ def solve_proactive(
         objective_trace=res.trace,
         stop=res.stop,
         start=start,
-        final=accepted,
+        final=accepted[1],
     )
 
 
@@ -313,6 +323,8 @@ def reduction_bounds(
     ``lower <= delta <= upper`` holds for exact engines in any unit of the
     sizes, with ``lower > 0`` as soon as any set is nonempty.  One zero
     point serves the sets and the solve's cold start, the non-proactive cost.
+    The solve runs at ``tol = REDUCTION_TOL`` (1e-10), so its gap certifies
+    ``delta`` to within 1e-10 of the optimized cost.
     """
     zero = Point(profile, np.zeros(profile.probs.shape), catalog.sizes, cost, cfg)
     sets = active_sets(profile, catalog, cost, cfg, zero)
@@ -326,7 +338,7 @@ def reduction_bounds(
         for t in np.flatnonzero(sets.pair_counts())
     )) / n_slots
 
-    solved = solve_proactive(profile, catalog, cost, cfg, x0=zero)
+    solved = solve_proactive(profile, catalog, cost, cfg, tol=REDUCTION_TOL, x0=zero)
     base = solved.start
     return CostReductionReport(
         nonproactive=base.value,

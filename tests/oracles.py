@@ -4,9 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from procache import DemandProfile, RatingVector, sample_outcomes
+from procache import DemandProfile, RatingVector, parse_scenario, sample_outcomes
 from procache.evaluate import (cost_gradient_x, cycle_tables, expected_cycle_cost, hess_operator,
                                weigh_classes)
+from procache.experiments import SCALING_SCENARIO
 
 
 @dataclass(frozen=True)
@@ -309,3 +310,29 @@ def solve_gap(profile, catalog, cost, cfg, solved) -> float:
     """:func:`box_gap` of a solve's plan over [0, S(m)], from a fresh gradient."""
     g = cost_gradient_x(profile, solved.allocation, cost, cfg, catalog=catalog)
     return box_gap(solved.allocation.x, g, 0.0, catalog.sizes)
+
+
+def shuffled_zipf(num_users: int, seed: int):
+    """The Zipf family at ``num_users`` users, one row per user, each user's
+    item columns permuted in turn by one ``numpy.random.default_rng(seed)``:
+    ``(scenario, profile)``, the scenario giving the family's catalog, cost
+    and analytic engine.  Unlike the family's one class, it reaches the
+    per-user path."""
+    scn = parse_scenario(SCALING_SCENARIO).with_users(num_users)
+    profile = scn.profile.expanded()
+    probs = np.array(profile.probs)
+    rng = np.random.default_rng(seed)
+    for row in probs:
+        row[:] = row[:, rng.permutation(row.shape[1])]
+    return scn, profile.with_probs(probs)
+
+
+def cyclic_outage_scenario() -> dict:
+    """Six identical users, Zipf rows on four items of sizes linspace(1, 2) at
+    activities (0.2, 0.95, 0.6), outage capacity 1.05 * 6 * 2, alpha 0.2."""
+    sizes = np.linspace(1.0, 2.0, 4)
+    w = np.arange(1, 5, dtype=float) ** -1.0
+    rows = np.stack([a * w / w.sum() for a in (0.2, 0.95, 0.6)])
+    return {"sizes": sizes.tolist(), "profiles": np.broadcast_to(rows, (6, 3, 4)).tolist(),
+            "cost": {"kind": "outage", "mu": 1.05 * 6 * 2.0}, "eval": {"engine": "enumerate"},
+            "alpha": 0.2}

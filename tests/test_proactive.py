@@ -22,9 +22,10 @@ from procache import (
     scaling_curve,
     solve_proactive,
 )
-from procache import evaluate, proactive
+from procache import evaluate, optim, proactive
 from procache.costs import CostDomainError
 from procache.evaluate import ENGINES, Point
+from procache.optim import RESOLUTION
 from procache.experiments import (
     OUTAGE_CAPACITY,
     SCALING_LADDER,
@@ -35,8 +36,11 @@ from procache.experiments import (
 from conftest import cost_for, random_instance, two_user_pair
 from oracles import (
     active_users,
+    box_gap,
+    cyclic_outage_scenario,
     marginal_cost_ratio,
     policy_vertex,
+    shuffled_zipf,
     slot_marginal_stats,
     solve_gap,
 )
@@ -567,15 +571,15 @@ def test_a_monte_carlo_solve_takes_c2_once_per_newton_iteration(monkeypatch):
 # the Monte Carlo answers, frozen: SHA-256 of the plan's and the objective
 # trace's bytes, the gap's hex form, the iterations and the stop
 FROZEN_MONTE_CARLO = {
-    ("zipf10", 300): ("7dd8af7ffe76fcb6ef55bcaec9281d8d0c3d25b37d8f7c202614acfe002088dd",
-                      "9bd4c13449a270da14f535f6bb95a24c2dcfeb290f3cbd788ce3658338129bf6",
-                      "0x1.062d2893d8b31p-31", 15, "tol"),
-    ("quadratic", 300): ("abb04e87c7b1584b2a0d3265f76811fc3098022069af0ac1f4a5f0a7739bb6d3",
-                         "bb82dde00ba4beac490f1640c034ff9c8cded054bf371d96ca621c76ae493ed1",
-                         "0x1.d5d8ea80fa23ep-46", 4, "tol"),
-    ("outage", 300): ("c29912a9fec92f4406d284376c0793ad97e70225ff0f478e2d664965c33590ee",
-                      "fb55b03c64c450ca23723da0c80e1b7fa5aa9c31a2dc35f213134864219902aa",
-                      "0x1.f85d15e0b7c44p-37", 5, "tol"),
+    ("zipf10", 300): ("a10200956a3a9e2146b0ed5a6e232a7a8e1b709bc48043c054a43941719803c7",
+                      "7049866e898676399889a317d4e0e65a260a4a29ec6811f76bbc2edfeb27fb9b",
+                      "0x1.18add8f4e10bep-17", 4, "tol"),
+    ("quadratic", 300): ("dd2ccb74f9e9a710281a370aee2ef21aff161b0b63d06019cc1c617b526f8db8",
+                         "90034804bc8224b008d049ae617732606f6db97e81956e06dcb306a6432b0893",
+                         "0x1.b0427157f05e4p-46", 3, "tol"),
+    ("outage", 300): ("f4fa3a0a8de0980792267f92ae16d0f3746641794eeeb1c0d899280ebcf731f8",
+                      "9fcb0822e1534c0ec0c8560366da5f99e296d4938154b763ccac54f576a0d08b",
+                      "0x1.8210ae151ca11p-37", 5, "tol"),
     ("outage", 1): ("a7426421d1b647ccdafd08082171f101800d86774ea5c821698321d87877a847",
                     "5f49c8c392d3d3eca53ed110813e91d2e958c23d049d080e2848a04cc7611a19",
                     "0x0.0p+0", 5, "tol"),
@@ -585,9 +589,10 @@ FROZEN_MONTE_CARLO = {
 @pytest.mark.parametrize("study, samples", list(FROZEN_MONTE_CARLO))
 def test_monte_carlo_answers_are_frozen(study, samples):
     # the Zipf family at 10 users and the two-user studies, each solved at
-    # its scenario seed; a change to the sample streams, or to the order in
-    # which the curvature product adds up (it sums per hit pattern since the
-    # 300-sample entries were last frozen), re-freezes these
+    # its scenario seed; a change to the sample streams, to the order in
+    # which the curvature product adds up, or to the Newton step (it re-solves
+    # on the face its step lands on since the 300-sample entries were last
+    # frozen), re-freezes these
     if study == "zipf10":
         scn = parse_scenario(SCALING_SCENARIO).with_users(10)
     else:
@@ -732,15 +737,59 @@ def test_solve_reports_why_it_stopped(two_user, quad, enum_cfg, analytic_cfg):
 
 
 def test_solve_that_ends_flat_reports_rounding():
-    # instance 1 of the exhaustive grid search: at tol 1e-10 its outage descent
-    # ends with no decrease left to represent, its gap above tol * cost
+    # the cyclic outage instance near its capacity: at tol 1e-14 its descent
+    # ends with no decrease left to represent, its gap above tol * cost, and
+    # the certified flat step's trial does not lower it
+    scn = parse_scenario(cyclic_outage_scenario())
+    tol = 1e-14
+    res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg, tol=tol)
+    assert (res.stop, res.converged) == ("rounding", True)
+    assert res.gap == pytest.approx(solve_gap(scn.profile, scn.catalog, scn.cost, scn.cfg, res),
+                                    rel=1e-12)
+    assert tol * res.cost < res.gap < 1e-8 * res.cost
+    # the rejected trial took the last gradient: the answer is still the one valued
+    assert (res.final.value, res.objective_trace[-1]) == (res.cost, res.cost)
+
+
+def test_a_flat_search_takes_the_certified_step(monkeypatch):
+    # instance 1 of the exhaustive grid search: at tol 1e-10 its outage Newton
+    # search ends flat above tol; the full trial lowers the gap, within the
+    # resolution of the value, and the solve ends on tol
     catalog = ItemCatalog([0.8252071899905918])
     prof = DemandProfile(np.array([0.35514134217454163, 0.8425204285868225]).reshape(1, 2, 1))
     cost, cfg = cost_for("outage", 1, 2, catalog.sizes), EvalConfig(engine="enumerate")
+    searches, search = [], optim._arc_search
+
+    def recorded(value_fn, clip, x, fx, g, step, work):
+        found, flat = search(value_fn, clip, x, fx, g, step, work)
+        searches.append((found is None and flat, box_gap(x, g, 0.0, catalog.sizes)))
+        return found, flat
+
+    monkeypatch.setattr(optim, "_arc_search", recorded)
     res = solve_proactive(prof, catalog, cost, cfg, tol=1e-10)
-    assert (res.stop, res.converged) == ("rounding", True)
-    assert res.gap == pytest.approx(solve_gap(prof, catalog, cost, cfg, res), rel=1e-12)
-    assert 1e-10 * res.cost < res.gap < 1e-8 * res.cost
+    flat = [gap for ended_flat, gap in searches if ended_flat]
+    assert len(flat) == 1 and flat[0] > 1e-10 * res.cost
+    assert (res.stop, res.converged) == ("tol", True)
+    assert res.gap < flat[0]
+    trace = res.objective_trace
+    assert np.all(np.diff(trace) <= RESOLUTION * np.abs(trace[:-1]))
+
+
+@pytest.mark.parametrize("seed, cost, gap", [
+    (1000, 182059937.85207674, 1.5614621409501905),
+    (2, 183812260.84597695, 3.7393566478877896e-08),
+], ids=["seed1000", "seed2"])
+def test_shuffled_per_user_solves_find_their_face(seed, cost, gap):
+    # shuffled Zipf at N = 1000, per user: 30 and 29 Newton iterations before
+    # the face re-solve; ``cost`` and ``gap`` are that solve's answer, and each
+    # solve's certificate holds the other's cost
+    scn, prof = shuffled_zipf(1000, seed)
+    res = solve_proactive(prof, scn.catalog, scn.cost, scn.cfg)
+    assert res.stop == "tol" and res.iterations <= 12
+    assert res.gap <= 1e-8 * res.cost
+    assert res.cost - res.gap <= cost and cost - gap <= res.cost
+    trace = res.objective_trace
+    assert np.all(np.diff(trace) <= RESOLUTION * np.abs(trace[:-1]))
 
 
 @pytest.mark.parametrize("users", [25, 200, 10**3, 10**4, 10**5, 10**6])

@@ -14,16 +14,18 @@ from procache import (
     parse_scenario,
     solve_proactive,
 )
-from procache import evaluate, shaping
+from procache import evaluate, optim, shaping
 from procache.experiments import SCALING_SCENARIO, two_user_scenario_dict
-from procache.optim import linear_min_over_ball_slice
+from procache.optim import FACE_CROSSED, FACE_PASSES, linear_min_over_ball_slice
 
 from oracles import (
     boundary_check,
     cell_radius,
     conditional,
+    cyclic_outage_scenario,
     fully_flexible_optimum,
     region_contains,
+    shuffled_zipf,
     strictly_inside_slice,
 )
 
@@ -81,14 +83,17 @@ OUTAGE_PEAK_U1 = (0.31508932955606500, 0.21876988147825860, 0.46614078896567634)
 # enumerate engine: bits frozen at the commit before the enumeration kept
 # its grids.  Users 4 and 5 differ from the rest in the last bits of their
 # peak rows, because each user's marginal is summed along its own axis.
-CYCLIC_TRACE = (0.786213600171236, 0.5434108134954364, 0.5429416301909086, 0.5429415118271775)
+CYCLIC_TRACE = (0.786213600171235, 0.5434108134956123, 0.5429416301909107, 0.5429415118271778)
 CYCLIC_OFFPEAK = (   # slots 0 and 2, every user
-    (0.13274698840143773, 0.056830751167851724, 0.010422260430710494, 0.0),
+    (0.13274698840143787, 0.056830751167851475, 0.010422260430710612, 0.0),
     (0.3981352166756894, 0.17069474617710578, 0.03117003714720482, 0.0),
 )
-CYCLIC_PEAK = 4 * [(0.642455699079791, 0.24344892002083612, 0.06409538089937275, 0.0)] + [
-    (0.6424556990797912, 0.24344892002083604, 0.06409538089937296, 0.0),
-    (0.6424556990797912, 0.24344892002083615, 0.0640953808993728, 0.0),
+CYCLIC_PEAK = [
+    (0.6424556990797904, 0.243448920020838, 0.06409538089937178, 0.0),
+    (0.6424556990797904, 0.2434489200208379, 0.06409538089937168, 0.0),
+] + 2 * [(0.6424556990797905, 0.2434489200208379, 0.06409538089937172, 0.0)] + [
+    (0.6424556990797904, 0.24344892002083787, 0.06409538089937179, 0.0),
+    (0.6424556990797905, 0.24344892002083787, 0.06409538089937179, 0.0),
 ]
 
 SPLIT_ALPHA_FINAL = 0.5565801553451664  # outage run with alpha = (0.1, 0.6)
@@ -310,17 +315,6 @@ def test_shape_demand_outage_frozen(two_user, outage, enum_cfg):
     assert result.profile.probs[0, 1, 2] == 0.0
 
 
-def cyclic_outage_scenario() -> dict:
-    """Six identical users, Zipf rows on four items of sizes linspace(1, 2) at
-    activities (0.2, 0.95, 0.6), outage capacity 1.05 * 6 * 2, alpha 0.2."""
-    sizes = np.linspace(1.0, 2.0, 4)
-    w = np.arange(1, 5, dtype=float) ** -1.0
-    rows = np.stack([a * w / w.sum() for a in (0.2, 0.95, 0.6)])
-    return {"sizes": sizes.tolist(), "profiles": np.broadcast_to(rows, (6, 3, 4)).tolist(),
-            "cost": {"kind": "outage", "mu": 1.05 * 6 * 2.0}, "eval": {"engine": "enumerate"},
-            "alpha": 0.2}
-
-
 def test_shape_demand_cyclic_outage_frozen():
     scn = parse_scenario(cyclic_outage_scenario())
     result = shape_demand(scn.profile, scn.catalog, scn.cost, scn.cfg, scn.alpha)
@@ -330,6 +324,37 @@ def test_shape_demand_cyclic_outage_frozen():
         [list(CYCLIC_OFFPEAK[0]), list(peak), list(CYCLIC_OFFPEAK[1])] for peak in CYCLIC_PEAK
     ]
     assert np.array_equal(result.profile.silence, scn.profile.silence)
+
+
+def test_a_newton_step_that_mostly_leaves_the_box_keeps_one_cg_pass(monkeypatch):
+    # shaping shuffled Zipf lands its profile on a face of the ball, and the
+    # re-solve's Newton steps push most free coordinates past a bound: the
+    # face re-solve's gate leaves those steps to the arc search after one CG
+    # pass, while the unshaped solve's steps re-solve on the face
+    scn, prof = shuffled_zipf(20, 20)
+    steps, face_step, cg = [], optim._face_step, optim._cg
+
+    def recorded(hv, b, rtol, land):
+        out, _ = land(cg(hv, b, rtol))   # the first pass, recomputed
+        passes = []
+
+        def counted(*args):
+            passes.append(1)
+            return cg(*args)
+
+        monkeypatch.setattr(optim, "_cg", counted)
+        p = face_step(hv, b, rtol, land)
+        monkeypatch.setattr(optim, "_cg", cg)
+        steps.append((np.count_nonzero(out) / b.size, len(passes)))
+        return p
+
+    monkeypatch.setattr(optim, "_face_step", recorded)
+    shape_demand(prof, scn.catalog, scn.cost, scn.cfg, alpha=0.2)
+    assert all(1 <= passes <= FACE_PASSES for _, passes in steps)
+    assert any(share >= FACE_CROSSED for share, _ in steps)
+    assert any(passes > 1 for _, passes in steps)
+    for share, passes in steps:
+        assert (passes == 1) == (share == 0.0 or share >= FACE_CROSSED), (share, passes)
 
 
 def test_shape_demand_is_stationary_at_its_answer(two_user, quad, enum_cfg):

@@ -22,13 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import substream
+from .rng import rekey, stream_key
 
 _EXACT_TOL = 1e-12
 _RENORM_TOL = 1e-9
 MAX_COUNT = 2**53  # class sizes stay exact as float weights
-
-SILENT = 0  # outcome code for "no request"
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -218,33 +216,17 @@ class DemandProfile:
         return codes
 
     def draw_index(self, seed: int, count: int) -> np.ndarray:
-        """The read-only :func:`sample_index` of ``count`` samples per (slot,
-        user), (T, N, count).
-
-        Sample ``i`` of user ``n`` in slot ``t`` comes from stream
-        ``(seed, n, t)`` and depends only on ``(seed, n, t, i)``, so the same
-        draws come back regardless of how many samples any caller requests.
-        The index is drawn on first use and kept on the profile, the one
-        array of the draws it keeps.  The streams are per user, so a profile
-        with a class of several users raises ``ValueError``: draw from
-        :meth:`expanded`.
+        """The read-only :func:`draw_sample_index` of ``count`` samples per
+        (slot, user), (T, N, count), drawn on first use through one Philox
+        generator re-keyed per stream, not built per stream, and kept on the
+        profile, the one array of the draws it keeps.  The streams are per
+        user, so a profile with a class of several users raises
+        ``ValueError``: draw from :meth:`expanded`.
         """
         if not self.per_user:
             raise ValueError("draws need one row per user; sample profile.expanded()")
         seed, count = int(seed), int(count)
-
-        def draw():
-            n_users, n_slots, n_items = self.probs.shape
-            codes = np.empty((n_slots, n_users, count), dtype=np.int64)
-            for t in range(n_slots):
-                for n in range(n_users):
-                    u = substream(seed, n, t).random(count)
-                    idx = np.searchsorted(np.cumsum(self.probs[n, t]), u, side="right")
-                    codes[t, n] = np.where(idx < n_items, idx + 1, SILENT)
-            index = sample_index(codes, n_items)
-            index.setflags(write=False)
-            return index
-        return self.memo((seed, count), draw)
+        return self.memo((seed, count), lambda: draw_sample_index(self.probs, seed, count))
 
     def memo(self, key, build: Callable):
         """``build()``, called on first use of ``key`` and kept on the profile:
@@ -255,14 +237,31 @@ class DemandProfile:
         return entry
 
 
-def sample_index(codes: np.ndarray, num_items: int) -> np.ndarray:
-    """Flat positions ``(t N + n)(M+1) + code`` of outcome codes (T, N, K) in a
-    (T, N, M+1) array of per-choice values, silent column first: ``take`` on
-    the raveled array reads every sample's value, and ``bincount`` sums
-    weights into one bin per (slot, user, choice)."""
-    n_slots, n_users, _ = codes.shape
+def draw_sample_index(probs: np.ndarray, seed: int, count: int) -> np.ndarray:
+    """The read-only flat index ``(t N + n)(M+1) + code`` (T, N, count) of
+    ``count`` outcome codes per (slot, user) drawn from ``probs`` (N, T, M),
+    into a (T, N, M+1) array of per-choice values, silent column first.
+
+    Sample ``i`` of user ``n`` in slot ``t`` depends only on ``(seed, n, t,
+    i)``: it reads the ``i``-th uniform of stream ``(seed, n, t)``, drawn by
+    one Philox generator re-keyed per stream (:func:`rng.rekey`).
+    """
+    n_users, n_slots, n_items = probs.shape
+    cdf = np.cumsum(probs, axis=2)
+    index = np.empty((n_slots, n_users, count), dtype=np.int64)
+    u = np.empty(count)
+    bits = np.random.Philox()   # its own key is replaced before the first draw
+    uniform = np.random.Generator(bits)
+    for t in range(n_slots):
+        for n in range(n_users):
+            rekey(bits, stream_key(seed, n, t))
+            uniform.random(out=u)
+            index[t, n] = cdf[n, t].searchsorted(u, side="right")
+    index[index == n_items] = -1   # past every item: silent (code 0) once 1 is added
     cells = np.arange(n_slots * n_users, dtype=np.int64).reshape(n_slots, n_users, 1)
-    return cells * (num_items + 1) + codes
+    index += cells * (n_items + 1) + 1
+    index.setflags(write=False)
+    return index
 
 
 def _class_counts(counts, num_rows: int) -> np.ndarray:

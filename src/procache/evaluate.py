@@ -646,19 +646,21 @@ def _mc_hess_op(tables: Tables, loads, cost: CostModel, free):
     direction's entries at the free coordinates the sample's draws hit
     there, so samples with the same slot and the same hits move alike.
 
-    Built once, from one gather of the draw index: each sample's pattern
-    key, in mixed radix over the users' 1-based ranks of their hit among
-    their free coordinates in that slot (0 for none), the slot the most
-    significant digit.  Users join the key in chunks whose radix product
-    keeps it in int64, and the key is renumbered densely (:func:`_dense`)
-    before a chunk would pass it, so the grouping is exact, with no
-    hashing.  Each pattern keeps its slot, its members (the free
-    coordinates its first sample hits, in user order) and its samples' sum
-    of ``C''(Y)``.  A product takes the volume sent per slot with one
-    ``bincount`` over the free coordinates' sending slots, each pattern's
-    ``dY`` (that volume minus its members' entries), and bins ``C'' dY``
-    back per slot and per member: its work grows with the patterns and
-    their members, not with the draws."""
+    Built once, from one gather of the draw index per chunk of users: each
+    sample's pattern key, in mixed radix over the users' 1-based ranks of
+    their hit among their free coordinates in that slot (0 for none), the
+    slot the most significant digit, then the users from the last to the
+    first.  Users join the key in chunks whose radix product stays within
+    2**31, so a chunk's digits gather from an int32 table, and the key is
+    renumbered densely (:func:`_dense`) before a chunk would take it past
+    int64, so the grouping is exact, with no hashing, and the pattern ids
+    keep that order however the users are chunked.  Each pattern keeps its
+    slot, its members (the free coordinates its first sample hits, in user
+    order) and its samples' sum of ``C''(Y)``.  A product takes the volume
+    sent per slot with one ``bincount`` over the free coordinates' sending
+    slots, each pattern's ``dY`` (that volume minus its members' entries),
+    and bins ``C'' dY`` back per slot and per member: its work grows with
+    the patterns and their members, not with the draws."""
     index, shape = tables.outcomes, tables.v.shape
     n_slots, n_users, k = index.shape
     n, t, m = np.unravel_index(free, shape)
@@ -670,25 +672,27 @@ def _mc_hess_op(tables: Tables, loads, cost: CostModel, free):
     rank[order] = np.arange(1, free.size + 1) - (np.cumsum(counts) - counts)[cell[order]]
     radix = counts.reshape(n_slots, n_users).max(axis=0) + 1
     users = np.flatnonzero(radix > 1)
-    # a chunk's radix product times at most T K dense ids stays in int64
-    limit, place, cuts, spans = _INT64_MAX // (n_slots * k), np.zeros(n_users, np.int64), [0], [1]
+    # a chunk's radix product stays within 2**31, so its digits fit in int32,
+    # and times at most T K dense ids within int64
+    limit = min(2**31, _INT64_MAX // (n_slots * k))
+    place, cuts, spans = np.zeros(n_users, np.int64), [0], [1]
     for u, r in enumerate(radix.tolist()):
         if spans[-1] * r > limit:
             cuts.append(u)
             spans.append(1)
         place[u] = spans[-1]
         spans[-1] *= r
-    digit = np.zeros((n_slots, n_users, shape[2] + 1), dtype=np.int64)
+    digit = np.zeros((n_slots, n_users, shape[2] + 1), dtype=np.int32)
     digit[t, n, m + 1] = rank * place[n]
-    digits = digit.ravel().take(index)            # (T, N, K): the one scan of the draws
     key, count = np.arange(n_slots)[:, None], n_slots    # (T, K) from the first chunk on
-    for lo, hi, span in zip(cuts, cuts[1:] + [n_users], spans):
+    # the last chunk's users first: the key orders (slot, hits) from the last user to the first
+    for lo, hi, span in reversed(list(zip(cuts, cuts[1:] + [n_users], spans))):
         if count * span > _INT64_MAX:
             key, first = _dense(key.ravel())
             key, count = key.reshape(n_slots, k), first.size
-        key = key * span + digits[:, lo:hi].sum(axis=1)
+        # the chunk's scan of the draws, (T, hi - lo, K)
+        key = key * span + digit.ravel().take(index[:, lo:hi]).sum(axis=1, dtype=np.int64)
         count *= span
-    del digits   # its memory serves the arrays below
     pattern, first = _dense(key.ravel())
     slot = first // k
     curv = np.bincount(pattern, weights=cost.second(loads).ravel(), minlength=first.size)

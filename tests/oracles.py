@@ -26,6 +26,14 @@ class RequestOutcome:
         object.__setattr__(self, "choices", arr)
 
 
+def sample_index(codes: np.ndarray, num_items: int) -> np.ndarray:
+    """Flat positions ``(t N + n)(M+1) + code`` of outcome codes (T, N, K) in a
+    (T, N, M+1) array of per-choice values, silent column first."""
+    n_slots, n_users, _ = codes.shape
+    cells = np.arange(n_slots * n_users, dtype=np.int64).reshape(n_slots, n_users, 1)
+    return cells * (num_items + 1) + codes
+
+
 def sample_outcome(profile, slot: int, seed: int, index: int = 0) -> RequestOutcome:
     """The ``index``-th outcome of the slot's stream (see ``sample_outcomes``)."""
     return RequestOutcome(sample_outcomes(profile, slot, seed, index + 1)[:, index])

@@ -22,14 +22,15 @@ from procache import (
 )
 from procache import evaluate, parse_scenario
 from procache.costs import CostDomainError
-from procache.demand import sample_index
+from procache.demand import draw_sample_index
 from procache.evaluate import ENGINES, Point, cycle_tables, hess_operator, prefetch_volume
 from procache.experiments import SCALING_SCENARIO
-from procache.rng import substream
+from procache.rng import stream_key, substream
 from procache.shaping import shape_demand
 
 from conftest import random_instance
-from oracles import RequestOutcome, hess_vec, kernel_hess_vec, slot_load, slot_marginal_stats
+from oracles import (RequestOutcome, hess_vec, kernel_hess_vec, sample_index, slot_load,
+                     slot_marginal_stats)
 
 NONPROACTIVE_QUAD = 19.560000000000006
 NONPROACTIVE_QUAD_SLOTS = (2.4000000000000004, 36.720000000000013)
@@ -590,12 +591,25 @@ def test_memoised_draws_equal_fresh_substreams():
                 assert np.array_equal(draws[t, n], fresh)
 
 
+def test_stream_keys_are_what_numpy_reads_from_the_key_list():
+    # ids (n, t) fold into key1 on both sides of 2**63, where numpy reads the list as float64
+    sides = set()
+    for seed in (0, 7, 2**52):
+        for n, t in itertools.product(range(10), range(3)):
+            key1 = ((n + 1) * 0x9E3779B97F4A7C15 + t + 1) % 2**64
+            sides.add(key1 >= 2**63)
+            expected = np.random.Philox(key=[seed, key1]).state["state"]["key"]
+            got = stream_key(seed, n, t)
+            assert got.dtype == np.uint64 and np.array_equal(got, expected), (seed, n, t)
+    assert sides == {False, True}
+
+
 def test_monte_carlo_draws_once_per_slot_and_user(two_user, quad, mc_cfg, monkeypatch):
     import procache.demand
 
     streams = []
     monkeypatch.setattr(
-        procache.demand, "substream", lambda *key: streams.append(key) or substream(*key)
+        procache.demand, "stream_key", lambda *key: streams.append(key) or stream_key(*key)
     )
     catalog, prof = two_user
     cfg = mc_cfg(200, seed=4)
@@ -609,8 +623,8 @@ def test_the_sample_index_is_built_once_with_the_draws(two_user, quad, mc_cfg, m
     import procache.demand
 
     built = []
-    monkeypatch.setattr(procache.demand, "sample_index",
-                        lambda *args: built.append(args) or sample_index(*args))
+    monkeypatch.setattr(procache.demand, "draw_sample_index",
+                        lambda *args: built.append(args) or draw_sample_index(*args))
     catalog, prof = two_user
     for seed, count in ((4, 200), (4, 37), (5, 200)):
         cfg = mc_cfg(count, seed=seed)

@@ -71,7 +71,7 @@ iteration builds one on its free set and takes all its products from it.
   a (T, N, M+1) table of per-choice values
   (:meth:`DemandProfile.draw_index`).  The kernels read only that index: a
   load adds up one gather per user from the value table, in user order,
-  and every per-(user, item) mean is one ``bincount`` over it.  The
+  and every per-(user, item) mean is one ``bincount`` per slot over it.  The
   state is the sampled loads, so every kernel reads the same draws and
   loads, all slots at once.  The curvature operator groups each slot's
   samples by the free coordinates their draws hit (their hit pattern),
@@ -434,6 +434,14 @@ def _enum_expected_cost(tables: Tables, state: _EnumState, cost: CostModel):
     return out, np.zeros(len(tables.const))
 
 
+def _enum_heaviest(tables: Tables, state: _EnumState) -> float:
+    """The heaviest reachable load: a slot's constant plus each user's heaviest
+    choice of positive probability, at the worst slot.  No grid is read, so
+    it costs the same whether or not the point keeps its grids."""
+    reachable = np.where(tables.outcomes.w > 0.0, state.val, -np.inf)
+    return float((tables.const + reachable.max(axis=2).sum(axis=1)).max())
+
+
 def _enum_marginals(tables: Tables, state: _EnumState, weight, d=None, dconst=None):
     """``(a, b)`` with ``a = E[W]`` and ``b[n] = E[I_n(m) W]``, ``W = weight(Y)``
     times ``dY`` when ``(d, dconst)`` give a direction (see :class:`Engine`).
@@ -610,11 +618,19 @@ def _mc_expected_cost(tables: Tables, loads, cost: CostModel):
 def _mc_bin_means(tables: Tables, d: np.ndarray) -> np.ndarray:
     """Per-(user, slot, item) sample mean of ``d`` (T, K) over the draws where
     that user requests that item, i.e. the estimate of ``E[I_n(m) d]`` (N, T,
-    M), as a new C-ordered array."""
+    M), as a new C-ordered array.  One ``bincount`` per slot over its (N, K)
+    block of the index, renumbered into the slot's own bins in a reused
+    buffer, with ``d[t]`` repeated per user into another: no (T, N, K) copy
+    of ``d``, and each bin adds the same draws in the same order."""
     index, (n_users, n_slots, m_items) = tables.outcomes, tables.v.shape
-    weights = np.broadcast_to(d[:, None, :], index.shape).ravel()
-    total = np.bincount(index.ravel(), weights=weights,
-                        minlength=n_slots * n_users * (m_items + 1))
+    bins = n_users * (m_items + 1)   # one slot's (user, choice) bins
+    total = np.empty((n_slots, bins))
+    weights = np.empty(index.shape[1:])
+    local = np.empty(index.shape[1:], dtype=index.dtype)
+    for t in range(n_slots):
+        weights[:] = d[t]
+        np.subtract(index[t], t * bins, out=local)
+        total[t] = np.bincount(local.ravel(), weights=weights.ravel(), minlength=bins)
     means = total.reshape(n_slots, n_users, m_items + 1)[:, :, 1:].transpose(1, 0, 2)
     return np.divide(means, d.shape[1], out=np.empty(tables.v.shape))
 
@@ -770,6 +786,12 @@ class Engine:
     The outcome distribution does not depend on the allocation, so these
     are the exact derivatives of ``marginal_stats``' ``(a, b)`` along ``d``.
 
+    ``heaviest(tables, state)`` is the heaviest load the value can read at
+    the point: reachable on ``enumerate``, sampled on ``monte_carlo``, and
+    ``None`` on ``analytic_quadratic``, whose costs have no capacity.  An
+    overflowing trial's :class:`CostDomainError` carries the heaviest load
+    of the first grid (or of the samples) past the capacity.
+
     Rows are classes of ``tables.counts`` identical users.  An engine with
     ``classes`` weights every sum over rows by the counts, so its ``a`` and
     ``da`` are the slot's whole statistics and its per-row ``b``, ``db`` and
@@ -791,6 +813,7 @@ class Engine:
     marginal_errors: Callable
     gradient_p: Callable | None
     hess_op: Callable
+    heaviest: Callable | None = None
     outcomes: Callable = lambda profile, cfg: None
     sampled: bool = False
     classes: bool = False
@@ -799,7 +822,7 @@ class Engine:
 _ENGINES = {
     "enumerate": Engine(
         _enum_check, _EnumState, _enum_expected_cost, _enum_marginal_stats, _exact_errors,
-        _enum_gradient_p, _scattered(_enum_hess_vec),
+        _enum_gradient_p, _scattered(_enum_hess_vec), heaviest=_enum_heaviest,
         outcomes=lambda profile, cfg: profile.memo("enumerate", lambda: _Outcomes.of(profile)),
     ),
     "analytic_quadratic": Engine(
@@ -809,6 +832,7 @@ _ENGINES = {
     "monte_carlo": Engine(
         lambda profile, cost: _per_user_check(profile, "monte_carlo"), _mc_state,
         _mc_expected_cost, _mc_marginal_stats, _mc_marginal_errors, None, _mc_hess_op,
+        heaviest=lambda tables, loads: float(loads.max()),
         outcomes=lambda profile, cfg: profile.draw_index(cfg.seed, cfg.samples), sampled=True,
     ),
 }

@@ -128,7 +128,11 @@ def solve_proactive(
     repeatable trajectory, and its Hessian is exact for that sample
     average).  An allocation that overflows
     an outage-capacity cost during the line search is rejected as an
-    infinite-cost trial, never clipped.  A warm start that
+    infinite-cost trial, never clipped; after a full step that overflows,
+    the search tries ``TO_LIMIT`` (0.99) of the way to the capacity along
+    the secant of the heaviest load, from the iterate's (the engine's
+    ``heaviest``) to the one the trial's :class:`CostDomainError` names,
+    then halves as usual.  A warm start that
     overflows under the given profile falls back to the zero allocation,
     which is feasible whenever the non-proactive cost is.
 
@@ -148,6 +152,7 @@ def solve_proactive(
     sizes = catalog.sizes
     point, evaluated = None, None   # the point at hand, and its evaluation once made
     accepted = None                 # the evaluation of the last accepted iterate
+    over = None                     # the load the last overflowing trial's error names
 
     def at(x):
         nonlocal point, evaluated
@@ -156,13 +161,13 @@ def solve_proactive(
         return point
 
     def value(x):
-        nonlocal evaluated
+        nonlocal evaluated, over
         at(x)
         if evaluated is None:
             try:
                 evaluated = expected_cycle_cost(profile, point, cost, cfg)
-            except CostDomainError:
-                evaluated = _OVERFLOW
+            except CostDomainError as err:
+                evaluated, over = _OVERFLOW, err.load
         return evaluated.value
 
     def grad(x):
@@ -172,6 +177,15 @@ def solve_proactive(
         value(x)
         accepted = x, evaluated
         return cost_gradient_x(profile, point, cost, cfg)
+
+    def to_limit(x, trial):
+        # called right after ``trial`` overflowed, so ``over`` is its load; the
+        # trial's point replaced the iterate's, so the iterate gets a new one,
+        # whose heaviest load reads no loads grid.  The heaviest load is convex
+        # along the step, so the secant reaches the capacity no later than it
+        here = Point(profile, x, sizes, cost, cfg)
+        heaviest = cfg.kernels.heaviest(here.tables, here.state)
+        return (cost.domain_limit - heaviest) / (over - heaviest)
 
     def hess(x, free):
         return hess_operator(profile, at(x), cost, cfg, free)
@@ -187,7 +201,9 @@ def solve_proactive(
             # surface the untranslated domain error
             expected_cycle_cost(profile, point, cost, cfg)
     start = evaluated
-    res = box_projected_descent(value, grad, hess, point.x, 0.0, sizes, tol, max_iters)
+    # only a capacity makes a trial's value inf, and only through a domain error
+    res = box_projected_descent(value, grad, hess, point.x, 0.0, sizes, tol, max_iters,
+                                to_limit if cost.domain_limit < np.inf else None)
     if not res.converged:
         log.warning("solve_proactive did not reach tol=%.1e (stop: %s): %d iterations, gap %.3g",
                     tol, res.stop, res.iterations, res.gap)

@@ -228,10 +228,13 @@ class Scenario:
 
         The profile and budgets are rebuilt in the form the new engine solves
         on.  A sample count past :data:`CELL_LIMIT` is refused naming
-        ``--samples``.
+        ``--samples``.  Overrides that change no field return the scenario
+        itself, so its profile, and the draws kept on it, are not rebuilt.
         """
         changes = {"engine": engine, "samples": samples, "seed": seed}
         cfg = replace(self.cfg, **{key: v for key, v in changes.items() if v is not None})
+        if cfg == self.cfg:
+            return self
         profile, alpha = _engine_form(self.classes, self.class_alpha, cfg,
                                       _users_key(self.source), "--samples")
         return replace(self, cfg=cfg, profile=profile, alpha=alpha)

@@ -540,6 +540,55 @@ def test_monte_carlo_pattern_keys_are_renumbered_past_int64(monkeypatch):
     assert _within(got.reshape(shape), ref, bound)
 
 
+@pytest.mark.parametrize("engine", ["enumerate", "monte_carlo"])
+def test_the_heaviest_load_is_where_the_capacity_starts_to_overflow(engine):
+    # an outage capacity just above an allocation's heaviest load values it,
+    # and one just below raises naming a load no heavier than it; on
+    # enumerate it is the largest load of the point's grids (items of zero
+    # probability included, so that some user has one)
+    rng = np.random.default_rng(12)
+    cfg = EvalConfig(engine=engine, samples=50 if engine == "monte_carlo" else 0)
+    for _ in range(20):
+        catalog, prof = random_instance(rng)
+        probs = prof.probs.copy()
+        probs[0, 0, 0] = 0.0
+        prof = DemandProfile(probs)
+        x = rng.uniform(0.0, 1.0, size=probs.shape) * catalog.sizes
+        point = Point(prof, x, catalog.sizes, CostModel.quadratic(), cfg)
+        heaviest = cfg.kernels.heaviest(point.tables, point.state)
+        if engine == "enumerate":
+            grids = [point.state.loads(i) for i in range(len(point.tables.outcomes.batches))]
+            assert heaviest == pytest.approx(max(g.max() for g in grids), rel=1e-14)
+        above = CostModel.outage(heaviest * (1.0 + 1e-12))
+        assert np.isfinite(expected_cycle_cost(prof, x, above, cfg, catalog=catalog).value)
+        with pytest.raises(CostDomainError) as err:
+            expected_cycle_cost(prof, x, CostModel.outage(heaviest * (1.0 - 1e-12)), cfg,
+                                catalog=catalog)
+        assert err.value.load <= heaviest * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("users, slots, items, samples",
+                         [(1, 1, 1, 1), (3, 2, 4, 1), (7, 3, 5, 17), (10, 8, 50, 300)])
+def test_monte_carlo_bin_means_equal_the_broadcast_bincount(users, slots, items, samples):
+    # the per-slot bincount against one bincount over the whole index with d
+    # broadcast to (T, N, K) as its weights: the same bytes, on a random
+    # index and on a drawn one, with weights of both signs
+    rng = np.random.default_rng(users * 1000 + samples)
+    codes = rng.integers(0, items + 1, size=(slots, users, samples))
+    cells = np.arange(slots * users).reshape(slots, users, 1)
+    probs = rng.dirichlet(np.ones(items + 1), size=(users, slots))[:, :, 1:]
+    for index in (cells * (items + 1) + codes, draw_sample_index(probs, 3, samples)):
+        d = rng.normal(size=(slots, samples))
+        tables = evaluate.Tables(probs, np.zeros(probs.shape), None, index, None)
+        got = evaluate._mc_bin_means(tables, d)
+        weights = np.broadcast_to(d[:, None, :], index.shape).ravel()
+        total = np.bincount(index.ravel(), weights=weights,
+                            minlength=slots * users * (items + 1))
+        want = total.reshape(slots, users, items + 1)[:, :, 1:].transpose(1, 0, 2) / samples
+        assert got.flags.c_contiguous and got.shape == (users, slots, items)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "outage"])
 def test_monte_carlo_operator_edges(kind):
     # a free set that no draw hits (items nobody asks for), the empty free

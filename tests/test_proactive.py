@@ -760,8 +760,8 @@ def test_a_flat_search_takes_the_certified_step(monkeypatch):
     cost, cfg = cost_for("outage", 1, 2, catalog.sizes), EvalConfig(engine="enumerate")
     searches, search = [], optim._arc_search
 
-    def recorded(value_fn, clip, x, fx, g, step, work):
-        found, flat = search(value_fn, clip, x, fx, g, step, work)
+    def recorded(value_fn, clip, x, fx, g, step, work, *to_limit):
+        found, flat = search(value_fn, clip, x, fx, g, step, work, *to_limit)
         searches.append((found is None and flat, box_gap(x, g, 0.0, catalog.sizes)))
         return found, flat
 
@@ -773,6 +773,115 @@ def test_a_flat_search_takes_the_certified_step(monkeypatch):
     assert res.gap < flat[0]
     trace = res.objective_trace
     assert np.all(np.diff(trace) <= RESOLUTION * np.abs(trace[:-1]))
+
+
+# the cyclic outage instance cut to N users at mu = ratio * N * max size, and
+# the costs its solves reached when the arc search only halved; halving ended
+# N = 6 at 1.01 "stalled" (gap/f 2.1e-7) and N = 6 at 1.1 "rounding" (gap/f
+# 2.2e-6, reported converged)
+NEAR_CAPACITY = {
+    3: (1.0674817020464702, 1.0091264160584859, 0.9040765139131409, 0.7865407129477772,
+        0.6410580556410864),
+    4: (0.9568639112671639, 0.9209887010161686, 0.8374755227601302, 0.7397082175399055,
+        0.6142043883640871),
+    5: (0.90956865419852, 0.8796894056713574, 0.8053051552330793, 0.7153996431621689,
+        0.5992430441223636),
+    6: (0.884053726963797, 0.8563301639040017, 0.786213600171235, 0.7005461338455555,
+        0.5897301895464665),
+}
+CAPACITY_RATIOS = (1.01, 1.02, 1.05, 1.1, 1.2)
+
+
+def near_capacity(users, ratio):
+    data = cyclic_outage_scenario()
+    data["profiles"] = data["profiles"][:users]
+    data["cost"] = {"kind": "outage", "mu": ratio * users * max(data["sizes"])}
+    return parse_scenario(data)
+
+
+@pytest.mark.parametrize("users", sorted(NEAR_CAPACITY))
+def test_near_capacity_solves_end_on_tol(users):
+    for ratio, before in zip(CAPACITY_RATIOS, NEAR_CAPACITY[users]):
+        scn = near_capacity(users, ratio)
+        res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
+        assert (res.stop, res.converged) == ("tol", True), (ratio, res.stop)
+        assert res.gap <= 1e-8 * res.cost
+        assert res.cost == pytest.approx(before, rel=1e-12)
+        assert res.cost - res.gap <= before
+
+
+def _recorded_searches(monkeypatch):
+    """Every arc search of the solves that follow, as (trials, result, shares,
+    arguments): each valued trial with its value, and the capacity shares
+    asked for.  The descent's own search runs."""
+    searches, search = [], optim._arc_search
+
+    def recorded(value_fn, clip, x, fx, g, step, work, to_limit=None):
+        trials, shares = [], []
+
+        def valued(trial):
+            trials.append((trial.copy(), value_fn(trial)))
+            return trials[-1][1]
+
+        def limited(x, trial):
+            shares.append(to_limit(x, trial))
+            return shares[-1]
+
+        found = search(valued, clip, x, fx, g, step, work, to_limit and limited)
+        searches.append((trials, found, shares, (clip, x.copy(), fx, g.copy(), step.copy())))
+        return found
+
+    monkeypatch.setattr(optim, "_arc_search", recorded)
+    return searches
+
+
+@pytest.mark.parametrize("engine", ["enumerate", "monte_carlo"])
+def test_an_overflowing_full_step_tries_the_capacity_next(monkeypatch, engine):
+    # the cyclic outage cold solve took 12 Newton iterations and 35
+    # overflowing trials while its searches halved from the full step; now no
+    # search values more than one overflowing trial, its first, and the next
+    # trial lies TO_LIMIT of the secant share along the arc, inside the domain.
+    # On 300 samples the capacity N max size is reached by sampled loads only
+    data = cyclic_outage_scenario()
+    if engine == "monte_carlo":
+        data["eval"] = {"engine": "monte_carlo", "samples": 300}
+        data["cost"]["mu"] = 6 * max(data["sizes"])
+    scn = parse_scenario(data)
+    searches = _recorded_searches(monkeypatch)
+    res = solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
+    assert res.stop == "tol" and res.iterations <= 8
+    overflowed = 0
+    for trials, _, shares, (clip, x, _, _, step) in searches:
+        over = [k for k, (_, value) in enumerate(trials) if value == np.inf]
+        assert over in ([], [0]) and len(shares) == len(over)
+        if over:
+            overflowed += 1
+            assert 0.0 < shares[0] < 1.0 and np.isfinite(trials[1][1])
+            assert trials[1][0].tobytes() == clip(x + optim.TO_LIMIT * shares[0] * step).tobytes()
+    assert overflowed >= 1
+
+
+def test_a_full_step_inside_the_domain_makes_the_same_trials(monkeypatch):
+    # a search whose full trial is finite never asks for the capacity share,
+    # and without it, it values the same trials and ends the same, bit for bit
+    scn = parse_scenario(cyclic_outage_scenario())
+    searches = _recorded_searches(monkeypatch)
+    solve_proactive(scn.profile, scn.catalog, scn.cost, scn.cfg)
+    fits = [s for s in searches if s[0] and np.isfinite(s[0][0][1])]
+    assert fits
+    for trials, (found, flat), shares, (clip, x, fx, g, step) in fits:
+        assert shares == []
+        values, again = {t.tobytes(): v for t, v in trials}, []
+
+        def value_fn(trial):
+            again.append(trial.tobytes())
+            return values[again[-1]]
+
+        other, other_flat = optim._arc_search(value_fn, clip, x, fx, g, step, np.empty(x.shape))
+        assert again == [t.tobytes() for t, _ in trials] and other_flat == flat
+        assert (other is None) == (found is None)
+        if found is not None:
+            assert (other[0].tobytes(), other[1]) == (found[0].tobytes(), found[1])
 
 
 @pytest.mark.parametrize("seed, cost, gap", [

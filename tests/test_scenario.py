@@ -59,6 +59,29 @@ def test_parse_generator_scenario():
     assert sc.with_eval("enumerate").alpha.tolist() == [0.2] * 4
 
 
+def test_overrides_that_change_nothing_keep_the_scenario(tmp_path, monkeypatch):
+    # optimize --engine monte_carlo --samples 300 on a scenario that already
+    # says so: one expansion of the 10 users, and the profile that holds the
+    # draws is the parsed one
+    data = two_user_scenario_dict(0.9, "quadratic")
+    data["generator"] = {"kind": "zipf", "users": 10, "power": 4, "activity": [0.9, 0.5]}
+    data.pop("profiles")
+    data["eval"] = {"engine": "monte_carlo", "samples": 300}
+    path = tmp_path / "mc.json"
+    save_scenario(data, path)
+    built, engine_form = [], scenario._engine_form
+    monkeypatch.setattr(scenario, "_engine_form",
+                        lambda *a: built.append(a[2]) or engine_form(*a))
+    sc = load_scenario(path)
+    draws = sc.profile.draw_index(sc.cfg.seed, 300)
+    same = sc.with_eval("monte_carlo", 300, sc.cfg.seed)
+    assert same is sc and len(built) == 1
+    assert same.profile.draw_index(sc.cfg.seed, 300) is draws
+    # an override that changes a field still rebuilds the profile
+    other = sc.with_eval(samples=200)
+    assert len(built) == 2 and other.profile is not sc.profile and other.cfg.samples == 200
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [

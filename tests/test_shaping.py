@@ -80,20 +80,20 @@ OUTAGE_PEAK_U0 = (0.8758308798319185, 0.1241691201680813, 0.0)
 OUTAGE_PEAK_U1 = (0.31508932955606500, 0.21876988147825860, 0.46614078896567634)
 
 # six users, three slots and four items under a tight outage cost, on the
-# enumerate engine: bits frozen at the commit before the enumeration kept
-# its grids.  Users 4 and 5 differ from the rest in the last bits of their
-# peak rows, because each user's marginal is summed along its own axis.
-CYCLIC_TRACE = (0.786213600171235, 0.5434108134956123, 0.5429416301909107, 0.5429415118271778)
+# enumerate engine: bits frozen at the commit whose arc searches first try
+# 0.99 of the way to the capacity after an overflowing full step.  The peak
+# rows of users 0, 4 and 5 differ from the rest in their last bits, because
+# each user's marginal is summed along its own axis.
+CYCLIC_TRACE = (0.7862136001712403, 0.5434108134956107, 0.5429416301909108, 0.5429415118271778)
 CYCLIC_OFFPEAK = (   # slots 0 and 2, every user
-    (0.13274698840143787, 0.056830751167851475, 0.010422260430710612, 0.0),
+    (0.1327469884014378, 0.05683075116785156, 0.010422260430710574, 0.0),
     (0.3981352166756894, 0.17069474617710578, 0.03117003714720482, 0.0),
 )
 CYCLIC_PEAK = [
-    (0.6424556990797904, 0.243448920020838, 0.06409538089937178, 0.0),
-    (0.6424556990797904, 0.2434489200208379, 0.06409538089937168, 0.0),
-] + 2 * [(0.6424556990797905, 0.2434489200208379, 0.06409538089937172, 0.0)] + [
-    (0.6424556990797904, 0.24344892002083787, 0.06409538089937179, 0.0),
-    (0.6424556990797905, 0.24344892002083787, 0.06409538089937179, 0.0),
+    (0.6424556990797904, 0.24344892002083782, 0.0640953808993718, 0.0),
+] + 3 * [(0.6424556990797905, 0.24344892002083776, 0.06409538089937186, 0.0)] + [
+    (0.6424556990797904, 0.24344892002083804, 0.06409538089937165, 0.0),
+    (0.6424556990797905, 0.24344892002083782, 0.06409538089937171, 0.0),
 ]
 
 SPLIT_ALPHA_FINAL = 0.5565801553451664  # outage run with alpha = (0.1, 0.6)

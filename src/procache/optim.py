@@ -14,7 +14,8 @@ log = logging.getLogger(__name__)
 
 # rounding of a computed value, or of a difference, relative to the magnitudes involved
 RESOLUTION = 16.0 * np.finfo(float).eps
-# most CG passes per Newton step, and the share of crossings that ends them (_face_step)
+# most CG passes per Newton step, and the share of crossings past which only the
+# crossers pinned on their bound are fixed (_face_step)
 FACE_PASSES = 3
 FACE_CROSSED = 0.5
 # after an overflowing full step, the share of the way to the domain limit tried next
@@ -238,10 +239,18 @@ def _face_step(hv, b: np.ndarray, rtol: float, land) -> np.ndarray:
     coordinate that leaves is fixed at the bound it crosses, with that move
     ``delta``, and CG runs again from 0 on the rest with right-hand side
     ``b - H delta`` (TRON's subspace step; Lin & Moré 1999), through
-    products of vectors that are zero off them.  Another pass runs only
-    while fewer than ``FACE_CROSSED`` of the coordinates the last pass
-    solved crossed, and at most ``FACE_PASSES`` run; otherwise the arc
-    search clips the last step.
+    products of vectors that are zero off them.  At most ``FACE_PASSES``
+    run.  When ``FACE_CROSSED`` or more of the coordinates the last pass
+    solved cross, only the crossers whose move is exactly 0 are fixed:
+    they sit on the bound they step out of, and the arc ``P(x + t p)``
+    holds them there for every ``t > 0``.  The rest, interior crossers
+    included, are solved again; with no such crosser the passes end, and
+    the arc search clips the last step.  In the cyclic outage test
+    instance's cold solve, the third step moved 6 coordinates at 0 outward
+    and 6 interior ones past a bound; clipped whole, its arc search valued
+    13 trials.  With the pinned ones fixed, no search of that solve values
+    more than 2, and the three benchmark Monte Carlo solves take 4 Newton
+    iterations each, not 6, 6 and 8.
     """
     p = _cg(hv, b, rtol)
     keep = slice(None)   # the coordinates the last pass solved
@@ -249,11 +258,16 @@ def _face_step(hv, b: np.ndarray, rtol: float, land) -> np.ndarray:
         out, move = land(p)
         out = out[keep]
         crossed = int(np.count_nonzero(out))
-        if not crossed or crossed >= FACE_CROSSED * out.size:
+        if not crossed:
             break
         solved = np.arange(b.size)[keep]
+        delta = move()
+        if crossed >= FACE_CROSSED * out.size:
+            out &= delta[solved] == 0.0   # only the crossers the arc pins on their bound
+            if not out.any():
+                break
         fixed, keep = solved[out], solved[~out]
-        p[fixed] = move()[fixed]
+        p[fixed] = delta[fixed]
         v = p.copy()
         v[keep] = 0.0      # every fixed move so far
         rhs = b[keep] - hv(v)[keep]
@@ -288,26 +302,28 @@ def _arc_search(value_fn, clip, x, fx, g, step, work, to_limit=None):
     (0, 1) is ignored.  A search whose full trial is finite makes the same
     trials without ``to_limit``.  Halving alone crawls toward a barrier such
     as the outage cost's: on the cyclic outage test instance (6 users, mu =
-    1.05 N max size) its cold solve took 12 Newton iterations, 48 values and
-    35 overflowing trials.  Measured ``TO_LIMIT`` there, and over the 20
-    solves of the same instance cut to N = 3..6 users at mu / (N max size)
-    in {1.01, 1.02, 1.05, 1.1, 1.2}:
+    1.05 N max size) its cold solve took 30 values, 19 of them overflowing
+    trials.  Measured ``TO_LIMIT`` there, and over the 20 solves of the
+    same instance cut to N = 3..6 users at mu / (N max size) in {1.01,
+    1.02, 1.05, 1.1, 1.2}:
 
-    ========  ==========================  ===========  =================
-    TO_LIMIT  cold solve: its. / values /  grid: its.   grid: stops not
-              overflowing trials                        ``"tol"``
-    ========  ==========================  ===========  =================
-    halving   12 / 48 / 35                145          2
-    0.5       14 / 28 / 11                180          1
-    0.9        9 / 28 / 5                 124          1
-    0.95       8 / 26 / 4                 120          0
-    0.99       6 / 23 / 3                 128          0
-    0.995      9 / 27 / 4                 129          1
-    0.999      6 / 11 / 2                 128          2
-    ========  ==========================  ===========  =================
+    ========  ==========================  ==============  =================
+    TO_LIMIT  cold solve: its. / values /  grid: its. /    grid: stops not
+              overflowing trials           values          ``"tol"``
+    ========  ==========================  ==============  =================
+    halving    7 / 30 / 19                141 / 349       2
+    0.5       14 / 28 / 11                178 / 307       1
+    0.9       11 / 16 / 4                 124 / 188       1
+    0.95       9 / 13 / 3                 121 / 181       0
+    0.99       9 / 12 / 2                 131 / 191       0
+    0.995     12 / 15 / 2                 131 / 193       1
+    0.999      6 / 11 / 2                 135 / 197       2
+    ========  ==========================  ==============  =================
 
-    0.99 also made the fewest values (32, against 35 to 37 at 0.9, 0.95 and
-    0.995, and 57 halving) and the least CPU in the instance's ``shape``.
+    Of the constants whose grid solves all end ``"tol"``, 0.99 makes the
+    fewest values in the cold solve.  Before :func:`_face_step` fixed only
+    pinned crossers above its gate, 0.99 also made the fewest values in the
+    instance's ``shape`` (32, against 35 to 37 at 0.9, 0.95 and 0.995).
     """
     resolution = RESOLUTION * abs(fx)
     t = 1.0
@@ -364,9 +380,12 @@ def box_projected_descent(
     gradient to the forcing term ``min(1e-3, pg / pg0)``, and runs
     an Armijo search along the projection arc ``P(x + t d)``, with ``d``
     re-solved on the face it lands on (:func:`_face_step`, through the same
-    operator).  When that search fails (the box can turn a Newton step
-    uphill, since the Hessian couples bound and free coordinates), the
-    iteration searches along the projected gradient arc instead.
+    operator): a pass whose crossers are fewer than ``FACE_CROSSED`` of its
+    coordinates fixes them all, and one with more fixes only those pinned
+    on their bound (a move of exactly 0).  When that search fails (the box
+    can turn a Newton step uphill, since the Hessian couples bound and free
+    coordinates), the iteration searches along the projected gradient arc
+    instead.
     ``value_fn`` may return ``inf`` outside the objective's domain; the
     searches reject such trials.  ``to_limit(x, trial)``, if given, is
     called only on a search's full trial when its value is ``inf``, right

@@ -5,7 +5,8 @@ or a generator), the cost family, the evaluation engine, the shaping
 budgets, and the seed.  Parsing is strict: unknown keys anywhere are
 rejected by name, and cross-field consistency (dimensions, engine versus
 cost family, a polynomial cost that overflows a float at the heaviest slot
-load) is checked at load time so a bad file fails before any compute.
+load, a cost that is 0 or subnormal at the smallest item) is checked at load
+time so a bad file fails before any compute.
 
 Schema (all floats unless noted)::
 
@@ -198,6 +199,25 @@ def _check_float_range(catalog: ItemCatalog, num_users: int, cost: CostModel) ->
                             f"make, N (max S + sum S) = {load:.3g}, the cost is not finite")
 
 
+def _check_least_cost(catalog: ItemCatalog, cost: CostModel) -> None:
+    """Refuse, naming the keys, a cost that is 0 or subnormal at the smallest
+    item size: a plan's cost and the solver's stops would then read no
+    difference, so a solve ends at once, or stalls, on an unresolved cost.
+    Only C is read: C'' can underflow on a valid scenario (outage, mu =
+    1e300).  An item at or past an outage capacity is left to the solve,
+    which names that load."""
+    least = catalog.min_size
+    if least >= cost.domain_limit:
+        return
+    with np.errstate(under="ignore", over="ignore"):   # an overflow is refused later, by load
+        value = cost.cost(least)
+    if not value >= np.finfo(float).tiny:
+        keys = "'sizes'" + {"outage": " and 'mu' in cost",
+                            "polynomial": " and 'coeffs' in cost"}.get(cost.kind, "")
+        raise ScenarioError(f"{keys} underflow a float: the cost of the smallest item, "
+                            f"C({least:.3g}) = {value:.3g}, is zero or subnormal")
+
+
 def _refuse_constant(token: str):
     raise ScenarioError(f"not valid JSON: {token} is not a strict JSON number")
 
@@ -370,6 +390,7 @@ def parse_scenario(data: dict) -> Scenario:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"invalid cost: {exc}") from exc
+    _check_least_cost(catalog, cost)
 
     eval_spec = _block(data, "eval", {})
     _require_keys(eval_spec, {"engine", "samples"}, "eval")

@@ -434,6 +434,43 @@ def test_a_load_past_the_float_range_is_refused_at_parse_time(runner, tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["optimize", "shape"])
+@pytest.mark.parametrize("size", [1e-300, 5e-324, 1e-160])
+def test_a_cost_below_the_float_range_is_refused_at_parse_time(runner, tmp_path, command, size):
+    # unrefused, sizes 1e-300 and 5e-324 gave "0 -> 0, converged=True" (the
+    # cost underflows to 0), and 1e-160 a subnormal cost on which the solve
+    # stalled
+    scenario = tmp_path / "small.json"
+    scenario.write_text(json.dumps({**two_user_scenario_dict(0.9, "quadratic"),
+                                    "sizes": [size] * 3}))
+    res = runner.invoke(main, [command, "--scenario", str(scenario),
+                               "--out", str(tmp_path / "o.csv")])
+    assert res.exit_code == 1, res.output
+    line, = res.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ScenarioError"
+    assert "'sizes'" in err["message"] and "subnormal" in err["message"], err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["small.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["optimize", "shape"])
+@pytest.mark.parametrize("size", [1e-150, 1e150])
+def test_sizes_of_1e150_either_way_still_solve(runner, tmp_path, command, size):
+    # optimize writes its JSON summary beside the CSV; shape's --out is the JSON
+    scenario, out = tmp_path / "scaled.json", tmp_path / ("o.csv" if command == "optimize"
+                                                          else "o.json")
+    scenario.write_text(json.dumps({**two_user_scenario_dict(0.9, "quadratic"),
+                                    "sizes": [size] * 3}))
+    res = runner.invoke(main, [command, "--scenario", str(scenario), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert summary["converged"] is True and summary["stop"] == "tol"
+    final = summary["c_proactive" if command == "optimize" else "f0_final"]
+    assert np.finfo(float).tiny <= final < np.inf
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.1"])
 def test_shape_refuses_a_bad_alpha(runner, quad_scenario, tmp_path, alpha):
     out = tmp_path / "shaped.json"
@@ -829,7 +866,7 @@ def test_the_two_user_study_solves_its_shaped_point_once(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("kind, warm_iterations, cold_iterations",
-                         [("quadratic", 9, 11), ("outage", 17, 21)])
+                         [("quadratic", 7, 6), ("outage", 17, 22)], ids=["quadratic", "outage"])
 def test_a_warm_sweep_row_agrees_with_its_cold_solve(tmp_path, monkeypatch, kind,
                                                      warm_iterations, cold_iterations):
     # sweep points after the first start from the previous plan: the zero-plan

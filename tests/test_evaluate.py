@@ -653,7 +653,9 @@ def test_stream_keys_are_what_numpy_reads_from_the_key_list():
     assert sides == {False, True}
 
 
-def test_monte_carlo_draws_once_per_slot_and_user(two_user, quad, mc_cfg, monkeypatch):
+def test_monte_carlo_draws_once_per_slot_and_user(two_user, outage, mc_cfg, monkeypatch):
+    # under the outage cost the solve takes several Newton iterations (the
+    # quadratic one ends in one), so it values many plans on the same draws
     import procache.demand
 
     streams = []
@@ -662,13 +664,14 @@ def test_monte_carlo_draws_once_per_slot_and_user(two_user, quad, mc_cfg, monkey
     )
     catalog, prof = two_user
     cfg = mc_cfg(200, seed=4)
-    nonproactive_cost(prof, catalog, quad, cfg)
-    solved = solve_proactive(prof, catalog, quad, cfg)
+    nonproactive_cost(prof, catalog, outage, cfg)
+    solved = solve_proactive(prof, catalog, outage, cfg)
     assert solved.iterations > 1
     assert sorted(streams) == sorted((4, n, t) for n in range(2) for t in range(2))
 
 
-def test_the_sample_index_is_built_once_with_the_draws(two_user, quad, mc_cfg, monkeypatch):
+def test_the_sample_index_is_built_once_with_the_draws(two_user, outage, mc_cfg, monkeypatch):
+    # solved under the outage cost, which takes several Newton iterations
     import procache.demand
 
     built = []
@@ -684,8 +687,8 @@ def test_the_sample_index_is_built_once_with_the_draws(two_user, quad, mc_cfg, m
         for _ in range(2):
             prof.draws(seed, count)
             assert prof.draw_index(seed, count) is index
-        assert solve_proactive(prof, catalog, quad, cfg).iterations > 1
-        point = Point(prof, np.zeros(prof.probs.shape), catalog.sizes, quad, cfg)
+        assert solve_proactive(prof, catalog, outage, cfg).iterations > 1
+        point = Point(prof, np.zeros(prof.probs.shape), catalog.sizes, outage, cfg)
         assert point.tables.outcomes is index
     assert len(built) == 3
     # the index lives on its profile: an equal profile builds its own

@@ -649,6 +649,70 @@ def reduced(hess):
     return hess_fn
 
 
+# a coupled SPD Hessian for the face step's box QPs, box [0, 1]
+FACE_H = np.array([[4.0, 1.0, 0.5, 0.0, 0.2], [1.0, 3.0, 0.4, 0.3, 0.0],
+                   [0.5, 0.4, 2.0, 0.1, 0.3], [0.0, 0.3, 0.1, 2.5, 0.6],
+                   [0.2, 0.0, 0.3, 0.6, 3.5]])
+
+
+def _face_step_on_box(monkeypatch, x, newton):
+    """``_face_step`` at ``x`` in [0, 1]^k on ``FACE_H``'s leading block, with
+    ``b`` chosen so that the first CG pass lands on ``newton``; the step, the
+    number of CG passes, and ``b``."""
+    k = x.size
+    h = FACE_H[:k, :k]
+    b = h @ newton
+    passes, cg = [], optim._cg
+
+    def counted(*args):
+        passes.append(1)
+        return cg(*args)
+
+    def land(p):
+        z = x + p
+        return (z < 0.0) | (z > 1.0), lambda: np.clip(z, 0.0, 1.0) - x
+
+    monkeypatch.setattr(optim, "_cg", counted)
+    p = optim._face_step(lambda v: h @ v, b, 1e-14, land)
+    return p, len(passes), b
+
+
+def test_a_face_step_above_the_gate_fixes_the_crossers_pinned_on_a_bound(monkeypatch):
+    # two of three coordinates cross (the gate is half): coordinate 0 sits at
+    # 0 and steps out, so the arc holds it there, and coordinate 1 crosses 1
+    # from inside.  Only coordinate 0 is fixed; the rest solve the system
+    # without it, and since the interior crosser still crosses alone (half of
+    # what that pass solved), no third pass runs
+    x = np.array([0.0, 0.5, 0.5])
+    p, passes, b = _face_step_on_box(monkeypatch, x, np.array([-0.3, 0.8, 0.1]))
+    assert passes == 2
+    assert p[0] == 0.0
+    assert np.allclose(p[1:], np.linalg.solve(FACE_H[1:3, 1:3], b[1:]), rtol=1e-12, atol=0.0)
+    assert x[1] + p[1] > 1.0
+
+
+def test_a_face_step_above_the_gate_with_only_interior_crossers_keeps_one_pass(monkeypatch):
+    # one of two coordinates crosses, from inside: nothing is pinned, so the
+    # arc search clips the first pass's step
+    newton = np.array([0.8, 0.1])
+    p, passes, _ = _face_step_on_box(monkeypatch, np.array([0.5, 0.5]), newton)
+    assert passes == 1
+    assert np.allclose(p, newton, rtol=1e-12, atol=0.0)
+
+
+def test_a_face_step_below_the_gate_fixes_every_crosser(monkeypatch):
+    # two of five cross, one pinned at 0 and one from inside: both are fixed
+    # at the bound they cross, with their moves 0 and 0.5, and the other
+    # three solve the system with those moves on its right-hand side
+    x = np.array([0.0, 0.5, 0.5, 0.5, 0.5])
+    p, passes, b = _face_step_on_box(monkeypatch, x, np.array([-0.3, 0.8, 0.1, -0.1, 0.2]))
+    assert passes == 2
+    assert (p[0], p[1]) == (0.0, 0.5)
+    want = np.linalg.solve(FACE_H[2:, 2:], b[2:] - FACE_H[2:, :2] @ p[:2])
+    assert np.allclose(p[2:], want, rtol=1e-12, atol=0.0)
+    assert np.all((x[2:] + p[2:] > 0.0) & (x[2:] + p[2:] < 1.0))
+
+
 def test_box_descent_clamps_active_bounds():
     target = np.array([-1.0, 0.5, 2.0])
     res = box_projected_descent(

@@ -527,3 +527,34 @@ def test_any_small_json_dict_parses_cleanly_or_raises_scenario_error(data):
     assert scn.alpha.shape == (probs.shape[0],)
     for arr in (probs, scn.profile.silence, scn.catalog.sizes, scn.alpha):
         assert np.all(np.isfinite(arr))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("change, fragment", [
+    ({"sizes": [1e-160] * 3}, "'sizes' underflow a float"),
+    ({"sizes": [1e-10] * 3, "cost": {"kind": "outage", "mu": 1e300}},
+     "'sizes' and 'mu' in cost underflow a float"),
+    ({"sizes": [1e-5] * 3, "cost": {"kind": "polynomial", "coeffs": [0, 0, 1e-300]}},
+     "'sizes' and 'coeffs' in cost underflow a float"),
+], ids=["quadratic", "outage", "polynomial"])
+def test_a_cost_that_underflows_at_the_smallest_item_names_its_keys(change, fragment):
+    with pytest.raises(ScenarioError, match=fragment):
+        parse_scenario({**two_user_scenario_dict(0.9, "quadratic"), **change})
+
+
+def test_the_least_cost_is_checked_once_per_parse_not_per_ladder_point(monkeypatch):
+    # at mu = 1e300 the cost's C'' underflows to 0 at the smallest item, and
+    # the scenario is valid: only C is read.  A ladder point keeps the
+    # catalog and cost, so it runs no second check
+    checked, check = [], scenario._check_least_cost
+    monkeypatch.setattr(scenario, "_check_least_cost",
+                        lambda *args: checked.append(args) or check(*args))
+    data = two_user_scenario_dict(0.9, "outage") | {"cost": {"kind": "outage", "mu": 1e300}}
+    assert parse_scenario(data).cost.second(1.0) == 0.0
+    family = parse_scenario({"sizes": [1.0, 2.0], "cost": {"kind": "quadratic"},
+                             "eval": {"engine": "analytic_quadratic"},
+                             "generator": {"kind": "zipf", "users": 3, "power": 1.0,
+                                           "activity": [0.5]}})
+    for users in (5, 50, 500):
+        family.with_users(users)
+    assert len(checked) == 2

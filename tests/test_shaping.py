@@ -80,20 +80,21 @@ OUTAGE_PEAK_U0 = (0.8758308798319185, 0.1241691201680813, 0.0)
 OUTAGE_PEAK_U1 = (0.31508932955606500, 0.21876988147825860, 0.46614078896567634)
 
 # six users, three slots and four items under a tight outage cost, on the
-# enumerate engine: bits frozen at the commit whose arc searches first try
-# 0.99 of the way to the capacity after an overflowing full step.  The peak
-# rows of users 0, 4 and 5 differ from the rest in their last bits, because
-# each user's marginal is summed along its own axis.
-CYCLIC_TRACE = (0.7862136001712403, 0.5434108134956107, 0.5429416301909108, 0.5429415118271778)
+# enumerate engine: bits frozen at the commit whose Newton steps fix only
+# the crossers pinned on their bound once half or more of a pass's
+# coordinates cross.  The peak rows of users 0 and 1, of users 2 and 3, of
+# user 4 and of user 5 differ in their last bits, because each user's
+# marginal is summed along its own axis.
+CYCLIC_TRACE = (0.7862136001712351, 0.5434108134956123, 0.5429416301909108, 0.5429415118271775)
 CYCLIC_OFFPEAK = (   # slots 0 and 2, every user
-    (0.1327469884014378, 0.05683075116785156, 0.010422260430710574, 0.0),
+    (0.1327469884014378, 0.0568307511678516, 0.010422260430710564, 0.0),
     (0.3981352166756894, 0.17069474617710578, 0.03117003714720482, 0.0),
 )
-CYCLIC_PEAK = [
-    (0.6424556990797904, 0.24344892002083782, 0.0640953808993718, 0.0),
-] + 3 * [(0.6424556990797905, 0.24344892002083776, 0.06409538089937186, 0.0)] + [
-    (0.6424556990797904, 0.24344892002083804, 0.06409538089937165, 0.0),
-    (0.6424556990797905, 0.24344892002083782, 0.06409538089937171, 0.0),
+CYCLIC_PEAK = 2 * [(0.6424556990797904, 0.24344892002083793, 0.06409538089937157, 0.0)] + 2 * [
+    (0.6424556990797904, 0.24344892002083796, 0.06409538089937175, 0.0),
+] + [
+    (0.6424556990797903, 0.24344892002083798, 0.06409538089937171, 0.0),
+    (0.6424556990797904, 0.243448920020838, 0.06409538089937174, 0.0),
 ]
 
 SPLIT_ALPHA_FINAL = 0.5565801553451664  # outage run with alpha = (0.1, 0.6)
@@ -328,14 +329,16 @@ def test_shape_demand_cyclic_outage_frozen():
 
 def test_a_newton_step_that_mostly_leaves_the_box_keeps_one_cg_pass(monkeypatch):
     # shaping shuffled Zipf lands its profile on a face of the ball, and the
-    # re-solve's Newton steps push most free coordinates past a bound: the
-    # face re-solve's gate leaves those steps to the arc search after one CG
-    # pass, while the unshaped solve's steps re-solve on the face
+    # re-solve's Newton steps push most free coordinates past a bound.  Past
+    # the face re-solve's gate, a step with a crosser pinned on its bound (a
+    # move of 0) re-solves without it, and one with none is left to the arc
+    # search after one CG pass; below the gate every crossing step re-solves
     scn, prof = shuffled_zipf(20, 20)
     steps, face_step, cg = [], optim._face_step, optim._cg
 
     def recorded(hv, b, rtol, land):
-        out, _ = land(cg(hv, b, rtol))   # the first pass, recomputed
+        out, move = land(cg(hv, b, rtol))   # the first pass, recomputed
+        pinned = int(np.count_nonzero(out & (move() == 0.0)))
         passes = []
 
         def counted(*args):
@@ -345,16 +348,19 @@ def test_a_newton_step_that_mostly_leaves_the_box_keeps_one_cg_pass(monkeypatch)
         monkeypatch.setattr(optim, "_cg", counted)
         p = face_step(hv, b, rtol, land)
         monkeypatch.setattr(optim, "_cg", cg)
-        steps.append((np.count_nonzero(out) / b.size, len(passes)))
+        steps.append((np.count_nonzero(out) / b.size, pinned, len(passes)))
         return p
 
     monkeypatch.setattr(optim, "_face_step", recorded)
     shape_demand(prof, scn.catalog, scn.cost, scn.cfg, alpha=0.2)
-    assert all(1 <= passes <= FACE_PASSES for _, passes in steps)
-    assert any(share >= FACE_CROSSED for share, _ in steps)
-    assert any(passes > 1 for _, passes in steps)
-    for share, passes in steps:
-        assert (passes == 1) == (share == 0.0 or share >= FACE_CROSSED), (share, passes)
+    assert all(1 <= passes <= FACE_PASSES for _, _, passes in steps)
+    assert any(share >= FACE_CROSSED and not pinned and passes == 1
+               for share, pinned, passes in steps)
+    assert any(share >= FACE_CROSSED and pinned and passes > 1 for share, pinned, passes in steps)
+    assert any(0.0 < share < FACE_CROSSED and passes > 1 for share, _, passes in steps)
+    for share, pinned, passes in steps:
+        one = share == 0.0 or (share >= FACE_CROSSED and not pinned)
+        assert (passes == 1) == one, (share, pinned, passes)
 
 
 def test_shape_demand_is_stationary_at_its_answer(two_user, quad, enum_cfg):

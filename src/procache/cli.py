@@ -65,10 +65,12 @@ def _guarded(fn):
     return wrapper
 
 
-def _check_solver_options(tol: float, max_iters: int) -> None:
-    """Refuse a ``--tol`` that is not finite and nonnegative, or a ``--max-iters`` below 1."""
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ScenarioError(f"--tol must be a finite nonnegative number, got {tol!r}")
+def _check_solver_options(tol: float, max_iters: int, alpha: float | None = None) -> None:
+    """Refuse a ``--tol`` or given ``--alpha`` that is not finite and nonnegative, or a
+    ``--max-iters`` below 1."""
+    for option, value in (("--tol", tol), ("--alpha", alpha)):
+        if value is not None and not (np.isfinite(value) and value >= 0.0):
+            raise ScenarioError(f"{option} must be a finite nonnegative number, got {value!r}")
     if max_iters < 1:
         raise ScenarioError(f"--max-iters must be at least 1, got {max_iters}")
 
@@ -253,7 +255,7 @@ def optimize(scenario_path, engine, samples, tol, max_iters, out_path):
 @_guarded
 def shape(scenario_path, alpha, tol, max_iters, trace_path, out_path):
     """Shape demand inside the per-user entropy balls, then re-optimize."""
-    _check_solver_options(tol, max_iters)
+    _check_solver_options(tol, max_iters, alpha)
     _plan_outputs({"--scenario": scenario_path}, {"--out": out_path, "--trace": trace_path})
     scn = load_scenario(scenario_path)
     scn.check_per_user()

@@ -118,8 +118,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
-        if self.kernels.sampled and self.samples < 1:
-            raise ValueError(f"{self.engine} engine needs samples >= 1")
+        least = 1 if self.kernels.sampled else 0
+        if self.samples < least:
+            raise ValueError(f"{self.engine} engine needs samples >= {least}, got {self.samples}")
 
     @property
     def kernels(self) -> "Engine":
@@ -230,8 +231,9 @@ def _values(v: np.ndarray, direction: bool = False) -> np.ndarray:
 # enumeration
 
 
-def _batches(w: np.ndarray, full: int | None = None):
-    """Slot batches to enumerate, each over the choices its users can make.
+def _batching(w: np.ndarray):
+    """Slot batches to enumerate, each over the choices its users can make,
+    as ``batches(full=None)``.
 
     A user's grid axis holds only its choices of positive probability (all
     of them for user ``full``), so a grid follows the reachable support
@@ -239,16 +241,10 @@ def _batches(w: np.ndarray, full: int | None = None):
     number of such choices, and a batch holds at most ``_ENUM_LIMIT``
     outcomes.  Yields the slot indices ``s``, the users' numbers of choices
     ``widths`` and the column order ``cols`` (B, N, M+1) that puts the
-    enumerated columns first, ``None`` when that is all of them.
-    """
-    return _batching(w)(full)
-
-
-def _batching(w: np.ndarray):
-    """:func:`_batches` of ``w`` for any ``full``, as ``batches(full)``:
-    the live mask, each (slot, user)'s number of live choices and the
-    column order are computed once, for a caller that batches per user.
-    User ``full``'s row of the order is the identity, all its choices live."""
+    enumerated columns first, ``None`` when that is all of them.  The live
+    mask, each (slot, user)'s number of live choices and the column order
+    are computed once, for a caller that batches per user.  User ``full``'s
+    row of the order is the identity, all its choices live."""
     live = w > 0.0
     rows = live.sum(axis=2).tolist()
     short = ~live.all(axis=2)                # (T, N): a choice of zero weight
@@ -349,7 +345,7 @@ def _chances(ws: list, rows: int) -> tuple:
 
 class _Outcomes(NamedTuple):
     """A profile's weight table ``w`` (T, N, M+1), silent column first, its
-    :func:`_batches` ``(s, widths, cols, ws)`` with per-user weight tables
+    :func:`_batching` ``(s, widths, cols, ws)`` with per-user weight tables
     ``ws``, the read-only ``ones`` vector whose leading slices
     :func:`_axis_sums` multiplies every batch's grids by (:func:`_ones_for`),
     and the batches' :func:`_chances`.  ``ones`` is kept with the batches,
@@ -366,7 +362,7 @@ class _Outcomes(NamedTuple):
     @classmethod
     def of(cls, profile: DemandProfile) -> "_Outcomes":
         w = np.concatenate([profile.silence[:, :, None], profile.probs], axis=2).transpose(1, 0, 2)
-        batches = [(s, widths, cols, _cut(w, s, widths, cols)) for s, widths, cols in _batches(w)]
+        batches = [(s, widths, cols, _cut(w, s, widths, cols)) for s, widths, cols in _batching(w)()]
         cells = sum(len(s) * int(np.prod(widths)) for s, widths, *_ in batches)
         grids = None if cells > _ENUM_LIMIT else [_chances(b[3], len(b[0])) for b in batches]
         return cls(w, batches, _ones_for(b[1] for b in batches), grids)

@@ -82,11 +82,11 @@ def _ball_path(c: np.ndarray, d: np.ndarray, total, r_sq, s_max: float) -> np.nd
     Each round projects every live row once at its trial s, reads S, and
     jumps to that piece's root, with B taken from the distance just
     measured and the target pulled in by ``2 M eps`` of r_sq so the jump
-    lands inside rather than an ulp outside; the root is capped at s_max,
+    ends inside rather than an ulp outside; the root is capped at s_max,
     and a piece with A = 0, or one that never re-enters the ball, has none.
     A bracket of the largest trial inside and the least outside guards the
     jumps: a root outside it falls back to the midpoint, or to doubling
-    while nothing outside is known.  A jump that lands outside on its own
+    while nothing outside is known.  A jump that ends outside on its own
     piece missed by rounding alone, which can hold the measured distance
     flat across many ulps of s: each such miss in a row steps down twice as
     far as the last (a miss on another piece takes that piece's root as
@@ -231,21 +231,21 @@ def _cg(hv, b: np.ndarray, rtol: float) -> np.ndarray:
     return p
 
 
-def _face_step(hv, b: np.ndarray, rtol: float, land) -> np.ndarray:
-    """CG step ``p`` on ``H p = b`` (``b = -g``), re-solved on the face it lands on.
+def _face_step(hv, b: np.ndarray, rtol: float, x: np.ndarray, lower, upper) -> np.ndarray:
+    """CG step ``p`` on ``H p = b`` (``b = -g``), re-solved on the face it reaches.
 
-    ``land(p)`` gives, for a step on the free set, where ``x + p`` leaves the
-    box there, and a function for the move ``P(x + p) - x`` there.  Each
-    coordinate that leaves is fixed at the bound it crosses, with that move
-    ``delta``, and CG runs again from 0 on the rest with right-hand side
-    ``b - H delta`` (TRON's subspace step; Lin & Moré 1999), through
-    products of vectors that are zero off them.  At most ``FACE_PASSES``
-    run.  When ``FACE_CROSSED`` or more of the coordinates the last pass
-    solved cross, only the crossers whose move is exactly 0 are fixed:
-    they sit on the bound they step out of, and the arc ``P(x + t p)``
-    holds them there for every ``t > 0``.  The rest, interior crossers
-    included, are solved again; with no such crosser the passes end, and
-    the arc search clips the last step.  In the cyclic outage test
+    ``x``, ``lower`` and ``upper`` are the iterate and its bounds on the free
+    set, where ``hv`` multiplies and ``b`` lives; a bound may be a scalar.
+    Each coordinate where ``x + p`` leaves the box is fixed at the bound it
+    crosses, with its move ``delta = P(x + p) - x``, and CG runs again from 0
+    on the rest with right-hand side ``b - H delta`` (TRON's subspace step;
+    Lin & Moré 1999), through products of vectors that are zero off them.
+    At most ``FACE_PASSES`` run.  When ``FACE_CROSSED`` or more of the
+    coordinates the last pass solved cross, only the crossers whose move is
+    exactly 0 are fixed: they sit on the bound they step out of, and the arc
+    ``P(x + t p)`` holds them there for every ``t > 0``.  The rest, interior
+    crossers included, are solved again; with no such crosser the passes
+    end, and the arc search clips the last step.  In the cyclic outage test
     instance's cold solve, the third step moved 6 coordinates at 0 outward
     and 6 interior ones past a bound; clipped whole, its arc search valued
     13 trials.  With the pinned ones fixed, no search of that solve values
@@ -255,13 +255,13 @@ def _face_step(hv, b: np.ndarray, rtol: float, land) -> np.ndarray:
     p = _cg(hv, b, rtol)
     keep = slice(None)   # the coordinates the last pass solved
     for _ in range(FACE_PASSES - 1):
-        out, move = land(p)
-        out = out[keep]
+        z = x + p
+        out = ((z < lower) | (z > upper))[keep]
         crossed = int(np.count_nonzero(out))
         if not crossed:
             break
         solved = np.arange(b.size)[keep]
-        delta = move()
+        delta = np.subtract(np.minimum(np.maximum(z, lower, out=z), upper, out=z), x, out=z)
         if crossed >= FACE_CROSSED * out.size:
             out &= delta[solved] == 0.0   # only the crossers the arc pins on their bound
             if not out.any():
@@ -369,17 +369,18 @@ def box_projected_descent(
     Hessian of TRON (Lin & Moré 1999).  The descent calls it once per
     iteration whose free set is nonempty, and drops the operator after CG,
     before the search, so whatever it holds at ``x`` is freed with it.  One
-    work buffer holds the temporaries of the arc search, the face step's
-    ``x + p``, the stop and ``pg``.  ``lower`` and ``upper`` are scalars or
-    arrays that broadcast against ``x0`` (a per-item size vector, say) and
-    stay that compact, so no box-sized array is built.  With ``pg`` the
+    work buffer holds the temporaries of the arc search, the stop and
+    ``pg``.  ``lower`` and ``upper`` are scalars or arrays that broadcast
+    against ``x0`` (a per-item size vector, say) and stay that compact, so
+    no box-sized array is built: the face step gets them, and ``x``,
+    gathered on the free set.  With ``pg`` the
     projected gradient norm ``|x - P(x - g)|``, each iteration holds the
     epsilon-binding coordinates (within ``eps = min(pg, 1e-3 * widest box
     side)`` of a bound that the gradient pushes against) on a projected
     gradient step, solves the Newton system on the others by conjugate
     gradient to the forcing term ``min(1e-3, pg / pg0)``, and runs
     an Armijo search along the projection arc ``P(x + t d)``, with ``d``
-    re-solved on the face it lands on (:func:`_face_step`, through the same
+    re-solved on the face it reaches (:func:`_face_step`, through the same
     operator): a pass whose crossers are fewer than ``FACE_CROSSED`` of its
     coordinates fixes them all, and one with more fixes only those pinned
     on their bound (a move of exactly 0).  When that search fails (the box
@@ -431,18 +432,10 @@ def box_projected_descent(
     g = grad_fn(x)
     trace = [fx]
     width = float(np.max(upper - lower, initial=0.0))
-    scatter = np.empty(x.shape)   # the one work buffer: trial - x, x + p, pg, gap
+    scatter = np.empty(x.shape)   # the one work buffer: trial - x, pg, gap
     step = np.empty(x.shape)
     it, pg0 = 0, None
-
-    def land(p):
-        """For a step ``p`` on the free set: where ``x + p`` leaves the box
-        there, and a function for the move ``P(x + p) - x`` (work buffer)."""
-        step.flat[free] = p
-        np.add(x, step, out=scatter)
-        out = scatter < lower
-        out |= scatter > upper
-        return out.ravel()[free], lambda: np.subtract(clip(scatter), x, out=scatter).ravel()[free]
+    bounds = [b if b.ndim == 0 else np.broadcast_to(b, x.shape) for b in (lower, upper)]
 
     def gap_at(x, g):
         """The Frank-Wolfe gap at ``x``, in the work buffers; each term is nonnegative."""
@@ -465,7 +458,8 @@ def box_projected_descent(
         if free.size:
             hv = hess_fn(x, free)
             step.flat[free] = _face_step(hv, step.ravel()[free],
-                                         min(1e-3, pg / pg0) if pg0 else 1e-3, land)
+                                         min(1e-3, pg / pg0) if pg0 else 1e-3, x.ravel()[free],
+                                         *(b if b.ndim == 0 else b.flat[free] for b in bounds))
             del hv   # it may hold the iterate's own evaluation state: free it before the search
 
         found, flat = _arc_search(value_fn, clip, x, fx, g, step, scatter, to_limit)

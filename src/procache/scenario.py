@@ -170,15 +170,19 @@ def _split_by_alpha(profile: DemandProfile, alpha: np.ndarray):
 
 
 def _engine_form(classes: DemandProfile, class_alpha: np.ndarray, cfg: EvalConfig,
-                 users_key: str, samples_key: str):
+                 cost: CostModel, users_key: str, samples_key: str, engine_key: str):
     """The profile and budgets in the form ``cfg``'s engine solves on, checked
-    against :data:`CELL_LIMIT`."""
+    against :data:`CELL_LIMIT` and by the engine's guard."""
     profile, alpha = classes, class_alpha
     if not (cfg.kernels.classes or classes.per_user):
         check_cells(users_key, classes.num_users, classes.num_slots, classes.num_items)
         profile, alpha = classes.expanded(), np.repeat(class_alpha, classes.counts)
     if cfg.kernels.sampled:
         check_cells(samples_key, cfg.samples, profile.num_users, profile.num_slots)
+    try:
+        cfg.kernels.check(profile, cost)
+    except UnsupportedEngineError as exc:
+        raise ScenarioError(f"{engine_key}: engine mismatch: {exc}") from exc
     return profile, alpha
 
 
@@ -247,16 +251,23 @@ class Scenario:
         ``--seed`` overrides; ``None`` keeps a field.
 
         The profile and budgets are rebuilt in the form the new engine solves
-        on.  A sample count past :data:`CELL_LIMIT` is refused naming
-        ``--samples``.  Overrides that change no field return the scenario
+        on.  Each override is refused as its scenario key is, by a
+        :class:`ScenarioError` naming the option: a sample count past
+        :data:`CELL_LIMIT` names ``--samples``; one the engine cannot take
+        (negative, or none for a sampled engine) names ``--engine`` and
+        ``--samples``; an engine whose guard refuses the scenario names
+        ``--engine``.  Overrides that change no field return the scenario
         itself, so its profile, and the draws kept on it, are not rebuilt.
         """
         changes = {"engine": engine, "samples": samples, "seed": seed}
-        cfg = replace(self.cfg, **{key: v for key, v in changes.items() if v is not None})
+        try:
+            cfg = replace(self.cfg, **{key: v for key, v in changes.items() if v is not None})
+        except ValueError as exc:
+            raise ScenarioError(f"--engine and --samples: {exc}") from exc
         if cfg == self.cfg:
             return self
-        profile, alpha = _engine_form(self.classes, self.class_alpha, cfg,
-                                      _users_key(self.source), "--samples")
+        profile, alpha = _engine_form(self.classes, self.class_alpha, cfg, self.cost,
+                                      _users_key(self.source), "--samples", "--engine")
         return replace(self, cfg=cfg, profile=profile, alpha=alpha)
 
     def check_per_user(self) -> None:
@@ -436,14 +447,8 @@ def _at_users(data: dict, catalog: ItemCatalog, profile: DemandProfile, cost: Co
         raise ScenarioError("alpha must be nonnegative")
     users_key = _users_key(data)
     check_cells(users_key, *profile.probs.shape)
-    engine_profile, alpha = _engine_form(profile, class_alpha, cfg, users_key,
-                                         "'samples' in eval")
-
-    try:
-        cfg.kernels.check(engine_profile, cost)
-    except UnsupportedEngineError as exc:
-        raise ScenarioError(f"engine mismatch: {exc}") from exc
-
+    engine_profile, alpha = _engine_form(profile, class_alpha, cfg, cost, users_key,
+                                         "'samples' in eval", "'engine' in eval")
     return Scenario(
         catalog=catalog,
         profile=engine_profile,

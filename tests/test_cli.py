@@ -391,6 +391,14 @@ def test_recommend_parses_strictly(runner, tmp_path, profile_text, ratings_text,
         (["scale", "--N", "1,1,2,3"], "--N"),
         (["scale", "--N", "0,1,2"], "--N"),
         (["scale", "--N", "-4,2,3,5"], "--N"),
+        # overrides are refused like the scenario keys they replace: a negative
+        # count was accepted, and a sampled engine with no samples or a budget
+        # outside [0, inf) raised a bare ValueError naming no option
+        (["optimize", "--samples", "-5"], "--samples"),
+        (["optimize", "--engine", "monte_carlo"], "--samples"),
+        (["optimize", "--engine", "monte_carlo", "--samples", "0"], "--samples"),
+        (["shape", "--alpha", "-1"], "--alpha"),
+        (["shape", "--alpha", "nan"], "--alpha"),
     ],
 )
 def test_solver_options_are_checked(runner, quad_scenario, tmp_path, command, option):
@@ -401,6 +409,20 @@ def test_solver_options_are_checked(runner, quad_scenario, tmp_path, command, op
     err = json.loads(res.stderr)
     assert err["error"] == "ScenarioError"
     assert option in err["message"]
+    assert not any(tmp_path.glob("o*"))
+
+
+def test_an_engine_override_the_cost_refuses_is_named(runner, tmp_path):
+    # the closed-form engine prices the quadratic cost only: under an outage
+    # cost the override raised UnsupportedEngineError, naming no option
+    scenario = tmp_path / "s.json"
+    save_scenario(two_user_scenario_dict(0.9, "outage"), scenario)
+    res = runner.invoke(main, ["optimize", "--scenario", str(scenario), "--engine",
+                               "analytic_quadratic", "--out", str(tmp_path / "o.csv")])
+    assert res.exit_code == 1, res.output
+    err = json.loads(res.stderr)
+    assert err["error"] == "ScenarioError"
+    assert "--engine" in err["message"] and "engine mismatch" in err["message"]
     assert not any(tmp_path.glob("o*"))
 
 

@@ -1001,8 +1001,9 @@ def _masked_gradient_p(prof, x, sizes, cost):
     val, const = evaluate._values(sizes - x), prefetch_volume(x)
     n_slots, n_users, width = w.shape
     grad = np.empty((n_users, n_slots, width - 1))
+    batches = evaluate._batching(w)
     for n in range(n_users):
-        for s, widths, cols in evaluate._batches(w, full=n):
+        for s, widths, cols in batches(full=n):
             ws, vs = evaluate._cut(w, s, widths, cols), evaluate._cut(val, s, widths, cols)
             del ws[n]
             probs = evaluate._grid(ws, np.multiply, np.ones(len(s)))
@@ -1247,7 +1248,7 @@ def _rebuilt_marginals(prof, x, sizes, weight, d=None):
     tabs = [w, evaluate._values(sizes - x)] + ([] if d is None else [evaluate._values(d, True)])
     const = [prefetch_volume(x)] + ([] if d is None else [prefetch_volume(d)])
     a, b = np.empty(n_slots), np.empty((n_users, n_slots, width - 1))
-    for s, widths, cols in evaluate._batches(w):
+    for s, widths, cols in evaluate._batching(w)():
         ws, *vs = [evaluate._cut(tab, s, widths, cols) for tab in tabs]
         probs = evaluate._grid(ws, np.multiply, np.ones(len(s)))
         loads = evaluate._grid(vs[0], np.add, const[0][s])

@@ -668,12 +668,8 @@ def _face_step_on_box(monkeypatch, x, newton):
         passes.append(1)
         return cg(*args)
 
-    def land(p):
-        z = x + p
-        return (z < 0.0) | (z > 1.0), lambda: np.clip(z, 0.0, 1.0) - x
-
     monkeypatch.setattr(optim, "_cg", counted)
-    p = optim._face_step(lambda v: h @ v, b, 1e-14, land)
+    p = optim._face_step(lambda v: h @ v, b, 1e-14, x, 0.0, 1.0)
     return p, len(passes), b
 
 
@@ -711,6 +707,49 @@ def test_a_face_step_below_the_gate_fixes_every_crosser(monkeypatch):
     want = np.linalg.solve(FACE_H[2:, 2:], b[2:] - FACE_H[2:, :2] @ p[:2])
     assert np.allclose(p[2:], want, rtol=1e-12, atol=0.0)
     assert np.all((x[2:] + p[2:] > 0.0) & (x[2:] + p[2:] < 1.0))
+
+
+def test_a_face_step_on_a_plan_free_set_takes_compact_bounds(monkeypatch):
+    # the descent's call on the free set of an (N, T, M) plan: lower the
+    # scalar 0, upper the per-item sizes read through their broadcast.  Four
+    # of the 21 free coordinates cross (below the gate): one at 0 and one at
+    # its size step outward (moves 0), two interior ones pass 0 and a size.
+    # Each is fixed at exactly clip(x + p, 0, S) - x, the rest re-solve once,
+    # and the bounds materialized at full size give the same bits
+    shape, sizes = (2, 3, 4), np.array([1.0, 2.0, 0.5, 1.5])
+    full = np.broadcast_to(sizes, shape).ravel()   # a copy: the bounds at full size
+    free = np.setdiff1d(np.arange(full.size), [3, 10, 17])
+    x, upper = 0.5 * full[free], np.broadcast_to(sizes, shape).flat[free]
+    newton = 0.1 * upper * np.where(np.arange(free.size) % 2, 1.0, -1.0)
+    crossers = np.array([0, 5, 9, 14])
+    x[0], x[5] = 0.0, upper[5]
+    newton[crossers] = [-0.3, 0.4, -0.8 * upper[9], 0.8 * upper[14]]
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((free.size, free.size))
+    h = 4.0 * np.eye(free.size) + 0.02 * (a @ a.T)   # coupled SPD
+    b = h @ newton
+    passes, cg = [], optim._cg
+
+    def counted(*args):
+        passes.append(1)
+        return cg(*args)
+
+    monkeypatch.setattr(optim, "_cg", counted)
+    p = optim._face_step(lambda v: h @ v, b, 1e-14, x, 0.0, upper)
+    dense = np.clip(x + newton, 0.0, upper) - x
+    z = x + newton
+    assert np.array_equal(np.flatnonzero((z < 0.0) | (z > upper)), crossers)
+    assert crossers.size < optim.FACE_CROSSED * free.size and len(passes) == 2
+    assert np.array_equal(p[crossers], dense[crossers])
+    assert (p[0], p[5], p[9], p[14]) == (0.0, 0.0, -x[9], upper[14] - x[14])
+    rest = np.setdiff1d(np.arange(free.size), crossers)
+    want = np.linalg.solve(h[np.ix_(rest, rest)],
+                           b[rest] - h[np.ix_(rest, crossers)] @ dense[crossers])
+    assert np.allclose(p[rest], want, rtol=1e-12, atol=1e-15)
+    assert np.all((x[rest] + p[rest] > 0.0) & (x[rest] + p[rest] < upper[rest]))
+    materialized = optim._face_step(lambda v: h @ v, b, 1e-14, x, np.zeros(full.size)[free],
+                                    full[free])
+    assert np.array_equal(p, materialized)
 
 
 def test_box_descent_clamps_active_bounds():

@@ -336,9 +336,10 @@ def test_a_newton_step_that_mostly_leaves_the_box_keeps_one_cg_pass(monkeypatch)
     scn, prof = shuffled_zipf(20, 20)
     steps, face_step, cg = [], optim._face_step, optim._cg
 
-    def recorded(hv, b, rtol, land):
-        out, move = land(cg(hv, b, rtol))   # the first pass, recomputed
-        pinned = int(np.count_nonzero(out & (move() == 0.0)))
+    def recorded(hv, b, rtol, x, lower, upper):
+        z = x + cg(hv, b, rtol)   # the first pass, recomputed
+        out = (z < lower) | (z > upper)
+        pinned = int(np.count_nonzero(out & (np.clip(z, lower, upper) - x == 0.0)))
         passes = []
 
         def counted(*args):
@@ -346,7 +347,7 @@ def test_a_newton_step_that_mostly_leaves_the_box_keeps_one_cg_pass(monkeypatch)
             return cg(*args)
 
         monkeypatch.setattr(optim, "_cg", counted)
-        p = face_step(hv, b, rtol, land)
+        p = face_step(hv, b, rtol, x, lower, upper)
         monkeypatch.setattr(optim, "_cg", cg)
         steps.append((np.count_nonzero(out) / b.size, pinned, len(passes)))
         return p

@@ -41,8 +41,8 @@ ALLOWED = {
                               + _PAPER_BOUNDS,
     "demand.sample_outcomes": _TRACER,
     "optim.project_ball_slice": _TRACER,
-    "scenario.save_scenario": "writes the scenario files the tests and CI steps read: "
-                              "moves to tests/oracles.py or is documented as API (ROADMAP item 18)",
+    "scenario.save_scenario": "Python API (README): every CI scenario step writes its "
+                              "file with it, as the tests do",
 }
 
 
